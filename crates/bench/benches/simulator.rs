@@ -291,84 +291,6 @@ fn bench_static_prune_speedup() -> String {
     )
 }
 
-/// Bit-granular dataflow pruning on top of the register-level prune:
-/// `nw_diagonal`'s live registers additionally carry statically dead
-/// *bits* (small loop bounds and flags whose top bits no reachable
-/// instruction demands — 104 of 704 register bits are provably dead
-/// versus 96 from whole-dead registers alone), so single-bit draws
-/// landing there skip simulation too.  The register-level prune stays on
-/// in both modes; the delta is purely the bit refinement.  Returns the
-/// JSON fragment `main` folds into `BENCH_campaign.json`.
-fn bench_bit_prune_speedup() -> String {
-    let nw = NeedlemanWunsch::default();
-    let card = GpuConfig::rtx2060();
-    let golden = profile(&nw, &card).unwrap();
-    let runs = 300;
-    let bit_cfg = CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), runs, 11);
-    let reg_cfg = bit_cfg.clone().no_bit_prune();
-
-    let t_reg = time("campaign_300_nw_regfile_reg_prune_only", 3, || {
-        run_campaign(&nw, &card, &reg_cfg, &golden).unwrap()
-    });
-    let t_bit = time("campaign_300_nw_regfile_bit_prune", 3, || {
-        run_campaign(&nw, &card, &bit_cfg, &golden).unwrap()
-    });
-
-    let r_bit = run_campaign(&nw, &card, &bit_cfg, &golden).unwrap();
-    let r_reg = run_campaign(&nw, &card, &reg_cfg, &golden).unwrap();
-    assert_eq!(
-        r_bit.tally, r_reg.tally,
-        "bit pruning must not change classifications"
-    );
-    for (i, (a, b)) in r_bit.records.iter().zip(&r_reg.records).enumerate() {
-        assert_eq!(a.effect, b.effect, "run {i}: effect");
-        assert_eq!(a.cycles, b.cycles, "run {i}: cycles");
-    }
-    let speedup = t_reg / t_bit;
-    let s = &r_bit.stats;
-    let total_pruned = s.static_pruned + s.static_bit_pruned;
-    let total_share = total_pruned as f64 / runs as f64;
-    // The refinement must beat the register-level prune's measured 10.7%
-    // share on this exact campaign, or it is not pulling its weight.
-    assert!(
-        s.static_bit_pruned > 0,
-        "no run was bit-pruned in {runs} on NW"
-    );
-    assert!(
-        total_share > 0.107,
-        "total pruned share {total_share:.3} does not exceed the \
-         register-level baseline 0.107"
-    );
-    println!(
-        "bit-prune engine:  {:.1} runs/s, {} reg-pruned + {} bit-pruned \
-         = {:.1}% of runs skipped",
-        s.runs_per_sec,
-        s.static_pruned,
-        s.static_bit_pruned,
-        100.0 * total_share,
-    );
-    println!(
-        "reg-prune engine:  {:.1} runs/s ({} pruned)",
-        r_reg.stats.runs_per_sec, r_reg.stats.static_pruned
-    );
-    println!("speedup (wall): {speedup:.2}x");
-    format!(
-        "{{\n    \"benchmark\": \"campaign_300_nw_regfile_bit\",\n    \"workload\": \"{}\",\n    \
-         \"runs\": {runs},\n    \"golden_cycles\": {},\n    \"iters\": 3,\n    \
-         \"reg_prune_runs_per_sec\": {:.2},\n    \"bit_prune_runs_per_sec\": {:.2},\n    \
-         \"speedup\": {speedup:.3},\n    \"static_pruned\": {},\n    \
-         \"static_bit_pruned\": {},\n    \"total_pruned_share\": {total_share:.3},\n    \
-         \"reg_level_baseline_share\": 0.107,\n    \"threads\": {}\n  }}",
-        nw.name(),
-        golden.total_cycles(),
-        r_reg.stats.runs_per_sec,
-        s.runs_per_sec,
-        s.static_pruned,
-        s.static_bit_pruned,
-        s.threads,
-    )
-}
-
 fn main() {
     bench_assembler();
     bench_cache();
@@ -378,11 +300,8 @@ fn main() {
     bench_early_exit_speedup();
     let checkpoint = bench_checkpoint_speedup();
     let static_prune = bench_static_prune_speedup();
-    let bit_prune = bench_bit_prune_speedup();
-    let json = format!(
-        "{{\n  \"checkpoint\": {checkpoint},\n  \"static_prune\": {static_prune},\n  \
-         \"bench_bit_prune_speedup\": {bit_prune}\n}}\n"
-    );
+    let json =
+        format!("{{\n  \"checkpoint\": {checkpoint},\n  \"static_prune\": {static_prune}\n}}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
     std::fs::write(path, json).expect("write BENCH_campaign.json");
     println!("results written to BENCH_campaign.json");

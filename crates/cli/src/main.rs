@@ -30,13 +30,51 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
+        Err(e) => {
+            eprintln!("error: {e}");
+            match e {
+                CliError::Usage(_) => eprintln!("\n{USAGE}"),
+                CliError::Failed(_) => eprintln!("(`gpufi help` prints the usage)"),
+            }
             ExitCode::FAILURE
         }
     }
+}
+
+/// Why a command failed — `main` reprints [`USAGE`] under the first kind
+/// only, so the one-line cause of the second stays on screen.
+#[derive(Debug, PartialEq)]
+enum CliError {
+    /// The command line itself is wrong (unknown command or flag, missing
+    /// flag or value, unparsable value).  The flag helpers report these as
+    /// plain strings; `?` lifts them here.
+    Usage(String),
+    /// The command line was understood and the work failed.
+    Failed(String),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (CliError::Usage(msg) | CliError::Failed(msg)) = self;
+        f.write_str(msg)
+    }
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Usage(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Usage(msg.into())
+    }
+}
+
+/// Lifts a runtime error into [`CliError::Failed`].
+fn failed(e: impl std::fmt::Display) -> CliError {
+    CliError::Failed(e.to_string())
 }
 
 const USAGE: &str = "\
@@ -48,8 +86,8 @@ usage:
                  [--fault-model transient|stuck-at-0|stuck-at-1]
                  [--seed S] [--threads T] [--no-early-exit] [--no-checkpoints]
                  [--checkpoint-interval C] [--oracle-check] [--no-static-prune]
-                 [--no-bit-prune] [--csv FILE] [--journal FILE] [--no-journal]
-                 [--resume] [--max-run-seconds S] [--inject-panic-run I]
+                 [--csv FILE] [--journal FILE] [--no-journal] [--resume]
+                 [--max-run-seconds S] [--inject-panic-run I]
                  [--sampling flat|stratified] [--validate-sampling]
   gpufi avf      --bench <NAME> [--card <CARD>] [--runs N] [--bits K] [--seed S]
   gpufi analyze  [--bench <NAME>] [--card <CARD>] [--json]
@@ -100,14 +138,14 @@ one benchmark or the whole paper suite: uninitialized-register reads,
 divergent barriers, shared-memory races between barrier intervals,
 unreachable code, write-never-read registers and malformed SSY
 reconvergence points; --json emits machine-readable findings;
-register-file campaigns consult the same liveness analysis to pre-classify
-runs whose faults land only in statically dead (never-read) registers as
-Masked without simulating them (detail=static_dead); a bit-granular
-refinement additionally prunes transient runs whose flipped bits all land
-in statically dead *bits* of otherwise-live registers
-(detail=static_dead_bit); --no-static-prune forces full simulation of
-every run and --no-bit-prune disables only the bit-granular refinement
-(validation modes); `analyze` dumps the underlying per-kernel bit-level
+register-file campaigns consult the bit-level liveness analysis to
+pre-classify, without simulating them, runs whose faults land only in
+statically dead (never-read) registers (detail=static_dead) and, for
+transient faults, runs whose flipped bits all land in statically dead
+*bits* of otherwise-live registers (detail=static_dead_bit);
+--no-static-prune forces full simulation of every run (validation mode;
+--oracle-check and --sampling stratified pre-classify nothing, stuck-at
+models only whole dead registers); `analyze` dumps the per-kernel bit-level
 liveness and known-bits reports plus the cycle-weighted register-file
 prunable-mass estimates without running a campaign;
 --sampling stratified generalizes the prune into two-level estimation for
@@ -120,12 +158,14 @@ and the per-class estimates are reweighted with confidence intervals
 unless every stratified estimate lands inside the flat campaign's interval
 
 fault tolerance: every run executes under a supervisor that catches
-simulator panics, retries each panicked run once and records reproduced
-panics as Crash (detail=sim_panic) without losing sibling runs; with
+simulator panics, retries a panicked run once on the spot and records a
+reproduced panic as Crash (detail=sim_panic) without losing sibling runs; with
 --csv (or --journal) every completed run is fsync'd to an append-only
 journal (<csv>.journal.jsonl by default, --no-journal disables) and
 --resume restarts an interrupted campaign from it, re-running only the
-missing runs with bit-identical results; --max-run-seconds S adds a
+missing runs with bit-identical results (a journal written before the
+bit_prune knob left the campaign fingerprint is refused as belonging to
+a different campaign — rerun it); --max-run-seconds S adds a
 per-run wall-clock watchdog (classified Timeout, detail=wall_watchdog)
 on top of the 2x-golden-cycles cycle watchdog; --inject-panic-run I
 panics run I on both attempts (supervisor self-test)
@@ -196,14 +236,14 @@ impl<'a> Args<'a> {
 
 /// Resolves the target chip: `--config FILE` (a gpgpusim.config-style
 /// description) wins over `--card PRESET`.
-fn card_of(args: &Args<'_>) -> Result<GpuConfig, String> {
+fn card_of(args: &Args<'_>) -> Result<GpuConfig, CliError> {
     if let Some(path) = args.value("--config") {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read config `{path}`: {e}"))?;
-        return GpuConfig::from_config_text(&text).map_err(|e| e.to_string());
+            .map_err(|e| failed(format!("cannot read config `{path}`: {e}")))?;
+        return GpuConfig::from_config_text(&text).map_err(failed);
     }
     let name = args.value("--card").unwrap_or("rtx2060");
-    GpuConfig::preset(name).ok_or_else(|| format!("unknown card `{name}`"))
+    Ok(GpuConfig::preset(name).ok_or_else(|| format!("unknown card `{name}`"))?)
 }
 
 fn structure_of(name: &str) -> Result<Structure, String> {
@@ -222,7 +262,7 @@ fn structure_of(name: &str) -> Result<Structure, String> {
     }
 }
 
-fn run(argv: &[String]) -> Result<(), String> {
+fn run(argv: &[String]) -> Result<(), CliError> {
     let Some(cmd) = argv.first() else {
         return Err("missing command".into());
     };
@@ -248,7 +288,7 @@ fn run(argv: &[String]) -> Result<(), String> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`").into()),
     }
 }
 
@@ -257,11 +297,11 @@ fn workload_of(args: &Args<'_>) -> Result<Box<dyn gpufi_core::Workload>, String>
     gpufi_workloads::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))
 }
 
-fn cmd_profile(args: &Args<'_>) -> Result<(), String> {
+fn cmd_profile(args: &Args<'_>) -> Result<(), CliError> {
     args.reject_unknown(&["--bench", "--card", "--config"], &[])?;
     let workload = workload_of(args)?;
     let card = card_of(args)?;
-    let golden = profile(workload.as_ref(), &card).map_err(|e| e.to_string())?;
+    let golden = profile(workload.as_ref(), &card).map_err(failed)?;
     println!("benchmark: {}  card: {}", workload.name(), card.name);
     println!("fault-free cycles: {}", golden.total_cycles());
     println!("output bytes: {}", golden.output.len());
@@ -338,17 +378,19 @@ const CAMPAIGN_BOOL_FLAGS: &[&str] = &[
     "--no-early-exit",
     "--no-checkpoints",
     "--no-static-prune",
-    "--no-bit-prune",
 ];
 
 /// Parses the shared campaign flags into a [`Setup`] (profiles the golden
 /// run as a side effect).  Flag validation against unknown arguments is
 /// the caller's job — each command has its own extras.
-fn campaign_setup(args: &Args<'_>) -> Result<Setup, String> {
+fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
     let workload = workload_of(args)?;
     let card = card_of(args)?;
     let structure = structure_of(args.value("--structure").ok_or("--structure is required")?)?;
     let runs: usize = args.parse("--runs", 120)?;
+    if runs == 0 {
+        return Err(failed("--runs 0: a campaign needs at least one run"));
+    }
     let seed: u64 = args.parse("--seed", 1)?;
     let bits: u32 = args.parse("--bits", 1)?;
     let threads: usize = args.parse("--threads", 0)?;
@@ -360,7 +402,7 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, String> {
         spec.scope = match scope {
             "thread" => Scope::Thread,
             "warp" => Scope::Warp,
-            other => return Err(format!("unknown scope `{other}`")),
+            other => return Err(format!("unknown scope `{other}`").into()),
         };
     }
     if let Some(m) = args.value("--fault-model") {
@@ -369,7 +411,7 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, String> {
         })?;
         spec = spec.model(model);
     }
-    let golden = profile(workload.as_ref(), &card).map_err(|e| e.to_string())?;
+    let golden = profile(workload.as_ref(), &card).map_err(failed)?;
     let mut cfg = CampaignConfig::new(spec, runs, seed).with_threads(threads);
     if args.flag("--no-early-exit") {
         cfg = cfg.no_early_exit();
@@ -383,9 +425,6 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, String> {
     }
     if args.flag("--no-static-prune") {
         cfg = cfg.no_static_prune();
-    }
-    if args.flag("--no-bit-prune") {
-        cfg = cfg.no_bit_prune();
     }
     let sampling = match args.value("--sampling") {
         None => SamplingMode::Flat,
@@ -448,7 +487,7 @@ fn svc_of(args: &Args<'_>) -> Result<ServiceConfig, String> {
     })
 }
 
-fn cmd_campaign(args: &Args<'_>) -> Result<(), String> {
+fn cmd_campaign(args: &Args<'_>) -> Result<(), CliError> {
     let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
     value_flags.extend(["--csv", "--journal", "--inject-panic-run"]);
     let mut bool_flags = CAMPAIGN_BOOL_FLAGS.to_vec();
@@ -490,7 +529,7 @@ fn cmd_campaign(args: &Args<'_>) -> Result<(), String> {
             run_campaign_with_hook(workload.as_ref(), card, cfg, golden, Some(&hook))
         }
     }
-    .map_err(|e| e.to_string())?;
+    .map_err(failed)?;
     print_campaign_summary(&setup, &result, args)?;
     if validate_sampling {
         validate_stratified(
@@ -512,7 +551,7 @@ fn print_campaign_summary(
     setup: &Setup,
     result: &gpufi_core::CampaignResult,
     args: &Args<'_>,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     let runs = setup.cfg.runs;
     println!(
         "benchmark: {}  card: {}  structure: {}  bits/fault: {}  runs: {}",
@@ -559,23 +598,18 @@ fn print_campaign_summary(
         s.restores,
         s.mean_skipped_cycles
     );
-    if s.static_pruned > 0 {
+    if s.static_pruned + s.static_bit_pruned > 0 {
         println!(
-            "  static prune: {} run(s) in dead registers pre-classified Masked ({:.1} %)",
+            "  static prune: {} run(s) in dead registers + {} in dead bits of live registers \
+             pre-classified Masked ({:.1} %)",
             s.static_pruned,
-            100.0 * s.static_pruned_rate
-        );
-    }
-    if s.static_bit_pruned > 0 {
-        println!(
-            "  bit prune: {} run(s) in statically dead bits pre-classified Masked ({:.1} %)",
             s.static_bit_pruned,
-            100.0 * s.static_bit_pruned_rate
+            100.0 * (s.static_pruned_rate + s.static_bit_pruned_rate)
         );
     }
     if s.panics > 0 || s.retries > 0 {
         println!(
-            "  supervisor: {} panic(s) caught, {} quarantined run(s) retried once",
+            "  supervisor: {} panic(s) caught, {} run(s) retried once",
             s.panics, s.retries
         );
     }
@@ -610,11 +644,11 @@ fn print_campaign_summary(
             s.oracle_checked, s.oracle_verified, s.oracle_mismatches
         );
         if s.oracle_mismatches > 0 {
-            return Err(format!(
+            return Err(failed(format!(
                 "{} run(s) the early-exit engine would classify Masked did not \
                  end in the oracle-predicted state",
                 s.oracle_mismatches
-            ));
+            )));
         }
     }
     if let Some(sm) = &result.sampling {
@@ -642,7 +676,7 @@ fn print_campaign_summary(
     }
     if let Some(path) = args.value("--csv") {
         let csv = gpufi_core::campaign_csv(result);
-        std::fs::write(path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, csv).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
         println!("  per-run records written to {path}");
     }
     Ok(())
@@ -652,7 +686,7 @@ fn print_campaign_summary(
 /// `campaign` (the fingerprint handshake proves workers agree), plus the
 /// bind address, lease/heartbeat/deadline tuning and `--local-workers`
 /// for single-machine runs.  Owns the canonical journal/CSV/tally.
-fn cmd_serve(args: &Args<'_>) -> Result<(), String> {
+fn cmd_serve(args: &Args<'_>) -> Result<(), CliError> {
     let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
     value_flags.extend([
         "--bind",
@@ -666,20 +700,16 @@ fn cmd_serve(args: &Args<'_>) -> Result<(), String> {
     let mut bool_flags = CAMPAIGN_BOOL_FLAGS.to_vec();
     bool_flags.extend(["--resume", "--no-journal"]);
     args.reject_unknown(&value_flags, &bool_flags)?;
-    if args.flag("--oracle-check") {
-        // reject_unknown already refused it; belt and braces for when the
-        // flag lists drift.
-        return Err("--oracle-check is a single-process validation mode; use `campaign`".into());
-    }
     let mut setup = campaign_setup(args)?;
     setup.cfg = apply_journal_flags(args, setup.cfg)?;
     let svc = svc_of(args)?;
     let local_workers: usize = args.parse("--local-workers", 0)?;
     let bind = args.value("--bind").unwrap_or("127.0.0.1:9442");
-    let listener = TcpListener::bind(bind).map_err(|e| format!("cannot bind `{bind}`: {e}"))?;
+    let listener =
+        TcpListener::bind(bind).map_err(|e| failed(format!("cannot bind `{bind}`: {e}")))?;
     let addr = listener
         .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?
+        .map_err(|e| failed(format!("local_addr: {e}")))?
         .to_string();
     println!(
         "serving campaign on {addr} ({} runs, lease size {}, deadline {} ms)",
@@ -705,14 +735,14 @@ fn cmd_serve(args: &Args<'_>) -> Result<(), String> {
         }
         serve_campaign(workload.as_ref(), card, cfg, golden, &svc, listener)
     })
-    .map_err(|e| e.to_string())?;
+    .map_err(failed)?;
     print_campaign_summary(&setup, &result, args)
 }
 
 /// `gpufi worker`: connects to a `serve` coordinator (retrying while it
 /// boots), proves it describes the same campaign via the fingerprint
 /// handshake and executes leased runs until `fin`.
-fn cmd_worker(args: &Args<'_>) -> Result<(), String> {
+fn cmd_worker(args: &Args<'_>) -> Result<(), CliError> {
     let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
     value_flags.extend([
         "--connect",
@@ -742,7 +772,7 @@ fn cmd_worker(args: &Args<'_>) -> Result<(), String> {
             Err(ServiceError::Io(e)) if e.starts_with("connect") && Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(500));
             }
-            Err(e) => return Err(e.to_string()),
+            Err(e) => return Err(failed(e)),
         }
     };
     println!(
@@ -763,7 +793,7 @@ fn validate_stratified(
     cfg: &CampaignConfig,
     golden: &gpufi_core::GoldenProfile,
     runs: usize,
-) -> Result<(), String> {
+) -> Result<(), CliError> {
     let est = &result
         .sampling
         .as_ref()
@@ -779,7 +809,7 @@ fn validate_stratified(
         "  validating against a flat campaign of {flat_runs} runs ({}x the stratified budget)...",
         flat_runs / runs.max(1)
     );
-    let flat = run_campaign(workload, card, &fcfg, golden).map_err(|e| e.to_string())?;
+    let flat = run_campaign(workload, card, &fcfg, golden).map_err(failed)?;
     let flat_margin = margin_of_error(0.99, flat_runs.max(1) as u64, u64::MAX);
     let mut failures = Vec::new();
     for (i, e) in FaultEffect::ALL.iter().enumerate() {
@@ -806,10 +836,10 @@ fn validate_stratified(
         );
         Ok(())
     } else {
-        Err(format!(
+        Err(failed(format!(
             "stratified estimate outside the flat campaign's interval for: {}",
             failures.join(", ")
-        ))
+        )))
     }
 }
 
@@ -817,7 +847,7 @@ fn validate_stratified(
 /// kernels, each executed on both the cycle-level simulator and the
 /// functional reference interpreter; the first divergence aborts with the
 /// full report and the generated kernel source.
-fn cmd_fuzz(args: &Args<'_>) -> Result<(), String> {
+fn cmd_fuzz(args: &Args<'_>) -> Result<(), CliError> {
     args.reject_unknown(&["--kernels", "--seed"], &[])?;
     let count: u32 = args.parse("--kernels", 100)?;
     let seed: u64 = args.parse("--seed", 1)?;
@@ -828,10 +858,10 @@ fn cmd_fuzz(args: &Args<'_>) -> Result<(), String> {
         // accesses), so any static-lint finding is a generator bug —
         // report it with the repro source before running the case.
         let module = gpufi_isa::Module::assemble(&case.source).map_err(|e| {
-            format!(
+            failed(format!(
                 "seed {}: generated source does not assemble: {e}",
                 case.seed
-            )
+            ))
         })?;
         let findings = gpufi_isa::analysis::lint_module(&module);
         if !findings.is_empty() {
@@ -839,18 +869,18 @@ fn cmd_fuzz(args: &Args<'_>) -> Result<(), String> {
                 .iter()
                 .map(|(k, f)| format!("  {k}: [{}] {f}", f.kind()))
                 .collect();
-            return Err(format!(
+            return Err(failed(format!(
                 "seed {} generated a kernel the static analyzer rejects:\n{}\nsource:\n{}",
                 case.seed,
                 report.join("\n"),
                 case.source
-            ));
+            )));
         }
         if let Err(report) = gpufi_sim::oracle::fuzz::run_case(&case) {
-            return Err(format!(
+            return Err(failed(format!(
                 "seed {} diverged after {i} clean kernels:\n{report}\nsource:\n{}",
                 case.seed, case.source
-            ));
+            )));
         }
     }
     println!(
@@ -890,7 +920,7 @@ fn json_opt_str(v: Option<&str>) -> String {
 /// (CFG, dominators/post-dominators, liveness and all lint passes) over
 /// one benchmark — or the whole paper suite — and reports every finding.
 /// Exits nonzero when any kernel is dirty, so CI can gate on it.
-fn cmd_lint(args: &Args<'_>) -> Result<(), String> {
+fn cmd_lint(args: &Args<'_>) -> Result<(), CliError> {
     args.reject_unknown(&["--bench"], &["--json"])?;
     let workloads: Vec<Box<dyn gpufi_core::Workload>> =
         match args.value("--bench") {
@@ -973,7 +1003,7 @@ fn cmd_lint(args: &Args<'_>) -> Result<(), String> {
     if findings.is_empty() {
         Ok(())
     } else {
-        Err(format!("{} lint finding(s)", findings.len()))
+        Err(failed(format!("{} lint finding(s)", findings.len())))
     }
 }
 
@@ -1003,7 +1033,7 @@ struct KernelReport {
 /// the share of campaign runs `--structure rf` pre-classifies without
 /// simulation.  Weighted by golden-run cycles per kernel, matching how the
 /// campaign draws injection cycles.
-fn cmd_analyze(args: &Args<'_>) -> Result<(), String> {
+fn cmd_analyze(args: &Args<'_>) -> Result<(), CliError> {
     args.reject_unknown(&["--bench", "--card", "--config"], &["--json"])?;
     let workloads: Vec<Box<dyn gpufi_core::Workload>> =
         match args.value("--bench") {
@@ -1015,7 +1045,7 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), String> {
     let json = args.flag("--json");
     let mut bench_rows: Vec<String> = Vec::new();
     for w in &workloads {
-        let golden = profile(w.as_ref(), &card).map_err(|e| e.to_string())?;
+        let golden = profile(w.as_ref(), &card).map_err(failed)?;
         let total_cycles = golden.total_cycles();
         let mut reports: Vec<KernelReport> = Vec::new();
         for k in w.module().kernels() {
@@ -1153,7 +1183,7 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_avf(args: &Args<'_>) -> Result<(), String> {
+fn cmd_avf(args: &Args<'_>) -> Result<(), CliError> {
     args.reject_unknown(
         &[
             "--bench",
@@ -1175,7 +1205,7 @@ fn cmd_avf(args: &Args<'_>) -> Result<(), String> {
     let threads: usize = args.parse("--threads", 0)?;
     let mut cfg = AnalysisConfig::new(runs, seed).bits(bits);
     cfg.threads = threads;
-    let golden = profile(workload.as_ref(), &card).map_err(|e| e.to_string())?;
+    let golden = profile(workload.as_ref(), &card).map_err(failed)?;
     let analysis = analyze_with_golden(workload.as_ref(), &card, &cfg, &golden);
     println!(
         "benchmark: {}  card: {}  ({} runs per kernel x structure, {}-bit faults)",
@@ -1202,7 +1232,7 @@ fn cmd_avf(args: &Args<'_>) -> Result<(), String> {
     println!("chip FIT (\u{00a7}VI.F): {:.4}", analysis.fit);
     if let Some(path) = args.value("--csv") {
         let csv = gpufi_core::analysis_csv(&analysis);
-        std::fs::write(path, csv).map_err(|e| format!("cannot write {path}: {e}"))?;
+        std::fs::write(path, csv).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
         println!("per-structure table written to {path}");
     }
     Ok(())
@@ -1216,6 +1246,11 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The message `gpufi <v...>` fails with.
+    fn fail(v: &[&str]) -> String {
+        run(&args(v)).unwrap_err().to_string()
+    }
+
     #[test]
     fn flag_parser() {
         let argv = args(&["--bench", "VA", "--runs", "50", "--spread"]);
@@ -1226,6 +1261,43 @@ mod tests {
         assert!(a.flag("--spread"));
         assert!(!a.flag("--missing"));
         assert!(a.parse::<usize>("--bench", 0).is_err());
+    }
+
+    #[test]
+    fn only_argument_errors_reprint_the_usage() {
+        let cli = |line: &str| run(&args(&line.split_whitespace().collect::<Vec<_>>()));
+        let va = "campaign --bench VA --structure rf";
+        for line in [
+            String::new(),
+            "frobnicate".into(),
+            "campaign --bench VA".into(),
+            format!("{va} --run 5"),
+            format!("{va} --runs x"),
+            format!("{va} --runs"),
+            format!("{va} --no-bit-prune"),
+            "campaign --bench VA --structure dram".into(),
+        ] {
+            assert!(matches!(cli(&line), Err(CliError::Usage(_))), "{line}");
+        }
+        // Understood, then failed: the one-line cause must stay on screen.
+        let journal = std::env::temp_dir().join(format!("gpufi-cli-{}.jsonl", std::process::id()));
+        let journaled = format!("{va} --runs 4 --journal {} --seed", journal.display());
+        cli(&format!("{journaled} 1")).unwrap();
+        for (line, cause) in [
+            (
+                format!("{va} --sampling stratified --fault-model stuck-at-0"),
+                "cannot be stratified",
+            ),
+            (format!("{journaled} 2 --resume"), "different campaign"),
+            // Used to "succeed" and report the n = 1 margin (±128.79 %).
+            (format!("{va} --runs 0"), "at least one run"),
+        ] {
+            match cli(&line) {
+                Err(CliError::Failed(msg)) => assert!(msg.contains(cause), "{line}: {msg}"),
+                other => panic!("{line}: expected a runtime failure, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(journal).ok();
     }
 
     #[test]
@@ -1242,7 +1314,7 @@ mod tests {
     #[test]
     fn fault_model_flag_is_validated() {
         // An unknown model must fail loudly, with the choices listed.
-        let err = run(&args(&[
+        let err = fail(&[
             "campaign",
             "--bench",
             "VA",
@@ -1250,12 +1322,11 @@ mod tests {
             "rf",
             "--fault-model",
             "stuck-at-2",
-        ]))
-        .unwrap_err();
+        ]);
         assert!(err.contains("unknown fault model `stuck-at-2`"), "{err}");
         // Stratified sampling is transient-only; a stuck-at campaign must
         // be refused before any run executes.
-        let err = run(&args(&[
+        let err = fail(&[
             "campaign",
             "--bench",
             "VA",
@@ -1265,8 +1336,7 @@ mod tests {
             "stuck-at-1",
             "--sampling",
             "stratified",
-        ]))
-        .unwrap_err();
+        ]);
         assert!(err.contains("cannot be stratified"), "{err}");
     }
 
@@ -1283,7 +1353,7 @@ mod tests {
         assert!(card_of(&a).is_err());
         let argv = args(&["--config", "/nonexistent/x.config"]);
         let a = Args { argv: &argv };
-        assert!(card_of(&a).unwrap_err().contains("cannot read"));
+        assert!(card_of(&a).unwrap_err().to_string().contains("cannot read"));
     }
 
     #[test]
@@ -1299,7 +1369,7 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected() {
         // A typo like `--run` must not silently fall back to the default.
-        let err = run(&args(&[
+        let err = fail(&[
             "campaign",
             "--bench",
             "VA",
@@ -1307,15 +1377,14 @@ mod tests {
             "rf",
             "--run",
             "5",
-        ]))
-        .unwrap_err();
+        ]);
         assert!(err.contains("unknown flag `--run`"), "{err}");
-        let err = run(&args(&["profile", "--bench", "VA", "--oracle-check"])).unwrap_err();
+        let err = fail(&["profile", "--bench", "VA", "--oracle-check"]);
         assert!(err.contains("unknown flag `--oracle-check`"), "{err}");
-        let err = run(&args(&["fuzz", "--bench", "VA"])).unwrap_err();
+        let err = fail(&["fuzz", "--bench", "VA"]);
         assert!(err.contains("unknown flag `--bench`"), "{err}");
         // A value flag at the end of the line is missing its value.
-        let err = run(&args(&["fuzz", "--kernels"])).unwrap_err();
+        let err = fail(&["fuzz", "--kernels"]);
         assert!(err.contains("needs a value"), "{err}");
     }
 
@@ -1338,7 +1407,7 @@ mod tests {
         // even though the --card preset is valid.
         let argv = args(&["--config", "/nonexistent/x.config", "--card", "titan"]);
         let a = Args { argv: &argv };
-        assert!(card_of(&a).unwrap_err().contains("cannot read"));
+        assert!(card_of(&a).unwrap_err().to_string().contains("cannot read"));
         // A readable config file resolves to its own chip, not the preset.
         let dir = std::env::temp_dir().join("gpufi-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1358,20 +1427,19 @@ mod tests {
 
     #[test]
     fn serve_rejects_oracle_check_and_worker_needs_connect() {
-        let err = run(&args(&[
+        let err = fail(&[
             "serve",
             "--bench",
             "VA",
             "--structure",
             "rf",
             "--oracle-check",
-        ]))
-        .unwrap_err();
+        ]);
         assert!(err.contains("--oracle-check"), "{err}");
-        let err = run(&args(&["worker", "--bench", "VA", "--structure", "rf"])).unwrap_err();
+        let err = fail(&["worker", "--bench", "VA", "--structure", "rf"]);
         assert!(err.contains("--connect is required"), "{err}");
         // A worker never owns the journal; the flag must be refused.
-        let err = run(&args(&[
+        let err = fail(&[
             "worker",
             "--bench",
             "VA",
@@ -1381,8 +1449,7 @@ mod tests {
             "127.0.0.1:1",
             "--journal",
             "x.jsonl",
-        ]))
-        .unwrap_err();
+        ]);
         assert!(err.contains("unknown flag `--journal`"), "{err}");
     }
 
@@ -1417,7 +1484,7 @@ mod tests {
         assert!(run(&args(&["lint", "--bench", "VA"])).is_ok());
         assert!(run(&args(&["lint", "--bench", "VA", "--json"])).is_ok());
         assert!(run(&args(&["lint", "--bench", "nope"])).is_err());
-        let err = run(&args(&["lint", "--card", "titan"])).unwrap_err();
+        let err = fail(&["lint", "--card", "titan"]);
         assert!(err.contains("unknown flag"), "{err}");
     }
 

@@ -4,11 +4,12 @@ use crate::classify::{classify, detail_of, RunDetail};
 use crate::profile::GoldenProfile;
 use crate::sampling::{SamplingMode, SamplingSummary, StrataLayout};
 use crate::supervisor::{
-    campaign_fingerprint, catch_run, strata_hash, stratified_fingerprint, RunJournal,
+    campaign_fingerprint, catch_run, strata_hash, stratified_fingerprint, JournalSink,
+    JournalWriter, RunJournal,
 };
 use crate::workload::{Workload, WorkloadError};
 use gpufi_faults::{CampaignSpec, DrawError, MaskGenerator, Structure};
-use gpufi_isa::analysis::{dead_bit_masks, dead_registers};
+use gpufi_isa::analysis::dead_bit_masks;
 use gpufi_metrics::{proportional_allocation, stratified_estimate, StratumObservation};
 use gpufi_metrics::{FaultEffect, Tally};
 use gpufi_sim::{CheckpointStore, FaultTarget, Gpu, GpuConfig, InjectionPlan, KernelWindow, Trap};
@@ -17,7 +18,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default memory budget for the checkpoint store (the recorder doubles
@@ -84,26 +85,17 @@ pub struct CampaignConfig {
     /// journal file does not exist the campaign simply starts fresh.
     #[serde(default)]
     pub resume: bool,
-    /// Pre-classify register-file runs whose every fault targets a
-    /// **statically dead** register — one no reachable instruction of the
-    /// faulted kernel ever reads — as Masked at the golden cycle count,
-    /// without forking a simulation (ACE-style pruning over the liveness
-    /// analysis in `gpufi_isa::analysis`).  Disable to force full
+    /// Pre-classify register-file runs the static analyzer proves Masked
+    /// — every fault lands in a register no reachable instruction of the
+    /// faulted kernel ever reads, or (transient models only) every flipped
+    /// bit lands in a bit position none ever demands — at the golden cycle
+    /// count, without forking a simulation (ACE-style pruning over
+    /// `gpufi_isa::analysis::dead_bit_masks`).  Disable to force full
     /// simulation of every run — the validation mode behind
-    /// `--no-static-prune`.  Ignored (off) under `oracle_check`, which
-    /// exists to validate exactly such shortcuts.
+    /// `--no-static-prune`.  Off under `oracle_check`, which exists to
+    /// validate exactly such shortcuts, and under stratified sampling,
+    /// whose dead mass is already resolved analytically.
     pub static_prune: bool,
-    /// Extend the static prune to **bit granularity**: a transient
-    /// register-file run whose every flipped bit lands in a bit position no
-    /// reachable instruction of the faulted kernel ever demands (bit-level
-    /// liveness over `gpufi_isa::analysis::bit_liveness`) is pre-classified
-    /// Masked at the golden cycle count, even when the register itself is
-    /// live.  Subordinate to [`CampaignConfig::static_prune`] (both must be
-    /// on), bypassed under `oracle_check`, restricted to transient fault
-    /// models, and rejected under stratified sampling, whose stratum
-    /// weights are not bit-aware.  Disable with `--no-bit-prune`.
-    #[serde(default)]
-    pub bit_prune: bool,
     /// Per-run wall-clock watchdog in milliseconds (`0` = off): a run
     /// whose *real* time exceeds this aborts with a wall-clock trap and
     /// classifies **Timeout**, complementing the 2×-golden-cycles cycle
@@ -138,7 +130,6 @@ impl CampaignConfig {
             journal: None,
             resume: false,
             static_prune: true,
-            bit_prune: true,
             max_run_ms: 0,
             sampling: SamplingMode::Flat,
         }
@@ -168,18 +159,10 @@ impl CampaignConfig {
         self
     }
 
-    /// Disables static dead-register pruning (full-simulation validation
+    /// Disables static pre-classification (full-simulation validation
     /// mode; see [`CampaignConfig::static_prune`]).
     pub fn no_static_prune(mut self) -> Self {
         self.static_prune = false;
-        self
-    }
-
-    /// Disables bit-granular dead-bit pruning while keeping the
-    /// register-level prune (validation mode; see
-    /// [`CampaignConfig::bit_prune`]).
-    pub fn no_bit_prune(mut self) -> Self {
-        self.bit_prune = false;
         self
     }
 
@@ -221,13 +204,9 @@ impl CampaignConfig {
     }
 
     /// Enables liveness-interval stratified sampling (see
-    /// [`CampaignConfig::sampling`]).  Clears [`CampaignConfig::bit_prune`]:
-    /// the stratum weights are register-level liveness intervals, not
-    /// bit-aware, so bit pruning under stratification would bias the
-    /// reweighted estimate and is rejected by the campaign.
+    /// [`CampaignConfig::sampling`]).
     pub fn stratified(mut self) -> Self {
         self.sampling = SamplingMode::Stratified;
-        self.bit_prune = false;
         self
     }
 
@@ -258,7 +237,7 @@ pub struct RunRecord {
     pub ckpt_skipped_cycles: u64,
     /// Sub-classification of the outcome: which trap kind a Crash was,
     /// which watchdog a Timeout was, or [`RunDetail::SimPanic`] for a run
-    /// the supervisor quarantined after a reproducible simulator panic.
+    /// the supervisor gave up on after a reproducible simulator panic.
     #[serde(default)]
     pub detail: RunDetail,
     /// Index of the live stratum this run was drawn from, or `None` in a
@@ -325,21 +304,20 @@ pub struct CampaignStats {
     /// attempt and its retry counts twice).
     #[serde(default)]
     pub panics: usize,
-    /// Panicked runs the supervisor re-executed once from the quarantine
-    /// queue, to distinguish deterministic poison runs from incidental
-    /// failures.
+    /// Panicked runs the supervisor re-executed once, to distinguish
+    /// deterministic poison runs from incidental failures.
     #[serde(default)]
     pub retries: usize,
-    /// Runs pre-classified Masked by the static dead-register prune and
-    /// never simulated (see [`CampaignConfig::static_prune`]).
+    /// Runs pre-classified Masked because every fault hit a statically dead
+    /// register, never simulated (see [`CampaignConfig::static_prune`]).
     #[serde(default)]
     pub static_pruned: usize,
     /// `static_pruned / runs`.
     #[serde(default)]
     pub static_pruned_rate: f64,
-    /// Runs pre-classified Masked by the bit-granular dead-bit prune —
-    /// live register, statically dead flipped bits — and never simulated
-    /// (see [`CampaignConfig::bit_prune`]).  Disjoint from
+    /// Runs pre-classified Masked at bit granularity — live register,
+    /// statically dead flipped bits — and never simulated (see
+    /// [`CampaignConfig::static_prune`]).  Disjoint from
     /// [`CampaignStats::static_pruned`].
     #[serde(default)]
     pub static_bit_pruned: usize,
@@ -491,15 +469,26 @@ pub(crate) fn mix_seed(seed: u64, run_idx: u64) -> u64 {
 
 /// One pre-drawn injection run: its fault plan, the cycle of its earliest
 /// fault (the fork point bound), and the static kernel the faults land in
-/// (the dead-register prune's lookup key).  Crate-visible so distributed
+/// (the pre-classifier's lookup key).  Crate-visible so distributed
 /// workers replay exactly the plans the coordinator partitioned.
 #[derive(Debug, Clone)]
 pub(crate) struct RunPlan {
-    pub(crate) plan: InjectionPlan,
-    pub(crate) first_cycle: u64,
-    pub(crate) kernel: String,
+    plan: InjectionPlan,
+    first_cycle: u64,
+    kernel: String,
     /// Live-stratum index the run was allocated to (stratified campaigns).
-    pub(crate) stratum: Option<u32>,
+    stratum: Option<u32>,
+}
+
+impl RunPlan {
+    fn new(plan: InjectionPlan, kernel: String, stratum: Option<u32>) -> Self {
+        RunPlan {
+            first_cycle: plan.faults.iter().map(|f| f.cycle).min().unwrap_or(0),
+            plan,
+            kernel,
+            stratum,
+        }
+    }
 }
 
 /// Intersects kernel windows with an optional cycle range, dropping
@@ -528,10 +517,7 @@ fn clamp_windows(windows: Vec<KernelWindow>, range: Option<(u64, u64)>) -> Vec<K
 /// invariants — computing them here (once) instead of inside every run
 /// also moves all fallible work ahead of the worker threads, so the run
 /// loop itself cannot fail.
-pub(crate) fn draw_plans(
-    cfg: &CampaignConfig,
-    golden: &GoldenProfile,
-) -> Result<Vec<RunPlan>, CampaignError> {
+fn draw_plans(cfg: &CampaignConfig, golden: &GoldenProfile) -> Result<Vec<RunPlan>, CampaignError> {
     let windows: Vec<KernelWindow> =
         clamp_windows(golden.windows(cfg.kernel.as_deref()), cfg.cycle_window);
     if windows.is_empty() {
@@ -575,16 +561,13 @@ pub(crate) fn draw_plans(
                 )
             }
         };
-        let first_cycle = plan.faults.iter().map(|f| f.cycle).min().unwrap_or(0);
-        plans.push(RunPlan {
-            plan,
-            first_cycle,
-            kernel,
-            stratum: None,
-        });
+        plans.push(RunPlan::new(plan, kernel, None));
     }
     Ok(plans)
 }
+
+/// A stratified campaign's strata layout and per-stratum run allocation.
+type Strata = (StrataLayout, Vec<usize>);
 
 /// Draws every run of a stratified campaign: builds the liveness-interval
 /// strata, splits the budget proportionally to the stratum weights, and
@@ -595,11 +578,11 @@ pub(crate) fn draw_plans(
 /// each run's generator still derives from `mix_seed(seed, run_idx)`, so
 /// the draw stays independent of thread count and execution order, and a
 /// resumed campaign reproduces it bit for bit.
-pub(crate) fn draw_stratified_plans(
+fn draw_stratified_plans(
     workload: &dyn Workload,
     cfg: &CampaignConfig,
     golden: &GoldenProfile,
-) -> Result<(Vec<RunPlan>, StrataLayout, Vec<usize>), CampaignError> {
+) -> Result<(Vec<RunPlan>, Strata), CampaignError> {
     if cfg.spec.structure != Structure::RegisterFile {
         return Err(CampaignError::Sampling(format!(
             "structure {:?} has no liveness intervals; stratified sampling targets the register \
@@ -618,16 +601,6 @@ pub(crate) fn draw_stratified_plans(
              single-cycle lifetimes; use --sampling flat",
             cfg.spec.model
         )));
-    }
-    if cfg.bit_prune {
-        // Stratum weights come from register-level liveness intervals;
-        // pre-classifying bit-dead runs inside a live stratum would skew
-        // the reweighted estimate.  Reject until the weights are bit-aware.
-        return Err(CampaignError::Sampling(
-            "bit-granular pruning cannot be combined with stratified sampling: stratum \
-             weights are not bit-aware; pass --no-bit-prune"
-                .into(),
-        ));
     }
     let layout = StrataLayout::build(workload, golden, cfg.kernel.as_deref(), cfg.cycle_window)
         .map_err(CampaignError::Sampling)?;
@@ -653,125 +626,93 @@ pub(crate) fn draw_stratified_plans(
             let plan = gen
                 .draw_register_stratum(&cfg.spec, &stratum.segments, stratum.reg)
                 .map_err(CampaignError::Draw)?;
-            let first_cycle = plan.faults.iter().map(|f| f.cycle).min().unwrap_or(0);
-            plans.push(RunPlan {
-                plan,
-                first_cycle,
-                kernel: stratum.kernel.clone(),
-                stratum: Some(s as u32),
-            });
+            plans.push(RunPlan::new(plan, stratum.kernel.clone(), Some(s as u32)));
         }
     }
     debug_assert_eq!(plans.len(), cfg.runs);
-    Ok((plans, layout, allocation))
+    Ok((plans, (layout, allocation)))
 }
 
-/// Per-kernel statically-dead register sets — registers no reachable
-/// instruction of the kernel ever reads — computed once per campaign from
-/// the workload's module (the liveness analysis in
-/// `gpufi_isa::analysis`).
-pub(crate) fn dead_reg_table(workload: &dyn Workload) -> BTreeMap<String, Vec<u8>> {
-    workload
-        .module()
-        .kernels()
-        .iter()
-        .map(|k| (k.name().to_string(), dead_registers(k)))
-        .collect()
+/// The granularity at which a campaign pre-classifies runs without
+/// simulating them (DESIGN.md's compatibility table is asserted against
+/// [`PruneGranularity::of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PruneGranularity {
+    /// Every run is simulated.
+    None,
+    /// Faults in registers no reachable instruction reads are resolved.
+    Register,
+    /// So are flips confined to statically dead bits of live registers.
+    Bit,
 }
 
-/// Whether every fault of `plan` is a register-file flip landing in a
-/// register of `dead` — in which case no reachable instruction can ever
-/// observe the flipped bits, the architecturally-correct-execution
-/// argument holds unconditionally, and the run is Masked at the golden
-/// cycle count without simulating it.  Registers are zero-reinitialized at
-/// every launch, so a dead flip cannot leak into a later kernel either.
-/// The argument holds for permanent stuck-at faults too: a stuck site
-/// binds to the faulted thread's physical register and dies with it, and
-/// re-pinning a register no reachable instruction reads is as unobservable
-/// as flipping it once.
-pub(crate) fn plan_is_static_dead(plan: &InjectionPlan, dead: Option<&Vec<u8>>) -> bool {
-    let Some(dead) = dead else { return false };
-    !plan.faults.is_empty()
-        && plan.faults.iter().all(|f| match &f.target {
-            FaultTarget::RegisterFile { reg, .. } => {
-                u8::try_from(*reg).is_ok_and(|r| dead.contains(&r))
-            }
-            _ => false,
-        })
+impl PruneGranularity {
+    /// Off under `--no-static-prune`; off under `--oracle-check`, which
+    /// exists to validate such shortcuts; off under stratified sampling,
+    /// whose draw already excludes dead registers (they fall in the
+    /// analytically-masked stratum) and whose weights are not bit-aware, so
+    /// every planned run must be simulated for the reweighting to stay
+    /// unbiased.  Register-granular only under stuck-at: a permanent fault
+    /// re-pins on every write, and the per-flip dead-bit argument is only
+    /// proven for single flips.
+    pub(crate) fn of(cfg: &CampaignConfig) -> Self {
+        if !cfg.static_prune || cfg.oracle_check || cfg.sampling == SamplingMode::Stratified {
+            PruneGranularity::None
+        } else if cfg.spec.model.is_permanent() {
+            PruneGranularity::Register
+        } else {
+            PruneGranularity::Bit
+        }
+    }
 }
 
-/// Per-kernel statically-dead **bit** masks — bit `b` of register `r` is
-/// set when no reachable instruction's bit-level live-in set ever demands
-/// it — computed once per campaign from the workload's module (the
-/// bit-granular liveness analysis in `gpufi_isa::analysis::bit_liveness`).
-/// A superset of [`dead_reg_table`]: a dead register's mask is all ones.
-pub(crate) fn dead_bit_table(workload: &dyn Workload) -> BTreeMap<String, Vec<u32>> {
-    workload
-        .module()
-        .kernels()
-        .iter()
-        .map(|k| (k.name().to_string(), dead_bit_masks(k)))
-        .collect()
-}
-
-/// Whether every fault of `plan` is a register-file flip whose flipped
-/// bits all land inside the statically-dead bit mask of the targeted
-/// register.  No reachable instruction ever demands those bit positions,
-/// so the flip cannot propagate into any computed value, address, store or
-/// predicate: the run is Masked at the golden cycle count without
-/// simulating it.  Only sound for transient flips — the caller gates on
-/// the fault model.
-pub(crate) fn plan_is_static_dead_bit(plan: &InjectionPlan, dead: Option<&Vec<u32>>) -> bool {
-    let Some(dead) = dead else { return false };
-    !plan.faults.is_empty()
-        && plan.faults.iter().all(|f| match &f.target {
-            FaultTarget::RegisterFile { reg, bits, .. } => dead
-                .get(*reg as usize)
-                .is_some_and(|m| bits.iter().all(|&b| b < 32 && (m >> b) & 1 == 1)),
-            _ => false,
-        })
-}
-
-/// The static-prune verdict for one pre-drawn run: the [`RunRecord`] the
-/// analyzer pre-classifies it with, or `None` when the run must be
-/// simulated.  Shared by the single-process scheduler and the distributed
-/// coordinator so a pruned campaign is byte-identical either way.
-pub(crate) fn static_prune_record(
-    plan: &RunPlan,
-    dead_regs: &BTreeMap<String, Vec<u8>>,
-    dead_bits: Option<&BTreeMap<String, Vec<u32>>>,
+/// The pre-classification verdict for one pre-drawn run against its
+/// kernel's `dead_bit_masks` (bit `b` of register `r` is set when no
+/// reachable instruction ever demands it): the [`RunRecord`] the analyzer
+/// resolves it with, or `None` when the run must be simulated.
+///
+/// A fault is *register-dead* when its register's mask is all ones — no
+/// reachable instruction reads the register, so neither a flip nor a
+/// stuck-at pin (which binds to the faulted thread's physical register and
+/// dies with it) is observable, and registers are zero-reinitialized at
+/// every launch, so it cannot leak into a later kernel.  Under
+/// [`PruneGranularity::Bit`] a fault is also *bit-dead* when every flipped
+/// bit lies inside the mask.  Every fault register-dead → `static_dead`;
+/// every fault dead either way → `static_dead_bit`.
+fn pre_classify(
+    run: &RunPlan,
+    masks: &[u32],
+    granularity: PruneGranularity,
     golden_cycles: u64,
 ) -> Option<RunRecord> {
-    let detail = if plan_is_static_dead(&plan.plan, dead_regs.get(&plan.kernel)) {
-        RunDetail::StaticDead
-    } else if plan_is_static_dead_bit(&plan.plan, dead_bits.and_then(|t| t.get(&plan.kernel))) {
-        RunDetail::StaticDeadBit
-    } else {
-        return None;
-    };
+    let mut detail = RunDetail::StaticDead;
+    for f in &run.plan.faults {
+        let FaultTarget::RegisterFile { reg, bits, .. } = &f.target else {
+            return None;
+        };
+        let mask = *masks.get(*reg as usize)?;
+        if mask == u32::MAX {
+            continue;
+        }
+        let bit_dead = granularity == PruneGranularity::Bit
+            && bits.iter().all(|&b| b < 32 && (mask >> b) & 1 == 1);
+        if !bit_dead {
+            return None;
+        }
+        detail = RunDetail::StaticDeadBit;
+    }
     // Exactly what the fault-lifetime early exit records for a flip the
     // machine provably never reads back, so pruned and unpruned campaigns
     // stay diffable.
-    Some(RunRecord {
+    (!run.plan.faults.is_empty()).then_some(RunRecord {
         effect: FaultEffect::Masked,
         cycles: golden_cycles,
         applied: true,
         early_exit: false,
         ckpt_skipped_cycles: 0,
         detail,
-        stratum: plan.stratum,
+        stratum: run.stratum,
     })
-}
-
-/// The bit-granular dead-bit table when the campaign qualifies for bit
-/// pruning (see [`CampaignConfig::bit_prune`]): transient model only —
-/// a permanent stuck-at re-pins on every write, and the per-flip masking
-/// argument is only proven for single flips.
-pub(crate) fn bit_prune_table(
-    workload: &dyn Workload,
-    cfg: &CampaignConfig,
-) -> Option<BTreeMap<String, Vec<u32>>> {
-    (cfg.bit_prune && !cfg.spec.model.is_permanent()).then(|| dead_bit_table(workload))
 }
 
 /// Re-runs the golden execution once with the checkpoint recorder armed
@@ -825,107 +766,126 @@ pub(crate) struct OracleVerdict {
     mismatch: bool,
 }
 
-/// Executes one pre-drawn injection run and classifies it.
-pub(crate) fn one_run(
-    workload: &dyn Workload,
-    card: &GpuConfig,
-    cfg: &CampaignConfig,
-    golden: &GoldenProfile,
-    run: &RunPlan,
-    store: Option<&Arc<CheckpointStore>>,
-    oracle_img: Option<&[u8]>,
-) -> (RunRecord, OracleVerdict) {
-    let mut gpu = Gpu::new(card.clone());
-    // Fork from the nearest checkpoint at or before the first injection
-    // cycle — state up to that cycle is bit-identical to the golden run's,
-    // so the head of the run need not be re-simulated.
-    let mut ckpt_skipped_cycles = 0;
-    if let Some(store) = store {
-        if let Some(idx) = store.nearest_at_or_before(run.first_cycle) {
-            gpu.resume_from(store, idx);
-            ckpt_skipped_cycles = store.snapshot_cycle(idx);
-        }
-    }
-    gpu.arm_faults(run.plan.clone());
-    gpu.set_watchdog(golden.total_cycles() * 2);
-    if cfg.max_run_ms > 0 {
-        gpu.set_wall_watchdog(Duration::from_millis(cfg.max_run_ms));
-    }
-    // Oracle check replaces the early-exit abort with a probe: the exit
-    // predicate is still evaluated, but the run completes so its final
-    // state can be compared against the oracle's prediction.
-    gpu.set_early_exit(cfg.early_exit && oracle_img.is_none());
-    gpu.set_early_exit_probe(oracle_img.is_some());
-    let result = workload.run(&mut gpu);
-    let applied = gpu.injection_records().iter().any(|r| r.applied);
-    if matches!(&result, Err(WorkloadError::Trap(Trap::FaultsExpired))) {
-        // Every fault's lifetime ended with the machine state equal to the
-        // golden run's, so the remaining execution is the golden execution:
-        // Masked, at the golden cycle count.
-        let rec = RunRecord {
-            effect: FaultEffect::Masked,
-            cycles: golden.total_cycles(),
-            applied,
-            early_exit: true,
-            ckpt_skipped_cycles,
-            detail: RunDetail::None,
-            stratum: run.stratum,
-        };
-        return (rec, OracleVerdict::default());
-    }
-    let cycles = gpu.stats().total_cycles().max(gpu.cycle());
-    let effect = classify(&result, cycles, golden);
-    let detail = detail_of(&result);
-    if let Some(img) = oracle_img {
-        let mut verdict = OracleVerdict {
-            checked: true,
-            ..OracleVerdict::default()
-        };
-        if gpu.would_early_exit() {
-            // Early exit would have recorded Masked at the golden cycle
-            // count; the fully simulated run must agree *and* its memory
-            // must match the reference interpreter bit for bit.
-            let confirmed = effect == FaultEffect::Masked
-                && cycles == golden.total_cycles()
-                && gpu.mem().global_image() == img;
-            if confirmed {
-                verdict.verified = true;
-                // Record exactly what the optimized engine records, so the
-                // two campaigns' CSVs are directly diffable.
-                let rec = RunRecord {
-                    effect: FaultEffect::Masked,
-                    cycles: golden.total_cycles(),
-                    applied,
-                    early_exit: true,
-                    ckpt_skipped_cycles,
-                    detail: RunDetail::None,
-                    stratum: run.stratum,
-                };
-                return (rec, verdict);
+/// Everything one injection run borrows from its campaign.  Both
+/// executors build one: the in-process thread pool with the oracle image,
+/// checkpoint store and fault hook it set up, a distributed worker with
+/// the store it records lazily on its first lease.
+pub(crate) struct RunEnv<'a> {
+    pub(crate) workload: &'a dyn Workload,
+    pub(crate) card: &'a GpuConfig,
+    pub(crate) cfg: &'a CampaignConfig,
+    pub(crate) golden: &'a GoldenProfile,
+    pub(crate) store: Option<Arc<CheckpointStore>>,
+    /// The oracle's final global-memory image (`--oracle-check` only).
+    pub(crate) oracle_img: Option<Vec<u8>>,
+    pub(crate) hook: Option<&'a FaultHook>,
+}
+
+impl RunEnv<'_> {
+    /// Executes one pre-drawn injection run and classifies it.
+    fn one_run(&self, run: &RunPlan) -> (RunRecord, OracleVerdict) {
+        let RunEnv { cfg, golden, .. } = *self;
+        let golden_cycles = golden.total_cycles();
+        let mut gpu = Gpu::new(self.card.clone());
+        // Fork from the nearest checkpoint at or before the first injection
+        // cycle — state up to that cycle is bit-identical to the golden
+        // run's, so the head of the run need not be re-simulated.
+        let mut ckpt_skipped_cycles = 0;
+        if let Some(store) = &self.store {
+            if let Some(idx) = store.nearest_at_or_before(run.first_cycle) {
+                gpu.resume_from(store, idx);
+                ckpt_skipped_cycles = store.snapshot_cycle(idx);
             }
-            verdict.mismatch = true;
         }
+        gpu.arm_faults(run.plan.clone());
+        gpu.set_watchdog(golden_cycles * 2);
+        if cfg.max_run_ms > 0 {
+            gpu.set_wall_watchdog(Duration::from_millis(cfg.max_run_ms));
+        }
+        // Oracle check replaces the early-exit abort with a probe: the exit
+        // predicate is still evaluated, but the run completes so its final
+        // state can be compared against the oracle's prediction.
+        gpu.set_early_exit(cfg.early_exit && self.oracle_img.is_none());
+        gpu.set_early_exit_probe(self.oracle_img.is_some());
+        let result = self.workload.run(&mut gpu);
+        // What fault-lifetime early exit records: every fault's lifetime
+        // ended with the machine state equal to the golden run's, so the
+        // remaining execution is the golden execution.
+        let masked_at_golden = (FaultEffect::Masked, golden_cycles, true, RunDetail::None);
+        let mut verdict = OracleVerdict::default();
+        let (effect, cycles, early_exit, detail) =
+            if matches!(&result, Err(WorkloadError::Trap(Trap::FaultsExpired))) {
+                masked_at_golden
+            } else {
+                let cycles = gpu.stats().total_cycles().max(gpu.cycle());
+                let effect = classify(&result, cycles, golden);
+                let mut outcome = (effect, cycles, false, detail_of(&result));
+                if let Some(img) = &self.oracle_img {
+                    verdict.checked = true;
+                    if gpu.would_early_exit() {
+                        // Early exit would have recorded Masked at the
+                        // golden cycle count; the fully simulated run must
+                        // agree *and* its memory must match the reference
+                        // interpreter bit for bit.
+                        verdict.verified = effect == FaultEffect::Masked
+                            && cycles == golden_cycles
+                            && gpu.mem().global_image() == img.as_slice();
+                        verdict.mismatch = !verdict.verified;
+                        if verdict.verified {
+                            // Record exactly what the optimized engine
+                            // records, so the two CSVs are diffable.
+                            outcome = masked_at_golden;
+                        }
+                    }
+                }
+                outcome
+            };
         let rec = RunRecord {
             effect,
             cycles,
-            applied,
-            early_exit: false,
+            applied: gpu.injection_records().iter().any(|r| r.applied),
+            early_exit,
             ckpt_skipped_cycles,
             detail,
             stratum: run.stratum,
         };
-        return (rec, verdict);
+        (rec, verdict)
     }
-    let rec = RunRecord {
-        effect,
-        cycles,
-        applied,
-        early_exit: false,
-        ckpt_skipped_cycles,
-        detail,
-        stratum: run.stratum,
-    };
-    (rec, OracleVerdict::default())
+
+    /// Run index `i` under supervision — the one retry policy of every
+    /// executor.  A panicking attempt is caught and retried once,
+    /// immediately, to tell deterministic poison runs from incidental
+    /// failures; a reproduced panic becomes the poison verdict — Crash,
+    /// `sim_panic` — with deterministic placeholder fields, so a resumed
+    /// campaign reproduces it bit for bit.  Returns the record, the oracle
+    /// verdict and how many attempts panicked (`> 0`: the run was retried).
+    pub(crate) fn supervised_run(
+        &self,
+        i: usize,
+        run: &RunPlan,
+    ) -> (RunRecord, OracleVerdict, usize) {
+        for attempt in 0..2 {
+            let out = catch_run(|| {
+                if let Some(h) = self.hook {
+                    h(i, attempt);
+                }
+                self.one_run(run)
+            });
+            if let Ok((rec, verdict)) = out {
+                return (rec, verdict, attempt as usize);
+            }
+        }
+        let poison = RunRecord {
+            effect: FaultEffect::Crash,
+            cycles: 0,
+            applied: true,
+            early_exit: false,
+            ckpt_skipped_cycles: 0,
+            detail: RunDetail::SimPanic,
+            stratum: run.stratum,
+        };
+        (poison, OracleVerdict::default(), 2)
+    }
 }
 
 /// Picks one window with probability proportional to its length.
@@ -956,7 +916,7 @@ fn pick_weighted<'a>(
 
 /// A test-only fault hook the supervisor invokes at the start of every
 /// supervised run attempt, with the run index and the attempt number
-/// (`0` = first attempt, `1` = the quarantine retry).  A hook that panics
+/// (`0` = first attempt, `1` = the retry).  A hook that panics
 /// emulates a fault corrupting simulator invariants; panic-isolation tests
 /// and the CLI's `--inject-panic-run` use it to prove the campaign
 /// survives poison runs.
@@ -980,7 +940,7 @@ pub type FaultHook = dyn Fn(usize, u32) + Sync + std::panic::RefUnwindSafe;
 ///
 /// The campaign is **supervised**: each run executes under
 /// `std::panic::catch_unwind`, so a simulator-internal panic is captured
-/// per run, quarantined, retried once, and — if it reproduces — recorded
+/// per run, retried once immediately, and — if it reproduces — recorded
 /// as **Crash** with [`RunDetail::SimPanic`] while every sibling run
 /// completes normally.  With [`CampaignConfig::journal`] set, each
 /// completed run is also appended (fsync'd) to a crash-safe journal that
@@ -1000,38 +960,11 @@ pub fn run_campaign(
     run_campaign_with_hook(workload, card, cfg, golden, None)
 }
 
-/// The campaign fingerprint with the strata layout folded in when the
-/// campaign is stratified.  The strata layout and allocation are part of
-/// the campaign's identity: folding their hash makes `--resume` (and a
-/// distributed handshake) refuse to splice a stratified journal into a
-/// flat campaign, or one stratified differently — the records would
-/// silently carry the wrong weights.
-pub(crate) fn full_fingerprint(
-    workload: &dyn Workload,
-    card: &GpuConfig,
-    cfg: &CampaignConfig,
-    strata: Option<&(StrataLayout, Vec<usize>)>,
-) -> u64 {
-    match strata {
-        None => campaign_fingerprint(workload.name(), &card.name, cfg),
-        Some((layout, allocation)) => stratified_fingerprint(
-            campaign_fingerprint(workload.name(), &card.name, cfg),
-            strata_hash(&layout.fingerprint_material(allocation)),
-        ),
-    }
-}
-
-/// The [`CampaignStats`] derivable from the finished record set alone —
-/// shared by the single-process scheduler and the distributed
-/// coordinator, so both report cost-vs-coverage the same way.  Fields the
-/// record set cannot determine (threads, checkpoint store, oracle
-/// verdicts, journal overhead, service counters) stay at their defaults
-/// for the caller to fill in.
-pub(crate) fn base_stats(
-    records: &[RunRecord],
-    strata: Option<&(StrataLayout, Vec<usize>)>,
-    wall: f64,
-) -> CampaignStats {
+/// The [`CampaignStats`] derivable from the finished record set alone.
+/// Fields the record set cannot determine (threads, checkpoint store,
+/// oracle verdicts, journal overhead, service counters) stay at their
+/// defaults for [`Prepared::finish`] and its caller to fill in.
+fn base_stats(records: &[RunRecord], strata: Option<&Strata>, wall: f64) -> CampaignStats {
     let n = records.len();
     let applied = records.iter().filter(|r| r.applied).count();
     let early_exits = records.iter().filter(|r| r.early_exit).count();
@@ -1058,51 +991,25 @@ pub(crate) fn base_stats(
         Some(w) if w > 0.0 => n as f64 / w,
         _ => n as f64,
     };
+    let per = |x: f64, d: f64| if d > 0.0 { x / d } else { 0.0 };
+    let per_run = |x: usize| per(x as f64, n as f64);
     CampaignStats {
         wall_ms: wall * 1e3,
-        runs_per_sec: if wall > 0.0 { n as f64 / wall } else { 0.0 },
+        runs_per_sec: per(n as f64, wall),
         simulated_runs,
         effective_runs,
-        sim_runs_per_sec: if wall > 0.0 {
-            simulated_runs as f64 / wall
-        } else {
-            0.0
-        },
-        effective_runs_per_sec: if wall > 0.0 {
-            effective_runs / wall
-        } else {
-            0.0
-        },
+        sim_runs_per_sec: per(simulated_runs as f64, wall),
+        effective_runs_per_sec: per(effective_runs, wall),
         applied,
-        applied_rate: if n > 0 {
-            applied as f64 / n as f64
-        } else {
-            0.0
-        },
+        applied_rate: per_run(applied),
         early_exits,
-        early_exit_rate: if n > 0 {
-            early_exits as f64 / n as f64
-        } else {
-            0.0
-        },
+        early_exit_rate: per_run(early_exits),
         restores,
-        mean_skipped_cycles: if n > 0 {
-            skipped as f64 / n as f64
-        } else {
-            0.0
-        },
+        mean_skipped_cycles: per(skipped as f64, n as f64),
         static_pruned,
-        static_pruned_rate: if n > 0 {
-            static_pruned as f64 / n as f64
-        } else {
-            0.0
-        },
+        static_pruned_rate: per_run(static_pruned),
         static_bit_pruned,
-        static_bit_pruned_rate: if n > 0 {
-            static_bit_pruned as f64 / n as f64
-        } else {
-            0.0
-        },
+        static_bit_pruned_rate: per_run(static_bit_pruned),
         ..CampaignStats::default()
     }
 }
@@ -1110,7 +1017,7 @@ pub(crate) fn base_stats(
 /// Stratified reweighting: group the records back into their strata and
 /// fold the tallies plus the analytic masked mass into the two-level
 /// estimate (at the paper's 99% confidence).
-pub(crate) fn sampling_summary(
+fn sampling_summary(
     layout: &StrataLayout,
     allocation: Vec<usize>,
     records: &[RunRecord],
@@ -1140,6 +1047,198 @@ pub(crate) fn sampling_summary(
     }
 }
 
+/// What both sides of a distributed campaign derive from the configuration
+/// alone; a worker stops here, [`prepare`] continues.
+pub(crate) struct Drawn {
+    pub(crate) plans: Vec<RunPlan>,
+    strata: Option<Strata>,
+    /// [`campaign_fingerprint`] with the strata layout folded in when the
+    /// campaign is stratified: the layout and allocation are part of the
+    /// campaign's identity, so `--resume` (and a distributed handshake)
+    /// refuses to splice a stratified journal into a flat campaign, or one
+    /// stratified differently — the records would silently carry the wrong
+    /// weights.
+    pub(crate) fingerprint: u64,
+}
+
+/// Draws every run's plan up front (so draw errors surface before any
+/// simulation) and fingerprints the campaign.
+pub(crate) fn draw(
+    workload: &dyn Workload,
+    card: &GpuConfig,
+    cfg: &CampaignConfig,
+    golden: &GoldenProfile,
+) -> Result<Drawn, CampaignError> {
+    let (plans, strata) = match cfg.sampling {
+        SamplingMode::Flat => (draw_plans(cfg, golden)?, None),
+        SamplingMode::Stratified => {
+            let (plans, strata) = draw_stratified_plans(workload, cfg, golden)?;
+            (plans, Some(strata))
+        }
+    };
+    let mut fingerprint = campaign_fingerprint(workload.name(), &card.name, cfg);
+    if let Some((layout, allocation)) = &strata {
+        let layout_hash = strata_hash(&layout.fingerprint_material(allocation));
+        fingerprint = stratified_fingerprint(fingerprint, layout_hash);
+    }
+    Ok(Drawn {
+        plans,
+        strata,
+        fingerprint,
+    })
+}
+
+/// A campaign ready to execute.  The executor (in-process thread pool or
+/// lease coordinator) fills [`Prepared::slots`], then calls
+/// [`Prepared::finish`].
+pub(crate) struct Prepared {
+    start: Instant,
+    pub(crate) drawn: Drawn,
+    /// One slot per run index.  Filled here from a resumed journal and by
+    /// pre-classification; the executor fills the rest.
+    pub(crate) slots: Vec<Option<RunRecord>>,
+    /// The run indices still to execute, sorted by first injection cycle so
+    /// neighbouring runs fork from the same snapshot while it is hot in
+    /// cache — the one scheduling order of every executor.
+    pub(crate) order: Vec<usize>,
+    /// All journal writes — pre-classification, the in-process workers, the
+    /// coordinator's lease mergers — go through this one single-writer
+    /// append channel, so concurrent completions can never interleave
+    /// partial lines.  Append errors surface in [`Prepared::finish`].
+    pub(crate) sink: Option<JournalSink>,
+    writer: Option<JournalWriter>,
+    resumed: usize,
+}
+
+/// Stage one of a campaign: draw → fingerprint → journal create/resume →
+/// pre-classify → the pending order.
+pub(crate) fn prepare(
+    workload: &dyn Workload,
+    card: &GpuConfig,
+    cfg: &CampaignConfig,
+    golden: &GoldenProfile,
+) -> Result<Prepared, CampaignError> {
+    let start = Instant::now();
+    let drawn = draw(workload, card, cfg, golden)?;
+
+    // Journal / resume: load completed records first, so a resumed
+    // campaign schedules (and pays for) only the missing run indices.
+    let mut slots: Vec<Option<RunRecord>> = vec![None; cfg.runs];
+    let journal = match &cfg.journal {
+        None => None,
+        Some(path) if cfg.resume && std::path::Path::new(path).exists() => {
+            let (j, loaded) = RunJournal::resume(path, drawn.fingerprint, cfg.runs)
+                .map_err(CampaignError::Journal)?;
+            slots = loaded;
+            Some(j)
+        }
+        Some(path) => Some(
+            RunJournal::create(path, drawn.fingerprint, cfg.runs)
+                .map_err(CampaignError::Journal)?,
+        ),
+    };
+    let resumed = slots.iter().flatten().count();
+    let (writer, sink) = journal.map(RunJournal::into_writer).unzip();
+
+    // Pre-classification: runs the analyzer proves Masked are classified
+    // here, journaled for resume, and never scheduled.
+    let granularity = PruneGranularity::of(cfg);
+    if granularity != PruneGranularity::None {
+        let masks: BTreeMap<&str, Vec<u32>> = workload
+            .module()
+            .kernels()
+            .iter()
+            .map(|k| (k.name(), dead_bit_masks(k)))
+            .collect();
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            let run = &drawn.plans[i];
+            let Some(rec) = masks
+                .get(run.kernel.as_str())
+                .and_then(|m| pre_classify(run, m, granularity, golden.total_cycles()))
+            else {
+                continue;
+            };
+            if let Some(s) = &sink {
+                s.append(i, &rec);
+            }
+            *slot = Some(rec);
+        }
+    }
+    let mut order: Vec<usize> = (0..cfg.runs).filter(|&i| slots[i].is_none()).collect();
+    order.sort_by_key(|&i| drawn.plans[i].first_cycle);
+    Ok(Prepared {
+        start,
+        drawn,
+        slots,
+        order,
+        sink,
+        writer,
+        resumed,
+    })
+}
+
+impl Prepared {
+    /// The last stage: closes the journal, checks every slot is filled and
+    /// folds the records into the [`CampaignResult`].  `canonical` is false
+    /// only for a coordinator that chaos-died, whose journal must stay
+    /// exactly as a SIGKILL would leave it.  Every clone of
+    /// [`Prepared::sink`] must be dropped first, or the writer thread never
+    /// observes end-of-stream.
+    pub(crate) fn finish(
+        self,
+        cfg: &CampaignConfig,
+        canonical: bool,
+    ) -> Result<CampaignResult, CampaignError> {
+        // Closing the only sender ends the writer thread; joining it
+        // surfaces the first append error, after the in-memory results are
+        // complete.
+        drop(self.sink);
+        let journal = match self.writer {
+            None => None,
+            Some(w) => {
+                let j = w.finish().map_err(CampaignError::Journal)?;
+                if canonical {
+                    // Rewrite the journal in run-index order so its bytes
+                    // depend only on the campaign, never on completion
+                    // order — a `--threads 16` (or distributed) journal is
+                    // byte-identical to a `--threads 1` one.
+                    j.finalize_canonical().map_err(CampaignError::Journal)?;
+                }
+                Some(j)
+            }
+        };
+        // Fill check: a missing slot is an executor bug; report which run
+        // indices vanished instead of panicking.
+        let missing: Vec<usize> = (0..self.slots.len())
+            .filter(|&i| self.slots[i].is_none())
+            .collect();
+        if !missing.is_empty() {
+            return Err(CampaignError::Internal(missing));
+        }
+        let records: Vec<RunRecord> = self.slots.into_iter().flatten().collect();
+        let tally: Tally = records.iter().map(|r| r.effect).collect();
+        let strata = self.drawn.strata;
+        let wall = self.start.elapsed().as_secs_f64();
+        let mut stats = base_stats(&records, strata.as_ref(), wall);
+        stats.resumed = self.resumed;
+        stats.journal_bytes = journal.as_ref().map_or(0, RunJournal::bytes_written);
+        stats.journal_ms = journal.as_ref().map_or(0.0, RunJournal::wall_ms);
+        let sampling =
+            strata.map(|(layout, allocation)| sampling_summary(&layout, allocation, &records));
+        Ok(CampaignResult {
+            spec: cfg.spec.clone(),
+            kernel: cfg.kernel.clone(),
+            tally,
+            records,
+            stats,
+            sampling,
+        })
+    }
+}
+
 /// [`run_campaign`] with a [`FaultHook`] injected into every supervised
 /// run attempt (`None` behaves exactly like [`run_campaign`]).
 pub fn run_campaign_with_hook(
@@ -1149,273 +1248,120 @@ pub fn run_campaign_with_hook(
     golden: &GoldenProfile,
     hook: Option<&FaultHook>,
 ) -> Result<CampaignResult, CampaignError> {
-    let start = Instant::now();
-    let (plans, strata) = match cfg.sampling {
-        SamplingMode::Flat => (draw_plans(cfg, golden)?, None),
-        SamplingMode::Stratified => {
-            let (plans, layout, allocation) = draw_stratified_plans(workload, cfg, golden)?;
-            (plans, Some((layout, allocation)))
-        }
+    let mut p = prepare(workload, card, cfg, golden)?;
+    // Both the oracle pass and the checkpoint-recording pass are skipped
+    // when the journal already covers every run.
+    let runnable = !p.order.is_empty();
+    let env = RunEnv {
+        workload,
+        card,
+        cfg,
+        golden,
+        hook,
+        // Oracle validation first: a functionally wrong golden run poisons
+        // every classification, so fail before any injection work.
+        oracle_img: if cfg.oracle_check && runnable {
+            Some(oracle_golden_image(workload, card)?)
+        } else {
+            None
+        },
+        store: (cfg.checkpoints && runnable)
+            .then(|| record_store(workload, card, cfg, golden))
+            .flatten(),
     };
+    let threads = cfg.effective_threads().clamp(1, p.order.len().max(1));
 
-    // Journal / resume: load completed records first, so a resumed
-    // campaign schedules (and pays for) only the missing run indices.
-    let mut slots: Vec<Option<(RunRecord, OracleVerdict)>> = vec![None; cfg.runs];
-    let mut resumed = 0usize;
-    let journal: Option<RunJournal> = match &cfg.journal {
-        None => None,
-        Some(path) => {
-            let fp = full_fingerprint(workload, card, cfg, strata.as_ref());
-            if cfg.resume && std::path::Path::new(path).exists() {
-                let (j, loaded) =
-                    RunJournal::resume(path, fp, cfg.runs).map_err(CampaignError::Journal)?;
-                for (i, rec) in loaded.into_iter().enumerate() {
-                    if let Some(r) = rec {
-                        slots[i] = Some((r, OracleVerdict::default()));
-                        resumed += 1;
-                    }
-                }
-                Some(j)
-            } else {
-                Some(RunJournal::create(path, fp, cfg.runs).map_err(CampaignError::Journal)?)
+    // Work stealing over the pending order: each thread pulls the next
+    // position from a shared counter, journals a completed run immediately
+    // (crash safety) and keeps its records until the join.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut local = Vec::new();
+        while let Some(&i) = p.order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let out = env.supervised_run(i, &p.drawn.plans[i]);
+            if let Some(s) = &p.sink {
+                s.append(i, &out.0);
             }
+            local.push((i, out));
         }
+        local
     };
-    // All journal writes — static prune, the parallel workers, quarantine
-    // retries — go through one single-writer append channel, so concurrent
-    // completions can never interleave partial lines.  Append errors
-    // surface when the writer is joined after the execution loops.
-    let (journal_writer, journal_sink) = match journal {
-        Some(j) => {
-            let (w, s) = j.into_writer();
-            (Some(w), Some(s))
-        }
-        None => (None, None),
-    };
-    // Static prune: runs whose every fault lands in a register the faulted
-    // kernel never reads (StaticDead), or — at bit granularity — whose
-    // every flipped bit lands in a bit position no reachable instruction
-    // ever demands (StaticDeadBit), are Masked by construction — classify
-    // them here, journal them for resume, and never schedule them.
-    // `--oracle-check` exists to validate such shortcuts, so it bypasses
-    // the prune and fully simulates every run.  Stratified campaigns skip
-    // it too: their draw already excludes dead registers (they fall in the
-    // analytically-masked stratum), so every planned run must be simulated
-    // for the reweighting to stay unbiased.
-    if cfg.static_prune && !cfg.oracle_check && strata.is_none() {
-        let dead_regs = dead_reg_table(workload);
-        let dead_bits = bit_prune_table(workload, cfg);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let Some(rec) = static_prune_record(
-                &plans[i],
-                &dead_regs,
-                dead_bits.as_ref(),
-                golden.total_cycles(),
-            ) else {
-                continue;
-            };
-            if let Some(s) = &journal_sink {
-                s.append(i, &rec);
-            }
-            *slot = Some((rec, OracleVerdict::default()));
-        }
-    }
-    let pending: Vec<usize> = (0..cfg.runs).filter(|&i| slots[i].is_none()).collect();
-
-    // Oracle validation first: a functionally wrong golden run poisons
-    // every classification, so fail before any injection work.  Both the
-    // oracle pass and the checkpoint-recording pass are skipped when the
-    // journal already covers every run.
-    let oracle_img: Option<Arc<Vec<u8>>> = if cfg.oracle_check && !pending.is_empty() {
-        Some(Arc::new(oracle_golden_image(workload, card)?))
+    let done: Vec<(usize, (RunRecord, OracleVerdict, usize))> = if threads <= 1 {
+        worker()
     } else {
-        None
-    };
-    let img_ref: Option<&[u8]> = oracle_img.as_deref().map(Vec::as_slice);
-    let store = if cfg.checkpoints && !pending.is_empty() {
-        record_store(workload, card, cfg, golden)
-    } else {
-        None
-    };
-    let threads = cfg.effective_threads().clamp(1, pending.len().max(1));
-
-    let mut order = pending;
-    order.sort_by_key(|&i| plans[i].first_cycle);
-
-    let panics = AtomicUsize::new(0);
-    // Runs whose first attempt panicked, awaiting their single retry.
-    let quarantine: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-
-    // One supervised attempt of run `i`: any panic inside the simulator
-    // is caught and returned as a message instead of unwinding.
-    let attempt = |i: usize, n: u32| -> Result<(RunRecord, OracleVerdict), String> {
-        catch_run(|| {
-            if let Some(h) = hook {
-                h(i, n);
-            }
-            one_run(
-                workload,
-                card,
-                cfg,
-                golden,
-                &plans[i],
-                store.as_ref(),
-                img_ref,
-            )
-        })
-    };
-    // First attempt of run `i`, executed by the workers: journal a
-    // completed run immediately (crash safety), quarantine a panicking one.
-    let run_one = |i: usize| -> Option<(usize, (RunRecord, OracleVerdict))> {
-        match attempt(i, 0) {
-            Ok(out) => {
-                if let Some(s) = &journal_sink {
-                    s.append(i, &out.0);
-                }
-                Some((i, out))
-            }
-            Err(_msg) => {
-                panics.fetch_add(1, Ordering::Relaxed);
-                quarantine.lock().expect("quarantine lock poisoned").push(i);
-                None
-            }
-        }
-    };
-
-    if threads <= 1 {
-        for &i in &order {
-            if let Some((i, out)) = run_one(i) {
-                slots[i] = Some(out);
-            }
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let done: Vec<Vec<(usize, (RunRecord, OracleVerdict))>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&i) = order.get(k) else { break };
-                            if let Some(out) = run_one(i) {
-                                local.push(out);
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
             handles
                 .into_iter()
-                // Run panics are caught inside `run_one`; a worker can only
-                // die from a supervisor-infrastructure bug, which must not
-                // be masked.
-                .map(|h| h.join().expect("supervisor worker died outside a run"))
+                // Run panics are caught inside `supervised_run`; a worker
+                // can only die from a supervisor-infrastructure bug, which
+                // must not be masked.
+                .flat_map(|h| h.join().expect("supervisor worker died outside a run"))
                 .collect()
-        });
-        for (i, rec) in done.into_iter().flatten() {
-            slots[i] = Some(rec);
-        }
-    }
-
-    // Quarantine retry: each panicked run is re-executed exactly once, in
-    // run order, to tell deterministic poison runs from incidental
-    // failures.  A reproduced panic becomes the poison verdict — Crash,
-    // `sim_panic` — with deterministic placeholder fields, so a resumed
-    // campaign reproduces it bit for bit.
-    let mut retried: Vec<usize> = quarantine.into_inner().expect("quarantine lock poisoned");
-    retried.sort_unstable();
-    let retries = retried.len();
-    for &i in &retried {
-        let out = match attempt(i, 1) {
-            Ok(out) => out,
-            Err(_msg) => {
-                panics.fetch_add(1, Ordering::Relaxed);
-                (
-                    RunRecord {
-                        effect: FaultEffect::Crash,
-                        cycles: 0,
-                        applied: true,
-                        early_exit: false,
-                        ckpt_skipped_cycles: 0,
-                        detail: RunDetail::SimPanic,
-                        stratum: plans[i].stratum,
-                    },
-                    OracleVerdict::default(),
-                )
-            }
-        };
-        if let Some(s) = &journal_sink {
-            s.append(i, &out.0);
-        }
-        slots[i] = Some(out);
-    }
-    // Closing the only sender ends the writer thread; joining it surfaces
-    // the first append error, after the in-memory results are complete.
-    drop(journal_sink);
-    let journal = match journal_writer {
-        Some(w) => {
-            let j = w.finish().map_err(CampaignError::Journal)?;
-            // Rewrite the journal in run-index order so its bytes depend
-            // only on the campaign, never on completion order — a
-            // `--threads 16` (or distributed) journal is byte-identical to
-            // a `--threads 1` one.
-            j.finalize_canonical().map_err(CampaignError::Journal)?;
-            Some(j)
-        }
-        None => None,
+        })
     };
-
-    // Fill check: a missing slot is a supervisor bug; report which run
-    // indices vanished instead of panicking.
-    let mut records = Vec::with_capacity(cfg.runs);
-    let mut verdicts = Vec::with_capacity(cfg.runs);
-    let mut missing = Vec::new();
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some((r, v)) => {
-                records.push(r);
-                verdicts.push(v);
-            }
-            None => missing.push(i),
-        }
+    for (i, (rec, ..)) in &done {
+        p.slots[*i] = Some(*rec);
     }
-    if !missing.is_empty() {
-        return Err(CampaignError::Internal(missing));
+    let mut result = p.finish(cfg, true)?;
+    let s = &mut result.stats;
+    s.threads = threads;
+    s.checkpoints = env.store.as_ref().map_or(0, |s| s.len());
+    s.checkpoint_bytes = env.store.as_ref().map_or(0, |s| s.resident_bytes());
+    for (_, (_, verdict, panics)) in &done {
+        s.oracle_checked += usize::from(verdict.checked);
+        s.oracle_verified += usize::from(verdict.verified);
+        s.oracle_mismatches += usize::from(verdict.mismatch);
+        s.panics += panics;
+        s.retries += usize::from(*panics > 0);
     }
-    let tally: Tally = records.iter().map(|r| r.effect).collect();
-    let wall = start.elapsed().as_secs_f64();
-    let mut stats = base_stats(&records, strata.as_ref(), wall);
-    stats.threads = threads;
-    stats.checkpoints = store.as_ref().map_or(0, |s| s.len());
-    stats.checkpoint_bytes = store.as_ref().map_or(0, |s| s.resident_bytes());
-    stats.oracle_checked = verdicts.iter().filter(|v| v.checked).count();
-    stats.oracle_verified = verdicts.iter().filter(|v| v.verified).count();
-    stats.oracle_mismatches = verdicts.iter().filter(|v| v.mismatch).count();
-    stats.panics = panics.into_inner();
-    stats.retries = retries;
-    stats.resumed = resumed;
-    stats.journal_bytes = journal.as_ref().map_or(0, RunJournal::bytes_written);
-    stats.journal_ms = journal.as_ref().map_or(0.0, RunJournal::wall_ms);
-    let sampling =
-        strata.map(|(layout, allocation)| sampling_summary(&layout, allocation, &records));
-    Ok(CampaignResult {
-        spec: cfg.spec.clone(),
-        kernel: cfg.kernel.clone(),
-        tally,
-        records,
-        stats,
-        sampling,
-    })
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// DESIGN.md declares the pre-classification granularity of every
+    /// fault model x sampling mode x validation switch; each cell is checked
+    /// against the one gating function, so neither can drift.
+    #[test]
+    fn design_md_compatibility_table_matches_the_gating_function() {
+        let granularity = |cell: &str| match cell {
+            "none" => PruneGranularity::None,
+            "register-granular" => PruneGranularity::Register,
+            "bit-granular" => PruneGranularity::Bit,
+            other => panic!("DESIGN.md table cell `{other}` names no granularity"),
+        };
+        let mut rows = 0;
+        for line in include_str!("../../../DESIGN.md").lines() {
+            let cells: Vec<&str> = line
+                .split('|')
+                .map(|c| c.trim_matches([' ', '`']))
+                .collect();
+            let ["", model, sampling, default, no_prune, oracle, ""] = cells[..] else {
+                continue;
+            };
+            let (Some(model), Some(sampling)) = (
+                gpufi_faults::FaultModel::parse(model),
+                SamplingMode::parse(sampling),
+            ) else {
+                continue;
+            };
+            let spec = CampaignSpec::new(Structure::RegisterFile).model(model);
+            let mut cfg = CampaignConfig::new(spec, 1, 1);
+            cfg.sampling = sampling;
+            for (cfg, cell) in [
+                (cfg.clone(), default),
+                (cfg.clone().no_static_prune(), no_prune),
+                (cfg.with_oracle_check(), oracle),
+            ] {
+                assert_eq!(PruneGranularity::of(&cfg), granularity(cell), "{line}");
+            }
+            rows += 1;
+        }
+        assert_eq!(rows, 6, "3 fault models x 2 sampling modes");
+    }
 
     #[test]
     fn mix_seed_separates_seed_zero_from_seed_one() {

@@ -76,7 +76,7 @@ pub enum RunDetail {
     /// every flipped *bit* lands in a bit position no reachable instruction
     /// ever demands (bit-level liveness), so the flip is architecturally
     /// un-ACE and the run is pre-classified **Masked** at the golden cycle
-    /// count (disable with `--no-bit-prune`).
+    /// count (disable with `--no-static-prune`).
     StaticDeadBit,
 }
 

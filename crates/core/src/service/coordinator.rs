@@ -17,16 +17,10 @@
 
 use super::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
 use super::{ServiceConfig, ServiceError};
-use crate::campaign::{
-    base_stats, bit_prune_table, dead_reg_table, draw_plans, draw_stratified_plans,
-    full_fingerprint, sampling_summary, static_prune_record, CampaignConfig, CampaignResult,
-    RunPlan, RunRecord, WorkerThroughput,
-};
+use crate::campaign::{prepare, CampaignConfig, CampaignResult, RunRecord, WorkerThroughput};
 use crate::profile::GoldenProfile;
-use crate::sampling::{SamplingMode, StrataLayout};
-use crate::supervisor::{JournalSink, RunJournal};
+use crate::supervisor::JournalSink;
 use crate::workload::Workload;
-use gpufi_metrics::Tally;
 use gpufi_sim::GpuConfig;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufReader;
@@ -45,11 +39,6 @@ pub struct CoordinatorChaos {
     pub die_after_merges: usize,
 }
 
-/// A granted lease awaiting its acks.
-struct Granted {
-    runs: Vec<usize>,
-}
-
 struct WorkerStat {
     runs: usize,
     leases: usize,
@@ -60,12 +49,11 @@ struct WorkerStat {
 /// The coordinator's shared state; one mutex, one condvar.
 struct Board {
     slots: Vec<Option<RunRecord>>,
-    /// Filled slots — resumed + pruned + merged.  Campaign completes at
-    /// `target`.
+    /// Filled slots — resumed + pre-classified + merged.
     filled: usize,
-    target: usize,
     queue: VecDeque<(u64, Vec<usize>)>,
-    granted: BTreeMap<u64, Granted>,
+    /// Granted leases awaiting their acks.
+    granted: BTreeMap<u64, Vec<usize>>,
     next_lease: u64,
     leases: usize,
     reissued: usize,
@@ -79,7 +67,7 @@ struct Board {
 
 impl Board {
     fn complete(&self) -> bool {
-        self.filled >= self.target
+        self.filled >= self.slots.len()
     }
 }
 
@@ -112,92 +100,34 @@ pub fn serve_campaign_with_chaos(
     listener: TcpListener,
     chaos: Option<&CoordinatorChaos>,
 ) -> Result<CampaignResult, ServiceError> {
-    let start = Instant::now();
     if cfg.oracle_check {
         return Err(ServiceError::Campaign(
             "--oracle-check is a single-process validation mode; run it without serve".into(),
         ));
     }
-    // Identical plan drawing to the local scheduler: the coordinator needs
-    // the plans only for the static prune and the strata layout, but
-    // drawing them the same way is what the fingerprint certifies.
-    let (plans, strata) = draw(workload, cfg, golden)?;
-    let fp = full_fingerprint(workload, card, cfg, strata.as_ref());
+    // The shared first stage: identical plan drawing, journal/resume and
+    // pre-classification to the local executor.  Resumed and pre-classified
+    // runs are never leased, so workers never see them.
+    let mut p = prepare(workload, card, cfg, golden)?;
+    let fp = p.drawn.fingerprint;
 
-    // Journal / resume: exactly the local scheduler's semantics — load
-    // completed records, lease only the missing indices.
-    let mut slots: Vec<Option<RunRecord>> = vec![None; cfg.runs];
-    let mut resumed = 0usize;
-    let journal: Option<RunJournal> = match &cfg.journal {
-        None => None,
-        Some(path) => {
-            if cfg.resume && std::path::Path::new(path).exists() {
-                let (j, loaded) =
-                    RunJournal::resume(path, fp, cfg.runs).map_err(ServiceError::Campaign)?;
-                for (i, rec) in loaded.into_iter().enumerate() {
-                    if let Some(r) = rec {
-                        slots[i] = Some(r);
-                        resumed += 1;
-                    }
-                }
-                Some(j)
-            } else {
-                Some(RunJournal::create(path, fp, cfg.runs).map_err(ServiceError::Campaign)?)
-            }
-        }
-    };
-    let (journal_writer, journal_sink) = match journal {
-        Some(j) => {
-            let (w, s) = j.into_writer();
-            (Some(w), Some(s))
-        }
-        None => (None, None),
-    };
-
-    // Static prune (register- and bit-granular) on the coordinator: pruned
-    // runs are never leased, so workers never see them — same records as
-    // the local prune.
-    if cfg.static_prune && !cfg.oracle_check && strata.is_none() {
-        let dead_regs = dead_reg_table(workload);
-        let dead_bits = bit_prune_table(workload, cfg);
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let Some(rec) = static_prune_record(
-                &plans[i],
-                &dead_regs,
-                dead_bits.as_ref(),
-                golden.total_cycles(),
-            ) else {
-                continue;
-            };
-            if let Some(s) = &journal_sink {
-                s.append(i, &rec);
-            }
-            *slot = Some(rec);
-        }
-    }
-
-    // Partition the missing index space into leases, ascending.
-    let pending: Vec<usize> = (0..cfg.runs).filter(|&i| slots[i].is_none()).collect();
+    // Partition the pending order — cycle-sorted, like the local executor's
+    // — into leases.
     let lease_size = svc.effective_lease_size(cfg.runs);
-    let mut queue = VecDeque::new();
-    let mut next_lease = 0u64;
-    for chunk in pending.chunks(lease_size) {
-        queue.push_back((next_lease, chunk.to_vec()));
-        next_lease += 1;
-    }
+    let queue: VecDeque<(u64, Vec<usize>)> = p
+        .order
+        .chunks(lease_size)
+        .enumerate()
+        .map(|(id, chunk)| (id as u64, chunk.to_vec()))
+        .collect();
 
-    let filled = cfg.runs - pending.len();
     let shared: Shared = (
         Mutex::new(Board {
-            slots,
-            filled,
-            target: cfg.runs,
+            slots: std::mem::take(&mut p.slots),
+            filled: cfg.runs - p.order.len(),
+            next_lease: queue.len() as u64,
             queue,
             granted: BTreeMap::new(),
-            next_lease,
             leases: 0,
             reissued: 0,
             duplicates: 0,
@@ -213,9 +143,9 @@ pub fn serve_campaign_with_chaos(
         .map_err(|e| ServiceError::Io(format!("local_addr: {e}")))?;
     let stop = AtomicBool::new(false);
     // Moved (not borrowed) into the accept thread so every sender clone is
-    // dropped once the scope ends — `JournalWriter::finish` below joins a
-    // thread that only exits when the last `JournalSink` is gone.
-    let sink = journal_sink.clone();
+    // dropped once the scope ends — `Prepared::finish` below joins a thread
+    // that only exits when the last `JournalSink` is gone.
+    let sink = p.sink.clone();
 
     std::thread::scope(|scope| {
         // Accept loop: one handler thread per connection.  Unblocked at
@@ -254,47 +184,17 @@ pub fn serve_campaign_with_chaos(
         let _ = TcpStream::connect(addr);
     });
 
-    // Surface journal-append errors, then canonicalize the journal so its
-    // bytes depend only on the campaign, not on merge order.  A chaos
-    // death skips finalization — exactly what SIGKILL would leave behind.
-    drop(journal_sink);
-    let died = {
-        let b = shared.0.lock().expect("board lock poisoned");
-        b.died
-    };
-    let journal = match journal_writer {
-        Some(w) => {
-            let j = w.finish().map_err(ServiceError::Campaign)?;
-            if !died {
-                j.finalize_canonical().map_err(ServiceError::Campaign)?;
-            }
-            Some(j)
-        }
-        None => None,
-    };
-    if died {
+    // The shared last stage.  A chaos death skips canonicalization —
+    // exactly what SIGKILL would leave behind.
+    let b = shared.0.into_inner().expect("board lock poisoned");
+    p.slots = b.slots;
+    let result = p.finish(cfg, !b.died);
+    if b.died {
         return Err(ServiceError::Chaos);
     }
-
-    let b = shared.0.into_inner().expect("board lock poisoned");
-    let mut records = Vec::with_capacity(cfg.runs);
-    let mut missing = Vec::new();
-    for (i, slot) in b.slots.into_iter().enumerate() {
-        match slot {
-            Some(r) => records.push(r),
-            None => missing.push(i),
-        }
-    }
-    if !missing.is_empty() {
-        return Err(ServiceError::Campaign(format!(
-            "coordinator lost runs {missing:?}"
-        )));
-    }
-    let tally: Tally = records.iter().map(|r| r.effect).collect();
-    let wall = start.elapsed().as_secs_f64();
-    let mut stats = base_stats(&records, strata.as_ref(), wall);
+    let mut result = result?;
+    let stats = &mut result.stats;
     stats.threads = b.workers.len().max(1);
-    stats.resumed = resumed;
     stats.workers = b.workers.len();
     stats.leases = b.leases;
     stats.reissued_leases = b.reissued;
@@ -310,43 +210,7 @@ pub fn serve_campaign_with_chaos(
             runs_per_sec: s.runs as f64 / s.last.duration_since(s.start).as_secs_f64().max(1e-9),
         })
         .collect();
-    stats.journal_bytes = journal.as_ref().map_or(0, RunJournal::bytes_written);
-    stats.journal_ms = journal.as_ref().map_or(0.0, RunJournal::wall_ms);
-    let sampling =
-        strata.map(|(layout, allocation)| sampling_summary(&layout, allocation, &records));
-    Ok(CampaignResult {
-        spec: cfg.spec.clone(),
-        kernel: cfg.kernel.clone(),
-        tally,
-        records,
-        stats,
-        sampling,
-    })
-}
-
-/// Plans plus, for stratified campaigns, the strata layout and per-stratum
-/// allocation — what both fingerprinting and the static prune consume.
-pub(super) type DrawnPlans = (Vec<RunPlan>, Option<(StrataLayout, Vec<usize>)>);
-
-/// Shared plan drawing (coordinator and worker): the same match the local
-/// scheduler opens with.
-pub(super) fn draw(
-    workload: &dyn Workload,
-    cfg: &CampaignConfig,
-    golden: &GoldenProfile,
-) -> Result<DrawnPlans, ServiceError> {
-    let out = match cfg.sampling {
-        SamplingMode::Flat => (
-            draw_plans(cfg, golden).map_err(|e| ServiceError::Campaign(e.to_string()))?,
-            None,
-        ),
-        SamplingMode::Stratified => {
-            let (plans, layout, allocation) = draw_stratified_plans(workload, cfg, golden)
-                .map_err(|e| ServiceError::Campaign(e.to_string()))?;
-            (plans, Some((layout, allocation)))
-        }
-    };
-    Ok(out)
+    Ok(result)
 }
 
 /// One worker connection, handshake to Fin.  Any error drops the
@@ -467,7 +331,7 @@ fn handle_worker(
                 if let Some((id, runs)) = b.queue.pop_front() {
                     b.leases += 1;
                     b.workers[wid].leases += 1;
-                    b.granted.insert(id, Granted { runs: runs.clone() });
+                    b.granted.insert(id, runs.clone());
                     break (id, runs);
                 }
                 let (guard, _) = cvar
@@ -580,13 +444,8 @@ fn serve_lease(
 fn reclaim(shared: &Shared, id: u64) {
     let (lock, cvar) = shared;
     let mut b = lock.lock().expect("board lock poisoned");
-    if let Some(g) = b.granted.remove(&id) {
-        let left: Vec<usize> = g
-            .runs
-            .iter()
-            .copied()
-            .filter(|&r| b.slots[r].is_none())
-            .collect();
+    if let Some(mut left) = b.granted.remove(&id) {
+        left.retain(|&r| b.slots[r].is_none());
         if !left.is_empty() {
             let nid = b.next_lease;
             b.next_lease += 1;

@@ -11,10 +11,10 @@
 //!   it in the handshake by exchanging the campaign fingerprint — which
 //!   deliberately excludes threads/journal/resume, the knobs that differ
 //!   between coordinator and worker.
-//! - Workers execute leased run indices with the **same supervised
-//!   `one_run`** the local scheduler uses (same early-exit, checkpoint,
-//!   stratified and quarantine-retry semantics) and stream back the exact
-//!   journal record line.
+//! - Workers execute leased run indices with the **same
+//!   `supervised_run`** the local executor uses (same early-exit,
+//!   checkpoint, stratified and retry-once semantics) and stream back the
+//!   exact journal record line.
 //! - The coordinator owns the **one canonical journal/CSV/tally**: it
 //!   merges first-ack-wins by run index, journals through the single-writer
 //!   append channel, and finalizes the journal in canonical run order —
@@ -126,3 +126,9 @@ impl fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+impl From<crate::campaign::CampaignError> for ServiceError {
+    fn from(e: crate::campaign::CampaignError) -> Self {
+        ServiceError::Campaign(e.to_string())
+    }
+}

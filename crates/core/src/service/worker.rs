@@ -1,21 +1,16 @@
-//! The `worker` side: a thin TCP wrapper around the existing supervised
-//! run machinery.  A worker draws the **same plans** the coordinator did
-//! (proved by the fingerprint handshake), executes exactly the run
-//! indices it is leased with the same `one_run`/retry-once semantics the
-//! local scheduler uses, and streams back the exact journal record line —
-//! so the record a worker produces is byte-for-byte the record a
+//! The `worker` side: transport only.  A worker draws the **same plans**
+//! the coordinator did (proved by the fingerprint handshake), executes
+//! exactly the run indices it is leased through the campaign's one
+//! `supervised_run`, and streams back the exact journal record line — so
+//! the record a worker produces is byte-for-byte the record a
 //! `--threads 1` run would have journaled.
 
-use super::coordinator::draw;
 use super::proto::{encode_frame, read_frame, write_frame, Msg, PROTO_VERSION};
 use super::{ServiceConfig, ServiceError};
-use crate::campaign::{full_fingerprint, one_run, record_store, CampaignConfig, RunRecord};
-use crate::classify::RunDetail;
+use crate::campaign::{draw, record_store, CampaignConfig, RunEnv};
 use crate::profile::GoldenProfile;
-use crate::supervisor::catch_run;
 use crate::workload::Workload;
-use gpufi_metrics::FaultEffect;
-use gpufi_sim::{CheckpointStore, GpuConfig};
+use gpufi_sim::GpuConfig;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -90,8 +85,8 @@ pub fn run_worker_with_chaos(
     svc: &ServiceConfig,
     chaos: &ChaosPlan,
 ) -> Result<WorkerReport, ServiceError> {
-    let (plans, strata) = draw(workload, cfg, golden)?;
-    let fp = full_fingerprint(workload, card, cfg, strata.as_ref());
+    let drawn = draw(workload, card, cfg, golden)?;
+    let fp = drawn.fingerprint;
 
     let stream =
         TcpStream::connect(addr).map_err(|e| ServiceError::Io(format!("connect {addr}: {e}")))?;
@@ -160,7 +155,15 @@ pub fn run_worker_with_chaos(
 
     // The checkpoint store re-records the golden run once, lazily on the
     // first lease: a worker that is only ever told `fin` pays nothing.
-    let mut store: Option<Arc<CheckpointStore>> = None;
+    let mut env = RunEnv {
+        workload,
+        card,
+        cfg,
+        golden,
+        store: None,
+        oracle_img: None,
+        hook: None,
+    };
     let mut report = WorkerReport::default();
     let mut acks = 0usize;
 
@@ -171,53 +174,22 @@ pub fn run_worker_with_chaos(
                 Msg::Ping | Msg::LeaseDone { .. } => continue,
                 Msg::Fin => return Ok(()),
                 Msg::Lease { id, runs } => {
-                    if store.is_none() && cfg.checkpoints && !runs.is_empty() {
-                        store = record_store(workload, card, cfg, golden);
+                    if env.store.is_none() && cfg.checkpoints && !runs.is_empty() {
+                        env.store = record_store(workload, card, cfg, golden);
                     }
                     for &i in &runs {
-                        if i >= plans.len() {
+                        let Some(plan) = drawn.plans.get(i) else {
                             return Err(ServiceError::Protocol(format!(
                                 "leased run {i} outside campaign of {}",
-                                plans.len()
+                                drawn.plans.len()
                             )));
-                        }
+                        };
                         if let Some((at, ms)) = chaos.delay_before_ack {
                             if acks == at {
                                 std::thread::sleep(Duration::from_millis(ms));
                             }
                         }
-                        // Supervised execution with the local scheduler's
-                        // retry-once semantics: a run that panics twice
-                        // becomes the same deterministic poison verdict a
-                        // serial campaign records.
-                        let attempt = || {
-                            catch_run(|| {
-                                one_run(
-                                    workload,
-                                    card,
-                                    cfg,
-                                    golden,
-                                    &plans[i],
-                                    store.as_ref(),
-                                    None,
-                                )
-                            })
-                        };
-                        let rec: RunRecord = match attempt() {
-                            Ok((rec, _)) => rec,
-                            Err(_) => match attempt() {
-                                Ok((rec, _)) => rec,
-                                Err(_) => RunRecord {
-                                    effect: FaultEffect::Crash,
-                                    cycles: 0,
-                                    applied: true,
-                                    early_exit: false,
-                                    ckpt_skipped_cycles: 0,
-                                    detail: RunDetail::SimPanic,
-                                    stratum: plans[i].stratum,
-                                },
-                            },
-                        };
+                        let (rec, ..) = env.supervised_run(i, plan);
                         let payload = Msg::Done {
                             lease: id,
                             run: i,

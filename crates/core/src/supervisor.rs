@@ -125,7 +125,7 @@ pub fn campaign_fingerprint(workload: &str, card: &str, cfg: &CampaignConfig) ->
     let canonical = format!(
         "gpufi-journal-v1|workload={workload}|card={card}|seed={}|runs={}|kernel={:?}|\
          spec={:?}|early_exit={}|checkpoints={}|interval={}|budget={}|window={:?}|\
-         oracle={}|static_prune={}|max_run_ms={}|sampling={}|bit_prune={}",
+         oracle={}|static_prune={}|max_run_ms={}|sampling={}",
         cfg.seed,
         cfg.runs,
         cfg.kernel,
@@ -139,7 +139,6 @@ pub fn campaign_fingerprint(workload: &str, card: &str, cfg: &CampaignConfig) ->
         cfg.static_prune,
         cfg.max_run_ms,
         cfg.sampling,
-        cfg.bit_prune,
     );
     fnv1a(canonical.as_bytes())
 }
@@ -665,7 +664,6 @@ mod tests {
         assert_ne!(f0, fp(&base.clone().no_early_exit()));
         assert_ne!(f0, fp(&base.clone().no_checkpoints()));
         assert_ne!(f0, fp(&base.clone().no_static_prune()));
-        assert_ne!(f0, fp(&base.clone().no_bit_prune()));
         assert_ne!(f0, fp(&base.clone().with_max_run_ms(5_000)));
         assert_ne!(f0, fp(&base.clone().stratified()));
         // A stratified journal is additionally bound to its strata layout

@@ -14,7 +14,8 @@ use gpufi::prelude::*;
 use gpufi::sim::oracle::fuzz::{fuzz_config, gen_case};
 use gpufi::sim::oracle::{run_reference, FuncMem};
 
-/// Bit-pruned and fully simulated campaigns must agree run for run — same
+/// Pre-classified and fully simulated (`--no-static-prune`) campaigns must
+/// agree run for run — same
 /// effect, same cycle count, same tally — across ≥200 register-file runs
 /// of two workloads whose live registers carry statically dead bits
 /// (`scalar_prod` and `nw_diagonal` both hold small loop bounds and
@@ -34,7 +35,7 @@ fn bit_prune_matches_full_simulation() {
         let golden = profile(w.as_ref(), &card).unwrap();
         let spec = CampaignSpec::new(Structure::RegisterFile);
         let pruned_cfg = CampaignConfig::new(spec.clone(), 200, 23);
-        let full_cfg = CampaignConfig::new(spec, 200, 23).no_bit_prune();
+        let full_cfg = CampaignConfig::new(spec, 200, 23).no_static_prune();
         let pruned = run_campaign(w.as_ref(), &card, &pruned_cfg, &golden).unwrap();
         let full = run_campaign(w.as_ref(), &card, &full_cfg, &golden).unwrap();
         assert_eq!(pruned.tally, full.tally, "{}: tallies diverge", w.name());
@@ -42,10 +43,9 @@ fn bit_prune_matches_full_simulation() {
             assert_eq!(a.effect, b.effect, "{} run {i}: effect", w.name());
             assert_eq!(a.cycles, b.cycles, "{} run {i}: cycles", w.name());
         }
-        // The validation mode never bit-prunes (the register-level prune
-        // stays on — the modes compose).
+        // The validation mode pre-classifies nothing at either granularity.
         assert_eq!(full.stats.static_bit_pruned, 0);
-        assert_eq!(pruned.stats.static_pruned, full.stats.static_pruned);
+        assert_eq!(full.stats.static_pruned, 0);
         assert!(
             (pruned.stats.static_bit_pruned_rate - pruned.stats.static_bit_pruned as f64 / 200.0)
                 .abs()
@@ -101,27 +101,6 @@ fn stuck_at_campaigns_do_not_bit_prune() {
     let cfg = CampaignConfig::new(spec, 60, 9);
     let result = run_campaign(&w, &card, &cfg, &golden).unwrap();
     assert_eq!(result.stats.static_bit_pruned, 0);
-}
-
-/// Stratified sampling refuses to combine with the bit prune: its stratum
-/// weights are register-level liveness intervals, not bit-aware, so the
-/// combination would double-count the pruned mass.  The `stratified()`
-/// builder clears the flag automatically; forcing it back on must fail
-/// loudly rather than misestimate.
-#[test]
-fn stratified_sampling_rejects_forced_bit_prune() {
-    let w = ScalarProd::new(8);
-    let card = GpuConfig::rtx2060();
-    let golden = profile(&w, &card).unwrap();
-    let mut cfg =
-        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 60, 7).stratified();
-    assert!(!cfg.bit_prune, "stratified() must clear bit_prune");
-    cfg.bit_prune = true;
-    let err = run_campaign(&w, &card, &cfg, &golden).unwrap_err();
-    assert!(
-        err.to_string().contains("bit-granular"),
-        "unexpected error: {err}"
-    );
 }
 
 /// Fuzz-corpus soundness: for every generated kernel with statically dead
@@ -199,30 +178,42 @@ fn dead_bit_flips_simulate_to_masked() {
     );
 }
 
-/// Property test over 200 fuzzed kernels: the bit-level liveness is a
-/// strict refinement of the register-level `dead_registers` analysis —
-/// a register's dead-bit mask is full exactly when the register-level
-/// analysis declares the whole register dead, and never fuller.
+/// Property test over 200 fuzzed kernels and the kernels of all 12 bundled
+/// workloads: the bit-level liveness is a strict refinement of the
+/// register-level `dead_registers` analysis — a register's dead-bit mask
+/// is full exactly when the register-level analysis declares the whole
+/// register dead, and never fuller.  This equivalence is what lets the
+/// campaign keep one `dead_bit_masks` table and read "register-dead" off
+/// it as `mask == u32::MAX`.
 #[test]
 fn bit_liveness_refines_dead_registers_on_fuzz_corpus() {
-    for seed in 0..200u64 {
-        let case = gen_case(seed);
-        let module = Module::assemble(&case.source).expect("fuzzer emits valid asm");
+    let fuzzed = (0..200u64).map(|seed| {
+        let module = Module::assemble(&gen_case(seed).source).expect("fuzzer emits valid asm");
+        (format!("seed {seed}"), module)
+    });
+    let bundled = paper_suite()
+        .into_iter()
+        .map(|w| (w.name().to_string(), w.module().clone()));
+    let mut modules = 0;
+    for (origin, module) in fuzzed.chain(bundled) {
+        modules += 1;
         for kernel in module.kernels() {
             let dead_regs = dead_registers(kernel);
             let masks = dead_bit_masks(kernel);
-            assert_eq!(masks.len(), kernel.num_regs() as usize, "seed {seed}");
+            assert_eq!(masks.len(), kernel.num_regs() as usize, "{origin}");
             for (r, &mask) in masks.iter().enumerate() {
                 let reg_dead = dead_regs.contains(&(r as u8));
                 assert_eq!(
                     mask == u32::MAX,
                     reg_dead,
-                    "seed {seed} R{r}: dead-bit mask {mask:#010x} contradicts \
-                     register-level dead={reg_dead}"
+                    "{origin} {} R{r}: dead-bit mask {mask:#010x} contradicts \
+                     register-level dead={reg_dead}",
+                    kernel.name()
                 );
             }
         }
     }
+    assert_eq!(modules, 200 + 12);
 }
 
 /// Property test over 200 fuzzed kernels: the known-bits analysis never

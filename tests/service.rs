@@ -467,3 +467,146 @@ fn eight_loopback_workers_share_one_journal_writer() {
     std::fs::remove_file(&serial_journal).ok();
     std::fs::remove_file(&dist_journal).ok();
 }
+
+/// Pinned labels across all three executors: each campaign of the table
+/// runs on 1 thread, on 4 threads and through `serve` + 2 workers, each
+/// with a journal, and must produce identical CSV bytes, identical
+/// canonical journal bytes and exactly the pre-classification label counts
+/// measured before the executors shared one `prepare`/`finish` — the
+/// register-dead / bit-dead split must not move when the register-level
+/// table is read off the dead-bit masks, nor under stuck-at (register
+/// granularity only), nor under stratification (nothing pre-classified,
+/// every record carries its stratum).  The resume row starts all three
+/// executors from the same journal cut mid-campaign (torn tail included),
+/// so the shared stages are exercised on the resume path from both callers.
+#[test]
+fn pinned_labels_hold_across_all_three_executors() {
+    struct Row {
+        name: &'static str,
+        bench: &'static str,
+        cfg: CampaignConfig,
+        static_dead: usize,
+        static_dead_bit: usize,
+        /// Resume every executor from the reference journal cut after
+        /// this many records.
+        resume_after: Option<usize>,
+    }
+    let rf = || CampaignSpec::new(Structure::RegisterFile);
+    let rows = [
+        Row {
+            name: "nw-flat",
+            bench: "NW",
+            cfg: CampaignConfig::new(rf(), 300, 11),
+            static_dead: 32,
+            static_dead_bit: 5,
+            resume_after: None,
+        },
+        Row {
+            name: "sp-stuck-at-1",
+            bench: "SP",
+            cfg: CampaignConfig::new(rf().model(FaultModel::StuckAt1), 60, 9),
+            static_dead: 1,
+            static_dead_bit: 0,
+            resume_after: None,
+        },
+        Row {
+            name: "nw-stratified",
+            bench: "NW",
+            cfg: CampaignConfig::new(rf(), 120, 11).stratified(),
+            static_dead: 0,
+            static_dead_bit: 0,
+            resume_after: None,
+        },
+        Row {
+            name: "nw-resume",
+            bench: "NW",
+            cfg: CampaignConfig::new(rf(), 300, 11),
+            static_dead: 32,
+            static_dead_bit: 5,
+            resume_after: Some(120),
+        },
+    ];
+    let card = GpuConfig::rtx2060();
+    for row in &rows {
+        let w = by_name(row.bench).unwrap();
+        let golden = profile(w.as_ref(), &card).unwrap();
+        let run = |executor: &str, cfg: CampaignConfig| match executor {
+            "1 thread" => run_campaign(w.as_ref(), &card, &cfg.with_threads(1), &golden).unwrap(),
+            "4 threads" => run_campaign(w.as_ref(), &card, &cfg.with_threads(4), &golden).unwrap(),
+            _ => {
+                let plans = [ChaosPlan::default(); 2];
+                let (res, workers) =
+                    run_distributed(w.as_ref(), &card, &cfg, &golden, &quick_svc(), &plans, None);
+                assert!(
+                    workers.iter().all(Result::is_ok),
+                    "{}: {workers:?}",
+                    row.name
+                );
+                res.unwrap()
+            }
+        };
+
+        // The reference: one thread, uninterrupted.
+        let ref_path = tmp(&format!("{}-ref.journal.jsonl", row.name));
+        let reference = run("1 thread", row.cfg.clone().with_journal(ref_path.clone()));
+        let ref_csv = campaign_csv(&reference);
+        let ref_journal = std::fs::read_to_string(&ref_path).unwrap();
+        let count = |d: RunDetail| reference.records.iter().filter(|r| r.detail == d).count();
+        assert_eq!(
+            count(RunDetail::StaticDead),
+            row.static_dead,
+            "{}",
+            row.name
+        );
+        assert_eq!(
+            count(RunDetail::StaticDeadBit),
+            row.static_dead_bit,
+            "{}",
+            row.name
+        );
+        let stratified = row.cfg.sampling == SamplingMode::Stratified;
+        assert!(
+            reference
+                .records
+                .iter()
+                .all(|r| r.stratum.is_some() == stratified),
+            "{}: stratum column",
+            row.name
+        );
+
+        // The journal every executor starts from when resuming: the
+        // reference cut after `keep` records, half of the next line torn.
+        let cut = row.resume_after.map(|keep| {
+            let lines: Vec<&str> = ref_journal.split_inclusive('\n').collect();
+            let torn = lines[keep + 1];
+            lines[..=keep].concat() + &torn[..torn.len() / 2]
+        });
+        let executors: &[&str] = match cut {
+            Some(_) => &["1 thread", "4 threads", "serve + 2 workers"],
+            None => &["4 threads", "serve + 2 workers"],
+        };
+        for (e, executor) in executors.iter().enumerate() {
+            let tag = format!("{} on {executor}", row.name);
+            let path = tmp(&format!("{}-{e}.journal.jsonl", row.name));
+            let mut cfg = row.cfg.clone().with_journal(path.clone());
+            if let Some(text) = &cut {
+                std::fs::write(&path, text).unwrap();
+                cfg = cfg.with_resume();
+            }
+            let res = run(executor, cfg);
+            assert_eq!(campaign_csv(&res), ref_csv, "{tag}: CSV diverged");
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                ref_journal,
+                "{tag}: journal bytes diverged"
+            );
+            assert_eq!(
+                res.stats.resumed,
+                row.resume_after.unwrap_or(0),
+                "{tag}: resumed"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+        std::fs::remove_file(&ref_path).ok();
+    }
+}
