@@ -13,7 +13,7 @@
 //! `BENCH_sampling.json` (normally the committed copy), the fresh GE
 //! stratified effective-runs/s is compared against the recorded value
 //! *before* the file is overwritten, and the benchmark exits nonzero on
-//! a >20% regression — the same floor the interp bench enforces.
+//! a >20% regression.
 
 use gpufi_core::{profile, run_campaign, CampaignConfig, CampaignResult, GoldenProfile, Workload};
 use gpufi_faults::{CampaignSpec, Structure};

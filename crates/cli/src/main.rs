@@ -246,22 +246,6 @@ fn card_of(args: &Args<'_>) -> Result<GpuConfig, CliError> {
     Ok(GpuConfig::preset(name).ok_or_else(|| format!("unknown card `{name}`"))?)
 }
 
-fn structure_of(name: &str) -> Result<Structure, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "rf" | "regfile" | "register-file" => Ok(Structure::RegisterFile),
-        "local" | "lmem" => Ok(Structure::LocalMemory),
-        "shared" | "smem" => Ok(Structure::SharedMemory),
-        "l1d" => Ok(Structure::L1Data),
-        "l1t" | "tex" => Ok(Structure::L1Tex),
-        "l1c" | "const" => Ok(Structure::L1Const),
-        "l2" => Ok(Structure::L2),
-        "simt-stack" | "simtstack" | "stack" => Ok(Structure::SimtStack),
-        "sched" | "scheduler" => Ok(Structure::Sched),
-        "scoreboard" | "sb" => Ok(Structure::Scoreboard),
-        other => Err(format!("unknown structure `{other}`")),
-    }
-}
-
 fn run(argv: &[String]) -> Result<(), CliError> {
     let Some(cmd) = argv.first() else {
         return Err("missing command".into());
@@ -274,6 +258,10 @@ fn run(argv: &[String]) -> Result<(), CliError> {
                 println!("  {}", w.name());
             }
             println!("cards: rtx2060, gv100, titan");
+            println!("structures:");
+            for s in Structure::ALL.iter().chain(&Structure::CONTROL) {
+                println!("  {:<12}{s}", s.cli_name());
+            }
             Ok(())
         }
         "profile" => cmd_profile(&args),
@@ -386,7 +374,8 @@ const CAMPAIGN_BOOL_FLAGS: &[&str] = &[
 fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
     let workload = workload_of(args)?;
     let card = card_of(args)?;
-    let structure = structure_of(args.value("--structure").ok_or("--structure is required")?)?;
+    let name = args.value("--structure").ok_or("--structure is required")?;
+    let structure = Structure::parse(name).ok_or_else(|| format!("unknown structure `{name}`"))?;
     let runs: usize = args.parse("--runs", 120)?;
     if runs == 0 {
         return Err(failed("--runs 0: a campaign needs at least one run"));
@@ -1283,6 +1272,8 @@ mod tests {
         let journal = std::env::temp_dir().join(format!("gpufi-cli-{}.jsonl", std::process::id()));
         let journaled = format!("{va} --runs 4 --journal {} --seed", journal.display());
         cli(&format!("{journaled} 1")).unwrap();
+        let config = std::env::temp_dir().join(format!("gpufi-cli-{}.config", std::process::id()));
+        std::fs::write(&config, "base = rtx2060\nl1d = 32768:4:64\n").unwrap();
         for (line, cause) in [
             (
                 format!("{va} --sampling stratified --fault-model stuck-at-0"),
@@ -1291,6 +1282,11 @@ mod tests {
             (format!("{journaled} 2 --resume"), "different campaign"),
             // Used to "succeed" and report the n = 1 margin (±128.79 %).
             (format!("{va} --runs 0"), "at least one run"),
+            // Used to panic in `MemSystem::new` with a backtrace.
+            (
+                format!("profile --bench VA --config {}", config.display()),
+                "they must match",
+            ),
         ] {
             match cli(&line) {
                 Err(CliError::Failed(msg)) => assert!(msg.contains(cause), "{line}: {msg}"),
@@ -1298,17 +1294,32 @@ mod tests {
             }
         }
         std::fs::remove_file(journal).ok();
+        std::fs::remove_file(config).ok();
     }
 
     #[test]
     fn structure_aliases() {
-        assert_eq!(structure_of("rf").unwrap(), Structure::RegisterFile);
-        assert_eq!(structure_of("L1D").unwrap(), Structure::L1Data);
-        assert_eq!(structure_of("const").unwrap(), Structure::L1Const);
-        assert_eq!(structure_of("simt-stack").unwrap(), Structure::SimtStack);
-        assert_eq!(structure_of("sched").unwrap(), Structure::Sched);
-        assert_eq!(structure_of("scoreboard").unwrap(), Structure::Scoreboard);
-        assert!(structure_of("dram").is_err());
+        assert_eq!(Structure::parse("rf"), Some(Structure::RegisterFile));
+        assert_eq!(Structure::parse("L1D"), Some(Structure::L1Data));
+        assert_eq!(Structure::parse("const"), Some(Structure::L1Const));
+        assert_eq!(Structure::parse("simt-stack"), Some(Structure::SimtStack));
+        assert_eq!(Structure::parse("sched"), Some(Structure::Sched));
+        assert_eq!(Structure::parse("scoreboard"), Some(Structure::Scoreboard));
+        assert_eq!(Structure::parse("dram"), None);
+        // USAGE's `structures:` lines spell the table, in table order.
+        let (_, rest) = USAGE.split_once("structures:").unwrap();
+        let (listed, _) = rest.split_once("\n\n").unwrap();
+        let listed: Vec<&str> = listed
+            .split(|c: char| c.is_whitespace() || c == '|')
+            .take_while(|word| !word.starts_with('('))
+            .filter(|word| !word.is_empty())
+            .collect();
+        let table: Vec<&str> = Structure::ALL
+            .iter()
+            .chain(&Structure::CONTROL)
+            .map(|s| s.cli_name())
+            .collect();
+        assert_eq!(listed, table);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //!
 //! ```
 //! use gpufi_faults::{CampaignSpec, MaskGenerator, MultiBitMode, Structure};
-//! use gpufi_sim::{FaultSpace, KernelWindow, Scope};
+//! use gpufi_sim::{FaultSpace, GpuConfig, KernelWindow, Scope};
 //!
+//! let chip = GpuConfig::rtx2060();
 //! let space = FaultSpace {
 //!     regs_per_thread: 16,
 //!     lmem_bits: 0,
@@ -25,6 +26,8 @@
 //!     l1c_bits: 64 * 1024 * 8,
 //!     l2_bits: 3 * 1024 * 1024 * 8,
 //!     num_sms: 30,
+//!     bits_per_line: chip.l2.bits_per_line(),
+//!     l1c_bits_per_line: chip.l1c.bits_per_line(),
 //! };
 //! let windows = [KernelWindow { kernel: "k".into(), start: 100, end: 1100 }];
 //! let spec = CampaignSpec::new(Structure::RegisterFile).bits(3);
@@ -37,129 +40,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use gpufi_sim::{
-    FaultSpace, FaultTarget, InjectionPlan, KernelWindow, PlannedFault, Scope, SCHED_ENTRY_BITS,
-    SCOREBOARD_ENTRY_BITS, SIMT_STACK_ENTRY_BITS,
-};
+use gpufi_sim::{FaultSpace, FaultTarget, InjectionPlan, KernelWindow, PlannedFault, Scope};
 
-pub use gpufi_sim::FaultModel;
+pub use gpufi_sim::{FaultModel, Structure};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// The injectable hardware structures: the paper's six targets (Table IV)
-/// plus the L1 constant cache extension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Structure {
-    /// Per-thread registers of the register file.
-    RegisterFile,
-    /// Per-thread local memory (off-chip).
-    LocalMemory,
-    /// Per-CTA shared memory.
-    SharedMemory,
-    /// Per-SM L1 data cache (tag + data).
-    L1Data,
-    /// Per-SM L1 texture cache (tag + data).
-    L1Tex,
-    /// Per-SM L1 constant cache (tag + data) — an extension implementing
-    /// the paper's future work (§IV.C.1).
-    L1Const,
-    /// Chip-wide L2 cache (tag + data).
-    L2,
-    /// Per-warp SIMT reconvergence stack frames (control unit; divergence
-    /// corruption).
-    SimtStack,
-    /// Warp-scheduler barrier state: `at_barrier` flags and CTA
-    /// `barrier_arrived` counters (control unit; lost barriers).
-    Sched,
-    /// Issue-scoreboard entries: per-warp 64-bit `ready_at` timestamps
-    /// (control unit; scheduler livelock).
-    Scoreboard,
-}
-
-impl Structure {
-    /// The six structures of the paper (Table IV), in the paper's order.
-    pub const PAPER: [Structure; 6] = [
-        Structure::RegisterFile,
-        Structure::LocalMemory,
-        Structure::SharedMemory,
-        Structure::L1Data,
-        Structure::L1Tex,
-        Structure::L2,
-    ];
-
-    /// Every injectable **data array**, including the constant-cache
-    /// extension.  The control-unit sites live in [`Structure::CONTROL`]:
-    /// their populations are dynamic (live warps, stack depths), so they
-    /// have no fixed bit capacity and stay out of the AVF size tables.
-    pub const ALL: [Structure; 7] = [
-        Structure::RegisterFile,
-        Structure::LocalMemory,
-        Structure::SharedMemory,
-        Structure::L1Data,
-        Structure::L1Tex,
-        Structure::L1Const,
-        Structure::L2,
-    ];
-
-    /// The control-unit injection sites (Guerrero-Balaguera et al.):
-    /// parallelism-management state rather than data arrays.
-    pub const CONTROL: [Structure; 3] = [
-        Structure::SimtStack,
-        Structure::Sched,
-        Structure::Scoreboard,
-    ];
-
-    /// The five structures the paper folds into the chip AVF (local memory
-    /// resides in device DRAM and is excluded from the on-chip total).
-    pub const ON_CHIP: [Structure; 5] = [
-        Structure::RegisterFile,
-        Structure::SharedMemory,
-        Structure::L1Data,
-        Structure::L1Tex,
-        Structure::L2,
-    ];
-
-    /// Human-readable name matching the paper.
-    pub fn name(self) -> &'static str {
-        match self {
-            Structure::RegisterFile => "register file",
-            Structure::LocalMemory => "local memory",
-            Structure::SharedMemory => "shared memory",
-            Structure::L1Data => "L1 data cache",
-            Structure::L1Tex => "L1 texture cache",
-            Structure::L1Const => "L1 constant cache",
-            Structure::L2 => "L2 cache",
-            Structure::SimtStack => "SIMT stack",
-            Structure::Sched => "warp scheduler",
-            Structure::Scoreboard => "scoreboard",
-        }
-    }
-
-    /// Whether the stuck-at fault models are defined for this structure.
-    ///
-    /// Permanent faults are modelled for the per-SM-core structures the
-    /// simulator re-pins on every cycle: the register file, shared memory
-    /// and the three control-unit sites.  Local memory and the cache
-    /// hierarchy only support transient flips.
-    pub fn supports_stuck_at(self) -> bool {
-        matches!(
-            self,
-            Structure::RegisterFile
-                | Structure::SharedMemory
-                | Structure::SimtStack
-                | Structure::Sched
-                | Structure::Scoreboard
-        )
-    }
-}
-
-impl fmt::Display for Structure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// How the bits of one multi-bit fault are placed (paper §III.A: "(i)
 /// different bits of the same entry … (ii) different entries").
@@ -327,17 +214,18 @@ impl MaskGenerator {
         self.rng.gen_range(0..bound)
     }
 
-    /// Picks a uniformly random cycle inside the union of `windows`.
-    fn draw_cycle(&mut self, windows: &[KernelWindow]) -> Option<u64> {
-        let total: u64 = windows.iter().map(|w| w.end.saturating_sub(w.start)).sum();
+    /// Picks a uniformly random cycle inside the union of the half-open
+    /// `[start, end)` cycle `spans`; `None` when they are empty.
+    fn draw_cycle(&mut self, spans: impl Iterator<Item = (u64, u64)> + Clone) -> Option<u64> {
+        let total: u64 = spans.clone().map(|(s, e)| e.saturating_sub(s)).sum();
         if total == 0 {
             return None;
         }
         let mut r = self.rng.gen_range(0..total);
-        for w in windows {
-            let len = w.end - w.start;
+        for (s, e) in spans {
+            let len = e.saturating_sub(s);
             if r < len {
-                return Some(w.start + r);
+                return Some(s + r);
             }
             r -= len;
         }
@@ -359,111 +247,82 @@ impl MaskGenerator {
         if spec.model.is_permanent() && !spec.structure.supports_stuck_at() {
             return Err(DrawError::UnsupportedModel(spec.model, spec.structure));
         }
-        let cycle = self.draw_cycle(windows).ok_or(DrawError::EmptyWindows)?;
+        let cycle = self
+            .draw_cycle(windows.iter().map(|w| (w.start, w.end)))
+            .ok_or(DrawError::EmptyWindows)?;
         let k = spec.bits_per_fault;
         let entry_lot = self.rng.gen::<u64>();
+        let replicate = spec.replicate;
+        let (total, entry_bits) = space.bits_of(spec.structure);
+        if total == 0 {
+            return Err(DrawError::EmptyStructure(spec.structure));
+        }
         let target = match spec.structure {
             Structure::RegisterFile => {
-                if space.regs_per_thread == 0 {
-                    return Err(DrawError::EmptyStructure(spec.structure));
-                }
                 let reg = self.rng.gen_range(0..space.regs_per_thread);
-                let bits = self
-                    .distinct_bits(k.min(32), 32)
-                    .into_iter()
-                    .map(|b| b as u8)
-                    .collect();
-                FaultTarget::RegisterFile {
-                    scope: spec.scope,
-                    entry_lot,
-                    reg,
-                    bits,
-                }
-            }
-            Structure::LocalMemory => {
-                if space.lmem_bits == 0 {
-                    return Err(DrawError::EmptyStructure(spec.structure));
-                }
-                let bits = self.structure_bits(k, space.lmem_bits, 32, spec.multi_bit);
-                FaultTarget::LocalMemory { entry_lot, bits }
-            }
-            Structure::SharedMemory => {
-                if space.smem_bits == 0 {
-                    return Err(DrawError::EmptyStructure(spec.structure));
-                }
-                let bits = self.structure_bits(k, space.smem_bits, 32, spec.multi_bit);
-                FaultTarget::SharedMemory {
-                    cta_lot: entry_lot,
-                    replicate: spec.replicate,
-                    bits,
-                }
-            }
-            Structure::L1Data => {
-                let Some(total) = space.l1d_bits.filter(|&b| b > 0) else {
-                    return Err(DrawError::EmptyStructure(spec.structure));
-                };
-                let bits = self.structure_bits(k, total, line_bits(), spec.multi_bit);
-                FaultTarget::L1Data {
-                    core_lot: entry_lot,
-                    replicate: spec.replicate,
-                    bits,
-                }
-            }
-            Structure::L1Tex => {
-                if space.l1t_bits == 0 {
-                    return Err(DrawError::EmptyStructure(spec.structure));
-                }
-                let bits = self.structure_bits(k, space.l1t_bits, line_bits(), spec.multi_bit);
-                FaultTarget::L1Tex {
-                    core_lot: entry_lot,
-                    replicate: spec.replicate,
-                    bits,
-                }
-            }
-            Structure::L1Const => {
-                if space.l1c_bits == 0 {
-                    return Err(DrawError::EmptyStructure(spec.structure));
-                }
-                let bits =
-                    self.structure_bits(k, space.l1c_bits, const_line_bits(), spec.multi_bit);
-                FaultTarget::L1Const {
-                    core_lot: entry_lot,
-                    replicate: spec.replicate,
-                    bits,
-                }
-            }
-            Structure::L2 => {
-                if space.l2_bits == 0 {
-                    return Err(DrawError::EmptyStructure(spec.structure));
-                }
-                let bits = self.structure_bits(k, space.l2_bits, line_bits(), spec.multi_bit);
-                FaultTarget::L2 { bits }
+                self.register_target(spec, entry_lot, reg)
             }
             // Control-unit sites: the population is dynamic (live warps,
-            // current stack depth), so draws always succeed and resolve
-            // against the live state at the injection cycle via lots.
-            Structure::SimtStack => {
-                let depth_lot = self.rng.gen::<u64>();
-                let bits = self.entry_u8_bits(k, SIMT_STACK_ENTRY_BITS);
-                FaultTarget::SimtStack {
-                    entry_lot,
-                    depth_lot,
-                    bits,
+            // current stack depth), so the draw fixes only the bits of
+            // the one entry and resolves the rest against the live state
+            // at the injection cycle via lots.
+            Structure::SimtStack => FaultTarget::SimtStack {
+                entry_lot,
+                depth_lot: self.rng.gen::<u64>(),
+                bits: self.entry_u8_bits(k, entry_bits),
+            },
+            Structure::Sched => FaultTarget::Sched {
+                entry_lot,
+                bits: self.entry_u8_bits(k, entry_bits),
+            },
+            Structure::Scoreboard => FaultTarget::Scoreboard {
+                entry_lot,
+                bits: self.entry_u8_bits(k, entry_bits),
+            },
+            array => {
+                let bits = self.structure_bits(k, total, entry_bits, spec.multi_bit);
+                let core_lot = entry_lot;
+                match array {
+                    Structure::LocalMemory => FaultTarget::LocalMemory { entry_lot, bits },
+                    Structure::SharedMemory => FaultTarget::SharedMemory {
+                        cta_lot: entry_lot,
+                        replicate,
+                        bits,
+                    },
+                    Structure::L1Data => FaultTarget::L1Data {
+                        core_lot,
+                        replicate,
+                        bits,
+                    },
+                    Structure::L1Tex => FaultTarget::L1Tex {
+                        core_lot,
+                        replicate,
+                        bits,
+                    },
+                    Structure::L1Const => FaultTarget::L1Const {
+                        core_lot,
+                        replicate,
+                        bits,
+                    },
+                    _ => FaultTarget::L2 { bits },
                 }
-            }
-            Structure::Sched => {
-                let bits = self.entry_u8_bits(k, SCHED_ENTRY_BITS);
-                FaultTarget::Sched { entry_lot, bits }
-            }
-            Structure::Scoreboard => {
-                let bits = self.entry_u8_bits(k, SCOREBOARD_ENTRY_BITS);
-                FaultTarget::Scoreboard { entry_lot, bits }
             }
         };
         Ok(InjectionPlan {
             faults: vec![PlannedFault { cycle, target }],
             model: spec.model,
         })
+    }
+
+    /// The register-file target of `spec` on register `reg`: distinct bit
+    /// positions within the 32-bit register, thread- or warp-scoped.
+    fn register_target(&mut self, spec: &CampaignSpec, entry_lot: u64, reg: u32) -> FaultTarget {
+        FaultTarget::RegisterFile {
+            scope: spec.scope,
+            entry_lot,
+            reg,
+            bits: self.entry_u8_bits(spec.bits_per_fault, 32),
+        }
     }
 
     /// Draws one register-file fault plan **within a stratum**: the cycle
@@ -488,36 +347,13 @@ impl MaskGenerator {
         segments: &[(u64, u64)],
         reg: u32,
     ) -> Result<InjectionPlan, DrawError> {
-        let total: u64 = segments.iter().map(|&(s, e)| e.saturating_sub(s)).sum();
-        if total == 0 {
-            return Err(DrawError::EmptyWindows);
-        }
-        let mut r = self.rng.gen_range(0..total);
-        let mut cycle = 0;
-        for &(s, e) in segments {
-            let len = e.saturating_sub(s);
-            if r < len {
-                cycle = s + r;
-                break;
-            }
-            r -= len;
-        }
+        let cycle = self
+            .draw_cycle(segments.iter().copied())
+            .ok_or(DrawError::EmptyWindows)?;
         let entry_lot = self.rng.gen::<u64>();
-        let bits = self
-            .distinct_bits(spec.bits_per_fault.min(32), 32)
-            .into_iter()
-            .map(|b| b as u8)
-            .collect();
+        let target = self.register_target(spec, entry_lot, reg);
         Ok(InjectionPlan {
-            faults: vec![PlannedFault {
-                cycle,
-                target: FaultTarget::RegisterFile {
-                    scope: spec.scope,
-                    entry_lot,
-                    reg,
-                    bits,
-                },
-            }],
+            faults: vec![PlannedFault { cycle, target }],
             model: spec.model,
         })
     }
@@ -572,19 +408,10 @@ impl MaskGenerator {
     }
 }
 
-/// Bits per cache line entry (128-byte line + the modelled tag).
-fn line_bits() -> u64 {
-    128 * 8 + u64::from(gpufi_sim::TAG_BITS)
-}
-
-/// Bits per constant-cache line entry (64-byte line + the modelled tag).
-fn const_line_bits() -> u64 {
-    64 * 8 + u64::from(gpufi_sim::TAG_BITS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpufi_sim::{CacheConfig, SCHED_ENTRY_BITS, SCOREBOARD_ENTRY_BITS, SIMT_STACK_ENTRY_BITS};
 
     fn space() -> FaultSpace {
         FaultSpace {
@@ -596,6 +423,8 @@ mod tests {
             l1c_bits: 1 << 19,
             l2_bits: 1 << 24,
             num_sms: 30,
+            bits_per_line: CacheConfig::with_capacity(1 << 16, 4, 128).bits_per_line(),
+            l1c_bits_per_line: CacheConfig::with_capacity(1 << 16, 4, 64).bits_per_line(),
         }
     }
 
@@ -724,17 +553,29 @@ mod tests {
 
     #[test]
     fn same_entry_mode_keeps_bits_in_one_line() {
-        let mut g = MaskGenerator::new(4);
-        let spec = CampaignSpec::new(Structure::L2)
-            .bits(3)
-            .mode(MultiBitMode::SameEntry);
-        for _ in 0..50 {
-            let p = g.draw(&spec, &space(), &windows()).unwrap();
-            let FaultTarget::L2 { bits } = &p.faults[0].target else {
-                panic!("wrong target");
-            };
-            let line = bits[0] / line_bits();
-            assert!(bits.iter().all(|&b| b / line_bits() == line), "{bits:?}");
+        // A chip with 64-byte data lines: the entry width must follow it.
+        let narrow = CacheConfig::with_capacity(32768, 4, 64);
+        let narrow_space = FaultSpace {
+            l1d_bits: Some(narrow.total_bits()),
+            bits_per_line: narrow.bits_per_line(),
+            ..space()
+        };
+        for (structure, space) in [(Structure::L2, space()), (Structure::L1Data, narrow_space)] {
+            let mut g = MaskGenerator::new(4);
+            let spec = CampaignSpec::new(structure)
+                .bits(3)
+                .mode(MultiBitMode::SameEntry);
+            let (_, line_bits) = space.bits_of(structure);
+            for _ in 0..200 {
+                let p = g.draw(&spec, &space, &windows()).unwrap();
+                let (FaultTarget::L2 { bits } | FaultTarget::L1Data { bits, .. }) =
+                    &p.faults[0].target
+                else {
+                    panic!("wrong target");
+                };
+                let line = bits[0] / line_bits;
+                assert!(bits.iter().all(|&b| b / line_bits == line), "{bits:?}");
+            }
         }
     }
 
@@ -781,7 +622,10 @@ mod tests {
 
     #[test]
     fn structure_names() {
+        // The re-exported type is the simulator's: one name table.
         assert_eq!(Structure::RegisterFile.to_string(), "register file");
+        let target = FaultTarget::L2 { bits: vec![0] };
+        assert_eq!(target.structure(), Structure::L2);
         assert_eq!(Structure::ALL.len(), 7);
         assert_eq!(Structure::PAPER.len(), 6);
         assert_eq!(Structure::ON_CHIP.len(), 5);

@@ -181,6 +181,17 @@ impl GpuConfig {
                 ),
             ));
         }
+        for (name, l1) in [("l1d", cfg.l1d), ("l1t", Some(cfg.l1t))] {
+            if let Some(l1) = l1.filter(|l1| l1.line_bytes != cfg.l2.line_bytes) {
+                return Err(ConfigError::new(
+                    0,
+                    format!(
+                        "{name} has {}-byte lines but the L2 has {}-byte lines; they must match",
+                        l1.line_bytes, cfg.l2.line_bytes
+                    ),
+                ));
+            }
+        }
         Ok(cfg)
     }
 }
@@ -229,6 +240,17 @@ mod tests {
         assert!(err.to_string().contains("preset"));
         let err = GpuConfig::from_config_text("just words\n").unwrap_err();
         assert!(err.to_string().contains("key = value"));
+        // Mismatched line sizes used to reach `MemSystem::new`'s assert.
+        for text in [
+            "l1d = 32768:4:64\n",
+            "l1t = 32768:4:64\n",
+            "l2 = 3145728:16:64\n",
+        ] {
+            let err = GpuConfig::from_config_text(text).unwrap_err();
+            assert!(err.to_string().contains("they must match"), "{text}: {err}");
+        }
+        GpuConfig::from_config_text("l1d = 32768:4:64\nl1t = 32768:4:64\nl2 = 3145728:16:64\n")
+            .unwrap();
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use crate::config::{GpuConfig, SchedulerPolicy};
 use crate::error::Trap;
-use crate::fault::{SCHED_ENTRY_BITS, SCOREBOARD_ENTRY_BITS, SIMT_STACK_ENTRY_BITS};
+use crate::fault::{Scope, SCHED_ENTRY_BITS, SCOREBOARD_ENTRY_BITS, SIMT_STACK_ENTRY_BITS};
 use crate::grid::LaunchDims;
 use crate::mem::{AccessKind, MemSystem, LOCAL_BASE};
 use crate::oracle::ThreadState;
@@ -102,44 +102,70 @@ impl Frame {
     }
 }
 
-/// A permanently stuck bit owned by a warp.
-///
-/// Stuck-at sites model a defective storage cell: the bit is forced to its
-/// stuck value when the fault fires and **re-pinned after every core cycle**
-/// ([`SimtCore::enforce_stuck`]), so any architectural overwrite of the
-/// location is undone before the next instruction can observe it.  A site
-/// binds to the physical storage of the targeted entity and dies with it
-/// (exited lanes, finished warps, harvested CTAs): register renaming and
-/// slot reallocation across launches are not modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StuckSite {
-    /// Bit `bit` of register `reg` in lanes `lanes`, forced to `set`.
-    Reg {
-        lanes: u32,
-        reg: u16,
-        bit: u8,
-        set: bool,
-    },
-    /// Bit `bit` of the SIMT-stack frame at `depth`: `bit < 32` addresses
-    /// the frame's lane mask, otherwise bit `bit - 32` of the frame pc.
-    Frame { depth: u16, bit: u8, set: bool },
-    /// Bit `bit` of the SIMT stack's top entry — the warp's live execution
-    /// state: `bit < 32` pins a lane of the current active mask, otherwise
-    /// bit `bit - 32` of the current pc.
-    Tos { bit: u8, set: bool },
-    /// The warp-scheduler `at_barrier` flag forced to `set`.
-    AtBarrier { set: bool },
-    /// Bit `bit` of the issue-scoreboard `ready_at` cycle forced to `set`.
-    ReadyAt { bit: u8, set: bool },
+/// Forces bit `bit` of `word`: `None` toggles it (a transient flip),
+/// `Some(v)` pins it to `v` (a stuck-at fault).
+#[inline]
+fn force_bit<T>(word: &mut T, bit: u8, stuck: Option<bool>)
+where
+    T: Copy
+        + From<u8>
+        + std::ops::Shl<u8, Output = T>
+        + std::ops::Not<Output = T>
+        + std::ops::BitAnd<Output = T>
+        + std::ops::BitOr<Output = T>
+        + std::ops::BitXor<Output = T>,
+{
+    let m = T::from(1) << bit;
+    *word = match stuck {
+        Some(true) => *word | m,
+        Some(false) => *word & !m,
+        None => *word ^ m,
+    };
 }
 
-/// A permanently stuck bit owned by a CTA.
+/// Arms `site` for per-cycle re-pinning under a stuck-at model, once: a
+/// replicated fault that reaches the same cell twice is one defect.
+fn arm<S: PartialEq>(sites: &mut Vec<(S, bool)>, site: S, stuck: Option<bool>) {
+    if let Some(set) = stuck {
+        let entry = (site, set);
+        if !sites.contains(&entry) {
+            sites.push(entry);
+        }
+    }
+}
+
+/// A fault site owned by a warp: what one planned bit corrupts.
+///
+/// Under a stuck-at model the site models a defective storage cell: the
+/// bit is forced to its stuck value when the fault fires and **re-pinned
+/// after every core cycle** ([`SimtCore::enforce_stuck`]), so any
+/// architectural overwrite of the location is undone before the next
+/// instruction can observe it.  A site binds to the physical storage of
+/// the targeted entity and dies with it (exited lanes, finished warps,
+/// harvested CTAs): register renaming and slot reallocation across
+/// launches are not modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CtaStuck {
-    /// Shared-memory bit `bit` forced to `set`.
-    Smem { bit: u64, set: bool },
-    /// Bit `bit` of the CTA `barrier_arrived` counter forced to `set`.
-    BarrierArrived { bit: u8, set: bool },
+enum WarpSite {
+    /// Bit `bit` of register `reg` in lanes `lanes`.
+    Reg { lanes: u32, reg: u16, bit: u8 },
+    /// Bit `bit` of one SIMT-stack entry: `bit < 32` addresses the entry's
+    /// lane mask, otherwise bit `bit - 32` of its pc.  `depth` is a pushed
+    /// frame; `None` is the top entry — the warp's live execution state
+    /// (`active` / `pc`).
+    Simt { depth: Option<u16>, bit: u8 },
+    /// The warp-scheduler `at_barrier` flag.
+    AtBarrier,
+    /// Bit `bit` of the issue-scoreboard `ready_at` cycle.
+    ReadyAt { bit: u8 },
+}
+
+/// A fault site owned by a CTA.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CtaSite {
+    /// Shared-memory bit `bit`.
+    Smem { bit: u64 },
+    /// Bit `bit` of the CTA `barrier_arrived` counter.
+    BarrierArrived { bit: u8 },
 }
 
 /// One warp's architectural and microarchitectural state, stored
@@ -175,10 +201,80 @@ struct Warp {
     /// digest and the checkpoint byte accounting: clones carry the sites
     /// (so forked runs re-arm the stuck mask for free) while transient
     /// digests and recorder budgets stay bit-identical.
-    stuck: Vec<StuckSite>,
+    stuck: Vec<(WarpSite, bool)>,
 }
 
 impl Warp {
+    /// Corrupts `site` under `stuck` (see [`force_bit`]); `false` when the
+    /// site does not exist in this warp.
+    #[inline]
+    fn force(&mut self, site: WarpSite, stuck: Option<bool>) -> bool {
+        match site {
+            WarpSite::Reg { lanes, reg, bit } => {
+                let r = reg as usize;
+                let live = lanes & self.live;
+                lanes!(live, lane => force_bit(&mut self.regs[r][lane], bit, stuck));
+                let fresh = live & !self.taint[r];
+                self.taint[r] |= fresh;
+                self.taint_cnt += fresh.count_ones();
+            }
+            WarpSite::Simt { depth, bit } => {
+                let (pc, mask) = match depth {
+                    None => (&mut self.pc, &mut self.active),
+                    Some(d) => match self.stack.get_mut(d as usize) {
+                        Some(Frame::Pending { pc, mask } | Frame::Reconv { pc, mask }) => {
+                            (pc, mask)
+                        }
+                        None => return false,
+                    },
+                };
+                if bit < 32 {
+                    force_bit(mask, bit, stuck);
+                } else {
+                    force_bit(pc, bit - 32, stuck);
+                }
+            }
+            WarpSite::AtBarrier => self.at_barrier = stuck.unwrap_or(!self.at_barrier),
+            WarpSite::ReadyAt { bit } => force_bit(&mut self.ready_at, bit, stuck),
+        }
+        true
+    }
+
+    /// Injects a fault at `site`: corrupts it and, under a stuck-at model,
+    /// arms it for re-pinning.  `false` when the site does not exist.
+    fn corrupt(&mut self, site: WarpSite, stuck: Option<bool>) -> bool {
+        let hit = self.force(site, stuck);
+        if hit {
+            arm(&mut self.stuck, site, stuck);
+        }
+        hit
+    }
+
+    /// Retires `lanes`: their registers can never be read again, so their
+    /// taints and stuck register cells die with the threads — which is
+    /// what lets a stuck-at run early-exit once every faulted entity has
+    /// retired.
+    fn retire_lanes(&mut self, lanes: u32) {
+        if self.taint_cnt > 0 {
+            for tm in &mut self.taint {
+                let killed = *tm & lanes;
+                if killed != 0 {
+                    *tm &= !lanes;
+                    self.taint_cnt -= killed.count_ones();
+                }
+            }
+        }
+        if !self.stuck.is_empty() {
+            for (site, _) in &mut self.stuck {
+                if let WarpSite::Reg { lanes: l, .. } = site {
+                    *l &= !lanes;
+                }
+            }
+            self.stuck
+                .retain(|(site, _)| !matches!(site, WarpSite::Reg { lanes: 0, .. }));
+        }
+    }
+
     /// The `b` operand row: a register row or the splatted immediate.
     fn brow(&self, u: &Uop) -> [u32; LANES] {
         if u.b_imm {
@@ -217,7 +313,43 @@ struct Cta {
     /// Fault-flipped shared-memory bit indices not yet observed by a load.
     smem_taints: Vec<u64>,
     /// Permanently stuck bits resident in this CTA (see [`Warp::stuck`]).
-    stuck: Vec<CtaStuck>,
+    stuck: Vec<(CtaSite, bool)>,
+}
+
+impl Cta {
+    /// Corrupts `site` under `stuck` (see [`force_bit`]); `false` when the
+    /// site does not exist in this CTA.
+    #[inline]
+    fn force(&mut self, site: CtaSite, stuck: Option<bool>) -> bool {
+        match site {
+            CtaSite::Smem { bit } => {
+                let Some(byte) = self.smem.get_mut((bit / 8) as usize) else {
+                    return false;
+                };
+                force_bit(byte, (bit % 8) as u8, stuck);
+                // A repeated flip restores the golden bit, so transient
+                // taint is a toggle; a pinned bit stays tainted.
+                match (self.smem_taints.iter().position(|&b| b == bit), stuck) {
+                    (None, _) => self.smem_taints.push(bit),
+                    (Some(i), None) => {
+                        self.smem_taints.swap_remove(i);
+                    }
+                    (Some(_), Some(_)) => {}
+                }
+            }
+            CtaSite::BarrierArrived { bit } => force_bit(&mut self.barrier_arrived, bit, stuck),
+        }
+        true
+    }
+
+    /// Injects a fault at `site` (see [`Warp::corrupt`]).
+    fn corrupt(&mut self, site: CtaSite, stuck: Option<bool>) -> bool {
+        let hit = self.force(site, stuck);
+        if hit {
+            arm(&mut self.stuck, site, stuck);
+        }
+        hit
+    }
 }
 
 /// Identifies a warp for fault-injection bookkeeping.
@@ -1127,30 +1259,7 @@ impl SimtCore {
         self.cnt_threads -= dead.count_ones();
         warp.live &= !mask;
         warp.active &= !mask;
-        // Registers of exited lanes can never be read again: their taints
-        // die with the threads, exactly as in the golden run.
-        if warp.taint_cnt > 0 {
-            for tm in &mut warp.taint {
-                let killed = *tm & mask;
-                if killed != 0 {
-                    *tm &= !mask;
-                    warp.taint_cnt -= killed.count_ones();
-                }
-            }
-        }
-        // Stuck register cells of exited lanes die with their threads: the
-        // register can never be read again, so the site stops re-pinning
-        // (and re-tainting) — this is what lets a stuck-at run early-exit
-        // once every faulted entity has retired.
-        if !warp.stuck.is_empty() {
-            for st in &mut warp.stuck {
-                if let StuckSite::Reg { lanes, .. } = st {
-                    *lanes &= !mask;
-                }
-            }
-            warp.stuck
-                .retain(|st| !matches!(st, StuckSite::Reg { lanes: 0, .. }));
-        }
+        warp.retire_lanes(mask);
         for f in &mut warp.stack {
             *f.mask_mut() &= !mask;
         }
@@ -1182,24 +1291,7 @@ impl SimtCore {
         if orphaned != 0 {
             self.cnt_threads -= orphaned.count_ones();
             warp.live = 0;
-            if warp.taint_cnt > 0 {
-                for tm in &mut warp.taint {
-                    let killed = *tm & orphaned;
-                    if killed != 0 {
-                        *tm &= !orphaned;
-                        warp.taint_cnt -= killed.count_ones();
-                    }
-                }
-            }
-            if !warp.stuck.is_empty() {
-                for st in &mut warp.stuck {
-                    if let StuckSite::Reg { lanes, .. } = st {
-                        *lanes &= !orphaned;
-                    }
-                }
-                warp.stuck
-                    .retain(|st| !matches!(st, StuckSite::Reg { lanes: 0, .. }));
-            }
+            warp.retire_lanes(orphaned);
         }
         warp.finished = true;
         self.cnt_live_warps -= 1;
@@ -1378,96 +1470,12 @@ impl SimtCore {
         self.ctas.len() as u64
     }
 
-    /// Flips `bits` of register `reg` in the `n`-th live thread.
-    ///
-    /// Returns the handle of the affected warp, or `None` when `n` exceeds
-    /// the live-thread count or the register is out of the kernel's
-    /// allocation.
-    pub fn flip_thread_reg(&mut self, n: u64, reg: u32, bits: &[u8]) -> Option<WarpHandle> {
-        let mut remaining = n;
-        let id = self.id;
-        for (s, cta) in self.ctas.iter_mut().enumerate() {
-            for (wi, warp) in cta.warps.iter_mut().enumerate() {
-                let cnt = u64::from(warp.live.count_ones());
-                if remaining < cnt {
-                    let lane = set_bit_at(warp.live, remaining as u32)?;
-                    let r = reg as usize;
-                    if r >= warp.regs.len() {
-                        return None;
-                    }
-                    for &b in bits {
-                        warp.regs[r][lane] ^= 1 << (b % 32);
-                    }
-                    if warp.taint[r] & (1 << lane) == 0 {
-                        warp.taint[r] |= 1 << lane;
-                        warp.taint_cnt += 1;
-                    }
-                    return Some(WarpHandle {
-                        sm: id,
-                        cta_slot: s,
-                        warp: wi,
-                    });
-                }
-                remaining -= cnt;
-            }
+    fn handle(&self, cta_slot: usize, warp: usize) -> WarpHandle {
+        WarpHandle {
+            sm: self.id,
+            cta_slot,
+            warp,
         }
-        None
-    }
-
-    /// Flips `bits` of register `reg` in every live lane of the `n`-th live
-    /// warp (the paper's warp-scope register injection).
-    pub fn flip_warp_reg(&mut self, n: u64, reg: u32, bits: &[u8]) -> Option<WarpHandle> {
-        let mut remaining = n;
-        let id = self.id;
-        for (s, cta) in self.ctas.iter_mut().enumerate() {
-            for (wi, warp) in cta.warps.iter_mut().enumerate() {
-                if warp.finished {
-                    continue;
-                }
-                if remaining == 0 {
-                    let r = reg as usize;
-                    if r >= warp.regs.len() {
-                        return None;
-                    }
-                    lanes!(warp.live, lane => {
-                        for &b in bits {
-                            warp.regs[r][lane] ^= 1 << (b % 32);
-                        }
-                    });
-                    let fresh = warp.live & !warp.taint[r];
-                    warp.taint[r] |= warp.live;
-                    warp.taint_cnt += fresh.count_ones();
-                    return Some(WarpHandle {
-                        sm: id,
-                        cta_slot: s,
-                        warp: wi,
-                    });
-                }
-                remaining -= 1;
-            }
-        }
-        None
-    }
-
-    /// Flips bit `bit` of the `n`-th resident CTA's shared-memory instance.
-    ///
-    /// Returns `false` when the CTA or bit is out of range.
-    pub fn flip_cta_smem(&mut self, n: u64, bit: u64) -> bool {
-        let Some(cta) = self.ctas.get_mut(n as usize) else {
-            return false;
-        };
-        let byte = (bit / 8) as usize;
-        if byte >= cta.smem.len() {
-            return false;
-        }
-        cta.smem[byte] ^= 1 << (bit % 8);
-        // A repeated flip restores the golden bit, so taint is a toggle.
-        if let Some(i) = cta.smem_taints.iter().position(|&b| b == bit) {
-            cta.smem_taints.swap_remove(i);
-        } else {
-            cta.smem_taints.push(bit);
-        }
-        true
     }
 
     /// Resident-slot coordinates of the `n`-th live (not finished) warp.
@@ -1487,53 +1495,14 @@ impl SimtCore {
         None
     }
 
-    /// Forces `bits` of register `reg` in the `n`-th live thread to the
-    /// stuck value and registers the site for per-cycle re-pinning.
-    ///
-    /// Same targeting and `None` semantics as [`SimtCore::flip_thread_reg`].
-    pub fn pin_thread_reg(
-        &mut self,
-        n: u64,
-        reg: u32,
-        bits: &[u8],
-        set: bool,
-    ) -> Option<WarpHandle> {
+    /// Resident-slot coordinates and lane of the `n`-th live thread.
+    fn nth_live_thread(&self, n: u64) -> Option<(usize, usize, usize)> {
         let mut remaining = n;
-        let id = self.id;
-        for (s, cta) in self.ctas.iter_mut().enumerate() {
-            for (wi, warp) in cta.warps.iter_mut().enumerate() {
+        for (s, cta) in self.ctas.iter().enumerate() {
+            for (wi, warp) in cta.warps.iter().enumerate() {
                 let cnt = u64::from(warp.live.count_ones());
                 if remaining < cnt {
-                    let lane = set_bit_at(warp.live, remaining as u32)?;
-                    let r = reg as usize;
-                    if r >= warp.regs.len() {
-                        return None;
-                    }
-                    for &b in bits {
-                        let bit = b % 32;
-                        let m = 1u32 << bit;
-                        if set {
-                            warp.regs[r][lane] |= m;
-                        } else {
-                            warp.regs[r][lane] &= !m;
-                        }
-                        warp.stuck.push(StuckSite::Reg {
-                            lanes: 1 << lane,
-                            reg: reg as u16,
-                            bit,
-                            set,
-                        });
-                    }
-                    if warp.taint[r] & (1 << lane) == 0 {
-                        warp.taint[r] |= 1 << lane;
-                        warp.taint_cnt += 1;
-                    }
-                    self.has_stuck = true;
-                    return Some(WarpHandle {
-                        sm: id,
-                        cta_slot: s,
-                        warp: wi,
-                    });
+                    return Some((s, wi, set_bit_at(warp.live, remaining as u32)?));
                 }
                 remaining -= cnt;
             }
@@ -1541,66 +1510,69 @@ impl SimtCore {
         None
     }
 
-    /// Forces `bits` of register `reg` in every live lane of the `n`-th
-    /// live warp to the stuck value (warp-scope stuck-at injection).
-    pub fn pin_warp_reg(&mut self, n: u64, reg: u32, bits: &[u8], set: bool) -> Option<WarpHandle> {
-        let (s, wi) = self.nth_live_warp(n)?;
-        let id = self.id;
+    /// Corrupts `bits` of register `reg` in the `n`-th live thread, or in
+    /// every live lane of the `n`-th live warp (the paper's warp-scope
+    /// register injection): `stuck = None` flips them once (transient);
+    /// `Some(v)` forces them to `v` and arms the cells for per-cycle
+    /// re-pinning.
+    ///
+    /// Returns the handle of the affected warp, or `None` when `n` exceeds
+    /// the live population or the register is out of the kernel's
+    /// allocation.
+    pub fn flip_reg(
+        &mut self,
+        scope: Scope,
+        n: u64,
+        reg: u32,
+        bits: &[u8],
+        stuck: Option<bool>,
+    ) -> Option<WarpHandle> {
+        let (s, wi, lanes) = match scope {
+            Scope::Thread => {
+                let (s, wi, lane) = self.nth_live_thread(n)?;
+                (s, wi, 1 << lane)
+            }
+            Scope::Warp => {
+                let (s, wi) = self.nth_live_warp(n)?;
+                (s, wi, self.ctas[s].warps[wi].live)
+            }
+        };
         let warp = &mut self.ctas[s].warps[wi];
-        let r = reg as usize;
-        if r >= warp.regs.len() {
+        if reg as usize >= warp.regs.len() {
             return None;
         }
         for &b in bits {
-            let bit = b % 32;
-            let m = 1u32 << bit;
-            lanes!(warp.live, lane => {
-                if set {
-                    warp.regs[r][lane] |= m;
-                } else {
-                    warp.regs[r][lane] &= !m;
-                }
-            });
-            warp.stuck.push(StuckSite::Reg {
-                lanes: warp.live,
+            let site = WarpSite::Reg {
+                lanes,
                 reg: reg as u16,
-                bit,
-                set,
-            });
+                bit: b % 32,
+            };
+            warp.corrupt(site, stuck);
         }
-        let fresh = warp.live & !warp.taint[r];
-        warp.taint[r] |= warp.live;
-        warp.taint_cnt += fresh.count_ones();
-        self.has_stuck = true;
-        Some(WarpHandle {
-            sm: id,
-            cta_slot: s,
-            warp: wi,
-        })
+        self.has_stuck |= stuck.is_some();
+        Some(self.handle(s, wi))
     }
 
-    /// Forces bit `bit` of the `n`-th resident CTA's shared memory to the
-    /// stuck value and registers the site for per-cycle re-pinning.
-    pub fn pin_cta_smem(&mut self, n: u64, bit: u64, set: bool) -> bool {
+    /// Corrupts bit `bit` of the `n`-th resident CTA's shared-memory
+    /// instance; `stuck` as in [`SimtCore::flip_reg`].
+    ///
+    /// Returns `false` when the CTA or bit is out of range.
+    pub fn flip_cta_smem(&mut self, n: u64, bit: u64, stuck: Option<bool>) -> bool {
         let Some(cta) = self.ctas.get_mut(n as usize) else {
             return false;
         };
-        let byte = (bit / 8) as usize;
-        if byte >= cta.smem.len() {
-            return false;
-        }
-        let m = 1u8 << (bit % 8);
-        if set {
-            cta.smem[byte] |= m;
-        } else {
-            cta.smem[byte] &= !m;
-        }
-        if !cta.smem_taints.contains(&bit) {
-            cta.smem_taints.push(bit);
-        }
-        cta.stuck.push(CtaStuck::Smem { bit, set });
-        self.has_stuck = true;
-        true
+        let hit = cta.corrupt(CtaSite::Smem { bit }, stuck);
+        self.has_stuck |= hit && stuck.is_some();
+        hit
+    }
+
+    /// Bookkeeping shared by the control-unit sites: control state is read
+    /// by the scheduler every cycle, so the corruption counts as observed
+    /// immediately (no early exit).
+    fn control_hit(&mut self, s: usize, wi: usize, stuck: Option<bool>) -> Option<WarpHandle> {
+        self.has_stuck |= stuck.is_some();
+        self.escaped = true;
+        Some(self.handle(s, wi))
     }
 
     /// Corrupts `bits` of the SIMT-stack entry selected by `depth_lot` in
@@ -1615,11 +1587,8 @@ impl SimtCore {
     /// warp always applies; only the pushed-frame entries can be
     /// unoccupied.
     ///
-    /// `stuck = None` toggles the bits (transient); `Some(v)` forces them
-    /// to `v` and registers permanent re-pinning sites.  Returns `None`
-    /// when the warp does not exist.  Control state is read by the
-    /// scheduler every cycle, so the corruption counts as observed
-    /// immediately (no early exit).
+    /// `stuck` as in [`SimtCore::flip_reg`].  Returns `None` when
+    /// the warp does not exist.
     pub fn flip_simt_stack(
         &mut self,
         n: u64,
@@ -1628,108 +1597,43 @@ impl SimtCore {
         stuck: Option<bool>,
     ) -> Option<WarpHandle> {
         let (s, wi) = self.nth_live_warp(n)?;
-        let id = self.id;
         let warp = &mut self.ctas[s].warps[wi];
-        let depth = (depth_lot % (warp.stack.len() as u64 + 1)) as usize;
+        let depth = depth_lot % (warp.stack.len() as u64 + 1);
+        let depth = (depth < warp.stack.len() as u64).then_some(depth as u16);
         for &b in bits {
-            let b = (u64::from(b) % SIMT_STACK_ENTRY_BITS) as u8;
-            let (pc, mask): (&mut u32, &mut u32) = if depth == warp.stack.len() {
-                (&mut warp.pc, &mut warp.active)
-            } else {
-                let (Frame::Pending { pc, mask } | Frame::Reconv { pc, mask }) =
-                    &mut warp.stack[depth];
-                (pc, mask)
-            };
-            if b < 32 {
-                let m = 1u32 << b;
-                match stuck {
-                    Some(true) => *mask |= m,
-                    Some(false) => *mask &= !m,
-                    None => *mask ^= m,
-                }
-            } else {
-                let m = 1u32 << (b - 32);
-                match stuck {
-                    Some(true) => *pc |= m,
-                    Some(false) => *pc &= !m,
-                    None => *pc ^= m,
-                }
-            }
-            if let Some(set) = stuck {
-                warp.stuck.push(if depth == warp.stack.len() {
-                    StuckSite::Tos { bit: b, set }
-                } else {
-                    StuckSite::Frame {
-                        depth: depth as u16,
-                        bit: b,
-                        set,
-                    }
-                });
-            }
+            let bit = (u64::from(b) % SIMT_STACK_ENTRY_BITS) as u8;
+            let site = WarpSite::Simt { depth, bit };
+            warp.corrupt(site, stuck);
         }
-        if stuck.is_some() {
-            self.has_stuck = true;
-        }
-        self.escaped = true;
-        Some(WarpHandle {
-            sm: id,
-            cta_slot: s,
-            warp: wi,
-        })
+        self.control_hit(s, wi, stuck)
     }
 
     /// Corrupts `bits` of the warp-scheduler entry of the `n`-th live warp:
     /// bit 0 is the `at_barrier` flag, bits `1..=32` address the owning
     /// CTA's `barrier_arrived` counter.
     ///
-    /// Same transient/stuck and observability semantics as
+    /// Same `stuck` and observability semantics as
     /// [`SimtCore::flip_simt_stack`].
     pub fn flip_sched(&mut self, n: u64, bits: &[u8], stuck: Option<bool>) -> Option<WarpHandle> {
         let (s, wi) = self.nth_live_warp(n)?;
-        let id = self.id;
+        let cta = &mut self.ctas[s];
         for &b in bits {
-            let b = (u64::from(b) % SCHED_ENTRY_BITS) as u8;
-            if b == 0 {
-                let warp = &mut self.ctas[s].warps[wi];
-                match stuck {
-                    Some(set) => {
-                        warp.at_barrier = set;
-                        warp.stuck.push(StuckSite::AtBarrier { set });
-                    }
-                    None => warp.at_barrier = !warp.at_barrier,
+            match (u64::from(b) % SCHED_ENTRY_BITS) as u8 {
+                0 => {
+                    cta.warps[wi].corrupt(WarpSite::AtBarrier, stuck);
                 }
-            } else {
-                let bit = b - 1;
-                let m = 1u32 << bit;
-                let cta = &mut self.ctas[s];
-                match stuck {
-                    Some(set) => {
-                        if set {
-                            cta.barrier_arrived |= m;
-                        } else {
-                            cta.barrier_arrived &= !m;
-                        }
-                        cta.stuck.push(CtaStuck::BarrierArrived { bit, set });
-                    }
-                    None => cta.barrier_arrived ^= m,
+                b => {
+                    cta.corrupt(CtaSite::BarrierArrived { bit: b - 1 }, stuck);
                 }
             }
         }
-        if stuck.is_some() {
-            self.has_stuck = true;
-        }
-        self.escaped = true;
-        Some(WarpHandle {
-            sm: id,
-            cta_slot: s,
-            warp: wi,
-        })
+        self.control_hit(s, wi, stuck)
     }
 
     /// Corrupts `bits` of the issue-scoreboard entry (the 64-bit `ready_at`
     /// cycle) of the `n`-th live warp.
     ///
-    /// Same transient/stuck and observability semantics as
+    /// Same `stuck` and observability semantics as
     /// [`SimtCore::flip_simt_stack`].
     pub fn flip_scoreboard(
         &mut self,
@@ -1738,32 +1642,14 @@ impl SimtCore {
         stuck: Option<bool>,
     ) -> Option<WarpHandle> {
         let (s, wi) = self.nth_live_warp(n)?;
-        let id = self.id;
         let warp = &mut self.ctas[s].warps[wi];
         for &b in bits {
-            let bit = (u64::from(b) % SCOREBOARD_ENTRY_BITS) as u8;
-            let m = 1u64 << bit;
-            match stuck {
-                Some(set) => {
-                    if set {
-                        warp.ready_at |= m;
-                    } else {
-                        warp.ready_at &= !m;
-                    }
-                    warp.stuck.push(StuckSite::ReadyAt { bit, set });
-                }
-                None => warp.ready_at ^= m,
-            }
+            let site = WarpSite::ReadyAt {
+                bit: (u64::from(b) % SCOREBOARD_ENTRY_BITS) as u8,
+            };
+            warp.corrupt(site, stuck);
         }
-        if stuck.is_some() {
-            self.has_stuck = true;
-        }
-        self.escaped = true;
-        Some(WarpHandle {
-            sm: id,
-            cta_slot: s,
-            warp: wi,
-        })
+        self.control_hit(s, wi, stuck)
     }
 
     /// Re-pins every armed stuck-at site on this core; O(1) when none are.
@@ -1780,109 +1666,16 @@ impl SimtCore {
         }
         for cta in &mut self.ctas {
             for i in 0..cta.stuck.len() {
-                match cta.stuck[i] {
-                    CtaStuck::Smem { bit, set } => {
-                        let byte = (bit / 8) as usize;
-                        if byte < cta.smem.len() {
-                            let m = 1u8 << (bit % 8);
-                            if set {
-                                cta.smem[byte] |= m;
-                            } else {
-                                cta.smem[byte] &= !m;
-                            }
-                            if !cta.smem_taints.contains(&bit) {
-                                cta.smem_taints.push(bit);
-                            }
-                        }
-                    }
-                    CtaStuck::BarrierArrived { bit, set } => {
-                        let m = 1u32 << bit;
-                        if set {
-                            cta.barrier_arrived |= m;
-                        } else {
-                            cta.barrier_arrived &= !m;
-                        }
-                    }
-                }
+                let (site, set) = cta.stuck[i];
+                cta.force(site, Some(set));
             }
             for warp in &mut cta.warps {
-                if warp.finished || warp.stuck.is_empty() {
+                if warp.finished {
                     continue;
                 }
                 for i in 0..warp.stuck.len() {
-                    match warp.stuck[i] {
-                        StuckSite::Reg {
-                            lanes,
-                            reg,
-                            bit,
-                            set,
-                        } => {
-                            let r = reg as usize;
-                            if r >= warp.regs.len() {
-                                continue;
-                            }
-                            let live = lanes & warp.live;
-                            let m = 1u32 << bit;
-                            lanes!(live, lane => {
-                                if set {
-                                    warp.regs[r][lane] |= m;
-                                } else {
-                                    warp.regs[r][lane] &= !m;
-                                }
-                            });
-                            let fresh = live & !warp.taint[r];
-                            if fresh != 0 {
-                                warp.taint[r] |= fresh;
-                                warp.taint_cnt += fresh.count_ones();
-                            }
-                        }
-                        StuckSite::Frame { depth, bit, set } => {
-                            if let Some(f) = warp.stack.get_mut(depth as usize) {
-                                let (Frame::Pending { pc, mask } | Frame::Reconv { pc, mask }) = f;
-                                if bit < 32 {
-                                    let m = 1u32 << bit;
-                                    if set {
-                                        *mask |= m;
-                                    } else {
-                                        *mask &= !m;
-                                    }
-                                } else {
-                                    let m = 1u32 << (bit - 32);
-                                    if set {
-                                        *pc |= m;
-                                    } else {
-                                        *pc &= !m;
-                                    }
-                                }
-                            }
-                        }
-                        StuckSite::Tos { bit, set } => {
-                            if bit < 32 {
-                                let m = 1u32 << bit;
-                                if set {
-                                    warp.active |= m;
-                                } else {
-                                    warp.active &= !m;
-                                }
-                            } else {
-                                let m = 1u32 << (bit - 32);
-                                if set {
-                                    warp.pc |= m;
-                                } else {
-                                    warp.pc &= !m;
-                                }
-                            }
-                        }
-                        StuckSite::AtBarrier { set } => warp.at_barrier = set,
-                        StuckSite::ReadyAt { bit, set } => {
-                            let m = 1u64 << bit;
-                            if set {
-                                warp.ready_at |= m;
-                            } else {
-                                warp.ready_at &= !m;
-                            }
-                        }
-                    }
+                    let (site, set) = warp.stuck[i];
+                    warp.force(site, Some(set));
                 }
             }
         }
@@ -1901,21 +1694,10 @@ impl SimtCore {
     /// The global linear thread id of the `n`-th live thread (for local
     /// memory targeting), if it exists.
     pub fn nth_live_thread_global_id(&self, n: u64, ctx: &KernelCtx<'_>) -> Option<u64> {
-        let mut remaining = n;
+        let (s, wi, lane) = self.nth_live_thread(n)?;
+        let cta = &self.ctas[s];
         let tpc = u64::from(ctx.threads_per_cta());
-        for cta in &self.ctas {
-            for warp in &cta.warps {
-                let cnt = u64::from(warp.live.count_ones());
-                if remaining < cnt {
-                    let lane = set_bit_at(warp.live, remaining as u32)?;
-                    return Some(
-                        cta.linear * tpc + u64::from(warp.widx) * LANES as u64 + lane as u64,
-                    );
-                }
-                remaining -= cnt;
-            }
-        }
-        None
+        Some(cta.linear * tpc + u64::from(cta.warps[wi].widx) * LANES as u64 + lane as u64)
     }
 }
 
@@ -1943,6 +1725,27 @@ mod tests {
         assert_eq!(set_bit_at(0b1010, 1), Some(3));
         assert_eq!(set_bit_at(0b1010, 2), None);
         assert_eq!(set_bit_at(u32::MAX, 31), Some(31));
+    }
+
+    #[test]
+    fn force_bit_toggles_or_pins_and_sites_arm_once() {
+        let (mut byte, mut word, mut wide) = (0b0100u8, 0u32, u64::MAX);
+        force_bit(&mut byte, 2, None);
+        force_bit(&mut byte, 7, None);
+        assert_eq!(byte, 0b1000_0000);
+        force_bit(&mut word, 31, Some(true));
+        force_bit(&mut word, 31, Some(true));
+        assert_eq!(word, 1 << 31);
+        force_bit(&mut wide, 63, Some(false));
+        assert_eq!(wide, u64::MAX >> 1);
+
+        let mut sites = Vec::new();
+        arm(&mut sites, CtaSite::Smem { bit: 9 }, None);
+        assert!(sites.is_empty(), "a transient flip arms nothing");
+        arm(&mut sites, CtaSite::Smem { bit: 9 }, Some(true));
+        arm(&mut sites, CtaSite::Smem { bit: 9 }, Some(true));
+        arm(&mut sites, CtaSite::BarrierArrived { bit: 9 }, Some(true));
+        assert_eq!(sites.len(), 2, "the same cell pinned twice is one site");
     }
 
     #[test]

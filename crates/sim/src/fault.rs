@@ -92,6 +92,153 @@ impl std::fmt::Display for FaultModel {
     }
 }
 
+/// The injectable hardware structures: the paper's six targets (Table IV),
+/// the L1 constant cache extension and the three control-unit sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Structure {
+    /// Per-thread registers of the register file.
+    RegisterFile,
+    /// Per-thread local memory (off-chip).
+    LocalMemory,
+    /// Per-CTA shared memory.
+    SharedMemory,
+    /// Per-SM L1 data cache (tag + data).
+    L1Data,
+    /// Per-SM L1 texture cache (tag + data).
+    L1Tex,
+    /// Per-SM L1 constant cache (tag + data) — an extension implementing
+    /// the paper's future work (§IV.C.1).
+    L1Const,
+    /// Chip-wide L2 cache (tag + data).
+    L2,
+    /// Per-warp SIMT reconvergence stack frames (control unit; divergence
+    /// corruption).
+    SimtStack,
+    /// Warp-scheduler barrier state: `at_barrier` flags and CTA
+    /// `barrier_arrived` counters (control unit; lost barriers).
+    Sched,
+    /// Issue-scoreboard entries: per-warp 64-bit `ready_at` timestamps
+    /// (control unit; scheduler livelock).
+    Scoreboard,
+}
+
+/// One row of the structure table: the structure, the paper's name for
+/// it, its `--structure` spellings (`|`-separated, canonical first) and
+/// whether the stuck-at models are defined for it.
+type StructureRow = (Structure, &'static str, &'static str, bool);
+
+impl Structure {
+    /// The six structures of the paper (Table IV), in the paper's order.
+    pub const PAPER: [Structure; 6] = [
+        Structure::RegisterFile,
+        Structure::LocalMemory,
+        Structure::SharedMemory,
+        Structure::L1Data,
+        Structure::L1Tex,
+        Structure::L2,
+    ];
+
+    /// Every injectable **data array**, including the constant-cache
+    /// extension.  The control-unit sites live in [`Structure::CONTROL`]:
+    /// their populations are dynamic (live warps, stack depths), so they
+    /// have no fixed bit capacity and stay out of the AVF size tables.
+    pub const ALL: [Structure; 7] = [
+        Structure::RegisterFile,
+        Structure::LocalMemory,
+        Structure::SharedMemory,
+        Structure::L1Data,
+        Structure::L1Tex,
+        Structure::L1Const,
+        Structure::L2,
+    ];
+
+    /// The control-unit injection sites (Guerrero-Balaguera et al.):
+    /// parallelism-management state rather than data arrays.
+    pub const CONTROL: [Structure; 3] = [
+        Structure::SimtStack,
+        Structure::Sched,
+        Structure::Scoreboard,
+    ];
+
+    /// The five structures the paper folds into the chip AVF (local memory
+    /// resides in device DRAM and is excluded from the on-chip total).
+    pub const ON_CHIP: [Structure; 5] = [
+        Structure::RegisterFile,
+        Structure::SharedMemory,
+        Structure::L1Data,
+        Structure::L1Tex,
+        Structure::L2,
+    ];
+
+    /// The one structure table, in declaration order (DESIGN.md's
+    /// "Fault-injection surface" table is checked against it).
+    ///
+    /// Permanent faults are modelled where the simulator re-pins the cell
+    /// after every cycle: the register file, shared memory and the three
+    /// control-unit sites.  Local memory and the cache arrays are not
+    /// re-pinned on write, so they take transient flips only.
+    const TABLE: [StructureRow; 10] = [
+        (
+            Structure::RegisterFile,
+            "register file",
+            "rf|regfile|register-file",
+            true,
+        ),
+        (Structure::LocalMemory, "local memory", "local|lmem", false),
+        (
+            Structure::SharedMemory,
+            "shared memory",
+            "shared|smem",
+            true,
+        ),
+        (Structure::L1Data, "L1 data cache", "l1d", false),
+        (Structure::L1Tex, "L1 texture cache", "l1t|tex", false),
+        (Structure::L1Const, "L1 constant cache", "l1c|const", false),
+        (Structure::L2, "L2 cache", "l2", false),
+        (
+            Structure::SimtStack,
+            "SIMT stack",
+            "simt-stack|simtstack|stack",
+            true,
+        ),
+        (Structure::Sched, "warp scheduler", "sched|scheduler", true),
+        (Structure::Scoreboard, "scoreboard", "scoreboard|sb", true),
+    ];
+
+    fn row(self) -> &'static StructureRow {
+        &Self::TABLE[self as usize]
+    }
+
+    /// Human-readable name matching the paper.
+    pub fn name(self) -> &'static str {
+        self.row().1
+    }
+
+    /// The canonical `--structure` spelling.
+    pub fn cli_name(self) -> &'static str {
+        self.row().2.split('|').next().unwrap_or_default()
+    }
+
+    /// Resolves a `--structure` spelling or alias, case-insensitively.
+    pub fn parse(s: &str) -> Option<Structure> {
+        Self::TABLE
+            .iter()
+            .find(|row| row.2.split('|').any(|alias| alias.eq_ignore_ascii_case(s)))
+            .map(|row| row.0)
+    }
+
+    /// Whether the stuck-at fault models are defined for this structure.
+    pub fn supports_stuck_at(self) -> bool {
+        self.row().3
+    }
+}
+
+impl std::fmt::Display for Structure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// Injectable bits of one SIMT-stack entry: bits `0..32` are the frame's
 /// active-mask lanes, bits `32..64` the frame's 32-bit PC.
 pub const SIMT_STACK_ENTRY_BITS: u64 = 64;
@@ -203,19 +350,19 @@ pub enum FaultTarget {
 }
 
 impl FaultTarget {
-    /// The paper's name for the targeted hardware structure.
-    pub fn structure_name(&self) -> &'static str {
+    /// The targeted hardware structure.
+    pub fn structure(&self) -> Structure {
         match self {
-            FaultTarget::RegisterFile { .. } => "register file",
-            FaultTarget::LocalMemory { .. } => "local memory",
-            FaultTarget::SharedMemory { .. } => "shared memory",
-            FaultTarget::L1Data { .. } => "L1 data cache",
-            FaultTarget::L1Tex { .. } => "L1 texture cache",
-            FaultTarget::L1Const { .. } => "L1 constant cache",
-            FaultTarget::L2 { .. } => "L2 cache",
-            FaultTarget::SimtStack { .. } => "SIMT stack",
-            FaultTarget::Sched { .. } => "warp scheduler",
-            FaultTarget::Scoreboard { .. } => "scoreboard",
+            FaultTarget::RegisterFile { .. } => Structure::RegisterFile,
+            FaultTarget::LocalMemory { .. } => Structure::LocalMemory,
+            FaultTarget::SharedMemory { .. } => Structure::SharedMemory,
+            FaultTarget::L1Data { .. } => Structure::L1Data,
+            FaultTarget::L1Tex { .. } => Structure::L1Tex,
+            FaultTarget::L1Const { .. } => Structure::L1Const,
+            FaultTarget::L2 { .. } => Structure::L2,
+            FaultTarget::SimtStack { .. } => Structure::SimtStack,
+            FaultTarget::Sched { .. } => Structure::Sched,
+            FaultTarget::Scoreboard { .. } => Structure::Scoreboard,
         }
     }
 }
@@ -295,6 +442,33 @@ pub struct FaultSpace {
     pub l2_bits: u64,
     /// SIMT cores on the chip.
     pub num_sms: u32,
+    /// Bits of one L1D / L1T / L2 line including the modelled tag (the
+    /// three levels share one line size).
+    pub bits_per_line: u64,
+    /// Bits of one L1 constant-cache line including the modelled tag.
+    pub l1c_bits_per_line: u64,
+}
+
+impl FaultSpace {
+    /// `(total injectable bits, entry width in bits)` of `structure` for
+    /// this kernel on this chip; a zero total means nothing to inject
+    /// into.  An entry is what a same-entry multi-bit fault stays inside:
+    /// a register, a memory word, a cache line, or — for the control
+    /// units, whose population is the live warps — the one warp entry.
+    pub fn bits_of(&self, structure: Structure) -> (u64, u64) {
+        match structure {
+            Structure::RegisterFile => (u64::from(self.regs_per_thread) * 32, 32),
+            Structure::LocalMemory => (self.lmem_bits, 32),
+            Structure::SharedMemory => (self.smem_bits, 32),
+            Structure::L1Data => (self.l1d_bits.unwrap_or(0), self.bits_per_line),
+            Structure::L1Tex => (self.l1t_bits, self.bits_per_line),
+            Structure::L1Const => (self.l1c_bits, self.l1c_bits_per_line),
+            Structure::L2 => (self.l2_bits, self.bits_per_line),
+            Structure::SimtStack => (SIMT_STACK_ENTRY_BITS, SIMT_STACK_ENTRY_BITS),
+            Structure::Sched => (SCHED_ENTRY_BITS, SCHED_ENTRY_BITS),
+            Structure::Scoreboard => (SCOREBOARD_ENTRY_BITS, SCOREBOARD_ENTRY_BITS),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -309,9 +483,9 @@ mod tests {
             reg: 0,
             bits: vec![0],
         };
-        assert_eq!(t.structure_name(), "register file");
+        assert_eq!(t.structure().name(), "register file");
         assert_eq!(
-            FaultTarget::L2 { bits: vec![] }.structure_name(),
+            FaultTarget::L2 { bits: vec![] }.structure().name(),
             "L2 cache"
         );
         assert_eq!(
@@ -320,7 +494,8 @@ mod tests {
                 depth_lot: 0,
                 bits: vec![0],
             }
-            .structure_name(),
+            .structure()
+            .name(),
             "SIMT stack"
         );
         assert_eq!(
@@ -328,7 +503,8 @@ mod tests {
                 entry_lot: 0,
                 bits: vec![0],
             }
-            .structure_name(),
+            .structure()
+            .name(),
             "warp scheduler"
         );
         assert_eq!(
@@ -336,9 +512,44 @@ mod tests {
                 entry_lot: 0,
                 bits: vec![0],
             }
-            .structure_name(),
+            .structure()
+            .name(),
             "scoreboard"
         );
+    }
+
+    #[test]
+    fn design_md_structure_table_matches_the_code() {
+        let mut rows = Vec::new();
+        for line in include_str!("../../../DESIGN.md").lines() {
+            let cells: Vec<&str> = line
+                .split('|')
+                .map(|c| c.trim_matches([' ', '`']))
+                .collect();
+            let ["", name, cli, _population, _entry, _replicated, transient, stuck, ""] = cells[..]
+            else {
+                continue;
+            };
+            let Some(s) = Structure::parse(cli) else {
+                continue; // header and separator rows
+            };
+            assert_eq!((s.name(), s.cli_name()), (name, cli), "{line}");
+            assert_eq!(transient, "yes", "{line}");
+            assert_eq!(stuck == "yes", s.supports_stuck_at(), "{line}");
+            assert!(stuck == "yes" || stuck == "no", "{line}");
+            rows.push(s);
+        }
+        let declared: Vec<Structure> = Structure::TABLE.iter().map(|row| row.0).collect();
+        assert_eq!(rows, declared, "one DESIGN.md row per structure, in order");
+        let listed = [&Structure::ALL[..], &Structure::CONTROL[..]].concat();
+        assert_eq!(declared, listed, "ALL then CONTROL enumerate the table");
+        for (i, s) in declared.iter().enumerate() {
+            assert_eq!(*s as usize, i, "TABLE is indexed by discriminant");
+            for alias in s.row().2.split('|') {
+                assert_eq!(Structure::parse(&alias.to_uppercase()), Some(*s));
+            }
+        }
+        assert_eq!(Structure::parse("dram"), None);
     }
 
     #[test]

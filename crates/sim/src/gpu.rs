@@ -462,27 +462,20 @@ impl Gpu {
         self.mem.taint_escaped() || self.cores.iter().any(SimtCore::taint_escaped)
     }
 
-    /// Resolves a live-warp lot against the chip-wide warp population and
-    /// applies `f` on the owning core with the core-local index; `false`
-    /// when no warp is live.
-    fn with_nth_live_warp(
-        &mut self,
-        entry_lot: u64,
-        f: impl FnOnce(&mut SimtCore, u64) -> bool,
-    ) -> bool {
-        let total: u64 = self.cores.iter().map(SimtCore::live_warp_count).sum();
-        if total == 0 {
-            return false;
-        }
-        let mut n = entry_lot % total;
+    /// Reduces `lot` modulo the chip-wide population that `count` reports
+    /// per core and walks the cores to its owner: the owning core and the
+    /// core-local index, or `None` when the population is empty.
+    fn nth_live(&mut self, lot: u64, count: fn(&SimtCore) -> u64) -> Option<(&mut SimtCore, u64)> {
+        let total: u64 = self.cores.iter().map(count).sum();
+        let mut n = lot.checked_rem(total)?;
         for c in &mut self.cores {
-            let cnt = c.live_warp_count();
+            let cnt = count(c);
             if n < cnt {
-                return f(c, n);
+                return Some((c, n));
             }
             n -= cnt;
         }
-        false
+        None
     }
 
     /// Refines a watchdog abort into [`Trap::LostBarrier`] when no warp can
@@ -505,10 +498,12 @@ impl Gpu {
             lmem_bits: u64::from(kernel.lmem_bytes()) * 8,
             smem_bits: u64::from(kernel.smem_bytes()) * 8,
             l1d_bits: self.mem.l1d_bits(),
-            l1t_bits: self.mem.l1t_bits(),
-            l1c_bits: self.mem.l1c_bits(),
+            l1t_bits: self.cfg.l1t.total_bits(),
+            l1c_bits: self.cfg.l1c.total_bits(),
             l2_bits: self.mem.l2_bits(),
             num_sms: self.cfg.num_sms,
+            bits_per_line: self.cfg.l2.bits_per_line(),
+            l1c_bits_per_line: self.cfg.l1c.bits_per_line(),
         }
     }
 
@@ -1052,179 +1047,90 @@ impl Gpu {
     /// Resolves and applies one planned fault against the current dynamic
     /// state (the paper's back-end, §IV.B).
     ///
-    /// Under a stuck-at model ([`Gpu::arm_faults`]), register-file,
-    /// shared-memory and control-structure targets pin bits instead of
-    /// flipping them.  Stuck-at is not modelled for local memory or the
-    /// cache hierarchy (their cells are not re-pinned on write), so a
-    /// permanent fault landing there is recorded as not applied — the
-    /// mask generator refuses to draw such plans in the first place.
+    /// Under a stuck-at model ([`Gpu::arm_faults`]) every site pins its
+    /// bits instead of flipping them.  A permanent fault on a structure
+    /// without stuck-at support ([`crate::Structure::supports_stuck_at`]) is
+    /// recorded as not applied — the mask generator refuses to draw such
+    /// plans in the first place.
     fn apply_fault(&mut self, fault: &PlannedFault, ctx: &KernelCtx<'_>) -> InjectionRecord {
-        let structure = fault.target.structure_name();
+        let structure = fault.target.structure();
         let stuck = self.fault_model.stuck_value();
         let mut outcomes = Vec::new();
         let applied = match &fault.target {
+            _ if stuck.is_some() && !structure.supports_stuck_at() => false,
             FaultTarget::RegisterFile {
                 scope,
                 entry_lot,
                 reg,
                 bits,
-            } => match scope {
-                Scope::Thread => {
-                    let total: u64 = self.cores.iter().map(SimtCore::live_thread_count).sum();
-                    if total == 0 {
-                        false
-                    } else {
-                        let mut n = entry_lot % total;
-                        let mut hit = false;
-                        for c in &mut self.cores {
-                            let cnt = c.live_thread_count();
-                            if n < cnt {
-                                hit = match stuck {
-                                    Some(set) => c.pin_thread_reg(n, *reg, bits, set).is_some(),
-                                    None => c.flip_thread_reg(n, *reg, bits).is_some(),
-                                };
-                                break;
-                            }
-                            n -= cnt;
-                        }
-                        hit
-                    }
-                }
-                Scope::Warp => {
-                    let total: u64 = self.cores.iter().map(SimtCore::live_warp_count).sum();
-                    if total == 0 {
-                        false
-                    } else {
-                        let mut n = entry_lot % total;
-                        let mut hit = false;
-                        for c in &mut self.cores {
-                            let cnt = c.live_warp_count();
-                            if n < cnt {
-                                hit = match stuck {
-                                    Some(set) => c.pin_warp_reg(n, *reg, bits, set).is_some(),
-                                    None => c.flip_warp_reg(n, *reg, bits).is_some(),
-                                };
-                                break;
-                            }
-                            n -= cnt;
-                        }
-                        hit
-                    }
-                }
-            },
-            FaultTarget::LocalMemory { entry_lot, bits } if stuck.is_none() => {
+            } => {
+                let count = match scope {
+                    Scope::Thread => SimtCore::live_thread_count,
+                    Scope::Warp => SimtCore::live_warp_count,
+                };
+                self.nth_live(*entry_lot, count)
+                    .and_then(|(c, n)| c.flip_reg(*scope, n, *reg, bits, stuck))
+                    .is_some()
+            }
+            FaultTarget::LocalMemory { entry_lot, bits } => {
                 let lmem_bits = u64::from(ctx.kernel.lmem_bytes()) * 8;
-                let total: u64 = self.cores.iter().map(SimtCore::live_thread_count).sum();
-                if total == 0 || lmem_bits == 0 {
-                    false
-                } else {
-                    let mut n = entry_lot % total;
-                    let mut tid = None;
-                    for c in &self.cores {
-                        let cnt = c.live_thread_count();
-                        if n < cnt {
-                            tid = c.nth_live_thread_global_id(n, ctx);
-                            break;
-                        }
-                        n -= cnt;
-                    }
-                    match tid {
-                        Some(t) => {
-                            let base = t * u64::from(ctx.kernel.lmem_bytes()) * 8;
-                            let mut any = false;
-                            for &b in bits {
-                                any |= self.mem.flip_local_bit(base + (b % lmem_bits));
-                            }
-                            any
-                        }
-                        None => false,
+                let tid = self
+                    .nth_live(*entry_lot, SimtCore::live_thread_count)
+                    .filter(|_| lmem_bits > 0)
+                    .and_then(|(c, n)| c.nth_live_thread_global_id(n, ctx));
+                let mut any = false;
+                if let Some(t) = tid {
+                    for &b in bits {
+                        any |= self.mem.flip_local_bit(t * lmem_bits + (b % lmem_bits));
                     }
                 }
+                any
             }
             FaultTarget::SharedMemory {
                 cta_lot,
                 replicate,
                 bits,
             } => {
-                let total: u64 = self.cores.iter().map(SimtCore::cta_count).sum();
-                if total == 0 {
-                    false
-                } else {
-                    let mut any = false;
-                    for r in 0..u64::from((*replicate).max(1)) {
-                        let mut n = (cta_lot + r) % total;
-                        for c in &mut self.cores {
-                            let cnt = c.cta_count();
-                            if n < cnt {
-                                for &b in bits {
-                                    any |= match stuck {
-                                        Some(set) => c.pin_cta_smem(n, b, set),
-                                        None => c.flip_cta_smem(n, b),
-                                    };
-                                }
-                                break;
-                            }
-                            n -= cnt;
+                let mut any = false;
+                for r in 0..u64::from((*replicate).max(1)) {
+                    if let Some((c, n)) =
+                        self.nth_live(cta_lot.wrapping_add(r), SimtCore::cta_count)
+                    {
+                        for &b in bits {
+                            any |= c.flip_cta_smem(n, b, stuck);
                         }
                     }
-                    any
                 }
+                any
             }
             FaultTarget::L1Data {
                 core_lot,
                 replicate,
                 bits,
-            } if stuck.is_none() => {
-                let Some(space) = self.mem.l1d_bits() else {
-                    return InjectionRecord {
-                        cycle: self.cycle,
-                        structure,
-                        applied: false,
-                        outcomes,
+            }
+            | FaultTarget::L1Tex {
+                core_lot,
+                replicate,
+                bits,
+            }
+            | FaultTarget::L1Const {
+                core_lot,
+                replicate,
+                bits,
+            } => {
+                let num_sms = u64::from(self.cfg.num_sms);
+                for r in 0..u64::from((*replicate).max(1)) {
+                    let sm = (core_lot.wrapping_add(r) % num_sms) as usize;
+                    // `None`: a card without an L1D has nothing to flip.
+                    let Some(cache) = self.mem.l1_mut(structure, sm) else {
+                        break;
                     };
-                };
-                let n = u64::from(self.cfg.num_sms);
-                for r in 0..u64::from((*replicate).max(1)) {
-                    let sm = ((core_lot + r) % n) as usize;
-                    for &b in bits {
-                        if let Some(o) = self.mem.flip_l1d_bit(sm, b % space) {
-                            outcomes.push(o);
-                        }
-                    }
+                    let space = cache.total_bits();
+                    outcomes.extend(bits.iter().map(|&b| cache.flip_bit(b % space)));
                 }
                 outcomes.iter().any(|o| *o != FlipOutcome::InvalidLine)
             }
-            FaultTarget::L1Tex {
-                core_lot,
-                replicate,
-                bits,
-            } if stuck.is_none() => {
-                let space = self.mem.l1t_bits();
-                let n = u64::from(self.cfg.num_sms);
-                for r in 0..u64::from((*replicate).max(1)) {
-                    let sm = ((core_lot + r) % n) as usize;
-                    for &b in bits {
-                        outcomes.push(self.mem.flip_l1t_bit(sm, b % space));
-                    }
-                }
-                outcomes.iter().any(|o| *o != FlipOutcome::InvalidLine)
-            }
-            FaultTarget::L1Const {
-                core_lot,
-                replicate,
-                bits,
-            } if stuck.is_none() => {
-                let space = self.mem.l1c_bits();
-                let n = u64::from(self.cfg.num_sms);
-                for r in 0..u64::from((*replicate).max(1)) {
-                    let sm = ((core_lot + r) % n) as usize;
-                    for &b in bits {
-                        outcomes.push(self.mem.flip_l1c_bit(sm, b % space));
-                    }
-                }
-                outcomes.iter().any(|o| *o != FlipOutcome::InvalidLine)
-            }
-            FaultTarget::L2 { bits } if stuck.is_none() => {
+            FaultTarget::L2 { bits } => {
                 let space = self.mem.l2_bits();
                 for &b in bits {
                     outcomes.push(self.mem.flip_l2_bit(b % space));
@@ -1235,27 +1141,22 @@ impl Gpu {
                 entry_lot,
                 depth_lot,
                 bits,
-            } => self.with_nth_live_warp(*entry_lot, |c, n| {
-                c.flip_simt_stack(n, *depth_lot, bits, stuck).is_some()
-            }),
-            FaultTarget::Sched { entry_lot, bits } => {
-                self.with_nth_live_warp(*entry_lot, |c, n| c.flip_sched(n, bits, stuck).is_some())
-            }
+            } => self
+                .nth_live(*entry_lot, SimtCore::live_warp_count)
+                .and_then(|(c, n)| c.flip_simt_stack(n, *depth_lot, bits, stuck))
+                .is_some(),
+            FaultTarget::Sched { entry_lot, bits } => self
+                .nth_live(*entry_lot, SimtCore::live_warp_count)
+                .and_then(|(c, n)| c.flip_sched(n, bits, stuck))
+                .is_some(),
             FaultTarget::Scoreboard { entry_lot, bits } => self
-                .with_nth_live_warp(*entry_lot, |c, n| {
-                    c.flip_scoreboard(n, bits, stuck).is_some()
-                }),
-            // Stuck-at on local memory or a cache array: not modelled
-            // (writes there are not re-pinned) — recorded as not applied.
-            FaultTarget::LocalMemory { .. }
-            | FaultTarget::L1Data { .. }
-            | FaultTarget::L1Tex { .. }
-            | FaultTarget::L1Const { .. }
-            | FaultTarget::L2 { .. } => false,
+                .nth_live(*entry_lot, SimtCore::live_warp_count)
+                .and_then(|(c, n)| c.flip_scoreboard(n, bits, stuck))
+                .is_some(),
         };
         InjectionRecord {
             cycle: self.cycle,
-            structure,
+            structure: structure.name(),
             applied,
             outcomes,
         }

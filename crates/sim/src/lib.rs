@@ -67,7 +67,7 @@ pub use config_file::ConfigError;
 pub use error::{LaunchError, Trap};
 pub use fault::{
     FaultModel, FaultSpace, FaultTarget, InjectionPlan, InjectionRecord, PlannedFault, Scope,
-    SCHED_ENTRY_BITS, SCOREBOARD_ENTRY_BITS, SIMT_STACK_ENTRY_BITS,
+    Structure, SCHED_ENTRY_BITS, SCOREBOARD_ENTRY_BITS, SIMT_STACK_ENTRY_BITS,
 };
 pub use gpu::Gpu;
 pub use grid::{Dim3, LaunchDims};

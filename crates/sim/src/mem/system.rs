@@ -20,6 +20,7 @@
 use super::cache::{Cache, CacheStats, EscapeLatch, FlipOutcome};
 use crate::config::{GpuConfig, LatencyConfig};
 use crate::error::{LaunchError, Trap};
+use crate::fault::Structure;
 
 /// First byte address of the global (device-malloc) segment.
 pub const GLOBAL_BASE: u32 = 0x1000;
@@ -735,38 +736,28 @@ impl MemSystem {
             .map(Cache::total_bits)
     }
 
-    /// Injectable bits of one SM's L1 texture cache.
-    pub fn l1t_bits(&self) -> u64 {
-        self.l1t[0].total_bits()
-    }
-
-    /// Injectable bits of one SM's L1 constant cache (an extension: the
-    /// paper lists the constant cache as future work, §IV.C.1).
-    pub fn l1c_bits(&self) -> u64 {
-        self.l1c[0].total_bits()
-    }
-
     /// Injectable bits of the whole L2 (flat across banks: the first
     /// `lines_per_bank` lines belong to bank 0, and so on — §IV.B.5).
     pub fn l2_bits(&self) -> u64 {
         u64::from(self.num_banks) * self.l2[0].total_bits()
     }
 
+    /// SM `sm`'s L1 cache backing `structure` — `None` for a structure that
+    /// is not a per-SM L1, or for the L1D of a card without one.
+    pub(crate) fn l1_mut(&mut self, structure: Structure, sm: usize) -> Option<&mut Cache> {
+        match structure {
+            Structure::L1Data => self.l1d[sm].as_mut(),
+            Structure::L1Tex => Some(&mut self.l1t[sm]),
+            Structure::L1Const => Some(&mut self.l1c[sm]),
+            _ => None,
+        }
+    }
+
     /// Flips a bit in one SM's L1 data cache.
     ///
     /// Returns `None` when the card has no L1D.
     pub fn flip_l1d_bit(&mut self, sm: usize, bit: u64) -> Option<FlipOutcome> {
-        self.l1d[sm].as_mut().map(|c| c.flip_bit(bit))
-    }
-
-    /// Flips a bit in one SM's L1 texture cache.
-    pub fn flip_l1t_bit(&mut self, sm: usize, bit: u64) -> FlipOutcome {
-        self.l1t[sm].flip_bit(bit)
-    }
-
-    /// Flips a bit in one SM's L1 constant cache.
-    pub fn flip_l1c_bit(&mut self, sm: usize, bit: u64) -> FlipOutcome {
-        self.l1c[sm].flip_bit(bit)
+        self.l1_mut(Structure::L1Data, sm).map(|c| c.flip_bit(bit))
     }
 
     /// Flips a bit in the flat L2 space.

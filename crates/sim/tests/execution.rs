@@ -2,7 +2,7 @@
 //! traps and fault injection observable through the public API.
 
 use gpufi_isa::Module;
-use gpufi_sim::{FaultTarget, Gpu, GpuConfig, InjectionPlan, LaunchDims, Scope, Trap};
+use gpufi_sim::{FaultModel, FaultTarget, Gpu, GpuConfig, InjectionPlan, LaunchDims, Scope, Trap};
 
 fn small_gpu() -> Gpu {
     let mut cfg = GpuConfig::rtx2060();
@@ -171,19 +171,49 @@ skip:
 "#,
     )
     .unwrap();
-    let mut gpu = small_gpu();
     let n = 64u32;
-    let x = gpu.malloc(n * 4).unwrap();
-    let out_buf = gpu.malloc(4).unwrap();
-    gpu.write_u32s(x, &(1..=n).collect::<Vec<_>>()).unwrap();
-    gpu.launch(
-        m.kernel("reduce").unwrap(),
-        LaunchDims::new(1, 64),
-        &[x, out_buf],
-    )
-    .unwrap();
-    let out = gpu.read_u32s(out_buf, 1).unwrap();
-    assert_eq!(out[0], n * (n + 1) / 2);
+    let run = |plan: Option<InjectionPlan>| {
+        let mut gpu = small_gpu();
+        let x = gpu.malloc(n * 4).unwrap();
+        let out_buf = gpu.malloc(4).unwrap();
+        gpu.write_u32s(x, &(1..=n).collect::<Vec<_>>()).unwrap();
+        if let Some(plan) = plan {
+            gpu.arm_faults(plan);
+        }
+        let stats = gpu
+            .launch(
+                m.kernel("reduce").unwrap(),
+                LaunchDims::new(1, 64),
+                &[x, out_buf],
+            )
+            .unwrap();
+        let applied = gpu.injection_records().iter().all(|r| r.applied);
+        (
+            gpu.read_u32s(out_buf, 1).unwrap()[0],
+            stats.cycles(),
+            applied,
+        )
+    };
+    let (golden, golden_cycles, _) = run(None);
+    assert_eq!(golden, n * (n + 1) / 2);
+
+    // A stuck-at-1 bit replicated over "two" CTAs when only one is
+    // resident reaches the same cell twice: that is one defect, and it
+    // must behave exactly like the unreplicated fault.
+    let stuck = |replicate| {
+        let target = FaultTarget::SharedMemory {
+            cta_lot: 5,
+            replicate,
+            bits: vec![12],
+        };
+        run(Some(
+            InjectionPlan::single(golden_cycles / 2, target).with_model(FaultModel::StuckAt1),
+        ))
+    };
+    let once = stuck(1);
+    assert_eq!(stuck(2), once);
+    assert!(once.2, "the fault must land");
+    assert_ne!(once.0, golden, "a stuck partial-sum bit corrupts the total");
 }
 
 /// Local memory is private per thread and persists across instructions.

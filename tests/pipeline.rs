@@ -275,3 +275,78 @@ fn csv_exports_are_well_formed() {
     assert!(csv.contains("register file"));
     assert!(csv.trim_end().lines().last().unwrap().contains("TOTAL"));
 }
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The injection matrix, pinned byte for byte: one seeded serial campaign
+/// per structure × scope × fault model × multi-bit × replication cell the
+/// back-end distinguishes, each asserted against the FNV-1a of its CSV as
+/// measured before the back-end was collapsed into one path.  A digest
+/// that moves means a fault landed somewhere else.
+#[test]
+fn injection_matrix_bytes_are_pinned() {
+    use FaultModel::{StuckAt0, StuckAt1, Transient};
+    use Structure::*;
+    let spec = CampaignSpec::new;
+    let (rtx, titan) = (GpuConfig::rtx2060(), GpuConfig::gtx_titan());
+    // Caches small enough that a random bit usually lands in a valid line.
+    let mini = GpuConfig::from_config_text(
+        "name = Mini\nnum_sms = 2\nl1d = 2048:2:128\nl1t = 2048:2:128\nl2 = 16384:4:128\nl2_banks = 2\n",
+    )
+    .unwrap();
+    #[rustfmt::skip]
+    let table: [(&str, &GpuConfig, CampaignSpec, usize, u64, u64); 24] = [
+        ("VA", &rtx, spec(RegisterFile), 40, 21, 0xd0683fa028787746),
+        ("VA", &rtx, spec(RegisterFile).model(StuckAt0), 40, 22, 0x9c7cdec1dcde4e77),
+        ("VA", &rtx, spec(RegisterFile).model(StuckAt1), 40, 23, 0x0ab6f611a99a93a2),
+        ("VA", &rtx, spec(RegisterFile).warp_scope(), 40, 24, 0xc8920e0ecea68caa),
+        ("VA", &rtx, spec(RegisterFile).warp_scope().model(StuckAt0), 40, 25, 0xddd7d89d90a2733c),
+        ("VA", &rtx, spec(RegisterFile).warp_scope().model(StuckAt1), 40, 26, 0x02fb0b75432f194d),
+        ("SP", &rtx, spec(RegisterFile).bits(3), 40, 27, 0x0170ac47c73de675),
+        ("SP", &rtx, spec(SharedMemory).replicated(2), 40, 28, 0xab6080326fa65c57),
+        ("SP", &rtx, spec(SharedMemory).replicated(2).model(StuckAt1), 40, 29, 0xcf19712d51384c27),
+        ("VA", &rtx, spec(L1Data).bits(3), 60, 30, 0x8f9a3f460139d257),
+        ("VA", &rtx, spec(L1Data).bits(3).mode(MultiBitMode::Spread), 60, 31, 0x0390b3026d23cad7),
+        ("VA", &rtx, spec(L2), 60, 32, 0x9909d649827df13f),
+        ("HS", &rtx, spec(L1Tex).replicated(2), 40, 33, 0x8e1f5aa49dc2ae21),
+        ("VA", &rtx, spec(L1Const), 40, 34, 0xa90374bd47328f07),
+        ("GE", &rtx, spec(SimtStack), 40, 35, 0x5f9642fcff91a7ed),
+        ("GE", &rtx, spec(SimtStack).model(StuckAt0), 40, 36, 0x6b645691ae5dd96f),
+        ("SP", &rtx, spec(Sched).model(StuckAt1), 40, 37, 0xa7a05c5a6aec5ec4),
+        ("SP", &rtx, spec(Scoreboard).model(Transient), 40, 38, 0x34a9a9b28328db95),
+        ("SP", &titan, spec(SharedMemory).bits(3), 40, 39, 0x4c393658a6a3367f),
+        ("VA", &titan, spec(RegisterFile).warp_scope().bits(3), 40, 40, 0xb2dae7a6c5fa6bb5),
+        ("HS", &mini, spec(L1Data).bits(3).replicated(2), 40, 41, 0x6550ec3c836cc334),
+        ("HS", &mini, spec(L1Data).bits(3).mode(MultiBitMode::Spread), 40, 42, 0x2ce2a19a3ba26023),
+        ("HS", &mini, spec(L1Tex), 40, 43, 0x9fb591f96f4e715e),
+        ("VA", &mini, spec(L2).bits(3), 40, 44, 0x45a6b2a7b90c3b3b),
+    ];
+    let mut drifted = Vec::new();
+    for (name, card, spec, runs, seed, want) in table {
+        let w = by_name(name).unwrap();
+        let golden = profile(w.as_ref(), card).unwrap();
+        let cfg = CampaignConfig::new(spec.clone(), runs, seed)
+            .with_threads(1)
+            .no_static_prune();
+        let r = run_campaign(w.as_ref(), card, &cfg, &golden).unwrap();
+        let got = fnv1a(gpufi::core::campaign_csv(&r).as_bytes());
+        if got != want {
+            drifted.push(format!(
+                "{name} on {} {spec:?} seed {seed}: {got:#018x}, pinned {want:#018x} ({})",
+                card.name, r.tally
+            ));
+        }
+    }
+    assert!(drifted.is_empty(), "{}", drifted.join("\n"));
+
+    let cfg = CampaignConfig::new(spec(RegisterFile).warp_scope().model(StuckAt1), 40, 26);
+    assert_eq!(
+        campaign_fingerprint("VA", "RTX 2060", &cfg),
+        0xf525c64a962f6aaa,
+        "campaign fingerprint drifted"
+    );
+}
