@@ -1274,6 +1274,8 @@ mod tests {
         cli(&format!("{journaled} 1")).unwrap();
         let config = std::env::temp_dir().join(format!("gpufi-cli-{}.config", std::process::id()));
         std::fs::write(&config, "base = rtx2060\nl1d = 32768:4:64\n").unwrap();
+        let overflow = std::env::temp_dir().join(format!("gpufi-cli-{}.big", std::process::id()));
+        std::fs::write(&overflow, "l1d = 65536:65536:65536\n").unwrap();
         for (line, cause) in [
             (
                 format!("{va} --sampling stratified --fault-model stuck-at-0"),
@@ -1287,6 +1289,11 @@ mod tests {
                 format!("profile --bench VA --config {}", config.display()),
                 "they must match",
             ),
+            // Used to panic on `ways × line_bytes` overflowing `u32`.
+            (
+                format!("profile --bench VA --config {}", overflow.display()),
+                "not divisible",
+            ),
         ] {
             match cli(&line) {
                 Err(CliError::Failed(msg)) => assert!(msg.contains(cause), "{line}: {msg}"),
@@ -1295,6 +1302,7 @@ mod tests {
         }
         std::fs::remove_file(journal).ok();
         std::fs::remove_file(config).ok();
+        std::fs::remove_file(overflow).ok();
     }
 
     #[test]

@@ -14,15 +14,14 @@ use gpufi_metrics::{proportional_allocation, stratified_estimate, StratumObserva
 use gpufi_metrics::{FaultEffect, Tally};
 use gpufi_sim::{CheckpointStore, FaultTarget, Gpu, GpuConfig, InjectionPlan, KernelWindow, Trap};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Default memory budget for the checkpoint store (the recorder doubles
-/// its stride rather than exceed this).
+/// Memory budget for the checkpoint store: the recorder drops every other
+/// snapshot and doubles its stride rather than exceed it.
 pub const DEFAULT_CHECKPOINT_BUDGET: usize = 256 * 1024 * 1024;
 
 /// Auto-sizing target: with `checkpoint_interval == 0` the stride is the
@@ -56,10 +55,6 @@ pub struct CampaignConfig {
     /// Checkpoint stride in cycles; `0` auto-sizes from the golden cycle
     /// count and the memory budget.
     pub checkpoint_interval: u64,
-    /// Memory budget for the checkpoint store, in bytes; the recorder
-    /// drops every other snapshot and doubles its stride rather than
-    /// exceed it.
-    pub checkpoint_budget: usize,
     /// Restrict injection cycles to `[start, end)` (intersected with the
     /// kernel windows); `None` samples the whole golden run.
     pub cycle_window: Option<(u64, u64)>,
@@ -124,7 +119,6 @@ impl CampaignConfig {
             early_exit: true,
             checkpoints: true,
             checkpoint_interval: 0,
-            checkpoint_budget: DEFAULT_CHECKPOINT_BUDGET,
             cycle_window: None,
             oracle_check: false,
             journal: None,
@@ -730,7 +724,7 @@ pub(crate) fn record_store(
         n => n,
     };
     let mut gpu = Gpu::new(card.clone());
-    gpu.record_checkpoints(interval, cfg.checkpoint_budget);
+    gpu.record_checkpoints(interval, DEFAULT_CHECKPOINT_BUDGET);
     workload.run(&mut gpu).ok()?;
     Some(Arc::new(gpu.finish_checkpoint_recording()))
 }
@@ -766,9 +760,13 @@ pub(crate) struct OracleVerdict {
     mismatch: bool,
 }
 
+/// One supervised run: its record, its oracle verdict and how many
+/// attempts panicked (`> 0`: the run was retried).
+pub(crate) type Outcome = (RunRecord, OracleVerdict, usize);
+
 /// Everything one injection run borrows from its campaign.  Both
-/// executors build one: the in-process thread pool with the oracle image,
-/// checkpoint store and fault hook it set up, a distributed worker with
+/// executors build one: the in-process clients with the oracle image,
+/// checkpoint store and fault hook they share, a distributed worker with
 /// the store it records lazily on its first lease.
 pub(crate) struct RunEnv<'a> {
     pub(crate) workload: &'a dyn Workload,
@@ -857,13 +855,8 @@ impl RunEnv<'_> {
     /// immediately, to tell deterministic poison runs from incidental
     /// failures; a reproduced panic becomes the poison verdict — Crash,
     /// `sim_panic` — with deterministic placeholder fields, so a resumed
-    /// campaign reproduces it bit for bit.  Returns the record, the oracle
-    /// verdict and how many attempts panicked (`> 0`: the run was retried).
-    pub(crate) fn supervised_run(
-        &self,
-        i: usize,
-        run: &RunPlan,
-    ) -> (RunRecord, OracleVerdict, usize) {
+    /// campaign reproduces it bit for bit.
+    pub(crate) fn supervised_run(&self, i: usize, run: &RunPlan) -> Outcome {
         for attempt in 0..2 {
             let out = catch_run(|| {
                 if let Some(h) = self.hook {
@@ -931,12 +924,13 @@ pub type FaultHook = dyn Fn(usize, u32) + Sync + std::panic::RefUnwindSafe;
 /// nearest snapshot at or before its first injection cycle, simulating only
 /// `[nearest_checkpoint, fault_death)` once taint early exit also fires.
 ///
-/// Runs execute on `cfg.threads` worker threads pulling from a shared
-/// counter (work stealing) over the runs *sorted by first injection cycle*,
-/// so neighbouring runs fork from the same snapshot while it is hot in
-/// cache.  The result is identical regardless of thread count and execution
-/// order because every run derives its own RNG from the campaign seed and
-/// the run index, and records are placed by original run index.
+/// Runs execute on `cfg.threads` in-process clients of the campaign's one
+/// scheduler, the lease `Board`, each granted one run at a time of the
+/// runs *sorted by first injection cycle*, so neighbouring runs fork from
+/// the same snapshot while it is hot in cache.  The result is identical
+/// regardless of thread count and execution order because every run
+/// derives its own RNG from the campaign seed and the run index, and
+/// records are placed by original run index.
 ///
 /// The campaign is **supervised**: each run executes under
 /// `std::panic::catch_unwind`, so a simulator-internal panic is captured
@@ -960,11 +954,16 @@ pub fn run_campaign(
     run_campaign_with_hook(workload, card, cfg, golden, None)
 }
 
-/// The [`CampaignStats`] derivable from the finished record set alone.
-/// Fields the record set cannot determine (threads, checkpoint store,
-/// oracle verdicts, journal overhead, service counters) stay at their
-/// defaults for [`Prepared::finish`] and its caller to fill in.
-fn base_stats(records: &[RunRecord], strata: Option<&Strata>, wall: f64) -> CampaignStats {
+/// The [`CampaignStats`] derivable from the finished record set, on top of
+/// the `counters` the [`Board`] accumulated (oracle verdicts, panics,
+/// service counters).  The rest (threads, workers, checkpoint store,
+/// journal overhead) stays for [`Prepared::finish`] and its caller.
+fn base_stats(
+    records: &[RunRecord],
+    strata: Option<&Strata>,
+    wall: f64,
+    counters: CampaignStats,
+) -> CampaignStats {
     let n = records.len();
     let applied = records.iter().filter(|r| r.applied).count();
     let early_exits = records.iter().filter(|r| r.early_exit).count();
@@ -1010,7 +1009,7 @@ fn base_stats(records: &[RunRecord], strata: Option<&Strata>, wall: f64) -> Camp
         static_pruned_rate: per_run(static_pruned),
         static_bit_pruned,
         static_bit_pruned_rate: per_run(static_bit_pruned),
-        ..CampaignStats::default()
+        ..counters
     }
 }
 
@@ -1088,35 +1087,221 @@ pub(crate) fn draw(
     })
 }
 
-/// A campaign ready to execute.  The executor (in-process thread pool or
-/// lease coordinator) fills [`Prepared::slots`], then calls
-/// [`Prepared::finish`].
+/// What [`Board::grant`] hands a client: a lease `(id, runs)`, `Idle`
+/// after an idle period with nothing pending, or `Done` at the end.
+pub(crate) enum Grant {
+    Lease(u64, Vec<usize>),
+    Idle,
+    Done,
+}
+
+/// Why [`Board::merge`] refused a completed run: not an unmerged run of
+/// the lease the ack names, or the coordinator chaos-died.
+pub(crate) enum Refused {
+    Unleased,
+    Died,
+}
+
+/// Everything the scheduler guards with its one mutex.
+#[derive(Default)]
+struct BoardState {
+    /// One slot per run index: resumed and pre-classified by `prepare`,
+    /// executed runs by [`Board::merge`].
+    slots: Vec<Option<RunRecord>>,
+    filled: usize,
+    /// Leases not yet granted; reclaimed ones go back to the head.
+    queue: VecDeque<(u64, Vec<usize>)>,
+    /// Granted leases → their unmerged runs; the last merge retires one.
+    granted: BTreeMap<u64, Vec<usize>>,
+    next_lease: u64,
+    /// Leases, reissues, duplicate acks, oracle verdicts, panics, retries.
+    stats: CampaignStats,
+    /// TCP workers' merge credit and handshake time, kept current by
+    /// every grant and merge; in-process clients stay anonymous.
+    workers: Vec<(WorkerThroughput, Instant)>,
+    /// The journal's single-writer append channel (errors surface in
+    /// [`Prepared::finish`]).
+    sink: Option<JournalSink>,
+    /// Simulated coordinator death: stop granting, stop merging.
+    died: bool,
+    /// Merges left before the chaos hook kills the coordinator.
+    chaos_left: Option<usize>,
+}
+
+impl BoardState {
+    fn over(&self) -> bool {
+        self.died || self.filled == self.slots.len()
+    }
+}
+
+/// The one scheduler of every executor: in-process clients (one per
+/// `cfg.threads`, one-run leases) and the coordinator's TCP handlers
+/// (`--lease-size` leases) alike loop [`Board::grant`] → run →
+/// [`Board::merge`], and the coordinator [`Board::reclaim`]s the lease of
+/// a connection that fails.
+///
+/// ```text
+/// pending ──grant──▶ granted ──all runs merged──▶ retired
+///    ▲                  │
+///    └──reclaim─────────┘   (worker died / stalled past deadline /
+///        (unmerged runs)     torn frame / protocol violation)
+/// ```
+///
+/// Merges are **first-ack-wins by run index**: a run completed by both
+/// the original owner of a reissued lease and its new owner is counted
+/// once, and the loser increments `duplicate_acks`.  Because every client
+/// executes the same plan with the same per-run RNG, the two records are
+/// identical and the winner's identity cannot change the output.
+pub(crate) struct Board {
+    state: Mutex<BoardState>,
+    wake: Condvar,
+}
+
+impl Board {
+    fn lock(&self) -> MutexGuard<'_, BoardState> {
+        self.state.lock().expect("board lock poisoned")
+    }
+
+    /// Registers a TCP worker for merge credit and returns its id, or
+    /// `None` when there is nothing left to grant.
+    pub(crate) fn join(&self) -> Option<usize> {
+        let mut b = self.lock();
+        if b.over() {
+            return None;
+        }
+        let worker = b.workers.len();
+        let credit = WorkerThroughput {
+            worker: worker as u32,
+            ..WorkerThroughput::default()
+        };
+        b.workers.push((credit, Instant::now()));
+        Some(worker)
+    }
+
+    /// Grants the next pending lease to `client` (a TCP worker id, or
+    /// `None` for an in-process client, whose leases are not counted), or
+    /// waits up to `idle` for a reclaim or the campaign's end.
+    pub(crate) fn grant(&self, client: Option<usize>, idle: Duration) -> Grant {
+        let mut b = self.lock();
+        if b.over() {
+            return Grant::Done;
+        }
+        let Some((id, runs)) = b.queue.pop_front() else {
+            let _ = self.wake.wait_timeout(b, idle);
+            return Grant::Idle;
+        };
+        if let Some(w) = client {
+            b.stats.leases += 1;
+            b.workers[w].0.leases += 1;
+        }
+        b.granted.insert(id, runs.clone());
+        Grant::Lease(id, runs)
+    }
+
+    /// The one place an executed run reaches its slot and the journal:
+    /// first-ack-wins by run index, credited to `client`, with the chaos
+    /// countdown run after the journal append — exactly what a SIGKILL
+    /// after that many merges would leave behind.
+    pub(crate) fn merge(
+        &self,
+        client: Option<usize>,
+        lease: u64,
+        run: usize,
+        (rec, verdict, panics): Outcome,
+    ) -> Result<(), Refused> {
+        let mut guard = self.lock();
+        let b = &mut *guard;
+        if b.died {
+            return Err(Refused::Died);
+        }
+        if b.slots.get(run).is_some_and(Option::is_some) {
+            // First ack won already — a reissued lease's original owner
+            // catching up, or a duplicated frame.
+            b.stats.duplicate_acks += 1;
+            return Ok(());
+        }
+        let left = match b.granted.get_mut(&lease) {
+            Some(left) if left.contains(&run) => left,
+            _ => return Err(Refused::Unleased),
+        };
+        left.retain(|&r| r != run);
+        if left.is_empty() {
+            b.granted.remove(&lease);
+        }
+        b.slots[run] = Some(rec);
+        b.filled += 1;
+        if let Some(s) = &b.sink {
+            s.append(run, &rec);
+        }
+        if let Some(w) = client {
+            let (credit, start) = &mut b.workers[w];
+            credit.runs += 1;
+            credit.runs_per_sec = credit.runs as f64 / start.elapsed().as_secs_f64().max(1e-9);
+        }
+        let s = &mut b.stats;
+        s.oracle_checked += usize::from(verdict.checked);
+        s.oracle_verified += usize::from(verdict.verified);
+        s.oracle_mismatches += usize::from(verdict.mismatch);
+        s.panics += panics;
+        s.retries += usize::from(panics > 0);
+        if let Some(left) = &mut b.chaos_left {
+            *left -= 1;
+            b.died = *left == 0;
+        }
+        if b.over() {
+            self.wake.notify_all();
+        }
+        if b.died {
+            Err(Refused::Died)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Returns a lost lease's unmerged runs to the head of the queue under
+    /// a fresh lease id, and wakes any client waiting for work.
+    pub(crate) fn reclaim(&self, lease: u64) {
+        let mut guard = self.lock();
+        let b = &mut *guard;
+        if let Some(left) = b.granted.remove(&lease) {
+            b.queue.push_front((b.next_lease, left));
+            b.next_lease += 1;
+            b.stats.reissued_leases += 1;
+            self.wake.notify_all();
+        }
+    }
+
+    /// Blocks until the campaign completes or the coordinator dies, and
+    /// says whether it died.
+    pub(crate) fn wait(&self) -> bool {
+        let b = self.wake.wait_while(self.lock(), |b| !b.over());
+        b.expect("board lock poisoned").died
+    }
+}
+
+/// A campaign ready to execute: its clients schedule through
+/// [`Prepared::board`], then [`Prepared::finish`] folds the result.
 pub(crate) struct Prepared {
     start: Instant,
     pub(crate) drawn: Drawn,
-    /// One slot per run index.  Filled here from a resumed journal and by
-    /// pre-classification; the executor fills the rest.
-    pub(crate) slots: Vec<Option<RunRecord>>,
-    /// The run indices still to execute, sorted by first injection cycle so
-    /// neighbouring runs fork from the same snapshot while it is hot in
-    /// cache — the one scheduling order of every executor.
-    pub(crate) order: Vec<usize>,
-    /// All journal writes — pre-classification, the in-process workers, the
-    /// coordinator's lease mergers — go through this one single-writer
-    /// append channel, so concurrent completions can never interleave
-    /// partial lines.  Append errors surface in [`Prepared::finish`].
-    pub(crate) sink: Option<JournalSink>,
+    pub(crate) board: Board,
+    /// Runs left to execute — neither resumed nor pre-classified.
+    pending: usize,
     writer: Option<JournalWriter>,
     resumed: usize,
 }
 
 /// Stage one of a campaign: draw → fingerprint → journal create/resume →
-/// pre-classify → the pending order.
+/// pre-classify → the board, leasing the pending order `lease_size` runs
+/// at a time.  `die_after_merges` arms the coordinator's chaos death
+/// (`Some(0)` dies before the first merge).
 pub(crate) fn prepare(
     workload: &dyn Workload,
     card: &GpuConfig,
     cfg: &CampaignConfig,
     golden: &GoldenProfile,
+    lease_size: usize,
+    die_after_merges: Option<usize>,
 ) -> Result<Prepared, CampaignError> {
     let start = Instant::now();
     let drawn = draw(workload, card, cfg, golden)?;
@@ -1167,40 +1352,68 @@ pub(crate) fn prepare(
             *slot = Some(rec);
         }
     }
+    // The pending order, sorted by first injection cycle so neighbouring
+    // runs fork from the same snapshot while it is hot in cache, chunked
+    // into the board's leases.
     let mut order: Vec<usize> = (0..cfg.runs).filter(|&i| slots[i].is_none()).collect();
     order.sort_by_key(|&i| drawn.plans[i].first_cycle);
+    let queue: VecDeque<(u64, Vec<usize>)> = (0..)
+        .zip(order.chunks(lease_size))
+        .map(|(id, chunk)| (id, chunk.to_vec()))
+        .collect();
+    let board = BoardState {
+        filled: cfg.runs - order.len(),
+        slots,
+        next_lease: queue.len() as u64,
+        queue,
+        sink,
+        died: die_after_merges == Some(0),
+        chaos_left: die_after_merges,
+        ..BoardState::default()
+    };
     Ok(Prepared {
         start,
         drawn,
-        slots,
-        order,
-        sink,
+        board: Board {
+            state: Mutex::new(board),
+            wake: Condvar::new(),
+        },
+        pending: order.len(),
         writer,
         resumed,
     })
 }
 
 impl Prepared {
-    /// The last stage: closes the journal, checks every slot is filled and
-    /// folds the records into the [`CampaignResult`].  `canonical` is false
-    /// only for a coordinator that chaos-died, whose journal must stay
-    /// exactly as a SIGKILL would leave it.  Every clone of
-    /// [`Prepared::sink`] must be dropped first, or the writer thread never
-    /// observes end-of-stream.
+    /// The last stage of every executor, once its clients are done and
+    /// [`Board::wait`] would return: closes the journal, checks every slot
+    /// is filled and folds the records and the board's counters into the
+    /// [`CampaignResult`].  `threads` is the executor's in-process client
+    /// count; a coordinator passes 1 and gets one per TCP worker that
+    /// joined.  A coordinator that chaos-died leaves its journal exactly as
+    /// a SIGKILL would.
     pub(crate) fn finish(
         self,
         cfg: &CampaignConfig,
-        canonical: bool,
+        threads: usize,
     ) -> Result<CampaignResult, CampaignError> {
+        let BoardState {
+            slots,
+            stats: counters,
+            workers,
+            sink,
+            died,
+            ..
+        } = self.board.state.into_inner().expect("board lock poisoned");
         // Closing the only sender ends the writer thread; joining it
         // surfaces the first append error, after the in-memory results are
         // complete.
-        drop(self.sink);
+        drop(sink);
         let journal = match self.writer {
             None => None,
             Some(w) => {
                 let j = w.finish().map_err(CampaignError::Journal)?;
-                if canonical {
+                if !died {
                     // Rewrite the journal in run-index order so its bytes
                     // depend only on the campaign, never on completion
                     // order — a `--threads 16` (or distributed) journal is
@@ -1212,17 +1425,18 @@ impl Prepared {
         };
         // Fill check: a missing slot is an executor bug; report which run
         // indices vanished instead of panicking.
-        let missing: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].is_none())
-            .collect();
+        let missing: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
         if !missing.is_empty() {
             return Err(CampaignError::Internal(missing));
         }
-        let records: Vec<RunRecord> = self.slots.into_iter().flatten().collect();
+        let records: Vec<RunRecord> = slots.into_iter().flatten().collect();
         let tally: Tally = records.iter().map(|r| r.effect).collect();
         let strata = self.drawn.strata;
         let wall = self.start.elapsed().as_secs_f64();
-        let mut stats = base_stats(&records, strata.as_ref(), wall);
+        let mut stats = base_stats(&records, strata.as_ref(), wall, counters);
+        stats.threads = threads.max(workers.len());
+        stats.workers = workers.len();
+        stats.worker_throughput = workers.into_iter().map(|(credit, _)| credit).collect();
         stats.resumed = self.resumed;
         stats.journal_bytes = journal.as_ref().map_or(0, RunJournal::bytes_written);
         stats.journal_ms = journal.as_ref().map_or(0.0, RunJournal::wall_ms);
@@ -1248,10 +1462,10 @@ pub fn run_campaign_with_hook(
     golden: &GoldenProfile,
     hook: Option<&FaultHook>,
 ) -> Result<CampaignResult, CampaignError> {
-    let mut p = prepare(workload, card, cfg, golden)?;
+    let p = prepare(workload, card, cfg, golden, 1, None)?;
     // Both the oracle pass and the checkpoint-recording pass are skipped
     // when the journal already covers every run.
-    let runnable = !p.order.is_empty();
+    let runnable = p.pending > 0;
     let env = RunEnv {
         workload,
         card,
@@ -1269,52 +1483,40 @@ pub fn run_campaign_with_hook(
             .then(|| record_store(workload, card, cfg, golden))
             .flatten(),
     };
-    let threads = cfg.effective_threads().clamp(1, p.order.len().max(1));
+    let threads = cfg.effective_threads().clamp(1, p.pending.max(1));
 
-    // Work stealing over the pending order: each thread pulls the next
-    // position from a shared counter, journals a completed run immediately
-    // (crash safety) and keeps its records until the join.
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut local = Vec::new();
-        while let Some(&i) = p.order.get(next.fetch_add(1, Ordering::Relaxed)) {
-            let out = env.supervised_run(i, &p.drawn.plans[i]);
-            if let Some(s) = &p.sink {
-                s.append(i, &out.0);
+    // In-process clients of the board, each granted one run at a time;
+    // merge journals it immediately (crash safety).  Nothing is ever
+    // reclaimed in-process, so an idle client just waits for the end.
+    let client = || loop {
+        match p.board.grant(None, Duration::MAX) {
+            Grant::Lease(id, runs) => {
+                for i in runs {
+                    let out = env.supervised_run(i, &p.drawn.plans[i]);
+                    // Never refused: no chaos, and the lease is this client's.
+                    let _ = p.board.merge(None, id, i, out);
+                }
             }
-            local.push((i, out));
+            Grant::Idle => {}
+            Grant::Done => break,
         }
-        local
     };
-    let done: Vec<(usize, (RunRecord, OracleVerdict, usize))> = if threads <= 1 {
-        worker()
+    if threads <= 1 {
+        client();
     } else {
+        // Run panics are caught inside `supervised_run`; a client can only
+        // die from a supervisor-infrastructure bug, which the scope
+        // re-raises rather than masks.
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-            handles
-                .into_iter()
-                // Run panics are caught inside `supervised_run`; a worker
-                // can only die from a supervisor-infrastructure bug, which
-                // must not be masked.
-                .flat_map(|h| h.join().expect("supervisor worker died outside a run"))
-                .collect()
-        })
-    };
-    for (i, (rec, ..)) in &done {
-        p.slots[*i] = Some(*rec);
+            for _ in 0..threads {
+                scope.spawn(client);
+            }
+        });
     }
-    let mut result = p.finish(cfg, true)?;
+    let mut result = p.finish(cfg, threads)?;
     let s = &mut result.stats;
-    s.threads = threads;
     s.checkpoints = env.store.as_ref().map_or(0, |s| s.len());
     s.checkpoint_bytes = env.store.as_ref().map_or(0, |s| s.resident_bytes());
-    for (_, (_, verdict, panics)) in &done {
-        s.oracle_checked += usize::from(verdict.checked);
-        s.oracle_verified += usize::from(verdict.verified);
-        s.oracle_mismatches += usize::from(verdict.mismatch);
-        s.panics += panics;
-        s.retries += usize::from(*panics > 0);
-    }
     Ok(result)
 }
 

@@ -15,10 +15,10 @@
 //!   `supervised_run`** the local executor uses (same early-exit,
 //!   checkpoint, stratified and retry-once semantics) and stream back the
 //!   exact journal record line.
-//! - The coordinator owns the **one canonical journal/CSV/tally**: it
-//!   merges first-ack-wins by run index, journals through the single-writer
-//!   append channel, and finalizes the journal in canonical run order —
-//!   so CSV, tally *and* journal bytes match a `--threads 1` run.
+//! - The coordinator owns the **one canonical journal/CSV/tally** via the
+//!   lease `Board` that schedules in-process threads too: first-ack-wins
+//!   by run index, the single-writer journal channel, canonical run order
+//!   at the end — so CSV, tally *and* journal bytes match `--threads 1`.
 //! - A lease whose worker dies, stalls past the heartbeat deadline, or
 //!   tears a frame mid-write is **reissued**; duplicated acks are counted
 //!   and dropped.  A killed coordinator restarts with `--resume` and

@@ -13,7 +13,7 @@ use crate::workload::Workload;
 use gpufi_sim::GpuConfig;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -132,26 +132,20 @@ pub fn run_worker_with_chaos(
     }
 
     // Heartbeat: pings at `heartbeat_ms` keep the coordinator's stall
-    // deadline at bay while a slow run executes.
-    let stop = Arc::new(AtomicBool::new(false));
-    let heartbeat = if chaos.suppress_heartbeat {
-        None
-    } else {
+    // deadline at bay while a slow run executes.  The session's end drops
+    // `stop`, which wakes the wait at once instead of a period later.
+    let (stop, stopped) = mpsc::channel::<()>();
+    let heartbeat = (!chaos.suppress_heartbeat).then(|| {
         let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
         let period = Duration::from_millis(svc.heartbeat_ms.max(1));
-        Some(std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(period);
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
+        std::thread::spawn(move || {
+            while stopped.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
                 if write_locked(&writer, &Msg::Ping.encode()).is_err() {
                     break;
                 }
             }
-        }))
-    };
+        })
+    });
 
     // The checkpoint store re-records the golden run once, lazily on the
     // first lease: a worker that is only ever told `fin` pays nothing.
@@ -228,7 +222,7 @@ pub fn run_worker_with_chaos(
         }
     })();
 
-    stop.store(true, Ordering::SeqCst);
+    drop(stop);
     if let Some(h) = heartbeat {
         let _ = h.join();
     }

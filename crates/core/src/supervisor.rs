@@ -21,7 +21,7 @@
 //! (seed, spec, workload, card, engine modes) — so a stale or foreign
 //! journal is rejected instead of silently splicing wrong records.
 
-use crate::campaign::{CampaignConfig, RunRecord};
+use crate::campaign::{CampaignConfig, RunRecord, DEFAULT_CHECKPOINT_BUDGET};
 use crate::classify::RunDetail;
 use gpufi_metrics::FaultEffect;
 use std::cell::{Cell, RefCell};
@@ -120,7 +120,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// engine modes — into the journal's identity.  Deliberately excluded:
 /// `threads` (records are thread-count invariant, so a campaign journaled
 /// on one thread may resume on four) and the journal/resume fields
-/// themselves.
+/// themselves.  `budget=` hashes the constant checkpoint budget, so the
+/// material (and every journal's fingerprint) keeps its layout.
 pub fn campaign_fingerprint(workload: &str, card: &str, cfg: &CampaignConfig) -> u64 {
     let canonical = format!(
         "gpufi-journal-v1|workload={workload}|card={card}|seed={}|runs={}|kernel={:?}|\
@@ -133,7 +134,7 @@ pub fn campaign_fingerprint(workload: &str, card: &str, cfg: &CampaignConfig) ->
         cfg.early_exit,
         cfg.checkpoints,
         cfg.checkpoint_interval,
-        cfg.checkpoint_budget,
+        DEFAULT_CHECKPOINT_BUDGET,
         cfg.cycle_window,
         cfg.oracle_check,
         cfg.static_prune,
@@ -614,6 +615,89 @@ mod tests {
         // The torn bytes must be gone from disk, not merely skipped.
         let (_, loaded) = RunJournal::resume(&path, fp, 4).unwrap();
         assert_eq!(loaded.iter().flatten().count(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Seeded never-panic loop over `resume`: a real journal (flat and
+    /// stratified records, every effect and detail) with bytes flipped,
+    /// truncated or spliced, in the style of the wire-frame torture test.
+    /// Each must resume to an error or to the records of a valid prefix:
+    /// the file is cut to a prefix of the mutated bytes that resumes to the
+    /// same records again, and a truncated journal loses records but never
+    /// alters one.
+    #[test]
+    fn mutated_journals_resume_to_a_valid_prefix_or_an_error() {
+        let path = tmp("fuzz.journal.jsonl");
+        let (fp, runs) = (0xfeed_u64, 24);
+        let j = RunJournal::create(&path, fp, runs).unwrap();
+        let original: Vec<Option<RunRecord>> = (0..runs)
+            .map(|run| {
+                let r = RunRecord {
+                    cycles: run as u64 * 977,
+                    stratum: (run % 3 == 0).then_some(run as u32),
+                    ..rec(
+                        FaultEffect::ALL[run % FaultEffect::ALL.len()],
+                        RunDetail::ALL[run % RunDetail::ALL.len()],
+                    )
+                };
+                j.append(run, &r).unwrap();
+                Some(r)
+            })
+            .collect();
+        drop(j);
+        let clean = std::fs::read(&path).unwrap();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        for round in 0..1024 {
+            let mut bytes = clean.clone();
+            let truncated = match next() % 3 {
+                0 => {
+                    for _ in 0..=next() % 3 {
+                        let i = next() % bytes.len();
+                        bytes[i] ^= (next() % 255 + 1) as u8;
+                    }
+                    false
+                }
+                1 => {
+                    bytes.truncate(next() % bytes.len());
+                    true
+                }
+                _ => {
+                    let (a, b) = (next() % bytes.len(), next() % clean.len());
+                    bytes.truncate(a);
+                    bytes.extend_from_slice(&clean[b..]);
+                    false
+                }
+            };
+            std::fs::write(&path, &bytes).unwrap();
+            let Ok((j, loaded)) = RunJournal::resume(&path, fp, runs) else {
+                continue;
+            };
+            drop(j);
+            let kept = std::fs::read(&path).unwrap();
+            assert!(
+                bytes.starts_with(&kept),
+                "round {round}: kept bytes it never read"
+            );
+            let (_, again) = RunJournal::resume(&path, fp, runs).unwrap();
+            assert_eq!(
+                again, loaded,
+                "round {round}: the kept prefix resumes differently"
+            );
+            if truncated {
+                for (run, r) in loaded.iter().enumerate() {
+                    assert!(
+                        r.is_none() || *r == original[run],
+                        "round {round}: run {run}"
+                    );
+                }
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -69,7 +69,9 @@ fn parse_cache(value: &str, line: u32) -> Result<Option<CacheConfig>, ConfigErro
         })
         .collect::<Result<_, _>>()?;
     let (capacity, ways, line_bytes) = (nums[0], nums[1], nums[2]);
-    if capacity == 0 || ways == 0 || line_bytes == 0 || capacity % (ways * line_bytes) != 0 {
+    // A zero dimension, or a way size past `u32`, divides nothing.
+    let way_bytes = ways.checked_mul(line_bytes).unwrap_or(0);
+    if capacity == 0 || way_bytes == 0 || capacity % way_bytes != 0 {
         return Err(ConfigError::new(
             line,
             format!("cache capacity {capacity} is not divisible into {ways} ways of {line_bytes}-byte lines"),
@@ -251,6 +253,93 @@ mod tests {
         }
         GpuConfig::from_config_text("l1d = 32768:4:64\nl1t = 32768:4:64\nl2 = 3145728:16:64\n")
             .unwrap();
+        // `ways × line_bytes` past `u32` used to panic on the remainder.
+        let err = GpuConfig::from_config_text("\nl1d = 65536:65536:65536\n").unwrap_err();
+        assert_eq!(err.line(), 2);
+        assert!(err.to_string().contains("divisible"), "{err}");
+    }
+
+    /// Seeded never-panic loop over config texts: known and unknown keys,
+    /// numbers from the boundaries of `u32` and cache triples whose
+    /// `ways × line_bytes` reaches 2^16 and past `u32`.  Every text must
+    /// parse or return a `ConfigError`.
+    #[test]
+    fn random_config_texts_never_panic() {
+        const KEYS: [&str; 26] = [
+            "base",
+            "name",
+            "num_sms",
+            "max_threads_per_sm",
+            "max_ctas_per_sm",
+            "registers_per_sm",
+            "smem_per_sm",
+            "l1d",
+            "l1t",
+            "l1c",
+            "l2",
+            "l2_banks",
+            "process_nm",
+            "lat_alu",
+            "lat_mul",
+            "lat_sfu",
+            "lat_smem",
+            "lat_l1",
+            "lat_icnt",
+            "lat_l2",
+            "lat_dram",
+            "lat_l2_service",
+            "lat_dram_service",
+            "scheduler",
+            "frobnicate",
+            "",
+        ];
+        const NUMS: [&str; 14] = [
+            "0",
+            "1",
+            "3",
+            "64",
+            "128",
+            "4096",
+            "65535",
+            "65536",
+            "131072",
+            "4294967295",
+            "4294967296",
+            "-1",
+            "x",
+            "",
+        ];
+        const WORDS: [&str; 7] = ["none", "rtx2060", "titan", "gto", "rr", "::", "1:2"];
+        let mut state = 0x243f_6a88_85a3_08d3_u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        for _ in 0..4096 {
+            let mut text = String::new();
+            for _ in 0..=next() % 4 {
+                let key = KEYS[next() % KEYS.len()];
+                let value = match next() % 4 {
+                    0 => NUMS[next() % NUMS.len()].to_string(),
+                    1 => {
+                        let (a, b, c) = (next(), next(), next());
+                        let num = |r: usize| NUMS[r % NUMS.len()];
+                        format!("{}:{}:{}", num(a), num(b), num(c))
+                    }
+                    2 => format!(
+                        "{}:{}:{}",
+                        1u64 << (next() % 33),
+                        1u32 << (next() % 20),
+                        1u32 << (next() % 20)
+                    ),
+                    _ => WORDS[next() % WORDS.len()].to_string(),
+                };
+                text += &format!("{key} = {value}\n");
+            }
+            let _ = GpuConfig::from_config_text(&text);
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use gpufi::prelude::*;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
+use std::time::{Duration, Instant};
 
 fn tmp(name: &str) -> String {
     let dir = std::env::temp_dir().join("gpufi-service-it");
@@ -286,6 +287,42 @@ fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
         other => panic!("mismatched worker should be rejected, got {other:?}"),
     }
     assert!(good.is_ok(), "correct worker failed: {good:?}");
+}
+
+/// A served worker returns as soon as it reads `fin`, not one heartbeat
+/// later: with a 5 s heartbeat it must return within 1 s of the
+/// coordinator, where it used to wait out its heartbeat thread's sleep.
+#[test]
+fn worker_returns_on_fin_not_a_heartbeat_later() {
+    let w = VectorAdd::new(128);
+    let card = GpuConfig::rtx2060();
+    let golden = profile(&w, &card).unwrap();
+    let cfg =
+        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 12, 17).with_threads(1);
+    let svc = ServiceConfig {
+        heartbeat_ms: 5_000,
+        deadline_ms: 20_000,
+        ..quick_svc()
+    };
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (w, card, cfg, golden, svc) = (&w, &card, &cfg, &golden, &svc);
+    let (served_at, worker_at) = thread::scope(|s| {
+        let worker = s.spawn(move || {
+            let report = run_worker(&addr, w, card, cfg, golden, svc);
+            (report, Instant::now())
+        });
+        serve_campaign(w, card, cfg, golden, svc, listener).unwrap();
+        let served_at = Instant::now();
+        let (report, worker_at) = worker.join().unwrap();
+        assert!(report.is_ok(), "worker: {report:?}");
+        (served_at, worker_at)
+    });
+    let lag = worker_at.saturating_duration_since(served_at);
+    assert!(
+        lag < Duration::from_secs(1),
+        "worker returned {lag:?} after the coordinator"
+    );
 }
 
 /// Handshake rejection, worker side: a coordinator that welcomes us with
