@@ -85,7 +85,7 @@ usage:
                  [--bits K] [--kernel <K>] [--scope thread|warp] [--spread]
                  [--fault-model transient|stuck-at-0|stuck-at-1]
                  [--seed S] [--threads T] [--no-early-exit] [--no-checkpoints]
-                 [--checkpoint-interval C] [--oracle-check] [--no-static-prune]
+                 [--oracle-check] [--no-static-prune]
                  [--csv FILE] [--journal FILE] [--no-journal] [--resume]
                  [--max-run-seconds S] [--inject-panic-run I]
                  [--sampling flat|stratified] [--validate-sampling]
@@ -127,7 +127,6 @@ provably ended (classified Masked at the golden cycle count), and fork
 each run from a golden-run checkpoint at its first injection cycle;
 --no-early-exit forces full simulation of every run and --no-checkpoints
 forces cold starts from cycle 0 (validation modes);
---checkpoint-interval sets the snapshot stride in cycles (0 = auto);
 --oracle-check runs the golden pass in lockstep with the functional
 reference interpreter and fully simulates every run early exit would
 classify Masked, confirming the oracle-predicted final state;
@@ -355,7 +354,6 @@ const CAMPAIGN_VALUE_FLAGS: &[&str] = &[
     "--scope",
     "--kernel",
     "--fault-model",
-    "--checkpoint-interval",
     "--max-run-seconds",
     "--sampling",
 ];
@@ -407,10 +405,6 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
     }
     if args.flag("--no-checkpoints") {
         cfg = cfg.no_checkpoints();
-    }
-    let ckpt_interval: u64 = args.parse("--checkpoint-interval", 0)?;
-    if ckpt_interval > 0 {
-        cfg = cfg.with_checkpoint_interval(ckpt_interval);
     }
     if args.flag("--no-static-prune") {
         cfg = cfg.no_static_prune();
@@ -733,13 +727,7 @@ fn cmd_serve(args: &Args<'_>) -> Result<(), CliError> {
 /// handshake and executes leased runs until `fin`.
 fn cmd_worker(args: &Args<'_>) -> Result<(), CliError> {
     let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
-    value_flags.extend([
-        "--connect",
-        "--lease-size",
-        "--heartbeat-ms",
-        "--deadline-ms",
-        "--connect-wait-seconds",
-    ]);
+    value_flags.extend(["--connect", "--heartbeat-ms", "--connect-wait-seconds"]);
     args.reject_unknown(&value_flags, CAMPAIGN_BOOL_FLAGS)?;
     let addr = args.value("--connect").ok_or("--connect is required")?;
     let wait_s: u64 = args.parse("--connect-wait-seconds", 30)?;
@@ -1470,6 +1458,21 @@ mod tests {
             "x.jsonl",
         ]);
         assert!(err.contains("unknown flag `--journal`"), "{err}");
+        // Lease size and deadline are the coordinator's to set.
+        for flag in ["--lease-size", "--deadline-ms"] {
+            let err = fail(&[
+                "worker",
+                "--bench",
+                "VA",
+                "--structure",
+                "rf",
+                "--connect",
+                "127.0.0.1:1",
+                flag,
+                "5",
+            ]);
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        }
     }
 
     #[test]

@@ -24,9 +24,9 @@ use std::time::{Duration, Instant};
 /// snapshot and doubles its stride rather than exceed it.
 pub const DEFAULT_CHECKPOINT_BUDGET: usize = 256 * 1024 * 1024;
 
-/// Auto-sizing target: with `checkpoint_interval == 0` the stride is the
-/// golden cycle count divided by this, so a full-length store holds about
-/// this many snapshots (fewer once the budget bites).
+/// Checkpoint stride target: the stride is the golden cycle count divided
+/// by this, so a full-length store holds about this many snapshots (fewer
+/// once the budget bites).
 const AUTO_CHECKPOINT_TARGET: u64 = 24;
 
 /// Configuration of one injection campaign.
@@ -52,9 +52,6 @@ pub struct CampaignConfig {
     /// Disable to force cold starts — the validation mode behind
     /// `--no-checkpoints`.
     pub checkpoints: bool,
-    /// Checkpoint stride in cycles; `0` auto-sizes from the golden cycle
-    /// count and the memory budget.
-    pub checkpoint_interval: u64,
     /// Restrict injection cycles to `[start, end)` (intersected with the
     /// kernel windows); `None` samples the whole golden run.
     pub cycle_window: Option<(u64, u64)>,
@@ -118,7 +115,6 @@ impl CampaignConfig {
             threads: 0,
             early_exit: true,
             checkpoints: true,
-            checkpoint_interval: 0,
             cycle_window: None,
             oracle_check: false,
             journal: None,
@@ -164,12 +160,6 @@ impl CampaignConfig {
     /// [`CampaignConfig::oracle_check`]).
     pub fn with_oracle_check(mut self) -> Self {
         self.oracle_check = true;
-        self
-    }
-
-    /// Sets the checkpoint stride in cycles (`0` = auto-size).
-    pub fn with_checkpoint_interval(mut self, interval: u64) -> Self {
-        self.checkpoint_interval = interval;
         self
     }
 
@@ -716,13 +706,9 @@ fn pre_classify(
 pub(crate) fn record_store(
     workload: &dyn Workload,
     card: &GpuConfig,
-    cfg: &CampaignConfig,
     golden: &GoldenProfile,
 ) -> Option<Arc<CheckpointStore>> {
-    let interval = match cfg.checkpoint_interval {
-        0 => (golden.total_cycles() / AUTO_CHECKPOINT_TARGET).max(1),
-        n => n,
-    };
+    let interval = (golden.total_cycles() / AUTO_CHECKPOINT_TARGET).max(1);
     let mut gpu = Gpu::new(card.clone());
     gpu.record_checkpoints(interval, DEFAULT_CHECKPOINT_BUDGET);
     workload.run(&mut gpu).ok()?;
@@ -1480,7 +1466,7 @@ pub fn run_campaign_with_hook(
             None
         },
         store: (cfg.checkpoints && runnable)
-            .then(|| record_store(workload, card, cfg, golden))
+            .then(|| record_store(workload, card, golden))
             .flatten(),
     };
     let threads = cfg.effective_threads().clamp(1, p.pending.max(1));

@@ -21,10 +21,7 @@ pub struct GoldenProfile {
     /// launch `i` from which no instruction reads `Rr` again.  A fault
     /// flipped into `Rr` at or after that cycle is architecturally Masked
     /// (registers re-initialize at the next launch), which is what the
-    /// stratified sampler classifies analytically.  Empty when profiling
-    /// predates tracing (deserialized old profiles): the sampler then falls
-    /// back to static `read_spans` liveness.
-    #[serde(default)]
+    /// stratified sampler classifies analytically.
     pub reg_live_until: Vec<Vec<u64>>,
 }
 

@@ -94,25 +94,28 @@ pub struct StrataLayout {
 }
 
 impl StrataLayout {
-    /// Builds the layout from the golden profile's dynamic read traces
-    /// (falling back to static `gpufi_isa::analysis::read_spans` liveness
-    /// when the profile carries no traces), restricted to `kernel` and
-    /// `cycle_window` exactly like the flat draw.
+    /// Builds the layout from the golden profile's dynamic read traces,
+    /// restricted to `kernel` and `cycle_window` exactly like the flat
+    /// draw.  The profile carries everything the layout needs; the
+    /// workload is not consulted.
     ///
     /// # Errors
     ///
-    /// A human-readable message when the restriction leaves no windows or
-    /// a launched kernel is missing from the workload module.
+    /// A human-readable message when the profile's read traces do not
+    /// cover every launch or the restriction leaves no windows.
     pub fn build(
-        workload: &dyn Workload,
+        _workload: &dyn Workload,
         golden: &GoldenProfile,
         kernel: Option<&str>,
         cycle_window: Option<(u64, u64)>,
     ) -> Result<StrataLayout, String> {
-        let trace_ok = golden.reg_live_until.len() == golden.app.launches.len();
-        // Static fallback: registers whose read span is `None` are dead for
-        // the whole launch.  Computed lazily per kernel.
-        let mut static_dead: BTreeMap<String, Vec<bool>> = BTreeMap::new();
+        if golden.reg_live_until.len() != golden.app.launches.len() {
+            return Err(format!(
+                "the golden profile traces register reads for {} of {} launches",
+                golden.reg_live_until.len(),
+                golden.app.launches.len()
+            ));
+        }
 
         // Accumulated live length and segments per (kernel, reg), plus the
         // population normalizer: Σ clamped-window-length (the cycle draw)
@@ -135,39 +138,9 @@ impl StrataLayout {
             if regs == 0 {
                 continue;
             }
-            let dead = if trace_ok {
-                None
-            } else {
-                Some(match static_dead.get(&launch.kernel) {
-                    Some(d) => d.clone(),
-                    None => {
-                        let k = workload.module().kernel(&launch.kernel).ok_or_else(|| {
-                            format!("kernel `{}` not in workload module", launch.kernel)
-                        })?;
-                        let spans = gpufi_isa::analysis::read_spans(k);
-                        let d: Vec<bool> = (0..regs as usize)
-                            .map(|r| spans.get(r).is_none_or(|s| s.is_none()))
-                            .collect();
-                        static_dead.insert(launch.kernel.clone(), d.clone());
-                        d
-                    }
-                })
-            };
             for r in 0..regs {
-                // The liveness horizon within this launch: the dynamic
-                // trace when available, else all-live / all-dead from the
-                // static span.
-                let horizon = match &dead {
-                    None => golden.reg_live_until[i][r as usize],
-                    Some(d) => {
-                        if d.get(r as usize).copied().unwrap_or(false) {
-                            launch.start_cycle
-                        } else {
-                            launch.end_cycle
-                        }
-                    }
-                };
-                let live_end = horizon.clamp(start, end);
+                // The register's liveness horizon within this launch.
+                let live_end = golden.reg_live_until[i][r as usize].clamp(start, end);
                 if live_end > start {
                     live.entry((launch.kernel.clone(), r))
                         .or_default()
@@ -270,8 +243,7 @@ mod tests {
 
     /// Two kernels with different register pressures; kernel `a` carries
     /// statically dead registers (`R5` is write-only, `R3`/`R4` are never
-    /// touched) so both the dynamic trace and the static fallback must
-    /// find analytically-masked mass.
+    /// touched) so the dynamic trace must find analytically-masked mass.
     struct TwoKernel(Module);
 
     impl TwoKernel {
@@ -357,34 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn static_fallback_matches_trace_support() {
-        // Strip the traces: the static fallback must still produce a valid
-        // partition, with at least the statically-dead registers masked.
-        let wl = TwoKernel::new();
-        let mut golden = profile(&wl, &GpuConfig::rtx2060()).unwrap();
-        let dynamic = StrataLayout::build(&wl, &golden, None, None).unwrap();
-        golden.reg_live_until.clear();
-        let fallback = StrataLayout::build(&wl, &golden, None, None).unwrap();
-        let sum = fallback.live_weight() + fallback.masked_weight;
-        assert!((sum - 1.0).abs() < 1e-9);
-        // The dynamic trace can only prove *more* masked mass than the
-        // static whole-launch argument.
-        assert!(dynamic.masked_weight >= fallback.masked_weight - 1e-12);
-        // Live strata of the fallback cover those of the dynamic layout.
-        let dyn_keys: std::collections::BTreeSet<(String, u32)> = dynamic
-            .strata
-            .iter()
-            .map(|s| (s.kernel.clone(), s.reg))
-            .collect();
-        let fb_keys: std::collections::BTreeSet<(String, u32)> = fallback
-            .strata
-            .iter()
-            .map(|s| (s.kernel.clone(), s.reg))
-            .collect();
-        assert!(dyn_keys.is_subset(&fb_keys));
-    }
-
-    #[test]
     fn cycle_window_clamps_segments() {
         let wl = TwoKernel::new();
         let golden = profile(&wl, &GpuConfig::rtx2060()).unwrap();
@@ -397,6 +341,10 @@ mod tests {
         }
         let err = StrataLayout::build(&wl, &golden, None, Some((total + 1, total + 2)));
         assert!(err.is_err());
+        // A profile whose read traces miss a launch is refused.
+        let mut untraced = golden.clone();
+        untraced.reg_live_until.pop();
+        assert!(StrataLayout::build(&wl, &untraced, None, None).is_err());
     }
 
     #[test]

@@ -176,14 +176,7 @@ fn handle_worker(
         let err = ServiceError::FingerprintMismatch { ours: fp, theirs };
         return reject(reason, err);
     }
-    write_frame(
-        &mut stream,
-        &Msg::Welcome {
-            fingerprint: fp,
-            deadline_ms: svc.deadline_ms,
-        }
-        .encode(),
-    )?;
+    write_frame(&mut stream, &Msg::Welcome { fingerprint: fp }.encode())?;
 
     if let Some(wid) = board.join() {
         let idle = Duration::from_millis(svc.heartbeat_ms.max(1));
@@ -211,7 +204,7 @@ fn handle_worker(
 }
 
 /// Streams one granted lease: write the grant, merge `done` acks until
-/// every run of the lease is accounted for, retire it with `lease_done`.
+/// every run of the lease is accounted for.
 fn serve_lease(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
@@ -252,5 +245,5 @@ fn serve_lease(
             }
         }
     }
-    write_frame(stream, &Msg::LeaseDone { id }.encode())
+    Ok(())
 }

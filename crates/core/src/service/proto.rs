@@ -23,8 +23,10 @@ use std::io::{BufRead, Write};
 /// Protocol version carried in the handshake; bumped on any frame or
 /// message change so a stale worker binary is rejected cleanly instead of
 /// misparsing.  v2 added the fault model to `hello`, so a stuck-at
-/// coordinator can never silently merge records from a transient worker.
-pub(crate) const PROTO_VERSION: u32 = 2;
+/// coordinator can never silently merge records from a transient worker;
+/// v3 dropped what no worker read: the `lease_done` message and
+/// `welcome`'s `deadline_ms`.
+pub(crate) const PROTO_VERSION: u32 = 3;
 
 /// Upper bound on one frame's payload, header included in spirit: a
 /// corrupt length prefix must not make the reader allocate gigabytes.
@@ -114,9 +116,9 @@ fn stalled(e: &std::io::Error) -> bool {
 }
 
 /// One protocol message.  `Hello`/`Welcome`/`Reject` are the handshake
-/// (fingerprint checked in **both** directions); `Lease`/`Done`/
-/// `LeaseDone` are the work loop; `Ping` is the heartbeat either side may
-/// send; `Fin` ends the session.
+/// (fingerprint checked in **both** directions); `Lease`/`Done` are the
+/// work loop; `Ping` is the heartbeat either side may send; `Fin` ends the
+/// session.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Msg {
     /// Worker → coordinator: campaign identity claim.  `model` is the
@@ -129,9 +131,8 @@ pub(crate) enum Msg {
         runs: usize,
         model: String,
     },
-    /// Coordinator → worker: handshake accepted; `deadline_ms` is the
-    /// stall deadline the worker's heartbeat must beat.
-    Welcome { fingerprint: u64, deadline_ms: u64 },
+    /// Coordinator → worker: handshake accepted.
+    Welcome { fingerprint: u64 },
     /// Coordinator → worker: handshake refused (mismatched fingerprint or
     /// protocol); the reason is restricted-dialect text.
     Reject { reason: String },
@@ -147,8 +148,6 @@ pub(crate) enum Msg {
         run: usize,
         rec: RunRecord,
     },
-    /// Coordinator → worker: every run of the lease has been merged.
-    LeaseDone { id: u64 },
     /// Heartbeat; carries nothing, resets the peer's stall deadline.
     Ping,
     /// Coordinator → worker: campaign complete, close cleanly.
@@ -168,12 +167,9 @@ impl Msg {
             } => format!(
                 "{{\"type\":\"hello\",\"proto\":{proto},\"fingerprint\":\"{fingerprint:016x}\",\"runs\":{runs},\"model\":\"{model}\"}}"
             ),
-            Msg::Welcome {
-                fingerprint,
-                deadline_ms,
-            } => format!(
-                "{{\"type\":\"welcome\",\"fingerprint\":\"{fingerprint:016x}\",\"deadline_ms\":{deadline_ms}}}"
-            ),
+            Msg::Welcome { fingerprint } => {
+                format!("{{\"type\":\"welcome\",\"fingerprint\":\"{fingerprint:016x}\"}}")
+            }
             Msg::Reject { reason } => {
                 let clean: String = reason
                     .chars()
@@ -200,7 +196,6 @@ impl Msg {
                     line[1..].trim_end()
                 )
             }
-            Msg::LeaseDone { id } => format!("{{\"type\":\"lease_done\",\"id\":{id}}}"),
             Msg::Ping => "{\"type\":\"ping\"}".into(),
             Msg::Fin => "{\"type\":\"fin\"}".into(),
         }
@@ -223,7 +218,6 @@ impl Msg {
             }),
             "welcome" => Ok(Msg::Welcome {
                 fingerprint: parse_fp(field("fingerprint")?)?,
-                deadline_ms: parse_num(field("deadline_ms")?, "deadline_ms")?,
             }),
             "reject" => Ok(Msg::Reject {
                 reason: field("reason")?.to_string(),
@@ -239,9 +233,6 @@ impl Msg {
                 })?;
                 Ok(Msg::Done { lease, run, rec })
             }
-            "lease_done" => Ok(Msg::LeaseDone {
-                id: parse_num(field("id")?, "id")?,
-            }),
             "ping" => Ok(Msg::Ping),
             "fin" => Ok(Msg::Fin),
             other => Err(ServiceError::Protocol(format!(
@@ -307,7 +298,6 @@ mod tests {
             },
             Msg::Welcome {
                 fingerprint: 0xdead_beef_1234_5678,
-                deadline_ms: 2000,
             },
             Msg::Reject {
                 reason: "campaign fingerprint mismatch".into(),
@@ -333,7 +323,6 @@ mod tests {
                     stratum: Some(3),
                 },
             },
-            Msg::LeaseDone { id: 7 },
             Msg::Ping,
             Msg::Fin,
         ]
@@ -503,12 +492,13 @@ mod tests {
             "{\"type\":\"hello\"}",
             "{\"type\":\"hello\",\"proto\":abc,\"fingerprint\":\"12\",\"runs\":1}",
             "{\"type\":\"hello\",\"proto\":2,\"fingerprint\":\"12\",\"runs\":1}",
-            "{\"type\":\"welcome\",\"fingerprint\":\"zz\",\"deadline_ms\":5}",
+            "{\"type\":\"welcome\",\"fingerprint\":\"zz\"}",
             "{\"type\":\"lease\",\"id\":1}",
             "{\"type\":\"lease\",\"id\":1,\"runs\":[1,,2]}",
             "{\"type\":\"lease\",\"id\":1,\"runs\":[1",
             "{\"type\":\"done\",\"lease\":1}",
-            "{\"type\":\"lease_done\"}",
+            // A v2 message v3 dropped.
+            "{\"type\":\"lease_done\",\"id\":7}",
         ] {
             assert!(Msg::decode(bad).is_err(), "{bad:?} should not decode");
         }

@@ -111,7 +111,7 @@ pub fn run_worker_with_chaos(
         .encode(),
     )?;
     match Msg::decode(&read_frame(&mut reader)?)? {
-        Msg::Welcome { fingerprint, .. } => {
+        Msg::Welcome { fingerprint } => {
             // The other direction of the handshake check: a coordinator
             // serving a different campaign than we drew is refused even
             // if it accepted us (e.g. an old coordinator that skipped the
@@ -165,11 +165,11 @@ pub fn run_worker_with_chaos(
         loop {
             let msg = Msg::decode(&read_frame(&mut reader)?)?;
             match msg {
-                Msg::Ping | Msg::LeaseDone { .. } => continue,
+                Msg::Ping => continue,
                 Msg::Fin => return Ok(()),
                 Msg::Lease { id, runs } => {
                     if env.store.is_none() && cfg.checkpoints && !runs.is_empty() {
-                        env.store = record_store(workload, card, cfg, golden);
+                        env.store = record_store(workload, card, golden);
                     }
                     for &i in &runs {
                         let Some(plan) = drawn.plans.get(i) else {

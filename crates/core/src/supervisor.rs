@@ -120,12 +120,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// engine modes — into the journal's identity.  Deliberately excluded:
 /// `threads` (records are thread-count invariant, so a campaign journaled
 /// on one thread may resume on four) and the journal/resume fields
-/// themselves.  `budget=` hashes the constant checkpoint budget, so the
+/// themselves.  `interval=0` (the always-automatic checkpoint stride) and
+/// `budget=` (the constant checkpoint budget) stay in place, so the
 /// material (and every journal's fingerprint) keeps its layout.
 pub fn campaign_fingerprint(workload: &str, card: &str, cfg: &CampaignConfig) -> u64 {
     let canonical = format!(
         "gpufi-journal-v1|workload={workload}|card={card}|seed={}|runs={}|kernel={:?}|\
-         spec={:?}|early_exit={}|checkpoints={}|interval={}|budget={}|window={:?}|\
+         spec={:?}|early_exit={}|checkpoints={}|interval=0|budget={}|window={:?}|\
          oracle={}|static_prune={}|max_run_ms={}|sampling={}",
         cfg.seed,
         cfg.runs,
@@ -133,7 +134,6 @@ pub fn campaign_fingerprint(workload: &str, card: &str, cfg: &CampaignConfig) ->
         cfg.spec,
         cfg.early_exit,
         cfg.checkpoints,
-        cfg.checkpoint_interval,
         DEFAULT_CHECKPOINT_BUDGET,
         cfg.cycle_window,
         cfg.oracle_check,
@@ -446,7 +446,7 @@ impl RunJournal {
     /// construction (there is exactly one `write_all` caller), keeps fsync
     /// latency out of the simulation threads, and gives failures a single
     /// place to surface ([`JournalWriter::finish`]).
-    pub fn into_writer(self) -> (JournalWriter, JournalSink) {
+    pub(crate) fn into_writer(self) -> (JournalWriter, JournalSink) {
         let (tx, rx) = mpsc::channel::<(usize, RunRecord)>();
         let handle = std::thread::spawn(move || {
             let mut first_err: Option<String> = None;

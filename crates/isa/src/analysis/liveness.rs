@@ -252,48 +252,12 @@ impl Liveness {
         }
         out
     }
-
-    /// Per-register read interval over the *reachable* instruction stream:
-    /// for each allocated register `r` in `0 .. num_regs`, the
-    /// `(first, last)` instruction indices at which a reachable instruction
-    /// reads `r` (guard predicates are not registers and do not count), or
-    /// `None` when no reachable instruction ever reads it.
-    ///
-    /// This is the static fallback the stratified fault sampler uses when no
-    /// dynamic read trace is available: a `None` span is exactly the
-    /// [`Liveness::dead_registers`] condition (the whole execution is a
-    /// masked interval), while a `Some` span bounds where in the program a
-    /// register's value can still be observed.
-    pub fn read_spans(&self, kernel: &Kernel, num_regs: u8) -> Vec<Option<(usize, usize)>> {
-        let mut spans: Vec<Option<(usize, usize)>> = vec![None; num_regs as usize];
-        for (i, ins) in kernel.instrs().iter().enumerate() {
-            if !self.reachable[i] {
-                continue;
-            }
-            for r in ins.op.src_regs().into_iter().flatten() {
-                let idx = r.index() as usize;
-                if idx < spans.len() {
-                    spans[idx] = Some(match spans[idx] {
-                        None => (i, i),
-                        Some((first, _)) => (first, i),
-                    });
-                }
-            }
-        }
-        spans
-    }
 }
 
 /// Convenience: the statically-dead register set of a kernel (see
 /// [`Liveness::dead_registers`]).
 pub fn dead_registers(kernel: &Kernel) -> Vec<u8> {
     Liveness::compute(kernel).dead_registers(kernel.num_regs())
-}
-
-/// Convenience: the per-register reachable read intervals of a kernel (see
-/// [`Liveness::read_spans`]).
-pub fn read_spans(kernel: &Kernel) -> Vec<Option<(usize, usize)>> {
-    Liveness::compute(kernel).read_spans(kernel, kernel.num_regs())
 }
 
 #[cfg(test)]
@@ -387,36 +351,6 @@ mod tests {
         );
         assert!(!l.is_reachable(3));
         assert!(l.dead_registers(k.num_regs()).contains(&2));
-    }
-
-    #[test]
-    fn read_spans_bound_first_and_last_read() {
-        // R0 read at 0 and 2; R1 read only at 2; R3/R4 never read.
-        let (k, l) = live(
-            ".kernel k\n.params 1\n.regs 5\n LDG R1, [R0]\n MOV R3, 7\n STG [R0], R1\n EXIT\n",
-        );
-        let spans = l.read_spans(&k, k.num_regs());
-        assert_eq!(spans[0], Some((0, 2)));
-        assert_eq!(spans[1], Some((2, 2)));
-        assert_eq!(spans[3], None);
-        assert_eq!(spans[4], None);
-        // None spans coincide with the dead-register set.
-        let dead: Vec<u8> = (0..k.num_regs())
-            .filter(|&r| spans[r as usize].is_none())
-            .collect();
-        assert_eq!(dead, l.dead_registers(k.num_regs()));
-        assert_eq!(spans, read_spans(&k));
-    }
-
-    #[test]
-    fn read_spans_skip_unreachable_reads() {
-        // The only read of R2 sits after an unguarded EXIT.
-        let (k, l) = live(
-            ".kernel k\n.params 1\n.regs 3\n LDG R1, [R0]\n STG [R0], R1\n EXIT\n \
-             STG [R0], R2\n EXIT\n",
-        );
-        let spans = l.read_spans(&k, k.num_regs());
-        assert_eq!(spans[2], None);
     }
 
     #[test]

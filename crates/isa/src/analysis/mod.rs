@@ -46,7 +46,7 @@ pub use cfg::{instr_succs, BasicBlock, Cfg};
 pub use dom::{reconvergence_violations, DomInfo};
 pub use known_bits::{KnownBits, KnownBitsAnalysis, KnownState};
 pub use lints::{lint_kernel, Finding};
-pub use liveness::{dead_registers, read_spans, LiveSet, Liveness, RegSet};
+pub use liveness::{dead_registers, LiveSet, Liveness, RegSet};
 
 use crate::Module;
 

@@ -482,7 +482,7 @@ impl SimtCore {
     /// Approximate heap footprint of the resident CTAs (register files,
     /// shared memory, SIMT stacks), for checkpoint-store budgeting.
     ///
-    /// Uses the pinned pre-refactor struct sizes ([`CORE_ACCT_BYTES`] and
+    /// Uses the pinned pre-refactor struct sizes (`CORE_ACCT_BYTES` and
     /// friends) so recorder budgets stride identically across layouts.
     pub fn resident_bytes(&self) -> usize {
         CORE_ACCT_BYTES

@@ -10,7 +10,9 @@ use crate::fault::{
 use crate::grid::LaunchDims;
 use crate::mem::{FlipOutcome, MemSystem};
 use crate::oracle::{DivergenceReport, OracleMirror, ThreadState};
-use crate::snapshot::{CheckpointStore, HostOp, LaunchProgress, Recorder, Replay, Snapshot};
+use crate::snapshot::{
+    CheckpointStore, HostOp, HostResult, LaunchProgress, Recorder, Replay, Snapshot,
+};
 use crate::stats::{AppStats, LaunchStats};
 use gpufi_isa::Kernel;
 use std::cell::{Cell, RefCell};
@@ -163,23 +165,44 @@ impl Gpu {
     // Host API
     // ------------------------------------------------------------------
     //
-    // Each primitive call below participates in checkpoint-and-fork: while
-    // *recording* it journals its result, and while *replaying* a forked
-    // run's prefix it returns the journaled result without touching device
-    // state (the restored snapshot already reflects every journaled op).
+    // Each primitive call below (and `launch`) participates in
+    // checkpoint-and-fork through two helpers: `replayed`, the gate a
+    // forked run's calls pass while it replays the journaled prefix, and
+    // `journal`, which records a live call's result while recording.
     // Convenience wrappers (`write_u32s`, `read_f32s`, …) call these
     // primitives, so each host action is journaled exactly once.
 
-    /// While replaying a fork's journaled host-op prefix, yields the next
-    /// recorded op (advancing the cursor); `None` once execution is live.
-    fn replay_next(&self) -> Option<&HostOp> {
+    /// The fork replay gate.  While a fork replays its journaled host
+    /// prefix, consumes the next journaled op, checks that the workload
+    /// made the same `call`, and returns what the recording run got back —
+    /// the restored snapshot already holds the call's device effects.
+    /// `None` once execution is live, and for the in-flight launch the
+    /// snapshot was taken inside (checked, then resumed by `launch`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the call differs from the journal — a workload
+    /// determinism violation, not an injection effect.
+    fn replayed(&self, call: &HostOp) -> Option<&HostResult> {
         let rep = self.replay.as_ref()?;
-        let i = rep.cursor.get();
-        if i >= rep.resume_at {
-            return None;
+        let i = rep.cursor.replace(rep.cursor.get() + 1);
+        let journaled = rep.store.journal.get(i);
+        match journaled {
+            Some((op, result)) if op == call => {
+                (i < rep.store.snapshots[rep.snapshot].host_ops_done).then_some(result)
+            }
+            _ => panic!(
+                "checkpoint replay mismatch: workload called {call:?}, journal op {i} is {:?}",
+                journaled.map(|(op, _)| op)
+            ),
         }
-        rep.cursor.set(i + 1);
-        Some(&rep.store.journal[i])
+    }
+
+    /// Journals a live host call and what it returned (recording only).
+    fn journal(&self, call: HostOp, result: impl FnOnce() -> HostResult) {
+        if let Some(rec) = &self.recorder {
+            rec.journal.borrow_mut().push((call, result()));
+        }
     }
 
     /// Allocates zeroed device memory and returns its device address.
@@ -194,22 +217,15 @@ impl Gpu {
     /// golden run before its first fault fires — a workload determinism
     /// violation, not an injection effect.
     pub fn malloc(&mut self, bytes: u32) -> Result<u32, LaunchError> {
-        if let Some(op) = self.replay_next() {
-            match op {
-                HostOp::Malloc { bytes: b, ptr } if *b == bytes => return Ok(*ptr),
-                other => panic!(
-                    "checkpoint replay mismatch: journal has {other:?}, \
-                     workload called malloc({bytes})"
-                ),
-            }
+        let call = HostOp::Malloc { bytes };
+        if let Some(&HostResult::Ptr(ptr)) = self.replayed(&call) {
+            return Ok(ptr);
         }
         let ptr = self.mem.alloc(bytes)?;
         if let Some(orc) = &self.oracle {
             orc.borrow_mut().on_malloc(bytes, ptr);
         }
-        if let Some(rec) = &self.recorder {
-            rec.journal.borrow_mut().push(HostOp::Malloc { bytes, ptr });
-        }
+        self.journal(call, || HostResult::Ptr(ptr));
         Ok(ptr)
     }
 
@@ -224,26 +240,18 @@ impl Gpu {
     /// Panics when a forked run's host calls diverge from the recorded
     /// golden run (see [`Gpu::malloc`]).
     pub fn memcpy_h2d(&mut self, ptr: u32, data: &[u8]) -> Result<(), LaunchError> {
-        if let Some(op) = self.replay_next() {
-            match op {
-                HostOp::H2d { ptr: p, len } if *p == ptr && *len == data.len() => return Ok(()),
-                other => panic!(
-                    "checkpoint replay mismatch: journal has {other:?}, \
-                     workload called memcpy_h2d({ptr}, {} bytes)",
-                    data.len()
-                ),
-            }
+        let call = HostOp::H2d {
+            ptr,
+            len: data.len(),
+        };
+        if self.replayed(&call).is_some() {
+            return Ok(());
         }
         self.mem.host_write(ptr, data)?;
         if let Some(orc) = &self.oracle {
             orc.borrow_mut().on_h2d(ptr, data);
         }
-        if let Some(rec) = &self.recorder {
-            rec.journal.borrow_mut().push(HostOp::H2d {
-                ptr,
-                len: data.len(),
-            });
-        }
+        self.journal(call, || HostResult::Done);
         Ok(())
     }
 
@@ -265,29 +273,19 @@ impl Gpu {
     /// Panics when a forked run's host calls diverge from the recorded
     /// golden run (see [`Gpu::malloc`]).
     pub fn memcpy_d2h(&self, ptr: u32, out: &mut [u8]) -> Result<(), LaunchError> {
-        if let Some(op) = self.replay_next() {
-            match op {
-                HostOp::D2h { ptr: p, data } if *p == ptr && data.len() == out.len() => {
-                    out.copy_from_slice(data);
-                    return Ok(());
-                }
-                other => panic!(
-                    "checkpoint replay mismatch: journal has {other:?}, \
-                     workload called memcpy_d2h({ptr}, {} bytes)",
-                    out.len()
-                ),
-            }
+        let call = HostOp::D2h {
+            ptr,
+            len: out.len(),
+        };
+        if let Some(HostResult::Bytes(data)) = self.replayed(&call) {
+            out.copy_from_slice(data);
+            return Ok(());
         }
         self.mem.host_read(ptr, out)?;
         if let Some(orc) = &self.oracle {
             orc.borrow_mut().on_d2h(ptr, out);
         }
-        if let Some(rec) = &self.recorder {
-            rec.journal.borrow_mut().push(HostOp::D2h {
-                ptr,
-                data: out.to_vec(),
-            });
-        }
+        self.journal(call, || HostResult::Bytes(out.to_vec()));
         Ok(())
     }
 
@@ -349,28 +347,18 @@ impl Gpu {
     /// Panics when a forked run's host calls diverge from the recorded
     /// golden run (see [`Gpu::malloc`]).
     pub fn write_const(&mut self, offset: u32, data: &[u8]) -> Result<(), LaunchError> {
-        if let Some(op) = self.replay_next() {
-            match op {
-                HostOp::ConstWrite { offset: o, len } if *o == offset && *len == data.len() => {
-                    return Ok(())
-                }
-                other => panic!(
-                    "checkpoint replay mismatch: journal has {other:?}, \
-                     workload called write_const({offset}, {} bytes)",
-                    data.len()
-                ),
-            }
+        let call = HostOp::ConstWrite {
+            offset,
+            len: data.len(),
+        };
+        if self.replayed(&call).is_some() {
+            return Ok(());
         }
         self.mem.const_write(offset, data)?;
         if let Some(orc) = &self.oracle {
             orc.borrow_mut().on_const_write(offset, data);
         }
-        if let Some(rec) = &self.recorder {
-            rec.journal.borrow_mut().push(HostOp::ConstWrite {
-                offset,
-                len: data.len(),
-            });
-        }
+        self.journal(call, || HostResult::Done);
         Ok(())
     }
 
@@ -521,13 +509,22 @@ impl Gpu {
     /// ([`Gpu::record_checkpoints`]) additionally captures *mid-launch*
     /// snapshots that [`Gpu::resume_from`] can fork from.
     pub fn snapshot(&self) -> Snapshot {
+        self.capture(None)
+    }
+
+    /// Builds every [`Snapshot`]: the machine state, the in-flight launch's
+    /// loop state when taken mid-launch, and the recorder's journal length.
+    fn capture(&self, progress: Option<LaunchProgress>) -> Snapshot {
         Snapshot {
             cycle: self.cycle,
             mem: self.mem.clone(),
             cores: self.cores.clone(),
             stats: self.stats.clone(),
-            progress: None,
-            host_ops_done: 0,
+            progress,
+            host_ops_done: self
+                .recorder
+                .as_ref()
+                .map_or(0, |r| r.journal.borrow().len()),
         }
     }
 
@@ -584,12 +581,10 @@ impl Gpu {
     ///
     /// Panics if `idx` is out of range.
     pub fn resume_from(&mut self, store: &Arc<CheckpointStore>, idx: usize) {
-        let snap = &store.snapshots[idx];
-        self.restore(snap);
+        self.restore(&store.snapshots[idx]);
         self.replay = Some(Replay {
             store: Arc::clone(store),
             cursor: Cell::new(0),
-            resume_at: snap.host_ops_done,
             snapshot: idx,
         });
     }
@@ -621,21 +616,11 @@ impl Gpu {
         // Fork replay, case 1: a launch the journal says completed before
         // the snapshot.  Its effects are already in the restored state —
         // return the recorded stats without executing anything.
-        if let Some(rep) = &self.replay {
-            let i = rep.cursor.get();
-            if i < rep.resume_at {
-                rep.cursor.set(i + 1);
-                match &rep.store.journal[i] {
-                    HostOp::Launch { kernel: k, stats } if k == kernel.name() => {
-                        return Ok(stats.clone());
-                    }
-                    other => panic!(
-                        "checkpoint replay mismatch: journal has {other:?}, \
-                         workload launched `{}`",
-                        kernel.name()
-                    ),
-                }
-            }
+        let call = HostOp::Launch {
+            kernel: kernel.name().to_string(),
+        };
+        if let Some(HostResult::Stats(stats)) = self.replayed(&call) {
+            return Ok(stats.clone());
         }
 
         let tpc = dims.threads_per_cta();
@@ -671,25 +656,6 @@ impl Gpu {
             kernel.name()
         );
 
-        // Fork replay, case 2: the in-flight launch the snapshot was taken
-        // inside.  Consume the replay state (execution goes live from
-        // here) and pick the cycle loop up exactly where the recording's
-        // snapshot left it — the restored cores/memory already hold the
-        // mid-launch state, so kernel setup (local-memory reset, core
-        // configuration, the initial CTA fill) must be skipped.
-        let resumed: Option<LaunchProgress> = self.replay.take().map(|rep| {
-            let p = rep.store.snapshots[rep.snapshot]
-                .progress
-                .clone()
-                .expect("campaign checkpoints are mid-launch snapshots");
-            assert_eq!(
-                p.kernel,
-                kernel.name(),
-                "resumed launch does not match the recorded in-flight kernel"
-            );
-            p
-        });
-
         // Predecode once per launch: the cycle loop dispatches on the flat
         // micro-op array instead of re-matching the nested `Op` enum.
         let decoded = gpufi_isa::decode::decode(kernel);
@@ -700,66 +666,57 @@ impl Gpu {
             args,
         };
         let total_ctas = dims.grid.count();
-        let mut next_cta = 0u64;
-        if resumed.is_none() {
-            self.mem
-                .reset_local(dims.total_threads(), kernel.lmem_bytes())
-                .expect("local-memory segment exceeds the simulated capacity");
-            for c in &mut self.cores {
-                c.configure_kernel(limit);
-                if self.trace_reg_reads {
-                    c.set_read_trace(Some(usize::from(kernel.num_regs())));
-                }
-            }
-
-            'fill: loop {
-                let mut placed = false;
+        let mut p = match self.replay.take() {
+            // Fork replay, case 2: the in-flight launch the snapshot was
+            // taken inside (the gate above checked it against the journal).
+            // Execution goes live from here, picking the cycle loop up
+            // exactly where the recording's snapshot left it — the
+            // restored cores/memory already hold the mid-launch state, so
+            // kernel setup (local-memory reset, core configuration, the
+            // initial CTA fill) must be skipped.
+            Some(rep) => rep.store.snapshots[rep.snapshot]
+                .progress
+                .expect("campaign checkpoints are mid-launch snapshots"),
+            None => {
+                self.mem
+                    .reset_local(dims.total_threads(), kernel.lmem_bytes())
+                    .expect("local-memory segment exceeds the simulated capacity");
                 for c in &mut self.cores {
-                    if next_cta >= total_ctas {
-                        break 'fill;
-                    }
-                    if c.can_accept_cta(&ctx) {
-                        c.launch_cta(&ctx, next_cta, self.cycle);
-                        next_cta += 1;
-                        placed = true;
+                    c.configure_kernel(limit);
+                    if self.trace_reg_reads {
+                        c.set_read_trace(Some(usize::from(kernel.num_regs())));
                     }
                 }
-                if !placed {
-                    break;
+                let mut p = LaunchProgress {
+                    start_cycle: self.cycle,
+                    instr0: self.cores.iter().map(|c| c.instructions).sum(),
+                    ace0: self.cores.iter().map(|c| c.ace_reg_cycles).sum(),
+                    l1d0: self.mem.l1d_stats(),
+                    l1t0: self.mem.l1t_stats(),
+                    l20: self.mem.l2_stats(),
+                    ..LaunchProgress::default()
+                };
+                'fill: loop {
+                    let mut placed = false;
+                    for c in &mut self.cores {
+                        if p.next_cta >= total_ctas {
+                            break 'fill;
+                        }
+                        if c.can_accept_cta(&ctx) {
+                            c.launch_cta(&ctx, p.next_cta, self.cycle);
+                            p.next_cta += 1;
+                            placed = true;
+                        }
+                    }
+                    if !placed {
+                        break;
+                    }
                 }
+                p
             }
-        }
+        };
 
         let max_warps = f64::from(self.cfg.max_warps_per_sm());
-        let start_cycle;
-        let instr0: u64;
-        let ace0: u64;
-        let mut thread_cycles;
-        let (l1d0, l1t0, l20);
-        let (mut occ_int, mut thr_int, mut cta_int, mut t_int);
-        match &resumed {
-            Some(p) => {
-                next_cta = p.next_cta;
-                start_cycle = p.start_cycle;
-                instr0 = p.instr0;
-                ace0 = p.ace0;
-                thread_cycles = p.thread_cycles;
-                (l1d0, l1t0, l20) = (p.l1d0, p.l1t0, p.l20);
-                (occ_int, thr_int, cta_int, t_int) = (p.occ_int, p.thr_int, p.cta_int, p.t_int);
-            }
-            None => {
-                start_cycle = self.cycle;
-                instr0 = self.cores.iter().map(|c| c.instructions).sum();
-                ace0 = self.cores.iter().map(|c| c.ace_reg_cycles).sum();
-                thread_cycles = 0u64;
-                (l1d0, l1t0, l20) = (
-                    self.mem.l1d_stats(),
-                    self.mem.l1t_stats(),
-                    self.mem.l2_stats(),
-                );
-                (occ_int, thr_int, cta_int, t_int) = (0.0f64, 0.0f64, 0.0f64, 0u64);
-            }
-        }
 
         // Latched once a flip is observed: the run can no longer early-exit,
         // so stop scanning taint state.
@@ -802,34 +759,7 @@ impl Gpu {
                 .as_ref()
                 .is_some_and(|r| self.cycle >= r.next_at)
             {
-                let snap = Snapshot {
-                    cycle: self.cycle,
-                    mem: self.mem.clone(),
-                    cores: self.cores.clone(),
-                    stats: self.stats.clone(),
-                    progress: Some(LaunchProgress {
-                        kernel: kernel.name().to_string(),
-                        next_cta,
-                        start_cycle,
-                        instr0,
-                        ace0,
-                        thread_cycles,
-                        l1d0,
-                        l1t0,
-                        l20,
-                        occ_int,
-                        thr_int,
-                        cta_int,
-                        t_int,
-                    }),
-                    host_ops_done: self
-                        .recorder
-                        .as_ref()
-                        .expect("recorder checked above")
-                        .journal
-                        .borrow()
-                        .len(),
-                };
+                let snap = self.capture(Some(p));
                 self.recorder
                     .as_mut()
                     .expect("recorder checked above")
@@ -895,24 +825,24 @@ impl Gpu {
             let now = self.cycle;
             for c in &mut self.cores {
                 if c.harvest_finished() > 0 || !c.is_idle() {
-                    while next_cta < total_ctas && c.can_accept_cta(&ctx) {
-                        c.launch_cta(&ctx, next_cta, now);
-                        next_cta += 1;
+                    while p.next_cta < total_ctas && c.can_accept_cta(&ctx) {
+                        c.launch_cta(&ctx, p.next_cta, now);
+                        p.next_cta += 1;
                     }
                 }
             }
             // Idle cores can also accept (covers the first dispatch of a
             // core that was skipped above).
-            if next_cta < total_ctas {
+            if p.next_cta < total_ctas {
                 for c in &mut self.cores {
-                    while next_cta < total_ctas && c.can_accept_cta(&ctx) {
-                        c.launch_cta(&ctx, next_cta, now);
-                        next_cta += 1;
+                    while p.next_cta < total_ctas && c.can_accept_cta(&ctx) {
+                        c.launch_cta(&ctx, p.next_cta, now);
+                        p.next_cta += 1;
                     }
                 }
             }
 
-            let done = next_cta >= total_ctas && self.cores.iter().all(SimtCore::is_idle);
+            let done = p.next_cta >= total_ctas && self.cores.iter().all(SimtCore::is_idle);
             if done {
                 break Ok(());
             }
@@ -962,11 +892,11 @@ impl Gpu {
             }
             if active_sms > 0 {
                 let dtf = dt as f64;
-                occ_int += live_warps as f64 / (active_sms as f64 * max_warps) * dtf;
-                thr_int += live_threads as f64 / active_sms as f64 * dtf;
-                cta_int += live_ctas as f64 / active_sms as f64 * dtf;
-                t_int += dt;
-                thread_cycles += live_threads * dt;
+                p.occ_int += live_warps as f64 / (active_sms as f64 * max_warps) * dtf;
+                p.thr_int += live_threads as f64 / active_sms as f64 * dtf;
+                p.cta_int += live_ctas as f64 / active_sms as f64 * dtf;
+                p.t_int += dt;
+                p.thread_cycles += live_threads * dt;
             }
 
             self.cycle += dt;
@@ -993,23 +923,23 @@ impl Gpu {
         }
 
         outcome?;
-        let t = t_int.max(1) as f64;
+        let t = p.t_int.max(1) as f64;
         let stats = LaunchStats {
             kernel: kernel.name().to_string(),
-            start_cycle,
+            start_cycle: p.start_cycle,
             end_cycle: self.cycle,
-            instructions: self.cores.iter().map(|c| c.instructions).sum::<u64>() - instr0,
-            occupancy: occ_int / t,
-            mean_threads_per_sm: thr_int / t,
-            mean_ctas_per_sm: cta_int / t,
+            instructions: self.cores.iter().map(|c| c.instructions).sum::<u64>() - p.instr0,
+            occupancy: p.occ_int / t,
+            mean_threads_per_sm: p.thr_int / t,
+            mean_ctas_per_sm: p.cta_int / t,
             regs_per_thread: u32::from(kernel.num_regs()),
             smem_per_cta: kernel.smem_bytes(),
             lmem_per_thread: kernel.lmem_bytes(),
-            ace_reg_cycles: self.cores.iter().map(|c| c.ace_reg_cycles).sum::<u64>() - ace0,
-            thread_cycles,
-            l1d_stats: self.mem.l1d_stats().since(&l1d0),
-            l1t_stats: self.mem.l1t_stats().since(&l1t0),
-            l2_stats: self.mem.l2_stats().since(&l20),
+            ace_reg_cycles: self.cores.iter().map(|c| c.ace_reg_cycles).sum::<u64>() - p.ace0,
+            thread_cycles: p.thread_cycles,
+            l1d_stats: self.mem.l1d_stats().since(&p.l1d0),
+            l1t_stats: self.mem.l1t_stats().since(&p.l1t0),
+            l2_stats: self.mem.l2_stats().since(&p.l20),
         };
         self.stats.launches.push(stats.clone());
         if self.trace_reg_reads {
@@ -1027,16 +957,11 @@ impl Gpu {
                 }
             }
             for v in &mut live_until {
-                *v = (*v).clamp(start_cycle, self.cycle);
+                *v = (*v).clamp(p.start_cycle, self.cycle);
             }
             self.reg_traces.push(live_until);
         }
-        if let Some(rec) = &self.recorder {
-            rec.journal.borrow_mut().push(HostOp::Launch {
-                kernel: kernel.name().to_string(),
-                stats: stats.clone(),
-            });
-        }
+        self.journal(call, || HostResult::Stats(stats.clone()));
         Ok(stats)
     }
 

@@ -195,7 +195,7 @@ impl Cache {
     }
 
     /// Approximate heap footprint of the tag and data arrays, for
-    /// checkpoint-store budgeting.  Uses the pinned [`LINE_ACCT_BYTES`]
+    /// checkpoint-store budgeting.  Uses the pinned `LINE_ACCT_BYTES`
     /// per-line metadata cost so the budget does not shift with the
     /// internal storage layout.
     pub fn resident_bytes(&self) -> usize {

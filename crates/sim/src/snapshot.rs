@@ -76,13 +76,11 @@ impl StateHasher {
     }
 }
 
-/// Loop-local state of an in-flight kernel launch, captured at the top of
-/// the cycle loop so the launch can resume exactly where the recording
-/// left off.
-#[derive(Debug, Clone)]
+/// The state of an in-flight kernel launch beyond the machine itself: the
+/// launch's cycle loop runs on exactly this, so a copy taken at the top of
+/// the loop lets a fork resume where the recording left off.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LaunchProgress {
-    /// Kernel name, asserted against the resuming launch call.
-    pub(crate) kernel: String,
     /// Next grid-linear CTA awaiting dispatch.
     pub(crate) next_cta: u64,
     /// Application cycle at launch start.
@@ -158,7 +156,7 @@ impl Snapshot {
     /// predicates, SIMT stacks, scheduler and taint state) and the whole
     /// memory system (segments, cache tag/data/LRU arrays, timing queues).
     ///
-    /// The canonical order is layout-independent (see [`StateHasher`]), so
+    /// The canonical order is layout-independent (see `StateHasher`), so
     /// two engines with different internal storage produce equal digests
     /// exactly when they hold the same architectural + microarchitectural
     /// state.  Campaign statistics and fork-replay bookkeeping are not
@@ -175,23 +173,30 @@ impl Snapshot {
     }
 }
 
-/// One journaled host API call from the recording run, replayed verbatim
-/// by forked runs up to their snapshot's `host_ops_done` cursor.
-#[derive(Debug, Clone)]
+/// One primitive host API call as the workload made it: what the replay
+/// gate checks each call of a forked run against.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum HostOp {
-    /// `Gpu::malloc` — the returned device pointer.
-    Malloc { bytes: u32, ptr: u32 },
-    /// `Gpu::memcpy_h2d` — already reflected in the snapshot's memory.
+    Malloc { bytes: u32 },
     H2d { ptr: u32, len: usize },
-    /// `Gpu::memcpy_d2h` — the bytes the *recording* run read.  Replay
-    /// must return these, not re-read restored memory: the in-flight
-    /// launch may have overwritten the range by the snapshot cycle, and
-    /// host control flow (e.g. BFS's stop-flag loop) branches on them.
-    D2h { ptr: u32, data: Vec<u8> },
-    /// `Gpu::write_const` — already reflected in the snapshot's memory.
+    D2h { ptr: u32, len: usize },
     ConstWrite { offset: u32, len: usize },
-    /// `Gpu::launch` — the stats the completed launch returned.
-    Launch { kernel: String, stats: LaunchStats },
+    Launch { kernel: String },
+}
+
+/// What a journaled [`HostOp`] returned, handed back verbatim by replay;
+/// its device effects are already in every later snapshot.
+#[derive(Debug, Clone)]
+pub(crate) enum HostResult {
+    /// `memcpy_h2d` / `write_const`.
+    Done,
+    /// `malloc`: the device pointer.
+    Ptr(u32),
+    /// `memcpy_d2h`: the bytes the *recording* run read (see
+    /// [`crate::Gpu::memcpy_d2h`] for why replay returns these).
+    Bytes(Vec<u8>),
+    /// `launch`: the stats the completed launch returned.
+    Stats(LaunchStats),
 }
 
 /// A read-only set of golden-run snapshots plus the host-op journal,
@@ -200,8 +205,8 @@ pub(crate) enum HostOp {
 pub struct CheckpointStore {
     /// Snapshots in ascending cycle order.
     pub(crate) snapshots: Vec<Snapshot>,
-    /// Every host API call of the recording run, in call order.
-    pub(crate) journal: Vec<HostOp>,
+    /// Every host API call of the recording run and its result, in order.
+    pub(crate) journal: Vec<(HostOp, HostResult)>,
     /// The final cycle stride (after any budget-driven doubling).
     pub(crate) interval: u64,
 }
@@ -269,11 +274,9 @@ pub(crate) struct Recorder {
     pub(crate) budget_bytes: usize,
     /// Snapshots captured so far, ascending cycle order.
     pub(crate) snapshots: Vec<Snapshot>,
-    /// Running footprint of `snapshots`.
-    pub(crate) bytes: usize,
     /// Host-op journal.  `RefCell` because `memcpy_d2h` journals through
     /// `&self`.
-    pub(crate) journal: std::cell::RefCell<Vec<HostOp>>,
+    pub(crate) journal: std::cell::RefCell<Vec<(HostOp, HostResult)>>,
 }
 
 impl Recorder {
@@ -284,7 +287,6 @@ impl Recorder {
             next_at: interval,
             budget_bytes: budget_bytes.max(1),
             snapshots: Vec::new(),
-            bytes: 0,
             journal: std::cell::RefCell::new(Vec::new()),
         }
     }
@@ -293,16 +295,15 @@ impl Recorder {
     /// other snapshot and doubles the stride (online adaptive re-striding,
     /// so the store never exceeds the budget whatever the golden length).
     pub(crate) fn push(&mut self, snap: Snapshot) {
-        self.bytes += snap.resident_bytes();
+        let bytes = |s: &[Snapshot]| s.iter().map(Snapshot::resident_bytes).sum::<usize>();
         self.snapshots.push(snap);
-        while self.snapshots.len() >= 2 && self.bytes > self.budget_bytes {
+        while self.snapshots.len() >= 2 && bytes(&self.snapshots) > self.budget_bytes {
             let mut keep = false;
             self.snapshots.retain(|_| {
                 keep = !keep;
                 keep
             });
             self.interval = self.interval.saturating_mul(2);
-            self.bytes = self.snapshots.iter().map(Snapshot::resident_bytes).sum();
         }
         let last = self.snapshots.last().expect("just pushed").cycle;
         self.next_at = last + self.interval;
@@ -318,8 +319,8 @@ impl Recorder {
 }
 
 /// Replay state on a forked `Gpu`: journaled host calls are returned
-/// without touching device state until the cursor reaches the in-flight
-/// launch, which resumes the cycle loop from the snapshot.
+/// without touching device state until the cursor reaches the snapshot's
+/// `host_ops_done`, the in-flight launch, which resumes the cycle loop.
 #[derive(Debug)]
 pub(crate) struct Replay {
     /// The shared store the fork came from.
@@ -327,9 +328,6 @@ pub(crate) struct Replay {
     /// Next journal index to replay.  `Cell` because `memcpy_d2h` replays
     /// through `&self`.
     pub(crate) cursor: std::cell::Cell<usize>,
-    /// Journal index of the in-flight launch (== the snapshot's
-    /// `host_ops_done`); replay ends there and execution goes live.
-    pub(crate) resume_at: usize,
     /// Index of the snapshot being resumed within `store`.
     pub(crate) snapshot: usize,
 }

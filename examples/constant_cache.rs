@@ -108,7 +108,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Targeted injection: flip bit 30 of coefficient c1 (a mantissa
     //    high bit) inside the hot line of SM 0's constant cache, mid-run.
     //    Only CTAs resident on SM 0 read the corrupted value.
-    let line_bits = 64 * 8 + u64::from(gpufi_sim::TAG_BITS);
     let c1_bit = u64::from(gpufi_sim::TAG_BITS) + (4 * 8) + 30; // line 0, byte 4..8, bit 30
     let mut gpu = Gpu::new(card.clone());
     gpu.arm_faults(InjectionPlan::single(
@@ -132,6 +131,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|(a, b)| a != b)
         .count();
     println!("targeted  corrupted outputs: {corrupted} of {N} (threads on the faulted SM)");
-    let _ = line_bits;
     Ok(())
 }
