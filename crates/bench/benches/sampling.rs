@@ -15,7 +15,7 @@
 //! *before* the file is overwritten, and the benchmark exits nonzero on
 //! a >20% regression.
 
-use gpufi_core::{profile, run_campaign, CampaignConfig, CampaignResult, GoldenProfile, Workload};
+use gpufi_core::{json, profile, run_campaign, CampaignConfig, GoldenProfile, Workload};
 use gpufi_faults::{CampaignSpec, Structure};
 use gpufi_metrics::{margin_of_error, FaultEffect};
 use gpufi_sim::GpuConfig;
@@ -24,38 +24,6 @@ use gpufi_workloads::{Gaussian, NeedlemanWunsch};
 const FLAT_RUNS: usize = 500;
 const SEED: u64 = 11;
 const CONFIDENCE: f64 = 0.99;
-
-/// Extracts the number following `"key":` in a hand-rolled JSON file.
-fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = text.find(&pat)? + pat.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Asserts per-class agreement between a stratified estimate and the
-/// flat reference: |p̂_strat − p̂_flat| within the stratified half-width
-/// plus the flat campaign's Leveugle margin of error.
-fn assert_within_ci(tag: &str, strat: &CampaignResult, flat: &CampaignResult) {
-    let summary = strat.sampling.as_ref().expect("stratified summary");
-    let flat_margin = margin_of_error(CONFIDENCE, flat.tally.total(), u64::MAX);
-    for e in FaultEffect::ALL {
-        let cls = summary.estimate.class(e);
-        let flat_p = flat.tally.fraction(e);
-        let tol = cls.half_width + flat_margin;
-        assert!(
-            (cls.estimate - flat_p).abs() <= tol,
-            "{tag} {}: stratified {:.4} vs flat {:.4} exceeds tolerance {:.4}",
-            e.name(),
-            cls.estimate,
-            flat_p,
-            tol
-        );
-    }
-}
 
 /// Runs the flat baseline plus stratified campaigns at 1/5 and 1/10 of
 /// its budget on one workload; returns the JSON fragment for that
@@ -79,8 +47,17 @@ fn bench_workload(w: &dyn Workload, card: &GpuConfig, golden: &GoldenProfile) ->
         let cfg = CampaignConfig::new(spec.clone(), runs, SEED).stratified();
         let res = run_campaign(w, card, &cfg, golden).unwrap();
         assert_eq!(res.stats.simulated_runs, runs);
-        assert_within_ci(&format!("{}/{}x", w.name(), factor), &res, &flat);
         let s = res.sampling.as_ref().unwrap();
+        let intervals = s.agreement_intervals(flat.tally.total());
+        for (e, interval) in FaultEffect::ALL.into_iter().zip(intervals) {
+            let flat_p = flat.tally.fraction(e);
+            assert!(
+                interval.contains(flat_p),
+                "{}/{factor}x {}: {interval:?} misses flat {flat_p:.4}",
+                w.name(),
+                e.name()
+            );
+        }
         assert!(
             s.estimate.equivalent_flat_runs() > runs as f64,
             "stratification bought no coverage"
@@ -143,7 +120,10 @@ fn main() {
     if let Ok(path) = std::env::var("GPUFI_SAMPLING_BASELINE") {
         let committed = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline `{path}`: {e}"));
-        let old = json_f64(&committed, "ge_effective_runs_per_sec")
+        let old: f64 = json::parse(&committed)
+            .unwrap_or_else(|e| panic!("baseline `{path}` is not JSON: {e}"))
+            .get("ge_effective_runs_per_sec")
+            .and_then(json::Value::as_num)
             .expect("baseline lacks ge_effective_runs_per_sec");
         let floor = old * 0.8;
         println!("regression gate: {ge_eff:.1} effective runs/s vs floor {floor:.1} (committed {old:.1})");

@@ -14,6 +14,7 @@
 //! gpufi lint     [--bench VA] [--json]
 //! ```
 
+use gpufi_core::json::Value;
 use gpufi_core::{
     analyze_with_golden, profile, run_campaign, run_campaign_with_hook, run_worker, serve_campaign,
     AnalysisConfig, CampaignConfig, GoldenProfile, SamplingMode, ServiceConfig, ServiceError,
@@ -771,11 +772,10 @@ fn validate_stratified(
     golden: &gpufi_core::GoldenProfile,
     runs: usize,
 ) -> Result<(), CliError> {
-    let est = &result
+    let summary = result
         .sampling
         .as_ref()
-        .ok_or("--validate-sampling needs a stratified campaign")?
-        .estimate;
+        .ok_or("--validate-sampling needs a stratified campaign")?;
     let flat_runs = runs.saturating_mul(5);
     let mut fcfg = cfg.clone();
     fcfg.sampling = SamplingMode::Flat;
@@ -787,19 +787,17 @@ fn validate_stratified(
         flat_runs / runs.max(1)
     );
     let flat = run_campaign(workload, card, &fcfg, golden).map_err(failed)?;
-    let flat_margin = margin_of_error(0.99, flat_runs.max(1) as u64, u64::MAX);
     let mut failures = Vec::new();
-    for (i, e) in FaultEffect::ALL.iter().enumerate() {
-        let strat = est.classes[i];
-        let flat_p = flat.tally.fraction(*e);
-        let tol = strat.half_width + flat_margin;
-        let ok = (strat.estimate - flat_p).abs() <= tol;
+    let intervals = summary.agreement_intervals(flat.tally.total());
+    for (e, interval) in FaultEffect::ALL.into_iter().zip(intervals) {
+        let flat_p = flat.tally.fraction(e);
+        let ok = interval.contains(flat_p);
         println!(
             "    {:<12} stratified {:.4} vs flat {:.4}  (tolerance {:.4}) {}",
             e.name(),
-            strat.estimate,
+            interval.estimate,
             flat_p,
-            tol,
+            interval.half_width,
             if ok { "ok" } else { "MISMATCH" }
         );
         if !ok {
@@ -809,7 +807,7 @@ fn validate_stratified(
     if failures.is_empty() {
         println!(
             "  validation passed: {} simulated runs reproduced a {}-run flat campaign",
-            est.simulated, flat_runs
+            summary.estimate.simulated, flat_runs
         );
         Ok(())
     } else {
@@ -866,33 +864,6 @@ fn cmd_fuzz(args: &Args<'_>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Escapes one JSON string (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// An optional JSON number: the value, or `null`.
-fn json_opt_num(v: Option<u32>) -> String {
-    v.map_or_else(|| "null".into(), |n| n.to_string())
-}
-
-/// An optional JSON string: the escaped value, or `null`.
-fn json_opt_str(v: Option<&str>) -> String {
-    v.map_or_else(|| "null".into(), json_str)
-}
-
 /// Static analysis from the command line: runs the SASS-lite analyzer
 /// (CFG, dominators/post-dominators, liveness and all lint passes) over
 /// one benchmark — or the whole paper suite — and reports every finding.
@@ -931,28 +902,26 @@ fn cmd_lint(args: &Args<'_>) -> Result<(), CliError> {
         }
     }
     if args.flag("--json") {
-        let rows: Vec<String> = findings
+        let rows = findings
             .iter()
             .map(|r| {
-                format!(
-                    "{{\"workload\":{},\"kernel\":{},\"instr\":{},\"line\":{},\"label\":{},\
-                     \"kind\":{},\"message\":{}}}",
-                    json_str(r.workload),
-                    json_str(&r.kernel),
-                    r.finding.instr(),
-                    json_opt_num(r.line),
-                    json_opt_str(r.label.as_deref()),
-                    json_str(r.finding.kind()),
-                    json_str(&r.finding.to_string())
-                )
+                Value::obj([
+                    ("workload", r.workload.into()),
+                    ("kernel", r.kernel.as_str().into()),
+                    ("instr", r.finding.instr().into()),
+                    ("line", r.line.map_or(Value::Null, Value::from)),
+                    ("label", r.label.as_deref().map_or(Value::Null, Value::from)),
+                    ("kind", r.finding.kind().into()),
+                    ("message", Value::Str(r.finding.to_string())),
+                ])
             })
             .collect();
-        println!(
-            "{{\"workloads\":{},\"kernels\":{},\"findings\":[{}]}}",
-            workloads.len(),
-            kernels,
-            rows.join(",")
-        );
+        let doc = Value::obj([
+            ("workloads", workloads.len().into()),
+            ("kernels", kernels.into()),
+            ("findings", Value::Arr(rows)),
+        ]);
+        println!("{doc}");
     } else {
         for r in &findings {
             let at = match (r.line, r.label.as_deref()) {
@@ -1020,7 +989,7 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), CliError> {
         };
     let card = card_of(args)?;
     let json = args.flag("--json");
-    let mut bench_rows: Vec<String> = Vec::new();
+    let mut bench_rows: Vec<Value> = Vec::new();
     for w in &workloads {
         let golden = profile(w.as_ref(), &card).map_err(failed)?;
         let total_cycles = golden.total_cycles();
@@ -1086,36 +1055,35 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), CliError> {
         });
         let bit_mass = mass(&|r| r.bit_fraction);
         if json {
-            let krows: Vec<String> = reports
+            let krows = reports
                 .iter()
                 .map(|r| {
-                    let dead: Vec<String> = r.dead_regs.iter().map(|d| d.to_string()).collect();
-                    format!(
-                        "{{\"kernel\":{},\"cycles\":{},\"regs\":{},\"dead_regs\":[{}],\
-                         \"dead_bits\":{},\"bit_fraction\":{:.6},\"reachable_instrs\":{},\
-                         \"mean_known_bits_per_reg\":{:.4}}}",
-                        json_str(&r.kernel),
-                        r.cycles,
-                        r.regs,
-                        dead.join(","),
-                        r.dead_bits,
-                        r.bit_fraction,
-                        r.reachable_instrs,
-                        r.mean_known_bits,
-                    )
+                    Value::obj([
+                        ("kernel", r.kernel.as_str().into()),
+                        ("cycles", r.cycles.into()),
+                        ("regs", r.regs.into()),
+                        (
+                            "dead_regs",
+                            Value::Arr(r.dead_regs.iter().map(|&d| d.into()).collect()),
+                        ),
+                        ("dead_bits", r.dead_bits.into()),
+                        ("bit_fraction", Value::Num(format!("{:.6}", r.bit_fraction))),
+                        ("reachable_instrs", r.reachable_instrs.into()),
+                        (
+                            "mean_known_bits_per_reg",
+                            Value::Num(format!("{:.4}", r.mean_known_bits)),
+                        ),
+                    ])
                 })
                 .collect();
-            bench_rows.push(format!(
-                "{{\"bench\":{},\"card\":{},\"golden_cycles\":{},\
-                 \"rf_reg_prunable_mass\":{:.6},\"rf_bit_prunable_mass\":{:.6},\
-                 \"kernels\":[{}]}}",
-                json_str(w.name()),
-                json_str(&card.name),
-                total_cycles,
-                reg_mass,
-                bit_mass,
-                krows.join(",")
-            ));
+            bench_rows.push(Value::obj([
+                ("bench", w.name().into()),
+                ("card", card.name.as_str().into()),
+                ("golden_cycles", total_cycles.into()),
+                ("rf_reg_prunable_mass", Value::Num(format!("{reg_mass:.6}"))),
+                ("rf_bit_prunable_mass", Value::Num(format!("{bit_mass:.6}"))),
+                ("kernels", Value::Arr(krows)),
+            ]));
         } else {
             println!(
                 "benchmark: {}  card: {}  golden cycles: {}",
@@ -1155,7 +1123,7 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), CliError> {
         }
     }
     if json {
-        println!("{{\"benchmarks\":[{}]}}", bench_rows.join(","));
+        println!("{}", Value::obj([("benchmarks", Value::Arr(bench_rows))]));
     }
     Ok(())
 }
@@ -1508,19 +1476,5 @@ mod tests {
         assert!(run(&args(&["lint", "--bench", "nope"])).is_err());
         let err = fail(&["lint", "--card", "titan"]);
         assert!(err.contains("unknown flag"), "{err}");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        assert_eq!(json_str("a\\b"), "\"a\\\\b\"");
-        assert_eq!(json_str("a\nb"), "\"a\\nb\"");
-        // Optional span fields render as `null` when a finding has no
-        // recorded source line or preceding label.
-        assert_eq!(json_opt_num(None), "null");
-        assert_eq!(json_opt_num(Some(42)), "42");
-        assert_eq!(json_opt_str(None), "null");
-        assert_eq!(json_opt_str(Some("lo\"op")), "\"lo\\\"op\"");
     }
 }

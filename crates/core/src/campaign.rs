@@ -550,8 +550,10 @@ fn draw_plans(cfg: &CampaignConfig, golden: &GoldenProfile) -> Result<Vec<RunPla
     Ok(plans)
 }
 
-/// A stratified campaign's strata layout and per-stratum run allocation.
-type Strata = (StrataLayout, Vec<usize>);
+/// A stratified campaign's strata layout, per-stratum run allocation and
+/// the hash of both (folded into the fingerprint and reported in the
+/// [`SamplingSummary`]).
+type Strata = (StrataLayout, Vec<usize>, u64);
 
 /// Draws every run of a stratified campaign: builds the liveness-interval
 /// strata, splits the budget proportionally to the stratum weights, and
@@ -614,7 +616,8 @@ fn draw_stratified_plans(
         }
     }
     debug_assert_eq!(plans.len(), cfg.runs);
-    Ok((plans, (layout, allocation)))
+    let layout_hash = strata_hash(&layout.fingerprint_material(&allocation));
+    Ok((plans, (layout, allocation, layout_hash)))
 }
 
 /// The granularity at which a campaign pre-classifies runs without
@@ -972,7 +975,7 @@ fn base_stats(
     } else {
         n - static_pruned - static_bit_pruned
     };
-    let effective_runs = match strata.map(|(l, _)| l.live_weight()) {
+    let effective_runs = match strata.map(|(l, _, _)| l.live_weight()) {
         Some(w) if w > 0.0 => n as f64 / w,
         _ => n as f64,
     };
@@ -1003,8 +1006,7 @@ fn base_stats(
 /// fold the tallies plus the analytic masked mass into the two-level
 /// estimate (at the paper's 99% confidence).
 fn sampling_summary(
-    layout: &StrataLayout,
-    allocation: Vec<usize>,
+    (layout, allocation, layout_hash): Strata,
     records: &[RunRecord],
 ) -> SamplingSummary {
     let mut tallies = vec![Tally::default(); layout.strata.len()];
@@ -1026,7 +1028,7 @@ fn sampling_summary(
     SamplingSummary {
         strata: layout.strata.len(),
         masked_weight: layout.masked_weight,
-        layout_hash: strata_hash(&layout.fingerprint_material(&allocation)),
+        layout_hash,
         allocation,
         estimate,
     }
@@ -1062,9 +1064,8 @@ pub(crate) fn draw(
         }
     };
     let mut fingerprint = campaign_fingerprint(workload.name(), &card.name, cfg);
-    if let Some((layout, allocation)) = &strata {
-        let layout_hash = strata_hash(&layout.fingerprint_material(allocation));
-        fingerprint = stratified_fingerprint(fingerprint, layout_hash);
+    if let Some((_, _, layout_hash)) = &strata {
+        fingerprint = stratified_fingerprint(fingerprint, *layout_hash);
     }
     Ok(Drawn {
         plans,
@@ -1426,8 +1427,7 @@ impl Prepared {
         stats.resumed = self.resumed;
         stats.journal_bytes = journal.as_ref().map_or(0, RunJournal::bytes_written);
         stats.journal_ms = journal.as_ref().map_or(0.0, RunJournal::wall_ms);
-        let sampling =
-            strata.map(|(layout, allocation)| sampling_summary(&layout, allocation, &records));
+        let sampling = strata.map(|s| sampling_summary(s, &records));
         Ok(CampaignResult {
             spec: cfg.spec.clone(),
             kernel: cfg.kernel.clone(),

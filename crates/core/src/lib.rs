@@ -61,6 +61,7 @@
 mod analysis;
 mod campaign;
 mod classify;
+pub mod json;
 mod profile;
 mod report;
 mod sampling;

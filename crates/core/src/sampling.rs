@@ -29,7 +29,7 @@
 
 use crate::profile::GoldenProfile;
 use crate::workload::Workload;
-use gpufi_metrics::StratifiedEstimate;
+use gpufi_metrics::{margin_of_error, ClassEstimate, StratifiedEstimate};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -231,6 +231,23 @@ pub struct SamplingSummary {
     pub allocation: Vec<usize>,
     /// The reweighted per-class estimates with confidence intervals.
     pub estimate: StratifiedEstimate,
+}
+
+impl SamplingSummary {
+    /// Each class's interval widened by the Leveugle margin of error of a
+    /// flat campaign of `flat_runs` runs, in
+    /// [`gpufi_metrics::FaultEffect::ALL`] order at the estimate's
+    /// confidence (both campaigns carry sampling error).  The flat campaign
+    /// agrees with this estimate on a class when the widened interval
+    /// [`contains`](ClassEstimate::contains) its observed fraction — the
+    /// check `--validate-sampling` applies.
+    pub fn agreement_intervals(&self, flat_runs: u64) -> [ClassEstimate; 5] {
+        let margin = margin_of_error(self.estimate.confidence, flat_runs.max(1), u64::MAX);
+        self.estimate.classes.map(|c| ClassEstimate {
+            half_width: c.half_width + margin,
+            ..c
+        })
+    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! - Workers execute leased run indices with the **same
 //!   `supervised_run`** the local executor uses (same early-exit,
 //!   checkpoint, stratified and retry-once semantics) and stream back the
-//!   exact journal record line.
+//!   run's journal record fields.
 //! - The coordinator owns the **one canonical journal/CSV/tally** via the
 //!   lease `Board` that schedules in-process threads too: first-ack-wins
 //!   by run index, the single-writer journal channel, canonical run order

@@ -9,15 +9,18 @@
 //! contiguous buffer, so two threads sharing a write lock can never
 //! interleave partial frames.
 //!
-//! The payload is one JSON object in the journal's restricted dialect —
-//! string values never contain `,`, `{`, `}` or `"` — so the supervisor's
-//! field-scanning parser works unchanged, and a `done` frame can embed a
-//! run record by splicing the exact journal line the coordinator will
-//! write.
+//! The payload is one JSON object, written and parsed by [`crate::json`],
+//! with its `type` member first.  A `done` frame is `type` and `lease`
+//! followed by the fields the run's journal line is built from
+//! (`supervisor::record_fields`), so what a worker reports and what the
+//! coordinator journals cannot drift.  Members a message does not define
+//! are ignored; a payload that is not well-formed JSON, or lacks a field
+//! of its message, is a [`ServiceError::Protocol`].
 
 use super::ServiceError;
 use crate::campaign::RunRecord;
-use crate::supervisor::{parse_record_line, record_line};
+use crate::json::{self, Value};
+use crate::supervisor::{record_fields, record_from};
 use std::io::{BufRead, Write};
 
 /// Protocol version carried in the handshake; bumped on any frame or
@@ -134,14 +137,14 @@ pub(crate) enum Msg {
     /// Coordinator → worker: handshake accepted.
     Welcome { fingerprint: u64 },
     /// Coordinator → worker: handshake refused (mismatched fingerprint or
-    /// protocol); the reason is restricted-dialect text.
+    /// protocol), with a human-readable reason.
     Reject { reason: String },
     /// Coordinator → worker: execute exactly these run indices.  An
     /// explicit array (not a range) because resume and the static prune
     /// leave holes in the pending index space.
     Lease { id: u64, runs: Vec<usize> },
     /// Worker → coordinator: one completed run of a lease.  On the wire
-    /// this splices the exact journal record line, so the coordinator
+    /// the run's journal record fields follow `lease`, so the coordinator
     /// merges byte-for-byte what a local campaign would have journaled.
     Done {
         lease: u64,
@@ -155,136 +158,97 @@ pub(crate) enum Msg {
 }
 
 impl Msg {
-    /// Renders the message as one JSON object in the journal's restricted
-    /// dialect (values free of `,{}"`), parseable by field scanning.
+    /// Renders the message as one compact JSON object, `type` first.
     pub(crate) fn encode(&self) -> String {
-        match self {
+        let hex = |fp: &u64| Value::Str(format!("{fp:016x}"));
+        let (kind, fields) = match self {
             Msg::Hello {
                 proto,
                 fingerprint,
                 runs,
                 model,
-            } => format!(
-                "{{\"type\":\"hello\",\"proto\":{proto},\"fingerprint\":\"{fingerprint:016x}\",\"runs\":{runs},\"model\":\"{model}\"}}"
+            } => (
+                "hello",
+                vec![
+                    ("proto", (*proto).into()),
+                    ("fingerprint", hex(fingerprint)),
+                    ("runs", (*runs).into()),
+                    ("model", model.as_str().into()),
+                ],
             ),
-            Msg::Welcome { fingerprint } => {
-                format!("{{\"type\":\"welcome\",\"fingerprint\":\"{fingerprint:016x}\"}}")
-            }
-            Msg::Reject { reason } => {
-                let clean: String = reason
-                    .chars()
-                    .map(|c| if "\",{}".contains(c) { ' ' } else { c })
-                    .collect();
-                format!("{{\"type\":\"reject\",\"reason\":\"{clean}\"}}")
-            }
-            Msg::Lease { id, runs } => {
-                let list = runs
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!("{{\"type\":\"lease\",\"id\":{id},\"runs\":[{list}]}}")
-            }
+            Msg::Welcome { fingerprint } => ("welcome", vec![("fingerprint", hex(fingerprint))]),
+            Msg::Reject { reason } => ("reject", vec![("reason", reason.as_str().into())]),
+            Msg::Lease { id, runs } => (
+                "lease",
+                vec![
+                    ("id", (*id).into()),
+                    ("runs", Value::Arr(runs.iter().map(|&r| r.into()).collect())),
+                ],
+            ),
             Msg::Done { lease, run, rec } => {
-                // Splice the journal line (`{"run":N,...}`, minus its
-                // trailing newline) after the service envelope: field
-                // scanning makes the result both a valid `done` message
-                // and a valid record line.
-                let line = record_line(*run, rec);
-                format!(
-                    "{{\"type\":\"done\",\"lease\":{lease},{}",
-                    line[1..].trim_end()
-                )
+                let mut fields = vec![("lease", (*lease).into())];
+                fields.extend(record_fields(*run, rec));
+                ("done", fields)
             }
-            Msg::Ping => "{\"type\":\"ping\"}".into(),
-            Msg::Fin => "{\"type\":\"fin\"}".into(),
-        }
+            Msg::Ping => ("ping", Vec::new()),
+            Msg::Fin => ("fin", Vec::new()),
+        };
+        Value::obj([("type", kind.into())].into_iter().chain(fields)).to_string()
     }
 
     /// Parses one payload; any shape violation is a clean
     /// [`ServiceError::Protocol`] — the decoder must never panic, which
     /// the seeded torture tests below enforce.
-    pub(crate) fn decode(line: &str) -> Result<Msg, ServiceError> {
-        let field = |key: &str| -> Result<&str, ServiceError> {
-            json_str_field(line, key)
-                .ok_or_else(|| ServiceError::Protocol(format!("message lacks `{key}`: {line}")))
-        };
-        match field("type")? {
-            "hello" => Ok(Msg::Hello {
-                proto: parse_num(field("proto")?, "proto")?,
-                fingerprint: parse_fp(field("fingerprint")?)?,
-                runs: parse_num(field("runs")?, "runs")?,
-                model: field("model")?.to_string(),
-            }),
-            "welcome" => Ok(Msg::Welcome {
-                fingerprint: parse_fp(field("fingerprint")?)?,
-            }),
-            "reject" => Ok(Msg::Reject {
-                reason: field("reason")?.to_string(),
-            }),
-            "lease" => Ok(Msg::Lease {
-                id: parse_num(field("id")?, "id")?,
-                runs: parse_run_array(line)?,
-            }),
+    pub(crate) fn decode(payload: &str) -> Result<Msg, ServiceError> {
+        let bad = |what: &str| ServiceError::Protocol(format!("{what}: {payload}"));
+        let v = json::parse(payload).map_err(|e| bad(&e))?;
+        Msg::from_value(&v).ok_or_else(|| bad("unknown or malformed message"))
+    }
+
+    fn from_value(v: &Value) -> Option<Msg> {
+        let fingerprint = || u64::from_str_radix(v.get("fingerprint")?.as_str()?, 16).ok();
+        Some(match v.get("type")?.as_str()? {
+            "hello" => Msg::Hello {
+                proto: v.get("proto")?.as_num()?,
+                fingerprint: fingerprint()?,
+                runs: v.get("runs")?.as_num()?,
+                model: v.get("model")?.as_str()?.to_string(),
+            },
+            "welcome" => Msg::Welcome {
+                fingerprint: fingerprint()?,
+            },
+            "reject" => Msg::Reject {
+                reason: v.get("reason")?.as_str()?.to_string(),
+            },
+            "lease" => Msg::Lease {
+                id: v.get("id")?.as_num()?,
+                runs: v
+                    .get("runs")?
+                    .as_arr()?
+                    .iter()
+                    .map(Value::as_num)
+                    .collect::<Option<_>>()?,
+            },
             "done" => {
-                let lease = parse_num(field("lease")?, "lease")?;
-                let (run, rec) = parse_record_line(line).ok_or_else(|| {
-                    ServiceError::Protocol(format!("done frame embeds no record line: {line}"))
-                })?;
-                Ok(Msg::Done { lease, run, rec })
+                let (run, rec) = record_from(v)?;
+                Msg::Done {
+                    lease: v.get("lease")?.as_num()?,
+                    run,
+                    rec,
+                }
             }
-            "ping" => Ok(Msg::Ping),
-            "fin" => Ok(Msg::Fin),
-            other => Err(ServiceError::Protocol(format!(
-                "unknown message type `{other}`"
-            ))),
-        }
+            "ping" => Msg::Ping,
+            "fin" => Msg::Fin,
+            _ => return None,
+        })
     }
-}
-
-/// Field scan in the journal's restricted dialect, like the supervisor's
-/// `json_field` but tolerant of `[` so a `lease` message's scalar fields
-/// parse even with the runs array present.
-fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}', ']'])?;
-    Some(rest[..end].trim_matches('"'))
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str, key: &str) -> Result<T, ServiceError> {
-    s.parse()
-        .map_err(|_| ServiceError::Protocol(format!("unparseable `{key}`: {s}")))
-}
-
-fn parse_fp(s: &str) -> Result<u64, ServiceError> {
-    u64::from_str_radix(s, 16)
-        .map_err(|_| ServiceError::Protocol(format!("unparseable fingerprint: {s}")))
-}
-
-fn parse_run_array(line: &str) -> Result<Vec<usize>, ServiceError> {
-    let start = line
-        .find("\"runs\":[")
-        .ok_or_else(|| ServiceError::Protocol(format!("lease lacks runs array: {line}")))?
-        + "\"runs\":[".len();
-    let rest = &line[start..];
-    let end = rest
-        .find(']')
-        .ok_or_else(|| ServiceError::Protocol(format!("unterminated runs array: {line}")))?;
-    let body = &rest[..end];
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',')
-        .map(|s| parse_num(s.trim(), "runs entry"))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classify::RunDetail;
+    use crate::supervisor::{parse_record_line, record_line};
     use gpufi_metrics::FaultEffect;
     use std::io::BufReader;
 
@@ -335,6 +299,41 @@ mod tests {
             let payload = read_frame(&mut BufReader::new(&frame[..])).unwrap();
             assert_eq!(Msg::decode(&payload).unwrap(), msg, "{payload}");
         }
+    }
+
+    /// The exact payload bytes of every sample message: the wire format is
+    /// shared with workers built from other revisions of `PROTO_VERSION` 3.
+    #[test]
+    fn sample_payload_bytes_are_pinned() {
+        let expected = [
+            r#"{"type":"hello","proto":3,"fingerprint":"deadbeef12345678","runs":300,"model":"stuck-at-1"}"#,
+            r#"{"type":"welcome","fingerprint":"deadbeef12345678"}"#,
+            r#"{"type":"reject","reason":"campaign fingerprint mismatch"}"#,
+            r#"{"type":"lease","id":7,"runs":[0,2,3,11]}"#,
+            r#"{"type":"lease","id":8,"runs":[]}"#,
+            r#"{"type":"done","lease":7,"run":11,"effect":"SDC","cycles":4242,"applied":true,"early_exit":false,"ckpt":17,"detail":"","stratum":3}"#,
+            r#"{"type":"ping"}"#,
+            r#"{"type":"fin"}"#,
+        ];
+        let msgs = sample_msgs();
+        assert_eq!(msgs.len(), expected.len());
+        for (msg, want) in msgs.iter().zip(expected) {
+            assert_eq!(msg.encode(), want);
+        }
+    }
+
+    /// A reason is free text: quotes, commas and braces reach the worker
+    /// as written.
+    #[test]
+    fn reject_reasons_round_trip_verbatim() {
+        let msg = Msg::Reject {
+            reason:
+                r#"fault model mismatch: coordinator runs "stuck-at-1", worker runs {transient}"#
+                    .into(),
+        };
+        let frame = encode_frame(&msg.encode());
+        let payload = read_frame(&mut BufReader::new(&frame[..])).unwrap();
+        assert_eq!(Msg::decode(&payload).unwrap(), msg);
     }
 
     #[test]
@@ -440,6 +439,30 @@ mod tests {
         }
     }
 
+    /// Flips 1..4 bytes of `bytes`, truncates it, or splices it mid-way
+    /// with another `corpus` entry.
+    fn mutate(rng: &mut Xs, bytes: &mut Vec<u8>, corpus: &[Vec<u8>]) {
+        match rng.next() % 3 {
+            0 => {
+                for _ in 0..=(rng.next() % 3) {
+                    let i = (rng.next() as usize) % bytes.len();
+                    bytes[i] ^= (rng.next() % 255 + 1) as u8;
+                }
+            }
+            1 => {
+                let cut = (rng.next() as usize) % bytes.len();
+                bytes.truncate(cut);
+            }
+            _ => {
+                let other = &corpus[(rng.next() as usize) % corpus.len()];
+                let a = (rng.next() as usize) % bytes.len();
+                let b = (rng.next() as usize) % other.len();
+                bytes.truncate(a);
+                bytes.extend_from_slice(&other[b..]);
+            }
+        }
+    }
+
     #[test]
     fn seeded_corruption_torture_never_panics() {
         // 2048 seeded mutations of valid frames: flip bytes, truncate,
@@ -450,41 +473,70 @@ mod tests {
             .map(|m| encode_frame(&m.encode()))
             .collect();
         let mut rng = Xs(0x9e37_79b9_7f4a_7c15);
-        for round in 0..2048 {
+        for _ in 0..2048 {
             let mut frame = corpus[(rng.next() as usize) % corpus.len()].clone();
-            match rng.next() % 3 {
-                0 => {
-                    // Flip 1..4 bytes anywhere.
-                    for _ in 0..=(rng.next() % 3) {
-                        let i = (rng.next() as usize) % frame.len();
-                        frame[i] ^= (rng.next() % 255 + 1) as u8;
-                    }
-                }
-                1 => {
-                    let cut = (rng.next() as usize) % frame.len();
-                    frame.truncate(cut);
-                }
-                _ => {
-                    // Splice two frames mid-way.
-                    let other = &corpus[(rng.next() as usize) % corpus.len()];
-                    let a = (rng.next() as usize) % frame.len();
-                    let b = (rng.next() as usize) % other.len();
-                    frame.truncate(a);
-                    frame.extend_from_slice(&other[b..]);
-                }
-            }
+            mutate(&mut rng, &mut frame, &corpus);
             let mut r = BufReader::new(&frame[..]);
             if let Ok(payload) = read_frame(&mut r) {
                 // Frame survived corruption; the decoder must still be
                 // panic-free whatever the payload became.
                 let _ = Msg::decode(&payload);
             }
-            let _ = round;
+        }
+    }
+
+    /// Two benchmarks of a real `gpufi analyze --json` report.
+    const ANALYZE_JSON: &str = r#"{"benchmarks":[{"bench":"NW","card":"RTX 2060","golden_cycles":65575,"rf_reg_prunable_mass":0.136364,"rf_bit_prunable_mass":0.147727,"kernels":[{"kernel":"nw_diagonal","cycles":65575,"regs":22,"dead_regs":[5,13,14],"dead_bits":104,"bit_fraction":0.147727,"reachable_instrs":24,"mean_known_bits_per_reg":0.0530}]},{"bench":"SP","card":"RTX 2060","golden_cycles":1342,"rf_reg_prunable_mass":0.052632,"rf_bit_prunable_mass":0.062500,"kernels":[{"kernel":"scalar_prod","cycles":1342,"regs":19,"dead_regs":[3],"dead_bits":38,"bit_fraction":0.062500,"reachable_instrs":32,"mean_known_bits_per_reg":0.9457}]}]}"#;
+
+    /// The JSON codec over 4096 seeded mutations of real inputs — every
+    /// journal record shape, a journal header, every sample payload and an
+    /// `analyze --json` report: each mutant must fail to parse, or parse to
+    /// a value whose encoding parses back to the same value; the record
+    /// and message decoders must not panic on it either.
+    #[test]
+    fn json_codec_rejects_or_round_trips_mutated_inputs() {
+        let mut corpus: Vec<Vec<u8>> = sample_msgs()
+            .iter()
+            .map(|m| m.encode().into_bytes())
+            .collect();
+        corpus.push(br#"{"v":1,"fingerprint":"0123456789abcdef","runs":300}"#.to_vec());
+        corpus.push(ANALYZE_JSON.as_bytes().to_vec());
+        for (i, effect) in FaultEffect::ALL.into_iter().enumerate() {
+            for (j, detail) in RunDetail::ALL.into_iter().enumerate() {
+                let rec = RunRecord {
+                    effect,
+                    cycles: 977 * j as u64,
+                    applied: i % 2 == 0,
+                    early_exit: j % 2 == 0,
+                    ckpt_skipped_cycles: 17 * i as u64,
+                    detail,
+                    stratum: (j % 3 == 0).then_some(j as u32),
+                };
+                corpus.push(
+                    record_line(i * 100 + j, &rec)
+                        .trim_end()
+                        .as_bytes()
+                        .to_vec(),
+                );
+            }
+        }
+        let mut rng = Xs(0x2545_f491_4f6c_dd1d);
+        for round in 0..4096 {
+            let mut bytes = corpus[(rng.next() as usize) % corpus.len()].clone();
+            mutate(&mut rng, &mut bytes, &corpus);
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = parse_record_line(&text);
+            let _ = Msg::decode(&text);
+            if let Ok(v) = json::parse(&text) {
+                let again = json::parse(&v.to_string());
+                assert_eq!(again.as_ref(), Ok(&v), "round {round}: {text}");
+            }
         }
     }
 
     #[test]
     fn decoder_rejects_wrong_shapes_cleanly() {
+        let done = sample_msgs()[5].encode();
         for bad in [
             "",
             "{}",
@@ -497,6 +549,9 @@ mod tests {
             "{\"type\":\"lease\",\"id\":1,\"runs\":[1,,2]}",
             "{\"type\":\"lease\",\"id\":1,\"runs\":[1",
             "{\"type\":\"done\",\"lease\":1}",
+            // Complete record fields inside a malformed object.
+            &format!("{},}}", &done[..done.len() - 1]),
+            &format!("{done} junk }}"),
             // A v2 message v3 dropped.
             "{\"type\":\"lease_done\",\"id\":7}",
         ] {

@@ -13,8 +13,9 @@
 //!   stderr backtrace, so sibling workers are untouched;
 //! * **process death**: an interrupted campaign must not lose thousands of
 //!   completed runs.  [`RunJournal`] appends one fsync'd JSON line per
-//!   completed run; `run_campaign` resumes from the journal and schedules
-//!   only the missing run indices.
+//!   completed run, written and read with [`crate::json`]; `run_campaign`
+//!   resumes from the journal and schedules only the missing run indices,
+//!   treating the first line that does not parse as a torn tail.
 //!
 //! The journal is bound to its campaign by a [`campaign_fingerprint`] —
 //! a hash over every configuration field that influences per-run records
@@ -23,6 +24,7 @@
 
 use crate::campaign::{CampaignConfig, RunRecord, DEFAULT_CHECKPOINT_BUDGET};
 use crate::classify::RunDetail;
+use crate::json::{self, Value};
 use gpufi_metrics::FaultEffect;
 use std::cell::{Cell, RefCell};
 use std::fs::{File, OpenOptions};
@@ -178,69 +180,65 @@ pub struct RunJournal {
     nanos: AtomicU64,
 }
 
-/// One journal line.  Values never contain `,`, `{`, `}` or `"`, so the
-/// reader can parse with plain field scans instead of a JSON dependency.
-/// The trailing `stratum` field appears only on stratified-campaign
-/// records, keeping flat journals byte-identical to previous versions.
-/// The distributed service streams these exact lines over its wire
-/// protocol, so the codec is crate-visible.
+/// The fields of one run record, in journal order.  The trailing
+/// `stratum` field appears only on stratified-campaign records, keeping
+/// flat journals byte-identical to previous versions.  The distributed
+/// service's `done` frame carries these same fields after its own, so
+/// the frame and the journal line cannot drift.
+pub(crate) fn record_fields(run: usize, r: &RunRecord) -> Vec<(&'static str, Value)> {
+    let mut fields = vec![
+        ("run", run.into()),
+        ("effect", r.effect.name().into()),
+        ("cycles", r.cycles.into()),
+        ("applied", r.applied.into()),
+        ("early_exit", r.early_exit.into()),
+        ("ckpt", r.ckpt_skipped_cycles.into()),
+        ("detail", r.detail.as_str().into()),
+    ];
+    if let Some(s) = r.stratum {
+        fields.push(("stratum", s.into()));
+    }
+    fields
+}
+
+/// One journal line: [`record_fields`] as a JSON object.
 pub(crate) fn record_line(run: usize, r: &RunRecord) -> String {
-    let stratum = match r.stratum {
-        Some(s) => format!(",\"stratum\":{s}"),
-        None => String::new(),
-    };
-    format!(
-        "{{\"run\":{run},\"effect\":\"{}\",\"cycles\":{},\"applied\":{},\"early_exit\":{},\
-         \"ckpt\":{},\"detail\":\"{}\"{stratum}}}\n",
-        r.effect.name(),
-        r.cycles,
-        r.applied,
-        r.early_exit,
-        r.ckpt_skipped_cycles,
-        r.detail.as_str(),
-    )
+    format!("{}\n", Value::obj(record_fields(run, r)))
 }
 
 fn header_line(fingerprint: u64, runs: usize) -> String {
-    format!("{{\"v\":1,\"fingerprint\":\"{fingerprint:016x}\",\"runs\":{runs}}}\n")
+    let header = Value::obj([
+        ("v", 1u8.into()),
+        ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
+        ("runs", runs.into()),
+    ]);
+    format!("{header}\n")
 }
 
-/// Extracts the raw value of `"key":` from a single-line JSON object
-/// (up to the next `,` or `}`), with surrounding quotes stripped.
-pub(crate) fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim_matches('"'))
-}
-
-pub(crate) fn parse_record_line(line: &str) -> Option<(usize, RunRecord)> {
-    if !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
-    let run: usize = json_field(line, "run")?.parse().ok()?;
-    let effect = FaultEffect::parse(json_field(line, "effect")?)?;
-    let parse_bool = |v: &str| match v {
-        "true" => Some(true),
-        "false" => Some(false),
-        _ => None,
-    };
+/// Reads [`record_fields`] back out of an object; other members (a `done`
+/// frame's envelope) are ignored.
+pub(crate) fn record_from(v: &Value) -> Option<(usize, RunRecord)> {
     Some((
-        run,
+        v.get("run")?.as_num()?,
         RunRecord {
-            effect,
-            cycles: json_field(line, "cycles")?.parse().ok()?,
-            applied: parse_bool(json_field(line, "applied")?)?,
-            early_exit: parse_bool(json_field(line, "early_exit")?)?,
-            ckpt_skipped_cycles: json_field(line, "ckpt")?.parse().ok()?,
-            detail: RunDetail::parse(json_field(line, "detail")?)?,
-            stratum: match json_field(line, "stratum") {
-                Some(v) => Some(v.parse().ok()?),
+            effect: FaultEffect::parse(v.get("effect")?.as_str()?)?,
+            cycles: v.get("cycles")?.as_num()?,
+            applied: v.get("applied")?.as_bool()?,
+            early_exit: v.get("early_exit")?.as_bool()?,
+            ckpt_skipped_cycles: v.get("ckpt")?.as_num()?,
+            detail: RunDetail::parse(v.get("detail")?.as_str()?)?,
+            stratum: match v.get("stratum") {
+                Some(s) => Some(s.as_num()?),
                 None => None,
             },
         },
     ))
+}
+
+/// Parses one journal line; `None` for anything that is not a complete,
+/// well-formed record.
+pub(crate) fn parse_record_line(line: &str) -> Option<(usize, RunRecord)> {
+    record_from(&json::parse(line).ok()?)
 }
 
 impl RunJournal {
@@ -288,7 +286,10 @@ impl RunJournal {
             }
             let line = chunk.trim_end_matches(['\n', '\r']);
             if !saw_header {
-                let fp = json_field(line, "fingerprint")
+                let header = json::parse(line).ok();
+                let fp = header
+                    .as_ref()
+                    .and_then(|h| h.get("fingerprint")?.as_str())
                     .ok_or_else(|| format!("journal `{path}` has no fingerprint header"))?;
                 if fp != format!("{fingerprint:016x}") {
                     return Err(format!(
@@ -297,8 +298,9 @@ impl RunJournal {
                          delete it or drop --resume"
                     ));
                 }
-                let jr: usize = json_field(line, "runs")
-                    .and_then(|v| v.parse().ok())
+                let jr: usize = header
+                    .as_ref()
+                    .and_then(|h| h.get("runs")?.as_num())
                     .ok_or_else(|| format!("journal `{path}` has a malformed header"))?;
                 if jr != runs {
                     return Err(format!(
@@ -553,6 +555,26 @@ mod tests {
         assert!(!flat.contains("stratum"), "{flat}");
     }
 
+    /// Byte pin over every record shape and the header: the journal's
+    /// bytes are part of its format (`--resume` and `diff` rely on them),
+    /// so any codec change must leave this hash alone.
+    #[test]
+    fn record_and_header_bytes_are_pinned() {
+        let mut all = header_line(0x0123_4567_89ab_cdef, 300);
+        for effect in FaultEffect::ALL {
+            for detail in RunDetail::ALL {
+                for stratum in [None, Some(0), Some(417)] {
+                    let r = RunRecord {
+                        stratum,
+                        ..rec(effect, detail)
+                    };
+                    all.push_str(&record_line(7, &r));
+                }
+            }
+        }
+        assert_eq!(fnv1a(all.as_bytes()), 0x0359_0e10_717a_7dea, "{all}");
+    }
+
     #[test]
     fn torn_and_corrupt_lines_are_rejected() {
         let r = rec(FaultEffect::Sdc, RunDetail::None);
@@ -564,6 +586,11 @@ mod tests {
             parse_record_line("{\"run\":1,\"effect\":\"Bogus\",\"cycles\":1}"),
             None
         );
+        // Well-formed fields inside a malformed object.
+        let line = full.trim_end();
+        let trailing_comma = format!("{},}}", &line[..line.len() - 1]);
+        assert_eq!(parse_record_line(&trailing_comma), None);
+        assert_eq!(parse_record_line(&format!("{line} junk }}")), None);
     }
 
     #[test]
@@ -827,12 +854,12 @@ mod tests {
         }
         j.finalize_canonical().unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let runs: Vec<&str> = text
+        let runs: Vec<usize> = text
             .lines()
             .skip(1)
-            .map(|l| json_field(l, "run").unwrap())
+            .map(|l| parse_record_line(l).unwrap().0)
             .collect();
-        assert_eq!(runs, ["0", "1", "2", "3"]);
+        assert_eq!(runs, [0, 1, 2, 3]);
         // Idempotent, and still a valid journal for resume.
         j.finalize_canonical().unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);

@@ -1,11 +1,10 @@
 //! Backward dataflow liveness at **bit** granularity.
 //!
-//! This generalizes [`super::liveness`] from whole-register sets to
-//! per-register 32-bit *live-bit masks*: bit `b` of register `r` is live at
-//! a program point when some execution continuing from that point can
-//! observe the value of that bit.  The transfer functions translate demand
-//! through the data path instead of treating every read as a full-width
-//! use:
+//! A may-liveness fixpoint over per-register 32-bit *live-bit masks*: bit
+//! `b` of register `r` is live at a program point when some execution
+//! continuing from that point can observe the value of that bit.  The
+//! transfer functions translate demand through the data path instead of
+//! treating every read as a full-width use:
 //!
 //! - `AND Rd, Ra, imm` demands of `Ra` only the bits the mask keeps (and
 //!   `OR` only the bits the mask does not force to one);
@@ -17,18 +16,19 @@
 //!   conservatively widen to all 32 bits (for addresses unconditionally:
 //!   a flipped address bit can fault even when the loaded value is dead).
 //!
-//! Soundness mirrors the register-level analysis: a predicated definition
-//! does not kill, reads always gen (including guard predicates), and joins
-//! union.  The derived [`BitLiveness::dead_bit_masks`] therefore
-//! over-approximates nothing: a bit in no reachable instruction's live-in
-//! mask can never flow into an observable value, so a transient fault
-//! flipped into it is architecturally masked — the bit-ACE criterion the
-//! campaign's `static_dead_bit` prune consults.  By construction every bit
-//! gen is a subset of a register-level read, so bit liveness *refines*
-//! register liveness: it never marks a bit live inside a register the
-//! register-level analysis proves dead.
+//! The transfer function is guard-aware: a predicated definition does not
+//! kill (when the guard is false the old value survives), reads always gen
+//! (including guard predicates and `SEL`'s selector), and joins union.
+//! The derived [`BitLiveness::dead_bit_masks`] therefore over-approximates
+//! nothing: a bit in no reachable instruction's live-in mask can never
+//! flow into an observable value, so a transient fault flipped into it is
+//! architecturally masked — the bit-ACE criterion the campaign's
+//! `static_dead_bit` prune consults.  By construction every bit
+//! gen is a subset of a register read, so bit liveness *refines*
+//! [`super::liveness::dead_registers`]: it never marks a bit live inside a
+//! register no reachable instruction reads.
 
-use super::cfg::instr_succs;
+use super::cfg::{instr_succs, Cfg};
 use crate::instr::{Instr, Op, Operand};
 use crate::op::BitOp;
 use crate::Kernel;
@@ -110,7 +110,6 @@ fn def_pred(op: &Op) -> Option<u8> {
 #[derive(Debug, Clone)]
 pub struct BitLiveness {
     live_in: Vec<BitLiveSet>,
-    live_out: Vec<BitLiveSet>,
     reachable: Vec<bool>,
     nregs: usize,
 }
@@ -127,23 +126,7 @@ impl BitLiveness {
             .map_or(0, |m| m as usize + 1)
             .max(kernel.num_regs() as usize);
         let mut live_in = vec![BitLiveSet::empty(nregs); n];
-        let mut live_out = vec![BitLiveSet::empty(nregs); n];
-
-        // Reachability from instruction 0 over the same successor relation
-        // as the register-level analysis.
-        let mut reachable = vec![false; n];
-        if n > 0 {
-            let mut stack = vec![0usize];
-            reachable[0] = true;
-            while let Some(i) = stack.pop() {
-                for s in instr_succs(instrs, i) {
-                    if !reachable[s] {
-                        reachable[s] = true;
-                        stack.push(s);
-                    }
-                }
-            }
-        }
+        let reachable = Cfg::build(instrs).reachable_instrs();
 
         let mut changed = true;
         while changed {
@@ -154,10 +137,6 @@ impl BitLiveness {
                     out.union_with(&live_in[s]);
                 }
                 let inn = transfer(&instrs[i], &out);
-                if live_out[i] != out {
-                    live_out[i] = out;
-                    changed = true;
-                }
                 if live_in[i] != inn {
                     live_in[i] = inn;
                     changed = true;
@@ -167,7 +146,6 @@ impl BitLiveness {
 
         BitLiveness {
             live_in,
-            live_out,
             reachable,
             nregs,
         }
@@ -176,16 +154,6 @@ impl BitLiveness {
     /// Live-in set of instruction `i`.
     pub fn live_in(&self, i: usize) -> &BitLiveSet {
         &self.live_in[i]
-    }
-
-    /// Live-out set of instruction `i`.
-    pub fn live_out(&self, i: usize) -> &BitLiveSet {
-        &self.live_out[i]
-    }
-
-    /// Whether instruction `i` is reachable from the kernel entry.
-    pub fn is_reachable(&self, i: usize) -> bool {
-        self.reachable[i]
     }
 
     /// The union of live-in bit masks over every reachable instruction:

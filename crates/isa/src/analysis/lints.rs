@@ -31,7 +31,7 @@
 use super::cfg::{instr_succs, Cfg};
 use super::dom::{reconvergence_violations, DomInfo};
 use super::known_bits::KnownBitsAnalysis;
-use super::liveness::Liveness;
+use super::liveness::RegUse;
 use crate::instr::{Guard, MemSpace, Op, Operand};
 use crate::op::{BitOp, IntOp};
 use crate::reg::SpecialReg;
@@ -197,7 +197,7 @@ impl fmt::Display for Finding {
 pub fn lint_kernel(kernel: &Kernel) -> Vec<Finding> {
     let cfg = Cfg::build(kernel.instrs());
     let dom = DomInfo::compute(&cfg);
-    let liveness = Liveness::compute(kernel);
+    let reg_use = RegUse::scan(kernel, &cfg);
 
     let mut findings = Vec::new();
     findings.extend(lint_unreachable(&cfg));
@@ -206,7 +206,7 @@ pub fn lint_kernel(kernel: &Kernel) -> Vec<Finding> {
             .into_iter()
             .map(|(ssy, target)| Finding::BadReconvergence { ssy, target }),
     );
-    findings.extend(lint_write_never_read(kernel, &liveness));
+    findings.extend(lint_write_never_read(kernel, &reg_use));
     findings.extend(lint_uninitialized(kernel, &cfg));
     findings.extend(lint_barrier_divergence(kernel));
     findings.extend(lint_shared_races(kernel, &cfg));
@@ -241,12 +241,12 @@ fn lint_unreachable(cfg: &Cfg) -> Vec<Finding> {
     out
 }
 
-fn lint_write_never_read(kernel: &Kernel, liveness: &Liveness) -> Vec<Finding> {
+fn lint_write_never_read(kernel: &Kernel, reg_use: &RegUse) -> Vec<Finding> {
     let mut out = Vec::new();
-    for r in liveness.write_never_read() {
+    for r in reg_use.write_never_read() {
         let first_write = (0..kernel.instrs().len())
             .find(|&i| {
-                liveness.is_reachable(i)
+                reg_use.is_reachable(i)
                     && kernel.instrs()[i].op.dest_reg().map(Reg::index) == Some(r)
             })
             .unwrap_or(0);

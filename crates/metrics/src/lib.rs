@@ -27,6 +27,6 @@ pub use effect::{FaultEffect, Tally};
 pub use fit::{chip_fit, raw_fit_per_bit, structure_fit};
 pub use stat::{margin_of_error, sample_size, z_score};
 pub use stratified::{
-    neyman_allocation, proportional_allocation, stratified_estimate, ClassEstimate,
-    StratifiedEstimate, StratumObservation,
+    proportional_allocation, stratified_estimate, ClassEstimate, StratifiedEstimate,
+    StratumObservation,
 };

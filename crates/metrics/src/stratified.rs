@@ -23,10 +23,8 @@
 //! CI(c)  = z · sqrt(Var(c))
 //! ```
 //!
-//! Both allocation rules are provided: **proportional** (`n_s ∝ W_s`, the
-//! deterministic default of the campaign engine) and **Neyman**
-//! (`n_s ∝ W_s·σ_s`, for budget re-allocation once per-stratum variances
-//! are known from a pilot).
+//! The budget is split by **proportional** allocation (`n_s ∝ W_s`,
+//! deterministic, one-run floor per live stratum).
 
 use crate::effect::{FaultEffect, Tally};
 use crate::stat::z_score;
@@ -184,44 +182,6 @@ pub fn stratified_estimate(
 /// Panics when `budget` is smaller than the number of positive-weight
 /// strata (the allocation would be degenerate) or a weight is negative.
 pub fn proportional_allocation(weights: &[f64], budget: usize) -> Vec<usize> {
-    allocate(weights, budget)
-}
-
-/// Neyman budget allocation: `n_s ∝ w_s·σ_s`, minimizing the estimator
-/// variance for a fixed budget when per-stratum standard deviations are
-/// known (e.g. from a pilot pass).  Falls back to proportional allocation
-/// when every product is zero.  Same floor/rounding/panic rules as
-/// [`proportional_allocation`].
-pub fn neyman_allocation(weights: &[f64], sds: &[f64], budget: usize) -> Vec<usize> {
-    assert_eq!(weights.len(), sds.len(), "weights/sds length mismatch");
-    let scaled: Vec<f64> = weights
-        .iter()
-        .zip(sds)
-        .map(|(&w, &s)| {
-            assert!(s >= 0.0, "negative standard deviation");
-            w * s
-        })
-        .collect();
-    if scaled.iter().all(|&x| x == 0.0) {
-        return allocate(weights, budget);
-    }
-    // Positive-weight strata with zero variance still need their ≥1 floor,
-    // so allocate over the scaled weights but keep the original support.
-    let support: Vec<f64> = weights
-        .iter()
-        .zip(&scaled)
-        .map(|(&w, &x)| {
-            if w > 0.0 && x == 0.0 {
-                f64::MIN_POSITIVE
-            } else {
-                x
-            }
-        })
-        .collect();
-    allocate(&support, budget)
-}
-
-fn allocate(weights: &[f64], budget: usize) -> Vec<usize> {
     let positive: Vec<usize> = weights
         .iter()
         .enumerate()
@@ -513,21 +473,6 @@ mod tests {
     #[should_panic(expected = "budget")]
     fn proportional_allocation_rejects_starved_budget() {
         proportional_allocation(&[0.5, 0.5], 1);
-    }
-
-    #[test]
-    fn neyman_shifts_budget_to_noisy_strata() {
-        let w = [0.5, 0.5];
-        let sds = [0.0, 0.5];
-        let a = neyman_allocation(&w, &sds, 10);
-        assert_eq!(a.iter().sum::<usize>(), 10);
-        // The zero-variance stratum keeps its floor, the rest goes to the
-        // noisy one.
-        assert_eq!(a[0], 1);
-        assert_eq!(a[1], 9);
-        // All-zero variances: proportional fallback.
-        let a = neyman_allocation(&w, &[0.0, 0.0], 10);
-        assert_eq!(a, vec![5, 5]);
     }
 
     #[test]

@@ -49,18 +49,13 @@ fn stratified_estimate_agrees_with_a_flat_campaign_five_times_its_size() {
 
     // Two-level agreement: |p̂_strat − p̂_flat| within the stratified
     // half-width plus the flat campaign's own Leveugle margin.
-    let flat_margin = margin_of_error(0.99, flat_runs as u64, u64::MAX);
-    for e in FaultEffect::ALL {
-        let cls = summary.estimate.class(e);
+    let intervals = summary.agreement_intervals(flat_runs as u64);
+    for (e, interval) in FaultEffect::ALL.into_iter().zip(intervals) {
         let flat_p = flat.tally.fraction(e);
-        let tol = cls.half_width + flat_margin;
         assert!(
-            (cls.estimate - flat_p).abs() <= tol,
-            "{}: stratified {:.4} vs flat {:.4} (tol {:.4})",
-            e.name(),
-            cls.estimate,
-            flat_p,
-            tol
+            interval.contains(flat_p),
+            "{}: {interval:?} misses flat {flat_p:.4}",
+            e.name()
         );
     }
 

@@ -7,7 +7,7 @@
 //! worker death, not a stalled heartbeat, not a torn frame, not a
 //! duplicated ack, not a killed-and-resumed coordinator.
 
-use gpufi::core::campaign_csv;
+use gpufi::core::{campaign_csv, json};
 use gpufi::prelude::*;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -64,6 +64,11 @@ fn quick_svc() -> ServiceConfig {
         heartbeat_ms: 50,
         deadline_ms: 2_000,
     }
+}
+
+/// The run index of one journal record line; `None` for a torn line.
+fn run_of(line: &str) -> Option<usize> {
+    json::parse(line).ok()?.get("run")?.as_num()
 }
 
 /// The acceptance scenario: a GE register-file campaign dispatched to two
@@ -401,15 +406,7 @@ fn coordinator_resume_after_death_executes_no_run_twice() {
     // The dead coordinator's journal: complete lines survive, and they
     // are exactly the runs the second generation must skip.
     let text = std::fs::read_to_string(&dist_journal).unwrap();
-    let journaled: Vec<usize> = text
-        .lines()
-        .skip(1)
-        .filter(|l| l.starts_with('{') && l.ends_with('}'))
-        .filter_map(|l| {
-            let rest = &l[l.find("\"run\":")? + 6..];
-            rest[..rest.find([',', '}'])?].parse().ok()
-        })
-        .collect();
+    let journaled: Vec<usize> = text.lines().skip(1).filter_map(run_of).collect();
     assert!(
         journaled.len() >= 10,
         "journal holds {} records, expected >= 10 merges",
@@ -446,14 +443,7 @@ fn coordinator_resume_after_death_executes_no_run_twice() {
     );
     // Dedup by run index: the final journal covers 0..runs exactly once.
     let final_text = std::fs::read_to_string(&dist_journal).unwrap();
-    let mut seen: Vec<usize> = final_text
-        .lines()
-        .skip(1)
-        .filter_map(|l| {
-            let rest = &l[l.find("\"run\":")? + 6..];
-            rest[..rest.find([',', '}'])?].parse().ok()
-        })
-        .collect();
+    let mut seen: Vec<usize> = final_text.lines().skip(1).filter_map(run_of).collect();
     seen.sort_unstable();
     assert_eq!(seen, (0..runs).collect::<Vec<_>>());
     std::fs::remove_file(&serial_journal).ok();
