@@ -769,21 +769,32 @@ pub(crate) struct RunEnv<'a> {
 }
 
 impl RunEnv<'_> {
-    /// Executes one pre-drawn injection run and classifies it.
-    fn one_run(&self, run: &RunPlan) -> (RunRecord, OracleVerdict) {
+    /// Executes one pre-drawn injection run on the client's device and
+    /// classifies it.
+    fn one_run(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> (RunRecord, OracleVerdict) {
         let RunEnv { cfg, golden, .. } = *self;
         let golden_cycles = golden.total_cycles();
-        let mut gpu = Gpu::new(self.card.clone());
         // Fork from the nearest checkpoint at or before the first injection
         // cycle — state up to that cycle is bit-identical to the golden
-        // run's, so the head of the run need not be re-simulated.
-        let mut ckpt_skipped_cycles = 0;
-        if let Some(store) = &self.store {
-            if let Some(idx) = store.nearest_at_or_before(run.first_cycle) {
+        // run's, so the head of the run need not be re-simulated.  The fork
+        // restores the client's device in place; a run with no such
+        // checkpoint starts cold on a fresh one.
+        let fork = self.store.as_ref().and_then(|store| {
+            let idx = store.nearest_at_or_before(run.first_cycle)?;
+            Some((store, idx))
+        });
+        let (gpu, ckpt_skipped_cycles) = match fork {
+            Some((store, idx)) => {
+                let gpu = gpu.get_or_insert_with(|| Gpu::new(self.card.clone()));
                 gpu.resume_from(store, idx);
-                ckpt_skipped_cycles = store.snapshot_cycle(idx);
+                (gpu, store.snapshot_cycle(idx))
             }
-        }
+            None => {
+                // Free the previous device before allocating its successor.
+                *gpu = None;
+                (gpu.insert(Gpu::new(self.card.clone())), 0)
+            }
+        };
         gpu.arm_faults(run.plan.clone());
         gpu.set_watchdog(golden_cycles * 2);
         if cfg.max_run_ms > 0 {
@@ -794,7 +805,7 @@ impl RunEnv<'_> {
         // state can be compared against the oracle's prediction.
         gpu.set_early_exit(cfg.early_exit && self.oracle_img.is_none());
         gpu.set_early_exit_probe(self.oracle_img.is_some());
-        let result = self.workload.run(&mut gpu);
+        let result = self.workload.run(gpu);
         // What fault-lifetime early exit records: every fault's lifetime
         // ended with the machine state equal to the golden run's, so the
         // remaining execution is the golden execution.
@@ -839,22 +850,25 @@ impl RunEnv<'_> {
         (rec, verdict)
     }
 
-    /// Run index `i` under supervision — the one retry policy of every
-    /// executor.  A panicking attempt is caught and retried once,
-    /// immediately, to tell deterministic poison runs from incidental
-    /// failures; a reproduced panic becomes the poison verdict — Crash,
-    /// `sim_panic` — with deterministic placeholder fields, so a resumed
-    /// campaign reproduces it bit for bit.
-    pub(crate) fn supervised_run(&self, i: usize, run: &RunPlan) -> Outcome {
+    /// Run index `i` under supervision on the client's device `gpu` — the
+    /// one retry policy of every executor.  A panicking attempt is caught
+    /// and retried once, immediately, to tell deterministic poison runs
+    /// from incidental failures; a reproduced panic becomes the poison
+    /// verdict — Crash, `sim_panic` — with deterministic placeholder
+    /// fields, so a resumed campaign reproduces it bit for bit.  A panic
+    /// drops the device it left half-mutated, so the retry (and every
+    /// later run) starts from a fresh one.
+    pub(crate) fn supervised_run(&self, gpu: &mut Option<Gpu>, i: usize, run: &RunPlan) -> Outcome {
         for attempt in 0..2 {
             let out = catch_run(|| {
                 if let Some(h) = self.hook {
                     h(i, attempt);
                 }
-                self.one_run(run)
+                self.one_run(gpu, run)
             });
-            if let Ok((rec, verdict)) = out {
-                return (rec, verdict, attempt as usize);
+            match out {
+                Ok((rec, verdict)) => return (rec, verdict, attempt as usize),
+                Err(_) => *gpu = None,
             }
         }
         let poison = RunRecord {
@@ -1471,20 +1485,24 @@ pub fn run_campaign_with_hook(
     };
     let threads = cfg.effective_threads().clamp(1, p.pending.max(1));
 
-    // In-process clients of the board, each granted one run at a time;
-    // merge journals it immediately (crash safety).  Nothing is ever
-    // reclaimed in-process, so an idle client just waits for the end.
-    let client = || loop {
-        match p.board.grant(None, Duration::MAX) {
-            Grant::Lease(id, runs) => {
-                for i in runs {
-                    let out = env.supervised_run(i, &p.drawn.plans[i]);
-                    // Never refused: no chaos, and the lease is this client's.
-                    let _ = p.board.merge(None, id, i, out);
+    // In-process clients of the board, each granted one run at a time and
+    // forking every run on its one device; merge journals it immediately
+    // (crash safety).  Nothing is ever reclaimed in-process, so an idle
+    // client just waits for the end.
+    let client = || {
+        let mut gpu = None;
+        loop {
+            match p.board.grant(None, Duration::MAX) {
+                Grant::Lease(id, runs) => {
+                    for i in runs {
+                        let out = env.supervised_run(&mut gpu, i, &p.drawn.plans[i]);
+                        // Never refused: no chaos, and the lease is this client's.
+                        let _ = p.board.merge(None, id, i, out);
+                    }
                 }
+                Grant::Idle => {}
+                Grant::Done => break,
             }
-            Grant::Idle => {}
-            Grant::Done => break,
         }
     };
     if threads <= 1 {

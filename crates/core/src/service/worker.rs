@@ -158,6 +158,8 @@ pub fn run_worker_with_chaos(
         oracle_img: None,
         hook: None,
     };
+    // The one device every leased run forks on.
+    let mut gpu = None;
     let mut report = WorkerReport::default();
     let mut acks = 0usize;
 
@@ -183,7 +185,7 @@ pub fn run_worker_with_chaos(
                                 std::thread::sleep(Duration::from_millis(ms));
                             }
                         }
-                        let (rec, ..) = env.supervised_run(i, plan);
+                        let (rec, ..) = env.supervised_run(&mut gpu, i, plan);
                         let payload = Msg::Done {
                             lease: id,
                             run: i,

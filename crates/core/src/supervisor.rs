@@ -85,12 +85,15 @@ fn payload_message(payload: &dyn std::any::Any) -> String {
 /// caught and returned as its message instead of unwinding into the
 /// worker (and without the default hook's stderr noise).
 ///
-/// The closure is asserted unwind-safe because every supervised run
-/// constructs its `Gpu` *inside* `f` and only borrows shared inputs
+/// The closure is asserted unwind-safe.  A supervised run mutates exactly
+/// one thing across the boundary — its client's long-lived `Gpu`, which a
+/// panic leaves half-mutated — and `RunEnv::supervised_run` drops that
+/// device as soon as `f` unwinds, so the retry and every later run start
+/// from a fresh one.  Everything else is only borrowed shared
 /// ([`Workload`](crate::Workload) requires `RefUnwindSafe`, and
 /// `gpufi_sim` statically asserts it for the checkpoint store and
-/// config) — a panic can therefore strand no half-mutated state that any
-/// sibling or later retry could observe.
+/// config), so a panic strands no half-mutated state that any sibling or
+/// later run could observe.
 pub(crate) fn catch_run<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     install_hook();
     SUPERVISED.with(|s| s.set(true));

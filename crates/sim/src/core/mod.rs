@@ -171,7 +171,7 @@ enum CtaSite {
 /// One warp's architectural and microarchitectural state, stored
 /// structure-of-arrays: registers and ACE timestamps are per-register
 /// 32-lane rows, predicates and taints are lane bitmasks.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Warp {
     /// Warp index within its CTA.
     widx: u32,
@@ -203,6 +203,23 @@ struct Warp {
     /// digests and recorder budgets stay bit-identical.
     stuck: Vec<(WarpSite, bool)>,
 }
+
+clone_fields!(Warp {
+    widx,
+    pc,
+    active,
+    live,
+    stack,
+    ready_at,
+    at_barrier,
+    finished,
+    regs,
+    preds,
+    touch,
+    taint,
+    taint_cnt,
+    stuck,
+});
 
 impl Warp {
     /// Corrupts `site` under `stuck` (see [`force_bit`]); `false` when the
@@ -300,7 +317,7 @@ impl Warp {
 }
 
 /// One resident CTA: its shared memory, warps and barrier state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Cta {
     /// Linear CTA index within the grid.
     linear: u64,
@@ -315,6 +332,17 @@ struct Cta {
     /// Permanently stuck bits resident in this CTA (see [`Warp::stuck`]).
     stuck: Vec<(CtaSite, bool)>,
 }
+
+clone_fields!(Cta {
+    linear,
+    seq,
+    smem,
+    warps,
+    barrier_arrived,
+    live_warps,
+    smem_taints,
+    stuck,
+});
 
 impl Cta {
     /// Corrupts `site` under `stuck` (see [`force_bit`]); `false` when the
@@ -374,9 +402,10 @@ const WARP_ACCT_BYTES: usize = 160;
 const FRAME_ACCT_BYTES: usize = 12;
 
 /// A streaming multiprocessor.
-/// `Clone` is the checkpoint mechanism: every field is cloned wholesale so
-/// a snapshot can never silently omit state (see `crate::snapshot`).
-#[derive(Debug, Clone)]
+/// `Clone` is the checkpoint mechanism: every field is cloned (or, on
+/// restore, `clone_from`-ed in place) so a snapshot can never silently
+/// omit state (see `crate::snapshot`).
+#[derive(Debug)]
 pub struct SimtCore {
     id: usize,
     max_threads: u32,
@@ -423,6 +452,31 @@ pub struct SimtCore {
     /// instrumentation, not architectural state.
     read_trace: Option<Vec<u64>>,
 }
+
+clone_fields!(SimtCore {
+    id,
+    max_threads,
+    ctas,
+    cta_limit,
+    launch_seq,
+    last,
+    policy,
+    rr_cursor,
+    lat_alu,
+    lat_mul,
+    lat_sfu,
+    lat_smem,
+    cnt_threads,
+    cnt_live_warps,
+    finished_ctas,
+    instructions,
+    ace_reg_cycles,
+    escaped,
+    has_stuck,
+    capture_exits,
+    exit_log,
+    read_trace,
+});
 
 impl SimtCore {
     /// Creates an idle core for the given chip configuration.

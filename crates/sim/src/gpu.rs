@@ -528,15 +528,19 @@ impl Gpu {
         }
     }
 
-    /// Restores machine state from a snapshot.  The injection-run fields —
-    /// armed faults, watchdog, early-exit mode, injection records — are
-    /// deliberately untouched: they belong to the run doing the
-    /// restoring, not to the recorded execution.
+    /// Restores machine state from a snapshot, in place: every buffer
+    /// whose shape matches is overwritten rather than reallocated, and
+    /// cache arrays still holding this snapshot's contents are not copied
+    /// at all (see `clone_fields!` and the cache module).  The
+    /// injection-run fields — armed faults, watchdog, early-exit mode,
+    /// injection records — are deliberately untouched: they belong to the
+    /// run doing the restoring, not to the recorded execution
+    /// ([`Gpu::resume_from`] resets them).
     pub fn restore(&mut self, snap: &Snapshot) {
-        self.mem = snap.mem.clone();
-        self.cores = snap.cores.clone();
+        self.mem.clone_from(&snap.mem);
+        self.cores.clone_from(&snap.cores);
         self.cycle = snap.cycle;
-        self.stats = snap.stats.clone();
+        self.stats.clone_from(&snap.stats);
     }
 
     /// Starts checkpoint recording: every host API call is journaled, and
@@ -572,6 +576,11 @@ impl Gpu {
     /// and resumes the in-flight launch's cycle loop at the snapshot
     /// cycle.
     ///
+    /// Every injection-run field — watchdogs, armed faults and their
+    /// records, early-exit and probe flags — is reset to its
+    /// [`Gpu::new`] value, so one device can be forked run after run and
+    /// behave exactly like a fresh one each time.
+    ///
     /// Sound only when every armed fault fires at or after the snapshot
     /// cycle — the campaign picks
     /// [`CheckpointStore::nearest_at_or_before`] the first injection
@@ -582,7 +591,41 @@ impl Gpu {
     /// Panics if `idx` is out of range.
     pub fn resume_from(&mut self, store: &Arc<CheckpointStore>, idx: usize) {
         self.restore(&store.snapshots[idx]);
-        self.replay = Some(Replay {
+        // Exhaustive, so a new field has to say whether a fork resets it.
+        let Gpu {
+            // Chip and machine state: the restore above.
+            cfg: _,
+            mem: _,
+            cores: _,
+            cycle: _,
+            stats: _,
+            watchdog,
+            wall_deadline,
+            faults,
+            fault_model,
+            next_fault,
+            records,
+            early_exit,
+            replay,
+            ee_probe,
+            ee_would_exit,
+            // Golden-pass instruments, never combined with forking (see
+            // their setters).
+            recorder: _,
+            oracle: _,
+            trace_reg_reads: _,
+            reg_traces: _,
+        } = self;
+        *watchdog = None;
+        *wall_deadline = None;
+        faults.clear();
+        *fault_model = FaultModel::Transient;
+        *next_fault = 0;
+        records.clear();
+        *early_exit = false;
+        *ee_probe = false;
+        *ee_would_exit = false;
+        *replay = Some(Replay {
             store: Arc::clone(store),
             cursor: Cell::new(0),
             snapshot: idx,
@@ -896,7 +939,13 @@ impl Gpu {
                 p.thr_int += live_threads as f64 / active_sms as f64 * dtf;
                 p.cta_int += live_ctas as f64 / active_sms as f64 * dtf;
                 p.t_int += dt;
-                p.thread_cycles += live_threads * dt;
+                // Saturating: a fault in a warp's `ready_at` can fast-forward
+                // by ~2^58 cycles into the watchdog trap, which discards the
+                // integral — so debug and release builds must not differ
+                // (overflow panic vs wrap) on it.
+                p.thread_cycles = p
+                    .thread_cycles
+                    .saturating_add(live_threads.saturating_mul(dt));
             }
 
             self.cycle += dt;

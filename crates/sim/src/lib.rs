@@ -49,6 +49,28 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Implements `Clone` for a struct field by field.  `clone_from` forwards
+/// to every field's own `clone_from`, so restoring a checkpoint into an
+/// existing device reuses each `Vec`/`Option`/`String` buffer whose shape
+/// matches instead of reallocating it.  Both methods destructure the
+/// struct exhaustively: a field missing from the list is a compile error,
+/// so checkpoint state can never silently omit a new field.
+macro_rules! clone_fields {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Clone for $ty {
+            fn clone(&self) -> Self {
+                let $ty { $($field),+ } = self;
+                $ty { $($field: $field.clone()),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let $ty { $($field),+ } = self;
+                $($field.clone_from(&source.$field);)+
+            }
+        }
+    };
+}
+
 pub mod config;
 mod config_file;
 mod core;
@@ -79,9 +101,10 @@ pub use stats::{AppStats, KernelWindow, LaunchStats};
 // Unwind-safety boundary of the campaign supervisor: every piece of shared
 // state a `catch_unwind`-wrapped injection run borrows must be
 // `RefUnwindSafe`, or a panicking run could leak a broken-invariant view to
-// its siblings.  The supervisor constructs the `Gpu` *inside* the guarded
-// closure (so `Gpu`'s interior mutability never crosses the boundary) and
-// only ever *reads* these types across it.  These compile-time assertions
+// its siblings.  The supervisor only ever *reads* these types across the
+// boundary; the one `Gpu` a campaign client forks run after run is dropped
+// as soon as a run panics, so no half-mutated device outlives the unwind
+// (see `gpufi_core`'s `catch_run`).  These compile-time assertions
 // keep that contract from silently regressing when someone adds a
 // `Cell`/`RefCell` to a snapshot or config type.
 const _: () = {

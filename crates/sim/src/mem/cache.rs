@@ -18,6 +18,7 @@
 //! the per-launch flush walk, both of which want a single flat allocation.
 
 use crate::config::{CacheConfig, TAG_BITS};
+use arrays::Arrays;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -141,19 +142,18 @@ pub enum FlipOutcome {
 }
 
 /// A set-associative, write-back-capable cache with LRU replacement.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>,
-    /// Flat data array; line `i` owns `i*line_bytes .. (i+1)*line_bytes`.
-    data: Vec<u8>,
+    arrays: Arrays,
     tick: u64,
     stats: CacheStats,
     taints: u32,
     /// Count of `valid` lines, maintained by `fill`/`invalidate`/`flush`.
-    /// Derived state (recomputable from `lines`), so it is deliberately
-    /// excluded from the canonical digest — it exists so the per-launch
-    /// flush of an untouched cache is O(1) instead of a full line walk.
+    /// Derived state (recomputable from the line array), so it is
+    /// deliberately excluded from the canonical digest — it exists so the
+    /// per-launch flush of an untouched cache is O(1) instead of a full
+    /// line walk.
     valid_cnt: u32,
     // Latched when fault-flipped state becomes observable: a read (or host
     // peek) hits a tainted line, a tainted dirty victim is written back to
@@ -161,6 +161,92 @@ pub struct Cache {
     // hit/miss timing immediately).  A latch because the host-coherence
     // read path is `&self`.
     escaped: EscapeLatch,
+}
+
+clone_fields!(Cache {
+    cfg,
+    arrays,
+    tick,
+    stats,
+    taints,
+    valid_cnt,
+    escaped,
+});
+
+mod arrays {
+    use super::Line;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Source of array stamps; 0 ("touched") is never handed out.
+    /// `Relaxed` suffices: the counter only has to hand out distinct
+    /// values and publishes no other data.
+    static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+    /// A cache's tag/LRU line array and its flat data array (line `i` owns
+    /// bytes `i*line_bytes .. (i+1)*line_bytes`) — the bulk of every
+    /// checkpoint — plus the stamp that lets a restore skip copying them.
+    ///
+    /// Arrays with equal nonzero stamps hold equal contents: cloning
+    /// touched arrays draws a fresh stamp from a process-wide counter,
+    /// `clone_from` carries the source's stamp over, and the one mutable
+    /// accessor, [`Arrays::touch`], zeroes it.  So `clone_from` copies
+    /// nothing when both stamps match, and a device forked in place from
+    /// the same snapshot again re-copies only the arrays its last run
+    /// touched.  The fields are private to this module: no mutator can
+    /// bypass `touch`.
+    #[derive(Debug)]
+    pub(super) struct Arrays {
+        lines: Vec<Line>,
+        data: Vec<u8>,
+        stamp: u64,
+    }
+
+    impl Arrays {
+        pub(super) fn new(lines: Vec<Line>, data: Vec<u8>) -> Self {
+            Arrays {
+                lines,
+                data,
+                stamp: 0,
+            }
+        }
+
+        pub(super) fn lines(&self) -> &[Line] {
+            &self.lines
+        }
+
+        pub(super) fn data(&self) -> &[u8] {
+            &self.data
+        }
+
+        /// Mutable access to both arrays; marks them touched.
+        pub(super) fn touch(&mut self) -> (&mut [Line], &mut [u8]) {
+            self.stamp = 0;
+            (&mut self.lines, &mut self.data)
+        }
+    }
+
+    impl Clone for Arrays {
+        fn clone(&self) -> Self {
+            let stamp = match self.stamp {
+                0 => NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
+                s => s,
+            };
+            Arrays {
+                lines: self.lines.clone(),
+                data: self.data.clone(),
+                stamp,
+            }
+        }
+
+        fn clone_from(&mut self, source: &Self) {
+            let Arrays { lines, data, stamp } = self;
+            if *stamp == 0 || *stamp != source.stamp {
+                lines.clone_from(&source.lines);
+                data.clone_from(&source.data);
+            }
+            *stamp = source.stamp;
+        }
+    }
 }
 
 impl Cache {
@@ -178,9 +264,8 @@ impl Cache {
             num
         ];
         Cache {
-            data: vec![0; num * cfg.line_bytes as usize],
+            arrays: Arrays::new(lines, vec![0; num * cfg.line_bytes as usize]),
             cfg,
-            lines,
             tick: 0,
             stats: CacheStats::default(),
             taints: 0,
@@ -199,7 +284,7 @@ impl Cache {
     /// per-line metadata cost so the budget does not shift with the
     /// internal storage layout.
     pub fn resident_bytes(&self) -> usize {
-        self.lines.len() * (LINE_ACCT_BYTES + self.cfg.line_bytes as usize)
+        self.arrays.lines().len() * (LINE_ACCT_BYTES + self.cfg.line_bytes as usize)
     }
 
     /// Whether fault-flipped state has become observable (see the field
@@ -211,17 +296,17 @@ impl Cache {
 
     /// Hashes the cache's complete state (lines, LRU stamps, statistics,
     /// taint bookkeeping) into a canonical state digest.  The derived
-    /// `valid_cnt` counter is excluded.
+    /// `valid_cnt` counter and the arrays' copy stamp are excluded.
     pub(crate) fn digest_into(&self, h: &mut crate::snapshot::StateHasher) {
-        h.u64(self.lines.len() as u64);
-        let lb = self.cfg.line_bytes as usize;
-        for (i, l) in self.lines.iter().enumerate() {
+        let lines = self.arrays.lines();
+        h.u64(lines.len() as u64);
+        for (i, l) in lines.iter().enumerate() {
             h.bool(l.valid);
             h.bool(l.dirty);
             h.bool(l.tainted);
             h.u64(l.tag);
             h.u64(l.lru);
-            h.bytes(&self.data[i * lb..(i + 1) * lb]);
+            h.bytes(&self.arrays.data()[self.data_range(i)]);
         }
         h.u64(self.tick);
         h.u64(self.stats.hits);
@@ -233,8 +318,8 @@ impl Cache {
     }
 
     fn clear_taint(&mut self, i: usize) {
-        if self.lines[i].tainted {
-            self.lines[i].tainted = false;
+        if self.arrays.lines()[i].tainted {
+            self.arrays.touch().0[i].tainted = false;
             self.taints -= 1;
         }
     }
@@ -280,8 +365,9 @@ impl Cache {
     fn find(&self, line_addr: u64) -> Option<usize> {
         let set = self.set_of(line_addr);
         let tag = self.tag_of(line_addr);
+        let lines = self.arrays.lines();
         self.set_range(set)
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+            .find(|&i| lines[i].valid && lines[i].tag == tag)
     }
 
     /// Whether `line_addr` is currently resident, without touching LRU or
@@ -301,13 +387,14 @@ impl Cache {
     pub fn read(&mut self, line_addr: u64, offset: u32, out: &mut [u8]) -> bool {
         match self.find(line_addr) {
             Some(i) => {
+                let base = self.data_range(i).start + offset as usize;
                 self.tick += 1;
-                self.lines[i].lru = self.tick;
-                if self.lines[i].tainted {
+                let (lines, data) = self.arrays.touch();
+                lines[i].lru = self.tick;
+                if lines[i].tainted {
                     self.escaped.set(true);
                 }
-                let base = self.data_range(i).start + offset as usize;
-                out.copy_from_slice(&self.data[base..base + out.len()]);
+                out.copy_from_slice(&data[base..base + out.len()]);
                 self.stats.hits += 1;
                 true
             }
@@ -325,11 +412,12 @@ impl Cache {
     pub fn write(&mut self, line_addr: u64, offset: u32, bytes: &[u8], dirty: bool) -> bool {
         match self.find(line_addr) {
             Some(i) => {
-                self.tick += 1;
-                self.lines[i].lru = self.tick;
                 let base = self.data_range(i).start + offset as usize;
-                self.data[base..base + bytes.len()].copy_from_slice(bytes);
-                self.lines[i].dirty |= dirty;
+                self.tick += 1;
+                let (lines, data) = self.arrays.touch();
+                lines[i].lru = self.tick;
+                data[base..base + bytes.len()].copy_from_slice(bytes);
+                lines[i].dirty |= dirty;
                 // A full-line overwrite provably erases any flipped bits; a
                 // partial write keeps the taint (the flip may sit outside
                 // the written range).
@@ -350,10 +438,10 @@ impl Cache {
     /// LRU state or statistics (host-coherence path).
     pub fn peek(&self, line_addr: u64, offset: u32) -> Option<u8> {
         self.find(line_addr).map(|i| {
-            if self.lines[i].tainted {
+            if self.arrays.lines()[i].tainted {
                 self.escaped.set(true);
             }
-            self.data[self.data_range(i).start + offset as usize]
+            self.arrays.data()[self.data_range(i).start + offset as usize]
         })
     }
 
@@ -364,8 +452,8 @@ impl Cache {
     pub fn poke(&mut self, line_addr: u64, offset: u32, byte: u8) -> bool {
         match self.find(line_addr) {
             Some(i) => {
-                let base = self.data_range(i).start;
-                self.data[base + offset as usize] = byte;
+                let at = self.data_range(i).start + offset as usize;
+                self.arrays.touch().1[at] = byte;
                 true
             }
             None => false,
@@ -392,15 +480,16 @@ impl Cache {
         // duplicate way for the same address, and never write the stale
         // copy back).  Otherwise prefer an invalid way, then evict LRU.
         let resident = self.find(line_addr);
+        let lines = self.arrays.lines();
         let victim = resident.unwrap_or_else(|| {
             self.set_range(set)
-                .min_by_key(|&i| (self.lines[i].valid, self.lines[i].lru))
+                .min_by_key(|&i| (lines[i].valid, lines[i].lru))
                 .expect("sets are non-empty")
         });
         let evicted = if resident.is_some() {
             None
         } else {
-            let line = self.lines[victim];
+            let line = lines[victim];
             if line.valid && line.dirty {
                 // Writing a tainted victim back carries flipped bits into
                 // the next memory level — they become observable there.
@@ -410,7 +499,7 @@ impl Cache {
                 self.stats.writebacks += 1;
                 Some(Writeback {
                     line_addr: self.line_addr_of(set, line.tag),
-                    data: self.data[self.data_range(victim)].to_vec(),
+                    data: self.arrays.data()[self.data_range(victim)].to_vec(),
                 })
             } else {
                 None
@@ -420,16 +509,17 @@ impl Cache {
         // is silently dropped, which matches the golden run's state.
         self.clear_taint(victim);
         self.tick += 1;
-        if !self.lines[victim].valid {
+        let range = self.data_range(victim);
+        let (lines, bytes) = self.arrays.touch();
+        let line = &mut lines[victim];
+        if !line.valid {
             self.valid_cnt += 1;
         }
-        let range = self.data_range(victim);
-        let line = &mut self.lines[victim];
         line.valid = true;
         line.dirty = dirty;
         line.tag = tag;
         line.lru = self.tick;
-        self.data[range].copy_from_slice(data);
+        bytes[range].copy_from_slice(data);
         self.stats.fills += 1;
         evicted
     }
@@ -439,8 +529,9 @@ impl Cache {
     /// never dirty).
     pub fn invalidate(&mut self, line_addr: u64) {
         if let Some(i) = self.find(line_addr) {
-            self.lines[i].valid = false;
-            self.lines[i].dirty = false;
+            let line = &mut self.arrays.touch().0[i];
+            line.valid = false;
+            line.dirty = false;
             self.valid_cnt -= 1;
             self.clear_taint(i);
         }
@@ -459,31 +550,29 @@ impl Cache {
         }
         let sets = u64::from(self.cfg.sets);
         let ways = self.cfg.ways as usize;
+        let lb = self.cfg.line_bytes as usize;
         let mut remaining = self.valid_cnt;
-        for i in 0..self.lines.len() {
+        let (lines, data) = self.arrays.touch();
+        for (i, line) in lines.iter_mut().enumerate() {
             if remaining == 0 {
                 break;
             }
             // Invalid lines are already clean and untainted (`invalidate`
             // and `flush` clear both; taint implies valid) — skip them.
-            if !self.lines[i].valid {
+            if !line.valid {
                 continue;
             }
             remaining -= 1;
-            let set = (i / ways) as u64;
-            let range = self.data_range(i);
-            let line = &mut self.lines[i];
             if line.dirty {
                 if line.tainted {
                     self.escaped.set(true);
                 }
                 out.push(Writeback {
-                    line_addr: line.tag * sets + set,
-                    data: self.data[range].to_vec(),
+                    line_addr: line.tag * sets + (i / ways) as u64,
+                    data: data[i * lb..(i + 1) * lb].to_vec(),
                 });
                 self.stats.writebacks += 1;
             }
-            let line = &mut self.lines[i];
             line.valid = false;
             line.dirty = false;
             if line.tainted {
@@ -520,21 +609,23 @@ impl Cache {
         assert!(bit < self.total_bits(), "bit {bit} out of cache space");
         let line_idx = (bit / bpl) as usize;
         let within = bit % bpl;
-        if !self.lines[line_idx].valid {
+        if !self.arrays.lines()[line_idx].valid {
             return FlipOutcome::InvalidLine;
         }
+        let base = self.data_range(line_idx).start;
+        let (lines, data) = self.arrays.touch();
+        let line = &mut lines[line_idx];
         if within < u64::from(TAG_BITS) {
-            self.lines[line_idx].tag ^= 1 << within;
+            line.tag ^= 1 << within;
             // A corrupted tag changes hit/miss behaviour (and thus timing)
             // from the very next lookup — it is immediately observable.
             self.escaped.set(true);
             FlipOutcome::Tag
         } else {
             let data_bit = within - u64::from(TAG_BITS);
-            let byte = self.data_range(line_idx).start + (data_bit / 8) as usize;
-            self.data[byte] ^= 1 << (data_bit % 8);
-            if !self.lines[line_idx].tainted {
-                self.lines[line_idx].tainted = true;
+            data[base + (data_bit / 8) as usize] ^= 1 << (data_bit % 8);
+            if !line.tainted {
+                line.tainted = true;
                 self.taints += 1;
             }
             FlipOutcome::Data

@@ -49,9 +49,10 @@ pub enum AccessKind {
 /// The chip-level memory system: backing segments, banked L2, per-SM L1s,
 /// and the timing queues.
 ///
-/// `Clone` is the checkpoint mechanism: every field is cloned wholesale so
-/// a snapshot can never silently omit state (see `crate::snapshot`).
-#[derive(Debug, Clone)]
+/// `Clone` is the checkpoint mechanism: every field is cloned (or, on
+/// restore, `clone_from`-ed in place) so a snapshot can never silently
+/// omit state (see `crate::snapshot`).
+#[derive(Debug)]
 pub struct MemSystem {
     line_bytes: u32,
     lat: LatencyConfig,
@@ -72,6 +73,23 @@ pub struct MemSystem {
     // on some paths, hence the latch).
     escaped: EscapeLatch,
 }
+
+clone_fields!(MemSystem {
+    line_bytes,
+    lat,
+    num_banks,
+    global,
+    local,
+    constant,
+    l1d,
+    l1t,
+    l1c,
+    l2,
+    bank_busy,
+    dram_busy,
+    local_taints,
+    escaped,
+});
 
 /// Capacity of the constant bank (CUDA's `__constant__` space is 64 KB).
 const CONST_CAP: usize = 64 * 1024;

@@ -4,7 +4,7 @@ use crate::mem::CacheStats;
 use serde::{Deserialize, Serialize};
 
 /// Statistics of one kernel launch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct LaunchStats {
     /// Kernel name.
     pub kernel: String,
@@ -41,6 +41,24 @@ pub struct LaunchStats {
     pub l2_stats: CacheStats,
 }
 
+clone_fields!(LaunchStats {
+    kernel,
+    start_cycle,
+    end_cycle,
+    instructions,
+    occupancy,
+    mean_threads_per_sm,
+    mean_ctas_per_sm,
+    regs_per_thread,
+    smem_per_cta,
+    lmem_per_thread,
+    ace_reg_cycles,
+    thread_cycles,
+    l1d_stats,
+    l1t_stats,
+    l2_stats,
+});
+
 impl LaunchStats {
     /// Cycles spent in this launch.
     pub fn cycles(&self) -> u64 {
@@ -76,11 +94,13 @@ pub struct KernelWindow {
 }
 
 /// Statistics accumulated over a whole application run (all launches).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct AppStats {
     /// One entry per kernel launch, in execution order.
     pub launches: Vec<LaunchStats>,
 }
+
+clone_fields!(AppStats { launches });
 
 impl AppStats {
     /// Total cycles across all launches.

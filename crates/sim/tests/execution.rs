@@ -330,6 +330,32 @@ fn watchdog_fires() {
     assert_eq!(err, Trap::Watchdog);
 }
 
+/// A scoreboard flip of a high `ready_at` bit stalls the only warp, so the
+/// idle machine fast-forwards ~2^60 cycles straight into the watchdog: a
+/// timeout, never an overflow panic in the occupancy integral — debug and
+/// release builds must classify the run alike.
+#[test]
+fn high_ready_at_flip_times_out_without_panic() {
+    let m = Module::assemble(
+        ".kernel spin\n MOV R1, 0\nloop: IADD R1, R1, 1\n ISETP.LT P0, R1, 100\n@P0 BRA loop\n EXIT\n",
+    )
+    .unwrap();
+    let mut gpu = small_gpu();
+    gpu.arm_faults(InjectionPlan::single(
+        50,
+        FaultTarget::Scoreboard {
+            entry_lot: 0,
+            bits: vec![60],
+        },
+    ));
+    gpu.set_watchdog(10_000);
+    let err = gpu
+        .launch(m.kernel("spin").unwrap(), LaunchDims::new(1, 32), &[])
+        .unwrap_err();
+    assert_eq!(err, Trap::Watchdog);
+    assert!(gpu.injection_records()[0].applied);
+}
+
 /// The wall-clock watchdog aborts with its own trap, independently of the
 /// cycle count: an already-expired deadline kills even a kernel that would
 /// finish in a handful of cycles, and the trap classifies as a timeout.

@@ -294,6 +294,124 @@ fn restore_works_when_only_the_first_snapshot_survives() {
     assert_eq!(gpu.stats(), &golden.app);
 }
 
+/// What one injection run concluded, as the campaign reads it off the
+/// `Gpu`: the workload's result, the cycle count, the effect class and
+/// every injection record.
+type RunSummary = (
+    Result<Vec<u8>, WorkloadError>,
+    u64,
+    FaultEffect,
+    Vec<gpufi::sim::InjectionRecord>,
+);
+
+/// Runs `plan` on a forked `gpu` the way a campaign does: a 2× golden
+/// cycle watchdog and fault-lifetime early exit.
+fn run_plan(
+    gpu: &mut Gpu,
+    w: &dyn Workload,
+    plan: &InjectionPlan,
+    golden: &GoldenProfile,
+) -> RunSummary {
+    gpu.arm_faults(plan.clone());
+    gpu.set_watchdog(golden.total_cycles() * 2);
+    gpu.set_early_exit(true);
+    let result = w.run(gpu);
+    let cycles = gpu.stats().total_cycles().max(gpu.cycle());
+    let effect = classify(&result, cycles, golden);
+    (result, cycles, effect, gpu.injection_records().to_vec())
+}
+
+/// One long-lived `Gpu` forked over and over must behave exactly like a
+/// fresh `Gpu` per fork: after every `resume_from` its state digests equal
+/// to the snapshot's, and every run ends with the same result, cycles,
+/// effect and injection records as the same plan on `Gpu::new` +
+/// `resume_from`.  The fork sequence runs the plans sorted by first fault
+/// cycle (the same snapshot several times in a row) and then in draw order
+/// (jumps between snapshots), on inputs where runs trap, time out, or land
+/// flips in valid cache lines the next fork must put back.
+#[test]
+fn one_gpu_forks_like_fresh_gpus() {
+    use FaultModel::StuckAt1;
+    use Structure::*;
+    let (rtx, titan, gv100) = (
+        GpuConfig::rtx2060(),
+        GpuConfig::gtx_titan(),
+        GpuConfig::quadro_gv100(),
+    );
+    // The injection matrix's small-cache chip: flips land in valid lines.
+    let mini = GpuConfig::from_config_text(
+        "name = Mini\nnum_sms = 2\nl1d = 2048:2:128\nl1t = 2048:2:128\nl2 = 16384:4:128\nl2_banks = 2\n",
+    )
+    .unwrap();
+    let cases = [
+        ("BFS", &gv100, CampaignSpec::new(L2)),
+        ("HS", &titan, CampaignSpec::new(SharedMemory)),
+        ("GE", &rtx, CampaignSpec::new(RegisterFile).model(StuckAt1)),
+        ("SP", &rtx, CampaignSpec::new(Sched).model(StuckAt1)),
+        ("HS", &mini, CampaignSpec::new(L1Data)),
+        ("HS", &mini, CampaignSpec::new(L1Tex)),
+    ];
+    let mut trapped = 0;
+    for (seed, (name, card, spec)) in (11u64..).zip(cases) {
+        let w = by_name(name).unwrap();
+        let golden = profile(w.as_ref(), card).unwrap();
+        let mut rec = Gpu::new(card.clone());
+        rec.record_checkpoints((golden.total_cycles() / 6).max(1), 1 << 27);
+        w.run(&mut rec).unwrap();
+        let store = std::sync::Arc::new(rec.finish_checkpoint_recording());
+        let digests: Vec<u64> = (0..store.len())
+            .map(|i| store.snapshot(i).state_digest())
+            .collect();
+
+        // Plans spread over every launch window, each drawn in its own.
+        let mut gen = MaskGenerator::new(seed);
+        let windows = golden.windows(None);
+        let plans: Vec<InjectionPlan> = (0..8)
+            .map(|i| {
+                let win = &windows[i * 7 % windows.len()];
+                let space = &golden.fault_spaces[&win.kernel];
+                gen.draw(&spec, space, std::slice::from_ref(win)).unwrap()
+            })
+            .collect();
+        let first_cycle = |p: &InjectionPlan| p.faults.iter().map(|f| f.cycle).min().unwrap();
+        let mut order: Vec<usize> = (0..plans.len()).collect();
+        order.sort_by_key(|&i| first_cycle(&plans[i]));
+        order.extend(0..plans.len());
+
+        let mut shared = Gpu::new(card.clone());
+        let (mut repeats, mut jumps, mut prev) = (0, 0, None);
+        for i in order {
+            let plan = &plans[i];
+            let Some(idx) = store.nearest_at_or_before(first_cycle(plan)) else {
+                continue;
+            };
+            match prev {
+                Some(p) if p == idx => repeats += 1,
+                Some(_) => jumps += 1,
+                None => {}
+            }
+            prev = Some(idx);
+            let tag = format!("{name} on {} {spec:?} plan {i} snapshot {idx}", card.name);
+            shared.resume_from(&store, idx);
+            assert_eq!(
+                shared.snapshot().state_digest(),
+                digests[idx],
+                "{tag}: in-place fork differs from the snapshot"
+            );
+            let got = run_plan(&mut shared, w.as_ref(), plan, &golden);
+            let mut fresh = Gpu::new(card.clone());
+            fresh.resume_from(&store, idx);
+            let want = run_plan(&mut fresh, w.as_ref(), plan, &golden);
+            assert_eq!(got, want, "{tag}: reused Gpu diverged from a fresh one");
+            trapped += usize::from(got.0.is_err());
+        }
+        let tag = format!("{name} on {} {spec:?}", card.name);
+        assert!(repeats > 0, "{tag}: no snapshot forked twice in a row");
+        assert!(jumps > 0, "{tag}: no jump between snapshots");
+    }
+    assert!(trapped > 0, "no run trapped or timed out");
+}
+
 /// `Gpu::snapshot` / `Gpu::restore` round-trip between launches: restoring
 /// a snapshot into a fresh device and running the workload again matches
 /// running it twice back-to-back on one device.

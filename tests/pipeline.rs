@@ -317,7 +317,7 @@ fn injection_matrix_bytes_are_pinned() {
         ("GE", &rtx, spec(SimtStack), 40, 35, 0x5f9642fcff91a7ed),
         ("GE", &rtx, spec(SimtStack).model(StuckAt0), 40, 36, 0x6b645691ae5dd96f),
         ("SP", &rtx, spec(Sched).model(StuckAt1), 40, 37, 0xa7a05c5a6aec5ec4),
-        ("SP", &rtx, spec(Scoreboard).model(Transient), 40, 38, 0x34a9a9b28328db95),
+        ("SP", &rtx, spec(Scoreboard).model(Transient), 40, 38, 0xdf2c06f7181b10f2),
         ("SP", &titan, spec(SharedMemory).bits(3), 40, 39, 0x4c393658a6a3367f),
         ("VA", &titan, spec(RegisterFile).warp_scope().bits(3), 40, 40, 0xb2dae7a6c5fa6bb5),
         ("HS", &mini, spec(L1Data).bits(3).replicated(2), 40, 41, 0x6550ec3c836cc334),
