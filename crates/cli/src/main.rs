@@ -82,16 +82,12 @@ const USAGE: &str = "\
 usage:
   gpufi list
   gpufi profile  --bench <NAME> [--card <CARD> | --config <FILE>]
-  gpufi campaign --bench <NAME> --structure <S> [--card <CARD>] [--runs N]
-                 [--bits K] [--kernel <K>] [--scope thread|warp] [--spread]
-                 [--fault-model transient|stuck-at-0|stuck-at-1]
-                 [--seed S] [--threads T] [--no-early-exit] [--no-checkpoints]
-                 [--oracle-check] [--no-static-prune]
-                 [--csv FILE] [--journal FILE] [--no-journal] [--resume]
-                 [--max-run-seconds S] [--inject-panic-run I]
-                 [--sampling flat|stratified] [--validate-sampling]
-  gpufi avf      --bench <NAME> [--card <CARD>] [--runs N] [--bits K] [--seed S]
-  gpufi analyze  [--bench <NAME>] [--card <CARD>] [--json]
+  gpufi campaign --bench <NAME> --structure <S> [campaign flags]
+                 [--oracle-check] [--csv FILE] [--journal FILE] [--no-journal]
+                 [--resume] [--inject-panic-run I] [--validate-sampling]
+  gpufi avf      --bench <NAME> [--card <CARD> | --config <FILE>] [--runs N]
+                 [--bits K] [--seed S] [--threads T] [--csv FILE]
+  gpufi analyze  [--bench <NAME>] [--card <CARD> | --config <FILE>] [--json]
   gpufi serve    --bench <NAME> --structure <S> [campaign flags]
                  [--bind ADDR] [--lease-size N] [--heartbeat-ms MS]
                  [--deadline-ms MS] [--local-workers W]
@@ -100,6 +96,13 @@ usage:
                  --connect ADDR [--heartbeat-ms MS] [--connect-wait-seconds S]
   gpufi fuzz     [--kernels N] [--seed S]
   gpufi lint     [--bench <NAME>] [--json]
+
+campaign flags (campaign, serve and worker):
+  [--card <CARD> | --config <FILE>] [--runs N] [--bits K] [--kernel <K>]
+  [--scope thread|warp] [--spread] [--seed S] [--threads T]
+  [--fault-model transient|stuck-at-0|stuck-at-1] [--no-early-exit]
+  [--no-checkpoints] [--no-static-prune] [--max-run-seconds S]
+  [--sampling flat|stratified]
 
 cards:      rtx2060 (default) | gv100 | titan, or --config <FILE> with a
             gpgpusim.config-style `key = value` chip description
@@ -163,18 +166,19 @@ reproduced panic as Crash (detail=sim_panic) without losing sibling runs; with
 --csv (or --journal) every completed run is fsync'd to an append-only
 journal (<csv>.journal.jsonl by default, --no-journal disables) and
 --resume restarts an interrupted campaign from it, re-running only the
-missing runs with bit-identical results (a journal written before the
-bit_prune knob left the campaign fingerprint is refused as belonging to
-a different campaign — rerun it); --max-run-seconds S adds a
+missing runs with bit-identical results (a journal of another campaign
+is refused, naming the first parameter that differs, e.g. `seed` or a
+`chip` member); --max-run-seconds S adds a
 per-run wall-clock watchdog (classified Timeout, detail=wall_watchdog)
 on top of the 2x-golden-cycles cycle watchdog; --inject-panic-run I
 panics run I on both attempts (supervisor self-test)
 
 distributed campaigns: `serve` runs the same campaign as `campaign` but
 executes nothing itself — it partitions the run-index space into leases,
-hands them to `worker` processes over TCP (the handshake exchanges the
-campaign fingerprint, so a worker describing a different campaign is
-rejected), merges the streamed records into the one canonical
+hands them to `worker` processes over TCP (the handshake compares the
+two sides' campaign descriptions, so a worker describing a different
+campaign or chip is rejected with the first parameter that differs),
+merges the streamed records into the one canonical
 journal/CSV/tally and reissues any lease whose worker dies, stalls past
 --deadline-ms or tears a frame — the merged outputs are byte-identical
 to a serial `--threads 1` run; --local-workers W additionally spawns W
@@ -184,6 +188,45 @@ the missing runs; `worker` connects to a coordinator (retrying until
 --connect-wait-seconds while it boots), draws the identical plans from
 its own flags and executes leased runs with the exact local-scheduler
 semantics; both sides reject --oracle-check (single-process validation)";
+
+/// The flags each command accepts, one line per USAGE synopsis: `=` marks
+/// a flag that takes a value, and `[campaign-flags]` stands for the last
+/// line, USAGE's `[campaign flags]`.
+const COMMAND_FLAGS: &str = "\
+list
+profile  --bench= --card= --config=
+campaign --bench= --structure= [campaign-flags] --oracle-check --csv= --journal= --no-journal \
+         --resume --inject-panic-run= --validate-sampling
+avf      --bench= --card= --config= --runs= --bits= --seed= --threads= --csv=
+analyze  --bench= --card= --config= --json
+serve    --bench= --structure= [campaign-flags] --bind= --lease-size= --heartbeat-ms= \
+         --deadline-ms= --local-workers= --csv= --journal= --no-journal --resume
+worker   --bench= --structure= [campaign-flags] --connect= --heartbeat-ms= --connect-wait-seconds=
+fuzz     --kernels= --seed=
+lint     --bench= --json
+[campaign-flags] --card= --config= --runs= --bits= --kernel= --scope= --spread --seed= \
+         --threads= --fault-model= --no-early-exit --no-checkpoints --no-static-prune \
+         --max-run-seconds= --sampling=";
+
+/// The `COMMAND_FLAGS` line of `cmd`, without its name.
+fn flag_line(cmd: &str) -> Option<std::str::SplitWhitespace<'static>> {
+    let mut lines = COMMAND_FLAGS.lines().map(str::split_whitespace);
+    lines.find_map(|mut words| (words.next() == Some(cmd)).then_some(words))
+}
+
+/// The flags `cmd` accepts, as `(flag, takes a value)`.
+fn accepted(cmd: &str) -> Vec<(&'static str, bool)> {
+    let expand = |f: &'static str| match f.strip_suffix('=') {
+        Some(name) => vec![(name, true)],
+        None if f.starts_with('[') => accepted(f),
+        None => vec![(f, false)],
+    };
+    flag_line(cmd)
+        .into_iter()
+        .flatten()
+        .flat_map(expand)
+        .collect()
+}
 
 /// Minimal `--flag value` parser over the argument list.
 struct Args<'a> {
@@ -203,31 +246,31 @@ impl<'a> Args<'a> {
         self.argv.iter().any(|a| a == flag)
     }
 
-    fn parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.value(flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("bad value for {flag}: `{v}`")),
-        }
+    fn opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("bad value for {flag}: `{v}`"))
+        };
+        self.value(flag).map(parse).transpose()
     }
 
-    /// Rejects any argument that is not a known `--flag value` pair or a
-    /// known boolean `--flag` — a typo like `--run 50` must fail loudly
-    /// instead of silently running 120 default runs.
-    fn reject_unknown(&self, value_flags: &[&str], bool_flags: &[&str]) -> Result<(), String> {
+    fn parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
+        Ok(self.opt(flag)?.unwrap_or(default))
+    }
+
+    /// Rejects any argument that is not a `--flag value` pair or a boolean
+    /// `--flag` that `cmd` accepts — a typo like `--run 50` must fail
+    /// loudly instead of silently running 120 default runs.
+    fn reject_unknown(&self, cmd: &str) -> Result<(), String> {
         let mut i = 0;
         while i < self.argv.len() {
             let a = self.argv[i].as_str();
-            if value_flags.contains(&a) {
-                if self.argv.get(i + 1).is_none() {
-                    return Err(format!("{a} needs a value"));
+            match accepted(cmd).into_iter().find(|&(f, _)| f == a) {
+                None => return Err(format!("unknown flag `{a}`")),
+                Some((_, true)) if self.argv.get(i + 1).is_none() => {
+                    return Err(format!("{a} needs a value"))
                 }
-                i += 2;
-            } else if bool_flags.contains(&a) {
-                i += 1;
-            } else {
-                return Err(format!("unknown flag `{a}`"));
+                Some((_, takes_value)) => i += 1 + usize::from(takes_value),
             }
         }
         Ok(())
@@ -251,6 +294,9 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         return Err("missing command".into());
     };
     let args = Args { argv: &argv[1..] };
+    if flag_line(cmd).is_some() {
+        args.reject_unknown(cmd)?;
+    }
     match cmd.as_str() {
         "list" => {
             println!("benchmarks:");
@@ -285,8 +331,15 @@ fn workload_of(args: &Args<'_>) -> Result<Box<dyn gpufi_core::Workload>, String>
     gpufi_workloads::by_name(name).ok_or_else(|| format!("unknown benchmark `{name}`"))
 }
 
+/// `--bench`'s workload, or the whole paper suite without it.
+fn workloads_of(args: &Args<'_>) -> Result<Vec<Box<dyn Workload>>, String> {
+    match args.value("--bench") {
+        Some(_) => Ok(vec![workload_of(args)?]),
+        None => Ok(gpufi_workloads::paper_suite()),
+    }
+}
+
 fn cmd_profile(args: &Args<'_>) -> Result<(), CliError> {
-    args.reject_unknown(&["--bench", "--card", "--config"], &[])?;
     let workload = workload_of(args)?;
     let card = card_of(args)?;
     let golden = profile(workload.as_ref(), &card).map_err(failed)?;
@@ -331,45 +384,17 @@ fn cmd_profile(args: &Args<'_>) -> Result<(), CliError> {
 /// Everything `campaign`, `serve` and `worker` share: the workload, the
 /// chip, the golden profile and the fully-applied [`CampaignConfig`].
 /// The three commands must build these identically — the distributed
-/// handshake's fingerprint check is only as useful as the flag parsing
+/// handshake's description check is only as useful as the flag parsing
 /// feeding it is uniform.
 struct Setup {
     workload: Box<dyn Workload>,
     card: GpuConfig,
-    structure: Structure,
-    bits: u32,
     golden: GoldenProfile,
     cfg: CampaignConfig,
 }
 
-/// `--flag value` flags every campaign-shaped command accepts.
-const CAMPAIGN_VALUE_FLAGS: &[&str] = &[
-    "--bench",
-    "--card",
-    "--config",
-    "--structure",
-    "--runs",
-    "--seed",
-    "--bits",
-    "--threads",
-    "--scope",
-    "--kernel",
-    "--fault-model",
-    "--max-run-seconds",
-    "--sampling",
-];
-
-/// Boolean flags every campaign-shaped command accepts.
-const CAMPAIGN_BOOL_FLAGS: &[&str] = &[
-    "--spread",
-    "--no-early-exit",
-    "--no-checkpoints",
-    "--no-static-prune",
-];
-
 /// Parses the shared campaign flags into a [`Setup`] (profiles the golden
-/// run as a side effect).  Flag validation against unknown arguments is
-/// the caller's job — each command has its own extras.
+/// run as a side effect).
 fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
     let workload = workload_of(args)?;
     let card = card_of(args)?;
@@ -387,11 +412,7 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
         spec = spec.mode(MultiBitMode::Spread);
     }
     if let Some(scope) = args.value("--scope") {
-        spec.scope = match scope {
-            "thread" => Scope::Thread,
-            "warp" => Scope::Warp,
-            other => return Err(format!("unknown scope `{other}`").into()),
-        };
+        spec.scope = Scope::parse(scope).ok_or_else(|| format!("unknown scope `{scope}`"))?;
     }
     if let Some(m) = args.value("--fault-model") {
         let model = FaultModel::parse(m).ok_or_else(|| {
@@ -427,8 +448,6 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
     Ok(Setup {
         workload,
         card,
-        structure,
-        bits,
         golden,
         cfg,
     })
@@ -472,35 +491,17 @@ fn svc_of(args: &Args<'_>) -> Result<ServiceConfig, String> {
 }
 
 fn cmd_campaign(args: &Args<'_>) -> Result<(), CliError> {
-    let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
-    value_flags.extend(["--csv", "--journal", "--inject-panic-run"]);
-    let mut bool_flags = CAMPAIGN_BOOL_FLAGS.to_vec();
-    bool_flags.extend([
-        "--oracle-check",
-        "--resume",
-        "--no-journal",
-        "--validate-sampling",
-    ]);
-    args.reject_unknown(&value_flags, &bool_flags)?;
     let mut setup = campaign_setup(args)?;
     if args.flag("--oracle-check") {
         setup.cfg = setup.cfg.with_oracle_check();
     }
     setup.cfg = apply_journal_flags(args, setup.cfg)?;
-    let validate_sampling = args.flag("--validate-sampling");
-    let panic_run: Option<usize> = args
-        .value("--inject-panic-run")
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("bad value for --inject-panic-run: `{v}`"))
-        })
-        .transpose()?;
+    let panic_run: Option<usize> = args.opt("--inject-panic-run")?;
     let Setup {
         workload,
         card,
         cfg,
         golden,
-        ..
     } = &setup;
     let result = match panic_run {
         None => run_campaign(workload.as_ref(), card, cfg, golden),
@@ -515,15 +516,8 @@ fn cmd_campaign(args: &Args<'_>) -> Result<(), CliError> {
     }
     .map_err(failed)?;
     print_campaign_summary(&setup, &result, args)?;
-    if validate_sampling {
-        validate_stratified(
-            &result,
-            setup.workload.as_ref(),
-            &setup.card,
-            &setup.cfg,
-            &setup.golden,
-            setup.cfg.runs,
-        )?;
+    if args.flag("--validate-sampling") {
+        validate_stratified(&result, &setup)?;
     }
     Ok(())
 }
@@ -541,8 +535,8 @@ fn print_campaign_summary(
         "benchmark: {}  card: {}  structure: {}  bits/fault: {}  runs: {}",
         setup.workload.name(),
         setup.card.name,
-        setup.structure,
-        setup.bits,
+        setup.cfg.spec.structure,
+        setup.cfg.spec.bits_per_fault,
         runs
     );
     let t = &result.tally;
@@ -667,23 +661,11 @@ fn print_campaign_summary(
 }
 
 /// `gpufi serve`: the distributed coordinator.  Same campaign flags as
-/// `campaign` (the fingerprint handshake proves workers agree), plus the
-/// bind address, lease/heartbeat/deadline tuning and `--local-workers`
-/// for single-machine runs.  Owns the canonical journal/CSV/tally.
+/// `campaign` (the handshake proves workers describe the same campaign),
+/// plus the bind address, lease/heartbeat/deadline tuning and
+/// `--local-workers` for single-machine runs.  Owns the canonical
+/// journal/CSV/tally.
 fn cmd_serve(args: &Args<'_>) -> Result<(), CliError> {
-    let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
-    value_flags.extend([
-        "--bind",
-        "--lease-size",
-        "--heartbeat-ms",
-        "--deadline-ms",
-        "--local-workers",
-        "--csv",
-        "--journal",
-    ]);
-    let mut bool_flags = CAMPAIGN_BOOL_FLAGS.to_vec();
-    bool_flags.extend(["--resume", "--no-journal"]);
-    args.reject_unknown(&value_flags, &bool_flags)?;
     let mut setup = campaign_setup(args)?;
     setup.cfg = apply_journal_flags(args, setup.cfg)?;
     let svc = svc_of(args)?;
@@ -724,12 +706,9 @@ fn cmd_serve(args: &Args<'_>) -> Result<(), CliError> {
 }
 
 /// `gpufi worker`: connects to a `serve` coordinator (retrying while it
-/// boots), proves it describes the same campaign via the fingerprint
-/// handshake and executes leased runs until `fin`.
+/// boots), proves it describes the same campaign in the handshake and
+/// executes leased runs until `fin`.
 fn cmd_worker(args: &Args<'_>) -> Result<(), CliError> {
-    let mut value_flags = CAMPAIGN_VALUE_FLAGS.to_vec();
-    value_flags.extend(["--connect", "--heartbeat-ms", "--connect-wait-seconds"]);
-    args.reject_unknown(&value_flags, CAMPAIGN_BOOL_FLAGS)?;
     let addr = args.value("--connect").ok_or("--connect is required")?;
     let wait_s: u64 = args.parse("--connect-wait-seconds", 30)?;
     let setup = campaign_setup(args)?;
@@ -764,14 +743,14 @@ fn cmd_worker(args: &Args<'_>) -> Result<(), CliError> {
 /// asserts every stratified class estimate lands inside the flat
 /// campaign's own 99% interval around its observed fraction (intervals
 /// summed: both campaigns carry sampling error).
-fn validate_stratified(
-    result: &gpufi_core::CampaignResult,
-    workload: &dyn gpufi_core::Workload,
-    card: &GpuConfig,
-    cfg: &CampaignConfig,
-    golden: &gpufi_core::GoldenProfile,
-    runs: usize,
-) -> Result<(), CliError> {
+fn validate_stratified(result: &gpufi_core::CampaignResult, setup: &Setup) -> Result<(), CliError> {
+    let Setup {
+        workload,
+        card,
+        golden,
+        cfg,
+    } = setup;
+    let runs = cfg.runs;
     let summary = result
         .sampling
         .as_ref()
@@ -786,7 +765,7 @@ fn validate_stratified(
         "  validating against a flat campaign of {flat_runs} runs ({}x the stratified budget)...",
         flat_runs / runs.max(1)
     );
-    let flat = run_campaign(workload, card, &fcfg, golden).map_err(failed)?;
+    let flat = run_campaign(workload.as_ref(), card, &fcfg, golden).map_err(failed)?;
     let mut failures = Vec::new();
     let intervals = summary.agreement_intervals(flat.tally.total());
     for (e, interval) in FaultEffect::ALL.into_iter().zip(intervals) {
@@ -823,7 +802,6 @@ fn validate_stratified(
 /// functional reference interpreter; the first divergence aborts with the
 /// full report and the generated kernel source.
 fn cmd_fuzz(args: &Args<'_>) -> Result<(), CliError> {
-    args.reject_unknown(&["--kernels", "--seed"], &[])?;
     let count: u32 = args.parse("--kernels", 100)?;
     let seed: u64 = args.parse("--seed", 1)?;
     for i in 0..count {
@@ -869,13 +847,7 @@ fn cmd_fuzz(args: &Args<'_>) -> Result<(), CliError> {
 /// one benchmark — or the whole paper suite — and reports every finding.
 /// Exits nonzero when any kernel is dirty, so CI can gate on it.
 fn cmd_lint(args: &Args<'_>) -> Result<(), CliError> {
-    args.reject_unknown(&["--bench"], &["--json"])?;
-    let workloads: Vec<Box<dyn gpufi_core::Workload>> =
-        match args.value("--bench") {
-            Some(name) => vec![gpufi_workloads::by_name(name)
-                .ok_or_else(|| format!("unknown benchmark `{name}`"))?],
-            None => gpufi_workloads::paper_suite(),
-        };
+    let workloads = workloads_of(args)?;
     // A finding plus its source span: the 1-based assembly line the
     // flagged instruction was parsed from and the nearest enclosing label.
     struct Row {
@@ -980,13 +952,7 @@ struct KernelReport {
 /// simulation.  Weighted by golden-run cycles per kernel, matching how the
 /// campaign draws injection cycles.
 fn cmd_analyze(args: &Args<'_>) -> Result<(), CliError> {
-    args.reject_unknown(&["--bench", "--card", "--config"], &["--json"])?;
-    let workloads: Vec<Box<dyn gpufi_core::Workload>> =
-        match args.value("--bench") {
-            Some(name) => vec![gpufi_workloads::by_name(name)
-                .ok_or_else(|| format!("unknown benchmark `{name}`"))?],
-            None => gpufi_workloads::paper_suite(),
-        };
+    let workloads = workloads_of(args)?;
     let card = card_of(args)?;
     let json = args.flag("--json");
     let mut bench_rows: Vec<Value> = Vec::new();
@@ -1129,19 +1095,6 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), CliError> {
 }
 
 fn cmd_avf(args: &Args<'_>) -> Result<(), CliError> {
-    args.reject_unknown(
-        &[
-            "--bench",
-            "--card",
-            "--config",
-            "--runs",
-            "--seed",
-            "--bits",
-            "--threads",
-            "--csv",
-        ],
-        &[],
-    )?;
     let workload = workload_of(args)?;
     let card = card_of(args)?;
     let runs: usize = args.parse("--runs", 60)?;
@@ -1259,6 +1212,37 @@ mod tests {
         std::fs::remove_file(journal).ok();
         std::fs::remove_file(config).ok();
         std::fs::remove_file(overflow).ok();
+    }
+
+    /// Each USAGE synopsis, with `[campaign flags]` spelled out, lists
+    /// exactly the flags its command accepts; a flag whose token closes
+    /// its bracket (`[--spread]`) takes no value, any other does.
+    #[test]
+    fn usage_synopses_list_exactly_the_accepted_flags() {
+        use std::collections::BTreeSet;
+        let listed = |text: &str| -> BTreeSet<(String, bool)> {
+            text.split_whitespace()
+                .map(|t| t.trim_start_matches('['))
+                .filter(|t| t.starts_with("--"))
+                .map(|t| (t.trim_end_matches(']').to_string(), !t.ends_with(']')))
+                .collect()
+        };
+        let (synopses, rest) = USAGE.split_once("\n\n").unwrap();
+        let (_, group) = rest.split_once("campaign flags").unwrap();
+        let (group, _) = group.split_once("\n\n").unwrap();
+        let mut commands = 0;
+        for synopsis in synopses.split("\n  gpufi ").skip(1) {
+            let (cmd, flags) = synopsis.split_once(' ').unwrap_or((synopsis, ""));
+            let want: BTreeSet<(String, bool)> = accepted(cmd)
+                .into_iter()
+                .map(|(f, v)| (f.to_string(), v))
+                .collect();
+            let got = listed(&flags.replace("[campaign flags]", group));
+            assert_eq!(got, want, "`gpufi {cmd}` synopsis vs the flags it accepts");
+            commands += 1;
+        }
+        let rows = COMMAND_FLAGS.lines().filter(|l| !l.starts_with('['));
+        assert_eq!(commands, rows.count(), "one synopsis per command");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The injection-campaign controller (the paper's front-end loop, §V.B).
 
 use crate::classify::{classify, detail_of, RunDetail};
+use crate::json::Value;
 use crate::profile::GoldenProfile;
 use crate::sampling::{SamplingMode, SamplingSummary, StrataLayout};
 use crate::supervisor::{
-    campaign_fingerprint, catch_run, strata_hash, stratified_fingerprint, JournalSink,
-    JournalWriter, RunJournal,
+    catch_run, describe, strata_hash, JournalSink, JournalWriter, RunJournal, Spelling,
 };
 use crate::workload::{Workload, WorkloadError};
 use gpufi_faults::{CampaignSpec, DrawError, MaskGenerator, Structure};
@@ -63,19 +63,17 @@ pub struct CampaignConfig {
     /// against the oracle's prediction.  Forces full simulation (implies
     /// `--no-early-exit` semantics for the run loop) while keeping run
     /// records identical to the optimized engine's.
-    #[serde(default)]
     pub oracle_check: bool,
     /// Path of the crash-safe run journal (`<out>.journal.jsonl`): one
     /// fsync'd JSON line per completed run, written incrementally by the
     /// workers.  `None` disables journaling.
-    #[serde(default)]
     pub journal: Option<String>,
     /// Resume from an existing journal at [`CampaignConfig::journal`]:
-    /// validate its fingerprint, load the completed records and schedule
+    /// check that its header describes this campaign (an error names the
+    /// first parameter that differs), load the completed records and schedule
     /// only the missing run indices.  The resumed campaign's records and
     /// `Tally` are bit-identical to an uninterrupted run's.  When the
     /// journal file does not exist the campaign simply starts fresh.
-    #[serde(default)]
     pub resume: bool,
     /// Pre-classify register-file runs the static analyzer proves Masked
     /// — every fault lands in a register no reachable instruction of the
@@ -92,7 +90,6 @@ pub struct CampaignConfig {
     /// whose *real* time exceeds this aborts with a wall-clock trap and
     /// classifies **Timeout**, complementing the 2×-golden-cycles cycle
     /// watchdog for flips that livelock the simulator inside a cycle.
-    #[serde(default)]
     pub max_run_ms: u64,
     /// How runs are drawn from the fault population (`--sampling`):
     /// [`SamplingMode::Flat`] simulates every drawn run; with
@@ -100,7 +97,6 @@ pub struct CampaignConfig {
     /// liveness-interval live strata, the analytically-masked mass is
     /// classified without simulation, and [`CampaignResult::sampling`]
     /// carries the reweighted estimate (register-file campaigns only).
-    #[serde(default)]
     pub sampling: SamplingMode,
 }
 
@@ -222,11 +218,9 @@ pub struct RunRecord {
     /// Sub-classification of the outcome: which trap kind a Crash was,
     /// which watchdog a Timeout was, or [`RunDetail::SimPanic`] for a run
     /// the supervisor gave up on after a reproducible simulator panic.
-    #[serde(default)]
     pub detail: RunDetail,
     /// Index of the live stratum this run was drawn from, or `None` in a
     /// flat campaign (the trailing `stratum` CSV/journal column).
-    #[serde(default)]
     pub stratum: Option<u32>,
 }
 
@@ -272,91 +266,70 @@ pub struct CampaignStats {
     /// Mean golden-run cycles skipped per run by checkpoint forking.
     pub mean_skipped_cycles: f64,
     /// Runs executed under the differential oracle (`--oracle-check`).
-    #[serde(default)]
     pub oracle_checked: usize,
     /// Oracle-checked runs that early exit would have cut short, fully
     /// simulated and confirmed to end in the oracle-predicted state.
-    #[serde(default)]
     pub oracle_verified: usize,
     /// Oracle-checked runs where the early-exit verdict was *wrong*: the
     /// fully simulated run did not end Masked at the golden cycle count
     /// with the oracle's global-memory image.  Must be zero.
-    #[serde(default)]
     pub oracle_mismatches: usize,
     /// Run attempts that ended in a simulator-internal panic (caught and
     /// isolated by the supervisor; a run that panics on both its first
     /// attempt and its retry counts twice).
-    #[serde(default)]
     pub panics: usize,
     /// Panicked runs the supervisor re-executed once, to distinguish
     /// deterministic poison runs from incidental failures.
-    #[serde(default)]
     pub retries: usize,
     /// Runs pre-classified Masked because every fault hit a statically dead
     /// register, never simulated (see [`CampaignConfig::static_prune`]).
-    #[serde(default)]
     pub static_pruned: usize,
     /// `static_pruned / runs`.
-    #[serde(default)]
     pub static_pruned_rate: f64,
     /// Runs pre-classified Masked at bit granularity — live register,
     /// statically dead flipped bits — and never simulated (see
     /// [`CampaignConfig::static_prune`]).  Disjoint from
     /// [`CampaignStats::static_pruned`].
-    #[serde(default)]
     pub static_bit_pruned: usize,
     /// `static_bit_pruned / runs`.
-    #[serde(default)]
     pub static_bit_pruned_rate: f64,
     /// Completed runs loaded from the journal instead of executed
     /// (`--resume`).
-    #[serde(default)]
     pub resumed: usize,
     /// Bytes appended to the run journal by this campaign (0 = journaling
     /// off).
-    #[serde(default)]
     pub journal_bytes: u64,
     /// Wall-clock milliseconds spent writing and fsyncing journal lines —
     /// the journal's overhead, reported so regressions are visible.
-    #[serde(default)]
     pub journal_ms: f64,
     /// Runs that actually forked a simulation: `runs − static_pruned` in a
     /// flat campaign, the full budget in a stratified one.
-    #[serde(default)]
     pub simulated_runs: usize,
     /// Runs' worth of flat-campaign coverage this campaign bought: the run
     /// count itself for a flat campaign (pruned runs are still classified
     /// runs), `runs / live_weight` for a stratified campaign, whose budget
     /// covers only the live fraction of the population.
-    #[serde(default)]
     pub effective_runs: f64,
     /// [`CampaignStats::simulated_runs`] per second of wall-clock time —
     /// the cost-side throughput.
-    #[serde(default)]
     pub sim_runs_per_sec: f64,
     /// [`CampaignStats::effective_runs`] per second of wall-clock time —
     /// the coverage-side throughput the sampling optimizations improve.
-    #[serde(default)]
     pub effective_runs_per_sec: f64,
     /// Distributed campaigns only: workers that completed the handshake
     /// (0 = single-process campaign).
-    #[serde(default)]
     pub workers: usize,
     /// Distributed campaigns only: leases granted, including reissues.
-    #[serde(default)]
     pub leases: usize,
     /// Distributed campaigns only: leases reclaimed from a dead, stalled
     /// or misbehaving worker and granted again.
-    #[serde(default)]
     pub reissued_leases: usize,
     /// Distributed campaigns only: run completions discarded because an
     /// earlier ack (from a reissued lease's original owner, or a
     /// duplicated frame) already filled the slot.
-    #[serde(default)]
     pub duplicate_acks: usize,
     /// Distributed campaigns only: per-worker merge throughput, in
     /// worker-id order.
-    #[serde(default)]
     pub worker_throughput: Vec<WorkerThroughput>,
 }
 
@@ -377,7 +350,6 @@ pub struct CampaignResult {
     /// Stratified-sampling layout, allocation and reweighted estimate
     /// (`None` in flat campaigns).  Excluded from equality along with
     /// `stats`: the records already determine it.
-    #[serde(default)]
     pub sampling: Option<SamplingSummary>,
 }
 
@@ -402,8 +374,8 @@ pub enum CampaignError {
     /// the simulator itself (not an injection) is functionally wrong.
     OracleDivergence(String),
     /// The run journal could not be created, read or appended, or the
-    /// journal on disk belongs to a different campaign (fingerprint or
-    /// run-count mismatch).
+    /// journal on disk belongs to a different campaign (the message names
+    /// the first parameter that differs).
     Journal(String),
     /// A supervisor invariant broke: the workers finished without
     /// producing a record for these run indices.  Reported instead of
@@ -551,8 +523,8 @@ fn draw_plans(cfg: &CampaignConfig, golden: &GoldenProfile) -> Result<Vec<RunPla
 }
 
 /// A stratified campaign's strata layout, per-stratum run allocation and
-/// the hash of both (folded into the fingerprint and reported in the
-/// [`SamplingSummary`]).
+/// the hash of both (the campaign description's `strata` member, reported
+/// in the [`SamplingSummary`]).
 type Strata = (StrataLayout, Vec<usize>, u64);
 
 /// Draws every run of a stratified campaign: builds the liveness-interval
@@ -1053,17 +1025,14 @@ fn sampling_summary(
 pub(crate) struct Drawn {
     pub(crate) plans: Vec<RunPlan>,
     strata: Option<Strata>,
-    /// [`campaign_fingerprint`] with the strata layout folded in when the
-    /// campaign is stratified: the layout and allocation are part of the
-    /// campaign's identity, so `--resume` (and a distributed handshake)
-    /// refuses to splice a stratified journal into a flat campaign, or one
-    /// stratified differently — the records would silently carry the wrong
-    /// weights.
-    pub(crate) fingerprint: u64,
+    /// The campaign's identity, which the journal header carries and the
+    /// service handshake exchanges: [`describe`], the `chip` and, when
+    /// stratified, the `strata` layout hash.
+    pub(crate) campaign: Value,
 }
 
 /// Draws every run's plan up front (so draw errors surface before any
-/// simulation) and fingerprints the campaign.
+/// simulation) and describes the campaign.
 pub(crate) fn draw(
     workload: &dyn Workload,
     card: &GpuConfig,
@@ -1077,14 +1046,15 @@ pub(crate) fn draw(
             (plans, Some(strata))
         }
     };
-    let mut fingerprint = campaign_fingerprint(workload.name(), &card.name, cfg);
-    if let Some((_, _, layout_hash)) = &strata {
-        fingerprint = stratified_fingerprint(fingerprint, *layout_hash);
+    let mut campaign = describe(workload.name(), &card.name, cfg);
+    if let Value::Obj(members) = &mut campaign {
+        members.push(("chip".into(), card.spelling()));
+        members.extend(strata.as_ref().map(|s| ("strata".into(), s.2.into())));
     }
     Ok(Drawn {
         plans,
         strata,
-        fingerprint,
+        campaign,
     })
 }
 
@@ -1292,7 +1262,7 @@ pub(crate) struct Prepared {
     resumed: usize,
 }
 
-/// Stage one of a campaign: draw → fingerprint → journal create/resume →
+/// Stage one of a campaign: draw and describe → journal create/resume →
 /// pre-classify → the board, leasing the pending order `lease_size` runs
 /// at a time.  `die_after_merges` arms the coordinator's chaos death
 /// (`Some(0)` dies before the first merge).
@@ -1309,19 +1279,13 @@ pub(crate) fn prepare(
 
     // Journal / resume: load completed records first, so a resumed
     // campaign schedules (and pays for) only the missing run indices.
-    let mut slots: Vec<Option<RunRecord>> = vec![None; cfg.runs];
-    let journal = match &cfg.journal {
-        None => None,
-        Some(path) if cfg.resume && std::path::Path::new(path).exists() => {
-            let (j, loaded) = RunJournal::resume(path, drawn.fingerprint, cfg.runs)
+    let (journal, mut slots) = match &cfg.journal {
+        None => (None, vec![None; cfg.runs]),
+        Some(path) => {
+            let (j, loaded) = RunJournal::open(path, &drawn.campaign, cfg.runs, cfg.resume)
                 .map_err(CampaignError::Journal)?;
-            slots = loaded;
-            Some(j)
+            (Some(j), loaded)
         }
-        Some(path) => Some(
-            RunJournal::create(path, drawn.fingerprint, cfg.runs)
-                .map_err(CampaignError::Journal)?,
-        ),
     };
     let resumed = slots.iter().flatten().count();
     let (writer, sink) = journal.map(RunJournal::into_writer).unzip();

@@ -109,6 +109,40 @@ impl Value {
     }
 }
 
+/// The first difference between `a` and `b`, depth first (object members
+/// in `a`'s order, then those only `b` has; array elements by index), as
+/// its member path and both values — "`seed` is 17 `a_at`, 18 `b_at`",
+/// "`chip.l2.sets` is …", "`cycle_window[1]` is absent …".  `None` when
+/// the values are equal.
+pub(crate) fn first_difference(a: &Value, b: &Value, a_at: &str, b_at: &str) -> Option<String> {
+    let (path, a, b) = diff_at(String::new(), Some(a), Some(b))?;
+    let [a, b] = [a, b].map(|v| v.map_or("absent".to_string(), Value::to_string));
+    Some(format!(
+        "`{}` is {a} {a_at}, {b} {b_at}",
+        path.trim_start_matches('.')
+    ))
+}
+
+type Difference<'a> = (String, Option<&'a Value>, Option<&'a Value>);
+
+fn diff_at<'a>(path: String, a: Option<&'a Value>, b: Option<&'a Value>) -> Option<Difference<'a>> {
+    if a == b {
+        return None;
+    }
+    let inner = match (a, b) {
+        (Some(Value::Obj(x)), Some(Value::Obj(y))) => x
+            .iter()
+            .chain(y)
+            .find_map(|(k, _)| diff_at(format!("{path}.{k}"), a?.get(k), b?.get(k))),
+        (Some(Value::Arr(x)), Some(Value::Arr(y))) => (0..x.len().max(y.len()))
+            .find_map(|i| diff_at(format!("{path}[{i}]"), x.get(i), y.get(i))),
+        _ => None,
+    };
+    // Scalars, mismatched kinds, and equal members in another order
+    // differ here as a whole.
+    inner.or(Some((path, a, b)))
+}
+
 /// Compact JSON: no whitespace between tokens.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -403,6 +437,41 @@ mod tests {
         assert_eq!(parse("17").unwrap().as_num::<u64>(), Some(17));
         assert_eq!(parse("-1").unwrap().as_num::<u64>(), None);
         assert_eq!(parse("1.5").unwrap().as_num::<u64>(), None);
+    }
+
+    #[test]
+    fn first_difference_names_the_member_path() {
+        let doc = parse(r#"{"seed":17,"chip":{"l2":{"sets":8}},"w":[1,2],"k":null}"#).unwrap();
+        let row = |other: &str| first_difference(&doc, &parse(other).unwrap(), "there", "here");
+        for (other, want) in [
+            (doc.to_string().as_str(), None),
+            (
+                r#"{"seed":17,"chip":{"l2":{"sets":4}},"w":[1,2],"k":null}"#,
+                Some("`chip.l2.sets` is 8 there, 4 here"),
+            ),
+            (
+                r#"{"seed":17,"chip":{"l2":{"sets":8}},"w":[1,3],"k":null}"#,
+                Some("`w[1]` is 2 there, 3 here"),
+            ),
+            (
+                r#"{"seed":17,"chip":{"l2":{"sets":8}},"w":[1],"k":null}"#,
+                Some("`w[1]` is 2 there, absent here"),
+            ),
+            (
+                r#"{"seed":17,"chip":{"l2":{"sets":8}},"w":[1,2],"k":null,"x":"y"}"#,
+                Some("`x` is absent there, \"y\" here"),
+            ),
+            // The first difference in member order.
+            (
+                r#"{"seed":18,"chip":{},"w":[1,2],"k":null}"#,
+                Some("`seed` is 17 there, 18 here"),
+            ),
+        ] {
+            assert_eq!(row(other).as_deref(), want, "{other}");
+        }
+        // Equal members in another order differ as a whole.
+        let reordered = row(r#"{"chip":{"l2":{"sets":8}},"seed":17,"w":[1,2],"k":null}"#);
+        assert!(reordered.unwrap().starts_with("`` is {"));
     }
 
     #[test]

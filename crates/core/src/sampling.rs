@@ -191,7 +191,7 @@ impl StrataLayout {
     }
 
     /// A canonical description of the layout **and** its budget
-    /// allocation, hashed into the campaign fingerprint so `--resume`
+    /// allocation, hashed into the campaign description so `--resume`
     /// refuses to splice runs drawn under a different stratification.
     pub fn fingerprint_material(&self, allocation: &[usize]) -> String {
         use fmt::Write;
@@ -225,7 +225,7 @@ pub struct SamplingSummary {
     /// Analytically-masked population fraction.
     pub masked_weight: f64,
     /// FNV-1a over [`StrataLayout::fingerprint_material`] — the strata
-    /// layout hash folded into the campaign fingerprint.
+    /// layout hash, the campaign description's `strata` member.
     pub layout_hash: u64,
     /// Simulated runs allocated per stratum (sums to the campaign budget).
     pub allocation: Vec<usize>,

@@ -11,6 +11,7 @@ use super::{ServiceConfig, ServiceError};
 use crate::campaign::{
     prepare, Board, CampaignConfig, CampaignResult, Grant, OracleVerdict, Refused,
 };
+use crate::json::{self, Value};
 use crate::profile::GoldenProfile;
 use crate::workload::Workload;
 use gpufi_sim::GpuConfig;
@@ -74,8 +75,7 @@ pub fn serve_campaign_with_chaos(
         lease_size,
         chaos.map(|c| c.die_after_merges),
     )?;
-    let fp = p.drawn.fingerprint;
-    let board = &p.board;
+    let (campaign, board) = (&p.drawn.campaign, &p.board);
 
     let addr = listener
         .local_addr()
@@ -93,7 +93,7 @@ pub fn serve_campaign_with_chaos(
                     break;
                 }
                 scope.spawn(move || {
-                    let _ = handle_worker(stream, board, svc, fp, cfg.runs, cfg.spec.model.name());
+                    let _ = handle_worker(stream, board, svc, campaign);
                 });
             }
         });
@@ -118,9 +118,7 @@ fn handle_worker(
     stream: TcpStream,
     board: &Board,
     svc: &ServiceConfig,
-    fp: u64,
-    total_runs: usize,
-    model: &str,
+    campaign: &Value,
 ) -> Result<(), ServiceError> {
     let mut stream = stream;
     stream.set_nodelay(true).ok();
@@ -135,48 +133,27 @@ fn handle_worker(
             .map_err(|e| ServiceError::Io(format!("clone stream: {e}")))?,
     );
 
-    // Handshake: fingerprint checked coordinator-side here; the worker
-    // re-checks the Welcome fingerprint for the other direction.
-    let hello = Msg::decode(&read_frame(&mut reader)?)?;
-    let Msg::Hello {
-        proto,
-        fingerprint,
-        runs,
-        model: worker_model,
-    } = hello
-    else {
-        return Err(ServiceError::Protocol(
-            "worker must open with a hello frame".into(),
-        ));
+    // Handshake: the worker's description is checked here; the worker
+    // checks the Welcome's for the other direction.  A frame that is not a
+    // v4 hello (a v3 one carries no description) is refused, not dropped.
+    let hello = Msg::decode(&read_frame(&mut reader)?);
+    let reason = match &hello {
+        Ok(Msg::Hello {
+            proto: PROTO_VERSION,
+            campaign: theirs,
+        }) => json::first_difference(campaign, theirs, "at the coordinator", "at the worker")
+            .map(|d| format!("different campaign: {d}")),
+        _ => Some(format!("expected a protocol v{PROTO_VERSION} hello frame")),
     };
-    let mut reject = |reason: String, err: ServiceError| {
+    if let Some(reason) = reason {
+        let err = ServiceError::Protocol(reason.clone());
         let _ = write_frame(&mut stream, &Msg::Reject { reason }.encode());
-        Err(err)
+        return Err(err);
+    }
+    let welcome = Msg::Welcome {
+        campaign: campaign.clone(),
     };
-    if proto != PROTO_VERSION {
-        let reason =
-            format!("protocol version {proto} not supported (coordinator speaks {PROTO_VERSION})");
-        return reject(reason.clone(), ServiceError::Protocol(reason));
-    }
-    // Explicit fault-model check before the opaque fingerprint comparison:
-    // a transient worker dialing into a stuck-at campaign (or vice versa)
-    // would also fail the fingerprint, but this names the actual mistake.
-    if worker_model != model {
-        let reason = format!(
-            "fault model mismatch: coordinator runs `{model}`, worker runs `{worker_model}`"
-        );
-        return reject(reason.clone(), ServiceError::Protocol(reason));
-    }
-    if fingerprint != fp || runs != total_runs {
-        let reason = format!(
-            "campaign fingerprint mismatch: coordinator {fp:016x} / {total_runs} runs vs \
-             worker {fingerprint:016x} / {runs} runs"
-        );
-        let theirs = fingerprint;
-        let err = ServiceError::FingerprintMismatch { ours: fp, theirs };
-        return reject(reason, err);
-    }
-    write_frame(&mut stream, &Msg::Welcome { fingerprint: fp }.encode())?;
+    write_frame(&mut stream, &welcome.encode())?;
 
     if let Some(wid) = board.join() {
         let idle = Duration::from_millis(svc.heartbeat_ms.max(1));

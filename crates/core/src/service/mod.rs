@@ -6,11 +6,13 @@
 //! The division of labour keeps the distributed path bit-identical to a
 //! serial run *by construction* rather than by protocol care:
 //!
-//! - Both sides draw the **same plans** from the same `CampaignConfig` and
-//!   golden profile (per-run RNG is derived from the run index), and prove
-//!   it in the handshake by exchanging the campaign fingerprint — which
-//!   deliberately excludes threads/journal/resume, the knobs that differ
-//!   between coordinator and worker.
+//! - Both sides draw the **same plans** from the same `CampaignConfig`,
+//!   chip and golden profile (per-run RNG is derived from the run index),
+//!   and prove it in the handshake by exchanging the campaign description
+//!   the journal header also carries — which deliberately excludes
+//!   threads/journal/resume, the knobs that differ between coordinator and
+//!   worker.  Either side refuses a mismatch with the first parameter that
+//!   differs (`` `seed` is 5 at the coordinator, 6 at the worker ``).
 //! - Workers execute leased run indices with the **same
 //!   `supervised_run`** the local executor uses (same early-exit,
 //!   checkpoint, stratified and retry-once semantics) and stream back the
@@ -87,15 +89,9 @@ pub enum ServiceError {
     /// A granted lease's connection stayed silent past the deadline.
     Stalled,
     /// A well-formed frame carried a message the state machine cannot
-    /// accept (unknown type, missing field, wrong lease id...).
+    /// accept (unknown type, missing field, wrong lease id...), or the
+    /// handshake found another protocol version or campaign.
     Protocol(String),
-    /// Handshake refused: the two sides describe different campaigns.
-    FingerprintMismatch {
-        /// This side's campaign fingerprint.
-        ours: u64,
-        /// The peer's claimed campaign fingerprint.
-        theirs: u64,
-    },
     /// The peer rejected our handshake with this reason.
     Rejected(String),
     /// The underlying campaign machinery failed (draw, journal, ...).
@@ -113,11 +109,6 @@ impl fmt::Display for ServiceError {
             ServiceError::Frame(e) => write!(f, "malformed frame: {e}"),
             ServiceError::Stalled => write!(f, "peer silent past the stall deadline"),
             ServiceError::Protocol(e) => write!(f, "protocol violation: {e}"),
-            ServiceError::FingerprintMismatch { ours, theirs } => write!(
-                f,
-                "campaign fingerprint mismatch: ours {ours:016x}, theirs {theirs:016x} — \
-                 the two processes describe different campaigns"
-            ),
             ServiceError::Rejected(reason) => write!(f, "handshake rejected: {reason}"),
             ServiceError::Campaign(e) => write!(f, "campaign error: {e}"),
             ServiceError::Chaos => write!(f, "killed by chaos plan"),

@@ -25,11 +25,11 @@ use std::io::{BufRead, Write};
 
 /// Protocol version carried in the handshake; bumped on any frame or
 /// message change so a stale worker binary is rejected cleanly instead of
-/// misparsing.  v2 added the fault model to `hello`, so a stuck-at
-/// coordinator can never silently merge records from a transient worker;
-/// v3 dropped what no worker read: the `lease_done` message and
-/// `welcome`'s `deadline_ms`.
-pub(crate) const PROTO_VERSION: u32 = 3;
+/// misparsing.  v2 added the fault model to `hello`; v3 dropped what no
+/// worker read (the `lease_done` message and `welcome`'s `deadline_ms`);
+/// v4 swapped both handshake messages' fingerprint (and `hello`'s run
+/// count and model) for the campaign description.
+pub(crate) const PROTO_VERSION: u32 = 4;
 
 /// Upper bound on one frame's payload, header included in spirit: a
 /// corrupt length prefix must not make the reader allocate gigabytes.
@@ -119,25 +119,17 @@ fn stalled(e: &std::io::Error) -> bool {
 }
 
 /// One protocol message.  `Hello`/`Welcome`/`Reject` are the handshake
-/// (fingerprint checked in **both** directions); `Lease`/`Done` are the
-/// work loop; `Ping` is the heartbeat either side may send; `Fin` ends the
-/// session.
+/// (campaign descriptions compared in **both** directions); `Lease`/`Done`
+/// are the work loop; `Ping` is the heartbeat either side may send; `Fin`
+/// ends the session.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Msg {
-    /// Worker → coordinator: campaign identity claim.  `model` is the
-    /// worker's fault-model name (`transient` / `stuck-at-0` /
-    /// `stuck-at-1`); the coordinator rejects a mismatch explicitly, before
-    /// the opaque fingerprint comparison, so the operator sees *why*.
-    Hello {
-        proto: u32,
-        fingerprint: u64,
-        runs: usize,
-        model: String,
-    },
-    /// Coordinator → worker: handshake accepted.
-    Welcome { fingerprint: u64 },
-    /// Coordinator → worker: handshake refused (mismatched fingerprint or
-    /// protocol), with a human-readable reason.
+    /// Worker → coordinator: protocol version and campaign description.
+    Hello { proto: u32, campaign: Value },
+    /// Coordinator → worker: handshake accepted; its campaign description.
+    Welcome { campaign: Value },
+    /// Coordinator → worker: handshake refused (another protocol or
+    /// campaign), with a human-readable reason.
     Reject { reason: String },
     /// Coordinator → worker: execute exactly these run indices.  An
     /// explicit array (not a range) because resume and the static prune
@@ -160,23 +152,12 @@ pub(crate) enum Msg {
 impl Msg {
     /// Renders the message as one compact JSON object, `type` first.
     pub(crate) fn encode(&self) -> String {
-        let hex = |fp: &u64| Value::Str(format!("{fp:016x}"));
         let (kind, fields) = match self {
-            Msg::Hello {
-                proto,
-                fingerprint,
-                runs,
-                model,
-            } => (
+            Msg::Hello { proto, campaign } => (
                 "hello",
-                vec![
-                    ("proto", (*proto).into()),
-                    ("fingerprint", hex(fingerprint)),
-                    ("runs", (*runs).into()),
-                    ("model", model.as_str().into()),
-                ],
+                vec![("proto", (*proto).into()), ("campaign", campaign.clone())],
             ),
-            Msg::Welcome { fingerprint } => ("welcome", vec![("fingerprint", hex(fingerprint))]),
+            Msg::Welcome { campaign } => ("welcome", vec![("campaign", campaign.clone())]),
             Msg::Reject { reason } => ("reject", vec![("reason", reason.as_str().into())]),
             Msg::Lease { id, runs } => (
                 "lease",
@@ -206,16 +187,14 @@ impl Msg {
     }
 
     fn from_value(v: &Value) -> Option<Msg> {
-        let fingerprint = || u64::from_str_radix(v.get("fingerprint")?.as_str()?, 16).ok();
+        let campaign = || v.get("campaign").cloned();
         Some(match v.get("type")?.as_str()? {
             "hello" => Msg::Hello {
                 proto: v.get("proto")?.as_num()?,
-                fingerprint: fingerprint()?,
-                runs: v.get("runs")?.as_num()?,
-                model: v.get("model")?.as_str()?.to_string(),
+                campaign: campaign()?,
             },
             "welcome" => Msg::Welcome {
-                fingerprint: fingerprint()?,
+                campaign: campaign()?,
             },
             "reject" => Msg::Reject {
                 reason: v.get("reason")?.as_str()?.to_string(),
@@ -253,16 +232,13 @@ mod tests {
     use std::io::BufReader;
 
     fn sample_msgs() -> Vec<Msg> {
+        let campaign = Value::obj([("seed", 17u8.into()), ("model", "stuck-at-1".into())]);
         vec![
             Msg::Hello {
                 proto: PROTO_VERSION,
-                fingerprint: 0xdead_beef_1234_5678,
-                runs: 300,
-                model: "stuck-at-1".into(),
+                campaign: campaign.clone(),
             },
-            Msg::Welcome {
-                fingerprint: 0xdead_beef_1234_5678,
-            },
+            Msg::Welcome { campaign },
             Msg::Reject {
                 reason: "campaign fingerprint mismatch".into(),
             },
@@ -302,12 +278,12 @@ mod tests {
     }
 
     /// The exact payload bytes of every sample message: the wire format is
-    /// shared with workers built from other revisions of `PROTO_VERSION` 3.
+    /// shared with workers built from other revisions of `PROTO_VERSION` 4.
     #[test]
     fn sample_payload_bytes_are_pinned() {
         let expected = [
-            r#"{"type":"hello","proto":3,"fingerprint":"deadbeef12345678","runs":300,"model":"stuck-at-1"}"#,
-            r#"{"type":"welcome","fingerprint":"deadbeef12345678"}"#,
+            r#"{"type":"hello","proto":4,"campaign":{"seed":17,"model":"stuck-at-1"}}"#,
+            r#"{"type":"welcome","campaign":{"seed":17,"model":"stuck-at-1"}}"#,
             r#"{"type":"reject","reason":"campaign fingerprint mismatch"}"#,
             r#"{"type":"lease","id":7,"runs":[0,2,3,11]}"#,
             r#"{"type":"lease","id":8,"runs":[]}"#,
@@ -554,6 +530,9 @@ mod tests {
             &format!("{done} junk }}"),
             // A v2 message v3 dropped.
             "{\"type\":\"lease_done\",\"id\":7}",
+            // v3 handshake frames, which carry no campaign description.
+            r#"{"type":"hello","proto":3,"fingerprint":"deadbeef12345678","runs":300,"model":"transient"}"#,
+            r#"{"type":"welcome","fingerprint":"deadbeef12345678"}"#,
         ] {
             assert!(Msg::decode(bad).is_err(), "{bad:?} should not decode");
         }

@@ -1,5 +1,5 @@
 //! The `worker` side: transport only.  A worker draws the **same plans**
-//! the coordinator did (proved by the fingerprint handshake), executes
+//! the coordinator did (proved by the handshake's descriptions), executes
 //! exactly the run indices it is leased through the campaign's one
 //! `supervised_run`, and streams back the exact journal record line — so
 //! the record a worker produces is byte-for-byte the record a
@@ -8,6 +8,7 @@
 use super::proto::{encode_frame, read_frame, write_frame, Msg, PROTO_VERSION};
 use super::{ServiceConfig, ServiceError};
 use crate::campaign::{draw, record_store, CampaignConfig, RunEnv};
+use crate::json;
 use crate::profile::GoldenProfile;
 use crate::workload::Workload;
 use gpufi_sim::GpuConfig;
@@ -52,10 +53,10 @@ pub struct WorkerReport {
 
 /// Connects to a coordinator at `addr` and executes leases until `fin`.
 ///
-/// The `cfg` must describe the same campaign the coordinator serves —
-/// the handshake exchanges the campaign fingerprint (which excludes
-/// threads/journal/resume, the knobs that legitimately differ between
-/// the two sides) and both sides reject a mismatch.
+/// The `cfg` and `card` must describe the same campaign the coordinator
+/// serves — the handshake exchanges the campaign descriptions (which
+/// exclude threads/journal/resume, the knobs that legitimately differ)
+/// and both sides reject a mismatch, naming the parameter.
 pub fn run_worker(
     addr: &str,
     workload: &dyn Workload,
@@ -86,7 +87,6 @@ pub fn run_worker_with_chaos(
     chaos: &ChaosPlan,
 ) -> Result<WorkerReport, ServiceError> {
     let drawn = draw(workload, card, cfg, golden)?;
-    let fp = drawn.fingerprint;
 
     let stream =
         TcpStream::connect(addr).map_err(|e| ServiceError::Io(format!("connect {addr}: {e}")))?;
@@ -100,27 +100,19 @@ pub fn run_worker_with_chaos(
     // every frame is a single `write_all`, so frames never interleave.
     let writer = Arc::new(Mutex::new(stream));
 
-    write_locked(
-        &writer,
-        &Msg::Hello {
-            proto: PROTO_VERSION,
-            fingerprint: fp,
-            runs: cfg.runs,
-            model: cfg.spec.model.name().to_string(),
-        }
-        .encode(),
-    )?;
+    let hello = Msg::Hello {
+        proto: PROTO_VERSION,
+        campaign: drawn.campaign.clone(),
+    };
+    write_locked(&writer, &hello.encode())?;
     match Msg::decode(&read_frame(&mut reader)?)? {
-        Msg::Welcome { fingerprint } => {
-            // The other direction of the handshake check: a coordinator
-            // serving a different campaign than we drew is refused even
-            // if it accepted us (e.g. an old coordinator that skipped the
-            // check).
-            if fingerprint != fp {
-                return Err(ServiceError::FingerprintMismatch {
-                    ours: fp,
-                    theirs: fingerprint,
-                });
+        // The other direction of the handshake check: a coordinator
+        // serving a different campaign than we drew is refused even if it
+        // accepted us.
+        Msg::Welcome { campaign } => {
+            let ours = &drawn.campaign;
+            if let Some(d) = json::first_difference(&campaign, ours, "at the coordinator", "here") {
+                return Err(ServiceError::Protocol(format!("different campaign: {d}")));
             }
         }
         Msg::Reject { reason } => return Err(ServiceError::Rejected(reason)),

@@ -17,15 +17,18 @@
 //!   resumes from the journal and schedules only the missing run indices,
 //!   treating the first line that does not parse as a torn tail.
 //!
-//! The journal is bound to its campaign by a [`campaign_fingerprint`] —
-//! a hash over every configuration field that influences per-run records
-//! (seed, spec, workload, card, engine modes) — so a stale or foreign
-//! journal is rejected instead of silently splicing wrong records.
+//! The journal is bound to its campaign by the campaign description — every
+//! parameter that influences per-run records (seed, spec, workload, card,
+//! chip, engine modes) — so a stale or foreign journal is rejected, naming
+//! the first parameter that differs, instead of splicing wrong records.
 
-use crate::campaign::{CampaignConfig, RunRecord, DEFAULT_CHECKPOINT_BUDGET};
+use crate::campaign::{CampaignConfig, RunRecord};
 use crate::classify::RunDetail;
 use crate::json::{self, Value};
+use crate::sampling::SamplingMode;
+use gpufi_faults::{CampaignSpec, FaultModel, MultiBitMode, Structure};
 use gpufi_metrics::FaultEffect;
+use gpufi_sim::{CacheConfig, GpuConfig, LatencyConfig, SchedulerPolicy, Scope};
 use std::cell::{Cell, RefCell};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -107,7 +110,7 @@ pub(crate) fn catch_run<R>(f: impl FnOnce() -> R) -> Result<R, String> {
 }
 
 // ----------------------------------------------------------------------
-// Campaign fingerprint
+// Campaign identity
 // ----------------------------------------------------------------------
 
 /// FNV-1a over `bytes` (the same hash the golden-output checksums use).
@@ -120,48 +123,91 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Hashes every campaign parameter that influences per-run records —
-/// workload, card, seed, run count, fault spec, kernel restriction and
-/// engine modes — into the journal's identity.  Deliberately excluded:
-/// `threads` (records are thread-count invariant, so a campaign journaled
-/// on one thread may resume on four) and the journal/resume fields
-/// themselves.  `interval=0` (the always-automatic checkpoint stride) and
-/// `budget=` (the constant checkpoint budget) stay in place, so the
-/// material (and every journal's fingerprint) keeps its layout.
-pub fn campaign_fingerprint(workload: &str, card: &str, cfg: &CampaignConfig) -> u64 {
-    let canonical = format!(
-        "gpufi-journal-v1|workload={workload}|card={card}|seed={}|runs={}|kernel={:?}|\
-         spec={:?}|early_exit={}|checkpoints={}|interval=0|budget={}|window={:?}|\
-         oracle={}|static_prune={}|max_run_ms={}|sampling={}",
-        cfg.seed,
-        cfg.runs,
-        cfg.kernel,
-        cfg.spec,
-        cfg.early_exit,
-        cfg.checkpoints,
-        DEFAULT_CHECKPOINT_BUDGET,
-        cfg.cycle_window,
-        cfg.oracle_check,
-        cfg.static_prune,
-        cfg.max_run_ms,
-        cfg.sampling,
-    );
-    fnv1a(canonical.as_bytes())
+/// A described field's value: numbers and flags as themselves, enums in
+/// their CLI (or `--config` file) spelling, structs as objects.
+pub(crate) trait Spelling {
+    fn spelling(&self) -> Value;
 }
 
-/// Hashes a strata layout's canonical description
-/// ([`crate::StrataLayout::fingerprint_material`]) — the `layout_hash`
-/// reported in [`crate::SamplingSummary`].
+impl<T: Spelling> Spelling for Option<T> {
+    fn spelling(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::spelling)
+    }
+}
+
+/// `let $ty { listed, excluded: _ } = $value;` — exhaustive, so a new
+/// field does not compile until it is listed or excluded — then the
+/// listed fields' spellings as JSON members, in order.
+macro_rules! members {
+    ($value:expr => $ty:ident { $($field:ident),* } $(except { $($skip:ident),* })?) => {{
+        let $ty { $($field,)* $($($skip: _,)*)? } = $value;
+        [$((stringify!($field), $field.spelling())),*]
+    }};
+}
+
+macro_rules! spelling {
+    ($($($ty:ty),+ => |$v:ident| $spelled:expr;)*) => {$($(
+        impl Spelling for $ty {
+            fn spelling(&self) -> Value {
+                let $v = self;
+                $spelled
+            }
+        }
+    )+)*};
+}
+
+spelling! {
+    u32, u64, usize, bool => |n| (*n).into();
+    String => |s| s.as_str().into();
+    (u64, u64) => |w| Value::Arr(vec![w.0.into(), w.1.into()]);
+    Structure => |s| s.cli_name().into();
+    FaultModel => |m| m.name().into();
+    Scope => |s| s.name().into();
+    MultiBitMode => |m| m.name().into();
+    SchedulerPolicy => |p| p.name().into();
+    SamplingMode => |m| m.to_string().as_str().into();
+    CacheConfig => |c| Value::obj(members!(c => CacheConfig { sets, ways, line_bytes }));
+    LatencyConfig => |l| Value::obj(members!(l => LatencyConfig {
+        alu, mul, sfu, smem, l1, icnt, l2, dram, l2_service, dram_service
+    }));
+    // The `chip` member `draw` appends, so a `--config` chip that keeps
+    // its base preset's name is another campaign.
+    GpuConfig => |c| Value::obj(members!(c => GpuConfig {
+        name, num_sms, max_threads_per_sm, max_ctas_per_sm, registers_per_sm, smem_per_sm, l1d,
+        l1t, l1c, l2, num_l2_banks, process_nm, lat, scheduler
+    }));
+}
+
+/// The campaign's identity: the workload and card names and every
+/// [`CampaignConfig`] and [`CampaignSpec`] field that shapes per-run
+/// records (`spec`'s flattened beside the rest), spelled as on the command
+/// line.  Excluded: `threads` (records are thread-count invariant) and
+/// `journal`/`resume` (where records go, not what they are).  `draw`
+/// appends the chip and the strata layout; the journal header, the
+/// fingerprint and the service handshake all derive from the result.
+pub(crate) fn describe(workload: &str, card: &str, cfg: &CampaignConfig) -> Value {
+    let names = [("workload", workload.into()), ("card", card.into())];
+    let config = members!(cfg => CampaignConfig {
+        seed, runs, kernel, early_exit, checkpoints, cycle_window, oracle_check, static_prune,
+        max_run_ms, sampling
+    } except { spec, threads, journal, resume });
+    let spec = members!(&cfg.spec => CampaignSpec {
+        structure, scope, bits_per_fault, multi_bit, replicate, model
+    });
+    Value::obj(names.into_iter().chain(config).chain(spec))
+}
+
+/// FNV-1a over the compact JSON of the campaign's description: the
+/// workload, the card name and every `CampaignConfig` and `CampaignSpec`
+/// field but `threads`, `journal` and `resume`.
+pub fn campaign_fingerprint(workload: &str, card: &str, cfg: &CampaignConfig) -> u64 {
+    fnv1a(describe(workload, card, cfg).to_string().as_bytes())
+}
+
+/// FNV-1a over [`crate::StrataLayout::fingerprint_material`]: the
+/// `layout_hash` of [`crate::SamplingSummary`] and a description's `strata`.
 pub(crate) fn strata_hash(material: &str) -> u64 {
     fnv1a(material.as_bytes())
-}
-
-/// Folds a strata layout hash into a campaign fingerprint: a stratified
-/// journal is bound to its exact stratification (weights, segments,
-/// budget allocation), not just the campaign parameters, so `--resume`
-/// refuses to splice runs drawn under a different layout.
-pub(crate) fn stratified_fingerprint(base: u64, layout_hash: u64) -> u64 {
-    fnv1a(format!("{base:016x}|strata={layout_hash:016x}").as_bytes())
 }
 
 // ----------------------------------------------------------------------
@@ -209,14 +255,28 @@ pub(crate) fn record_line(run: usize, r: &RunRecord) -> String {
     format!("{}\n", Value::obj(record_fields(run, r)))
 }
 
-fn header_line(fingerprint: u64, runs: usize) -> String {
-    let header = Value::obj([
+/// A journal's header: format version 1, the fingerprint, the run count
+/// and — engine journals only — the campaign description.
+fn header(campaign: Option<&Value>, fingerprint: u64, runs: usize) -> Value {
+    let fingerprint = Value::Str(format!("{fingerprint:016x}"));
+    let members = [
         ("v", 1u8.into()),
-        ("fingerprint", Value::Str(format!("{fingerprint:016x}"))),
+        ("fingerprint", fingerprint),
         ("runs", runs.into()),
-    ]);
-    format!("{header}\n")
+    ];
+    Value::obj(
+        members
+            .into_iter()
+            .chain(campaign.map(|c| ("campaign", c.clone()))),
+    )
 }
+
+fn header_line(fingerprint: u64, runs: usize) -> String {
+    format!("{}\n", header(None, fingerprint, runs))
+}
+
+/// A resumed journal and the records it holds, by run index.
+type Resumed = (RunJournal, Vec<Option<RunRecord>>);
 
 /// Reads [`record_fields`] back out of an object; other members (a `done`
 /// frame's envelope) are ignored.
@@ -247,8 +307,28 @@ pub(crate) fn parse_record_line(line: &str) -> Option<(usize, RunRecord)> {
 impl RunJournal {
     /// Creates (or truncates) the journal at `path` and writes its header.
     pub fn create(path: &str, fingerprint: u64, runs: usize) -> Result<RunJournal, String> {
+        Self::start(path, header_line(fingerprint, runs))
+    }
+
+    /// The journal of a drawn campaign: resumed if `resume` is set and the
+    /// file exists (its header must describe this `campaign`), else created.
+    pub(crate) fn open(
+        path: &str,
+        campaign: &Value,
+        runs: usize,
+        resume: bool,
+    ) -> Result<Resumed, String> {
+        let fingerprint = fnv1a(campaign.to_string().as_bytes());
+        let header = header(Some(campaign), fingerprint, runs);
+        if resume && std::path::Path::new(path).exists() {
+            Self::resume_header(path, &header, runs)
+        } else {
+            Ok((Self::start(path, format!("{header}\n"))?, vec![None; runs]))
+        }
+    }
+
+    fn start(path: &str, header: String) -> Result<RunJournal, String> {
         let mut file = File::create(path).map_err(|e| format!("cannot create `{path}`: {e}"))?;
-        let header = header_line(fingerprint, runs);
         file.write_all(header.as_bytes())
             .and_then(|()| file.sync_data())
             .map_err(|e| format!("cannot write journal header to `{path}`: {e}"))?;
@@ -269,12 +349,14 @@ impl RunJournal {
     ///
     /// Rejects a journal whose header is unreadable or belongs to a
     /// different campaign — resuming someone else's records would splice
-    /// wrong results into the CSV.
-    pub fn resume(
-        path: &str,
-        fingerprint: u64,
-        runs: usize,
-    ) -> Result<(RunJournal, Vec<Option<RunRecord>>), String> {
+    /// wrong results into the CSV.  The error names the first header
+    /// member that differs.
+    pub fn resume(path: &str, fingerprint: u64, runs: usize) -> Result<Resumed, String> {
+        Self::resume_header(path, &header(None, fingerprint, runs), runs)
+    }
+
+    /// [`RunJournal::resume`] of a journal whose header must equal `expected`.
+    fn resume_header(path: &str, expected: &Value, runs: usize) -> Result<Resumed, String> {
         let mut text = String::new();
         File::open(path)
             .and_then(|mut f| f.read_to_string(&mut text))
@@ -289,25 +371,18 @@ impl RunJournal {
             }
             let line = chunk.trim_end_matches(['\n', '\r']);
             if !saw_header {
-                let header = json::parse(line).ok();
-                let fp = header
-                    .as_ref()
-                    .and_then(|h| h.get("fingerprint")?.as_str())
-                    .ok_or_else(|| format!("journal `{path}` has no fingerprint header"))?;
-                if fp != format!("{fingerprint:016x}") {
+                let found = json::parse(line)
+                    .map_err(|e| format!("journal `{path}` has a malformed header: {e}"))?;
+                // Two described campaigns differ in a parameter, anything
+                // else in the header.
+                let (theirs, ours) = match (found.get("campaign"), expected.get("campaign")) {
+                    (Some(theirs), Some(ours)) => (theirs, ours),
+                    _ => (&found, expected),
+                };
+                if let Some(d) = json::first_difference(theirs, ours, "in the journal", "here") {
                     return Err(format!(
-                        "journal `{path}` belongs to a different campaign \
-                         (fingerprint {fp}, expected {fingerprint:016x}); \
+                        "journal `{path}` belongs to a different campaign: {d}; \
                          delete it or drop --resume"
-                    ));
-                }
-                let jr: usize = header
-                    .as_ref()
-                    .and_then(|h| h.get("runs")?.as_num())
-                    .ok_or_else(|| format!("journal `{path}` has a malformed header"))?;
-                if jr != runs {
-                    return Err(format!(
-                        "journal `{path}` records a {jr}-run campaign, this one has {runs}"
                     ));
                 }
                 saw_header = true;
@@ -514,7 +589,6 @@ impl JournalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpufi_faults::{CampaignSpec, Structure};
 
     fn rec(effect: FaultEffect, detail: RunDetail) -> RunRecord {
         RunRecord {
@@ -738,64 +812,103 @@ mod tests {
         let err = RunJournal::resume(&path, 2, 4).unwrap_err();
         assert!(err.contains("different campaign"), "{err}");
         let err = RunJournal::resume(&path, 1, 8).unwrap_err();
-        assert!(err.contains("4-run campaign"), "{err}");
+        assert!(err.contains("`runs` is 4 in the journal, 8 here"), "{err}");
         std::fs::write(&path, "").unwrap();
         let err = RunJournal::resume(&path, 1, 4).unwrap_err();
         assert!(err.contains("no complete header"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every `CampaignConfig` and `CampaignSpec` field mutated in turn:
+    /// each identity field changes the description and the fingerprint,
+    /// and `first_difference` names it; `threads`, `journal` and `resume`
+    /// change neither.  The table also lists every described member, so a
+    /// field described without a row here fails too.
     #[test]
-    fn fingerprint_separates_campaign_parameters() {
+    fn every_identity_field_is_described_and_named() {
+        use crate::sampling::SamplingMode;
+        use gpufi_faults::{FaultModel, Structure};
         let base = CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 100, 7);
-        let fp = |cfg: &CampaignConfig| campaign_fingerprint("VA", "RTX 2060", cfg);
-        let f0 = fp(&base);
-        assert_eq!(f0, fp(&base.clone()), "deterministic");
-        assert_ne!(
-            f0,
-            fp(&CampaignConfig {
-                seed: 8,
-                ..base.clone()
-            })
-        );
-        assert_ne!(
-            f0,
-            fp(&CampaignConfig {
-                runs: 101,
-                ..base.clone()
-            })
-        );
-        // The fault model is part of `spec={:?}`, so a stuck-at journal can
-        // never resume a transient campaign (or vice versa).
-        assert_ne!(
-            f0,
-            fp(&CampaignConfig {
-                spec: CampaignSpec::new(Structure::RegisterFile)
-                    .model(gpufi_faults::FaultModel::StuckAt1),
-                ..base.clone()
-            })
-        );
-        assert_ne!(f0, fp(&base.clone().no_early_exit()));
-        assert_ne!(f0, fp(&base.clone().no_checkpoints()));
-        assert_ne!(f0, fp(&base.clone().no_static_prune()));
-        assert_ne!(f0, fp(&base.clone().with_max_run_ms(5_000)));
-        assert_ne!(f0, fp(&base.clone().stratified()));
-        // A stratified journal is additionally bound to its strata layout
-        // and allocation hash.
-        let strat = fp(&base.clone().stratified());
-        assert_ne!(
-            strat,
-            stratified_fingerprint(strat, strata_hash("layout-a"))
-        );
-        assert_ne!(
-            stratified_fingerprint(strat, strata_hash("layout-a")),
-            stratified_fingerprint(strat, strata_hash("layout-b"))
-        );
-        assert_ne!(f0, campaign_fingerprint("GE", "RTX 2060", &base));
-        assert_ne!(f0, campaign_fingerprint("VA", "GTX Titan", &base));
-        // Threads are deliberately not part of the identity: a journal
-        // written single-threaded resumes on any worker count.
-        assert_eq!(f0, fp(&base.clone().with_threads(4)));
+        let at = |cfg: &CampaignConfig| describe("VA", "RTX 2060", cfg);
+        let cfg = |f: fn(&mut CampaignConfig)| {
+            let mut c = base.clone();
+            f(&mut c);
+            c
+        };
+        let spec = |f: fn(&mut CampaignSpec)| {
+            let mut c = base.clone();
+            f(&mut c.spec);
+            c
+        };
+        let rows = [
+            ("seed", cfg(|c| c.seed = 8)),
+            ("runs", cfg(|c| c.runs = 101)),
+            ("kernel", cfg(|c| c.kernel = Some("vec_add".into()))),
+            ("early_exit", cfg(|c| c.early_exit = false)),
+            ("checkpoints", cfg(|c| c.checkpoints = false)),
+            ("cycle_window", cfg(|c| c.cycle_window = Some((10, 20)))),
+            ("oracle_check", cfg(|c| c.oracle_check = true)),
+            ("static_prune", cfg(|c| c.static_prune = false)),
+            ("max_run_ms", cfg(|c| c.max_run_ms = 5_000)),
+            ("sampling", cfg(|c| c.sampling = SamplingMode::Stratified)),
+            ("structure", spec(|s| s.structure = Structure::L2)),
+            ("scope", spec(|s| s.scope = Scope::Warp)),
+            ("bits_per_fault", spec(|s| s.bits_per_fault = 3)),
+            ("multi_bit", spec(|s| s.multi_bit = MultiBitMode::Spread)),
+            ("replicate", spec(|s| s.replicate = 2)),
+            ("model", spec(|s| s.model = FaultModel::StuckAt1)),
+            ("", cfg(|c| c.threads = 4)),
+            ("", cfg(|c| c.journal = Some("x.journal.jsonl".into()))),
+            ("", cfg(|c| c.resume = true)),
+        ];
+        // The member path `first_difference` reports.
+        let named = |a: &Value, b: &Value| {
+            let d = json::first_difference(a, b, "there", "here")?;
+            d.split('`').nth(1).map(str::to_string)
+        };
+        let d0 = at(&base);
+        let f0 = campaign_fingerprint("VA", "RTX 2060", &base);
+        for (field, mutated) in &rows {
+            let d = at(mutated);
+            let f = campaign_fingerprint("VA", "RTX 2060", mutated);
+            if field.is_empty() {
+                assert_eq!((&d, f), (&d0, f0), "{mutated:?}");
+            } else {
+                assert_ne!(f, f0, "{field}: fingerprint unchanged");
+                assert_eq!(named(&d0, &d).as_deref(), Some(*field), "{d}");
+            }
+        }
+        let workload = describe("GE", "RTX 2060", &base);
+        assert_eq!(named(&d0, &workload).as_deref(), Some("workload"));
+        let card = describe("VA", "GTX Titan", &base);
+        assert_eq!(named(&d0, &card).as_deref(), Some("card"));
+        let Value::Obj(members) = &d0 else {
+            panic!("{d0}")
+        };
+        let described: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        let tabled = ["workload", "card"]
+            .into_iter()
+            .chain(rows.iter().map(|(f, _)| *f).filter(|f| !f.is_empty()));
+        assert_eq!(described, tabled.collect::<Vec<_>>());
+        // The chip description nests caches and latencies by field name.
+        let rtx = GpuConfig::rtx2060();
+        let chip = |f: fn(&mut GpuConfig)| {
+            let mut c = rtx.clone();
+            f(&mut c);
+            c.spelling()
+        };
+        for (path, mutated) in [
+            ("num_sms", chip(|c| c.num_sms = 2)),
+            ("l1d", chip(|c| c.l1d = None)),
+            ("l2.sets", chip(|c| c.l2.sets = 8)),
+            ("lat.dram", chip(|c| c.lat.dram = 1)),
+            (
+                "scheduler",
+                chip(|c| c.scheduler = SchedulerPolicy::RoundRobin),
+            ),
+        ] {
+            assert_eq!(named(&rtx.spelling(), &mutated).as_deref(), Some(path));
+        }
     }
 
     /// Regression for the latent concurrent-merge hazard the distributed

@@ -59,6 +59,16 @@ pub enum MultiBitMode {
     Spread,
 }
 
+impl MultiBitMode {
+    /// The mode's spelling (`--spread` selects `spread`).
+    pub fn name(self) -> &'static str {
+        match self {
+            MultiBitMode::SameEntry => "same-entry",
+            MultiBitMode::Spread => "spread",
+        }
+    }
+}
+
 /// The shape of the faults a campaign draws.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CampaignSpec {
@@ -75,7 +85,6 @@ pub struct CampaignSpec {
     pub replicate: u32,
     /// Temporal fault model (`--fault-model`): transient flips or
     /// stuck-at pins.
-    #[serde(default)]
     pub model: FaultModel,
 }
 

@@ -130,6 +130,16 @@ pub enum SchedulerPolicy {
     RoundRobin,
 }
 
+impl SchedulerPolicy {
+    /// The configuration-file spelling (`scheduler = gto|rr`).
+    pub fn name(self) -> &'static str {
+        match self {
+            SchedulerPolicy::Gto => "gto",
+            SchedulerPolicy::RoundRobin => "rr",
+        }
+    }
+}
+
 /// Full configuration of one GPU chip.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GpuConfig {

@@ -27,6 +27,23 @@ pub enum Scope {
     Warp,
 }
 
+impl Scope {
+    /// The CLI spelling (`--scope thread|warp`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Scope::Thread => "thread",
+            Scope::Warp => "warp",
+        }
+    }
+
+    /// Inverse of [`Scope::name`].
+    pub fn parse(s: &str) -> Option<Scope> {
+        [Scope::Thread, Scope::Warp]
+            .into_iter()
+            .find(|x| x.name() == s)
+    }
+}
+
 /// The temporal model of a fault (the campaign's `--fault-model` axis).
 ///
 /// A **transient** fault flips the targeted bits once, at the planned
@@ -384,7 +401,6 @@ pub struct InjectionPlan {
     /// The faults, in any order (the GPU sorts by cycle when armed).
     pub faults: Vec<PlannedFault>,
     /// The temporal model every fault of this plan follows.
-    #[serde(default)]
     pub model: FaultModel,
 }
 

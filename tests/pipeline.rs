@@ -346,7 +346,7 @@ fn injection_matrix_bytes_are_pinned() {
     let cfg = CampaignConfig::new(spec(RegisterFile).warp_scope().model(StuckAt1), 40, 26);
     assert_eq!(
         campaign_fingerprint("VA", "RTX 2060", &cfg),
-        0xf525c64a962f6aaa,
+        0x6697d733f1f0c99d,
         "campaign fingerprint drifted"
     );
 }

@@ -244,52 +244,78 @@ fn chaos_matrix_is_bit_identical_to_serial() {
 }
 
 /// Handshake rejection, coordinator side: a worker whose config draws a
-/// different campaign (stale binary, wrong seed...) is refused with a
-/// clean `Rejected`, and the campaign still completes via a correct
-/// worker.  A connection that speaks garbage must not hurt either.
+/// different campaign (another seed, another fault model) is refused with
+/// a clean `Rejected` naming the parameter, a v3 worker's hello is
+/// answered with a reject frame, and the campaign still completes via a
+/// correct worker.  A connection that speaks garbage must not hurt either.
 #[test]
 fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
     let w = VectorAdd::new(128);
     let card = GpuConfig::rtx2060();
     let golden = profile(&w, &card).unwrap();
-    let cfg =
-        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 16, 3).with_threads(1);
-    let wrong_cfg =
-        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 16, 4).with_threads(1);
+    let spec = CampaignSpec::new(Structure::RegisterFile);
+    let cfg = CampaignConfig::new(spec.clone(), 16, 3).with_threads(1);
+    let wrong_seed = CampaignConfig::new(spec.clone(), 16, 4).with_threads(1);
+    let wrong_model = CampaignConfig::new(spec.model(FaultModel::StuckAt1), 16, 3).with_threads(1);
     let serial_csv = campaign_csv(&run_campaign(&w, &card, &cfg, &golden).unwrap());
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let svc = quick_svc();
-    let (w, card, cfg, wrong_cfg, golden, svc) = (&w, &card, &cfg, &wrong_cfg, &golden, &svc);
-    let (coord_res, mismatched, good) = thread::scope(|s| {
+    let (w, card, cfg, golden, svc) = (&w, &card, &cfg, &golden, &svc);
+    let (coord_res, v3_reply, mismatched, good) = thread::scope(|s| {
         let coordinator = s.spawn(|| serve_campaign(w, card, cfg, golden, svc, listener));
         // Garbage first: random bytes, then a clean close.
         {
             let mut garbage = TcpStream::connect(&addr).unwrap();
             let _ = garbage.write_all(b"\x00\xffGET / HTTP/1.1\r\n\r\n#no\n");
         }
-        let mismatched = {
-            let addr = addr.clone();
-            s.spawn(move || run_worker(&addr, w, card, wrong_cfg, golden, svc))
+        // A v3 hello carries no campaign description.
+        let v3_reply = {
+            let mut v3 = TcpStream::connect(&addr).unwrap();
+            let hello = r#"{"type":"hello","proto":3,"fingerprint":"00000000deadbeef","runs":16,"model":"transient"}"#;
+            let frame = format!("#{}\n{hello}\n", hello.len() + 1);
+            v3.write_all(frame.as_bytes()).unwrap();
+            let mut reply = String::new();
+            let _ = v3.read_to_string(&mut reply);
+            reply
         };
+        let mismatched: Vec<_> = [&wrong_seed, &wrong_model]
+            .into_iter()
+            .map(|wrong| {
+                let addr = addr.clone();
+                s.spawn(move || run_worker(&addr, w, card, wrong, golden, svc))
+            })
+            .collect();
         let good = {
             let addr = addr.clone();
             s.spawn(move || run_worker(&addr, w, card, cfg, golden, svc))
         };
         (
             coordinator.join().unwrap(),
-            mismatched.join().unwrap(),
+            v3_reply,
+            mismatched
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>(),
             good.join().unwrap(),
         )
     });
     let res = coord_res.unwrap();
     assert_eq!(campaign_csv(&res), serial_csv);
-    match mismatched {
-        Err(ServiceError::Rejected(reason)) => {
-            assert!(reason.contains("fingerprint"), "reason: {reason}")
+    assert!(
+        v3_reply.contains(r#"{"type":"reject","reason":"expected a protocol v4 hello frame"}"#),
+        "v3 hello answered with {v3_reply:?}"
+    );
+    let expected = [
+        "different campaign: `seed` is 3 at the coordinator, 4 at the worker",
+        "different campaign: `model` is \"transient\" at the coordinator, \"stuck-at-1\" at the worker",
+    ];
+    for (out, want) in mismatched.into_iter().zip(expected) {
+        match out {
+            Err(ServiceError::Rejected(reason)) => assert_eq!(reason, want),
+            other => panic!("mismatched worker should be rejected, got {other:?}"),
         }
-        other => panic!("mismatched worker should be rejected, got {other:?}"),
     }
     assert!(good.is_ok(), "correct worker failed: {good:?}");
 }
@@ -331,8 +357,9 @@ fn worker_returns_on_fin_not_a_heartbeat_later() {
 }
 
 /// Handshake rejection, worker side: a coordinator that welcomes us with
-/// a *different* fingerprint (the stale-coordinator direction) is refused
-/// by the worker even though it accepted the connection.
+/// a *different* campaign description (the stale-coordinator direction)
+/// is refused by the worker even though it accepted the connection, and
+/// the error names the parameter.
 #[test]
 fn worker_rejects_mismatched_coordinator() {
     let w = VectorAdd::new(128);
@@ -348,17 +375,17 @@ fn worker_rejects_mismatched_coordinator() {
         let mut buf = [0u8; 1024];
         let _ = stream.read(&mut buf);
         let payload =
-            "{\"type\":\"welcome\",\"fingerprint\":\"00000000deadbeef\",\"deadline_ms\":1000}";
+            r#"{"type":"welcome","campaign":{"workload":"VA","card":"RTX 2060","seed":6}}"#;
         let frame = format!("#{}\n{payload}\n", payload.len() + 1);
         stream.write_all(frame.as_bytes()).unwrap();
     });
     let out = run_worker(&addr, &w, &card, &cfg, &golden, &ServiceConfig::default());
     fake.join().unwrap();
     match out {
-        Err(ServiceError::FingerprintMismatch { ours, theirs }) => {
-            assert_eq!(theirs, 0x0000_0000_dead_beef);
-            assert_ne!(ours, theirs);
-        }
+        Err(ServiceError::Protocol(msg)) => assert_eq!(
+            msg,
+            "different campaign: `seed` is 6 at the coordinator, 5 here"
+        ),
         other => panic!("worker should refuse the fake coordinator, got {other:?}"),
     }
 }

@@ -212,8 +212,8 @@ fn generous_wall_watchdog_does_not_perturb_classification() {
 
 /// `--resume` against a journal written by a *different* campaign — here
 /// the same campaign with one mutated parameter (the seed) — must fail
-/// with a `CampaignError::Journal` naming both fingerprints, never
-/// silently restart or splice foreign records into the CSV.
+/// with a `CampaignError::Journal` naming the parameter and both values,
+/// never silently restart or splice foreign records into the CSV.
 #[test]
 fn resume_rejects_mismatched_campaign_fingerprint() {
     let w = VectorAdd::new(128);
@@ -240,18 +240,50 @@ fn resume_rejects_mismatched_campaign_fingerprint() {
     let CampaignError::Journal(msg) = &err else {
         panic!("expected CampaignError::Journal, got {err:?}");
     };
-    let old_fp = format!(
-        "{:016x}",
-        campaign_fingerprint(w.name(), &card.name, &original)
+    assert_ne!(
+        campaign_fingerprint(w.name(), &card.name, &original),
+        campaign_fingerprint(w.name(), &card.name, &mutated),
+        "seed must enter the fingerprint"
     );
-    let new_fp = format!(
-        "{:016x}",
-        campaign_fingerprint(w.name(), &card.name, &mutated)
-    );
-    assert_ne!(old_fp, new_fp, "seed must enter the fingerprint");
     assert!(
-        msg.contains(&old_fp) && msg.contains(&new_fp),
-        "error must name both fingerprints (journal {old_fp}, campaign {new_fp}): {msg}"
+        msg.contains("`seed` is 17 in the journal, 18 here"),
+        "error must name the seed and both values: {msg}"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// A `--config` chip that keeps its base preset's name is still another
+/// chip: a journal recorded on the "Mini" chip of `tests/pipeline.rs`
+/// without its `name = Mini` line (so named "RTX 2060") must not resume
+/// on the real RTX 2060, and the refusal names the `chip` member that
+/// differs.
+#[test]
+fn resume_rejects_a_config_chip_posing_as_its_preset() {
+    let w = VectorAdd::new(128);
+    let mini = GpuConfig::from_config_text(
+        "num_sms = 2\nl1d = 2048:2:128\nl1t = 2048:2:128\nl2 = 16384:4:128\nl2_banks = 2\n",
+    )
+    .unwrap();
+    let rtx = GpuConfig::rtx2060();
+    assert_eq!(mini.name, rtx.name);
+    let path = tmp("chip-mismatch.journal.jsonl");
+    let cfg = CampaignConfig::new(CampaignSpec::new(Structure::L2), 40, 3)
+        .with_threads(1)
+        .with_journal(path.clone());
+    run_campaign(&w, &mini, &cfg, &profile(&w, &mini).unwrap()).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let cut: String = text.split_inclusive('\n').take(21).collect();
+    std::fs::write(&path, cut).unwrap();
+
+    let resumed = cfg.clone().with_resume();
+    let err = run_campaign(&w, &rtx, &resumed, &profile(&w, &rtx).unwrap())
+        .expect_err("a Mini journal must not resume on the RTX 2060");
+    let CampaignError::Journal(msg) = &err else {
+        panic!("expected CampaignError::Journal, got {err:?}");
+    };
+    assert!(
+        msg.contains("`chip.num_sms` is 2 in the journal, 30 here"),
+        "{msg}"
+    );
+    std::fs::remove_file(&path).ok();
 }
