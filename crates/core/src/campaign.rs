@@ -259,7 +259,8 @@ pub struct CampaignStats {
     pub early_exit_rate: f64,
     /// Snapshots held in the checkpoint store (0 = checkpoints disabled).
     pub checkpoints: usize,
-    /// Approximate resident bytes of the checkpoint store.
+    /// Heap bytes the checkpoint store holds, each shared cache chunk
+    /// counted once ([`CheckpointStore::held_bytes`]).
     pub checkpoint_bytes: usize,
     /// Runs that forked from a checkpoint instead of cold-starting.
     pub restores: usize,
@@ -1484,7 +1485,7 @@ pub fn run_campaign_with_hook(
     let mut result = p.finish(cfg, threads)?;
     let s = &mut result.stats;
     s.checkpoints = env.store.as_ref().map_or(0, |s| s.len());
-    s.checkpoint_bytes = env.store.as_ref().map_or(0, |s| s.resident_bytes());
+    s.checkpoint_bytes = env.store.as_ref().map_or(0, |s| s.held_bytes());
     Ok(result)
 }
 

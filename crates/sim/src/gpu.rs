@@ -802,6 +802,9 @@ impl Gpu {
                 .as_ref()
                 .is_some_and(|r| self.cycle >= r.next_at)
             {
+                // Cache chunks written since the last capture become shared
+                // with the snapshot instead of copied into it.
+                self.mem.share();
                 let snap = self.capture(Some(p));
                 self.recorder
                     .as_mut()

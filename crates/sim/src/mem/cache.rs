@@ -11,15 +11,22 @@
 //! bits are part of the injectable bit space and a flipped tag makes the
 //! line unreachable under its old address and aliased under a new one.
 //!
-//! The data array is one contiguous buffer (line `i` owns bytes
-//! `i*line_bytes .. (i+1)*line_bytes`) rather than a `Vec<u8>` per line:
-//! constructing a GPU allocates tens of thousands of lines across the L1s
-//! and the L2, and campaign throughput is dominated by per-run setup and
-//! the per-launch flush walk, both of which want a single flat allocation.
+//! The tag and data arrays are the bulk of every checkpoint, so they are
+//! held copy-on-write: a table of chunks, each a whole number of
+//! consecutive sets (about 32 lines) with their metadata and data bytes,
+//! and each either `Arc`-shared or owned by this cache.  Cloning a cache —
+//! how a snapshot captures it — shares the chunks; the first write to a
+//! shared chunk replaces it by an owned copy, after which writes to it
+//! cost no reference-count check; `clone_from` — how a fork restores —
+//! reassigns only the chunks that are not already the source's; and a new
+//! cache points every chunk at one shared all-invalid chunk.  Recording,
+//! forking and building a device thus copy only the chunks that were
+//! written.
 
 use crate::config::{CacheConfig, TAG_BITS};
 use arrays::Arrays;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A set-through-`&self` boolean latch for "tainted state was observed"
@@ -58,11 +65,11 @@ impl Clone for EscapeLatch {
 /// This is the measured size of the original line struct (three flag
 /// bytes + tag + LRU stamp + a per-line `Vec<u8>` header), pinned so the
 /// checkpoint-store budget — and therefore the recorder's capture stride
-/// visible in campaign CSVs — is independent of the flattened layout.
+/// visible in campaign CSVs — is independent of the storage layout.
 const LINE_ACCT_BYTES: usize = 48;
 
 /// One cache line's metadata: valid/dirty state, tag and LRU stamp.  The
-/// data bytes live in the cache-wide flat buffer.
+/// data bytes live beside it in the line's chunk.
 ///
 /// `tainted` marks a line whose data bits were changed by an injected
 /// fault but not yet observed — the fault-lifetime tracker uses it to
@@ -74,6 +81,14 @@ struct Line {
     tainted: bool,
     tag: u64,
     lru: u64,
+}
+
+/// Clears `line`'s taint, keeping the cache's taint count in step.
+fn untaint(line: &mut Line, taints: &mut u32) {
+    if line.tainted {
+        line.tainted = false;
+        *taints -= 1;
+    }
 }
 
 /// Hit/miss counters, per cache instance.
@@ -175,76 +190,256 @@ clone_fields!(Cache {
 
 mod arrays {
     use super::Line;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use crate::config::CacheConfig;
+    use std::collections::HashSet;
+    use std::sync::Arc;
 
-    /// Source of array stamps; 0 ("touched") is never handed out.
-    /// `Relaxed` suffices: the counter only has to hand out distinct
-    /// values and publishes no other data.
-    static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+    /// How many lines a chunk aims to hold: a run that writes one line
+    /// copies at most this many, and an RTX 2060 device is about 3200
+    /// chunks, so capturing or restoring one visits a few thousand
+    /// pointers.
+    const CHUNK_LINES: u32 = 32;
 
-    /// A cache's tag/LRU line array and its flat data array (line `i` owns
-    /// bytes `i*line_bytes .. (i+1)*line_bytes`) — the bulk of every
-    /// checkpoint — plus the stamp that lets a restore skip copying them.
-    ///
-    /// Arrays with equal nonzero stamps hold equal contents: cloning
-    /// touched arrays draws a fresh stamp from a process-wide counter,
-    /// `clone_from` carries the source's stamp over, and the one mutable
-    /// accessor, [`Arrays::touch`], zeroes it.  So `clone_from` copies
-    /// nothing when both stamps match, and a device forked in place from
-    /// the same snapshot again re-copies only the arrays its last run
-    /// touched.  The fields are private to this module: no mutator can
-    /// bypass `touch`.
-    #[derive(Debug)]
-    pub(super) struct Arrays {
-        lines: Vec<Line>,
-        data: Vec<u8>,
-        stamp: u64,
+    /// A whole number of consecutive sets: their lines' metadata and data
+    /// bytes (line `j` owns `data[j*line_bytes .. (j+1)*line_bytes]`).
+    #[derive(Debug, Clone, Default)]
+    struct Chunk {
+        lines: Box<[Line]>,
+        data: Box<[u8]>,
     }
 
-    impl Arrays {
-        pub(super) fn new(lines: Vec<Line>, data: Vec<u8>) -> Self {
-            Arrays {
-                lines,
-                data,
-                stamp: 0,
+    /// One chunk of a cache: shared with clones (snapshots, forks, the
+    /// other caches of a new device), or owned outright once written.
+    /// Writing an owned chunk needs no reference-count check, which keeps
+    /// atomics off the per-access path.
+    #[derive(Debug)]
+    enum Held {
+        Shared(Arc<Chunk>),
+        Owned(Chunk),
+    }
+
+    impl Held {
+        fn get(&self) -> &Chunk {
+            match self {
+                Held::Shared(c) => c,
+                Held::Owned(c) => c,
             }
         }
 
-        pub(super) fn lines(&self) -> &[Line] {
-            &self.lines
+        /// The chunk, for writing: the one mutable access to a chunk, so a
+        /// shared chunk is first replaced by an owned copy.
+        fn owned(&mut self) -> &mut Chunk {
+            if let Held::Shared(c) = self {
+                *self = Held::Owned(unshare(c));
+            }
+            match self {
+                Held::Owned(c) => c,
+                Held::Shared(_) => unreachable!("the chunk was just made owned"),
+            }
+        }
+    }
+
+    /// A private copy of a shared chunk: once per chunk and run, off the
+    /// per-access path.
+    #[cold]
+    fn unshare(c: &Chunk) -> Chunk {
+        c.clone()
+    }
+
+    impl Clone for Held {
+        /// Shares the chunk; an owned one is copied into a new shared
+        /// chunk, since `&self` cannot hand it over (see [`Arrays::share`]).
+        fn clone(&self) -> Self {
+            match self {
+                Held::Shared(c) => Held::Shared(Arc::clone(c)),
+                Held::Owned(c) => Held::Shared(Arc::new(c.clone())),
+            }
+        }
+    }
+
+    /// A line's place in the arrays: its chunk and its index there.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct Slot {
+        chunk: usize,
+        line: usize,
+    }
+
+    /// A cache's tag/LRU and data arrays as a table of copy-on-write
+    /// chunks of `2^set_shift` sets each.
+    ///
+    /// A chunk is only ever written through `Held::owned`, which first
+    /// replaces a shared chunk by an owned copy, so a clone never sees its
+    /// source's later writes.  `clone` shares every chunk;
+    /// `clone_from` reassigns only the chunks that are not already the
+    /// source's, so a device forked in place from the same snapshot again
+    /// swaps back only the chunks its last run wrote.  The fields are
+    /// private to this module: no mutator can bypass `Held::owned`.
+    #[derive(Debug)]
+    pub(super) struct Arrays {
+        chunks: Vec<Held>,
+        set_shift: u32,
+        ways: usize,
+        line_bytes: usize,
+    }
+
+    impl Arrays {
+        /// All-invalid, zeroed arrays for `cfg`: every chunk is one shared
+        /// chunk.  A chunk holds the largest power of two of sets that
+        /// divides `cfg.sets` and keeps it within [`CHUNK_LINES`] (one set
+        /// if the ways alone exceed it), so every chunk has the same shape.
+        pub(super) fn new(cfg: &CacheConfig) -> Self {
+            let max_sets = (CHUNK_LINES / cfg.ways.max(1)).max(1);
+            let mut set_shift = 0;
+            while 2 << set_shift <= max_sets && cfg.sets.is_multiple_of(2 << set_shift) {
+                set_shift += 1;
+            }
+            let (ways, line_bytes) = (cfg.ways as usize, cfg.line_bytes as usize);
+            let lines = ways << set_shift;
+            let blank = Held::Shared(Arc::new(Chunk {
+                lines: vec![
+                    Line {
+                        valid: false,
+                        dirty: false,
+                        tainted: false,
+                        tag: 0,
+                        lru: 0,
+                    };
+                    lines
+                ]
+                .into(),
+                data: vec![0; lines * line_bytes].into(),
+            }));
+            Arrays {
+                chunks: vec![blank; (cfg.sets >> set_shift) as usize],
+                set_shift,
+                ways,
+                line_bytes,
+            }
         }
 
-        pub(super) fn data(&self) -> &[u8] {
-            &self.data
+        /// The slot of way `way` of set `set`.
+        pub(super) fn slot(&self, set: u32, way: usize) -> Slot {
+            let first = set & ((1 << self.set_shift) - 1);
+            Slot {
+                chunk: (set >> self.set_shift) as usize,
+                line: first as usize * self.ways + way,
+            }
         }
 
-        /// Mutable access to both arrays; marks them touched.
-        pub(super) fn touch(&mut self) -> (&mut [Line], &mut [u8]) {
-            self.stamp = 0;
-            (&mut self.lines, &mut self.data)
+        /// The slot of line `i` in line-major order (`set * ways + way`).
+        pub(super) fn slot_of_index(&self, i: usize) -> Slot {
+            self.slot((i / self.ways) as u32, i % self.ways)
+        }
+
+        /// The first set chunk `chunk` holds.
+        pub(super) fn first_set(&self, chunk: usize) -> u32 {
+            (chunk as u32) << self.set_shift
+        }
+
+        /// The lines of set `set`, in way order.
+        pub(super) fn set(&self, set: u32) -> &[Line] {
+            let s = self.slot(set, 0);
+            &self.chunks[s.chunk].get().lines[s.line..s.line + self.ways]
+        }
+
+        pub(super) fn line(&self, s: Slot) -> &Line {
+            &self.chunks[s.chunk].get().lines[s.line]
+        }
+
+        /// The data bytes of the line at `s`.
+        pub(super) fn data(&self, s: Slot) -> &[u8] {
+            let at = s.line * self.line_bytes;
+            &self.chunks[s.chunk].get().data[at..at + self.line_bytes]
+        }
+
+        pub(super) fn num_chunks(&self) -> usize {
+            self.chunks.len()
+        }
+
+        /// The lines of chunk `chunk`, in line-major order.
+        pub(super) fn chunk_lines(&self, chunk: usize) -> &[Line] {
+            &self.chunks[chunk].get().lines
+        }
+
+        /// Every line with its data bytes, in line-major order.
+        pub(super) fn iter(&self) -> impl Iterator<Item = (&Line, &[u8])> {
+            self.chunks.iter().flat_map(|c| {
+                let c = c.get();
+                c.lines.iter().zip(c.data.chunks_exact(self.line_bytes))
+            })
+        }
+
+        /// Mutable access to chunk `chunk`'s lines and data (a shared
+        /// chunk is replaced by an owned copy first).
+        pub(super) fn touch_chunk(&mut self, chunk: usize) -> (&mut [Line], &mut [u8]) {
+            let c = self.chunks[chunk].owned();
+            (&mut c.lines, &mut c.data)
+        }
+
+        /// Mutable access to the line at `s` and its data bytes (a shared
+        /// chunk is replaced by an owned copy first).
+        pub(super) fn touch(&mut self, s: Slot) -> (&mut Line, &mut [u8]) {
+            let lb = self.line_bytes;
+            let c = self.chunks[s.chunk].owned();
+            (&mut c.lines[s.line], &mut c.data[s.line * lb..][..lb])
+        }
+
+        /// Turns every owned chunk into a shared one without copying its
+        /// bytes, so that a clone taken next shares it instead of copying.
+        pub(super) fn share(&mut self) {
+            for held in &mut self.chunks {
+                if let Held::Owned(c) = held {
+                    *held = Held::Shared(Arc::new(std::mem::take(c)));
+                }
+            }
+        }
+
+        /// Heap bytes of the chunk table plus every chunk not yet in
+        /// `seen`, which collects the shared chunks counted so far.
+        pub(super) fn held_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+            let chunk_bytes = |c: &Chunk| std::mem::size_of_val(&*c.lines) + c.data.len();
+            let chunks: usize = self
+                .chunks
+                .iter()
+                .map(|held| match held {
+                    Held::Shared(c) if !seen.insert(Arc::as_ptr(c).cast()) => 0,
+                    _ => chunk_bytes(held.get()),
+                })
+                .sum();
+            self.chunks.len() * std::mem::size_of::<Held>() + chunks
         }
     }
 
     impl Clone for Arrays {
         fn clone(&self) -> Self {
-            let stamp = match self.stamp {
-                0 => NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
-                s => s,
-            };
             Arrays {
-                lines: self.lines.clone(),
-                data: self.data.clone(),
-                stamp,
+                chunks: self.chunks.clone(),
+                ..*self
             }
         }
 
         fn clone_from(&mut self, source: &Self) {
-            let Arrays { lines, data, stamp } = self;
-            if *stamp == 0 || *stamp != source.stamp {
-                lines.clone_from(&source.lines);
-                data.clone_from(&source.data);
+            let Arrays {
+                chunks,
+                set_shift,
+                ways,
+                line_bytes,
+            } = self;
+            *set_shift = source.set_shift;
+            *ways = source.ways;
+            *line_bytes = source.line_bytes;
+            chunks.truncate(source.chunks.len());
+            for (dst, src) in chunks.iter_mut().zip(&source.chunks) {
+                let same = matches!(
+                    (&*dst, src),
+                    (Held::Shared(d), Held::Shared(s)) if Arc::ptr_eq(d, s)
+                );
+                if !same {
+                    *dst = src.clone();
+                }
             }
-            *stamp = source.stamp;
+            let kept = chunks.len();
+            chunks.extend_from_slice(&source.chunks[kept..]);
         }
     }
 }
@@ -252,19 +447,8 @@ mod arrays {
 impl Cache {
     /// Creates an empty (all-invalid) cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Self {
-        let num = cfg.num_lines() as usize;
-        let lines = vec![
-            Line {
-                valid: false,
-                dirty: false,
-                tainted: false,
-                tag: 0,
-                lru: 0,
-            };
-            num
-        ];
         Cache {
-            arrays: Arrays::new(lines, vec![0; num * cfg.line_bytes as usize]),
+            arrays: Arrays::new(&cfg),
             cfg,
             tick: 0,
             stats: CacheStats::default(),
@@ -279,12 +463,27 @@ impl Cache {
         self.taints
     }
 
-    /// Approximate heap footprint of the tag and data arrays, for
-    /// checkpoint-store budgeting.  Uses the pinned `LINE_ACCT_BYTES`
-    /// per-line metadata cost so the budget does not shift with the
-    /// internal storage layout.
+    /// Nominal footprint of the tag and data arrays: the recorder's
+    /// checkpoint-budget accounting, which charges every line in full
+    /// whether or not a snapshot shares its chunk.  Uses the pinned
+    /// `LINE_ACCT_BYTES` per-line metadata cost so the budget — and the
+    /// capture stride — does not shift with the storage layout.
     pub fn resident_bytes(&self) -> usize {
-        self.arrays.lines().len() * (LINE_ACCT_BYTES + self.cfg.line_bytes as usize)
+        self.cfg.num_lines() as usize * (LINE_ACCT_BYTES + self.cfg.line_bytes as usize)
+    }
+
+    /// Hands every chunk this cache owns over to sharing, without copying
+    /// it, so that the next clone — a checkpoint capture — shares it
+    /// rather than copying it.
+    pub(crate) fn share(&mut self) {
+        self.arrays.share();
+    }
+
+    /// Heap bytes this cache's arrays actually hold, counting only the
+    /// chunks not already in `seen` (and adding them), so that summing
+    /// over caches that share chunks counts each chunk once.
+    pub(crate) fn held_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+        self.arrays.held_bytes(seen)
     }
 
     /// Whether fault-flipped state has become observable (see the field
@@ -296,17 +495,16 @@ impl Cache {
 
     /// Hashes the cache's complete state (lines, LRU stamps, statistics,
     /// taint bookkeeping) into a canonical state digest.  The derived
-    /// `valid_cnt` counter and the arrays' copy stamp are excluded.
+    /// `valid_cnt` counter and the chunking are excluded.
     pub(crate) fn digest_into(&self, h: &mut crate::snapshot::StateHasher) {
-        let lines = self.arrays.lines();
-        h.u64(lines.len() as u64);
-        for (i, l) in lines.iter().enumerate() {
+        h.u64(u64::from(self.cfg.num_lines()));
+        for (l, data) in self.arrays.iter() {
             h.bool(l.valid);
             h.bool(l.dirty);
             h.bool(l.tainted);
             h.u64(l.tag);
             h.u64(l.lru);
-            h.bytes(&self.arrays.data()[self.data_range(i)]);
+            h.bytes(data);
         }
         h.u64(self.tick);
         h.u64(self.stats.hits);
@@ -315,13 +513,6 @@ impl Cache {
         h.u64(self.stats.fills);
         h.u32(self.taints);
         h.bool(self.escaped.get());
-    }
-
-    fn clear_taint(&mut self, i: usize) {
-        if self.arrays.lines()[i].tainted {
-            self.arrays.touch().0[i].tainted = false;
-            self.taints -= 1;
-        }
     }
 
     /// The cache geometry.
@@ -351,23 +542,14 @@ impl Cache {
         tag * u64::from(self.cfg.sets) + u64::from(set)
     }
 
-    fn set_range(&self, set: u32) -> std::ops::Range<usize> {
-        let base = (set * self.cfg.ways) as usize;
-        base..base + self.cfg.ways as usize
-    }
-
-    /// Byte range of line `i` within the flat data buffer.
-    fn data_range(&self, i: usize) -> std::ops::Range<usize> {
-        let lb = self.cfg.line_bytes as usize;
-        i * lb..(i + 1) * lb
-    }
-
-    fn find(&self, line_addr: u64) -> Option<usize> {
+    fn find(&self, line_addr: u64) -> Option<arrays::Slot> {
         let set = self.set_of(line_addr);
         let tag = self.tag_of(line_addr);
-        let lines = self.arrays.lines();
-        self.set_range(set)
-            .find(|&i| lines[i].valid && lines[i].tag == tag)
+        self.arrays
+            .set(set)
+            .iter()
+            .position(|l| l.valid && l.tag == tag)
+            .map(|way| self.arrays.slot(set, way))
     }
 
     /// Whether `line_addr` is currently resident, without touching LRU or
@@ -386,15 +568,15 @@ impl Cache {
     /// Panics if `offset + out.len()` exceeds the line size.
     pub fn read(&mut self, line_addr: u64, offset: u32, out: &mut [u8]) -> bool {
         match self.find(line_addr) {
-            Some(i) => {
-                let base = self.data_range(i).start + offset as usize;
+            Some(s) => {
+                let at = offset as usize;
                 self.tick += 1;
-                let (lines, data) = self.arrays.touch();
-                lines[i].lru = self.tick;
-                if lines[i].tainted {
+                let (line, data) = self.arrays.touch(s);
+                line.lru = self.tick;
+                if line.tainted {
                     self.escaped.set(true);
                 }
-                out.copy_from_slice(&data[base..base + out.len()]);
+                out.copy_from_slice(&data[at..at + out.len()]);
                 self.stats.hits += 1;
                 true
             }
@@ -411,18 +593,18 @@ impl Cache {
     /// Returns `true` on a hit.
     pub fn write(&mut self, line_addr: u64, offset: u32, bytes: &[u8], dirty: bool) -> bool {
         match self.find(line_addr) {
-            Some(i) => {
-                let base = self.data_range(i).start + offset as usize;
+            Some(s) => {
+                let at = offset as usize;
                 self.tick += 1;
-                let (lines, data) = self.arrays.touch();
-                lines[i].lru = self.tick;
-                data[base..base + bytes.len()].copy_from_slice(bytes);
-                lines[i].dirty |= dirty;
+                let (line, data) = self.arrays.touch(s);
+                line.lru = self.tick;
+                data[at..at + bytes.len()].copy_from_slice(bytes);
+                line.dirty |= dirty;
                 // A full-line overwrite provably erases any flipped bits; a
                 // partial write keeps the taint (the flip may sit outside
                 // the written range).
-                if offset == 0 && bytes.len() == self.cfg.line_bytes as usize {
-                    self.clear_taint(i);
+                if at == 0 && bytes.len() == data.len() {
+                    untaint(line, &mut self.taints);
                 }
                 self.stats.hits += 1;
                 true
@@ -437,11 +619,11 @@ impl Cache {
     /// Reads one byte at `offset` within a resident line without touching
     /// LRU state or statistics (host-coherence path).
     pub fn peek(&self, line_addr: u64, offset: u32) -> Option<u8> {
-        self.find(line_addr).map(|i| {
-            if self.arrays.lines()[i].tainted {
+        self.find(line_addr).map(|s| {
+            if self.arrays.line(s).tainted {
                 self.escaped.set(true);
             }
-            self.arrays.data()[self.data_range(i).start + offset as usize]
+            self.arrays.data(s)[offset as usize]
         })
     }
 
@@ -451,9 +633,8 @@ impl Cache {
     /// Returns `true` when the line was resident.
     pub fn poke(&mut self, line_addr: u64, offset: u32, byte: u8) -> bool {
         match self.find(line_addr) {
-            Some(i) => {
-                let at = self.data_range(i).start + offset as usize;
-                self.arrays.touch().1[at] = byte;
+            Some(s) => {
+                self.arrays.touch(s).1[offset as usize] = byte;
                 true
             }
             None => false,
@@ -479,17 +660,18 @@ impl Cache {
         // Refill of a resident line overwrites it in place (never create a
         // duplicate way for the same address, and never write the stale
         // copy back).  Otherwise prefer an invalid way, then evict LRU.
-        let resident = self.find(line_addr);
-        let lines = self.arrays.lines();
-        let victim = resident.unwrap_or_else(|| {
-            self.set_range(set)
-                .min_by_key(|&i| (lines[i].valid, lines[i].lru))
+        let ways = self.arrays.set(set);
+        let resident = ways.iter().position(|l| l.valid && l.tag == tag);
+        let way = resident.unwrap_or_else(|| {
+            (0..ways.len())
+                .min_by_key(|&w| (ways[w].valid, ways[w].lru))
                 .expect("sets are non-empty")
         });
+        let victim = self.arrays.slot(set, way);
         let evicted = if resident.is_some() {
             None
         } else {
-            let line = lines[victim];
+            let line = ways[way];
             if line.valid && line.dirty {
                 // Writing a tainted victim back carries flipped bits into
                 // the next memory level — they become observable there.
@@ -499,19 +681,17 @@ impl Cache {
                 self.stats.writebacks += 1;
                 Some(Writeback {
                     line_addr: self.line_addr_of(set, line.tag),
-                    data: self.arrays.data()[self.data_range(victim)].to_vec(),
+                    data: self.arrays.data(victim).to_vec(),
                 })
             } else {
                 None
             }
         };
+        self.tick += 1;
+        let (line, bytes) = self.arrays.touch(victim);
         // The victim's bytes are replaced wholesale; a clean tainted victim
         // is silently dropped, which matches the golden run's state.
-        self.clear_taint(victim);
-        self.tick += 1;
-        let range = self.data_range(victim);
-        let (lines, bytes) = self.arrays.touch();
-        let line = &mut lines[victim];
+        untaint(line, &mut self.taints);
         if !line.valid {
             self.valid_cnt += 1;
         }
@@ -519,7 +699,7 @@ impl Cache {
         line.dirty = dirty;
         line.tag = tag;
         line.lru = self.tick;
-        bytes[range].copy_from_slice(data);
+        bytes.copy_from_slice(data);
         self.stats.fills += 1;
         evicted
     }
@@ -528,12 +708,12 @@ impl Cache {
     /// the L1 evict-on-write policy on global stores, where the line is
     /// never dirty).
     pub fn invalidate(&mut self, line_addr: u64) {
-        if let Some(i) = self.find(line_addr) {
-            let line = &mut self.arrays.touch().0[i];
+        if let Some(s) = self.find(line_addr) {
+            let line = self.arrays.touch(s).0;
             line.valid = false;
             line.dirty = false;
             self.valid_cnt -= 1;
-            self.clear_taint(i);
+            untaint(line, &mut self.taints);
         }
     }
 
@@ -542,42 +722,43 @@ impl Cache {
     ///
     /// An untouched cache (no valid lines) returns immediately without
     /// walking the line array — campaigns flush every SM's L1s after every
-    /// launch, and most caches are cold on most launches.
+    /// launch, and most caches are cold on most launches — and a chunk
+    /// with no valid line is neither written nor copied.
     pub fn flush(&mut self) -> Vec<Writeback> {
         let mut out = Vec::new();
-        if self.valid_cnt == 0 {
-            return out;
-        }
         let sets = u64::from(self.cfg.sets);
         let ways = self.cfg.ways as usize;
         let lb = self.cfg.line_bytes as usize;
         let mut remaining = self.valid_cnt;
-        let (lines, data) = self.arrays.touch();
-        for (i, line) in lines.iter_mut().enumerate() {
+        for chunk in 0..self.arrays.num_chunks() {
             if remaining == 0 {
                 break;
             }
             // Invalid lines are already clean and untainted (`invalidate`
             // and `flush` clear both; taint implies valid) — skip them.
-            if !line.valid {
+            if !self.arrays.chunk_lines(chunk).iter().any(|l| l.valid) {
                 continue;
             }
-            remaining -= 1;
-            if line.dirty {
-                if line.tainted {
-                    self.escaped.set(true);
+            let first_set = u64::from(self.arrays.first_set(chunk));
+            let (lines, data) = self.arrays.touch_chunk(chunk);
+            for (j, (line, bytes)) in lines.iter_mut().zip(data.chunks_exact(lb)).enumerate() {
+                if !line.valid {
+                    continue;
                 }
-                out.push(Writeback {
-                    line_addr: line.tag * sets + (i / ways) as u64,
-                    data: data[i * lb..(i + 1) * lb].to_vec(),
-                });
-                self.stats.writebacks += 1;
-            }
-            line.valid = false;
-            line.dirty = false;
-            if line.tainted {
-                line.tainted = false;
-                self.taints -= 1;
+                remaining -= 1;
+                if line.dirty {
+                    if line.tainted {
+                        self.escaped.set(true);
+                    }
+                    out.push(Writeback {
+                        line_addr: line.tag * sets + first_set + (j / ways) as u64,
+                        data: bytes.to_vec(),
+                    });
+                    self.stats.writebacks += 1;
+                }
+                line.valid = false;
+                line.dirty = false;
+                untaint(line, &mut self.taints);
             }
         }
         self.valid_cnt = 0;
@@ -607,14 +788,12 @@ impl Cache {
     pub fn flip_bit(&mut self, bit: u64) -> FlipOutcome {
         let bpl = self.cfg.bits_per_line();
         assert!(bit < self.total_bits(), "bit {bit} out of cache space");
-        let line_idx = (bit / bpl) as usize;
+        let s = self.arrays.slot_of_index((bit / bpl) as usize);
         let within = bit % bpl;
-        if !self.arrays.lines()[line_idx].valid {
+        if !self.arrays.line(s).valid {
             return FlipOutcome::InvalidLine;
         }
-        let base = self.data_range(line_idx).start;
-        let (lines, data) = self.arrays.touch();
-        let line = &mut lines[line_idx];
+        let (line, data) = self.arrays.touch(s);
         if within < u64::from(TAG_BITS) {
             line.tag ^= 1 << within;
             // A corrupted tag changes hit/miss behaviour (and thus timing)
@@ -623,7 +802,7 @@ impl Cache {
             FlipOutcome::Tag
         } else {
             let data_bit = within - u64::from(TAG_BITS);
-            data[base + (data_bit / 8) as usize] ^= 1 << (data_bit % 8);
+            data[(data_bit / 8) as usize] ^= 1 << (data_bit % 8);
             if !line.tainted {
                 line.tainted = true;
                 self.taints += 1;
@@ -644,6 +823,103 @@ mod tests {
             ways: 2,
             line_bytes: 8,
         })
+    }
+
+    fn digest(c: &Cache) -> u64 {
+        let mut h = crate::snapshot::StateHasher::new();
+        c.digest_into(&mut h);
+        h.finish()
+    }
+
+    /// Fills every line of `c` in set-major order, line `i` with bytes
+    /// `i`, so way `w` of set `s` holds line address `w * sets + s`.
+    fn fill_all(c: &mut Cache) {
+        let (sets, ways) = (u64::from(c.cfg.sets), u64::from(c.cfg.ways));
+        for s in 0..sets {
+            for w in 0..ways {
+                c.fill(
+                    w * sets + s,
+                    &vec![(s * ways + w) as u8; c.cfg.line_bytes as usize],
+                    w % 2 == 0,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn writing_a_clone_leaves_the_other_intact() {
+        // 64 sets × 2 ways: four chunks of 16 sets.
+        let mut c = Cache::new(CacheConfig {
+            sets: 64,
+            ways: 2,
+            line_bytes: 8,
+        });
+        fill_all(&mut c);
+        let snap = c.clone();
+        let pinned = digest(&snap);
+        // Every mutator, on the clone: the snapshot must not move.
+        let mut fork = snap.clone();
+        let mut buf = [0u8; 4];
+        fork.read(1, 0, &mut buf);
+        fork.write(64, 2, &[9; 4], true);
+        fork.poke(65, 0, 7);
+        fork.flip_bit(u64::from(TAG_BITS) + 5);
+        fork.flip_bit(40 * fork.cfg.bits_per_line());
+        fork.invalidate(3);
+        fork.fill(200, &[5; 8], true);
+        assert_ne!(digest(&fork), pinned);
+        assert_eq!(
+            digest(&snap),
+            pinned,
+            "a write to the clone reached the snapshot"
+        );
+        fork.flush();
+        assert_eq!(
+            digest(&snap),
+            pinned,
+            "a flush of the clone reached the snapshot"
+        );
+        // And the other way round: writing the original, after handing
+        // its chunks over to sharing, leaves an earlier clone intact.
+        c.share();
+        let shared = c.clone();
+        c.write(1, 0, &[3; 8], true);
+        assert_eq!(digest(&snap), pinned);
+        assert_ne!(digest(&shared), digest(&c));
+        // Restoring in place brings the fork back exactly.
+        fork.clone_from(&snap);
+        assert_eq!(digest(&fork), pinned);
+        assert_eq!(fork.valid_lines(), snap.valid_lines());
+    }
+
+    #[test]
+    fn odd_geometries_index_lines_set_major() {
+        for (sets, ways) in [(6, 3), (5, 4), (2, 40), (64, 1)] {
+            let mut c = Cache::new(CacheConfig {
+                sets,
+                ways,
+                line_bytes: 4,
+            });
+            fill_all(&mut c);
+            assert_eq!(c.valid_lines(), sets * ways);
+            // Flip bit 0 of the data of line `i` (line-major): the line
+            // at way `w` of set `s` for `i = s * ways + w`.
+            let bpl = c.cfg.bits_per_line();
+            for i in 0..u64::from(sets * ways) {
+                let (s, w) = (i / u64::from(ways), i % u64::from(ways));
+                assert_eq!(c.flip_bit(i * bpl + u64::from(TAG_BITS)), FlipOutcome::Data);
+                let mut byte = [0u8; 1];
+                assert!(c.read(w * u64::from(sets) + s, 0, &mut byte));
+                assert_eq!(byte[0], i as u8 ^ 1, "{sets}x{ways} line {i}");
+            }
+            let wbs = c.flush();
+            let dirty = (0..sets * ways).filter(|i| i % ways % 2 == 0).count();
+            assert_eq!(wbs.len(), dirty, "{sets}x{ways}");
+            assert!(wbs.windows(2).all(|p| {
+                let set = |la: u64| la % u64::from(sets);
+                set(p[0].line_addr) <= set(p[1].line_addr)
+            }));
+        }
     }
 
     #[test]

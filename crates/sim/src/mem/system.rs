@@ -21,6 +21,7 @@ use super::cache::{Cache, CacheStats, EscapeLatch, FlipOutcome};
 use crate::config::{GpuConfig, LatencyConfig};
 use crate::error::{LaunchError, Trap};
 use crate::fault::Structure;
+use std::collections::HashSet;
 
 /// First byte address of the global (device-malloc) segment.
 pub const GLOBAL_BASE: u32 = 0x1000;
@@ -120,6 +121,7 @@ impl MemSystem {
             ways: cfg.l2.ways,
             line_bytes,
         };
+        let (sms, banks) = (cfg.num_sms as usize, cfg.num_l2_banks as usize);
         MemSystem {
             line_bytes,
             lat: cfg.lat,
@@ -127,48 +129,69 @@ impl MemSystem {
             global: Vec::new(),
             local: Vec::new(),
             constant: Vec::new(),
-            l1d: (0..cfg.num_sms).map(|_| cfg.l1d.map(Cache::new)).collect(),
-            l1t: (0..cfg.num_sms).map(|_| Cache::new(cfg.l1t)).collect(),
-            l1c: (0..cfg.num_sms).map(|_| Cache::new(cfg.l1c)).collect(),
-            l2: (0..cfg.num_l2_banks)
-                .map(|_| Cache::new(bank_cfg))
-                .collect(),
-            bank_busy: vec![0; cfg.num_l2_banks as usize],
-            dram_busy: vec![0; cfg.num_l2_banks as usize],
+            // Clones of one empty cache per geometry: every cache of a
+            // shape starts on the same shared all-invalid chunk.
+            l1d: vec![cfg.l1d.map(Cache::new); sms],
+            l1t: vec![Cache::new(cfg.l1t); sms],
+            l1c: vec![Cache::new(cfg.l1c); sms],
+            l2: vec![Cache::new(bank_cfg); banks],
+            bank_busy: vec![0; banks],
+            dram_busy: vec![0; banks],
             local_taints: Vec::new(),
             escaped: EscapeLatch::new(false),
         }
     }
 
-    /// Approximate heap footprint of the backing segments, caches and
-    /// timing queues — what one checkpoint of this memory system costs.
-    pub fn resident_bytes(&self) -> usize {
-        let caches: usize = self
-            .l1d
+    /// Every cache: the L1Ds, L1Ts, L1Cs, then the L2 banks.
+    fn caches(&self) -> impl Iterator<Item = &Cache> {
+        self.l1d
             .iter()
             .flatten()
-            .chain(self.l1t.iter())
-            .chain(self.l1c.iter())
-            .chain(self.l2.iter())
-            .map(Cache::resident_bytes)
-            .sum();
+            .chain(&self.l1t)
+            .chain(&self.l1c)
+            .chain(&self.l2)
+    }
+
+    /// Hands every cache chunk this memory system owns over to sharing,
+    /// so the next capture shares it instead of copying it (see
+    /// [`Cache::share`]).
+    pub(crate) fn share(&mut self) {
+        let caches = self.l1d.iter_mut().flatten();
+        for c in caches
+            .chain(&mut self.l1t)
+            .chain(&mut self.l1c)
+            .chain(&mut self.l2)
+        {
+            c.share();
+        }
+    }
+
+    /// Bytes of the backing segments and timing queues.
+    fn segment_bytes(&self) -> usize {
         self.global.len()
             + self.local.len()
             + self.constant.len()
-            + caches
             + (self.bank_busy.len() + self.dram_busy.len() + self.local_taints.len()) * 8
+    }
+
+    /// Nominal footprint of the backing segments, caches and timing
+    /// queues: what the checkpoint recorder charges one snapshot of this
+    /// memory system against its budget (see [`Cache::resident_bytes`]).
+    pub fn resident_bytes(&self) -> usize {
+        self.segment_bytes() + self.caches().map(Cache::resident_bytes).sum::<usize>()
+    }
+
+    /// Heap bytes actually held, counting only the cache chunks not
+    /// already in `seen` (see [`Cache::held_bytes`]).
+    pub(crate) fn held_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+        self.segment_bytes() + self.caches().map(|c| c.held_bytes(seen)).sum::<usize>()
     }
 
     /// Unobserved fault-flipped state across the whole memory system:
     /// tainted cache lines plus flipped local-backing bits.
     pub fn taint_count(&self) -> u64 {
         let caches = self
-            .l1d
-            .iter()
-            .flatten()
-            .chain(self.l1t.iter())
-            .chain(self.l1c.iter())
-            .chain(self.l2.iter())
+            .caches()
             .map(|c| u64::from(c.taint_count()))
             .sum::<u64>();
         caches + self.local_taints.len() as u64
@@ -177,15 +200,7 @@ impl MemSystem {
     /// Whether any fault-flipped memory state has become observable
     /// (read, written back to a lower level, or a tag corrupted).
     pub fn taint_escaped(&self) -> bool {
-        self.escaped.get()
-            || self
-                .l1d
-                .iter()
-                .flatten()
-                .chain(self.l1t.iter())
-                .chain(self.l1c.iter())
-                .chain(self.l2.iter())
-                .any(Cache::taint_escaped)
+        self.escaped.get() || self.caches().any(Cache::taint_escaped)
     }
 
     /// Hashes the complete memory-system state (backing segments, every

@@ -321,6 +321,28 @@ fn run_plan(
     (result, cycles, effect, gpu.injection_records().to_vec())
 }
 
+/// Eight plans spread over every launch window, each drawn in its own.
+fn spread_plans(golden: &GoldenProfile, spec: &CampaignSpec, seed: u64) -> Vec<InjectionPlan> {
+    let mut gen = MaskGenerator::new(seed);
+    let windows = golden.windows(None);
+    (0..8)
+        .map(|i| {
+            let win = &windows[i * 7 % windows.len()];
+            let space = &golden.fault_spaces[&win.kernel];
+            gen.draw(spec, space, std::slice::from_ref(win)).unwrap()
+        })
+        .collect()
+}
+
+/// The injection matrix's small-cache chip, where flips land in valid
+/// lines, with `extra` configuration lines.
+fn mini_chip(extra: &str) -> GpuConfig {
+    GpuConfig::from_config_text(&format!(
+        "name = Mini\nnum_sms = 2\nl1d = 2048:2:128\nl1t = 2048:2:128\nl2 = 16384:4:128\nl2_banks = 2\n{extra}"
+    ))
+    .unwrap()
+}
+
 /// One long-lived `Gpu` forked over and over must behave exactly like a
 /// fresh `Gpu` per fork: after every `resume_from` its state digests equal
 /// to the snapshot's, and every run ends with the same result, cycles,
@@ -338,11 +360,7 @@ fn one_gpu_forks_like_fresh_gpus() {
         GpuConfig::gtx_titan(),
         GpuConfig::quadro_gv100(),
     );
-    // The injection matrix's small-cache chip: flips land in valid lines.
-    let mini = GpuConfig::from_config_text(
-        "name = Mini\nnum_sms = 2\nl1d = 2048:2:128\nl1t = 2048:2:128\nl2 = 16384:4:128\nl2_banks = 2\n",
-    )
-    .unwrap();
+    let mini = mini_chip("");
     let cases = [
         ("BFS", &gv100, CampaignSpec::new(L2)),
         ("HS", &titan, CampaignSpec::new(SharedMemory)),
@@ -363,16 +381,7 @@ fn one_gpu_forks_like_fresh_gpus() {
             .map(|i| store.snapshot(i).state_digest())
             .collect();
 
-        // Plans spread over every launch window, each drawn in its own.
-        let mut gen = MaskGenerator::new(seed);
-        let windows = golden.windows(None);
-        let plans: Vec<InjectionPlan> = (0..8)
-            .map(|i| {
-                let win = &windows[i * 7 % windows.len()];
-                let space = &golden.fault_spaces[&win.kernel];
-                gen.draw(&spec, space, std::slice::from_ref(win)).unwrap()
-            })
-            .collect();
+        let plans = spread_plans(&golden, &spec, seed);
         let first_cycle = |p: &InjectionPlan| p.faults.iter().map(|f| f.cycle).min().unwrap();
         let mut order: Vec<usize> = (0..plans.len()).collect();
         order.sort_by_key(|&i| first_cycle(&plans[i]));
@@ -410,6 +419,56 @@ fn one_gpu_forks_like_fresh_gpus() {
         assert!(jumps > 0, "{tag}: no jump between snapshots");
     }
     assert!(trapped > 0, "no run trapped or timed out");
+}
+
+/// Snapshots are copy-on-write: a forked device starts out sharing every
+/// cache chunk with the store, and its runs then write through those
+/// chunks — cache accesses, flips in valid L2, L1D and L1C lines, and
+/// register flips that reach memory.  Every snapshot must digest exactly
+/// as recorded afterwards.
+#[test]
+fn forked_runs_leave_every_snapshot_intact() {
+    use Structure::*;
+    let (rtx, mini) = (GpuConfig::rtx2060(), mini_chip(""));
+    // Two constant-cache lines, one of which the polynomial's four
+    // coefficients occupy.
+    let mini_l1c = mini_chip("l1c = 128:2:64\n");
+    let cases: [(Box<dyn Workload>, &GpuConfig, Structure); 4] = [
+        (by_name("BFS").unwrap(), &mini, L2),
+        (by_name("HS").unwrap(), &mini, L1Data),
+        (Box::new(ConstPoly::new(4, 0)), &mini_l1c, L1Const),
+        (by_name("GE").unwrap(), &rtx, RegisterFile),
+    ];
+    for (seed, (w, card, structure)) in (31u64..).zip(cases) {
+        let tag = format!("{} on {} {structure:?}", w.name(), card.name);
+        let golden = profile(w.as_ref(), card).unwrap();
+        let mut rec = Gpu::new(card.clone());
+        rec.record_checkpoints((golden.total_cycles() / 6).max(1), 1 << 30);
+        w.run(&mut rec).unwrap();
+        let store = std::sync::Arc::new(rec.finish_checkpoint_recording());
+        let digests: Vec<u64> = (0..store.len())
+            .map(|i| store.snapshot(i).state_digest())
+            .collect();
+        let mut gpu = Gpu::new(card.clone());
+        let mut applied = 0;
+        for plan in spread_plans(&golden, &CampaignSpec::new(structure), seed) {
+            let first = plan.faults.iter().map(|f| f.cycle).min().unwrap();
+            let Some(idx) = store.nearest_at_or_before(first) else {
+                continue;
+            };
+            gpu.resume_from(&store, idx);
+            let (_, _, _, records) = run_plan(&mut gpu, w.as_ref(), &plan, &golden);
+            applied += records.iter().filter(|r| r.applied).count();
+        }
+        assert!(applied > 0, "{tag}: no fault changed a bit");
+        for (i, &d) in digests.iter().enumerate() {
+            assert_eq!(
+                store.snapshot(i).state_digest(),
+                d,
+                "{tag}: a forked run wrote into snapshot {i}"
+            );
+        }
+    }
 }
 
 /// `Gpu::snapshot` / `Gpu::restore` round-trip between launches: restoring

@@ -1,9 +1,13 @@
-//! A fork restores the device in place: forking the same `Gpu` from the
-//! same snapshot twice in a row must not touch the heap the second time —
-//! every buffer already has the snapshot's shape, so `clone_from` reuses
-//! it, and cache arrays still stamped with the snapshot's contents are not
-//! even copied.  Its own test binary, because it installs a counting
-//! global allocator.
+//! Allocation pins for checkpoint-and-fork, counted by a global allocator
+//! (hence a test binary of its own):
+//!
+//! * a fork restores the device in place, so forking the same `Gpu` from
+//!   the same snapshot twice in a row must not touch the heap the second
+//!   time — every buffer already has the snapshot's shape, and every cache
+//!   chunk is already the snapshot's;
+//! * snapshots are copy-on-write, so recording a campaign's checkpoints
+//!   allocates a small fraction of the bytes the store nominally holds,
+//!   and capturing an idle device allocates little beyond chunk tables.
 
 use gpufi::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,6 +18,8 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     /// Allocations (including reallocations) counted on this thread.
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a reallocation's new size).
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting the allocations of threads that opted
@@ -21,10 +27,11 @@ thread_local! {
 struct Counting;
 
 impl Counting {
-    fn note() {
+    fn note(bytes: usize) {
         let _ = COUNTING.try_with(|on| {
             if on.get() {
                 let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+                let _ = BYTES.try_with(|n| n.set(n.get() + bytes));
             }
         });
     }
@@ -34,17 +41,17 @@ impl Counting {
 // touches const-initialized thread-locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::note();
+        Self::note(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::note();
+        Self::note(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::note();
+        Self::note(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -56,13 +63,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations `f` makes on this thread.
-fn allocations_of(f: impl FnOnce()) -> usize {
+/// Heap allocations `f` makes on this thread, and the bytes they ask for.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     ALLOCS.with(|n| n.set(0));
+    BYTES.with(|n| n.set(0));
     COUNTING.with(|on| on.set(true));
-    f();
+    let out = f();
     COUNTING.with(|on| on.set(false));
-    ALLOCS.with(Cell::get)
+    (out, ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
 #[test]
@@ -81,7 +89,7 @@ fn repeated_fork_allocates_nothing() {
         let mut gpu = Gpu::new(card.clone());
         for idx in 0..store.len() {
             gpu.resume_from(&store, idx);
-            let n = allocations_of(|| gpu.resume_from(&store, idx));
+            let ((), n, _) = allocations_of(|| gpu.resume_from(&store, idx));
             assert_eq!(
                 n,
                 0,
@@ -91,4 +99,44 @@ fn repeated_fork_allocates_nothing() {
             );
         }
     }
+}
+
+#[test]
+fn recording_allocates_a_fraction_of_the_nominal_store() {
+    let (w, card) = (Gaussian::new(), GpuConfig::rtx2060());
+    let golden = profile(&w, &card).unwrap();
+    // The campaign's stride (golden / 24) and budget.
+    let interval = (golden.total_cycles() / 24).max(1);
+    let (store, _, bytes) = allocations_of(|| {
+        let mut rec = Gpu::new(card.clone());
+        rec.record_checkpoints(interval, gpufi::core::DEFAULT_CHECKPOINT_BUDGET);
+        w.run(&mut rec).unwrap();
+        rec.finish_checkpoint_recording()
+    });
+    let nominal = store.resident_bytes();
+    assert!(store.len() >= 10, "{} snapshots", store.len());
+    assert!(
+        bytes < nominal / 8,
+        "recording {} snapshots allocated {bytes} bytes against {nominal} nominal",
+        store.len()
+    );
+    assert!(
+        store.held_bytes() <= bytes,
+        "the store holds more than was allocated"
+    );
+}
+
+#[test]
+fn snapshots_of_an_idle_device_allocate_little_beyond_chunk_tables() {
+    let gpu = Gpu::new(GpuConfig::rtx2060());
+    let (first, _, once) = allocations_of(|| gpu.snapshot());
+    let (_second, _, again) = allocations_of(|| gpu.snapshot());
+    assert_eq!(once, again, "the second capture allocated differently");
+    // A 16 MB nominal RTX 2060 snapshot shares every cache chunk: what it
+    // allocates is its chunk tables (about 100 kB) and core state.
+    assert!(
+        once < first.resident_bytes() / 64,
+        "a capture allocated {once} of {} nominal bytes",
+        first.resident_bytes()
+    );
 }

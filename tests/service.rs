@@ -280,12 +280,18 @@ fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
             let _ = v3.read_to_string(&mut reply);
             reply
         };
+        // Both are answered before the good worker exists: a fast campaign
+        // could otherwise finish, and close the listener, before their
+        // hellos are read.
         let mismatched: Vec<_> = [&wrong_seed, &wrong_model]
             .into_iter()
             .map(|wrong| {
                 let addr = addr.clone();
                 s.spawn(move || run_worker(&addr, w, card, wrong, golden, svc))
             })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
             .collect();
         let good = {
             let addr = addr.clone();
@@ -294,10 +300,7 @@ fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
         (
             coordinator.join().unwrap(),
             v3_reply,
-            mismatched
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect::<Vec<_>>(),
+            mismatched,
             good.join().unwrap(),
         )
     });
