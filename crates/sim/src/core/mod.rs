@@ -738,9 +738,12 @@ impl SimtCore {
 
     /// Removes completed CTAs and returns how many finished.
     ///
+    /// The launch loop calls this every cycle on each SM that holds CTAs.
     /// The greedy GTO pointer is dropped unconditionally — even on the
     /// fast no-op path — preserving the scheduler's exact historical
-    /// behaviour of re-deriving its pick every dispatch round.
+    /// behaviour of re-deriving its pick every dispatch round.  An SM that
+    /// drains therefore keeps no pointer until its next CTA, which is why
+    /// the loop may skip SMs without CTAs.
     pub fn harvest_finished(&mut self) -> u32 {
         self.last = None; // slots may move; drop the greedy pointer
         if self.finished_ctas == 0 {
@@ -1170,11 +1173,11 @@ impl SimtCore {
                     }
                     let warp = &self.ctas[slot].warps[widx];
                     let a = warp.regs[uop.a as usize][lane].wrapping_add(offset as u32);
-                    let smem_len = self.ctas[slot].smem.len() as u32;
                     if !a.is_multiple_of(4) {
                         return Err(Trap::Misaligned { addr: a });
                     }
-                    if a + 4 > smem_len {
+                    // In `u64`: `a + 4` wraps to 0 for `a = 0xFFFF_FFFC`.
+                    if u64::from(a) + 4 > self.ctas[slot].smem.len() as u64 {
                         return Err(Trap::SmemOutOfBounds { offset: a });
                     }
                     if is_store {
@@ -1401,11 +1404,11 @@ impl SimtCore {
                 if !base.is_multiple_of(4) {
                     return Err(Trap::Misaligned { addr: base });
                 }
-                if base + 4 > lmem {
+                if u64::from(base) + 4 > u64::from(lmem) {
                     return Err(Trap::LmemOutOfBounds { offset: base });
                 }
                 let tid_global = cta_linear * tpc + w32 * LANES as u64 + lane as u64;
-                LOCAL_BASE.wrapping_add((tid_global * u64::from(lmem)) as u32 + base)
+                LOCAL_BASE.wrapping_add(((tid_global * u64::from(lmem)) as u32).wrapping_add(base))
             } else {
                 base
             };

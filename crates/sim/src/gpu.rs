@@ -761,6 +761,21 @@ impl Gpu {
 
         let max_warps = f64::from(self.cfg.max_warps_per_sm());
 
+        // Ascending indices of the SMs holding at least one CTA; every
+        // per-cycle pass walks these alone.  An SM without CTAs has nothing
+        // a cycle could change: it issues nothing, its GTO pointer was
+        // dropped when it drained, and it has no ready warp and no stuck-at
+        // site to re-pin.  Derived from the cores, so a fork resuming
+        // mid-launch rebuilds it from the restored state; kept ascending
+        // because SMs share the L2 banks and DRAM queues, so issue order is
+        // observable.  It only ever shrinks: while CTAs are pending no idle
+        // SM can take one (the fill above stops only when none can, and an
+        // idle SM's residency never changes), so every later CTA lands on
+        // an SM already in it.
+        let mut busy: Vec<usize> = (0..self.cores.len())
+            .filter(|&i| !self.cores[i].is_idle())
+            .collect();
+
         // Latched once a flip is observed: the run can no longer early-exit,
         // so stop scanning taint state.
         let mut ee_dead = false;
@@ -849,7 +864,7 @@ impl Gpu {
 
             // Issue one instruction per core.
             let mut any = false;
-            for i in 0..self.cores.len() {
+            for &i in &busy {
                 match self.cores[i].cycle(self.cycle, &ctx, &mut self.mem) {
                     Ok(true) => any = true,
                     Ok(false) => {}
@@ -862,33 +877,32 @@ impl Gpu {
             // sites re-tainted) before the next instruction — or the
             // early-exit probe above — can observe them.
             if self.fault_model.is_permanent() {
-                for c in &mut self.cores {
-                    c.enforce_stuck();
+                for &i in &busy {
+                    self.cores[i].enforce_stuck();
                 }
             }
 
-            // Retire finished CTAs and dispatch pending ones.
+            // Retire finished CTAs and refill the SMs that held them.
             let now = self.cycle;
-            for c in &mut self.cores {
-                if c.harvest_finished() > 0 || !c.is_idle() {
-                    while p.next_cta < total_ctas && c.can_accept_cta(&ctx) {
-                        c.launch_cta(&ctx, p.next_cta, now);
-                        p.next_cta += 1;
-                    }
+            for &i in &busy {
+                let c = &mut self.cores[i];
+                c.harvest_finished();
+                while p.next_cta < total_ctas && c.can_accept_cta(&ctx) {
+                    c.launch_cta(&ctx, p.next_cta, now);
+                    p.next_cta += 1;
                 }
             }
-            // Idle cores can also accept (covers the first dispatch of a
-            // core that was skipped above).
-            if p.next_cta < total_ctas {
-                for c in &mut self.cores {
-                    while p.next_cta < total_ctas && c.can_accept_cta(&ctx) {
-                        c.launch_cta(&ctx, p.next_cta, now);
-                        p.next_cta += 1;
-                    }
-                }
-            }
+            busy.retain(|&i| !self.cores[i].is_idle());
+            debug_assert!(
+                p.next_cta >= total_ctas
+                    || self
+                        .cores
+                        .iter()
+                        .all(|c| !c.is_idle() || !c.can_accept_cta(&ctx)),
+                "an idle SM could take a pending CTA"
+            );
 
-            let done = p.next_cta >= total_ctas && self.cores.iter().all(SimtCore::is_idle);
+            let done = p.next_cta >= total_ctas && busy.is_empty();
             if done {
                 break Ok(());
             }
@@ -898,7 +912,10 @@ impl Gpu {
             let mut dt = if any {
                 1
             } else {
-                let next = self.cores.iter().filter_map(SimtCore::next_ready).min();
+                let next = busy
+                    .iter()
+                    .filter_map(|&i| self.cores[i].next_ready())
+                    .min();
                 match next {
                     Some(t) if t > self.cycle => t - self.cycle,
                     Some(_) => 1,
@@ -927,14 +944,12 @@ impl Gpu {
             let mut live_warps = 0u64;
             let mut live_threads = 0u64;
             let mut live_ctas = 0u64;
-            let mut active_sms = 0u64;
-            for c in &self.cores {
-                if !c.is_idle() {
-                    active_sms += 1;
-                    live_warps += u64::from(c.resident_live_warps());
-                    live_threads += u64::from(c.resident_threads());
-                    live_ctas += u64::from(c.resident_ctas());
-                }
+            let active_sms = busy.len() as u64;
+            for &i in &busy {
+                let c = &self.cores[i];
+                live_warps += u64::from(c.resident_live_warps());
+                live_threads += u64::from(c.resident_threads());
+                live_ctas += u64::from(c.resident_ctas());
             }
             if active_sms > 0 {
                 let dtf = dt as f64;

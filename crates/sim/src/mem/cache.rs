@@ -567,22 +567,33 @@ impl Cache {
     ///
     /// Panics if `offset + out.len()` exceeds the line size.
     pub fn read(&mut self, line_addr: u64, offset: u32, out: &mut [u8]) -> bool {
+        let at = offset as usize;
+        match self.read_line(line_addr) {
+            Some(data) => {
+                out.copy_from_slice(&data[at..at + out.len()]);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The whole line for `line_addr`, if resident: a hit or a miss as for
+    /// [`Cache::read`], which reads through this.
+    pub(crate) fn read_line(&mut self, line_addr: u64) -> Option<&[u8]> {
         match self.find(line_addr) {
             Some(s) => {
-                let at = offset as usize;
                 self.tick += 1;
                 let (line, data) = self.arrays.touch(s);
                 line.lru = self.tick;
                 if line.tainted {
                     self.escaped.set(true);
                 }
-                out.copy_from_slice(&data[at..at + out.len()]);
                 self.stats.hits += 1;
-                true
+                Some(data)
             }
             None => {
                 self.stats.misses += 1;
-                false
+                None
             }
         }
     }

@@ -17,7 +17,7 @@
 //! (and therefore injected tag faults) perturbs execution time — the source
 //! of the paper's **Performance** fault-effect class.
 
-use super::cache::{Cache, CacheStats, EscapeLatch, FlipOutcome};
+use super::cache::{Cache, CacheStats, EscapeLatch, FlipOutcome, Writeback};
 use crate::config::{GpuConfig, LatencyConfig};
 use crate::error::{LaunchError, Trap};
 use crate::fault::Structure;
@@ -469,33 +469,24 @@ impl MemSystem {
     /// Reads one line from the DRAM backing; unbacked regions read as
     /// zeros (demand paging), addresses outside the 32-bit space as `None`.
     fn dram_line(&self, line_addr: u64) -> Option<Vec<u8>> {
-        let lb = u64::from(self.line_bytes);
-        let start = line_addr.checked_mul(lb)?;
+        let start = line_addr.checked_mul(u64::from(self.line_bytes))?;
         if start > u64::from(u32::MAX) {
             return None;
         }
         let start = start as u32;
-        let zeros = vec![0u8; self.line_bytes as usize];
-        if start >= LOCAL_BASE {
+        let lb = self.line_bytes as usize;
+        let backed = if start >= LOCAL_BASE {
             let o = (start - LOCAL_BASE) as usize;
-            let end = o + self.line_bytes as usize;
-            Some(if end <= self.local.len() {
-                self.observe_local_range(o, self.line_bytes as usize);
-                self.local[o..end].to_vec()
-            } else {
-                zeros
-            })
+            self.local
+                .get(o..o + lb)
+                .inspect(|_| self.observe_local_range(o, lb))
         } else if start >= GLOBAL_BASE {
             let o = (start - GLOBAL_BASE) as usize;
-            let end = o + self.line_bytes as usize;
-            Some(if end <= self.global.len() {
-                self.global[o..end].to_vec()
-            } else {
-                zeros
-            })
+            self.global.get(o..o + lb)
         } else {
-            Some(zeros)
-        }
+            None
+        };
+        Some(backed.map_or_else(|| vec![0u8; lb], <[u8]>::to_vec))
     }
 
     /// Writes one line to the DRAM backing; unmapped victims (e.g. from a
@@ -536,13 +527,55 @@ impl MemSystem {
     // L2 operations
     // ------------------------------------------------------------------
 
-    /// Reads a full line through the L2 (filling from DRAM on a miss).
-    fn l2_read_line(&mut self, line_addr: u64) -> Result<Vec<u8>, Trap> {
+    /// Reads `out.len()` bytes at `offset` of a line through the L2
+    /// (filling from DRAM on a miss).  Hit, LRU and statistics do not
+    /// depend on how many bytes are read.
+    fn l2_read(&mut self, line_addr: u64, offset: u32, out: &mut [u8]) -> Result<(), Trap> {
         let (bank, local_la) = self.bank_of(line_addr);
-        let mut buf = vec![0u8; self.line_bytes as usize];
-        if self.l2[bank].read(local_la, 0, &mut buf) {
-            return Ok(buf);
+        if !self.l2[bank].read(local_la, offset, out) {
+            let data = self.l2_fill(line_addr)?;
+            let at = offset as usize;
+            out.copy_from_slice(&data[at..at + out.len()]);
         }
+        Ok(())
+    }
+
+    /// Reads a line through the L2 (filling from DRAM on a miss) into the
+    /// SM's L1 for `kind` (data, or texture), returning the L1's dirty
+    /// victim.  An L2 hit is copied straight from the L2's line.
+    fn l1_fill(
+        &mut self,
+        sm: usize,
+        kind: AccessKind,
+        line_addr: u64,
+    ) -> Result<Option<Writeback>, Trap> {
+        let (bank, local_la) = self.bank_of(line_addr);
+        if let Some(line) = self.l2[bank].read_line(local_la) {
+            return Ok(
+                Self::l1(&mut self.l1d, &mut self.l1t, sm, kind).fill(line_addr, line, false)
+            );
+        }
+        let data = self.l2_fill(line_addr)?;
+        Ok(Self::l1(&mut self.l1d, &mut self.l1t, sm, kind).fill(line_addr, &data, false))
+    }
+
+    /// The SM's L1 data or texture cache, borrowed apart from the L2.
+    fn l1<'a>(
+        l1d: &'a mut [Option<Cache>],
+        l1t: &'a mut [Cache],
+        sm: usize,
+        kind: AccessKind,
+    ) -> &'a mut Cache {
+        match kind {
+            AccessKind::Texture => &mut l1t[sm],
+            AccessKind::Global | AccessKind::Local => l1d[sm].as_mut().expect("the SM has an L1D"),
+        }
+    }
+
+    /// Fills a line the L2 missed from DRAM, writing its victim back, and
+    /// returns the line.
+    fn l2_fill(&mut self, line_addr: u64) -> Result<Vec<u8>, Trap> {
+        let (bank, local_la) = self.bank_of(line_addr);
         let data = self.dram_line(line_addr).ok_or(Trap::InvalidAddress {
             addr: (line_addr * u64::from(self.line_bytes)).min(u64::from(u32::MAX)) as u32,
         })?;
@@ -608,24 +641,24 @@ impl MemSystem {
                         .expect("checked")
                         .read(la, off, &mut buf);
                     if !hit {
-                        let data = self.l2_read_line(la)?;
-                        let l1 = self.l1d[sm].as_mut().expect("checked");
-                        let wb = l1.fill(la, &data, false);
-                        l1.read(la, off, &mut buf);
+                        let wb = self.l1_fill(sm, kind, la)?;
+                        self.l1d[sm]
+                            .as_mut()
+                            .expect("checked")
+                            .read(la, off, &mut buf);
                         if let Some(wb) = wb {
                             self.l2_accept_writeback(wb.line_addr, &wb.data);
                         }
                     }
                 } else {
-                    let data = self.l2_read_line(la)?;
-                    buf.copy_from_slice(&data[off as usize..off as usize + 4]);
+                    self.l2_read(la, off, &mut buf)?;
                 }
             }
             AccessKind::Texture => {
                 let hit = self.l1t[sm].read(la, off, &mut buf);
                 if !hit {
-                    let data = self.l2_read_line(la)?;
-                    self.l1t[sm].fill(la, &data, false);
+                    // Read-only: texture victims are never dirty.
+                    self.l1_fill(sm, kind, la)?;
                     self.l1t[sm].read(la, off, &mut buf);
                 }
             }
@@ -667,10 +700,11 @@ impl MemSystem {
                         .write(la, off, &bytes, true);
                     if !hit {
                         // Write-allocate: fetch, fill, then write.
-                        let data = self.l2_read_line(la)?;
-                        let l1 = self.l1d[sm].as_mut().expect("checked");
-                        let wb = l1.fill(la, &data, false);
-                        l1.write(la, off, &bytes, true);
+                        let wb = self.l1_fill(sm, kind, la)?;
+                        self.l1d[sm]
+                            .as_mut()
+                            .expect("checked")
+                            .write(la, off, &bytes, true);
                         if let Some(wb) = wb {
                             self.l2_accept_writeback(wb.line_addr, &wb.data);
                         }
