@@ -57,12 +57,10 @@ pub fn run_card(cfg: &ReproConfig, card: &GpuConfig, bits: u32) -> CardResults {
         eprintln!("  [{}] {} ({}-bit)...", card.name, w.name(), bits);
         let golden = profile(w.as_ref(), card)
             .unwrap_or_else(|e| panic!("golden run of {} failed: {e}", w.name()));
-        benchmarks.push(analyze_with_golden(
-            w.as_ref(),
-            card,
-            &analysis_cfg,
-            &golden,
-        ));
+        benchmarks.push(
+            analyze_with_golden(w.as_ref(), card, &analysis_cfg, &golden)
+                .unwrap_or_else(|e| panic!("analysis of {} failed: {e}", w.name())),
+        );
     }
     CardResults {
         card: card.name.clone(),

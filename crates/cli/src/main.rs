@@ -126,14 +126,21 @@ unreleasable — classified Timeout with detail=hang_lost_barrier;
 --sampling stratified is transient-only (liveness strata assume
 single-cycle fault lifetimes)
 
+--bits K flips K distinct bits per fault within one entry (a register or
+memory word, a control-site entry, a cache line), or anywhere in the
+structure with --spread; a K the entry (or structure) cannot hold is
+refused, as is --bits 0
+
 campaigns abort each run as soon as every injected fault's lifetime has
 provably ended (classified Masked at the golden cycle count), and fork
 each run from a golden-run checkpoint at its first injection cycle;
 --no-early-exit forces full simulation of every run and --no-checkpoints
 forces cold starts from cycle 0 (validation modes);
 --oracle-check runs the golden pass in lockstep with the functional
-reference interpreter and fully simulates every run early exit would
-classify Masked, confirming the oracle-predicted final state;
+reference interpreter, resolves every run as the default engine does
+(same CSV and journal) and re-runs it cold, fully simulated and
+unpruned: the two must agree, and every run pre-classification or early
+exit resolved must end in the oracle-predicted memory image;
 fuzz runs N random SASS-lite kernels through both engines (sim == oracle)
 and statically lints every generated kernel;
 lint runs the SASS-lite static analyzer (CFG, dominators, liveness) over
@@ -147,8 +154,8 @@ statically dead (never-read) registers (detail=static_dead) and, for
 transient faults, runs whose flipped bits all land in statically dead
 *bits* of otherwise-live registers (detail=static_dead_bit);
 --no-static-prune forces full simulation of every run (validation mode;
---oracle-check and --sampling stratified pre-classify nothing, stuck-at
-models only whole dead registers); `analyze` dumps the per-kernel bit-level
+--sampling stratified pre-classifies nothing, stuck-at models only whole
+dead registers); `analyze` dumps the per-kernel bit-level
 liveness and known-bits reports plus the cycle-weighted register-file
 prunable-mass estimates without running a campaign;
 --sampling stratified generalizes the prune into two-level estimation for
@@ -228,22 +235,47 @@ fn accepted(cmd: &str) -> Vec<(&'static str, bool)> {
         .collect()
 }
 
-/// Minimal `--flag value` parser over the argument list.
+/// A command's parsed flags: each accepted flag given, with its value.
+#[derive(Default)]
 struct Args<'a> {
-    argv: &'a [String],
+    given: Vec<(&'static str, Option<&'a str>)>,
 }
 
 impl<'a> Args<'a> {
+    /// The one walk over `argv`: every token must be a flag `cmd` accepts
+    /// — a typo like `--run 50` must fail loudly instead of silently
+    /// running 120 default runs — given at most once, and a value flag
+    /// must be followed by a value, not by another accepted flag (so
+    /// `--csv --no-journal` cannot both name the CSV and disable the
+    /// journal).
+    fn new(cmd: &str, argv: &'a [String]) -> Result<Self, String> {
+        let flags = accepted(cmd);
+        let find = |a: &str| flags.iter().copied().find(|&(f, _)| f == a);
+        let mut given: Vec<(&'static str, Option<&'a str>)> = Vec::new();
+        let mut tokens = argv.iter().map(String::as_str);
+        while let Some(a) = tokens.next() {
+            let Some((flag, takes_value)) = find(a) else {
+                return Err(format!("unknown flag `{a}`"));
+            };
+            if given.iter().any(|&(f, _)| f == flag) {
+                return Err(format!("{flag} given twice"));
+            }
+            let value = match takes_value.then(|| tokens.next()) {
+                None => None,
+                Some(Some(v)) if find(v).is_none() => Some(v),
+                Some(_) => return Err(format!("{flag} needs a value")),
+            };
+            given.push((flag, value));
+        }
+        Ok(Args { given })
+    }
+
     fn value(&self, flag: &str) -> Option<&'a str> {
-        self.argv
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.argv.get(i + 1))
-            .map(String::as_str)
+        self.given.iter().find(|&&(f, _)| f == flag)?.1
     }
 
     fn flag(&self, flag: &str) -> bool {
-        self.argv.iter().any(|a| a == flag)
+        self.given.iter().any(|&(f, _)| f == flag)
     }
 
     fn opt<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
@@ -256,24 +288,6 @@ impl<'a> Args<'a> {
 
     fn parse<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
         Ok(self.opt(flag)?.unwrap_or(default))
-    }
-
-    /// Rejects any argument that is not a `--flag value` pair or a boolean
-    /// `--flag` that `cmd` accepts — a typo like `--run 50` must fail
-    /// loudly instead of silently running 120 default runs.
-    fn reject_unknown(&self, cmd: &str) -> Result<(), String> {
-        let mut i = 0;
-        while i < self.argv.len() {
-            let a = self.argv[i].as_str();
-            match accepted(cmd).into_iter().find(|&(f, _)| f == a) {
-                None => return Err(format!("unknown flag `{a}`")),
-                Some((_, true)) if self.argv.get(i + 1).is_none() => {
-                    return Err(format!("{a} needs a value"))
-                }
-                Some((_, takes_value)) => i += 1 + usize::from(takes_value),
-            }
-        }
-        Ok(())
     }
 }
 
@@ -293,10 +307,10 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     let Some(cmd) = argv.first() else {
         return Err("missing command".into());
     };
-    let args = Args { argv: &argv[1..] };
-    if flag_line(cmd).is_some() {
-        args.reject_unknown(cmd)?;
-    }
+    let args = match flag_line(cmd) {
+        Some(_) => Args::new(cmd, &argv[1..])?,
+        None => Args::default(),
+    };
     match cmd.as_str() {
         "list" => {
             println!("benchmarks:");
@@ -381,6 +395,15 @@ fn cmd_profile(args: &Args<'_>) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `--bits`, at least 1 (the upper bound depends on the structure and is
+/// checked when faults are drawn).
+fn bits_of(args: &Args<'_>) -> Result<u32, String> {
+    match args.parse("--bits", 1)? {
+        0 => Err("--bits 0: a fault flips at least one bit".into()),
+        bits => Ok(bits),
+    }
+}
+
 /// Everything `campaign`, `serve` and `worker` share: the workload, the
 /// chip, the golden profile and the fully-applied [`CampaignConfig`].
 /// The three commands must build these identically — the distributed
@@ -405,7 +428,7 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
         return Err(failed("--runs 0: a campaign needs at least one run"));
     }
     let seed: u64 = args.parse("--seed", 1)?;
-    let bits: u32 = args.parse("--bits", 1)?;
+    let bits = bits_of(args)?;
     let threads: usize = args.parse("--threads", 0)?;
     let mut spec = CampaignSpec::new(structure).bits(bits);
     if args.flag("--spread") {
@@ -435,6 +458,12 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
         None => SamplingMode::Flat,
         Some(v) => SamplingMode::parse(v).ok_or_else(|| format!("unknown sampling mode `{v}`"))?,
     };
+    if args.flag("--validate-sampling") && sampling == SamplingMode::Flat && args.flag("--sampling")
+    {
+        return Err(
+            "--validate-sampling checks a stratified campaign; drop --sampling flat".into(),
+        );
+    }
     if sampling == SamplingMode::Stratified || args.flag("--validate-sampling") {
         cfg = cfg.stratified();
     }
@@ -618,13 +647,12 @@ fn print_campaign_summary(
     }
     if s.oracle_checked > 0 {
         println!(
-            "  oracle: {} runs checked, {} early-exit verdicts verified, {} mismatches",
+            "  oracle: {} runs checked, {} shortcut verdicts verified, {} mismatches",
             s.oracle_checked, s.oracle_verified, s.oracle_mismatches
         );
         if s.oracle_mismatches > 0 {
             return Err(failed(format!(
-                "{} run(s) the early-exit engine would classify Masked did not \
-                 end in the oracle-predicted state",
+                "{} run(s) disagree with their cold full-simulation reference",
                 s.oracle_mismatches
             )));
         }
@@ -1099,12 +1127,12 @@ fn cmd_avf(args: &Args<'_>) -> Result<(), CliError> {
     let card = card_of(args)?;
     let runs: usize = args.parse("--runs", 60)?;
     let seed: u64 = args.parse("--seed", 1)?;
-    let bits: u32 = args.parse("--bits", 1)?;
+    let bits = bits_of(args)?;
     let threads: usize = args.parse("--threads", 0)?;
     let mut cfg = AnalysisConfig::new(runs, seed).bits(bits);
     cfg.threads = threads;
     let golden = profile(workload.as_ref(), &card).map_err(failed)?;
-    let analysis = analyze_with_golden(workload.as_ref(), &card, &cfg, &golden);
+    let analysis = analyze_with_golden(workload.as_ref(), &card, &cfg, &golden).map_err(failed)?;
     println!(
         "benchmark: {}  card: {}  ({} runs per kernel x structure, {}-bit faults)",
         analysis.benchmark, analysis.card, analysis.runs_per_campaign, analysis.bits_per_fault
@@ -1152,13 +1180,67 @@ mod tests {
     #[test]
     fn flag_parser() {
         let argv = args(&["--bench", "VA", "--runs", "50", "--spread"]);
-        let a = Args { argv: &argv };
+        let a = Args::new("campaign", &argv).unwrap();
         assert_eq!(a.value("--bench"), Some("VA"));
         assert_eq!(a.parse("--runs", 10usize).unwrap(), 50);
         assert_eq!(a.parse("--seed", 7u64).unwrap(), 7);
         assert!(a.flag("--spread"));
         assert!(!a.flag("--missing"));
         assert!(a.parse::<usize>("--bench", 0).is_err());
+    }
+
+    /// One walk parses the line: a value flag never takes the flag after
+    /// it as its value (`--csv --no-journal` must not name the CSV
+    /// `--no-journal` and disable the journal too), and no flag is given
+    /// twice.
+    #[test]
+    fn value_flags_never_swallow_flags_and_flags_are_given_once() {
+        let parse = |line: &str| {
+            let argv = args(&line.split_whitespace().collect::<Vec<_>>());
+            Args::new("campaign", &argv).map(|a| a.given.len())
+        };
+        for (line, err) in [
+            ("--runs 5 --csv --no-journal", "--csv needs a value"),
+            ("--kernel --spread", "--kernel needs a value"),
+            ("--csv --journal x", "--csv needs a value"),
+            ("--runs 5 --runs 6", "--runs given twice"),
+            ("--spread --seed 1 --spread", "--spread given twice"),
+        ] {
+            assert_eq!(parse(line), Err(err.to_string()), "{line}");
+        }
+        // A value that merely looks like a flag is still a value.
+        assert_eq!(parse("--csv --out.csv --no-journal"), Ok(2));
+        let err = fail(&[
+            "campaign",
+            "--bench",
+            "VA",
+            "--structure",
+            "rf",
+            "--csv",
+            "--no-journal",
+        ]);
+        assert!(err.contains("--csv needs a value"), "{err}");
+    }
+
+    #[test]
+    fn fault_widths_and_sampling_validation_are_checked() {
+        let va = [
+            "campaign",
+            "--bench",
+            "VA",
+            "--structure",
+            "rf",
+            "--runs",
+            "2",
+        ];
+        let with = |extra: &[&str]| fail(&[&va[..], extra].concat());
+        assert!(with(&["--bits", "0"]).contains("at least one bit"));
+        let err = with(&["--bits", "33"]);
+        assert!(err.contains("at most 32 bits"), "{err}");
+        let err = with(&["--validate-sampling", "--sampling", "flat"]);
+        assert!(err.contains("--validate-sampling"), "{err}");
+        let err = fail(&["avf", "--bench", "VA", "--runs", "1", "--bits", "40"]);
+        assert!(err.contains("at most 32 bits"), "{err}");
     }
 
     #[test]
@@ -1302,16 +1384,16 @@ mod tests {
     #[test]
     fn card_resolution() {
         let argv = args(&["--card", "titan"]);
-        let a = Args { argv: &argv };
+        let a = Args::new("profile", &argv).unwrap();
         assert_eq!(card_of(&a).unwrap().name, "GTX Titan");
         let argv = args(&[]);
-        let a = Args { argv: &argv };
+        let a = Args::new("profile", &argv).unwrap();
         assert_eq!(card_of(&a).unwrap().name, "RTX 2060");
         let argv = args(&["--card", "amd"]);
-        let a = Args { argv: &argv };
+        let a = Args::new("profile", &argv).unwrap();
         assert!(card_of(&a).is_err());
         let argv = args(&["--config", "/nonexistent/x.config"]);
-        let a = Args { argv: &argv };
+        let a = Args::new("profile", &argv).unwrap();
         assert!(card_of(&a).unwrap_err().to_string().contains("cannot read"));
     }
 
@@ -1350,13 +1432,13 @@ mod tests {
     #[test]
     fn runs_defaults_when_absent() {
         let argv = args(&["--bench", "VA"]);
-        let a = Args { argv: &argv };
+        let a = Args::new("campaign", &argv).unwrap();
         assert_eq!(a.parse("--runs", 120usize).unwrap(), 120);
         let argv = args(&["--bench", "VA", "--runs", "37"]);
-        let a = Args { argv: &argv };
+        let a = Args::new("campaign", &argv).unwrap();
         assert_eq!(a.parse("--runs", 120usize).unwrap(), 37);
         let argv = args(&["--runs", "not-a-number"]);
-        let a = Args { argv: &argv };
+        let a = Args::new("campaign", &argv).unwrap();
         assert!(a.parse::<usize>("--runs", 120).is_err());
     }
 
@@ -1365,7 +1447,7 @@ mod tests {
         // When both are given, --config wins: the unreadable file errors
         // even though the --card preset is valid.
         let argv = args(&["--config", "/nonexistent/x.config", "--card", "titan"]);
-        let a = Args { argv: &argv };
+        let a = Args::new("profile", &argv).unwrap();
         assert!(card_of(&a).unwrap_err().to_string().contains("cannot read"));
         // A readable config file resolves to its own chip, not the preset.
         let dir = std::env::temp_dir().join("gpufi-cli-test");
@@ -1374,7 +1456,7 @@ mod tests {
         std::fs::write(&path, "base = rtx2060\nname = Config File Chip\n").unwrap();
         let path_s = path.to_str().unwrap().to_string();
         let argv = args(&["--config", path_s.as_str(), "--card", "titan"]);
-        let a = Args { argv: &argv };
+        let a = Args::new("profile", &argv).unwrap();
         assert_eq!(card_of(&a).unwrap().name, "Config File Chip");
         std::fs::remove_file(&path).ok();
     }

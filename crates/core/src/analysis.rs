@@ -4,13 +4,14 @@
 use crate::campaign::{run_campaign, CampaignConfig, CampaignError};
 use crate::profile::{profile, GoldenProfile};
 use crate::workload::{Workload, WorkloadError};
-use gpufi_faults::{CampaignSpec, MultiBitMode, Structure};
+use gpufi_faults::{CampaignSpec, DrawError, MultiBitMode, Structure};
 use gpufi_metrics::{
     chip_fit, df_reg, df_smem, raw_fit_per_bit, wavf, FaultEffect, KernelAvf, StructureResult,
     Tally,
 };
 use gpufi_sim::GpuConfig;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Configuration of a whole-application analysis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -160,30 +161,63 @@ fn structure_size_bits(card: &GpuConfig, s: Structure) -> u64 {
     }
 }
 
+/// Why a whole-application analysis could not run.
+#[derive(Debug, Clone)]
+pub enum AnalysisError {
+    /// The golden run failed.
+    Golden(WorkloadError),
+    /// A campaign's faults cannot be drawn as configured — e.g. more bits
+    /// per fault than an entry holds.  (A structure with no injectable bits
+    /// for a kernel is not an error: its failure ratio is zero.)
+    Draw(DrawError),
+}
+
+impl fmt::Display for AnalysisError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AnalysisError::Golden(e) => write!(f, "golden run failed: {e}"),
+            AnalysisError::Draw(e) => write!(f, "cannot draw fault: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for AnalysisError {}
+
+impl From<WorkloadError> for AnalysisError {
+    fn from(e: WorkloadError) -> Self {
+        AnalysisError::Golden(e)
+    }
+}
+
 /// Runs the full kernel × structure campaign sweep for one benchmark on
 /// one card and folds the results into the paper's metrics.
 ///
 /// # Errors
 ///
-/// Propagates golden-run failures ([`WorkloadError`]) — an injection-run
-/// failure is a classification, not an error.
+/// Propagates golden-run failures and undrawable fault shapes
+/// ([`AnalysisError`]) — an injection-run failure is a classification,
+/// not an error.
 pub fn analyze(
     workload: &dyn Workload,
     card: &GpuConfig,
     cfg: &AnalysisConfig,
-) -> Result<AppAnalysis, WorkloadError> {
+) -> Result<AppAnalysis, AnalysisError> {
     let golden = profile(workload, card)?;
-    Ok(analyze_with_golden(workload, card, cfg, &golden))
+    analyze_with_golden(workload, card, cfg, &golden)
 }
 
 /// [`analyze`] with a pre-computed golden profile (lets callers reuse one
 /// profile across single-/multi-bit sweeps).
+///
+/// # Errors
+///
+/// [`AnalysisError::Draw`] when a campaign's fault shape cannot be drawn.
 pub fn analyze_with_golden(
     workload: &dyn Workload,
     card: &GpuConfig,
     cfg: &AnalysisConfig,
     golden: &GoldenProfile,
-) -> AppAnalysis {
+) -> Result<AppAnalysis, AnalysisError> {
     let kernels = golden.app.static_kernels();
     let total_cycles = golden.total_cycles().max(1);
 
@@ -226,7 +260,10 @@ pub fn analyze_with_golden(
                 // Empty structure for this kernel (no shared/local memory,
                 // no L1D on this chip): failure ratio is zero by
                 // construction.
-                Err(CampaignError::Draw(_)) => per_kernel.push((ki, 0.0, Tally::default())),
+                Err(CampaignError::Draw(
+                    DrawError::EmptyStructure(_) | DrawError::EmptyWindows,
+                )) => per_kernel.push((ki, 0.0, Tally::default())),
+                Err(CampaignError::Draw(e)) => return Err(AnalysisError::Draw(e)),
                 Err(CampaignError::UnknownKernel(_)) => unreachable!("kernels from golden"),
                 Err(e @ CampaignError::OracleDivergence(_)) => {
                     unreachable!("analysis campaigns never set oracle_check: {e}")
@@ -297,7 +334,7 @@ pub fn analyze_with_golden(
         .sum::<f64>()
         / total_cycles as f64;
 
-    AppAnalysis {
+    Ok(AppAnalysis {
         benchmark: workload.name().to_string(),
         card: card.name.clone(),
         runs_per_campaign: cfg.runs,
@@ -307,7 +344,7 @@ pub fn analyze_with_golden(
         occupancy,
         fit,
         golden_cycles: golden.total_cycles(),
-    }
+    })
 }
 
 /// A tally whose failure ratio equals `fr` (used to feed pre-weighted

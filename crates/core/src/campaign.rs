@@ -57,12 +57,12 @@ pub struct CampaignConfig {
     pub cycle_window: Option<(u64, u64)>,
     /// Differential-oracle validation mode (`--oracle-check`): the golden
     /// run executes in lockstep with the functional reference interpreter
-    /// (any divergence aborts the campaign), and every injection run that
-    /// fault-lifetime early exit *would* classify as Masked is instead
-    /// simulated to completion and its final global-memory image compared
-    /// against the oracle's prediction.  Forces full simulation (implies
-    /// `--no-early-exit` semantics for the run loop) while keeping run
-    /// records identical to the optimized engine's.
+    /// (any divergence aborts the campaign); every run is then resolved
+    /// exactly as without this flag — so records, CSV and journal are the
+    /// default engine's — and re-run as the reference, a cold, fully
+    /// simulated, unpruned run, which must agree with the record (see
+    /// [`CampaignStats::oracle_mismatches`]).  A run a shortcut resolved
+    /// must also end the reference in the oracle's global-memory image.
     pub oracle_check: bool,
     /// Path of the crash-safe run journal (`<out>.journal.jsonl`): one
     /// fsync'd JSON line per completed run, written incrementally by the
@@ -80,11 +80,10 @@ pub struct CampaignConfig {
     /// faulted kernel ever reads, or (transient models only) every flipped
     /// bit lands in a bit position none ever demands — at the golden cycle
     /// count, without forking a simulation (ACE-style pruning over
-    /// `gpufi_isa::analysis::dead_bit_masks`).  Disable to force full
-    /// simulation of every run — the validation mode behind
-    /// `--no-static-prune`.  Off under `oracle_check`, which exists to
-    /// validate exactly such shortcuts, and under stratified sampling,
-    /// whose dead mass is already resolved analytically.
+    /// `gpufi_isa::analysis::dead_bit_masks`) — the first rung of every
+    /// run's resolution.  Disable to force full simulation of every run —
+    /// the validation mode behind `--no-static-prune`.  Off under stratified
+    /// sampling, whose dead mass is already resolved analytically.
     pub static_prune: bool,
     /// Per-run wall-clock watchdog in milliseconds (`0` = off): a run
     /// whose *real* time exceeds this aborts with a wall-clock trap and
@@ -266,14 +265,17 @@ pub struct CampaignStats {
     pub restores: usize,
     /// Mean golden-run cycles skipped per run by checkpoint forking.
     pub mean_skipped_cycles: f64,
-    /// Runs executed under the differential oracle (`--oracle-check`).
+    /// Runs compared with their cold full-simulation reference
+    /// (`--oracle-check`; `sim_panic` and wall-clock-watchdog runs are not
+    /// compared).
     pub oracle_checked: usize,
-    /// Oracle-checked runs that early exit would have cut short, fully
-    /// simulated and confirmed to end in the oracle-predicted state.
+    /// Checked runs a shortcut resolved — pre-classification or early
+    /// exit — whose verdict the reference confirmed, final global-memory
+    /// image included.
     pub oracle_verified: usize,
-    /// Oracle-checked runs where the early-exit verdict was *wrong*: the
-    /// fully simulated run did not end Masked at the golden cycle count
-    /// with the oracle's global-memory image.  Must be zero.
+    /// Checked runs whose record disagrees with the reference: effect or
+    /// cycles differ, `applied` differs on a simulated run, or a shortcut's
+    /// reference did not end in the oracle's image.  Must be zero.
     pub oracle_mismatches: usize,
     /// Run attempts that ended in a simulator-internal panic (caught and
     /// isolated by the supervisor; a run that panics on both its first
@@ -607,8 +609,7 @@ pub(crate) enum PruneGranularity {
 }
 
 impl PruneGranularity {
-    /// Off under `--no-static-prune`; off under `--oracle-check`, which
-    /// exists to validate such shortcuts; off under stratified sampling,
+    /// Off under `--no-static-prune`; off under stratified sampling,
     /// whose draw already excludes dead registers (they fall in the
     /// analytically-masked stratum) and whose weights are not bit-aware, so
     /// every planned run must be simulated for the reweighting to stay
@@ -616,7 +617,7 @@ impl PruneGranularity {
     /// re-pins on every write, and the per-flip dead-bit argument is only
     /// proven for single flips.
     pub(crate) fn of(cfg: &CampaignConfig) -> Self {
-        if !cfg.static_prune || cfg.oracle_check || cfg.sampling == SamplingMode::Stratified {
+        if !cfg.static_prune || cfg.sampling == SamplingMode::Stratified {
             PruneGranularity::None
         } else if cfg.spec.model.is_permanent() {
             PruneGranularity::Register
@@ -710,16 +711,51 @@ fn oracle_golden_image(
     Ok(gpu.oracle_global_image().expect("oracle attached above"))
 }
 
-/// `one_run`'s oracle verdict (all `false` outside `--oracle-check`).
-#[derive(Debug, Clone, Copy, Default)]
+/// `--oracle-check`'s verdict on one run (all `false` outside it).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct OracleVerdict {
-    /// The run executed under the early-exit probe.
+    /// The record was compared with its reference.
     checked: bool,
-    /// Early exit would have fired and the full simulation confirmed it:
-    /// Masked, golden cycle count, oracle-predicted memory image.
+    /// A shortcut resolved the run and the reference confirmed it.
     verified: bool,
-    /// Early exit would have fired but the full simulation disagreed.
+    /// The record and the reference disagree.
     mismatch: bool,
+}
+
+impl OracleVerdict {
+    /// The comparison rule of `--oracle-check`: `rec`, the run as the
+    /// ladder resolved it, against `reference`, the same run cold, fully
+    /// simulated and unpruned (`None`: it panicked); `image_matches` says
+    /// whether the reference's final global-memory image is the oracle's.
+    ///
+    /// Effect and cycles must match; `applied` only where the ladder
+    /// simulated the run (a pre-classified record asserts it unobserved);
+    /// and a run a shortcut resolved must leave the reference in the
+    /// oracle's image.  `sim_panic` records are not compared, nor runs the
+    /// wall-clock watchdog stopped on either side (timing, not state).
+    fn of(
+        rec: &RunRecord,
+        reference: Option<&RunRecord>,
+        image_matches: impl FnOnce() -> bool,
+    ) -> Self {
+        use RunDetail::{SimPanic, StaticDead, StaticDeadBit, WallWatchdog};
+        if matches!(rec.detail, SimPanic | WallWatchdog)
+            || reference.is_some_and(|r| r.detail == WallWatchdog)
+        {
+            return OracleVerdict::default();
+        }
+        let pre_classified = matches!(rec.detail, StaticDead | StaticDeadBit);
+        let shortcut = pre_classified || rec.early_exit;
+        let agree = reference.is_some_and(|r| {
+            (r.effect, r.cycles) == (rec.effect, rec.cycles)
+                && (pre_classified || r.applied == rec.applied)
+        }) && (!shortcut || image_matches());
+        OracleVerdict {
+            checked: true,
+            verified: shortcut && agree,
+            mismatch: !agree,
+        }
+    }
 }
 
 /// One supervised run: its record, its oracle verdict and how many
@@ -735,6 +771,8 @@ pub(crate) struct RunEnv<'a> {
     pub(crate) card: &'a GpuConfig,
     pub(crate) cfg: &'a CampaignConfig,
     pub(crate) golden: &'a GoldenProfile,
+    /// The drawn plans and the dead-bit masks they are pre-classified by.
+    pub(crate) drawn: &'a Drawn,
     pub(crate) store: Option<Arc<CheckpointStore>>,
     /// The oracle's final global-memory image (`--oracle-check` only).
     pub(crate) oracle_img: Option<Vec<u8>>,
@@ -742,20 +780,36 @@ pub(crate) struct RunEnv<'a> {
 }
 
 impl RunEnv<'_> {
-    /// Executes one pre-drawn injection run on the client's device and
-    /// classifies it.
-    fn one_run(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> (RunRecord, OracleVerdict) {
-        let RunEnv { cfg, golden, .. } = *self;
-        let golden_cycles = golden.total_cycles();
+    /// Resolves one run by the campaign's ladder: static
+    /// pre-classification, else a simulation forked from the nearest
+    /// checkpoint and cut short by taint early exit where the campaign
+    /// enables them.
+    fn resolve(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> RunRecord {
+        let masks = self.drawn.masks.get(&run.kernel);
+        let granularity = PruneGranularity::of(self.cfg);
+        masks
+            .and_then(|m| pre_classify(run, m, granularity, self.golden.total_cycles()))
+            .unwrap_or_else(|| self.simulate(gpu, run, self.store.as_ref(), self.cfg.early_exit))
+    }
+
+    /// Simulates one run on the client's device and classifies it,
+    /// forking from `store`'s nearest checkpoint when there is one and
+    /// aborting at fault-lifetime death under `early_exit`.
+    fn simulate(
+        &self,
+        gpu: &mut Option<Gpu>,
+        run: &RunPlan,
+        store: Option<&Arc<CheckpointStore>>,
+        early_exit: bool,
+    ) -> RunRecord {
+        let golden_cycles = self.golden.total_cycles();
         // Fork from the nearest checkpoint at or before the first injection
         // cycle — state up to that cycle is bit-identical to the golden
         // run's, so the head of the run need not be re-simulated.  The fork
         // restores the client's device in place; a run with no such
         // checkpoint starts cold on a fresh one.
-        let fork = self.store.as_ref().and_then(|store| {
-            let idx = store.nearest_at_or_before(run.first_cycle)?;
-            Some((store, idx))
-        });
+        let fork =
+            store.and_then(|store| Some((store, store.nearest_at_or_before(run.first_cycle)?)));
         let (gpu, ckpt_skipped_cycles) = match fork {
             Some((store, idx)) => {
                 let gpu = gpu.get_or_insert_with(|| Gpu::new(self.card.clone()));
@@ -770,57 +824,44 @@ impl RunEnv<'_> {
         };
         gpu.arm_faults(run.plan.clone());
         gpu.set_watchdog(golden_cycles * 2);
-        if cfg.max_run_ms > 0 {
-            gpu.set_wall_watchdog(Duration::from_millis(cfg.max_run_ms));
+        if self.cfg.max_run_ms > 0 {
+            gpu.set_wall_watchdog(Duration::from_millis(self.cfg.max_run_ms));
         }
-        // Oracle check replaces the early-exit abort with a probe: the exit
-        // predicate is still evaluated, but the run completes so its final
-        // state can be compared against the oracle's prediction.
-        gpu.set_early_exit(cfg.early_exit && self.oracle_img.is_none());
-        gpu.set_early_exit_probe(self.oracle_img.is_some());
+        gpu.set_early_exit(early_exit);
         let result = self.workload.run(gpu);
-        // What fault-lifetime early exit records: every fault's lifetime
-        // ended with the machine state equal to the golden run's, so the
-        // remaining execution is the golden execution.
-        let masked_at_golden = (FaultEffect::Masked, golden_cycles, true, RunDetail::None);
-        let mut verdict = OracleVerdict::default();
-        let (effect, cycles, early_exit, detail) =
-            if matches!(&result, Err(WorkloadError::Trap(Trap::FaultsExpired))) {
-                masked_at_golden
-            } else {
-                let cycles = gpu.stats().total_cycles().max(gpu.cycle());
-                let effect = classify(&result, cycles, golden);
-                let mut outcome = (effect, cycles, false, detail_of(&result));
-                if let Some(img) = &self.oracle_img {
-                    verdict.checked = true;
-                    if gpu.would_early_exit() {
-                        // Early exit would have recorded Masked at the
-                        // golden cycle count; the fully simulated run must
-                        // agree *and* its memory must match the reference
-                        // interpreter bit for bit.
-                        verdict.verified = effect == FaultEffect::Masked
-                            && cycles == golden_cycles
-                            && gpu.mem().global_image() == img.as_slice();
-                        verdict.mismatch = !verdict.verified;
-                        if verdict.verified {
-                            // Record exactly what the optimized engine
-                            // records, so the two CSVs are diffable.
-                            outcome = masked_at_golden;
-                        }
-                    }
-                }
-                outcome
-            };
-        let rec = RunRecord {
+        // Early exit fired: every fault's lifetime ended with the machine
+        // state equal to the golden run's, so the remaining execution is
+        // the golden execution — Masked at the golden cycle count.
+        let expired = matches!(&result, Err(WorkloadError::Trap(Trap::FaultsExpired)));
+        let (effect, cycles) = if expired {
+            (FaultEffect::Masked, golden_cycles)
+        } else {
+            let cycles = gpu.stats().total_cycles().max(gpu.cycle());
+            (classify(&result, cycles, self.golden), cycles)
+        };
+        RunRecord {
             effect,
             cycles,
             applied: gpu.injection_records().iter().any(|r| r.applied),
-            early_exit,
+            early_exit: expired,
             ckpt_skipped_cycles,
-            detail,
+            detail: detail_of(&result),
             stratum: run.stratum,
+        }
+    }
+
+    /// `--oracle-check`: re-runs `run` as the reference — a fresh device,
+    /// no fork, no early exit, no pre-classification — and compares `rec`
+    /// with it.  A reference that panics disagrees with any record.
+    fn check(&self, run: &RunPlan, rec: &RunRecord) -> OracleVerdict {
+        let Some(img) = &self.oracle_img else {
+            return OracleVerdict::default();
         };
-        (rec, verdict)
+        let mut cold = None;
+        let reference = catch_run(|| self.simulate(&mut cold, run, None, false)).ok();
+        OracleVerdict::of(rec, reference.as_ref(), || {
+            cold.is_some_and(|g| g.mem().global_image() == img.as_slice())
+        })
     }
 
     /// Run index `i` under supervision on the client's device `gpu` — the
@@ -831,16 +872,17 @@ impl RunEnv<'_> {
     /// fields, so a resumed campaign reproduces it bit for bit.  A panic
     /// drops the device it left half-mutated, so the retry (and every
     /// later run) starts from a fresh one.
-    pub(crate) fn supervised_run(&self, gpu: &mut Option<Gpu>, i: usize, run: &RunPlan) -> Outcome {
+    pub(crate) fn supervised_run(&self, gpu: &mut Option<Gpu>, i: usize) -> Outcome {
+        let run = &self.drawn.plans[i];
         for attempt in 0..2 {
             let out = catch_run(|| {
                 if let Some(h) = self.hook {
                     h(i, attempt);
                 }
-                self.one_run(gpu, run)
+                self.resolve(gpu, run)
             });
             match out {
-                Ok((rec, verdict)) => return (rec, verdict, attempt as usize),
+                Ok(rec) => return (rec, self.check(run, &rec), attempt as usize),
                 Err(_) => *gpu = None,
             }
         }
@@ -1025,6 +1067,9 @@ fn sampling_summary(
 /// alone; a worker stops here, [`prepare`] continues.
 pub(crate) struct Drawn {
     pub(crate) plans: Vec<RunPlan>,
+    /// Each kernel's `dead_bit_masks`, the pre-classifier's table (empty
+    /// when [`PruneGranularity::of`] the campaign is `None`).
+    masks: BTreeMap<String, Vec<u32>>,
     strata: Option<Strata>,
     /// The campaign's identity, which the journal header carries and the
     /// service handshake exchanges: [`describe`], the `chip` and, when
@@ -1033,7 +1078,8 @@ pub(crate) struct Drawn {
 }
 
 /// Draws every run's plan up front (so draw errors surface before any
-/// simulation) and describes the campaign.
+/// simulation), builds the pre-classifier's mask table and describes the
+/// campaign.
 pub(crate) fn draw(
     workload: &dyn Workload,
     card: &GpuConfig,
@@ -1052,8 +1098,15 @@ pub(crate) fn draw(
         members.push(("chip".into(), card.spelling()));
         members.extend(strata.as_ref().map(|s| ("strata".into(), s.2.into())));
     }
+    let mut masks = BTreeMap::new();
+    if PruneGranularity::of(cfg) != PruneGranularity::None {
+        for k in workload.module().kernels() {
+            masks.insert(k.name().to_string(), dead_bit_masks(k));
+        }
+    }
     Ok(Drawn {
         plans,
+        masks,
         strata,
         campaign,
     })
@@ -1077,8 +1130,8 @@ pub(crate) enum Refused {
 /// Everything the scheduler guards with its one mutex.
 #[derive(Default)]
 struct BoardState {
-    /// One slot per run index: resumed and pre-classified by `prepare`,
-    /// executed runs by [`Board::merge`].
+    /// One slot per run index: resumed runs by `prepare`, every other
+    /// run by [`Board::merge`].
     slots: Vec<Option<RunRecord>>,
     filled: usize,
     /// Leases not yet granted; reclaimed ones go back to the head.
@@ -1257,16 +1310,14 @@ pub(crate) struct Prepared {
     start: Instant,
     pub(crate) drawn: Drawn,
     pub(crate) board: Board,
-    /// Runs left to execute — neither resumed nor pre-classified.
-    pending: usize,
     writer: Option<JournalWriter>,
     resumed: usize,
 }
 
 /// Stage one of a campaign: draw and describe → journal create/resume →
-/// pre-classify → the board, leasing the pending order `lease_size` runs
-/// at a time.  `die_after_merges` arms the coordinator's chaos death
-/// (`Some(0)` dies before the first merge).
+/// the board, leasing the pending order `lease_size` runs at a time.
+/// `die_after_merges` arms the coordinator's chaos death (`Some(0)` dies
+/// before the first merge).
 pub(crate) fn prepare(
     workload: &dyn Workload,
     card: &GpuConfig,
@@ -1280,7 +1331,7 @@ pub(crate) fn prepare(
 
     // Journal / resume: load completed records first, so a resumed
     // campaign schedules (and pays for) only the missing run indices.
-    let (journal, mut slots) = match &cfg.journal {
+    let (journal, slots) = match &cfg.journal {
         None => (None, vec![None; cfg.runs]),
         Some(path) => {
             let (j, loaded) = RunJournal::open(path, &drawn.campaign, cfg.runs, cfg.resume)
@@ -1291,33 +1342,6 @@ pub(crate) fn prepare(
     let resumed = slots.iter().flatten().count();
     let (writer, sink) = journal.map(RunJournal::into_writer).unzip();
 
-    // Pre-classification: runs the analyzer proves Masked are classified
-    // here, journaled for resume, and never scheduled.
-    let granularity = PruneGranularity::of(cfg);
-    if granularity != PruneGranularity::None {
-        let masks: BTreeMap<&str, Vec<u32>> = workload
-            .module()
-            .kernels()
-            .iter()
-            .map(|k| (k.name(), dead_bit_masks(k)))
-            .collect();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            let run = &drawn.plans[i];
-            let Some(rec) = masks
-                .get(run.kernel.as_str())
-                .and_then(|m| pre_classify(run, m, granularity, golden.total_cycles()))
-            else {
-                continue;
-            };
-            if let Some(s) = &sink {
-                s.append(i, &rec);
-            }
-            *slot = Some(rec);
-        }
-    }
     // The pending order, sorted by first injection cycle so neighbouring
     // runs fork from the same snapshot while it is hot in cache, chunked
     // into the board's leases.
@@ -1344,7 +1368,6 @@ pub(crate) fn prepare(
             state: Mutex::new(board),
             wake: Condvar::new(),
         },
-        pending: order.len(),
         writer,
         resumed,
     })
@@ -1430,12 +1453,14 @@ pub fn run_campaign_with_hook(
     let p = prepare(workload, card, cfg, golden, 1, None)?;
     // Both the oracle pass and the checkpoint-recording pass are skipped
     // when the journal already covers every run.
-    let runnable = p.pending > 0;
+    let pending = cfg.runs - p.resumed;
+    let runnable = pending > 0;
     let env = RunEnv {
         workload,
         card,
         cfg,
         golden,
+        drawn: &p.drawn,
         hook,
         // Oracle validation first: a functionally wrong golden run poisons
         // every classification, so fail before any injection work.
@@ -1448,7 +1473,7 @@ pub fn run_campaign_with_hook(
             .then(|| record_store(workload, card, golden))
             .flatten(),
     };
-    let threads = cfg.effective_threads().clamp(1, p.pending.max(1));
+    let threads = cfg.effective_threads().clamp(1, pending.max(1));
 
     // In-process clients of the board, each granted one run at a time and
     // forking every run on its one device; merge journals it immediately
@@ -1460,7 +1485,7 @@ pub fn run_campaign_with_hook(
             match p.board.grant(None, Duration::MAX) {
                 Grant::Lease(id, runs) => {
                     for i in runs {
-                        let out = env.supervised_run(&mut gpu, i, &p.drawn.plans[i]);
+                        let out = env.supervised_run(&mut gpu, i);
                         // Never refused: no chaos, and the lease is this client's.
                         let _ = p.board.merge(None, id, i, out);
                     }
@@ -1482,10 +1507,11 @@ pub fn run_campaign_with_hook(
             }
         });
     }
+    let RunEnv { store, .. } = env;
     let mut result = p.finish(cfg, threads)?;
     let s = &mut result.stats;
-    s.checkpoints = env.store.as_ref().map_or(0, |s| s.len());
-    s.checkpoint_bytes = env.store.as_ref().map_or(0, |s| s.held_bytes());
+    s.checkpoints = store.as_ref().map_or(0, |s| s.len());
+    s.checkpoint_bytes = store.as_ref().map_or(0, |s| s.held_bytes());
     Ok(result)
 }
 
@@ -1494,7 +1520,8 @@ mod tests {
     use super::*;
 
     /// DESIGN.md declares the pre-classification granularity of every
-    /// fault model x sampling mode x validation switch; each cell is checked
+    /// fault model x sampling mode, with and without `--no-static-prune`;
+    /// each cell is checked
     /// against the one gating function, so neither can drift.
     #[test]
     fn design_md_compatibility_table_matches_the_gating_function() {
@@ -1510,7 +1537,7 @@ mod tests {
                 .split('|')
                 .map(|c| c.trim_matches([' ', '`']))
                 .collect();
-            let ["", model, sampling, default, no_prune, oracle, ""] = cells[..] else {
+            let ["", model, sampling, default, no_prune, ""] = cells[..] else {
                 continue;
             };
             let (Some(model), Some(sampling)) = (
@@ -1522,16 +1549,96 @@ mod tests {
             let spec = CampaignSpec::new(Structure::RegisterFile).model(model);
             let mut cfg = CampaignConfig::new(spec, 1, 1);
             cfg.sampling = sampling;
-            for (cfg, cell) in [
-                (cfg.clone(), default),
-                (cfg.clone().no_static_prune(), no_prune),
-                (cfg.with_oracle_check(), oracle),
-            ] {
+            for (cfg, cell) in [(cfg.clone(), default), (cfg.no_static_prune(), no_prune)] {
                 assert_eq!(PruneGranularity::of(&cfg), granularity(cell), "{line}");
+                // `--oracle-check` validates the default resolution, so it
+                // never changes what is pre-classified.
+                let checked = cfg.with_oracle_check();
+                assert_eq!(PruneGranularity::of(&checked), granularity(cell), "{line}");
             }
             rows += 1;
         }
         assert_eq!(rows, 6, "3 fault models x 2 sampling modes");
+    }
+
+    /// A record as the ladder or the reference might produce it.
+    fn record(
+        effect: FaultEffect,
+        applied: bool,
+        early_exit: bool,
+        detail: RunDetail,
+    ) -> RunRecord {
+        RunRecord {
+            effect,
+            cycles: if effect == FaultEffect::Masked {
+                1000
+            } else {
+                0
+            },
+            applied,
+            early_exit,
+            ckpt_skipped_cycles: 0,
+            detail,
+            stratum: None,
+        }
+    }
+
+    #[test]
+    fn oracle_comparison_rule() {
+        use FaultEffect::{Crash, Masked, Sdc};
+        let verdict = |checked, verified, mismatch| OracleVerdict {
+            checked,
+            verified,
+            mismatch,
+        };
+        let (agree, short_agree, disagree) = (
+            verdict(true, false, false),
+            verdict(true, true, false),
+            verdict(true, false, true),
+        );
+        let masked = record(Masked, true, false, RunDetail::None);
+        // An early exit's Masked-at-golden verdict against an SDC reference.
+        let exited = record(Masked, true, true, RunDetail::None);
+        let sdc = record(Sdc, true, false, RunDetail::None);
+        assert_eq!(OracleVerdict::of(&exited, Some(&sdc), || true), disagree);
+        assert_eq!(
+            OracleVerdict::of(&exited, Some(&masked), || true),
+            short_agree
+        );
+        // ...whose reference ends in another image than the oracle's.
+        assert_eq!(
+            OracleVerdict::of(&exited, Some(&masked), || false),
+            disagree
+        );
+        // A pre-classified record asserts `applied` without observing it.
+        for detail in [RunDetail::StaticDead, RunDetail::StaticDeadBit] {
+            let pruned = record(Masked, true, false, detail);
+            let unapplied = record(Masked, false, false, RunDetail::None);
+            assert_eq!(
+                OracleVerdict::of(&pruned, Some(&unapplied), || true),
+                short_agree
+            );
+            assert_eq!(OracleVerdict::of(&pruned, Some(&sdc), || true), disagree);
+        }
+        // A simulated run must agree on `applied`; its image is not asked.
+        let unapplied = record(Masked, false, false, RunDetail::None);
+        assert_eq!(
+            OracleVerdict::of(&masked, Some(&unapplied), || true),
+            disagree
+        );
+        assert_eq!(OracleVerdict::of(&masked, Some(&masked), || false), agree);
+        assert_eq!(OracleVerdict::of(&sdc, Some(&sdc), || false), agree);
+        // A reference that panicked disagrees with any record.
+        assert_eq!(OracleVerdict::of(&exited, None, || true), disagree);
+        // Not compared: poison records and wall-clock watchdog stops.
+        let poison = record(Crash, true, false, RunDetail::SimPanic);
+        let wall = record(FaultEffect::Timeout, true, false, RunDetail::WallWatchdog);
+        for (rec, reference) in [(&poison, &masked), (&wall, &masked), (&masked, &wall)] {
+            assert_eq!(
+                OracleVerdict::of(rec, Some(reference), || false),
+                OracleVerdict::default()
+            );
+        }
     }
 
     #[test]

@@ -70,7 +70,8 @@ mod supervisor;
 mod workload;
 
 pub use analysis::{
-    analyze, analyze_with_golden, AnalysisConfig, AppAnalysis, EffectRates, StructureOutcome,
+    analyze, analyze_with_golden, AnalysisConfig, AnalysisError, AppAnalysis, EffectRates,
+    StructureOutcome,
 };
 pub use campaign::{
     run_campaign, run_campaign_with_hook, CampaignConfig, CampaignError, CampaignResult,

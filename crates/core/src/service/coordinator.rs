@@ -62,10 +62,10 @@ pub fn serve_campaign_with_chaos(
             "--oracle-check is a single-process validation mode; run it without serve".into(),
         ));
     }
-    // The shared first stage: identical plan drawing, journal/resume and
-    // pre-classification to the local executor, the same cycle-sorted
-    // order, leased `--lease-size` runs at a time.  Resumed and
-    // pre-classified runs are never leased, so workers never see them.
+    // The shared first stage: identical plan drawing and journal/resume
+    // to the local executor, the same cycle-sorted order, leased
+    // `--lease-size` runs at a time.  Resumed runs are never leased, so
+    // workers never see them.
     let lease_size = svc.effective_lease_size(cfg.runs);
     let p = prepare(
         workload,
@@ -135,7 +135,7 @@ fn handle_worker(
 
     // Handshake: the worker's description is checked here; the worker
     // checks the Welcome's for the other direction.  A frame that is not a
-    // v4 hello (a v3 one carries no description) is refused, not dropped.
+    // v5 hello (an older worker's) is refused, not dropped.
     let hello = Msg::decode(&read_frame(&mut reader)?);
     let reason = match &hello {
         Ok(Msg::Hello {

@@ -14,9 +14,9 @@
 //!   worker.  Either side refuses a mismatch with the first parameter that
 //!   differs (`` `seed` is 5 at the coordinator, 6 at the worker ``).
 //! - Workers execute leased run indices with the **same
-//!   `supervised_run`** the local executor uses (same early-exit,
-//!   checkpoint, stratified and retry-once semantics) and stream back the
-//!   run's journal record fields.
+//!   `supervised_run`** the local executor uses (same pre-classification,
+//!   checkpoint, early-exit, stratified and retry-once semantics) and
+//!   stream back the run's journal record fields.
 //! - The coordinator owns the **one canonical journal/CSV/tally** via the
 //!   lease `Board` that schedules in-process threads too: first-ack-wins
 //!   by run index, the single-writer journal channel, canonical run order

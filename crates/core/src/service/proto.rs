@@ -28,8 +28,10 @@ use std::io::{BufRead, Write};
 /// misparsing.  v2 added the fault model to `hello`; v3 dropped what no
 /// worker read (the `lease_done` message and `welcome`'s `deadline_ms`);
 /// v4 swapped both handshake messages' fingerprint (and `hello`'s run
-/// count and model) for the campaign description.
-pub(crate) const PROTO_VERSION: u32 = 4;
+/// count and model) for the campaign description; v5 leases the runs
+/// static pre-classification resolves too, which a v4 worker would
+/// simulate instead of pre-classifying.
+pub(crate) const PROTO_VERSION: u32 = 5;
 
 /// Upper bound on one frame's payload, header included in spirit: a
 /// corrupt length prefix must not make the reader allocate gigabytes.
@@ -278,11 +280,11 @@ mod tests {
     }
 
     /// The exact payload bytes of every sample message: the wire format is
-    /// shared with workers built from other revisions of `PROTO_VERSION` 4.
+    /// shared with workers built from other revisions of `PROTO_VERSION` 5.
     #[test]
     fn sample_payload_bytes_are_pinned() {
         let expected = [
-            r#"{"type":"hello","proto":4,"campaign":{"seed":17,"model":"stuck-at-1"}}"#,
+            r#"{"type":"hello","proto":5,"campaign":{"seed":17,"model":"stuck-at-1"}}"#,
             r#"{"type":"welcome","campaign":{"seed":17,"model":"stuck-at-1"}}"#,
             r#"{"type":"reject","reason":"campaign fingerprint mismatch"}"#,
             r#"{"type":"lease","id":7,"runs":[0,2,3,11]}"#,

@@ -146,6 +146,7 @@ pub fn run_worker_with_chaos(
         card,
         cfg,
         golden,
+        drawn: &drawn,
         store: None,
         oracle_img: None,
         hook: None,
@@ -166,18 +167,18 @@ pub fn run_worker_with_chaos(
                         env.store = record_store(workload, card, golden);
                     }
                     for &i in &runs {
-                        let Some(plan) = drawn.plans.get(i) else {
+                        if i >= drawn.plans.len() {
                             return Err(ServiceError::Protocol(format!(
                                 "leased run {i} outside campaign of {}",
                                 drawn.plans.len()
                             )));
-                        };
+                        }
                         if let Some((at, ms)) = chaos.delay_before_ack {
                             if acks == at {
                                 std::thread::sleep(Duration::from_millis(ms));
                             }
                         }
-                        let (rec, ..) = env.supervised_run(&mut gpu, i, plan);
+                        let (rec, ..) = env.supervised_run(&mut gpu, i);
                         let payload = Msg::Done {
                             lease: id,
                             run: i,

@@ -144,6 +144,19 @@ pub enum DrawError {
     /// (stuck-at is only modelled where writes are re-pinned — see
     /// [`Structure::supports_stuck_at`]).
     UnsupportedModel(FaultModel, Structure),
+    /// A fault asks for more bits than its placement holds: a same-entry
+    /// fault's entry (32 bits for the register file, the entry width of a
+    /// control site, the line for caches) or a spread fault's structure.
+    TooManyBits {
+        /// The targeted structure.
+        structure: Structure,
+        /// The requested bits per fault.
+        bits: u32,
+        /// The most bits the placement holds.
+        width: u64,
+        /// The placement mode the width applies to.
+        mode: MultiBitMode,
+    },
 }
 
 impl fmt::Display for DrawError {
@@ -164,11 +177,37 @@ impl fmt::Display for DrawError {
                      memory and the control-unit sites only)"
                 )
             }
+            DrawError::TooManyBits {
+                structure,
+                bits,
+                width,
+                mode,
+            } => write!(
+                f,
+                "cannot flip {bits} bits per fault in `{structure}`: a {} fault holds at most \
+                 {width} bits",
+                mode.name()
+            ),
         }
     }
 }
 
 impl std::error::Error for DrawError {}
+
+/// Checks that `spec`'s bits per fault fit a placement `width` bits wide,
+/// before any RNG draw (so a rejected width cannot shift a campaign's
+/// draws).
+fn fits(spec: &CampaignSpec, (width, mode): (u64, MultiBitMode)) -> Result<(), DrawError> {
+    if u64::from(spec.bits_per_fault) <= width {
+        return Ok(());
+    }
+    Err(DrawError::TooManyBits {
+        structure: spec.structure,
+        bits: spec.bits_per_fault,
+        width,
+        mode,
+    })
+}
 
 /// The seeded fault-mask generator.
 ///
@@ -256,13 +295,25 @@ impl MaskGenerator {
         if spec.model.is_permanent() && !spec.structure.supports_stuck_at() {
             return Err(DrawError::UnsupportedModel(spec.model, spec.structure));
         }
+        let (total, entry_bits) = space.bits_of(spec.structure);
+        // Registers and control sites place every bit in one entry.
+        let placement = match spec.structure {
+            Structure::RegisterFile
+            | Structure::SimtStack
+            | Structure::Sched
+            | Structure::Scoreboard => (entry_bits, MultiBitMode::SameEntry),
+            _ if spec.multi_bit == MultiBitMode::Spread => (total, MultiBitMode::Spread),
+            _ => (entry_bits.min(total), MultiBitMode::SameEntry),
+        };
+        if total > 0 {
+            fits(spec, placement)?;
+        }
         let cycle = self
             .draw_cycle(windows.iter().map(|w| (w.start, w.end)))
             .ok_or(DrawError::EmptyWindows)?;
         let k = spec.bits_per_fault;
         let entry_lot = self.rng.gen::<u64>();
         let replicate = spec.replicate;
-        let (total, entry_bits) = space.bits_of(spec.structure);
         if total == 0 {
             return Err(DrawError::EmptyStructure(spec.structure));
         }
@@ -356,6 +407,7 @@ impl MaskGenerator {
         segments: &[(u64, u64)],
         reg: u32,
     ) -> Result<InjectionPlan, DrawError> {
+        fits(spec, (32, MultiBitMode::SameEntry))?;
         let cycle = self
             .draw_cycle(segments.iter().copied())
             .ok_or(DrawError::EmptyWindows)?;
@@ -385,7 +437,7 @@ impl MaskGenerator {
     /// Draws `k` distinct bit positions within one control-structure entry
     /// of `entry_bits` bits (entries are at most 64 bits wide).
     fn entry_u8_bits(&mut self, k: u32, entry_bits: u64) -> Vec<u8> {
-        self.distinct_bits(k.min(entry_bits as u32), entry_bits)
+        self.distinct_bits(k, entry_bits)
             .into_iter()
             .map(|b| b as u8)
             .collect()
@@ -401,14 +453,14 @@ impl MaskGenerator {
         mode: MultiBitMode,
     ) -> Vec<u64> {
         match mode {
-            MultiBitMode::Spread => self.distinct_bits(k.min(total as u32), total),
+            MultiBitMode::Spread => self.distinct_bits(k, total),
             MultiBitMode::SameEntry => {
                 let entry_bits = entry_bits.min(total);
                 let entries = total / entry_bits;
                 let entry = self.rng.gen_range(0..entries.max(1));
                 let base = entry * entry_bits;
                 let width = entry_bits.min(total - base);
-                self.distinct_bits(k.min(width as u32), width)
+                self.distinct_bits(k, width)
                     .into_iter()
                     .map(|b| base + b)
                     .collect()
@@ -676,6 +728,52 @@ mod tests {
                 assert_eq!(sorted.len(), 3, "bits must be distinct");
             }
         }
+    }
+
+    #[test]
+    fn faults_wider_than_their_placement_are_rejected() {
+        let too_many = |structure, bits, width, mode| DrawError::TooManyBits {
+            structure,
+            bits,
+            width,
+            mode,
+        };
+        let same = MultiBitMode::SameEntry;
+        let line = space().bits_per_line;
+        for (structure, width) in [
+            (Structure::RegisterFile, 32),
+            (Structure::SimtStack, SIMT_STACK_ENTRY_BITS),
+            (Structure::Sched, SCHED_ENTRY_BITS),
+            (Structure::Scoreboard, SCOREBOARD_ENTRY_BITS),
+            (Structure::L2, line),
+        ] {
+            let mut g = MaskGenerator::new(23);
+            let fit = CampaignSpec::new(structure).bits(width as u32);
+            assert_eq!(g.draw(&fit, &space(), &windows()).unwrap().faults.len(), 1);
+            // Spreading does not widen a register or a control entry.
+            let wide = fit.bits(width as u32 + 1).mode(MultiBitMode::Spread);
+            let want = match structure {
+                Structure::L2 => Ok(()),
+                _ => Err(too_many(structure, width as u32 + 1, width, same)),
+            };
+            assert_eq!(g.draw(&wide, &space(), &windows()).map(drop), want);
+            let err = g.draw(&wide.mode(same), &space(), &windows());
+            assert_eq!(err, Err(too_many(structure, width as u32 + 1, width, same)));
+        }
+        let mut g = MaskGenerator::new(24);
+        let l2 = 1 << 24;
+        let spread = CampaignSpec::new(Structure::L2)
+            .bits(l2 + 1)
+            .mode(MultiBitMode::Spread);
+        let err = g.draw(&spread, &space(), &windows()).unwrap_err();
+        assert_eq!(
+            err,
+            too_many(Structure::L2, l2 + 1, u64::from(l2), spread.multi_bit)
+        );
+        assert!(err.to_string().contains("at most 16777216 bits"), "{err}");
+        let rf = CampaignSpec::new(Structure::RegisterFile).bits(33);
+        let err = g.draw_register_stratum(&rf, &[(10, 20)], 3).unwrap_err();
+        assert_eq!(err, too_many(Structure::RegisterFile, 33, 32, same));
     }
 
     #[test]

@@ -46,10 +46,6 @@ pub struct Gpu {
     replay: Option<Replay>,
     // Lockstep differential oracle (RefCell: `memcpy_d2h` takes `&self`).
     oracle: Option<RefCell<OracleMirror>>,
-    // Early-exit *probe*: evaluate the fault-lifetime exit predicate
-    // without acting on it, latching `ee_would_exit`.
-    ee_probe: bool,
-    ee_would_exit: bool,
     // Golden-pass register read tracing for the stratified fault sampler:
     // when enabled, every launch records per-register last-read cycles
     // (collected into `reg_traces`, one entry per launch).  Never enabled
@@ -81,8 +77,6 @@ impl Gpu {
             recorder: None,
             replay: None,
             oracle: None,
-            ee_probe: false,
-            ee_would_exit: false,
             trace_reg_reads: false,
             reg_traces: Vec::new(),
         }
@@ -390,7 +384,6 @@ impl Gpu {
         self.fault_model = plan.model;
         self.next_fault = 0;
         self.records.clear();
-        self.ee_would_exit = false;
     }
 
     /// What happened to each armed fault so far.
@@ -420,24 +413,6 @@ impl Gpu {
     /// equals the golden execution.
     pub fn set_early_exit(&mut self, on: bool) {
         self.early_exit = on;
-    }
-
-    /// Enables the early-exit *probe*: the fault-lifetime exit predicate
-    /// is evaluated exactly as under [`Gpu::set_early_exit`], but instead
-    /// of aborting, the launch runs to completion and
-    /// [`Gpu::would_early_exit`] reports whether it would have fired.
-    /// The `--oracle-check` campaign mode uses this to prove that every
-    /// run the early-exit optimization would classify as Masked really
-    /// does end in the oracle-predicted state.
-    pub fn set_early_exit_probe(&mut self, on: bool) {
-        self.ee_probe = on;
-    }
-
-    /// Whether the armed faults' lifetimes all ended without escaping —
-    /// i.e. early exit would have classified this run as Masked
-    /// ([`Gpu::set_early_exit_probe`]).
-    pub fn would_early_exit(&self) -> bool {
-        self.ee_would_exit
     }
 
     /// Unobserved fault-flipped state across cores and the memory system.
@@ -607,8 +582,6 @@ impl Gpu {
             records,
             early_exit,
             replay,
-            ee_probe,
-            ee_would_exit,
             // Golden-pass instruments, never combined with forking (see
             // their setters).
             recorder: _,
@@ -623,8 +596,6 @@ impl Gpu {
         *next_fault = 0;
         records.clear();
         *early_exit = false;
-        *ee_probe = false;
-        *ee_would_exit = false;
         *replay = Some(Replay {
             store: Arc::clone(store),
             cursor: Cell::new(0),
@@ -840,7 +811,7 @@ impl Gpu {
             // Fault-lifetime early exit: every planned fault has fired and
             // no flipped bit survives unobserved — the machine state equals
             // the golden run's, so the remaining execution is determined.
-            if (self.early_exit || self.ee_probe)
+            if self.early_exit
                 && !ee_dead
                 && !self.faults.is_empty()
                 && self.next_fault == self.faults.len()
@@ -850,13 +821,7 @@ impl Gpu {
                     if self.taint_escaped() {
                         ee_dead = true;
                     } else if self.taint_count() == 0 {
-                        if self.early_exit {
-                            break 'run Err(Trap::FaultsExpired);
-                        }
-                        // Probe mode: latch the verdict, keep executing so
-                        // the final state can be checked against it.
-                        self.ee_would_exit = true;
-                        ee_dead = true;
+                        break 'run Err(Trap::FaultsExpired);
                     }
                 }
                 ee_tick -= 1;

@@ -55,11 +55,11 @@ pub mod prelude {
     pub use gpufi_core::{
         analyze, analyze_with_golden, campaign_fingerprint, classify, detail_of, profile,
         run_campaign, run_campaign_with_hook, run_worker, run_worker_with_chaos, serve_campaign,
-        serve_campaign_with_chaos, AnalysisConfig, AppAnalysis, CampaignConfig, CampaignError,
-        CampaignResult, CampaignStats, ChaosPlan, CoordinatorChaos, FaultHook, GoldenProfile,
-        RunDetail, RunJournal, RunRecord, SamplingMode, SamplingSummary, ServiceConfig,
-        ServiceError, StrataLayout, Stratum, WorkerReport, WorkerThroughput, Workload,
-        WorkloadError,
+        serve_campaign_with_chaos, AnalysisConfig, AnalysisError, AppAnalysis, CampaignConfig,
+        CampaignError, CampaignResult, CampaignStats, ChaosPlan, CoordinatorChaos, FaultHook,
+        GoldenProfile, RunDetail, RunJournal, RunRecord, SamplingMode, SamplingSummary,
+        ServiceConfig, ServiceError, StrataLayout, Stratum, WorkerReport, WorkerThroughput,
+        Workload, WorkloadError,
     };
     pub use gpufi_faults::{CampaignSpec, FaultModel, MaskGenerator, MultiBitMode, Structure};
     pub use gpufi_isa::Module;

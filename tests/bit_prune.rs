@@ -72,20 +72,24 @@ fn bit_prune_matches_full_simulation() {
     );
 }
 
-/// `--oracle-check` bypasses the bit prune exactly like the register-level
-/// prune — it exists to validate such shortcuts, so every run must be
-/// fully simulated (and oracle-confirmed) under it.
+/// `--oracle-check` keeps the bit prune exactly like the register-level
+/// prune, and confirms every dead-bit verdict against a cold, fully
+/// simulated, unpruned run of it.
 #[test]
-fn oracle_check_bypasses_bit_prune() {
-    let w = ScalarProd::new(8);
+fn oracle_check_confirms_bit_prune() {
+    let w = NeedlemanWunsch::default();
     let card = GpuConfig::rtx2060();
     let golden = profile(&w, &card).unwrap();
     let cfg =
-        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 40, 23).with_oracle_check();
+        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 60, 5).with_oracle_check();
     let result = run_campaign(&w, &card, &cfg, &golden).unwrap();
-    assert_eq!(result.stats.static_bit_pruned, 0);
-    assert_eq!(result.stats.static_pruned, 0);
-    assert_eq!(result.stats.oracle_mismatches, 0);
+    let s = &result.stats;
+    assert!(s.static_bit_pruned > 0);
+    assert_eq!(s.oracle_mismatches, 0);
+    assert_eq!(
+        s.oracle_verified,
+        s.early_exits + s.static_pruned + s.static_bit_pruned
+    );
 }
 
 /// Stuck-at campaigns never bit-prune: a permanent fault re-pins the bit

@@ -307,7 +307,7 @@ fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
     let res = coord_res.unwrap();
     assert_eq!(campaign_csv(&res), serial_csv);
     assert!(
-        v3_reply.contains(r#"{"type":"reject","reason":"expected a protocol v4 hello frame"}"#),
+        v3_reply.contains(r#"{"type":"reject","reason":"expected a protocol v5 hello frame"}"#),
         "v3 hello answered with {v3_reply:?}"
     );
     let expected = [

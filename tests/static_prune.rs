@@ -77,17 +77,23 @@ fn static_prune_matches_full_simulation_without_early_exit() {
     }
 }
 
-/// `--oracle-check` bypasses the prune entirely — it exists to validate
-/// exactly such shortcuts, so every run must be fully simulated under it.
+/// `--oracle-check` keeps the prune — it checks the default resolution
+/// instead of bypassing it — and confirms every dead-register verdict
+/// against a cold, fully simulated, unpruned run of it.
 #[test]
-fn oracle_check_bypasses_static_prune() {
+fn oracle_check_confirms_static_prune() {
     let w = ScalarProd::new(8);
     let card = GpuConfig::rtx2060();
     let golden = profile(&w, &card).unwrap();
     let cfg =
         CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 40, 23).with_oracle_check();
     let result = run_campaign(&w, &card, &cfg, &golden).unwrap();
-    assert_eq!(result.stats.static_pruned, 0);
-    assert_eq!(result.stats.oracle_mismatches, 0);
-    assert_eq!(result.stats.oracle_checked, 40);
+    let s = &result.stats;
+    assert!(s.static_pruned > 0);
+    assert_eq!(s.oracle_mismatches, 0);
+    assert_eq!(s.oracle_checked, 40);
+    assert_eq!(
+        s.oracle_verified,
+        s.early_exits + s.static_pruned + s.static_bit_pruned
+    );
 }

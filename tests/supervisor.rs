@@ -152,6 +152,47 @@ fn poison_run_is_crash_sim_panic_and_survives_resume() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Pre-classification is the first rung of the supervised run, not a
+/// stage before scheduling: the fault hook reaches every run index — the
+/// ones the default engine pre-classifies included — so
+/// `--inject-panic-run` can poison any run.
+#[test]
+fn fault_hook_reaches_pre_classified_runs() {
+    let w = ScalarProd::new(8);
+    let card = GpuConfig::rtx2060();
+    let golden = profile(&w, &card).unwrap();
+    let cfg = CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 60, 9);
+    let clean = run_campaign(&w, &card, &cfg, &golden).unwrap();
+    let pruned = clean
+        .records
+        .iter()
+        .position(|r| matches!(r.detail, RunDetail::StaticDead | RunDetail::StaticDeadBit))
+        .expect("SP rf pre-classifies some run");
+
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(vec![false; 60]));
+    let hook = {
+        let seen = std::sync::Arc::clone(&seen);
+        move |run: usize, _attempt: u32| {
+            seen.lock().unwrap()[run] = true;
+            if run == pruned {
+                panic!("poisoned pre-classified run");
+            }
+        }
+    };
+    let res = run_campaign_with_hook(&w, &card, &cfg, &golden, Some(&hook)).unwrap();
+    assert!(
+        seen.lock().unwrap().iter().all(|&s| s),
+        "the hook skipped a run"
+    );
+    assert_eq!(res.records[pruned].detail, RunDetail::SimPanic);
+    assert_eq!(res.stats.panics, 2);
+    for (i, (a, b)) in res.records.iter().zip(&clean.records).enumerate() {
+        if i != pruned {
+            assert_eq!(a, b, "run {i}");
+        }
+    }
+}
+
 /// Resuming from a journal written by a *different* campaign (here: a
 /// different seed) must fail loudly instead of splicing foreign records.
 #[test]
