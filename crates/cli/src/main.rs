@@ -592,11 +592,12 @@ fn print_campaign_summary(
         s.sim_runs_per_sec, s.simulated_runs, s.effective_runs_per_sec, s.effective_runs
     );
     println!(
-        "  faults applied: {} ({:.1} %)   early exits: {} ({:.1} %)",
+        "  faults applied: {} ({:.1} %)   early exits: {} ({:.1} %), {} reconverged",
         s.applied,
         100.0 * s.applied_rate,
         s.early_exits,
-        100.0 * s.early_exit_rate
+        100.0 * s.early_exit_rate,
+        s.reconverged
     );
     println!(
         "  checkpoints: {} ({:.1} MiB)   restores: {}   mean cycles skipped: {:.0}",

@@ -208,8 +208,10 @@ pub struct RunRecord {
     /// Whether the fault actually changed state (e.g. cache flips on
     /// invalid lines change nothing).
     pub applied: bool,
-    /// Whether the run was cut short because every fault's lifetime ended
-    /// (always classified **Masked** with the golden cycle count).
+    /// Whether the run was cut short because every fault's lifetime ended,
+    /// or because its state reconverged with a later golden checkpoint
+    /// ([`RunDetail::Reconverged`]); always classified **Masked** with the
+    /// golden cycle count.
     pub early_exit: bool,
     /// Golden-run cycles skipped by forking from a checkpoint instead of
     /// cold-starting (`0` = cold start).
@@ -252,10 +254,14 @@ pub struct CampaignStats {
     pub applied: usize,
     /// `applied / runs`.
     pub applied_rate: f64,
-    /// Runs cut short by fault-lifetime early exit.
+    /// Runs cut short by fault-lifetime early exit or by reconvergence.
     pub early_exits: usize,
     /// `early_exits / runs`.
     pub early_exit_rate: f64,
+    /// Early exits at a golden checkpoint the run's state reconverged
+    /// with ([`RunDetail::Reconverged`]), counted among
+    /// [`CampaignStats::early_exits`].
+    pub reconverged: usize,
     /// Snapshots held in the checkpoint store (0 = checkpoints disabled).
     pub checkpoints: usize,
     /// Heap bytes the checkpoint store holds, each shared cache chunk
@@ -270,8 +276,8 @@ pub struct CampaignStats {
     /// compared).
     pub oracle_checked: usize,
     /// Checked runs a shortcut resolved — pre-classification or early
-    /// exit — whose verdict the reference confirmed, final global-memory
-    /// image included.
+    /// exit, reconverged runs included — whose verdict the reference
+    /// confirmed, final global-memory image included.
     pub oracle_verified: usize,
     /// Checked runs whose record disagrees with the reference: effect or
     /// cycles differ, `applied` differs on a simulated run, or a shortcut's
@@ -829,10 +835,15 @@ impl RunEnv<'_> {
         }
         gpu.set_early_exit(early_exit);
         let result = self.workload.run(gpu);
-        // Early exit fired: every fault's lifetime ended with the machine
-        // state equal to the golden run's, so the remaining execution is
-        // the golden execution — Masked at the golden cycle count.
-        let expired = matches!(&result, Err(WorkloadError::Trap(Trap::FaultsExpired)));
+        // Early exit fired — every fault's lifetime ended unobserved, or the
+        // state reconverged with a later golden checkpoint — with the
+        // machine state equal to the golden run's, so the remaining
+        // execution is the golden execution: Masked at the golden cycle
+        // count.
+        let expired = matches!(
+            &result,
+            Err(WorkloadError::Trap(Trap::FaultsExpired | Trap::Reconverged))
+        );
         let (effect, cycles) = if expired {
             (FaultEffect::Masked, golden_cycles)
         } else {
@@ -985,6 +996,10 @@ fn base_stats(
     let n = records.len();
     let applied = records.iter().filter(|r| r.applied).count();
     let early_exits = records.iter().filter(|r| r.early_exit).count();
+    let reconverged = records
+        .iter()
+        .filter(|r| r.detail == RunDetail::Reconverged)
+        .count();
     let restores = records.iter().filter(|r| r.ckpt_skipped_cycles > 0).count();
     let static_pruned = records
         .iter()
@@ -1021,6 +1036,7 @@ fn base_stats(
         applied_rate: per_run(applied),
         early_exits,
         early_exit_rate: per_run(early_exits),
+        reconverged,
         restores,
         mean_skipped_cycles: per(skipped as f64, n as f64),
         static_pruned,

@@ -78,11 +78,17 @@ pub enum RunDetail {
     /// un-ACE and the run is pre-classified **Masked** at the golden cycle
     /// count (disable with `--no-static-prune`).
     StaticDeadBit,
+    /// The run was cut short at a golden checkpoint: every fault had
+    /// fired, and the device and the host program's position equalled the
+    /// checkpoint's in everything but fault bookkeeping, so the rest is the
+    /// golden run — **Masked** at the golden cycle count, with
+    /// `early_exit` set (disable with `--no-early-exit`).
+    Reconverged,
 }
 
 impl RunDetail {
     /// Every detail kind, in a fixed order.
-    pub const ALL: [RunDetail; 14] = [
+    pub const ALL: [RunDetail; 15] = [
         RunDetail::None,
         RunDetail::SimPanic,
         RunDetail::InvalidAddress,
@@ -97,6 +103,7 @@ impl RunDetail {
         RunDetail::WallWatchdog,
         RunDetail::StaticDead,
         RunDetail::StaticDeadBit,
+        RunDetail::Reconverged,
     ];
 
     /// The CSV/journal spelling ([`RunDetail::None`] is the empty string).
@@ -116,6 +123,7 @@ impl RunDetail {
             RunDetail::WallWatchdog => "wall_watchdog",
             RunDetail::StaticDead => "static_dead",
             RunDetail::StaticDeadBit => "static_dead_bit",
+            RunDetail::Reconverged => "reconverged",
         }
     }
 
@@ -139,8 +147,10 @@ pub fn detail_of(result: &Result<Vec<u8>, WorkloadError>) -> RunDetail {
             Trap::LostBarrier => RunDetail::LostBarrier,
             Trap::Watchdog => RunDetail::CycleWatchdog,
             Trap::WallClock => RunDetail::WallWatchdog,
-            // Intercepted by the campaign engine before classification.
+            // Both Masked: the campaign engine classifies them before
+            // `classify` could call them crashes.
             Trap::FaultsExpired => RunDetail::None,
+            Trap::Reconverged => RunDetail::Reconverged,
         },
         Err(WorkloadError::Device(_)) | Err(WorkloadError::MissingKernel { .. }) => {
             RunDetail::DeviceError

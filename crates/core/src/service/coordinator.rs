@@ -135,7 +135,7 @@ fn handle_worker(
 
     // Handshake: the worker's description is checked here; the worker
     // checks the Welcome's for the other direction.  A frame that is not a
-    // v5 hello (an older worker's) is refused, not dropped.
+    // v6 hello (an older worker's) is refused, not dropped.
     let hello = Msg::decode(&read_frame(&mut reader)?);
     let reason = match &hello {
         Ok(Msg::Hello {

@@ -30,8 +30,10 @@ use std::io::{BufRead, Write};
 /// v4 swapped both handshake messages' fingerprint (and `hello`'s run
 /// count and model) for the campaign description; v5 leases the runs
 /// static pre-classification resolves too, which a v4 worker would
-/// simulate instead of pre-classifying.
-pub(crate) const PROTO_VERSION: u32 = 5;
+/// simulate instead of pre-classifying; v6 workers end runs that
+/// reconverge with a golden checkpoint (`detail` `reconverged`), which a
+/// v5 worker would simulate to the end.
+pub(crate) const PROTO_VERSION: u32 = 6;
 
 /// Upper bound on one frame's payload, header included in spirit: a
 /// corrupt length prefix must not make the reader allocate gigabytes.
@@ -280,11 +282,11 @@ mod tests {
     }
 
     /// The exact payload bytes of every sample message: the wire format is
-    /// shared with workers built from other revisions of `PROTO_VERSION` 5.
+    /// shared with workers built from other revisions of `PROTO_VERSION` 6.
     #[test]
     fn sample_payload_bytes_are_pinned() {
         let expected = [
-            r#"{"type":"hello","proto":5,"campaign":{"seed":17,"model":"stuck-at-1"}}"#,
+            r#"{"type":"hello","proto":6,"campaign":{"seed":17,"model":"stuck-at-1"}}"#,
             r#"{"type":"welcome","campaign":{"seed":17,"model":"stuck-at-1"}}"#,
             r#"{"type":"reject","reason":"campaign fingerprint mismatch"}"#,
             r#"{"type":"lease","id":7,"runs":[0,2,3,11]}"#,

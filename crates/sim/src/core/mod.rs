@@ -222,6 +222,40 @@ clone_fields!(Warp {
 });
 
 impl Warp {
+    /// State equality for the reconvergence check: every field but the
+    /// fault bookkeeping in the ignore list.
+    fn same_state(&self, o: &Warp) -> bool {
+        let Warp {
+            widx,
+            pc,
+            active,
+            live,
+            stack,
+            ready_at,
+            at_barrier,
+            finished,
+            regs,
+            preds,
+            touch,
+            stuck,
+            // Ignored: fault bookkeeping.
+            taint: _,
+            taint_cnt: _,
+        } = self;
+        *widx == o.widx
+            && *pc == o.pc
+            && *active == o.active
+            && *live == o.live
+            && *ready_at == o.ready_at
+            && *at_barrier == o.at_barrier
+            && *finished == o.finished
+            && *preds == o.preds
+            && *stack == o.stack
+            && *stuck == o.stuck
+            && *regs == o.regs
+            && *touch == o.touch
+    }
+
     /// Corrupts `site` under `stuck` (see [`force_bit`]); `false` when the
     /// site does not exist in this warp.
     #[inline]
@@ -345,6 +379,29 @@ clone_fields!(Cta {
 });
 
 impl Cta {
+    /// State equality for the reconvergence check (see [`Warp::same_state`]).
+    fn same_state(&self, o: &Cta) -> bool {
+        let Cta {
+            linear,
+            seq,
+            smem,
+            warps,
+            barrier_arrived,
+            live_warps,
+            stuck,
+            // Ignored: fault bookkeeping.
+            smem_taints: _,
+        } = self;
+        *linear == o.linear
+            && *seq == o.seq
+            && *barrier_arrived == o.barrier_arrived
+            && *live_warps == o.live_warps
+            && *stuck == o.stuck
+            && warps.len() == o.warps.len()
+            && warps.iter().zip(&o.warps).all(|(a, b)| a.same_state(b))
+            && *smem == o.smem
+    }
+
     /// Corrupts `site` under `stuck` (see [`force_bit`]); `false` when the
     /// site does not exist in this CTA.
     #[inline]
@@ -479,6 +536,64 @@ clone_fields!(SimtCore {
 });
 
 impl SimtCore {
+    /// The counters [`SimtCore::same_state`] compares, alone: what the
+    /// reconvergence check looks at before walking any warp.
+    pub(crate) fn same_counters(&self, o: &SimtCore) -> bool {
+        self.instructions == o.instructions
+            && self.ace_reg_cycles == o.ace_reg_cycles
+            && self.launch_seq == o.launch_seq
+            && self.cnt_threads == o.cnt_threads
+            && self.cnt_live_warps == o.cnt_live_warps
+            && self.finished_ctas == o.finished_ctas
+    }
+
+    /// State equality for the reconvergence check: every field that can
+    /// affect later execution or the launch stats, i.e. all but the fault
+    /// bookkeeping and instruments in the ignore list.
+    pub(crate) fn same_state(&self, o: &SimtCore) -> bool {
+        let SimtCore {
+            id,
+            max_threads,
+            ctas,
+            cta_limit,
+            launch_seq: _,
+            last,
+            policy,
+            rr_cursor,
+            lat_alu,
+            lat_mul,
+            lat_sfu,
+            lat_smem,
+            cnt_threads: _,
+            cnt_live_warps: _,
+            finished_ctas: _,
+            instructions: _,
+            ace_reg_cycles: _,
+            has_stuck,
+            capture_exits,
+            // Ignored: fault bookkeeping and instruments.
+            escaped: _,
+            exit_log: _,
+            read_trace: _,
+        } = self;
+        // The counters skipped above.
+        self.same_counters(o)
+            && *id == o.id
+            && *max_threads == o.max_threads
+            && *cta_limit == o.cta_limit
+            && *last == o.last
+            && *policy == o.policy
+            && *rr_cursor == o.rr_cursor
+            && *lat_alu == o.lat_alu
+            && *lat_mul == o.lat_mul
+            && *lat_sfu == o.lat_sfu
+            && *lat_smem == o.lat_smem
+            && *has_stuck == o.has_stuck
+            && *capture_exits == o.capture_exits
+            && ctas.len() == o.ctas.len()
+            && ctas.iter().zip(&o.ctas).all(|(a, b)| a.same_state(b))
+    }
+
     /// Creates an idle core for the given chip configuration.
     pub fn new(id: usize, cfg: &GpuConfig) -> Self {
         SimtCore {
@@ -966,31 +1081,50 @@ impl SimtCore {
             UopOp::S2r => {
                 let cta_linear = self.ctas[slot].linear;
                 let dims = ctx.dims;
-                let sr = uop.special_reg();
                 let w = &mut self.ctas[slot].warps[widx];
                 let w32 = w.widx;
                 let d = &mut w.regs[uop.dst as usize];
-                lanes!(exec_mask, lane => {
-                    let tid_linear = u64::from(w32) * LANES as u64 + lane as u64;
-                    let tid = dims.block.index_at(tid_linear);
-                    let cta = dims.grid.index_at(cta_linear);
-                    d[lane] = match sr {
-                        SpecialReg::TidX => tid.x,
-                        SpecialReg::TidY => tid.y,
-                        SpecialReg::TidZ => tid.z,
-                        SpecialReg::CtaIdX => cta.x,
-                        SpecialReg::CtaIdY => cta.y,
-                        SpecialReg::CtaIdZ => cta.z,
-                        SpecialReg::NTidX => dims.block.x,
-                        SpecialReg::NTidY => dims.block.y,
-                        SpecialReg::NTidZ => dims.block.z,
-                        SpecialReg::NCtaIdX => dims.grid.x,
-                        SpecialReg::NCtaIdY => dims.grid.y,
-                        SpecialReg::NCtaIdZ => dims.grid.z,
-                        SpecialReg::LaneId => lane as u32,
-                        SpecialReg::WarpId => w32,
-                    };
-                });
+                let tid_base = u64::from(w32) * LANES as u64;
+                // Every executing lane must be a thread of the block (a
+                // corrupted active mask can name lanes past it); checked on
+                // the highest one, as reading its index would.
+                if exec_mask != 0 {
+                    dims.block
+                        .index_at(tid_base + u64::from(31 - exec_mask.leading_zeros()));
+                }
+                // Launch constants are splatted, the CTA index is
+                // resolved once; only the thread index varies by lane.
+                let cta = || dims.grid.index_at(cta_linear);
+                let sr = uop.special_reg();
+                let splat = match sr {
+                    SpecialReg::TidX | SpecialReg::TidY | SpecialReg::TidZ | SpecialReg::LaneId => {
+                        None
+                    }
+                    SpecialReg::CtaIdX => Some(cta().x),
+                    SpecialReg::CtaIdY => Some(cta().y),
+                    SpecialReg::CtaIdZ => Some(cta().z),
+                    SpecialReg::NTidX => Some(dims.block.x),
+                    SpecialReg::NTidY => Some(dims.block.y),
+                    SpecialReg::NTidZ => Some(dims.block.z),
+                    SpecialReg::NCtaIdX => Some(dims.grid.x),
+                    SpecialReg::NCtaIdY => Some(dims.grid.y),
+                    SpecialReg::NCtaIdZ => Some(dims.grid.z),
+                    SpecialReg::WarpId => Some(w32),
+                };
+                match splat {
+                    Some(v) => lanes!(exec_mask, lane => d[lane] = v),
+                    None if sr == SpecialReg::LaneId => {
+                        lanes!(exec_mask, lane => d[lane] = lane as u32)
+                    }
+                    None => lanes!(exec_mask, lane => {
+                        let tid = dims.block.index_at(tid_base + lane as u64);
+                        d[lane] = match sr {
+                            SpecialReg::TidX => tid.x,
+                            SpecialReg::TidY => tid.y,
+                            _ => tid.z,
+                        };
+                    }),
+                }
             }
             UopOp::IAdd => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
                 exec::int_op(IntOp::Add, a, b)

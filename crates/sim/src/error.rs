@@ -55,6 +55,13 @@ pub enum Trap {
     /// the golden run.  Raised only in early-exit mode; the campaign engine
     /// intercepts it and classifies the run **Masked**.
     FaultsExpired,
+    /// A forked run whose faults have all fired reached the cycle of a
+    /// later golden checkpoint with a device equal to that snapshot in
+    /// everything but fault bookkeeping, and its host program had seen
+    /// exactly the golden run's results: from here on it is the golden
+    /// run.  Raised only in early-exit mode on checkpoint forks; the
+    /// campaign engine classifies the run **Masked**.
+    Reconverged,
 }
 
 impl Trap {
@@ -84,6 +91,7 @@ impl fmt::Display for Trap {
             Trap::FaultsExpired => {
                 f.write_str("all planned faults expired unobserved (early exit)")
             }
+            Trap::Reconverged => f.write_str("state reconverged with a golden checkpoint"),
         }
     }
 }
@@ -156,6 +164,7 @@ mod tests {
             Trap::Deadlock,
             Trap::LostBarrier,
             Trap::FaultsExpired,
+            Trap::Reconverged,
         ] {
             assert!(!t.to_string().is_empty());
         }
@@ -169,5 +178,6 @@ mod tests {
         assert!(!Trap::Deadlock.is_timeout());
         assert!(!Trap::InvalidAddress { addr: 0 }.is_timeout());
         assert!(!Trap::FaultsExpired.is_timeout());
+        assert!(!Trap::Reconverged.is_timeout());
     }
 }

@@ -172,18 +172,24 @@ impl Gpu {
     /// the restored snapshot already holds the call's device effects.
     /// `None` once execution is live, and for the in-flight launch the
     /// snapshot was taken inside (checked, then resumed by `launch`).
+    /// Past that launch the gate keeps counting calls, and a live call
+    /// that differs from the journaled op latches [`Replay::diverged`].
     ///
     /// # Panics
     ///
-    /// Panics when the call differs from the journal — a workload
-    /// determinism violation, not an injection effect.
+    /// Panics when a replayed call, or the in-flight launch, differs from
+    /// the journal — a workload determinism violation, not an injection
+    /// effect.
     fn replayed(&self, call: &HostOp) -> Option<&HostResult> {
         let rep = self.replay.as_ref()?;
         let i = rep.cursor.replace(rep.cursor.get() + 1);
+        let done = rep.store.snapshots[rep.snapshot].host_ops_done;
         let journaled = rep.store.journal.get(i);
         match journaled {
-            Some((op, result)) if op == call => {
-                (i < rep.store.snapshots[rep.snapshot].host_ops_done).then_some(result)
+            Some((op, result)) if op == call => (i < done).then_some(result),
+            _ if i > done => {
+                rep.diverged.set(true);
+                None
             }
             _ => panic!(
                 "checkpoint replay mismatch: workload called {call:?}, journal op {i} is {:?}",
@@ -256,7 +262,9 @@ impl Gpu {
     /// have overwritten the range by the snapshot cycle, and host control
     /// flow (e.g. BFS's stop-flag loop) branches on these bytes.  Both
     /// runs are fault-free over the replayed prefix, so the journaled
-    /// bytes are exactly what a cold run would have read.
+    /// bytes are exactly what a cold run would have read.  Past the
+    /// replayed prefix, a fork that reads other bytes than the recording
+    /// run did can no longer reconverge with a later checkpoint.
     ///
     /// # Errors
     ///
@@ -278,6 +286,9 @@ impl Gpu {
         self.mem.host_read(ptr, out)?;
         if let Some(orc) = &self.oracle {
             orc.borrow_mut().on_d2h(ptr, out);
+        }
+        if let Some(rep) = &self.replay {
+            rep.check_live(|golden| matches!(golden, HostResult::Bytes(b) if **b == *out));
         }
         self.journal(call, || HostResult::Bytes(out.to_vec()));
         Ok(())
@@ -423,6 +434,57 @@ impl Gpu {
     /// Whether any fault-flipped state has been observed anywhere.
     fn taint_escaped(&self) -> bool {
         self.mem.taint_escaped() || self.cores.iter().any(SimtCore::taint_escaped)
+    }
+
+    /// The cycle of the next checkpoint a forked run may reconverge with,
+    /// skipping those it has passed; `u64::MAX` for a run that cannot
+    /// reconverge — not a fork, early exit off, a stuck-at plan, or a host
+    /// program that diverged.
+    fn next_reconvergence_check(&mut self) -> u64 {
+        let eligible = self.early_exit && !self.fault_model.is_permanent();
+        let Some(rep) = self
+            .replay
+            .as_mut()
+            .filter(|r| eligible && !r.diverged.get())
+        else {
+            return u64::MAX;
+        };
+        let snaps = &rep.store.snapshots;
+        while snaps
+            .get(rep.next_check)
+            .is_some_and(|s| s.cycle < self.cycle)
+        {
+            rep.next_check += 1;
+        }
+        snaps.get(rep.next_check).map_or(u64::MAX, |s| s.cycle)
+    }
+
+    /// The reconvergence rung, at the cycle of the next checkpoint or past
+    /// it: whether every planned fault has fired, the taint exit can no
+    /// longer fire, no flipped bit survives, and the device and host
+    /// position equal that checkpoint's (see [`Snapshot::reconverges`]).
+    /// Each checkpoint is looked at once.  A run landing on the golden
+    /// run's state at a golden loop iteration is from then on a fault-free
+    /// fork of that checkpoint, whose outcome is the golden run's.
+    fn reconverged(&mut self, p: &LaunchProgress) -> bool {
+        let rep = self.replay.as_mut().expect("only forks check");
+        let idx = rep.next_check;
+        rep.next_check += 1;
+        let rep = self.replay.as_ref().expect("only forks check");
+        let snap = &rep.store.snapshots[idx];
+        snap.cycle == self.cycle
+            && !self.faults.is_empty()
+            && self.next_fault == self.faults.len()
+            && self.taint_escaped()
+            && self.taint_count() == 0
+            && snap.reconverges(
+                self.cycle,
+                rep.cursor.get(),
+                p,
+                &self.stats,
+                &self.mem,
+                &self.cores,
+            )
     }
 
     /// Reduces `lot` modulo the chip-wide population that `count` reports
@@ -600,6 +662,8 @@ impl Gpu {
             store: Arc::clone(store),
             cursor: Cell::new(0),
             snapshot: idx,
+            diverged: Cell::new(false),
+            next_check: idx + 1,
         });
     }
 
@@ -680,17 +744,22 @@ impl Gpu {
             args,
         };
         let total_ctas = dims.grid.count();
-        let mut p = match self.replay.take() {
-            // Fork replay, case 2: the in-flight launch the snapshot was
-            // taken inside (the gate above checked it against the journal).
-            // Execution goes live from here, picking the cycle loop up
-            // exactly where the recording's snapshot left it — the
-            // restored cores/memory already hold the mid-launch state, so
-            // kernel setup (local-memory reset, core configuration, the
-            // initial CTA fill) must be skipped.
-            Some(rep) => rep.store.snapshots[rep.snapshot]
-                .progress
-                .expect("campaign checkpoints are mid-launch snapshots"),
+        // Fork replay, case 2: the in-flight launch the snapshot was taken
+        // inside (the gate above checked it against the journal), the
+        // call that follows the snapshot's `host_ops_done` ones.  Execution
+        // goes live from here, picking the cycle loop up exactly where the
+        // recording's snapshot left it — the restored cores/memory already
+        // hold the mid-launch state, so kernel setup (local-memory reset,
+        // core configuration, the initial CTA fill) must be skipped.
+        let resumed = self.replay.as_ref().and_then(|rep| {
+            let snap = &rep.store.snapshots[rep.snapshot];
+            (rep.cursor.get() == snap.host_ops_done + 1).then(|| {
+                snap.progress
+                    .expect("campaign checkpoints are mid-launch snapshots")
+            })
+        });
+        let mut p = match resumed {
+            Some(p) => p,
             None => {
                 self.mem
                     .reset_local(dims.total_threads(), kernel.lmem_bytes())
@@ -747,6 +816,10 @@ impl Gpu {
             .filter(|&i| !self.cores[i].is_idle())
             .collect();
 
+        // The cycle of the next later checkpoint this run may reconverge
+        // with (`u64::MAX`: none), so the loop pays one compare per
+        // iteration for the rung.
+        let mut next_check = self.next_reconvergence_check();
         // Latched once a flip is observed: the run can no longer early-exit,
         // so stop scanning taint state.
         let mut ee_dead = false;
@@ -796,6 +869,14 @@ impl Gpu {
                     .as_mut()
                     .expect("recorder checked above")
                     .push(snap);
+            }
+            // Reconvergence (forked runs only), also before fault firing,
+            // where the golden run captured the checkpoint.
+            if self.cycle >= next_check {
+                if self.reconverged(&p) {
+                    break 'run Err(Trap::Reconverged);
+                }
+                next_check = self.next_reconvergence_check();
             }
 
             // Fire due faults.

@@ -188,6 +188,21 @@ clone_fields!(Cache {
     escaped,
 });
 
+impl Line {
+    /// State equality for the reconvergence check: all but the `tainted`
+    /// flag.
+    fn same_state(&self, o: &Line) -> bool {
+        let Line {
+            valid,
+            dirty,
+            tag,
+            lru,
+            tainted: _,
+        } = self;
+        *valid == o.valid && *dirty == o.dirty && *tag == o.tag && *lru == o.lru
+    }
+}
+
 mod arrays {
     use super::Line;
     use crate::config::CacheConfig;
@@ -394,6 +409,31 @@ mod arrays {
             }
         }
 
+        /// State equality for the reconvergence check: every line's
+        /// metadata but its taint, and its data.  A chunk both hold by the
+        /// same pointer is equal without a look.
+        pub(super) fn same_state(&self, o: &Arrays) -> bool {
+            let Arrays {
+                chunks,
+                set_shift,
+                ways,
+                line_bytes,
+            } = self;
+            *set_shift == o.set_shift
+                && *ways == o.ways
+                && *line_bytes == o.line_bytes
+                && chunks.len() == o.chunks.len()
+                && chunks.iter().zip(&o.chunks).all(|(a, b)| match (a, b) {
+                    (Held::Shared(a), Held::Shared(b)) if Arc::ptr_eq(a, b) => true,
+                    (a, b) => {
+                        let (a, b) = (a.get(), b.get());
+                        a.lines.len() == b.lines.len()
+                            && a.lines.iter().zip(&*b.lines).all(|(x, y)| x.same_state(y))
+                            && a.data == b.data
+                    }
+                })
+        }
+
         /// Heap bytes of the chunk table plus every chunk not yet in
         /// `seen`, which collects the shared chunks counted so far.
         pub(super) fn held_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
@@ -456,6 +496,29 @@ impl Cache {
             valid_cnt: 0,
             escaped: EscapeLatch::new(false),
         }
+    }
+
+    /// The LRU tick and statistics, alone: what the reconvergence check
+    /// compares before any line.
+    pub(crate) fn same_counters(&self, o: &Cache) -> bool {
+        self.tick == o.tick && self.stats == o.stats && self.valid_cnt == o.valid_cnt
+    }
+
+    /// State equality for the reconvergence check: all but the fault
+    /// bookkeeping in the ignore list.
+    pub(crate) fn same_state(&self, o: &Cache) -> bool {
+        let Cache {
+            cfg,
+            arrays,
+            tick: _,
+            stats: _,
+            valid_cnt: _,
+            // Ignored: fault bookkeeping.
+            taints: _,
+            escaped: _,
+        } = self;
+        // The counters skipped above.
+        self.same_counters(o) && *cfg == o.cfg && arrays.same_state(&o.arrays)
     }
 
     /// Lines currently holding unobserved fault-flipped data.
@@ -627,25 +690,31 @@ impl Cache {
         }
     }
 
-    /// Reads one byte at `offset` within a resident line without touching
-    /// LRU state or statistics (host-coherence path).
-    pub fn peek(&self, line_addr: u64, offset: u32) -> Option<u8> {
+    /// The data bytes of a resident line, without touching LRU state or
+    /// statistics (host-coherence path); reading a tainted line latches
+    /// the escape.
+    pub fn peek_line(&self, line_addr: u64) -> Option<&[u8]> {
         self.find(line_addr).map(|s| {
             if self.arrays.line(s).tainted {
                 self.escaped.set(true);
             }
-            self.arrays.data(s)[offset as usize]
+            self.arrays.data(s)
         })
     }
 
-    /// Overwrites one byte of a resident line without touching LRU state,
-    /// statistics or the dirty flag (host-coherence path).
+    /// Overwrites `bytes` at `offset` of a resident line without touching
+    /// LRU state, statistics or the dirty flag (host-coherence path).
     ///
     /// Returns `true` when the line was resident.
-    pub fn poke(&mut self, line_addr: u64, offset: u32, byte: u8) -> bool {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + bytes.len()` exceeds the line size.
+    pub fn poke(&mut self, line_addr: u64, offset: u32, bytes: &[u8]) -> bool {
         match self.find(line_addr) {
             Some(s) => {
-                self.arrays.touch(s).1[offset as usize] = byte;
+                let at = offset as usize;
+                self.arrays.touch(s).1[at..at + bytes.len()].copy_from_slice(bytes);
                 true
             }
             None => false,
@@ -873,7 +942,7 @@ mod tests {
         let mut buf = [0u8; 4];
         fork.read(1, 0, &mut buf);
         fork.write(64, 2, &[9; 4], true);
-        fork.poke(65, 0, 7);
+        fork.poke(65, 0, &[7]);
         fork.flip_bit(u64::from(TAG_BITS) + 5);
         fork.flip_bit(40 * fork.cfg.bits_per_line());
         fork.invalidate(3);

@@ -92,6 +92,60 @@ clone_fields!(MemSystem {
     escaped,
 });
 
+impl MemSystem {
+    /// Every cache's LRU tick and statistics, alone: what the
+    /// reconvergence check compares before any line.
+    pub(crate) fn same_counters(&self, o: &MemSystem) -> bool {
+        self.caches().count() == o.caches().count()
+            && self
+                .caches()
+                .zip(o.caches())
+                .all(|(a, b)| a.same_counters(b))
+    }
+
+    /// State equality for the reconvergence check: segments, timing
+    /// queues and every cache, i.e. all but the fault bookkeeping in the
+    /// ignore list.
+    pub(crate) fn same_state(&self, o: &MemSystem) -> bool {
+        let MemSystem {
+            line_bytes,
+            lat,
+            num_banks,
+            global,
+            local,
+            constant,
+            l1d,
+            l1t,
+            l1c,
+            l2,
+            bank_busy,
+            dram_busy,
+            // Ignored: fault bookkeeping.
+            local_taints: _,
+            escaped: _,
+        } = self;
+        let caches = |a: &[Cache], b: &[Cache]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.same_state(b))
+        };
+        *line_bytes == o.line_bytes
+            && *lat == o.lat
+            && *num_banks == o.num_banks
+            && *bank_busy == o.bank_busy
+            && *dram_busy == o.dram_busy
+            && l1d.len() == o.l1d.len()
+            && l1d.iter().zip(&o.l1d).all(|(a, b)| match (a, b) {
+                (Some(a), Some(b)) => a.same_state(b),
+                (a, b) => a.is_none() && b.is_none(),
+            })
+            && caches(l1t, &o.l1t)
+            && caches(l1c, &o.l1c)
+            && caches(l2, &o.l2)
+            && *constant == o.constant
+            && *local == o.local
+            && *global == o.global
+    }
+}
+
 /// Capacity of the constant bank (CUDA's `__constant__` space is 64 KB).
 const CONST_CAP: usize = 64 * 1024;
 
@@ -303,10 +357,7 @@ impl MemSystem {
     /// mapped in the global segment.
     pub fn host_read(&self, addr: u32, out: &mut [u8]) -> Result<(), LaunchError> {
         self.check_host_range(addr, out.len())?;
-        for (i, byte) in out.iter_mut().enumerate() {
-            let a = addr + i as u32;
-            *byte = self.coherent_byte(a);
-        }
+        self.coherent_read(addr, out);
         Ok(())
     }
 
@@ -319,14 +370,14 @@ impl MemSystem {
     /// mapped in the global segment.
     pub fn host_write(&mut self, addr: u32, data: &[u8]) -> Result<(), LaunchError> {
         self.check_host_range(addr, data.len())?;
-        for (i, &byte) in data.iter().enumerate() {
-            let a = addr + i as u32;
-            self.global[(a - GLOBAL_BASE) as usize] = byte;
-            let la = u64::from(a) / u64::from(self.line_bytes);
-            let off = a % self.line_bytes;
+        let g = (addr - GLOBAL_BASE) as usize;
+        self.global[g..g + data.len()].copy_from_slice(data);
+        let mut at = 0;
+        for (la, off, n) in self.line_pieces(addr, data.len()) {
             let (bank, local_la) = self.bank_of(la);
-            // Preserve the line's dirty state; only refresh the byte.
-            self.l2[bank].poke(local_la, off, byte);
+            // Preserve the line's dirty state; only refresh the bytes.
+            self.l2[bank].poke(local_la, off, &data[at..at + n]);
+            at += n;
         }
         Ok(())
     }
@@ -405,15 +456,36 @@ impl MemSystem {
         Ok(())
     }
 
-    fn coherent_byte(&self, addr: u32) -> u8 {
-        let la = u64::from(addr) / u64::from(self.line_bytes);
-        let off = addr % self.line_bytes;
-        let (bank, local_la) = self.bank_of(la);
-        // Read through the L2 when the line is resident (it may hold newer
-        // — or fault-corrupted — data than the backing store).
-        match self.l2[bank].peek(local_la, off) {
-            Some(b) => b,
-            None => self.global[(addr - GLOBAL_BASE) as usize],
+    /// Splits the byte range `[addr, addr + len)` at line boundaries:
+    /// each piece's line address, offset in the line and length.
+    fn line_pieces(&self, addr: u32, len: usize) -> impl Iterator<Item = (u64, u32, usize)> {
+        let lb = self.line_bytes;
+        let end = u64::from(addr) + len as u64;
+        let mut a = u64::from(addr);
+        std::iter::from_fn(move || {
+            (a < end).then(|| {
+                let (la, off) = (a / u64::from(lb), (a % u64::from(lb)) as u32);
+                let n = (u64::from(lb - off)).min(end - a);
+                a += n;
+                (la, off, n as usize)
+            })
+        })
+    }
+
+    /// Reads a mapped global range coherently, a line at a time: from the
+    /// L2 where the line is resident (it may hold newer — or
+    /// fault-corrupted — data than the backing store), else from the
+    /// backing store.  LRU state, statistics and dirty flags are untouched.
+    fn coherent_read(&self, addr: u32, out: &mut [u8]) {
+        let mut at = 0;
+        for (la, off, n) in self.line_pieces(addr, out.len()) {
+            let (bank, local_la) = self.bank_of(la);
+            let src = match self.l2[bank].peek_line(local_la) {
+                Some(line) => &line[off as usize..],
+                None => &self.global[(addr - GLOBAL_BASE) as usize + at..],
+            };
+            out[at..at + n].copy_from_slice(&src[..n]);
+            at += n;
         }
     }
 
@@ -427,9 +499,9 @@ impl MemSystem {
     /// perturbing cache statistics.  This is the memory half of the
     /// architectural state the differential oracle diffs.
     pub fn global_image(&self) -> Vec<u8> {
-        (0..self.global.len() as u32)
-            .map(|i| self.coherent_byte(GLOBAL_BASE + i))
-            .collect()
+        let mut img = vec![0; self.global.len()];
+        self.coherent_read(GLOBAL_BASE, &mut img);
+        img
     }
 
     /// Peeks 4 bytes coherently (through L2) without perturbing cache
@@ -437,9 +509,7 @@ impl MemSystem {
     pub fn peek4(&self, addr: u32) -> Option<u32> {
         self.check_host_range(addr, 4).ok()?;
         let mut b = [0u8; 4];
-        for (i, out) in b.iter_mut().enumerate() {
-            *out = self.coherent_byte(addr + i as u32);
-        }
+        self.coherent_read(addr, &mut b);
         Some(u32::from_le_bytes(b))
     }
 

@@ -10,7 +10,8 @@ use gpufi::sim::Gpu;
 /// both on and off, across workloads that cover single-kernel,
 /// host-control-flow (BFS's stop-flag loop reads device memory between
 /// launches) and multi-kernel whole-application (`kernel: None`) campaigns.
-/// Only the `ckpt_skipped_cycles` marker may differ.
+/// Only the `ckpt_skipped_cycles` marker may differ, and `early_exit` on a
+/// forked run that reconverged with a later checkpoint.
 #[test]
 fn checkpoint_matches_full_simulation() {
     let card = GpuConfig::rtx2060();
@@ -37,7 +38,19 @@ fn checkpoint_matches_full_simulation() {
                 assert_eq!(a.effect, b.effect, "{tag} run {i}: effect");
                 assert_eq!(a.cycles, b.cycles, "{tag} run {i}: cycles");
                 assert_eq!(a.applied, b.applied, "{tag} run {i}: applied");
-                assert_eq!(a.early_exit, b.early_exit, "{tag} run {i}: early_exit");
+                if a.detail == RunDetail::Reconverged {
+                    // Only a fork can reconverge, and only where its cold
+                    // twin runs the golden run's course.
+                    assert!(a.early_exit, "{tag} run {i}: reconverged");
+                    assert_eq!(b.effect, FaultEffect::Masked, "{tag} run {i}: reconverged");
+                    assert_eq!(
+                        b.cycles,
+                        golden.total_cycles(),
+                        "{tag} run {i}: reconverged"
+                    );
+                } else {
+                    assert_eq!(a.early_exit, b.early_exit, "{tag} run {i}: early_exit");
+                }
                 assert_eq!(b.ckpt_skipped_cycles, 0, "{tag} run {i}: cold forked");
             }
             assert_eq!(cold.stats.checkpoints, 0, "{tag}: cold mode took snapshots");

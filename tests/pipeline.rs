@@ -284,9 +284,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// The injection matrix, pinned byte for byte: one seeded serial campaign
 /// per structure × scope × fault model × multi-bit × replication cell the
-/// back-end distinguishes, each asserted against the FNV-1a of its CSV as
-/// measured before the back-end was collapsed into one path.  A digest
-/// that moves means a fault landed somewhere else.
+/// back-end distinguishes, each asserted against two FNV-1a digests: of
+/// its `run,effect,cycles,applied` columns, which no engine shortcut may
+/// move, and of its whole CSV, which also pins how each run was resolved
+/// (`early_exit`, `detail`).  A verdict digest that moves means a fault
+/// landed somewhere else.
 #[test]
 fn injection_matrix_bytes_are_pinned() {
     use FaultModel::{StuckAt0, StuckAt1, Transient};
@@ -299,46 +301,59 @@ fn injection_matrix_bytes_are_pinned() {
     )
     .unwrap();
     #[rustfmt::skip]
-    let table: [(&str, &GpuConfig, CampaignSpec, usize, u64, u64); 24] = [
-        ("VA", &rtx, spec(RegisterFile), 40, 21, 0xd0683fa028787746),
-        ("VA", &rtx, spec(RegisterFile).model(StuckAt0), 40, 22, 0x9c7cdec1dcde4e77),
-        ("VA", &rtx, spec(RegisterFile).model(StuckAt1), 40, 23, 0x0ab6f611a99a93a2),
-        ("VA", &rtx, spec(RegisterFile).warp_scope(), 40, 24, 0xc8920e0ecea68caa),
-        ("VA", &rtx, spec(RegisterFile).warp_scope().model(StuckAt0), 40, 25, 0xddd7d89d90a2733c),
-        ("VA", &rtx, spec(RegisterFile).warp_scope().model(StuckAt1), 40, 26, 0x02fb0b75432f194d),
-        ("SP", &rtx, spec(RegisterFile).bits(3), 40, 27, 0x0170ac47c73de675),
-        ("SP", &rtx, spec(SharedMemory).replicated(2), 40, 28, 0xab6080326fa65c57),
-        ("SP", &rtx, spec(SharedMemory).replicated(2).model(StuckAt1), 40, 29, 0xcf19712d51384c27),
-        ("VA", &rtx, spec(L1Data).bits(3), 60, 30, 0x8f9a3f460139d257),
-        ("VA", &rtx, spec(L1Data).bits(3).mode(MultiBitMode::Spread), 60, 31, 0x0390b3026d23cad7),
-        ("VA", &rtx, spec(L2), 60, 32, 0x9909d649827df13f),
-        ("HS", &rtx, spec(L1Tex).replicated(2), 40, 33, 0x8e1f5aa49dc2ae21),
-        ("VA", &rtx, spec(L1Const), 40, 34, 0xa90374bd47328f07),
-        ("GE", &rtx, spec(SimtStack), 40, 35, 0x5f9642fcff91a7ed),
-        ("GE", &rtx, spec(SimtStack).model(StuckAt0), 40, 36, 0x6b645691ae5dd96f),
-        ("SP", &rtx, spec(Sched).model(StuckAt1), 40, 37, 0xa7a05c5a6aec5ec4),
-        ("SP", &rtx, spec(Scoreboard).model(Transient), 40, 38, 0xdf2c06f7181b10f2),
-        ("SP", &titan, spec(SharedMemory).bits(3), 40, 39, 0x4c393658a6a3367f),
-        ("VA", &titan, spec(RegisterFile).warp_scope().bits(3), 40, 40, 0xb2dae7a6c5fa6bb5),
-        ("HS", &mini, spec(L1Data).bits(3).replicated(2), 40, 41, 0x6550ec3c836cc334),
-        ("HS", &mini, spec(L1Data).bits(3).mode(MultiBitMode::Spread), 40, 42, 0x2ce2a19a3ba26023),
-        ("HS", &mini, spec(L1Tex), 40, 43, 0x9fb591f96f4e715e),
-        ("VA", &mini, spec(L2).bits(3), 40, 44, 0x45a6b2a7b90c3b3b),
+    let table: [(&str, &GpuConfig, CampaignSpec, usize, u64, u64, u64); 24] = [
+        ("VA", &rtx, spec(RegisterFile), 40, 21, 0xd50fdb3a4b543fbb, 0xd0683fa028787746),
+        ("VA", &rtx, spec(RegisterFile).model(StuckAt0), 40, 22, 0x5fb2d8976f6fb78a, 0x9c7cdec1dcde4e77),
+        ("VA", &rtx, spec(RegisterFile).model(StuckAt1), 40, 23, 0x09951925cdf9c11b, 0x0ab6f611a99a93a2),
+        ("VA", &rtx, spec(RegisterFile).warp_scope(), 40, 24, 0x92b3985d40fab258, 0xc8920e0ecea68caa),
+        ("VA", &rtx, spec(RegisterFile).warp_scope().model(StuckAt0), 40, 25, 0x2064870ec876d638, 0xddd7d89d90a2733c),
+        ("VA", &rtx, spec(RegisterFile).warp_scope().model(StuckAt1), 40, 26, 0x14af1fbf8bbaf342, 0x02fb0b75432f194d),
+        ("SP", &rtx, spec(RegisterFile).bits(3), 40, 27, 0xd15e65ed978ca0bf, 0xae956d3ca4e8f4a8),
+        ("SP", &rtx, spec(SharedMemory).replicated(2), 40, 28, 0x1b3d623192118352, 0xab6080326fa65c57),
+        ("SP", &rtx, spec(SharedMemory).replicated(2).model(StuckAt1), 40, 29, 0x28072b4ea305ae49, 0xcf19712d51384c27),
+        ("VA", &rtx, spec(L1Data).bits(3), 60, 30, 0xa00b9bdffbbcfb46, 0x8f9a3f460139d257),
+        ("VA", &rtx, spec(L1Data).bits(3).mode(MultiBitMode::Spread), 60, 31, 0x25bd7c056fd585c9, 0x0390b3026d23cad7),
+        ("VA", &rtx, spec(L2), 60, 32, 0xa4a7806a0d989986, 0x9909d649827df13f),
+        ("HS", &rtx, spec(L1Tex).replicated(2), 40, 33, 0x11752854c3728915, 0x8e1f5aa49dc2ae21),
+        ("VA", &rtx, spec(L1Const), 40, 34, 0xfb2df0aee70bff11, 0xa90374bd47328f07),
+        ("GE", &rtx, spec(SimtStack), 40, 35, 0x6315f8159f12c2e7, 0x5f9642fcff91a7ed),
+        ("GE", &rtx, spec(SimtStack).model(StuckAt0), 40, 36, 0x325e5be7b5449f21, 0x6b645691ae5dd96f),
+        ("SP", &rtx, spec(Sched).model(StuckAt1), 40, 37, 0x387f5ad6f05188c0, 0xa7a05c5a6aec5ec4),
+        ("SP", &rtx, spec(Scoreboard).model(Transient), 40, 38, 0xc1377c26f1962979, 0xdf2c06f7181b10f2),
+        ("SP", &titan, spec(SharedMemory).bits(3), 40, 39, 0xaf76424656c31484, 0x4c393658a6a3367f),
+        ("VA", &titan, spec(RegisterFile).warp_scope().bits(3), 40, 40, 0xddb206e8154b7072, 0xb2dae7a6c5fa6bb5),
+        ("HS", &mini, spec(L1Data).bits(3).replicated(2), 40, 41, 0x475a260121706f9f, 0x79db70d09cd7f8ee),
+        ("HS", &mini, spec(L1Data).bits(3).mode(MultiBitMode::Spread), 40, 42, 0x2601fc677aa4e0a1, 0x8f00a54e5d0da72a),
+        ("HS", &mini, spec(L1Tex), 40, 43, 0x6b7fdf3fb266f159, 0xb477d1ddc9d4c91a),
+        ("VA", &mini, spec(L2).bits(3), 40, 44, 0xb30ad0266b7fd0e6, 0xf3028b58f5aa4298),
     ];
     let mut drifted = Vec::new();
-    for (name, card, spec, runs, seed, want) in table {
+    for (name, card, spec, runs, seed, want_cols, want) in table {
         let w = by_name(name).unwrap();
         let golden = profile(w.as_ref(), card).unwrap();
         let cfg = CampaignConfig::new(spec.clone(), runs, seed)
             .with_threads(1)
             .no_static_prune();
         let r = run_campaign(w.as_ref(), card, &cfg, &golden).unwrap();
-        let got = fnv1a(gpufi::core::campaign_csv(&r).as_bytes());
-        if got != want {
-            drifted.push(format!(
-                "{name} on {} {spec:?} seed {seed}: {got:#018x}, pinned {want:#018x} ({})",
-                card.name, r.tally
-            ));
+        let csv = gpufi::core::campaign_csv(&r);
+        let cols: String = csv
+            .lines()
+            .map(|l| l.split(',').take(4).collect::<Vec<_>>().join(",") + "\n")
+            .collect();
+        for (what, got, want) in [
+            (
+                "run,effect,cycles,applied",
+                fnv1a(cols.as_bytes()),
+                want_cols,
+            ),
+            ("bytes", fnv1a(csv.as_bytes()), want),
+        ] {
+            if got != want {
+                drifted.push(format!(
+                    "{name} on {} {spec:?} seed {seed} {what}: {got:#018x}, pinned {want:#018x} ({})",
+                    card.name, r.tally
+                ));
+            }
         }
     }
     assert!(drifted.is_empty(), "{}", drifted.join("\n"));

@@ -245,7 +245,7 @@ fn chaos_matrix_is_bit_identical_to_serial() {
 
 /// Handshake rejection, coordinator side: a worker whose config draws a
 /// different campaign (another seed, another fault model) is refused with
-/// a clean `Rejected` naming the parameter, a v3 worker's hello is
+/// a clean `Rejected` naming the parameter, a v3 or v5 worker's hello is
 /// answered with a reject frame, and the campaign still completes via a
 /// correct worker.  A connection that speaks garbage must not hurt either.
 #[test]
@@ -263,23 +263,27 @@ fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
     let addr = listener.local_addr().unwrap().to_string();
     let svc = quick_svc();
     let (w, card, cfg, golden, svc) = (&w, &card, &cfg, &golden, &svc);
-    let (coord_res, v3_reply, mismatched, good) = thread::scope(|s| {
+    let (coord_res, stale_replies, mismatched, good) = thread::scope(|s| {
         let coordinator = s.spawn(|| serve_campaign(w, card, cfg, golden, svc, listener));
         // Garbage first: random bytes, then a clean close.
         {
             let mut garbage = TcpStream::connect(&addr).unwrap();
             let _ = garbage.write_all(b"\x00\xffGET / HTTP/1.1\r\n\r\n#no\n");
         }
-        // A v3 hello carries no campaign description.
-        let v3_reply = {
-            let mut v3 = TcpStream::connect(&addr).unwrap();
-            let hello = r#"{"type":"hello","proto":3,"fingerprint":"00000000deadbeef","runs":16,"model":"transient"}"#;
+        // A v3 hello carries no campaign description; a v5 hello does, but
+        // a v5 worker would simulate reconverging runs to the end.
+        let stale_replies = [
+            r#"{"type":"hello","proto":3,"fingerprint":"00000000deadbeef","runs":16,"model":"transient"}"#,
+            r#"{"type":"hello","proto":5,"campaign":{"seed":3}}"#,
+        ]
+        .map(|hello| {
+            let mut stale = TcpStream::connect(&addr).unwrap();
             let frame = format!("#{}\n{hello}\n", hello.len() + 1);
-            v3.write_all(frame.as_bytes()).unwrap();
+            stale.write_all(frame.as_bytes()).unwrap();
             let mut reply = String::new();
-            let _ = v3.read_to_string(&mut reply);
+            let _ = stale.read_to_string(&mut reply);
             reply
-        };
+        });
         // Both are answered before the good worker exists: a fast campaign
         // could otherwise finish, and close the listener, before their
         // hellos are read.
@@ -299,17 +303,19 @@ fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
         };
         (
             coordinator.join().unwrap(),
-            v3_reply,
+            stale_replies,
             mismatched,
             good.join().unwrap(),
         )
     });
     let res = coord_res.unwrap();
     assert_eq!(campaign_csv(&res), serial_csv);
-    assert!(
-        v3_reply.contains(r#"{"type":"reject","reason":"expected a protocol v5 hello frame"}"#),
-        "v3 hello answered with {v3_reply:?}"
-    );
+    for reply in stale_replies {
+        assert!(
+            reply.contains(r#"{"type":"reject","reason":"expected a protocol v6 hello frame"}"#),
+            "stale hello answered with {reply:?}"
+        );
+    }
     let expected = [
         "different campaign: `seed` is 3 at the coordinator, 4 at the worker",
         "different campaign: `model` is \"transient\" at the coordinator, \"stuck-at-1\" at the worker",
