@@ -23,6 +23,7 @@ use gpufi_core::{
 use gpufi_faults::{CampaignSpec, FaultModel, MultiBitMode, Structure};
 use gpufi_metrics::{margin_of_error, FaultEffect};
 use gpufi_sim::{GpuConfig, Scope};
+use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -78,6 +79,19 @@ fn failed(e: impl std::fmt::Display) -> CliError {
     CliError::Failed(e.to_string())
 }
 
+/// Stdout for command output, written with `writeln!(Out, …)?` instead of
+/// `println!`: a failed write (a closed pipe, as in `gpufi list | head -1`)
+/// ends the command with an error instead of a panic.
+struct Out;
+
+impl Out {
+    fn write_fmt(&mut self, args: std::fmt::Arguments<'_>) -> Result<(), CliError> {
+        std::io::stdout()
+            .write_fmt(args)
+            .map_err(|e| failed(format!("cannot write to stdout: {e}")))
+    }
+}
+
 const USAGE: &str = "\
 usage:
   gpufi list
@@ -100,8 +114,7 @@ usage:
 campaign flags (campaign, serve and worker):
   [--card <CARD> | --config <FILE>] [--runs N] [--bits K] [--kernel <K>]
   [--scope thread|warp] [--spread] [--seed S] [--threads T]
-  [--fault-model transient|stuck-at-0|stuck-at-1] [--no-early-exit]
-  [--no-checkpoints] [--no-static-prune] [--max-run-seconds S]
+  [--fault-model transient|stuck-at-0|stuck-at-1] [--max-run-seconds S]
   [--sampling flat|stratified]
 
 cards:      rtx2060 (default) | gv100 | titan, or --config <FILE> with a
@@ -131,11 +144,10 @@ memory word, a control-site entry, a cache line), or anywhere in the
 structure with --spread; a K the entry (or structure) cannot hold is
 refused, as is --bits 0
 
-campaigns abort each run as soon as every injected fault's lifetime has
-provably ended (classified Masked at the golden cycle count), and fork
-each run from a golden-run checkpoint at its first injection cycle;
---no-early-exit forces full simulation of every run and --no-checkpoints
-forces cold starts from cycle 0 (validation modes);
+campaigns fork each run from a golden-run checkpoint at its first
+injection cycle and abort it as soon as every injected fault's lifetime
+has provably ended, or its state has reconverged with a later
+checkpoint (classified Masked at the golden cycle count);
 --oracle-check runs the golden pass in lockstep with the functional
 reference interpreter, resolves every run as the default engine does
 (same CSV and journal) and re-runs it cold, fully simulated and
@@ -153,9 +165,8 @@ pre-classify, without simulating them, runs whose faults land only in
 statically dead (never-read) registers (detail=static_dead) and, for
 transient faults, runs whose flipped bits all land in statically dead
 *bits* of otherwise-live registers (detail=static_dead_bit);
---no-static-prune forces full simulation of every run (validation mode;
 --sampling stratified pre-classifies nothing, stuck-at models only whole
-dead registers); `analyze` dumps the per-kernel bit-level
+dead registers; `analyze` dumps the per-kernel bit-level
 liveness and known-bits reports plus the cycle-weighted register-file
 prunable-mass estimates without running a campaign;
 --sampling stratified generalizes the prune into two-level estimation for
@@ -212,8 +223,7 @@ worker   --bench= --structure= [campaign-flags] --connect= --heartbeat-ms= --con
 fuzz     --kernels= --seed=
 lint     --bench= --json
 [campaign-flags] --card= --config= --runs= --bits= --kernel= --scope= --spread --seed= \
-         --threads= --fault-model= --no-early-exit --no-checkpoints --no-static-prune \
-         --max-run-seconds= --sampling=";
+         --threads= --fault-model= --max-run-seconds= --sampling=";
 
 /// The `COMMAND_FLAGS` line of `cmd`, without its name.
 fn flag_line(cmd: &str) -> Option<std::str::SplitWhitespace<'static>> {
@@ -313,14 +323,14 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     };
     match cmd.as_str() {
         "list" => {
-            println!("benchmarks:");
+            writeln!(Out, "benchmarks:")?;
             for w in gpufi_workloads::paper_suite() {
-                println!("  {}", w.name());
+                writeln!(Out, "  {}", w.name())?;
             }
-            println!("cards: rtx2060, gv100, titan");
-            println!("structures:");
+            writeln!(Out, "cards: rtx2060, gv100, titan")?;
+            writeln!(Out, "structures:")?;
             for s in Structure::ALL.iter().chain(&Structure::CONTROL) {
-                println!("  {:<12}{s}", s.cli_name());
+                writeln!(Out, "  {:<12}{s}", s.cli_name())?;
             }
             Ok(())
         }
@@ -333,7 +343,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         "fuzz" => cmd_fuzz(&args),
         "lint" => cmd_lint(&args),
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            writeln!(Out, "{USAGE}")?;
             Ok(())
         }
         other => Err(format!("unknown command `{other}`").into()),
@@ -357,15 +367,16 @@ fn cmd_profile(args: &Args<'_>) -> Result<(), CliError> {
     let workload = workload_of(args)?;
     let card = card_of(args)?;
     let golden = profile(workload.as_ref(), &card).map_err(failed)?;
-    println!("benchmark: {}  card: {}", workload.name(), card.name);
-    println!("fault-free cycles: {}", golden.total_cycles());
-    println!("output bytes: {}", golden.output.len());
-    println!("launches: {}", golden.app.launches.len());
-    println!();
-    println!(
+    writeln!(Out, "benchmark: {}  card: {}", workload.name(), card.name)?;
+    writeln!(Out, "fault-free cycles: {}", golden.total_cycles())?;
+    writeln!(Out, "output bytes: {}", golden.output.len())?;
+    writeln!(Out, "launches: {}", golden.app.launches.len())?;
+    writeln!(Out)?;
+    writeln!(
+        Out,
         "{:<16} {:>6} {:>10} {:>8} {:>6} {:>6} {:>6} {:>8} {:>8}",
         "static kernel", "invoc", "cycles", "occup", "regs", "smem", "lmem", "L1D hit", "L2 hit"
-    );
+    )?;
     for k in golden.app.static_kernels() {
         let space = &golden.fault_spaces[&k];
         let invocations = golden.app.windows_of(&k).len();
@@ -379,7 +390,8 @@ fn cmd_profile(args: &Args<'_>) -> Result<(), CliError> {
             l2.hits += l.l2_stats.hits;
             l2.misses += l.l2_stats.misses;
         }
-        println!(
+        writeln!(
+            Out,
             "{:<16} {:>6} {:>10} {:>8.3} {:>6} {:>6} {:>6} {:>7.1}% {:>7.1}%",
             k,
             invocations,
@@ -390,7 +402,7 @@ fn cmd_profile(args: &Args<'_>) -> Result<(), CliError> {
             space.lmem_bits / 8,
             100.0 * l1d.hit_ratio(),
             100.0 * l2.hit_ratio(),
-        );
+        )?;
     }
     Ok(())
 }
@@ -445,15 +457,6 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
     }
     let golden = profile(workload.as_ref(), &card).map_err(failed)?;
     let mut cfg = CampaignConfig::new(spec, runs, seed).with_threads(threads);
-    if args.flag("--no-early-exit") {
-        cfg = cfg.no_early_exit();
-    }
-    if args.flag("--no-checkpoints") {
-        cfg = cfg.no_checkpoints();
-    }
-    if args.flag("--no-static-prune") {
-        cfg = cfg.no_static_prune();
-    }
     let sampling = match args.value("--sampling") {
         None => SamplingMode::Flat,
         Some(v) => SamplingMode::parse(v).ok_or_else(|| format!("unknown sampling mode `{v}`"))?,
@@ -553,104 +556,124 @@ fn cmd_campaign(args: &Args<'_>) -> Result<(), CliError> {
 
 /// The human-readable campaign report — shared verbatim by `campaign` and
 /// `serve`, so the distributed path's output can be diffed against the
-/// serial path's.  Also writes `--csv` when given.
+/// serial path's.  Writes `--csv`, when given, first: a closed stdout
+/// must not lose it.
 fn print_campaign_summary(
     setup: &Setup,
     result: &gpufi_core::CampaignResult,
     args: &Args<'_>,
 ) -> Result<(), CliError> {
+    let csv = args.value("--csv");
+    if let Some(path) = csv {
+        std::fs::write(path, gpufi_core::campaign_csv(result))
+            .map_err(|e| failed(format!("cannot write {path}: {e}")))?;
+    }
     let runs = setup.cfg.runs;
-    println!(
+    writeln!(
+        Out,
         "benchmark: {}  card: {}  structure: {}  bits/fault: {}  runs: {}",
         setup.workload.name(),
         setup.card.name,
         setup.cfg.spec.structure,
         setup.cfg.spec.bits_per_fault,
         runs
-    );
+    )?;
     let t = &result.tally;
     for effect in FaultEffect::ALL {
-        println!(
+        writeln!(
+            Out,
             "  {:<12} {:>6}  ({:>6.2} %)",
             effect.name(),
             t.count(effect),
             100.0 * t.fraction(effect)
-        );
+        )?;
     }
-    println!("  failure ratio (eq. 1): {:.4}", t.failure_ratio());
-    println!(
+    writeln!(Out, "  failure ratio (eq. 1): {:.4}", t.failure_ratio())?;
+    writeln!(
+        Out,
         "  error margin at 99% confidence: ±{:.2} %",
         100.0 * margin_of_error(0.99, runs.max(1) as u64, u64::MAX)
-    );
+    )?;
     let s = &result.stats;
-    println!(
+    writeln!(
+        Out,
         "  engine: {:.1} runs/s on {} threads ({:.0} ms wall)",
         s.runs_per_sec, s.threads, s.wall_ms
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "  throughput: {:.1} simulated runs/s ({} forked), {:.1} effective runs/s ({:.0} flat-equivalent)",
         s.sim_runs_per_sec, s.simulated_runs, s.effective_runs_per_sec, s.effective_runs
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "  faults applied: {} ({:.1} %)   early exits: {} ({:.1} %), {} reconverged",
         s.applied,
         100.0 * s.applied_rate,
         s.early_exits,
         100.0 * s.early_exit_rate,
         s.reconverged
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "  checkpoints: {} ({:.1} MiB)   restores: {}   mean cycles skipped: {:.0}",
         s.checkpoints,
         s.checkpoint_bytes as f64 / (1024.0 * 1024.0),
         s.restores,
         s.mean_skipped_cycles
-    );
+    )?;
     if s.static_pruned + s.static_bit_pruned > 0 {
-        println!(
+        writeln!(
+            Out,
             "  static prune: {} run(s) in dead registers + {} in dead bits of live registers \
              pre-classified Masked ({:.1} %)",
             s.static_pruned,
             s.static_bit_pruned,
             100.0 * (s.static_pruned_rate + s.static_bit_pruned_rate)
-        );
+        )?;
     }
     if s.panics > 0 || s.retries > 0 {
-        println!(
+        writeln!(
+            Out,
             "  supervisor: {} panic(s) caught, {} run(s) retried once",
             s.panics, s.retries
-        );
+        )?;
     }
     if s.resumed > 0 {
-        println!(
+        writeln!(
+            Out,
             "  resume: {} run(s) loaded from the journal, {} executed",
             s.resumed,
             runs.saturating_sub(s.resumed)
-        );
+        )?;
     }
     if s.journal_bytes > 0 {
-        println!(
+        writeln!(
+            Out,
             "  journal: {} bytes fsync'd ({:.0} ms)",
             s.journal_bytes, s.journal_ms
-        );
+        )?;
     }
     if s.workers > 0 {
-        println!(
+        writeln!(
+            Out,
             "  service: {} worker(s), {} lease(s) granted, {} reissued, {} duplicate ack(s)",
             s.workers, s.leases, s.reissued_leases, s.duplicate_acks
-        );
+        )?;
         for wt in &s.worker_throughput {
-            println!(
+            writeln!(
+                Out,
                 "    worker {:>2}: {:>5} run(s) in {:>3} lease(s), {:.1} runs/s",
                 wt.worker, wt.runs, wt.leases, wt.runs_per_sec
-            );
+            )?;
         }
     }
     if s.oracle_checked > 0 {
-        println!(
+        writeln!(
+            Out,
             "  oracle: {} runs checked, {} shortcut verdicts verified, {} mismatches",
             s.oracle_checked, s.oracle_verified, s.oracle_mismatches
-        );
+        )?;
         if s.oracle_mismatches > 0 {
             return Err(failed(format!(
                 "{} run(s) disagree with their cold full-simulation reference",
@@ -660,31 +683,32 @@ fn print_campaign_summary(
     }
     if let Some(sm) = &result.sampling {
         let est = &sm.estimate;
-        println!(
+        writeln!(
+            Out,
             "  stratified sampling: {} live strata, {:.1} % of the population analytically Masked",
             sm.strata,
             100.0 * sm.masked_weight
-        );
+        )?;
         for (i, e) in FaultEffect::ALL.iter().enumerate() {
-            println!(
+            writeln!(
+                Out,
                 "    {:<12} {:>7.3} % \u{00b1} {:.3} %",
                 e.name(),
                 100.0 * est.classes[i].estimate,
                 100.0 * est.classes[i].half_width
-            );
+            )?;
         }
-        println!(
+        writeln!(
+            Out,
             "    failure ratio {:.4} \u{00b1} {:.4}  ({} simulated runs \u{2248} {:.0} flat runs at 99 %)",
             est.failure.estimate,
             est.failure.half_width,
             est.simulated,
             est.equivalent_flat_runs()
-        );
+        )?;
     }
-    if let Some(path) = args.value("--csv") {
-        let csv = gpufi_core::campaign_csv(result);
-        std::fs::write(path, csv).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
-        println!("  per-run records written to {path}");
+    if let Some(path) = csv {
+        writeln!(Out, "  per-run records written to {path}")?;
     }
     Ok(())
 }
@@ -706,12 +730,13 @@ fn cmd_serve(args: &Args<'_>) -> Result<(), CliError> {
         .local_addr()
         .map_err(|e| failed(format!("local_addr: {e}")))?
         .to_string();
-    println!(
+    writeln!(
+        Out,
         "serving campaign on {addr} ({} runs, lease size {}, deadline {} ms)",
         setup.cfg.runs,
         svc.effective_lease_size(setup.cfg.runs),
         svc.deadline_ms
-    );
+    )?;
     let Setup {
         workload,
         card,
@@ -761,10 +786,11 @@ fn cmd_worker(args: &Args<'_>) -> Result<(), CliError> {
             Err(e) => return Err(failed(e)),
         }
     };
-    println!(
+    writeln!(
+        Out,
         "worker done: {} run(s) across {} lease(s) for {addr}",
         report.runs, report.leases
-    );
+    )?;
     Ok(())
 }
 
@@ -790,33 +816,36 @@ fn validate_stratified(result: &gpufi_core::CampaignResult, setup: &Setup) -> Re
     fcfg.runs = flat_runs;
     fcfg.journal = None;
     fcfg.resume = false;
-    println!(
+    writeln!(
+        Out,
         "  validating against a flat campaign of {flat_runs} runs ({}x the stratified budget)...",
         flat_runs / runs.max(1)
-    );
+    )?;
     let flat = run_campaign(workload.as_ref(), card, &fcfg, golden).map_err(failed)?;
     let mut failures = Vec::new();
     let intervals = summary.agreement_intervals(flat.tally.total());
     for (e, interval) in FaultEffect::ALL.into_iter().zip(intervals) {
         let flat_p = flat.tally.fraction(e);
         let ok = interval.contains(flat_p);
-        println!(
+        writeln!(
+            Out,
             "    {:<12} stratified {:.4} vs flat {:.4}  (tolerance {:.4}) {}",
             e.name(),
             interval.estimate,
             flat_p,
             interval.half_width,
             if ok { "ok" } else { "MISMATCH" }
-        );
+        )?;
         if !ok {
             failures.push(e.name());
         }
     }
     if failures.is_empty() {
-        println!(
+        writeln!(
+            Out,
             "  validation passed: {} simulated runs reproduced a {}-run flat campaign",
             summary.estimate.simulated, flat_runs
-        );
+        )?;
         Ok(())
     } else {
         Err(failed(format!(
@@ -865,9 +894,10 @@ fn cmd_fuzz(args: &Args<'_>) -> Result<(), CliError> {
             )));
         }
     }
-    println!(
+    writeln!(
+        Out,
         "fuzz: {count} random kernels from seed {seed}, lint-clean and sim == oracle on every one"
-    );
+    )?;
     Ok(())
 }
 
@@ -922,7 +952,7 @@ fn cmd_lint(args: &Args<'_>) -> Result<(), CliError> {
             ("kernels", kernels.into()),
             ("findings", Value::Arr(rows)),
         ]);
-        println!("{doc}");
+        writeln!(Out, "{doc}")?;
     } else {
         for r in &findings {
             let at = match (r.line, r.label.as_deref()) {
@@ -931,21 +961,23 @@ fn cmd_lint(args: &Args<'_>) -> Result<(), CliError> {
                 (None, Some(b)) => format!(" ({b}:)"),
                 (None, None) => String::new(),
             };
-            println!(
+            writeln!(
+                Out,
                 "{}/{} #{}{at} [{}] {}",
                 r.workload,
                 r.kernel,
                 r.finding.instr(),
                 r.finding.kind(),
                 r.finding
-            );
+            )?;
         }
-        println!(
+        writeln!(
+            Out,
             "lint: {} kernel(s) in {} workload(s), {} finding(s)",
             kernels,
             workloads.len(),
             findings.len()
-        );
+        )?;
     }
     if findings.is_empty() {
         Ok(())
@@ -1080,13 +1112,15 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), CliError> {
                 ("kernels", Value::Arr(krows)),
             ]));
         } else {
-            println!(
+            writeln!(
+                Out,
                 "benchmark: {}  card: {}  golden cycles: {}",
                 w.name(),
                 card.name,
                 total_cycles
-            );
-            println!(
+            )?;
+            writeln!(
+                Out,
                 "  {:<18} {:>10} {:>5} {:>10} {:>10} {:>9} {:>10} {:>11}",
                 "kernel",
                 "cycles",
@@ -1096,9 +1130,10 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), CliError> {
                 "bit frac",
                 "reachable",
                 "known b/reg"
-            );
+            )?;
             for r in &reports {
-                println!(
+                writeln!(
+                    Out,
                     "  {:<18} {:>10} {:>5} {:>10} {:>10} {:>8.1}% {:>10} {:>11.2}",
                     r.kernel,
                     r.cycles,
@@ -1108,17 +1143,22 @@ fn cmd_analyze(args: &Args<'_>) -> Result<(), CliError> {
                     100.0 * r.bit_fraction,
                     r.reachable_instrs,
                     r.mean_known_bits,
-                );
+                )?;
             }
-            println!(
+            writeln!(
+                Out,
                 "  rf prunable mass: {:.2}% register-level, {:.2}% bit-level",
                 100.0 * reg_mass,
                 100.0 * bit_mass
-            );
+            )?;
         }
     }
     if json {
-        println!("{}", Value::obj([("benchmarks", Value::Arr(bench_rows))]));
+        writeln!(
+            Out,
+            "{}",
+            Value::obj([("benchmarks", Value::Arr(bench_rows))])
+        )?;
     }
     Ok(())
 }
@@ -1134,16 +1174,19 @@ fn cmd_avf(args: &Args<'_>) -> Result<(), CliError> {
     cfg.threads = threads;
     let golden = profile(workload.as_ref(), &card).map_err(failed)?;
     let analysis = analyze_with_golden(workload.as_ref(), &card, &cfg, &golden).map_err(failed)?;
-    println!(
+    writeln!(
+        Out,
         "benchmark: {}  card: {}  ({} runs per kernel x structure, {}-bit faults)",
         analysis.benchmark, analysis.card, analysis.runs_per_campaign, analysis.bits_per_fault
-    );
-    println!(
+    )?;
+    writeln!(
+        Out,
         "{:<18} {:>14} {:>10} {:>10} {:>10} {:>10}",
         "structure", "size (bits)", "SDC", "Crash", "Timeout", "Perf"
-    );
+    )?;
     for s in &analysis.structures {
-        println!(
+        writeln!(
+            Out,
             "{:<18} {:>14} {:>10.5} {:>10.5} {:>10.5} {:>10.5}",
             s.structure.name(),
             s.size_bits,
@@ -1151,16 +1194,16 @@ fn cmd_avf(args: &Args<'_>) -> Result<(), CliError> {
             s.rates.crash,
             s.rates.timeout,
             s.rates.performance
-        );
+        )?;
     }
-    println!();
-    println!("wAVF (eq. 3):      {:.6}", analysis.wavf);
-    println!("occupancy:         {:.4}", analysis.occupancy);
-    println!("chip FIT (\u{00a7}VI.F): {:.4}", analysis.fit);
+    writeln!(Out)?;
+    writeln!(Out, "wAVF (eq. 3):      {:.6}", analysis.wavf)?;
+    writeln!(Out, "occupancy:         {:.4}", analysis.occupancy)?;
+    writeln!(Out, "chip FIT (\u{00a7}VI.F): {:.4}", analysis.fit)?;
     if let Some(path) = args.value("--csv") {
         let csv = gpufi_core::analysis_csv(&analysis);
         std::fs::write(path, csv).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
-        println!("per-structure table written to {path}");
+        writeln!(Out, "per-structure table written to {path}")?;
     }
     Ok(())
 }
@@ -1425,6 +1468,14 @@ mod tests {
         assert!(err.contains("unknown flag `--oracle-check`"), "{err}");
         let err = fail(&["fuzz", "--bench", "VA"]);
         assert!(err.contains("unknown flag `--bench`"), "{err}");
+        // `--oracle-check` is the one validation mode; the engine's
+        // shortcuts have no off-switches.
+        for cmd in ["campaign", "serve", "worker"] {
+            for flag in ["--no-early-exit", "--no-checkpoints", "--no-static-prune"] {
+                let err = fail(&[cmd, "--bench", "VA", "--structure", "rf", flag]);
+                assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+            }
+        }
         // A value flag at the end of the line is missing its value.
         let err = fail(&["fuzz", "--kernels"]);
         assert!(err.contains("needs a value"), "{err}");

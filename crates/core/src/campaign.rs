@@ -42,19 +42,6 @@ pub struct CampaignConfig {
     pub kernel: Option<String>,
     /// Worker threads (0 = autodetect).
     pub threads: usize,
-    /// Abort a run as soon as every planned fault's lifetime has provably
-    /// ended (classifying it **Masked** with the golden cycle count).
-    /// Disable to force full simulation of every run — the validation mode
-    /// behind `--no-early-exit`.
-    pub early_exit: bool,
-    /// Fork each run from the nearest golden-run checkpoint at or before
-    /// its first injection cycle instead of cold-starting at cycle 0.
-    /// Disable to force cold starts — the validation mode behind
-    /// `--no-checkpoints`.
-    pub checkpoints: bool,
-    /// Restrict injection cycles to `[start, end)` (intersected with the
-    /// kernel windows); `None` samples the whole golden run.
-    pub cycle_window: Option<(u64, u64)>,
     /// Differential-oracle validation mode (`--oracle-check`): the golden
     /// run executes in lockstep with the functional reference interpreter
     /// (any divergence aborts the campaign); every run is then resolved
@@ -75,16 +62,6 @@ pub struct CampaignConfig {
     /// `Tally` are bit-identical to an uninterrupted run's.  When the
     /// journal file does not exist the campaign simply starts fresh.
     pub resume: bool,
-    /// Pre-classify register-file runs the static analyzer proves Masked
-    /// — every fault lands in a register no reachable instruction of the
-    /// faulted kernel ever reads, or (transient models only) every flipped
-    /// bit lands in a bit position none ever demands — at the golden cycle
-    /// count, without forking a simulation (ACE-style pruning over
-    /// `gpufi_isa::analysis::dead_bit_masks`) — the first rung of every
-    /// run's resolution.  Disable to force full simulation of every run —
-    /// the validation mode behind `--no-static-prune`.  Off under stratified
-    /// sampling, whose dead mass is already resolved analytically.
-    pub static_prune: bool,
     /// Per-run wall-clock watchdog in milliseconds (`0` = off): a run
     /// whose *real* time exceeds this aborts with a wall-clock trap and
     /// classifies **Timeout**, complementing the 2×-golden-cycles cycle
@@ -108,13 +85,9 @@ impl CampaignConfig {
             seed,
             kernel: None,
             threads: 0,
-            early_exit: true,
-            checkpoints: true,
-            cycle_window: None,
             oracle_check: false,
             journal: None,
             resume: false,
-            static_prune: true,
             max_run_ms: 0,
             sampling: SamplingMode::Flat,
         }
@@ -129,25 +102,6 @@ impl CampaignConfig {
     /// Sets the number of worker threads.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Disables fault-lifetime early exit (full-simulation validation mode).
-    pub fn no_early_exit(mut self) -> Self {
-        self.early_exit = false;
-        self
-    }
-
-    /// Disables checkpoint forking (cold-start validation mode).
-    pub fn no_checkpoints(mut self) -> Self {
-        self.checkpoints = false;
-        self
-    }
-
-    /// Disables static pre-classification (full-simulation validation
-    /// mode; see [`CampaignConfig::static_prune`]).
-    pub fn no_static_prune(mut self) -> Self {
-        self.static_prune = false;
         self
     }
 
@@ -173,12 +127,6 @@ impl CampaignConfig {
     /// Sets the per-run wall-clock watchdog (`0` = off).
     pub fn with_max_run_ms(mut self, ms: u64) -> Self {
         self.max_run_ms = ms;
-        self
-    }
-
-    /// Restricts injection cycles to `[start, end)`.
-    pub fn with_cycle_window(mut self, start: u64, end: u64) -> Self {
-        self.cycle_window = Some((start, end));
         self
     }
 
@@ -262,7 +210,8 @@ pub struct CampaignStats {
     /// with ([`RunDetail::Reconverged`]), counted among
     /// [`CampaignStats::early_exits`].
     pub reconverged: usize,
-    /// Snapshots held in the checkpoint store (0 = checkpoints disabled).
+    /// Snapshots held in the checkpoint store (0 when every run was
+    /// loaded from the journal).
     pub checkpoints: usize,
     /// Heap bytes the checkpoint store holds, each shared cache chunk
     /// counted once ([`CheckpointStore::held_bytes`]).
@@ -290,14 +239,17 @@ pub struct CampaignStats {
     /// Panicked runs the supervisor re-executed once, to distinguish
     /// deterministic poison runs from incidental failures.
     pub retries: usize,
-    /// Runs pre-classified Masked because every fault hit a statically dead
-    /// register, never simulated (see [`CampaignConfig::static_prune`]).
+    /// Register-file runs pre-classified Masked at the golden cycle count,
+    /// never simulated, because every fault hit a register no reachable
+    /// instruction of the faulted kernel reads (ACE-style pruning over
+    /// `gpufi_isa::analysis::dead_bit_masks`; none under stratified
+    /// sampling, whose dead mass is resolved analytically).
     pub static_pruned: usize,
     /// `static_pruned / runs`.
     pub static_pruned_rate: f64,
     /// Runs pre-classified Masked at bit granularity — live register,
-    /// statically dead flipped bits — and never simulated (see
-    /// [`CampaignConfig::static_prune`]).  Disjoint from
+    /// every flipped bit one no reachable instruction demands — and never
+    /// simulated (transient models only).  Disjoint from
     /// [`CampaignStats::static_pruned`].
     pub static_bit_pruned: usize,
     /// `static_bit_pruned / runs`.
@@ -456,26 +408,6 @@ impl RunPlan {
     }
 }
 
-/// Intersects kernel windows with an optional cycle range, dropping
-/// windows the range empties.
-fn clamp_windows(windows: Vec<KernelWindow>, range: Option<(u64, u64)>) -> Vec<KernelWindow> {
-    let Some((lo, hi)) = range else {
-        return windows;
-    };
-    windows
-        .into_iter()
-        .filter_map(|w| {
-            let start = w.start.max(lo);
-            let end = w.end.min(hi);
-            (start < end).then_some(KernelWindow {
-                kernel: w.kernel,
-                start,
-                end,
-            })
-        })
-        .collect()
-}
-
 /// Draws every run's injection plan up front.
 ///
 /// The window set and the per-kernel fault-space lookups are campaign
@@ -483,8 +415,7 @@ fn clamp_windows(windows: Vec<KernelWindow>, range: Option<(u64, u64)>) -> Vec<K
 /// also moves all fallible work ahead of the worker threads, so the run
 /// loop itself cannot fail.
 fn draw_plans(cfg: &CampaignConfig, golden: &GoldenProfile) -> Result<Vec<RunPlan>, CampaignError> {
-    let windows: Vec<KernelWindow> =
-        clamp_windows(golden.windows(cfg.kernel.as_deref()), cfg.cycle_window);
+    let windows: Vec<KernelWindow> = golden.windows(cfg.kernel.as_deref());
     if windows.is_empty() {
         return Err(match &cfg.kernel {
             Some(k) => CampaignError::UnknownKernel(k.clone()),
@@ -569,7 +500,7 @@ fn draw_stratified_plans(
             cfg.spec.model
         )));
     }
-    let layout = StrataLayout::build(workload, golden, cfg.kernel.as_deref(), cfg.cycle_window)
+    let layout = StrataLayout::build(workload, golden, cfg.kernel.as_deref(), None)
         .map_err(CampaignError::Sampling)?;
     if layout.strata.is_empty() {
         return Err(CampaignError::Sampling(
@@ -615,15 +546,14 @@ pub(crate) enum PruneGranularity {
 }
 
 impl PruneGranularity {
-    /// Off under `--no-static-prune`; off under stratified sampling,
-    /// whose draw already excludes dead registers (they fall in the
+    /// Off under stratified sampling, whose draw already excludes dead registers (they fall in the
     /// analytically-masked stratum) and whose weights are not bit-aware, so
     /// every planned run must be simulated for the reweighting to stay
     /// unbiased.  Register-granular only under stuck-at: a permanent fault
     /// re-pins on every write, and the per-flip dead-bit argument is only
     /// proven for single flips.
     pub(crate) fn of(cfg: &CampaignConfig) -> Self {
-        if !cfg.static_prune || cfg.sampling == SamplingMode::Stratified {
+        if cfg.sampling == SamplingMode::Stratified {
             PruneGranularity::None
         } else if cfg.spec.model.is_permanent() {
             PruneGranularity::Register
@@ -788,14 +718,13 @@ pub(crate) struct RunEnv<'a> {
 impl RunEnv<'_> {
     /// Resolves one run by the campaign's ladder: static
     /// pre-classification, else a simulation forked from the nearest
-    /// checkpoint and cut short by taint early exit where the campaign
-    /// enables them.
+    /// checkpoint and cut short by taint early exit or reconvergence.
     fn resolve(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> RunRecord {
         let masks = self.drawn.masks.get(&run.kernel);
         let granularity = PruneGranularity::of(self.cfg);
         masks
             .and_then(|m| pre_classify(run, m, granularity, self.golden.total_cycles()))
-            .unwrap_or_else(|| self.simulate(gpu, run, self.store.as_ref(), self.cfg.early_exit))
+            .unwrap_or_else(|| self.simulate(gpu, run, self.store.as_ref(), true))
     }
 
     /// Simulates one run on the client's device and classifies it,
@@ -948,8 +877,7 @@ pub type FaultHook = dyn Fn(usize, u32) + Sync + std::panic::RefUnwindSafe;
 /// `workload` on `card`, classified against `golden`.
 ///
 /// Every run's fault plan is drawn up front (so draw errors surface before
-/// any simulation), then — unless `cfg.checkpoints` is off — one extra
-/// golden pass records a [`CheckpointStore`] and each run forks from the
+/// any simulation), then one extra golden pass records a [`CheckpointStore`] and each run forks from the
 /// nearest snapshot at or before its first injection cycle, simulating only
 /// `[nearest_checkpoint, fault_death)` once taint early exit also fires.
 ///
@@ -1485,7 +1413,7 @@ pub fn run_campaign_with_hook(
         } else {
             None
         },
-        store: (cfg.checkpoints && runnable)
+        store: runnable
             .then(|| record_store(workload, card, golden))
             .flatten(),
     };
@@ -1536,9 +1464,8 @@ mod tests {
     use super::*;
 
     /// DESIGN.md declares the pre-classification granularity of every
-    /// fault model x sampling mode, with and without `--no-static-prune`;
-    /// each cell is checked
-    /// against the one gating function, so neither can drift.
+    /// fault model x sampling mode; each cell is checked against the one
+    /// gating function, so neither can drift.
     #[test]
     fn design_md_compatibility_table_matches_the_gating_function() {
         let granularity = |cell: &str| match cell {
@@ -1553,7 +1480,7 @@ mod tests {
                 .split('|')
                 .map(|c| c.trim_matches([' ', '`']))
                 .collect();
-            let ["", model, sampling, default, no_prune, ""] = cells[..] else {
+            let ["", model, sampling, cell, ""] = cells[..] else {
                 continue;
             };
             let (Some(model), Some(sampling)) = (
@@ -1565,13 +1492,11 @@ mod tests {
             let spec = CampaignSpec::new(Structure::RegisterFile).model(model);
             let mut cfg = CampaignConfig::new(spec, 1, 1);
             cfg.sampling = sampling;
-            for (cfg, cell) in [(cfg.clone(), default), (cfg.no_static_prune(), no_prune)] {
-                assert_eq!(PruneGranularity::of(&cfg), granularity(cell), "{line}");
-                // `--oracle-check` validates the default resolution, so it
-                // never changes what is pre-classified.
-                let checked = cfg.with_oracle_check();
-                assert_eq!(PruneGranularity::of(&checked), granularity(cell), "{line}");
-            }
+            assert_eq!(PruneGranularity::of(&cfg), granularity(cell), "{line}");
+            // `--oracle-check` validates the default resolution, so it
+            // never changes what is pre-classified.
+            let checked = cfg.with_oracle_check();
+            assert_eq!(PruneGranularity::of(&checked), granularity(cell), "{line}");
             rows += 1;
         }
         assert_eq!(rows, 6, "3 fault models x 2 sampling modes");

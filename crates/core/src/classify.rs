@@ -69,20 +69,19 @@ pub enum RunDetail {
     /// The run was never simulated: every planned fault targeted a
     /// register that no reachable instruction of the faulted kernel ever
     /// reads, so the static analyzer pre-classified it **Masked** at the
-    /// golden cycle count (ACE-style un-ACE pruning; disable with
-    /// `--no-static-prune`).
+    /// golden cycle count (ACE-style un-ACE pruning).
     StaticDead,
     /// The run was never simulated: the faulted registers are live, but
     /// every flipped *bit* lands in a bit position no reachable instruction
     /// ever demands (bit-level liveness), so the flip is architecturally
     /// un-ACE and the run is pre-classified **Masked** at the golden cycle
-    /// count (disable with `--no-static-prune`).
+    /// count.
     StaticDeadBit,
     /// The run was cut short at a golden checkpoint: every fault had
     /// fired, and the device and the host program's position equalled the
     /// checkpoint's in everything but fault bookkeeping, so the rest is the
     /// golden run — **Masked** at the golden cycle count, with
-    /// `early_exit` set (disable with `--no-early-exit`).
+    /// `early_exit` set.
     Reconverged,
 }
 

@@ -112,7 +112,7 @@ impl Value {
 /// The first difference between `a` and `b`, depth first (object members
 /// in `a`'s order, then those only `b` has; array elements by index), as
 /// its member path and both values — "`seed` is 17 `a_at`, 18 `b_at`",
-/// "`chip.l2.sets` is …", "`cycle_window[1]` is absent …".  `None` when
+/// "`chip.l2.sets` is …", "`w[1]` is absent …".  `None` when
 /// the values are equal.
 pub(crate) fn first_difference(a: &Value, b: &Value, a_at: &str, b_at: &str) -> Option<String> {
     let (path, a, b) = diff_at(String::new(), Some(a), Some(b))?;

@@ -95,8 +95,9 @@ pub struct StrataLayout {
 
 impl StrataLayout {
     /// Builds the layout from the golden profile's dynamic read traces,
-    /// restricted to `kernel` and `cycle_window` exactly like the flat
-    /// draw.  The profile carries everything the layout needs; the
+    /// restricted to `kernel` exactly like the flat draw and, when given,
+    /// to the injection cycles `[start, end)` of `cycle_window` (campaigns
+    /// pass `None`).  The profile carries everything the layout needs; the
     /// workload is not consulted.
     ///
     /// # Errors

@@ -163,7 +163,7 @@ pub fn run_worker_with_chaos(
                 Msg::Ping => continue,
                 Msg::Fin => return Ok(()),
                 Msg::Lease { id, runs } => {
-                    if env.store.is_none() && cfg.checkpoints && !runs.is_empty() {
+                    if env.store.is_none() && !runs.is_empty() {
                         env.store = record_store(workload, card, golden);
                     }
                     for &i in &runs {

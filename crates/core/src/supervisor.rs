@@ -159,7 +159,6 @@ macro_rules! spelling {
 spelling! {
     u32, u64, usize, bool => |n| (*n).into();
     String => |s| s.as_str().into();
-    (u64, u64) => |w| Value::Arr(vec![w.0.into(), w.1.into()]);
     Structure => |s| s.cli_name().into();
     FaultModel => |m| m.name().into();
     Scope => |s| s.name().into();
@@ -188,8 +187,7 @@ spelling! {
 pub(crate) fn describe(workload: &str, card: &str, cfg: &CampaignConfig) -> Value {
     let names = [("workload", workload.into()), ("card", card.into())];
     let config = members!(cfg => CampaignConfig {
-        seed, runs, kernel, early_exit, checkpoints, cycle_window, oracle_check, static_prune,
-        max_run_ms, sampling
+        seed, runs, kernel, oracle_check, max_run_ms, sampling
     } except { spec, threads, journal, resume });
     let spec = members!(&cfg.spec => CampaignSpec {
         structure, scope, bits_per_fault, multi_bit, replicate, model
@@ -844,11 +842,7 @@ mod tests {
             ("seed", cfg(|c| c.seed = 8)),
             ("runs", cfg(|c| c.runs = 101)),
             ("kernel", cfg(|c| c.kernel = Some("vec_add".into()))),
-            ("early_exit", cfg(|c| c.early_exit = false)),
-            ("checkpoints", cfg(|c| c.checkpoints = false)),
-            ("cycle_window", cfg(|c| c.cycle_window = Some((10, 20)))),
             ("oracle_check", cfg(|c| c.oracle_check = true)),
-            ("static_prune", cfg(|c| c.static_prune = false)),
             ("max_run_ms", cfg(|c| c.max_run_ms = 5_000)),
             ("sampling", cfg(|c| c.sampling = SamplingMode::Stratified)),
             ("structure", spec(|s| s.structure = Structure::L2)),

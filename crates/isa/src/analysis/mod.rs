@@ -12,9 +12,8 @@
 //!    kernel, the allocated registers no reachable instruction ever reads.
 //!    A register-file fault injected into such a register is architecturally
 //!    un-ACE (cannot affect correct execution), so the campaign engine
-//!    classifies it Masked without simulating the run; see
-//!    `gpufi_core::CampaignConfig` and its `--no-static-prune` validation
-//!    mode for the equivalence harness.
+//!    classifies it Masked without simulating the run; `gpufi campaign
+//!    --oracle-check` confirms each such verdict against a full simulation.
 //!
 //! # Example
 //!

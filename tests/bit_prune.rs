@@ -2,75 +2,17 @@
 //! pre-classifying a register-file run as Masked because every flipped bit
 //! lands in a statically dead *bit* of an otherwise-live register must
 //! never change what the campaign concludes — only whether the run is
-//! simulated at all.  Soundness is pinned three ways: campaign-level
-//! per-run equivalence against the full engine, a fuzz-corpus check that
-//! dead-bit flips really simulate to Masked, and a property test that the
-//! bit-level analyses never contradict the register-level liveness or the
-//! reference interpreter.
+//! simulated at all.  Soundness is pinned three ways: an `--oracle-check`
+//! campaign that confirms every verdict by full simulation, a fuzz-corpus
+//! check that dead-bit flips really simulate to Masked, and a property
+//! test that the bit-level analyses never contradict the register-level
+//! liveness or the reference interpreter.
 
 use gpufi::isa::analysis::{dead_bit_masks, dead_registers, KnownBits, KnownBitsAnalysis};
 use gpufi::isa::Op;
 use gpufi::prelude::*;
 use gpufi::sim::oracle::fuzz::{fuzz_config, gen_case};
 use gpufi::sim::oracle::{run_reference, FuncMem};
-
-/// Pre-classified and fully simulated (`--no-static-prune`) campaigns must
-/// agree run for run — same
-/// effect, same cycle count, same tally — across ≥200 register-file runs
-/// of two workloads whose live registers carry statically dead bits
-/// (`scalar_prod` and `nw_diagonal` both hold small loop bounds and
-/// guard flags whose top bits no reachable instruction ever demands).
-/// Only the `detail` marker may differ: a pruned run records
-/// `static_dead_bit` where the full engine records a fault-lifetime early
-/// exit or a full simulation.
-#[test]
-fn bit_prune_matches_full_simulation() {
-    let card = GpuConfig::rtx2060();
-    let workloads: [Box<dyn Workload>; 2] = [
-        Box::new(ScalarProd::new(8)),
-        Box::new(NeedlemanWunsch::default()),
-    ];
-    let mut total_bit_pruned = 0usize;
-    for w in &workloads {
-        let golden = profile(w.as_ref(), &card).unwrap();
-        let spec = CampaignSpec::new(Structure::RegisterFile);
-        let pruned_cfg = CampaignConfig::new(spec.clone(), 200, 23);
-        let full_cfg = CampaignConfig::new(spec, 200, 23).no_static_prune();
-        let pruned = run_campaign(w.as_ref(), &card, &pruned_cfg, &golden).unwrap();
-        let full = run_campaign(w.as_ref(), &card, &full_cfg, &golden).unwrap();
-        assert_eq!(pruned.tally, full.tally, "{}: tallies diverge", w.name());
-        for (i, (a, b)) in pruned.records.iter().zip(&full.records).enumerate() {
-            assert_eq!(a.effect, b.effect, "{} run {i}: effect", w.name());
-            assert_eq!(a.cycles, b.cycles, "{} run {i}: cycles", w.name());
-        }
-        // The validation mode pre-classifies nothing at either granularity.
-        assert_eq!(full.stats.static_bit_pruned, 0);
-        assert_eq!(full.stats.static_pruned, 0);
-        assert!(
-            (pruned.stats.static_bit_pruned_rate - pruned.stats.static_bit_pruned as f64 / 200.0)
-                .abs()
-                < 1e-12
-        );
-        // Every bit-pruned run is Masked at the golden cycle count by
-        // construction, and the full engine must agree on each of them.
-        for (i, r) in pruned.records.iter().enumerate() {
-            if r.detail == RunDetail::StaticDeadBit {
-                assert_eq!(r.effect, FaultEffect::Masked, "run {i}");
-                assert_eq!(r.cycles, golden.total_cycles(), "run {i}");
-                assert!(!r.early_exit, "run {i}: pruned runs are not early exits");
-            }
-        }
-        total_bit_pruned += pruned.stats.static_bit_pruned;
-    }
-    // The refinement must actually bite: across 400 runs of the two
-    // workloads at least one draw lands exclusively in dead bits of a
-    // live register (dead-register draws are claimed by the coarser
-    // `static_dead` prune first).
-    assert!(
-        total_bit_pruned > 0,
-        "no run was bit-pruned in 400 across both workloads"
-    );
-}
 
 /// `--oracle-check` keeps the bit prune exactly like the register-level
 /// prune, and confirms every dead-bit verdict against a cold, fully

@@ -2,111 +2,39 @@
 //! from a golden-run snapshot must never change what the campaign
 //! concludes, only how long it takes.
 
+mod common;
+
 use gpufi::prelude::*;
 use gpufi::sim::Gpu;
 
-/// Checkpoint forking and cold starts must classify every run identically —
-/// same effect, same cycle count, same applied flag — with taint early exit
-/// both on and off, across workloads that cover single-kernel,
-/// host-control-flow (BFS's stop-flag loop reads device memory between
-/// launches) and multi-kernel whole-application (`kernel: None`) campaigns.
-/// Only the `ckpt_skipped_cycles` marker may differ, and `early_exit` on a
-/// forked run that reconverged with a later checkpoint.
+/// Checkpoint forking must never change a verdict: every forked run is
+/// confirmed by `--oracle-check` against a cold start simulated in full,
+/// across single-kernel, host-control-flow (BFS's stop-flag loop reads
+/// device memory between launches) and multi-kernel whole-application
+/// (`kernel: None`) campaigns.
 #[test]
 fn checkpoint_matches_full_simulation() {
     let card = GpuConfig::rtx2060();
-    let workloads: [(Box<dyn Workload>, usize); 3] = [
-        (Box::new(VectorAdd::new(256)), 120),
-        (Box::new(Bfs::new()), 24),
-        (Box::new(Srad1::default()), 16),
-    ];
-    for (w, runs) in &workloads {
-        let golden = profile(w.as_ref(), &card).unwrap();
+    for (name, runs) in [("VA", 120), ("BFS", 24), ("SRAD1", 16)] {
         let spec = CampaignSpec::new(Structure::RegisterFile);
-        for early_exit in [true, false] {
-            let mut forked_cfg = CampaignConfig::new(spec.clone(), *runs, 17);
-            let mut cold_cfg = CampaignConfig::new(spec.clone(), *runs, 17).no_checkpoints();
-            if !early_exit {
-                forked_cfg = forked_cfg.no_early_exit();
-                cold_cfg = cold_cfg.no_early_exit();
-            }
-            let forked = run_campaign(w.as_ref(), &card, &forked_cfg, &golden).unwrap();
-            let cold = run_campaign(w.as_ref(), &card, &cold_cfg, &golden).unwrap();
-            let tag = format!("{} (early_exit={early_exit})", w.name());
-            assert_eq!(forked.tally, cold.tally, "{tag}: tallies diverge");
-            for (i, (a, b)) in forked.records.iter().zip(&cold.records).enumerate() {
-                assert_eq!(a.effect, b.effect, "{tag} run {i}: effect");
-                assert_eq!(a.cycles, b.cycles, "{tag} run {i}: cycles");
-                assert_eq!(a.applied, b.applied, "{tag} run {i}: applied");
-                if a.detail == RunDetail::Reconverged {
-                    // Only a fork can reconverge, and only where its cold
-                    // twin runs the golden run's course.
-                    assert!(a.early_exit, "{tag} run {i}: reconverged");
-                    assert_eq!(b.effect, FaultEffect::Masked, "{tag} run {i}: reconverged");
-                    assert_eq!(
-                        b.cycles,
-                        golden.total_cycles(),
-                        "{tag} run {i}: reconverged"
-                    );
-                } else {
-                    assert_eq!(a.early_exit, b.early_exit, "{tag} run {i}: early_exit");
-                }
-                assert_eq!(b.ckpt_skipped_cycles, 0, "{tag} run {i}: cold forked");
-            }
-            assert_eq!(cold.stats.checkpoints, 0, "{tag}: cold mode took snapshots");
-            assert_eq!(cold.stats.restores, 0, "{tag}: cold mode restored");
-            assert!(
-                forked.stats.checkpoints > 0,
-                "{tag}: no snapshots were recorded"
-            );
-            assert!(
-                forked.stats.restores > 0,
-                "{tag}: no run forked from a checkpoint in {runs}"
-            );
-        }
+        common::oracle_check(name, &card, spec, runs, 17);
     }
 }
 
 /// Checkpoint forking must also be transparent to *permanent* faults: a
 /// run forked from a golden snapshot re-arms its stuck-at mask on the
-/// restored state, so per-run effect and cycles match a cold start — for
-/// data (register file) and control (warp scheduler) stuck-at campaigns
-/// alike, with taint early exit both on and off.
+/// restored state, so `--oracle-check`'s cold start confirms every verdict
+/// — for data (register file) and control (warp scheduler) stuck-at
+/// campaigns alike.
 #[test]
 fn checkpoint_matches_cold_start_for_stuck_at() {
     let card = GpuConfig::rtx2060();
-    let cases: [(Box<dyn Workload>, Structure, usize); 2] = [
-        (Box::new(VectorAdd::new(256)), Structure::RegisterFile, 60),
-        (Box::new(ScalarProd::new(8)), Structure::Sched, 24),
-    ];
-    for (w, structure, runs) in &cases {
-        let golden = profile(w.as_ref(), &card).unwrap();
-        let spec = CampaignSpec::new(*structure).model(FaultModel::StuckAt1);
-        for early_exit in [true, false] {
-            let mut forked_cfg = CampaignConfig::new(spec.clone(), *runs, 17);
-            let mut cold_cfg = CampaignConfig::new(spec.clone(), *runs, 17).no_checkpoints();
-            if !early_exit {
-                forked_cfg = forked_cfg.no_early_exit();
-                cold_cfg = cold_cfg.no_early_exit();
-            }
-            let forked = run_campaign(w.as_ref(), &card, &forked_cfg, &golden).unwrap();
-            let cold = run_campaign(w.as_ref(), &card, &cold_cfg, &golden).unwrap();
-            let tag = format!(
-                "{}/{structure} stuck-at-1 (early_exit={early_exit})",
-                w.name()
-            );
-            assert_eq!(forked.tally, cold.tally, "{tag}: tallies diverge");
-            for (i, (a, b)) in forked.records.iter().zip(&cold.records).enumerate() {
-                assert_eq!(a.effect, b.effect, "{tag} run {i}: effect");
-                assert_eq!(a.cycles, b.cycles, "{tag} run {i}: cycles");
-                assert_eq!(a.applied, b.applied, "{tag} run {i}: applied");
-                assert_eq!(a.early_exit, b.early_exit, "{tag} run {i}: early_exit");
-            }
-            assert!(
-                forked.stats.restores > 0,
-                "{tag}: no run forked from a checkpoint in {runs}"
-            );
-        }
+    for (name, structure, runs) in [
+        ("VA", Structure::RegisterFile, 60),
+        ("SP", Structure::Sched, 24),
+    ] {
+        let spec = CampaignSpec::new(structure).model(FaultModel::StuckAt1);
+        common::oracle_check(name, &card, spec, runs, 17);
     }
 }
 

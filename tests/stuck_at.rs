@@ -5,39 +5,21 @@
 //! expired).  Control-unit campaigns (SIMT stack, warp scheduler, issue
 //! scoreboard) must reproduce the paper's hang and divergence signatures.
 
+mod common;
+
 use gpufi::prelude::*;
 
-/// Persistent-taint early exit and full simulation must classify every
-/// stuck-at run identically — same effect, same cycle count, same applied
-/// flag — across ≥200 stuck-at runs per workload (both polarities).  Only
-/// the `early_exit` marker may differ.
+/// Persistent-taint early exit must never change a stuck-at verdict: every
+/// register-file run of VA and SP, both polarities, is confirmed by
+/// `--oracle-check` against a cold full simulation of it, and every early
+/// exit is Masked at the golden cycle count.
 #[test]
 fn stuck_at_early_exit_matches_full_simulation() {
     let card = GpuConfig::rtx2060();
-    let workloads: [Box<dyn Workload>; 2] =
-        [Box::new(VectorAdd::new(256)), Box::new(ScalarProd::new(8))];
-    for w in &workloads {
-        let golden = profile(w.as_ref(), &card).unwrap();
+    for name in ["VA", "SP"] {
         for model in [FaultModel::StuckAt0, FaultModel::StuckAt1] {
             let spec = CampaignSpec::new(Structure::RegisterFile).model(model);
-            let fast_cfg = CampaignConfig::new(spec.clone(), 100, 17);
-            let full_cfg = CampaignConfig::new(spec, 100, 17).no_early_exit();
-            let fast = run_campaign(w.as_ref(), &card, &fast_cfg, &golden).unwrap();
-            let full = run_campaign(w.as_ref(), &card, &full_cfg, &golden).unwrap();
-            let tag = format!("{} ({model})", w.name());
-            assert_eq!(fast.tally, full.tally, "{tag}: tallies diverge");
-            for (i, (a, b)) in fast.records.iter().zip(&full.records).enumerate() {
-                assert_eq!(a.effect, b.effect, "{tag} run {i}: effect");
-                assert_eq!(a.cycles, b.cycles, "{tag} run {i}: cycles");
-                assert_eq!(a.applied, b.applied, "{tag} run {i}: applied");
-            }
-            assert_eq!(full.stats.early_exits, 0, "{tag}");
-            // Every early exit must still be sound: Masked at the golden
-            // cycle count, exactly like the transient engine's contract.
-            for r in fast.records.iter().filter(|r| r.early_exit) {
-                assert_eq!(r.effect, FaultEffect::Masked, "{tag}");
-                assert_eq!(r.cycles, golden.total_cycles(), "{tag}");
-            }
+            common::oracle_check(name, &card, spec, 100, 17);
         }
     }
 }
