@@ -98,7 +98,7 @@ usage:
   gpufi profile  --bench <NAME> [--card <CARD> | --config <FILE>]
   gpufi campaign --bench <NAME> --structure <S> [campaign flags]
                  [--oracle-check] [--csv FILE] [--journal FILE] [--no-journal]
-                 [--resume] [--inject-panic-run I] [--validate-sampling]
+                 [--resume] [--inject-panic-run I]
   gpufi avf      --bench <NAME> [--card <CARD> | --config <FILE>] [--runs N]
                  [--bits K] [--seed S] [--threads T] [--csv FILE]
   gpufi analyze  [--bench <NAME>] [--card <CARD> | --config <FILE>] [--json]
@@ -114,8 +114,7 @@ usage:
 campaign flags (campaign, serve and worker):
   [--card <CARD> | --config <FILE>] [--runs N] [--bits K] [--kernel <K>]
   [--scope thread|warp] [--spread] [--seed S] [--threads T]
-  [--fault-model transient|stuck-at-0|stuck-at-1] [--max-run-seconds S]
-  [--sampling flat|stratified]
+  [--fault-model transient|stuck-at-0|stuck-at-1] [--sampling flat|stratified]
 
 cards:      rtx2060 (default) | gv100 | titan, or --config <FILE> with a
             gpgpusim.config-style `key = value` chip description
@@ -174,9 +173,7 @@ register-file campaigns: per-register liveness intervals from the golden
 run partition the fault population, the provably-masked mass is classified
 analytically with zero simulated runs, the budget covers only live strata
 and the per-class estimates are reweighted with confidence intervals
-(typically 5-10x fewer simulated runs at equal confidence);
---validate-sampling additionally runs a 5x-larger flat campaign and fails
-unless every stratified estimate lands inside the flat campaign's interval
+(typically 5-10x fewer simulated runs at equal confidence)
 
 fault tolerance: every run executes under a supervisor that catches
 simulator panics, retries a panicked run once on the spot and records a
@@ -186,9 +183,9 @@ journal (<csv>.journal.jsonl by default, --no-journal disables) and
 --resume restarts an interrupted campaign from it, re-running only the
 missing runs with bit-identical results (a journal of another campaign
 is refused, naming the first parameter that differs, e.g. `seed` or a
-`chip` member); --max-run-seconds S adds a
-per-run wall-clock watchdog (classified Timeout, detail=wall_watchdog)
-on top of the 2x-golden-cycles cycle watchdog; --inject-panic-run I
+`chip` member); a run whose cycles exceed twice the golden run's is
+stopped by the cycle watchdog (Timeout, detail=cycle_watchdog), so its
+record depends on the campaign alone; --inject-panic-run I
 panics run I on both attempts (supervisor self-test)
 
 distributed campaigns: `serve` runs the same campaign as `campaign` but
@@ -214,7 +211,7 @@ const COMMAND_FLAGS: &str = "\
 list
 profile  --bench= --card= --config=
 campaign --bench= --structure= [campaign-flags] --oracle-check --csv= --journal= --no-journal \
-         --resume --inject-panic-run= --validate-sampling
+         --resume --inject-panic-run=
 avf      --bench= --card= --config= --runs= --bits= --seed= --threads= --csv=
 analyze  --bench= --card= --config= --json
 serve    --bench= --structure= [campaign-flags] --bind= --lease-size= --heartbeat-ms= \
@@ -223,7 +220,7 @@ worker   --bench= --structure= [campaign-flags] --connect= --heartbeat-ms= --con
 fuzz     --kernels= --seed=
 lint     --bench= --json
 [campaign-flags] --card= --config= --runs= --bits= --kernel= --scope= --spread --seed= \
-         --threads= --fault-model= --max-run-seconds= --sampling=";
+         --threads= --fault-model= --sampling=";
 
 /// The `COMMAND_FLAGS` line of `cmd`, without its name.
 fn flag_line(cmd: &str) -> Option<std::str::SplitWhitespace<'static>> {
@@ -461,21 +458,11 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
         None => SamplingMode::Flat,
         Some(v) => SamplingMode::parse(v).ok_or_else(|| format!("unknown sampling mode `{v}`"))?,
     };
-    if args.flag("--validate-sampling") && sampling == SamplingMode::Flat && args.flag("--sampling")
-    {
-        return Err(
-            "--validate-sampling checks a stratified campaign; drop --sampling flat".into(),
-        );
-    }
-    if sampling == SamplingMode::Stratified || args.flag("--validate-sampling") {
+    if sampling == SamplingMode::Stratified {
         cfg = cfg.stratified();
     }
     if let Some(kernel) = args.value("--kernel") {
         cfg = cfg.for_kernel(kernel);
-    }
-    let max_run_seconds: u64 = args.parse("--max-run-seconds", 0)?;
-    if max_run_seconds > 0 {
-        cfg = cfg.with_max_run_ms(max_run_seconds.saturating_mul(1000));
     }
     Ok(Setup {
         workload,
@@ -547,11 +534,7 @@ fn cmd_campaign(args: &Args<'_>) -> Result<(), CliError> {
         }
     }
     .map_err(failed)?;
-    print_campaign_summary(&setup, &result, args)?;
-    if args.flag("--validate-sampling") {
-        validate_stratified(&result, &setup)?;
-    }
-    Ok(())
+    print_campaign_summary(&setup, &result, args)
 }
 
 /// The human-readable campaign report — shared verbatim by `campaign` and
@@ -792,67 +775,6 @@ fn cmd_worker(args: &Args<'_>) -> Result<(), CliError> {
         report.runs, report.leases
     )?;
     Ok(())
-}
-
-/// `--validate-sampling`: re-runs the campaign flat with a 5x budget and
-/// asserts every stratified class estimate lands inside the flat
-/// campaign's own 99% interval around its observed fraction (intervals
-/// summed: both campaigns carry sampling error).
-fn validate_stratified(result: &gpufi_core::CampaignResult, setup: &Setup) -> Result<(), CliError> {
-    let Setup {
-        workload,
-        card,
-        golden,
-        cfg,
-    } = setup;
-    let runs = cfg.runs;
-    let summary = result
-        .sampling
-        .as_ref()
-        .ok_or("--validate-sampling needs a stratified campaign")?;
-    let flat_runs = runs.saturating_mul(5);
-    let mut fcfg = cfg.clone();
-    fcfg.sampling = SamplingMode::Flat;
-    fcfg.runs = flat_runs;
-    fcfg.journal = None;
-    fcfg.resume = false;
-    writeln!(
-        Out,
-        "  validating against a flat campaign of {flat_runs} runs ({}x the stratified budget)...",
-        flat_runs / runs.max(1)
-    )?;
-    let flat = run_campaign(workload.as_ref(), card, &fcfg, golden).map_err(failed)?;
-    let mut failures = Vec::new();
-    let intervals = summary.agreement_intervals(flat.tally.total());
-    for (e, interval) in FaultEffect::ALL.into_iter().zip(intervals) {
-        let flat_p = flat.tally.fraction(e);
-        let ok = interval.contains(flat_p);
-        writeln!(
-            Out,
-            "    {:<12} stratified {:.4} vs flat {:.4}  (tolerance {:.4}) {}",
-            e.name(),
-            interval.estimate,
-            flat_p,
-            interval.half_width,
-            if ok { "ok" } else { "MISMATCH" }
-        )?;
-        if !ok {
-            failures.push(e.name());
-        }
-    }
-    if failures.is_empty() {
-        writeln!(
-            Out,
-            "  validation passed: {} simulated runs reproduced a {}-run flat campaign",
-            summary.estimate.simulated, flat_runs
-        )?;
-        Ok(())
-    } else {
-        Err(failed(format!(
-            "stratified estimate outside the flat campaign's interval for: {}",
-            failures.join(", ")
-        )))
-    }
 }
 
 /// Differential fuzzing from the command line: N seeded random SASS-lite
@@ -1267,7 +1189,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_widths_and_sampling_validation_are_checked() {
+    fn fault_widths_are_checked() {
         let va = [
             "campaign",
             "--bench",
@@ -1281,8 +1203,6 @@ mod tests {
         assert!(with(&["--bits", "0"]).contains("at least one bit"));
         let err = with(&["--bits", "33"]);
         assert!(err.contains("at most 32 bits"), "{err}");
-        let err = with(&["--validate-sampling", "--sampling", "flat"]);
-        assert!(err.contains("--validate-sampling"), "{err}");
         let err = fail(&["avf", "--bench", "VA", "--runs", "1", "--bits", "40"]);
         assert!(err.contains("at most 32 bits"), "{err}");
     }
@@ -1299,6 +1219,10 @@ mod tests {
             format!("{va} --runs x"),
             format!("{va} --runs"),
             format!("{va} --no-bit-prune"),
+            format!("{va} --validate-sampling"),
+            format!("{va} --max-run-seconds 5"),
+            "serve --bench VA --structure rf --max-run-seconds 5".into(),
+            "worker --bench VA --structure rf --connect x --max-run-seconds 5".into(),
             "campaign --bench VA --structure dram".into(),
         ] {
             assert!(matches!(cli(&line), Err(CliError::Usage(_))), "{line}");

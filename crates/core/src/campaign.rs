@@ -62,11 +62,6 @@ pub struct CampaignConfig {
     /// `Tally` are bit-identical to an uninterrupted run's.  When the
     /// journal file does not exist the campaign simply starts fresh.
     pub resume: bool,
-    /// Per-run wall-clock watchdog in milliseconds (`0` = off): a run
-    /// whose *real* time exceeds this aborts with a wall-clock trap and
-    /// classifies **Timeout**, complementing the 2×-golden-cycles cycle
-    /// watchdog for flips that livelock the simulator inside a cycle.
-    pub max_run_ms: u64,
     /// How runs are drawn from the fault population (`--sampling`):
     /// [`SamplingMode::Flat`] simulates every drawn run; with
     /// [`SamplingMode::Stratified`] the budget covers only the
@@ -88,7 +83,6 @@ impl CampaignConfig {
             oracle_check: false,
             journal: None,
             resume: false,
-            max_run_ms: 0,
             sampling: SamplingMode::Flat,
         }
     }
@@ -121,12 +115,6 @@ impl CampaignConfig {
     /// Resumes from the journal configured via [`CampaignConfig::with_journal`].
     pub fn with_resume(mut self) -> Self {
         self.resume = true;
-        self
-    }
-
-    /// Sets the per-run wall-clock watchdog (`0` = off).
-    pub fn with_max_run_ms(mut self, ms: u64) -> Self {
-        self.max_run_ms = ms;
         self
     }
 
@@ -667,17 +655,14 @@ impl OracleVerdict {
     /// Effect and cycles must match; `applied` only where the ladder
     /// simulated the run (a pre-classified record asserts it unobserved);
     /// and a run a shortcut resolved must leave the reference in the
-    /// oracle's image.  `sim_panic` records are not compared, nor runs the
-    /// wall-clock watchdog stopped on either side (timing, not state).
+    /// oracle's image.  `sim_panic` records are not compared.
     fn of(
         rec: &RunRecord,
         reference: Option<&RunRecord>,
         image_matches: impl FnOnce() -> bool,
     ) -> Self {
-        use RunDetail::{SimPanic, StaticDead, StaticDeadBit, WallWatchdog};
-        if matches!(rec.detail, SimPanic | WallWatchdog)
-            || reference.is_some_and(|r| r.detail == WallWatchdog)
-        {
+        use RunDetail::{SimPanic, StaticDead, StaticDeadBit};
+        if rec.detail == SimPanic {
             return OracleVerdict::default();
         }
         let pre_classified = matches!(rec.detail, StaticDead | StaticDeadBit);
@@ -759,9 +744,6 @@ impl RunEnv<'_> {
         };
         gpu.arm_faults(run.plan.clone());
         gpu.set_watchdog(golden_cycles * 2);
-        if self.cfg.max_run_ms > 0 {
-            gpu.set_wall_watchdog(Duration::from_millis(self.cfg.max_run_ms));
-        }
         gpu.set_early_exit(early_exit);
         let result = self.workload.run(gpu);
         // Early exit fired — every fault's lifetime ended unobserved, or the
@@ -1571,15 +1553,12 @@ mod tests {
         assert_eq!(OracleVerdict::of(&sdc, Some(&sdc), || false), agree);
         // A reference that panicked disagrees with any record.
         assert_eq!(OracleVerdict::of(&exited, None, || true), disagree);
-        // Not compared: poison records and wall-clock watchdog stops.
+        // Not compared: poison records.
         let poison = record(Crash, true, false, RunDetail::SimPanic);
-        let wall = record(FaultEffect::Timeout, true, false, RunDetail::WallWatchdog);
-        for (rec, reference) in [(&poison, &masked), (&wall, &masked), (&masked, &wall)] {
-            assert_eq!(
-                OracleVerdict::of(rec, Some(reference), || false),
-                OracleVerdict::default()
-            );
-        }
+        assert_eq!(
+            OracleVerdict::of(&poison, Some(&masked), || false),
+            OracleVerdict::default()
+        );
     }
 
     #[test]

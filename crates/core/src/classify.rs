@@ -64,8 +64,6 @@ pub enum RunDetail {
     DeviceError,
     /// The 2×-golden-cycles cycle watchdog fired.
     CycleWatchdog,
-    /// The `--max-run-seconds` wall-clock watchdog fired.
-    WallWatchdog,
     /// The run was never simulated: every planned fault targeted a
     /// register that no reachable instruction of the faulted kernel ever
     /// reads, so the static analyzer pre-classified it **Masked** at the
@@ -87,7 +85,7 @@ pub enum RunDetail {
 
 impl RunDetail {
     /// Every detail kind, in a fixed order.
-    pub const ALL: [RunDetail; 15] = [
+    pub const ALL: [RunDetail; 14] = [
         RunDetail::None,
         RunDetail::SimPanic,
         RunDetail::InvalidAddress,
@@ -99,7 +97,6 @@ impl RunDetail {
         RunDetail::LostBarrier,
         RunDetail::DeviceError,
         RunDetail::CycleWatchdog,
-        RunDetail::WallWatchdog,
         RunDetail::StaticDead,
         RunDetail::StaticDeadBit,
         RunDetail::Reconverged,
@@ -119,7 +116,6 @@ impl RunDetail {
             RunDetail::LostBarrier => "hang_lost_barrier",
             RunDetail::DeviceError => "device_error",
             RunDetail::CycleWatchdog => "cycle_watchdog",
-            RunDetail::WallWatchdog => "wall_watchdog",
             RunDetail::StaticDead => "static_dead",
             RunDetail::StaticDeadBit => "static_dead_bit",
             RunDetail::Reconverged => "reconverged",
@@ -145,7 +141,6 @@ pub fn detail_of(result: &Result<Vec<u8>, WorkloadError>) -> RunDetail {
             Trap::Deadlock => RunDetail::Deadlock,
             Trap::LostBarrier => RunDetail::LostBarrier,
             Trap::Watchdog => RunDetail::CycleWatchdog,
-            Trap::WallClock => RunDetail::WallWatchdog,
             // Both Masked: the campaign engine classifies them before
             // `classify` could call them crashes.
             Trap::FaultsExpired => RunDetail::None,
@@ -216,12 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_trap_is_timeout_with_wall_detail() {
+    fn watchdog_trap_is_timeout_with_cycle_detail() {
         let g = golden();
-        let r = Err(WorkloadError::Trap(Trap::WallClock));
-        assert_eq!(classify(&r, 50, &g), FaultEffect::Timeout);
-        assert_eq!(detail_of(&r), RunDetail::WallWatchdog);
         let r = Err(WorkloadError::Trap(Trap::Watchdog));
+        assert_eq!(classify(&r, 50, &g), FaultEffect::Timeout);
         assert_eq!(detail_of(&r), RunDetail::CycleWatchdog);
     }
 

@@ -24,8 +24,8 @@
 //! uniform over the clamped window union, register uniform per window), so
 //! the per-stratum conditional draws of
 //! `MaskGenerator::draw_register_stratum` compose to an unbiased estimate
-//! of the flat campaign's expectation — validated end-to-end by
-//! `--validate-sampling`.
+//! of the flat campaign's expectation — validated end-to-end against
+//! flat campaigns five times larger by `tests/sampling.rs`.
 
 use crate::profile::GoldenProfile;
 use crate::workload::Workload;
@@ -241,7 +241,7 @@ impl SamplingSummary {
     /// confidence (both campaigns carry sampling error).  The flat campaign
     /// agrees with this estimate on a class when the widened interval
     /// [`contains`](ClassEstimate::contains) its observed fraction — the
-    /// check `--validate-sampling` applies.
+    /// check `tests/sampling.rs` and the sampling bench apply.
     pub fn agreement_intervals(&self, flat_runs: u64) -> [ClassEstimate; 5] {
         let margin = margin_of_error(self.estimate.confidence, flat_runs.max(1), u64::MAX);
         self.estimate.classes.map(|c| ClassEstimate {

@@ -187,7 +187,7 @@ spelling! {
 pub(crate) fn describe(workload: &str, card: &str, cfg: &CampaignConfig) -> Value {
     let names = [("workload", workload.into()), ("card", card.into())];
     let config = members!(cfg => CampaignConfig {
-        seed, runs, kernel, oracle_check, max_run_ms, sampling
+        seed, runs, kernel, oracle_check, sampling
     } except { spec, threads, journal, resume });
     let spec = members!(&cfg.spec => CampaignSpec {
         structure, scope, bits_per_fault, multi_bit, replicate, model
@@ -647,7 +647,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(fnv1a(all.as_bytes()), 0xa850_a171_c289_4c7f, "{all}");
+        assert_eq!(fnv1a(all.as_bytes()), 0xad7f_a724_7964_e740, "{all}");
     }
 
     #[test]
@@ -686,7 +686,7 @@ mod tests {
         assert_eq!(loaded[3].unwrap().detail, RunDetail::SimPanic);
         assert!(loaded[1].is_none());
         // Appending after a resume lands after the loaded prefix.
-        j2.append(1, &rec(FaultEffect::Timeout, RunDetail::WallWatchdog))
+        j2.append(1, &rec(FaultEffect::Timeout, RunDetail::CycleWatchdog))
             .unwrap();
         drop(j2);
         let (_, loaded) = RunJournal::resume(&path, fp, 5).unwrap();
@@ -843,7 +843,6 @@ mod tests {
             ("runs", cfg(|c| c.runs = 101)),
             ("kernel", cfg(|c| c.kernel = Some("vec_add".into()))),
             ("oracle_check", cfg(|c| c.oracle_check = true)),
-            ("max_run_ms", cfg(|c| c.max_run_ms = 5_000)),
             ("sampling", cfg(|c| c.sampling = SamplingMode::Stratified)),
             ("structure", spec(|s| s.structure = Structure::L2)),
             ("scope", spec(|s| s.scope = Scope::Warp)),

@@ -60,6 +60,13 @@ impl From<LaunchError> for WorkloadError {
 /// mutability — so the supervisor can wrap each run in
 /// `std::panic::catch_unwind` without a panicking run leaking a
 /// broken-invariant view of the workload to its siblings.
+///
+/// Host loops must be **bounded**, as BFS caps its stop-flag loop at one
+/// iteration per node.  The campaign's only Timeout is the cycle watchdog
+/// (2× the golden cycles), which spans launches, so it ends a run that
+/// keeps launching kernels of at least one cycle each; but a launch that
+/// finishes in its first scheduler iteration (a lone `EXIT`) adds no
+/// cycle, and an unbounded loop of those would never reach it.
 pub trait Workload: Sync + std::panic::RefUnwindSafe {
     /// The benchmark's short name (e.g. `"VA"`, `"HS"`).
     fn name(&self) -> &'static str;

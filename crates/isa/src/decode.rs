@@ -105,21 +105,6 @@ pub enum UopOp {
     StConst,
 }
 
-impl UopOp {
-    /// The integer-compare selector of an `ISetp*` tag.
-    pub fn icmp(self) -> Option<CmpOp> {
-        Some(match self {
-            UopOp::ISetpEq => CmpOp::Eq,
-            UopOp::ISetpNe => CmpOp::Ne,
-            UopOp::ISetpLt => CmpOp::Lt,
-            UopOp::ISetpLe => CmpOp::Le,
-            UopOp::ISetpGt => CmpOp::Gt,
-            UopOp::ISetpGe => CmpOp::Ge,
-            _ => return None,
-        })
-    }
-}
-
 /// One predecoded micro-op.
 ///
 /// Field meaning varies by tag (documented per field); unused register slots

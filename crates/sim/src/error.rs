@@ -37,11 +37,6 @@ pub enum Trap {
     },
     /// The watchdog cycle limit was exceeded (maps to **Timeout**).
     Watchdog,
-    /// The wall-clock run limit was exceeded (maps to **Timeout**).  The
-    /// cycle watchdog only fires when the application cycle advances; this
-    /// trap covers a fault that livelocks the simulator *inside* a cycle,
-    /// where real time passes but simulated time does not.
-    WallClock,
     /// No warp can make progress (e.g. a diverged or corrupted barrier).
     Deadlock,
     /// A CTA barrier can never be released: some warps arrived
@@ -68,7 +63,7 @@ impl Trap {
     /// Whether the classifier treats this trap as a timeout rather than a
     /// crash.
     pub fn is_timeout(self) -> bool {
-        matches!(self, Trap::Watchdog | Trap::WallClock | Trap::LostBarrier)
+        matches!(self, Trap::Watchdog | Trap::LostBarrier)
     }
 }
 
@@ -85,7 +80,6 @@ impl fmt::Display for Trap {
                 write!(f, "local-memory access at offset {offset} out of bounds")
             }
             Trap::Watchdog => f.write_str("watchdog cycle limit exceeded"),
-            Trap::WallClock => f.write_str("wall-clock run limit exceeded"),
             Trap::Deadlock => f.write_str("no warp can make progress"),
             Trap::LostBarrier => f.write_str("CTA barrier can never be released (arrivals lost)"),
             Trap::FaultsExpired => {
@@ -160,7 +154,6 @@ mod tests {
             Trap::SmemOutOfBounds { offset: 1 },
             Trap::LmemOutOfBounds { offset: 1 },
             Trap::Watchdog,
-            Trap::WallClock,
             Trap::Deadlock,
             Trap::LostBarrier,
             Trap::FaultsExpired,
@@ -173,7 +166,6 @@ mod tests {
     #[test]
     fn only_watchdog_is_timeout() {
         assert!(Trap::Watchdog.is_timeout());
-        assert!(Trap::WallClock.is_timeout());
         assert!(Trap::LostBarrier.is_timeout());
         assert!(!Trap::Deadlock.is_timeout());
         assert!(!Trap::InvalidAddress { addr: 0 }.is_timeout());

@@ -33,7 +33,6 @@ pub struct Gpu {
     cores: Vec<SimtCore>,
     cycle: u64,
     watchdog: Option<u64>,
-    wall_deadline: Option<std::time::Instant>,
     faults: Vec<PlannedFault>,
     fault_model: FaultModel,
     next_fault: usize,
@@ -67,7 +66,6 @@ impl Gpu {
             cores,
             cycle: 0,
             watchdog: None,
-            wall_deadline: None,
             faults: Vec::new(),
             fault_model: FaultModel::Transient,
             next_fault: 0,
@@ -408,16 +406,6 @@ impl Gpu {
         self.watchdog = Some(limit);
     }
 
-    /// Aborts the run with [`Trap::WallClock`] once `limit` of real time
-    /// has elapsed (measured from this call).  Complements the cycle
-    /// watchdog: that one only fires when the application cycle advances,
-    /// while this one also catches a fault that livelocks the simulator
-    /// *inside* a cycle.  The deadline spans every subsequent launch of
-    /// the run, so a multi-kernel application shares one budget.
-    pub fn set_wall_watchdog(&mut self, limit: std::time::Duration) {
-        self.wall_deadline = Some(std::time::Instant::now() + limit);
-    }
-
     /// Enables fault-lifetime early exit: once every armed fault's cycle
     /// has passed and no flipped state survives unobserved, the launch
     /// aborts with [`Trap::FaultsExpired`] — the rest of the run provably
@@ -506,13 +494,13 @@ impl Gpu {
     /// Refines a watchdog abort into [`Trap::LostBarrier`] when no warp can
     /// ever issue again and some CTA still counts barrier arrivals — the
     /// lost-barrier hang signature of a control-unit fault.
-    fn hang_trap(&self, fallback: Trap) -> Trap {
+    fn hang_trap(&self) -> Trap {
         if self.cores.iter().all(|c| c.next_ready().is_none())
             && self.cores.iter().any(SimtCore::lost_barrier)
         {
             Trap::LostBarrier
         } else {
-            fallback
+            Trap::Watchdog
         }
     }
 
@@ -637,7 +625,6 @@ impl Gpu {
             cycle: _,
             stats: _,
             watchdog,
-            wall_deadline,
             faults,
             fault_model,
             next_fault,
@@ -652,7 +639,6 @@ impl Gpu {
             reg_traces: _,
         } = self;
         *watchdog = None;
-        *wall_deadline = None;
         faults.clear();
         *fault_model = FaultModel::Transient;
         *next_fault = 0;
@@ -829,27 +815,7 @@ impl Gpu {
         // faults remain, so a zero taint count can only stay zero).
         const EE_STRIDE: u32 = 32;
         let mut ee_tick = 0u32;
-        // The wall-clock watchdog reads `Instant::now()` on a stride so its
-        // cost stays negligible against the per-cycle work; a 255-iteration
-        // overshoot is noise next to a multi-second limit.
-        const WALL_STRIDE: u32 = 256;
-        // First check on the first iteration, so an already-expired
-        // deadline aborts before any work (and short kernels cannot slip
-        // under the stride).
-        let mut wall_tick = 1u32;
         let outcome: Result<(), Trap> = 'run: loop {
-            if self.wall_deadline.is_some() {
-                wall_tick -= 1;
-                if wall_tick == 0 {
-                    wall_tick = WALL_STRIDE;
-                    if self
-                        .wall_deadline
-                        .is_some_and(|d| std::time::Instant::now() >= d)
-                    {
-                        break 'run Err(self.hang_trap(Trap::WallClock));
-                    }
-                }
-            }
             // Checkpoint capture (recording run only), at the top of the
             // loop *before* fault firing: a fork resuming here sees the
             // same pending-fault semantics a cold run reaching this cycle
@@ -1015,7 +981,7 @@ impl Gpu {
             self.cycle += dt;
             if let Some(limit) = self.watchdog {
                 if self.cycle > limit {
-                    break Err(self.hang_trap(Trap::Watchdog));
+                    break Err(self.hang_trap());
                 }
             }
         };

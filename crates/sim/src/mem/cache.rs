@@ -588,11 +588,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets the statistics counters (contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn set_of(&self, line_addr: u64) -> u32 {
         (line_addr % u64::from(self.cfg.sets)) as u32
     }

@@ -401,11 +401,6 @@ impl MemSystem {
         Ok(())
     }
 
-    /// Bytes currently written to the constant bank.
-    pub fn const_len(&self) -> usize {
-        self.constant.len()
-    }
-
     /// Line size of the L1 constant cache, bytes.
     pub fn const_line_bytes(&self) -> u32 {
         self.l1c[0].config().line_bytes
@@ -489,11 +484,6 @@ impl MemSystem {
         }
     }
 
-    /// Bytes currently allocated in the global segment.
-    pub fn global_len(&self) -> usize {
-        self.global.len()
-    }
-
     /// A coherent byte-for-byte image of the whole allocated global
     /// segment, read through the L2 (dirty cached lines included) without
     /// perturbing cache statistics.  This is the memory half of the
@@ -502,15 +492,6 @@ impl MemSystem {
         let mut img = vec![0; self.global.len()];
         self.coherent_read(GLOBAL_BASE, &mut img);
         img
-    }
-
-    /// Peeks 4 bytes coherently (through L2) without perturbing cache
-    /// statistics — used by golden-output capture.
-    pub fn peek4(&self, addr: u32) -> Option<u32> {
-        self.check_host_range(addr, 4).ok()?;
-        let mut b = [0u8; 4];
-        self.coherent_read(addr, &mut b);
-        Some(u32::from_le_bytes(b))
     }
 
     // ------------------------------------------------------------------
@@ -926,11 +907,6 @@ impl MemSystem {
             self.local_taints.push(bit);
         }
         true
-    }
-
-    /// Size of the local backing segment in bytes.
-    pub fn local_len(&self) -> usize {
-        self.local.len()
     }
 
     /// Aggregate L1D statistics across SMs (cards without L1D report zeros).

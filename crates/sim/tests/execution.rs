@@ -356,25 +356,39 @@ fn high_ready_at_flip_times_out_without_panic() {
     assert!(gpu.injection_records()[0].applied);
 }
 
-/// The wall-clock watchdog aborts with its own trap, independently of the
-/// cycle count: an already-expired deadline kills even a kernel that would
-/// finish in a handful of cycles, and the trap classifies as a timeout.
+/// The cycle watchdog spans launches, so it also bounds a host loop that
+/// never stops launching: with kernels of k ≥ 1 cycles, launch ⌊N/k⌋ + 1
+/// at the latest crosses `set_watchdog(N)`.  A kernel that ends in its
+/// first scheduler iteration (a lone `EXIT`) adds no cycle, so the bound
+/// needs k ≥ 1 — which is why workload host loops must be bounded.
 #[test]
-fn wall_clock_watchdog_fires() {
-    let m = Module::assemble(".kernel quick\n NOP\n EXIT\n").unwrap();
+fn watchdog_bounds_a_host_loop_of_launches() {
+    let m = Module::assemble(".kernel quick\n NOP\n EXIT\n.kernel bare\n EXIT\n").unwrap();
+    let dims = LaunchDims::new(1, 32);
     let mut gpu = small_gpu();
-    gpu.set_wall_watchdog(std::time::Duration::ZERO);
-    let err = gpu
-        .launch(m.kernel("quick").unwrap(), LaunchDims::new(1, 32), &[])
-        .unwrap_err();
-    assert_eq!(err, Trap::WallClock);
-    assert!(err.is_timeout());
+    gpu.launch(m.kernel("quick").unwrap(), dims, &[]).unwrap();
+    let k = gpu.cycle();
+    assert!(k >= 1);
 
-    // A generous deadline must not perturb a normal run.
+    const N: u64 = 5_000;
     let mut gpu = small_gpu();
-    gpu.set_wall_watchdog(std::time::Duration::from_secs(3600));
-    gpu.launch(m.kernel("quick").unwrap(), LaunchDims::new(1, 32), &[])
-        .unwrap();
+    gpu.set_watchdog(N);
+    let mut launches = 0;
+    let err = loop {
+        launches += 1;
+        assert!(launches <= N / k + 1, "launch {launches} passed the bound");
+        if let Err(t) = gpu.launch(m.kernel("quick").unwrap(), dims, &[]) {
+            break t;
+        }
+    };
+    assert_eq!(err, Trap::Watchdog);
+
+    let mut gpu = small_gpu();
+    gpu.set_watchdog(5);
+    for _ in 0..1_000 {
+        gpu.launch(m.kernel("bare").unwrap(), dims, &[]).unwrap();
+    }
+    assert_eq!(gpu.cycle(), 0);
 }
 
 /// Cycle counters accumulate across launches and windows are recorded.

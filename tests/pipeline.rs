@@ -359,7 +359,7 @@ fn injection_matrix_bytes_are_pinned() {
     let cfg = CampaignConfig::new(spec(RegisterFile).warp_scope().model(StuckAt1), 40, 26);
     assert_eq!(
         campaign_fingerprint("VA", "RTX 2060", &cfg),
-        0xb9c8822485aaa67d,
+        0xf4f66699a91e2dae,
         "campaign fingerprint drifted"
     );
 }

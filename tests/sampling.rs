@@ -20,54 +20,63 @@ fn tmp(name: &str) -> String {
 /// class, what a 5×-larger flat campaign measures — within the combined
 /// uncertainty of the two estimates — while simulating every one of its
 /// (far fewer) runs and reporting a flat-equivalent coverage well above
-/// its simulated-run cost.
+/// its simulated-run cost.  One row per workload: SP seed 11, and the VA
+/// campaign `gpufi campaign --bench VA` draws at seed 3.
 #[test]
 fn stratified_estimate_agrees_with_a_flat_campaign_five_times_its_size() {
-    let w = ScalarProd::new(8);
     let card = GpuConfig::rtx2060();
-    let golden = profile(&w, &card).unwrap();
     let spec = CampaignSpec::new(Structure::RegisterFile);
+    let rows: [(Box<dyn Workload>, u64); 2] = [
+        (Box::new(ScalarProd::new(8)), 11),
+        (gpufi::workloads::by_name("VA").unwrap(), 3),
+    ];
+    for (w, seed) in rows {
+        let name = w.name();
+        let golden = profile(w.as_ref(), &card).unwrap();
+        let strat_runs = 100usize;
+        let flat_runs = 5 * strat_runs;
+        let strat_cfg = CampaignConfig::new(spec.clone(), strat_runs, seed).stratified();
+        let flat_cfg = CampaignConfig::new(spec.clone(), flat_runs, seed);
 
-    let strat_runs = 100usize;
-    let flat_runs = 5 * strat_runs;
-    let strat_cfg = CampaignConfig::new(spec.clone(), strat_runs, 11).stratified();
-    let flat_cfg = CampaignConfig::new(spec, flat_runs, 11);
+        let strat = run_campaign(w.as_ref(), &card, &strat_cfg, &golden).unwrap();
+        let flat = run_campaign(w.as_ref(), &card, &flat_cfg, &golden).unwrap();
 
-    let strat = run_campaign(&w, &card, &strat_cfg, &golden).unwrap();
-    let flat = run_campaign(&w, &card, &flat_cfg, &golden).unwrap();
-
-    let summary = strat.sampling.as_ref().expect("stratified summary");
-    assert!(summary.strata > 0);
-    assert!(summary.masked_weight > 0.0, "no analytically-masked mass");
-    assert_eq!(summary.allocation.iter().sum::<usize>(), strat_runs);
-
-    // Stratified draws land only in live intervals, so the static prune
-    // never fires and every planned run is simulated.
-    assert_eq!(strat.stats.static_pruned, 0);
-    assert_eq!(strat.stats.simulated_runs, strat_runs);
-    assert_eq!(strat.tally.total(), strat_runs as u64);
-
-    // Two-level agreement: |p̂_strat − p̂_flat| within the stratified
-    // half-width plus the flat campaign's own Leveugle margin.
-    let intervals = summary.agreement_intervals(flat_runs as u64);
-    for (e, interval) in FaultEffect::ALL.into_iter().zip(intervals) {
-        let flat_p = flat.tally.fraction(e);
+        let summary = strat.sampling.as_ref().expect("stratified summary");
+        assert!(summary.strata > 0, "{name}");
         assert!(
-            interval.contains(flat_p),
-            "{}: {interval:?} misses flat {flat_p:.4}",
-            e.name()
+            summary.masked_weight > 0.0,
+            "{name}: no analytically-masked mass"
         );
-    }
+        assert_eq!(summary.allocation.iter().sum::<usize>(), strat_runs);
 
-    // The coverage accounting must reflect the analytically-classified
-    // mass: well more flat-equivalent coverage than runs simulated.
-    assert!(
-        strat.stats.effective_runs > 1.5 * strat_runs as f64,
-        "effective {} for {} simulated",
-        strat.stats.effective_runs,
-        strat_runs
-    );
-    assert!(summary.estimate.equivalent_flat_runs() > strat_runs as f64);
+        // Stratified draws land only in live intervals, so the static prune
+        // never fires and every planned run is simulated.
+        assert_eq!(strat.stats.static_pruned, 0, "{name}");
+        assert_eq!(strat.stats.simulated_runs, strat_runs, "{name}");
+        assert_eq!(strat.tally.total(), strat_runs as u64);
+
+        // Two-level agreement: |p̂_strat − p̂_flat| within the stratified
+        // half-width plus the flat campaign's own Leveugle margin.
+        let intervals = summary.agreement_intervals(flat_runs as u64);
+        for (e, interval) in FaultEffect::ALL.into_iter().zip(intervals) {
+            let flat_p = flat.tally.fraction(e);
+            assert!(
+                interval.contains(flat_p),
+                "{name} {}: {interval:?} misses flat {flat_p:.4}",
+                e.name()
+            );
+        }
+
+        // The coverage accounting must reflect the analytically-classified
+        // mass: well more flat-equivalent coverage than runs simulated.
+        assert!(
+            strat.stats.effective_runs > 1.5 * strat_runs as f64,
+            "{name}: effective {} for {} simulated",
+            strat.stats.effective_runs,
+            strat_runs
+        );
+        assert!(summary.estimate.equivalent_flat_runs() > strat_runs as f64);
+    }
 }
 
 /// Stratified campaigns are bit-deterministic: the same configuration on

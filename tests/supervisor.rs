@@ -221,36 +221,6 @@ fn resume_rejects_a_foreign_journal() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Arming the per-run wall-clock watchdog with a generous limit must not
-/// change any classification; the watchdog only exists to bound runaway
-/// runs (its firing path is covered at the simulator layer).
-#[test]
-fn generous_wall_watchdog_does_not_perturb_classification() {
-    let w = VectorAdd::new(128);
-    let card = GpuConfig::rtx2060();
-    let golden = profile(&w, &card).unwrap();
-    let spec = CampaignSpec::new(Structure::RegisterFile);
-    let plain = run_campaign(
-        &w,
-        &card,
-        &CampaignConfig::new(spec.clone(), 30, 3),
-        &golden,
-    )
-    .unwrap();
-    let guarded = run_campaign(
-        &w,
-        &card,
-        &CampaignConfig::new(spec, 30, 3).with_max_run_ms(3_600_000),
-        &golden,
-    )
-    .unwrap();
-    assert_eq!(campaign_csv(&guarded), campaign_csv(&plain));
-    assert!(guarded
-        .records
-        .iter()
-        .all(|r| r.detail != RunDetail::WallWatchdog));
-}
-
 /// `--resume` against a journal written by a *different* campaign — here
 /// the same campaign with one mutated parameter (the seed) — must fail
 /// with a `CampaignError::Journal` naming the parameter and both values,
