@@ -85,7 +85,7 @@ impl GoldenProfile {
 /// broken workload, not an injection effect.
 pub fn profile(workload: &dyn Workload, card: &GpuConfig) -> Result<GoldenProfile, WorkloadError> {
     let mut gpu = Gpu::new(card.clone());
-    gpu.enable_reg_read_trace();
+    gpu.enable_profiling();
     let output = workload.run(&mut gpu)?;
     let app = gpu.stats().clone();
     let reg_live_until = gpu.reg_read_traces().to_vec();

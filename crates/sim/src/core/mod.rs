@@ -170,7 +170,9 @@ enum CtaSite {
 
 /// One warp's architectural and microarchitectural state, stored
 /// structure-of-arrays: registers and ACE timestamps are per-register
-/// 32-lane rows, predicates and taints are lane bitmasks.
+/// 32-lane rows, predicates and taints are lane bitmasks.  Register
+/// indices are bounded by `taint.len()`; `touch` is either that long or
+/// empty.
 #[derive(Debug)]
 struct Warp {
     /// Warp index within its CTA.
@@ -189,7 +191,9 @@ struct Warp {
     /// Predicate files as lane bitmasks: bit `lane` of `preds[p]`.
     preds: [u32; 8],
     /// ACE liveness: cycle of the last definition or use, same row shape
-    /// as `regs`.
+    /// as `regs`.  A golden-pass instrument: allocated only for CTAs
+    /// launched on a profiling core (read trace armed), empty otherwise —
+    /// so checkpoints, forks and injection runs neither hold nor update it.
     touch: Vec<[u64; LANES]>,
     /// Per-register lane bitmask of fault-flipped values that no
     /// instruction has observed yet.
@@ -452,7 +456,8 @@ pub struct WarpHandle {
 /// are pinned to the original array-of-structures sizes so `Recorder`
 /// budget striding (and therefore *which* checkpoints survive a byte
 /// budget) never shifts across internal storage refactors — forked-run
-/// CSVs stay byte-identical.
+/// CSVs stay byte-identical.  [`SimtCore::held_bytes`] counts what is
+/// actually held instead.
 const CORE_ACCT_BYTES: usize = 144;
 const CTA_ACCT_BYTES: usize = 96;
 const WARP_ACCT_BYTES: usize = 160;
@@ -489,6 +494,8 @@ pub struct SimtCore {
     pub instructions: u64,
     /// ACE liveness: accumulated register def-to-last-use span cycles
     /// (one 32-bit register of one thread for one cycle = one unit).
+    /// Stays 0 unless the core launched CTAs with the read trace armed
+    /// (see `Warp::touch`).
     pub ace_reg_cycles: u64,
     /// Latched when a fault-flipped register or shared-memory value was
     /// read by an executing instruction.
@@ -506,7 +513,9 @@ pub struct SimtCore {
     /// (0 = never read this launch).  `None` (the default, and the only
     /// state injection runs ever see) adds no per-instruction work.  Kept
     /// out of `digest_into` and `resident_bytes` on purpose: it is profiling
-    /// instrumentation, not architectural state.
+    /// instrumentation, not architectural state.  Armed, it is also the
+    /// switch for ACE accounting: `launch_cta` allocates `Warp::touch`
+    /// rows only while it is `Some`.
     read_trace: Option<Vec<u64>>,
 }
 
@@ -625,6 +634,8 @@ impl SimtCore {
     /// Arms (or disarms, with `None`) the per-register read trace for the
     /// next launch: `Some(num_regs)` resets the trace to `num_regs` zeroed
     /// slots.  See the `read_trace` field docs for the recorded semantics.
+    /// CTAs launched while it is armed also keep ACE timestamps
+    /// ([`SimtCore::ace_reg_cycles`]).
     pub fn set_read_trace(&mut self, num_regs: Option<usize>) {
         self.read_trace = num_regs.map(|n| vec![0u64; n]);
     }
@@ -652,7 +663,10 @@ impl SimtCore {
     /// shared memory, SIMT stacks), for checkpoint-store budgeting.
     ///
     /// Uses the pinned pre-refactor struct sizes (`CORE_ACCT_BYTES` and
-    /// friends) so recorder budgets stride identically across layouts.
+    /// friends) so recorder budgets stride identically across layouts,
+    /// and charges a row of ACE timestamps per register whether or not
+    /// the warp holds them, so a recording without ACE accounting keeps
+    /// the same snapshots as one with it.
     pub fn resident_bytes(&self) -> usize {
         CORE_ACCT_BYTES
             + self
@@ -668,9 +682,38 @@ impl SimtCore {
                             .map(|w| {
                                 WARP_ACCT_BYTES
                                     + w.regs.len() * LANES * 4
-                                    + w.touch.len() * LANES * 8
+                                    + w.regs.len() * LANES * 8
                                     + w.taint_cnt as usize * 8
                                     + w.stack.len() * FRAME_ACCT_BYTES
+                            })
+                            .sum::<usize>()
+                })
+                .sum::<usize>()
+    }
+
+    /// Bytes of core state actually held: the core, CTA and warp structs
+    /// plus the lengths of their register, ACE, taint, shared-memory and
+    /// SIMT-stack buffers.  Unlike [`SimtCore::resident_bytes`] it follows
+    /// the storage layout and charges ACE rows only where a warp has them.
+    pub(crate) fn held_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        size_of::<SimtCore>()
+            + self
+                .ctas
+                .iter()
+                .map(|cta| {
+                    size_of::<Cta>()
+                        + size_of_val(&cta.smem[..])
+                        + size_of_val(&cta.smem_taints[..])
+                        + cta
+                            .warps
+                            .iter()
+                            .map(|w| {
+                                size_of::<Warp>()
+                                    + size_of_val(&w.regs[..])
+                                    + size_of_val(&w.touch[..])
+                                    + size_of_val(&w.taint[..])
+                                    + size_of_val(&w.stack[..])
                             })
                             .sum::<usize>()
                 })
@@ -683,8 +726,10 @@ impl SimtCore {
     /// (`R0` lanes 0..31, then `R1`, …), predicates as one packed byte per
     /// lane, and register taints as sorted `reg * 32 + lane` slot indices —
     /// the canonical order is the original array-of-structures layout, so
-    /// the digest is invariant under internal storage refactors.  The
-    /// derived residency counters are excluded (they are recomputable).
+    /// the digest is invariant under internal storage refactors.  ACE
+    /// timestamps are hashed where warps keep them (a profiling run's
+    /// state); elsewhere there are none to hash.  The derived residency
+    /// counters are excluded (they are recomputable).
     pub(crate) fn digest_into(&self, h: &mut crate::snapshot::StateHasher) {
         h.u64(self.id as u64);
         h.u64(self.ctas.len() as u64);
@@ -825,7 +870,11 @@ impl SimtCore {
                     finished: live == 0,
                     regs,
                     preds: [0; 8],
-                    touch: vec![[now; LANES]; rows],
+                    touch: if self.read_trace.is_some() {
+                        vec![[now; LANES]; rows]
+                    } else {
+                        Vec::new()
+                    },
                     taint: vec![0; rows],
                     taint_cnt: 0,
                     stuck: Vec::new(),
@@ -1008,17 +1057,18 @@ impl SimtCore {
                 }
         };
 
-        // ACE liveness (register file): a read extends the enclosing
-        // def-to-last-use span; a write starts a new one.  The same pass
-        // drives fault liveness: reading a tainted slot makes the flip
-        // architecturally observable; a full 32-bit write kills it.
+        // ACE liveness (register file, warps with `touch` rows only): a read
+        // extends the enclosing def-to-last-use span; a write starts a new
+        // one.  The same pass drives fault liveness: reading a tainted slot
+        // makes the flip architecturally observable; a full 32-bit write
+        // kills it.
         // Sources are visited in operand order, then the destination; the
         // touched slots are disjoint per lane, so this register-major
         // sweep matches the original lane-major order exactly.
         {
             let trace = self.read_trace.as_deref_mut();
             let warp = &mut self.ctas[slot].warps[widx];
-            let rows = warp.touch.len();
+            let rows = warp.taint.len();
             let mut ace = 0u64;
             let mut escape = false;
             let mut trace = if exec_mask != 0 { trace } else { None };
@@ -1028,11 +1078,12 @@ impl SimtCore {
                 }
                 let r = s as usize;
                 if r < rows {
-                    let row = &mut warp.touch[r];
-                    lanes!(exec_mask, lane => {
-                        ace += now - row[lane];
-                        row[lane] = now;
-                    });
+                    if let Some(row) = warp.touch.get_mut(r) {
+                        lanes!(exec_mask, lane => {
+                            ace += now - row[lane];
+                            row[lane] = now;
+                        });
+                    }
                     escape |= warp.taint[r] & exec_mask != 0;
                     // Stratified-sampling read trace: a fault present at or
                     // before this cycle is observable by this read, so the
@@ -1047,8 +1098,9 @@ impl SimtCore {
             if uop.dst != NO_REG {
                 let r = uop.dst as usize;
                 if r < rows {
-                    let row = &mut warp.touch[r];
-                    lanes!(exec_mask, lane => row[lane] = now);
+                    if let Some(row) = warp.touch.get_mut(r) {
+                        lanes!(exec_mask, lane => row[lane] = now);
+                    }
                     let cleared = warp.taint[r] & exec_mask;
                     if cleared != 0 {
                         warp.taint[r] &= !exec_mask;

@@ -45,11 +45,12 @@ pub struct Gpu {
     replay: Option<Replay>,
     // Lockstep differential oracle (RefCell: `memcpy_d2h` takes `&self`).
     oracle: Option<RefCell<OracleMirror>>,
-    // Golden-pass register read tracing for the stratified fault sampler:
-    // when enabled, every launch records per-register last-read cycles
-    // (collected into `reg_traces`, one entry per launch).  Never enabled
-    // on injection or forked runs.
-    trace_reg_reads: bool,
+    // The golden-pass profile instrument: when enabled, every launch
+    // records per-register last-read cycles for the stratified fault
+    // sampler (collected into `reg_traces`, one entry per launch) and keeps
+    // per-lane ACE timestamps (`LaunchStats::ace_reg_cycles`).  Never
+    // enabled on checkpoint recordings, forks or injection runs.
+    profiling: bool,
     reg_traces: Vec<Vec<u64>>,
 }
 
@@ -75,26 +76,29 @@ impl Gpu {
             recorder: None,
             replay: None,
             oracle: None,
-            trace_reg_reads: false,
+            profiling: false,
             reg_traces: Vec::new(),
         }
     }
 
-    /// Enables per-register read tracing for every subsequent launch (the
+    /// Enables the profile instrument for every subsequent launch (the
     /// golden profiling pass).  After the application ran,
     /// [`Gpu::reg_read_traces`] holds, per launch and per architectural
     /// register, the first cycle from which no instruction reads the
     /// register again — the liveness horizon the stratified fault sampler
-    /// turns into analytically-Masked strata.
+    /// turns into analytically-Masked strata — and each launch's
+    /// [`LaunchStats::ace_reg_cycles`] holds its ACE register-cycles.
+    /// Without it both stay empty or 0, and warps keep no per-lane ACE
+    /// timestamps.
     ///
-    /// Enable on a fresh GPU only; tracing is not supported across
+    /// Enable on a fresh GPU only; the instrument is not supported across
     /// checkpoint forks ([`Gpu::resume_from`]).
-    pub fn enable_reg_read_trace(&mut self) {
-        self.trace_reg_reads = true;
+    pub fn enable_profiling(&mut self) {
+        self.profiling = true;
     }
 
     /// Per-launch register liveness horizons recorded under
-    /// [`Gpu::enable_reg_read_trace`]: `traces[launch][r]` is a cycle `c`
+    /// [`Gpu::enable_profiling`]: `traces[launch][r]` is a cycle `c`
     /// in `[start_cycle, end_cycle]` such that no instruction of that
     /// launch reads `Rr` at any cycle `>= c` (`c == start_cycle` means the
     /// register is never read at all).
@@ -635,7 +639,7 @@ impl Gpu {
             // their setters).
             recorder: _,
             oracle: _,
-            trace_reg_reads: _,
+            profiling: _,
             reg_traces: _,
         } = self;
         *watchdog = None;
@@ -752,7 +756,7 @@ impl Gpu {
                     .expect("local-memory segment exceeds the simulated capacity");
                 for c in &mut self.cores {
                     c.configure_kernel(limit);
-                    if self.trace_reg_reads {
+                    if self.profiling {
                         c.set_read_trace(Some(usize::from(kernel.num_regs())));
                     }
                 }
@@ -1021,7 +1025,7 @@ impl Gpu {
             l2_stats: self.mem.l2_stats().since(&p.l20),
         };
         self.stats.launches.push(stats.clone());
-        if self.trace_reg_reads {
+        if self.profiling {
             // Merge the per-core traces into one per-register liveness
             // horizon: last read cycle + 1 across all cores, lifted to the
             // launch start for never-read registers.  Values never exceed

@@ -29,7 +29,10 @@ pub struct LaunchStats {
     /// Local memory per thread, bytes.
     pub lmem_per_thread: u32,
     /// ACE analysis: accumulated register def-to-last-use span cycles
-    /// (register-units x cycles).
+    /// (register-units x cycles).  0 unless the device ran the profile
+    /// instrument ([`crate::Gpu::enable_profiling`], which the golden
+    /// profile turns on): checkpoint recordings, forks and injection runs
+    /// keep no ACE timestamps.
     pub ace_reg_cycles: u64,
     /// Live-thread x cycle integral over the launch.
     pub thread_cycles: u64,
@@ -70,7 +73,8 @@ impl LaunchStats {
     /// failure ratio: ACE register-cycles over total allocated
     /// register-cycles.  The paper (section II.C) argues residency-style
     /// ACE estimates inherently overestimate what injection measures;
-    /// see `examples/ace_vs_injection.rs`.
+    /// see `examples/ace_vs_injection.rs`.  Reads 0 unless the device ran
+    /// the profile instrument (see [`LaunchStats::ace_reg_cycles`]).
     pub fn ace_rf_avf(&self) -> f64 {
         let total = self.thread_cycles as f64 * f64::from(self.regs_per_thread);
         if total <= 0.0 {

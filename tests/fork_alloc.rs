@@ -7,7 +7,9 @@
 //!   chunk is already the snapshot's;
 //! * snapshots are copy-on-write, so recording a campaign's checkpoints
 //!   allocates a small fraction of the bytes the store nominally holds,
-//!   and capturing an idle device allocates little beyond chunk tables.
+//!   and capturing an idle device allocates little beyond chunk tables;
+//! * a recording keeps no ACE timestamps (a profiling-pass instrument),
+//!   though the nominal budget still charges them.
 
 use gpufi::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -103,27 +105,40 @@ fn repeated_fork_allocates_nothing() {
 
 #[test]
 fn recording_allocates_a_fraction_of_the_nominal_store() {
-    let (w, card) = (Gaussian::new(), GpuConfig::rtx2060());
-    let golden = profile(&w, &card).unwrap();
-    // The campaign's stride (golden / 24) and budget.
-    let interval = (golden.total_cycles() / 24).max(1);
-    let (store, _, bytes) = allocations_of(|| {
-        let mut rec = Gpu::new(card.clone());
-        rec.record_checkpoints(interval, gpufi::core::DEFAULT_CHECKPOINT_BUDGET);
-        w.run(&mut rec).unwrap();
-        rec.finish_checkpoint_recording()
-    });
-    let nominal = store.resident_bytes();
-    assert!(store.len() >= 10, "{} snapshots", store.len());
-    assert!(
-        bytes < nominal / 8,
-        "recording {} snapshots allocated {bytes} bytes against {nominal} nominal",
-        store.len()
-    );
-    assert!(
-        store.held_bytes() <= bytes,
-        "the store holds more than was allocated"
-    );
+    // (workload, card, allocated bytes must stay under nominal / this).
+    // HS's 22 GTX Titan snapshots are mostly core state: 7.0 MB of 86 MB
+    // nominal, 13.6 MB when every warp also held a row of ACE timestamps
+    // per register.
+    let cases: [(Box<dyn Workload>, GpuConfig, usize); 2] = [
+        (Box::new(Gaussian::new()), GpuConfig::rtx2060(), 8),
+        (Box::new(HotSpot::default()), GpuConfig::gtx_titan(), 10),
+    ];
+    for (w, card, share) in &cases {
+        let golden = profile(w.as_ref(), card).unwrap();
+        // The campaign's stride (golden / 24) and budget.
+        let interval = (golden.total_cycles() / 24).max(1);
+        let (store, _, bytes) = allocations_of(|| {
+            let mut rec = Gpu::new(card.clone());
+            rec.record_checkpoints(interval, gpufi::core::DEFAULT_CHECKPOINT_BUDGET);
+            w.run(&mut rec).unwrap();
+            rec.finish_checkpoint_recording()
+        });
+        let nominal = store.resident_bytes();
+        assert!(store.len() >= 10, "{} snapshots", store.len());
+        assert!(
+            bytes < nominal / share,
+            "{} on {}: recording {} snapshots allocated {bytes} bytes against {nominal} nominal",
+            w.name(),
+            card.name,
+            store.len()
+        );
+        assert!(
+            store.held_bytes() <= bytes,
+            "{} on {}: the store holds more than was allocated",
+            w.name(),
+            card.name
+        );
+    }
 }
 
 #[test]

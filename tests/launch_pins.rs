@@ -1,12 +1,14 @@
 //! Pins what `Gpu::launch`'s cycle loop computes, launch by launch.
 //!
-//! Every paper workload runs fault-free on every paper card, and four
-//! numbers per case are pinned: the final application cycle, the warp
+//! Every paper workload runs fault-free on every paper card under the
+//! profile instrument (the golden pass, which alone keeps ACE timestamps),
+//! and four numbers per case are pinned: the final application cycle, the warp
 //! instructions issued, an FNV-1a over the output bytes, and an FNV-1a
 //! over every launch's `LaunchStats` (the occupancy integrals included,
 //! by their `f64` bits).  The loop's scheduling order, fast-forward and
 //! occupancy integration all feed the last value, so a change to the loop
-//! that is not exact fails here even when the output survives it.
+//! that is not exact fails here even when the output survives it.  The
+//! same runs without the instrument must differ only in `ace_reg_cycles`.
 //!
 //! Beside them: forks resumed mid-launch, from a snapshot taken while
 //! CTAs still wait for an SM and from one taken while most SMs are idle,
@@ -104,6 +106,13 @@ fn run_pin(w: &dyn Workload, gpu: &mut Gpu) -> Pin {
     )
 }
 
+/// A fresh device running the profile instrument, as the golden pass does.
+fn profiling_gpu(card: &GpuConfig) -> Gpu {
+    let mut gpu = Gpu::new(card.clone());
+    gpu.enable_profiling();
+    gpu
+}
+
 /// `(benchmark, card, pin)` for the default sizes, recorded on the cycle
 /// loop that visited every SM each cycle.
 #[rustfmt::skip]
@@ -151,7 +160,7 @@ fn every_paper_launch_is_pinned() {
     let mut got = Vec::new();
     for w in paper_suite() {
         for card in GpuConfig::paper_cards() {
-            let pin = run_pin(w.as_ref(), &mut Gpu::new(card.clone()));
+            let pin = run_pin(w.as_ref(), &mut profiling_gpu(&card));
             got.push((w.name(), card.name.clone(), pin));
         }
     }
@@ -169,6 +178,31 @@ fn every_paper_launch_is_pinned() {
             "{w} on {c}: (cycles, instructions, output, launches) drifted; \
              this run's table:\n{table}"
         );
+    }
+}
+
+/// ACE accounting is bookkeeping only: without the profile instrument the
+/// pinned runs end on the same cycle with the same output bytes and every
+/// launch statistic equal, but `ace_reg_cycles`, which stays 0.
+#[test]
+fn plain_runs_differ_from_profiled_ones_only_in_ace() {
+    for w in paper_suite() {
+        for card in GpuConfig::paper_cards() {
+            let tag = format!("{} on {}", w.name(), card.name);
+            let (mut plain, mut profiled) = (Gpu::new(card.clone()), profiling_gpu(&card));
+            let out = w.run(&mut plain).unwrap();
+            assert_eq!(out, w.run(&mut profiled).unwrap(), "{tag}");
+            assert_eq!(plain.cycle(), profiled.cycle(), "{tag}");
+            let (got, want) = (&plain.stats().launches, &profiled.stats().launches);
+            assert_eq!(got.len(), want.len(), "{tag}");
+            for (i, (got, want)) in got.iter().zip(want).enumerate() {
+                let want = LaunchStats {
+                    ace_reg_cycles: 0,
+                    ..want.clone()
+                };
+                assert_eq!(*got, want, "{tag}: launch {i}");
+            }
+        }
     }
 }
 
