@@ -18,9 +18,9 @@
 //! target: table1 table2 table4 table5 fig1 fig2 fig3 fig4 fig5 fig6 fig7 all
 //! ```
 //!
-//! Campaign sizes default to `GPUFI_RUNS` (or 120) injections per
-//! (kernel × structure) campaign; the paper uses 3 000, which is one flag
-//! away (`--runs 3000`) at proportionally longer wall-clock.
+//! Campaign sizes default to 120 injections per (kernel × structure)
+//! campaign; the paper uses 3 000, which is one flag away
+//! (`--runs 3000`) at proportionally longer wall-clock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

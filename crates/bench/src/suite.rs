@@ -1,6 +1,6 @@
 //! The full campaign sweep behind Figures 1–7.
 
-use gpufi_core::{analyze_with_golden, profile, AnalysisConfig, AppAnalysis};
+use gpufi_core::{analyze, profile, AnalysisConfig, AppAnalysis};
 use gpufi_sim::GpuConfig;
 
 /// Configuration of a reproduction sweep.
@@ -15,15 +15,10 @@ pub struct ReproConfig {
 }
 
 impl Default for ReproConfig {
-    /// Reads `GPUFI_RUNS` (default 120) so CI and the full-scale paper
-    /// setting use the same binary.
+    /// 120 runs per campaign, seed 2022, autodetected threads.
     fn default() -> Self {
-        let runs = std::env::var("GPUFI_RUNS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(120);
         ReproConfig {
-            runs,
+            runs: 120,
             seed: 2022,
             threads: 0,
         }
@@ -58,7 +53,7 @@ pub fn run_card(cfg: &ReproConfig, card: &GpuConfig, bits: u32) -> CardResults {
         let golden = profile(w.as_ref(), card)
             .unwrap_or_else(|e| panic!("golden run of {} failed: {e}", w.name()));
         benchmarks.push(
-            analyze_with_golden(w.as_ref(), card, &analysis_cfg, &golden)
+            analyze(w.as_ref(), card, &analysis_cfg, &golden)
                 .unwrap_or_else(|e| panic!("analysis of {} failed: {e}", w.name())),
         );
     }

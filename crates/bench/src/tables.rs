@@ -25,19 +25,18 @@ pub fn table1() -> String {
         let _ = write!(out, "{:>16}", c.name);
     }
     let _ = writeln!(out);
-    type SizeFn = fn(&GpuConfig) -> u64;
-    let rows: [(&str, SizeFn); 6] = [
-        ("Register File", GpuConfig::regfile_bits_total),
-        ("Shared Memory", GpuConfig::smem_bits_total),
-        ("L1 data cache", GpuConfig::l1d_bits_total),
-        ("L1 texture cache", GpuConfig::l1t_bits_total),
-        ("L1 constant cache", GpuConfig::l1c_bits_total),
-        ("L2 cache", GpuConfig::l2_bits_total),
+    let rows = [
+        ("Register File", Structure::RegisterFile),
+        ("Shared Memory", Structure::SharedMemory),
+        ("L1 data cache", Structure::L1Data),
+        ("L1 texture cache", Structure::L1Tex),
+        ("L1 constant cache", Structure::L1Const),
+        ("L2 cache", Structure::L2),
     ];
-    for (name, f) in rows {
+    for (name, s) in rows {
         let _ = write!(out, "{name:<22}");
         for c in &cards {
-            let bits = f(c);
+            let bits = c.chip_bits(s);
             let cell = if bits == 0 {
                 "N/A".to_string()
             } else {

@@ -16,7 +16,7 @@
 
 use gpufi_core::json::Value;
 use gpufi_core::{
-    analyze_with_golden, profile, run_campaign, run_campaign_with_hook, run_worker, serve_campaign,
+    analyze, profile, run_campaign, run_campaign_with_hook, run_worker, serve_campaign,
     AnalysisConfig, CampaignConfig, GoldenProfile, SamplingMode, ServiceConfig, ServiceError,
     Workload,
 };
@@ -1095,7 +1095,7 @@ fn cmd_avf(args: &Args<'_>) -> Result<(), CliError> {
     let mut cfg = AnalysisConfig::new(runs, seed).bits(bits);
     cfg.threads = threads;
     let golden = profile(workload.as_ref(), &card).map_err(failed)?;
-    let analysis = analyze_with_golden(workload.as_ref(), &card, &cfg, &golden).map_err(failed)?;
+    let analysis = analyze(workload.as_ref(), &card, &cfg, &golden).map_err(failed)?;
     writeln!(
         Out,
         "benchmark: {}  card: {}  ({} runs per kernel x structure, {}-bit faults)",

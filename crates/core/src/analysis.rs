@@ -2,18 +2,18 @@
 //! into the paper's metrics (Figs. 1–7).
 
 use crate::campaign::{run_campaign, CampaignConfig, CampaignError};
-use crate::profile::{profile, GoldenProfile};
-use crate::workload::{Workload, WorkloadError};
-use gpufi_faults::{CampaignSpec, DrawError, MultiBitMode, Structure};
+use crate::profile::GoldenProfile;
+use crate::workload::Workload;
+use gpufi_faults::{CampaignSpec, DrawError, Structure};
 use gpufi_metrics::{
-    chip_fit, df_reg, df_smem, raw_fit_per_bit, wavf, FaultEffect, KernelAvf, StructureResult,
-    Tally,
+    avf_kernel, chip_fit, df_reg, df_smem, raw_fit_per_bit, wavf, FaultEffect, KernelAvf,
+    StructureResult, Tally,
 };
 use gpufi_sim::GpuConfig;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
-/// Configuration of a whole-application analysis.
+/// Configuration of a whole-application analysis: transient same-entry
+/// faults over the five on-chip structures ([`Structure::ON_CHIP`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnalysisConfig {
     /// Injection runs per (kernel × structure) campaign.
@@ -22,23 +22,17 @@ pub struct AnalysisConfig {
     pub seed: u64,
     /// Bits flipped per fault (1 = single, 3 = the paper's triple-bit).
     pub bits_per_fault: u32,
-    /// Multi-bit placement.
-    pub multi_bit: MultiBitMode,
-    /// Structures to campaign over (defaults to the five on-chip ones).
-    pub structures: Vec<Structure>,
     /// Worker threads (0 = autodetect).
     pub threads: usize,
 }
 
 impl AnalysisConfig {
-    /// A single-bit analysis over the five on-chip structures.
+    /// A single-bit analysis.
     pub fn new(runs: usize, seed: u64) -> Self {
         AnalysisConfig {
             runs,
             seed,
             bits_per_fault: 1,
-            multi_bit: MultiBitMode::SameEntry,
-            structures: Structure::ON_CHIP.to_vec(),
             threads: 0,
         }
     }
@@ -46,12 +40,6 @@ impl AnalysisConfig {
     /// Sets the number of bits per fault.
     pub fn bits(mut self, k: u32) -> Self {
         self.bits_per_fault = k;
-        self
-    }
-
-    /// Restricts the analysis to the given structures.
-    pub fn structures(mut self, s: &[Structure]) -> Self {
-        self.structures = s.to_vec();
         self
     }
 }
@@ -145,156 +133,65 @@ impl AppAnalysis {
     }
 }
 
-/// Chip-wide size of `structure` in bits (Table I values).
-fn structure_size_bits(card: &GpuConfig, s: Structure) -> u64 {
-    match s {
-        Structure::RegisterFile => card.regfile_bits_total(),
-        Structure::SharedMemory => card.smem_bits_total(),
-        Structure::L1Data => card.l1d_bits_total(),
-        Structure::L1Tex => card.l1t_bits_total(),
-        Structure::L1Const => card.l1c_bits_total(),
-        Structure::L2 => card.l2_bits_total(),
-        Structure::LocalMemory => 0, // off-chip, excluded from chip AVF
-        // Control-unit state (SIMT stacks, scheduler flags, scoreboard) is
-        // not an SRAM array of Table I; excluded from the chip AVF sum.
-        Structure::SimtStack | Structure::Sched | Structure::Scoreboard => 0,
-    }
-}
-
-/// Why a whole-application analysis could not run.
-#[derive(Debug, Clone)]
-pub enum AnalysisError {
-    /// The golden run failed.
-    Golden(WorkloadError),
-    /// A campaign's faults cannot be drawn as configured — e.g. more bits
-    /// per fault than an entry holds.  (A structure with no injectable bits
-    /// for a kernel is not an error: its failure ratio is zero.)
-    Draw(DrawError),
-}
-
-impl fmt::Display for AnalysisError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AnalysisError::Golden(e) => write!(f, "golden run failed: {e}"),
-            AnalysisError::Draw(e) => write!(f, "cannot draw fault: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for AnalysisError {}
-
-impl From<WorkloadError> for AnalysisError {
-    fn from(e: WorkloadError) -> Self {
-        AnalysisError::Golden(e)
-    }
-}
-
 /// Runs the full kernel × structure campaign sweep for one benchmark on
-/// one card and folds the results into the paper's metrics.
+/// one card against `golden` (the workload's golden profile on `card`)
+/// and folds the results into the paper's metrics: equation (2) per kernel, equation (3) across kernels
+/// and the chip FIT of §VI.F, each evaluated once in `gpufi_metrics`.
+///
+/// A structure with no injectable bits for a kernel (no shared memory, no
+/// L1D on this chip) is not an error: its failure ratio is zero.
 ///
 /// # Errors
 ///
-/// Propagates golden-run failures and undrawable fault shapes
-/// ([`AnalysisError`]) — an injection-run failure is a classification,
-/// not an error.
+/// Any other [`CampaignError`] — e.g. [`CampaignError::Draw`] when more
+/// bits per fault are asked for than an entry holds.  An injection-run
+/// failure is a classification, not an error.
 pub fn analyze(
     workload: &dyn Workload,
     card: &GpuConfig,
     cfg: &AnalysisConfig,
-) -> Result<AppAnalysis, AnalysisError> {
-    let golden = profile(workload, card)?;
-    analyze_with_golden(workload, card, cfg, &golden)
-}
-
-/// [`analyze`] with a pre-computed golden profile (lets callers reuse one
-/// profile across single-/multi-bit sweeps).
-///
-/// # Errors
-///
-/// [`AnalysisError::Draw`] when a campaign's fault shape cannot be drawn.
-pub fn analyze_with_golden(
-    workload: &dyn Workload,
-    card: &GpuConfig,
-    cfg: &AnalysisConfig,
     golden: &GoldenProfile,
-) -> Result<AppAnalysis, AnalysisError> {
+) -> Result<AppAnalysis, CampaignError> {
     let kernels = golden.app.static_kernels();
     let total_cycles = golden.total_cycles().max(1);
+    let kernel_cycles: Vec<u64> = kernels.iter().map(|k| golden.app.cycles_of(k)).collect();
 
+    // Each kernel's equation (2) inputs, in structure order.
+    let mut kernel_rows: Vec<Vec<StructureResult>> = vec![Vec::new(); kernels.len()];
     let mut structures = Vec::new();
-    let mut kernel_avfs: Vec<KernelAvf> = vec![
-        KernelAvf {
-            avf: 0.0,
-            cycles: 0
-        };
-        kernels.len()
-    ];
-    for (ki, k) in kernels.iter().enumerate() {
-        kernel_avfs[ki].cycles = golden.app.cycles_of(k);
-    }
-
-    for &s in &cfg.structures {
-        let size_bits = structure_size_bits(card, s);
+    for s in Structure::ON_CHIP {
+        let size_bits = card.chip_bits(s);
         let mut tally = Tally::default();
         let mut rates = EffectRates::default();
-        let mut per_kernel: Vec<(usize, f64, Tally)> = Vec::new();
-
         for (ki, k) in kernels.iter().enumerate() {
-            let derate = derate_for(golden, card, k, s);
             let spec = CampaignSpec {
-                structure: s,
-                scope: gpufi_sim::Scope::Thread,
                 bits_per_fault: cfg.bits_per_fault,
-                multi_bit: cfg.multi_bit,
-                replicate: 1,
-                model: gpufi_faults::FaultModel::Transient,
+                ..CampaignSpec::new(s)
             };
             let ccfg = CampaignConfig::new(spec, cfg.runs, seed_for(cfg.seed, ki, s))
                 .for_kernel(k.clone())
                 .with_threads(cfg.threads);
-            match run_campaign(workload, card, &ccfg, golden) {
-                Ok(res) => {
-                    tally = tally + res.tally;
-                    per_kernel.push((ki, derate, res.tally));
-                }
-                // Empty structure for this kernel (no shared/local memory,
-                // no L1D on this chip): failure ratio is zero by
-                // construction.
+            let (t, derate) = match run_campaign(workload, card, &ccfg, golden) {
+                Ok(res) => (res.tally, derate_for(golden, card, k, s)),
                 Err(CampaignError::Draw(
                     DrawError::EmptyStructure(_) | DrawError::EmptyWindows,
-                )) => per_kernel.push((ki, 0.0, Tally::default())),
-                Err(CampaignError::Draw(e)) => return Err(AnalysisError::Draw(e)),
-                Err(CampaignError::UnknownKernel(_)) => unreachable!("kernels from golden"),
-                Err(e @ CampaignError::OracleDivergence(_)) => {
-                    unreachable!("analysis campaigns never set oracle_check: {e}")
-                }
-                Err(e @ CampaignError::Journal(_)) => {
-                    unreachable!("analysis campaigns never set a journal: {e}")
-                }
-                Err(CampaignError::Internal(missing)) => {
-                    unreachable!("supervisor lost run indices {missing:?}")
-                }
-                Err(e @ CampaignError::Sampling(_)) => {
-                    unreachable!("analysis campaigns always sample flat: {e}")
-                }
-            }
-        }
-
-        // Cycle-weighted derated class rates across kernels.
-        for (ki, derate, t) in &per_kernel {
-            let w = kernel_avfs[*ki].cycles as f64 / total_cycles as f64;
+                )) => (Tally::default(), 0.0),
+                Err(e) => return Err(e),
+            };
+            tally = tally + t;
+            // Cycle-weighted derated class rates across kernels.
+            let w = kernel_cycles[ki] as f64 / total_cycles as f64;
             rates.sdc += t.fraction(FaultEffect::Sdc) * derate * w;
             rates.crash += t.fraction(FaultEffect::Crash) * derate * w;
             rates.timeout += t.fraction(FaultEffect::Timeout) * derate * w;
             rates.performance += t.fraction(FaultEffect::Performance) * derate * w;
+            kernel_rows[ki].push(StructureResult {
+                structure: s.name().to_string(),
+                tally: t,
+                size_bits,
+                derate,
+            });
         }
-
-        // Feed the per-kernel AVF (equation 2): accumulate numerators now,
-        // divide by the total size once all structures are in.
-        for (ki, derate, t) in &per_kernel {
-            kernel_avfs[*ki].avf += t.failure_ratio() * derate * size_bits as f64;
-        }
-
         structures.push(StructureOutcome {
             structure: s,
             tally,
@@ -303,34 +200,24 @@ pub fn analyze_with_golden(
         });
     }
 
-    // Equation (2): divide each kernel's accumulated numerator by the total
-    // structure size.
-    let total_size: u64 = structures.iter().map(|s| s.size_bits).sum();
-    if total_size > 0 {
-        for ka in &mut kernel_avfs {
-            ka.avf /= total_size as f64;
-        }
-    }
-
-    let wavf_value = wavf(&kernel_avfs);
-
-    // Chip FIT from the cycle-weighted structure rates.
-    let raw = raw_fit_per_bit(card.process_nm);
-    let fit_structs: Vec<StructureResult> = structures
+    let kernel_avfs: Vec<KernelAvf> = kernel_rows
         .iter()
-        .map(|o| StructureResult {
-            structure: o.structure.name().to_string(),
-            tally: synthetic_tally(o.rates.failure_rate()),
-            size_bits: o.size_bits,
-            derate: 1.0,
+        .zip(&kernel_cycles)
+        .map(|(rows, &cycles)| KernelAvf {
+            avf: avf_kernel(rows),
+            cycles,
         })
         .collect();
-    let fit = chip_fit(&fit_structs, raw);
+    let fit_inputs: Vec<(f64, u64)> = structures
+        .iter()
+        .map(|o| (o.rates.failure_rate(), o.size_bits))
+        .collect();
 
     // Cycle-weighted occupancy across static kernels.
     let occupancy = kernels
         .iter()
-        .map(|k| golden.app.occupancy_of(k) * golden.app.cycles_of(k) as f64)
+        .zip(&kernel_cycles)
+        .map(|(k, &cycles)| golden.app.occupancy_of(k) * cycles as f64)
         .sum::<f64>()
         / total_cycles as f64;
 
@@ -340,25 +227,11 @@ pub fn analyze_with_golden(
         runs_per_campaign: cfg.runs,
         bits_per_fault: cfg.bits_per_fault,
         structures,
-        wavf: wavf_value,
+        wavf: wavf(&kernel_avfs),
         occupancy,
-        fit,
+        fit: chip_fit(&fit_inputs, raw_fit_per_bit(card.process_nm)),
         golden_cycles: golden.total_cycles(),
     })
-}
-
-/// A tally whose failure ratio equals `fr` (used to feed pre-weighted
-/// rates into the FIT helpers, which expect tallies).
-fn synthetic_tally(fr: f64) -> Tally {
-    const SCALE: u64 = 1_000_000_000;
-    let failures = (fr.clamp(0.0, 1.0) * SCALE as f64).round() as u64;
-    Tally {
-        masked: SCALE - failures,
-        sdc: failures,
-        crash: 0,
-        timeout: 0,
-        performance: 0,
-    }
 }
 
 fn derate_for(golden: &GoldenProfile, card: &GpuConfig, kernel: &str, s: Structure) -> f64 {

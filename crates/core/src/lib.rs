@@ -69,17 +69,14 @@ pub mod service;
 mod supervisor;
 mod workload;
 
-pub use analysis::{
-    analyze, analyze_with_golden, AnalysisConfig, AnalysisError, AppAnalysis, EffectRates,
-    StructureOutcome,
-};
+pub use analysis::{analyze, AnalysisConfig, AppAnalysis, EffectRates, StructureOutcome};
 pub use campaign::{
     run_campaign, run_campaign_with_hook, CampaignConfig, CampaignError, CampaignResult,
     CampaignStats, FaultHook, RunRecord, WorkerThroughput, DEFAULT_CHECKPOINT_BUDGET,
 };
 pub use classify::{classify, detail_of, RunDetail};
 pub use profile::{profile, GoldenProfile};
-pub use report::{analysis_csv, campaign_csv, campaign_summary_csv, CAMPAIGN_CSV_HEADER};
+pub use report::{analysis_csv, campaign_csv, CAMPAIGN_CSV_HEADER};
 pub use sampling::{SamplingMode, SamplingSummary, StrataLayout, Stratum};
 pub use service::{
     run_worker, run_worker_with_chaos, serve_campaign, serve_campaign_with_chaos, ChaosPlan,

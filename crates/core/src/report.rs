@@ -6,7 +6,6 @@
 
 use crate::analysis::AppAnalysis;
 use crate::campaign::CampaignResult;
-use gpufi_metrics::FaultEffect;
 use std::fmt::Write as _;
 
 /// Escapes one CSV field (quotes fields containing separators).
@@ -61,26 +60,6 @@ pub fn campaign_csv(result: &CampaignResult) -> String {
     out
 }
 
-/// Renders a campaign summary as CSV: one row per fault-effect class.
-///
-/// Columns: `structure,kernel,effect,count,fraction`.
-pub fn campaign_summary_csv(result: &CampaignResult) -> String {
-    let mut out = String::from("structure,kernel,effect,count,fraction\n");
-    let kernel = result.kernel.as_deref().unwrap_or("*");
-    for e in FaultEffect::ALL {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.6}",
-            field(result.spec.structure.name()),
-            field(kernel),
-            e.name(),
-            result.tally.count(e),
-            result.tally.fraction(e)
-        );
-    }
-    out
-}
-
 /// Renders a whole-application analysis as CSV: one row per structure,
 /// plus a `TOTAL` row carrying the wAVF / occupancy / FIT.
 ///
@@ -123,7 +102,7 @@ mod tests {
     use crate::analysis::{EffectRates, StructureOutcome};
     use crate::campaign::RunRecord;
     use gpufi_faults::{CampaignSpec, Structure};
-    use gpufi_metrics::Tally;
+    use gpufi_metrics::{FaultEffect, Tally};
 
     fn sample_campaign() -> CampaignResult {
         let mut tally = Tally::default();
@@ -237,13 +216,6 @@ mod tests {
         for row in csv.lines().skip(1) {
             assert!(row.ends_with(",stuck-at-1"), "row `{row}`");
         }
-    }
-
-    #[test]
-    fn summary_csv_covers_all_classes() {
-        let csv = campaign_summary_csv(&sample_campaign());
-        assert_eq!(csv.lines().count(), 1 + FaultEffect::ALL.len());
-        assert!(csv.contains("L2 cache,vec_add,SDC,1,0.25"));
     }
 
     #[test]

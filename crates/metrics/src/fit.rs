@@ -1,7 +1,5 @@
 //! Failures-in-Time (FIT) rates — §VI.F.
 
-use crate::avf::StructureResult;
-
 /// The raw FIT rate per bit for a fabrication process, as used in the
 /// paper (§VI.F): `1.8e-6` at 12 nm (RTX 2060, Quadro GV100) and `1.2e-5`
 /// at 28 nm (GTX Titan).
@@ -24,26 +22,25 @@ pub fn raw_fit_per_bit(process_nm: u32) -> f64 {
 }
 
 /// FIT of one hardware structure:
-/// `FIT = AVF_struct × rawFIT_bit × #bits` where `AVF_struct` is the
-/// structure's derated failure ratio.
-pub fn structure_fit(s: &StructureResult, raw_fit_bit: f64) -> f64 {
-    s.effective_fr() * raw_fit_bit * s.size_bits as f64
+/// `FIT = AVF_struct × rawFIT_bit × #bits`, where `avf` is the
+/// structure's derated failure ratio and `bits` its chip-wide size.
+pub fn structure_fit(avf: f64, bits: u64, raw_fit_bit: f64) -> f64 {
+    avf * raw_fit_bit * bits as f64
 }
 
-/// FIT of the entire GPU: the sum of the individual structure FITs
-/// (§VI.F: "The FIT rate of the entire GPU is calculated by adding the
-/// individual FITs of the structures").
-pub fn chip_fit(structures: &[StructureResult], raw_fit_bit: f64) -> f64 {
+/// FIT of the entire GPU: the sum of the individual structure FITs over
+/// `(avf, bits)` pairs (§VI.F: "The FIT rate of the entire GPU is
+/// calculated by adding the individual FITs of the structures").
+pub fn chip_fit(structures: &[(f64, u64)], raw_fit_bit: f64) -> f64 {
     structures
         .iter()
-        .map(|s| structure_fit(s, raw_fit_bit))
+        .map(|&(avf, bits)| structure_fit(avf, bits, raw_fit_bit))
         .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::effect::{FaultEffect, Tally};
 
     #[test]
     fn paper_anchor_points() {
@@ -63,19 +60,11 @@ mod tests {
 
     #[test]
     fn fit_formula() {
-        let mut tally = Tally::default();
-        tally.record(FaultEffect::Sdc);
-        tally.record(FaultEffect::Masked);
-        let s = StructureResult {
-            structure: "register file".into(),
-            tally, // FR 0.5
-            size_bits: 1_000_000,
-            derate: 0.5,
-        };
-        // 0.5 × 0.5 × 1.8e-6 × 1e6 = 0.45
-        let fit = structure_fit(&s, 1.8e-6);
+        // AVF 0.25 (FR 0.5 derated by 0.5) × 1.8e-6 × 1e6 = 0.45
+        let fit = structure_fit(0.25, 1_000_000, 1.8e-6);
         assert!((fit - 0.45).abs() < 1e-9);
-        assert!((chip_fit(&[s.clone(), s], 1.8e-6) - 0.9).abs() < 1e-9);
+        assert!((chip_fit(&[(0.25, 1_000_000); 2], 1.8e-6) - 0.9).abs() < 1e-9);
+        assert_eq!(chip_fit(&[], 1.8e-6), 0.0);
     }
 
     #[test]
@@ -83,19 +72,8 @@ mod tests {
         // The paper's Fig. 7 shape: the 28 nm GTX Titan has higher FIT than
         // the 12 nm cards despite smaller structures, because the raw rate
         // is ~6.7× higher.
-        let mk = |bits: u64| {
-            let mut t = Tally::default();
-            t.record(FaultEffect::Sdc);
-            t.record(FaultEffect::Masked);
-            StructureResult {
-                structure: "register file".into(),
-                tally: t,
-                size_bits: bits,
-                derate: 1.0,
-            }
-        };
-        let titan = chip_fit(&[mk(3_500_000 * 8)], raw_fit_per_bit(28));
-        let rtx = chip_fit(&[mk(7_500_000 * 8)], raw_fit_per_bit(12));
+        let titan = chip_fit(&[(0.5, 3_500_000 * 8)], raw_fit_per_bit(28));
+        let rtx = chip_fit(&[(0.5, 7_500_000 * 8)], raw_fit_per_bit(12));
         assert!(titan > rtx);
     }
 }

@@ -124,12 +124,18 @@ fn wavf_is_a_weighted_mean() {
 fn fit_is_additive_and_linear() {
     let mut rng = Prng(4);
     for _ in 0..128 {
-        let structures: Vec<StructureResult> = (0..1 + rng.below(5))
-            .map(|_| rng.structure_result())
+        let structures: Vec<(f64, u64)> = (0..1 + rng.below(5))
+            .map(|_| {
+                let s = rng.structure_result();
+                (s.effective_fr(), s.size_bits)
+            })
             .collect();
         let raw = 1e-8 + rng.unit_f64() * (1e-3 - 1e-8);
         let total = chip_fit(&structures, raw);
-        let by_parts: f64 = structures.iter().map(|s| structure_fit(s, raw)).sum();
+        let by_parts: f64 = structures
+            .iter()
+            .map(|&(avf, bits)| structure_fit(avf, bits, raw))
+            .sum();
         assert!((total - by_parts).abs() <= 1e-9 * total.abs().max(1.0));
         let doubled = chip_fit(&structures, raw * 2.0);
         assert!((doubled - 2.0 * total).abs() <= 1e-9 * doubled.abs().max(1.0));

@@ -6,6 +6,7 @@
 //! with the paper's modelled 57 tag bits per 128-byte line included
 //! (Table I / Table V footnote).
 
+use crate::fault::Structure;
 use serde::{Deserialize, Serialize};
 
 /// Number of tag bits modelled per cache line (paper §IV.C.2).
@@ -288,6 +289,25 @@ impl GpuConfig {
     /// L2 bits including tags (Table I row 7).
     pub fn l2_bits_total(&self) -> u64 {
         self.l2.total_bits()
+    }
+
+    /// Chip-wide bits of `s` that count toward the chip AVF and FIT
+    /// (Table I).  Zero for off-chip local memory and for control-unit
+    /// state (SIMT stacks, scheduler flags, scoreboard), which is not an
+    /// SRAM array of Table I.
+    pub fn chip_bits(&self, s: Structure) -> u64 {
+        match s {
+            Structure::RegisterFile => self.regfile_bits_total(),
+            Structure::SharedMemory => self.smem_bits_total(),
+            Structure::L1Data => self.l1d_bits_total(),
+            Structure::L1Tex => self.l1t_bits_total(),
+            Structure::L1Const => self.l1c_bits_total(),
+            Structure::L2 => self.l2_bits_total(),
+            Structure::LocalMemory
+            | Structure::SimtStack
+            | Structure::Sched
+            | Structure::Scoreboard => 0,
+        }
     }
 }
 

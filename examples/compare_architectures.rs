@@ -26,8 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "card", "wAVF %", "occupancy", "FIT", "cycles"
     );
     for card in GpuConfig::paper_cards() {
+        let golden = profile(benchmark.as_ref(), &card)?;
         let cfg = AnalysisConfig::new(runs, 7);
-        let analysis = analyze(benchmark.as_ref(), &card, &cfg)?;
+        let analysis = analyze(benchmark.as_ref(), &card, &cfg, &golden)?;
         println!(
             "{:<14} {:>10.4} {:>11.4} {:>12.4} {:>10}",
             analysis.card,

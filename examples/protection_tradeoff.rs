@@ -20,8 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let benchmark =
         by_name(&bench_name).ok_or_else(|| format!("unknown benchmark `{bench_name}`"))?;
     let card = GpuConfig::rtx2060();
+    let golden = profile(benchmark.as_ref(), &card)?;
     let cfg = AnalysisConfig::new(runs, 5);
-    let analysis = analyze(benchmark.as_ref(), &card, &cfg)?;
+    let analysis = analyze(benchmark.as_ref(), &card, &cfg, &golden)?;
     let raw = raw_fit_per_bit(card.process_nm);
 
     println!(
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .structures
         .iter()
         .map(|s| {
-            let fit = s.rates.failure_rate() * raw * s.size_bits as f64;
+            let fit = structure_fit(s.rates.failure_rate(), s.size_bits, raw);
             (s.structure.name().to_string(), fit, s.size_bits)
         })
         .collect();

@@ -53,20 +53,20 @@ pub use gpufi_workloads as workloads;
 /// The names an injection study typically needs, in one import.
 pub mod prelude {
     pub use gpufi_core::{
-        analyze, analyze_with_golden, campaign_fingerprint, classify, detail_of, profile,
-        run_campaign, run_campaign_with_hook, run_worker, run_worker_with_chaos, serve_campaign,
-        serve_campaign_with_chaos, AnalysisConfig, AnalysisError, AppAnalysis, CampaignConfig,
-        CampaignError, CampaignResult, CampaignStats, ChaosPlan, CoordinatorChaos, FaultHook,
-        GoldenProfile, RunDetail, RunJournal, RunRecord, SamplingMode, SamplingSummary,
-        ServiceConfig, ServiceError, StrataLayout, Stratum, WorkerReport, WorkerThroughput,
-        Workload, WorkloadError,
+        analyze, campaign_fingerprint, classify, detail_of, profile, run_campaign,
+        run_campaign_with_hook, run_worker, run_worker_with_chaos, serve_campaign,
+        serve_campaign_with_chaos, AnalysisConfig, AppAnalysis, CampaignConfig, CampaignError,
+        CampaignResult, CampaignStats, ChaosPlan, CoordinatorChaos, FaultHook, GoldenProfile,
+        RunDetail, RunJournal, RunRecord, SamplingMode, SamplingSummary, ServiceConfig,
+        ServiceError, StrataLayout, Stratum, WorkerReport, WorkerThroughput, Workload,
+        WorkloadError,
     };
     pub use gpufi_faults::{CampaignSpec, FaultModel, MaskGenerator, MultiBitMode, Structure};
     pub use gpufi_isa::Module;
     pub use gpufi_metrics::{
         avf_kernel, chip_fit, df_reg, df_smem, margin_of_error, proportional_allocation,
-        raw_fit_per_bit, sample_size, stratified_estimate, wavf, ClassEstimate, FaultEffect,
-        KernelAvf, StratifiedEstimate, StratumObservation, StructureResult, Tally,
+        raw_fit_per_bit, sample_size, stratified_estimate, structure_fit, wavf, ClassEstimate,
+        FaultEffect, KernelAvf, StratifiedEstimate, StratumObservation, StructureResult, Tally,
     };
     pub use gpufi_sim::{
         CheckpointStore, Dim3, FaultTarget, Gpu, GpuConfig, InjectionPlan, LaunchDims, Scope,

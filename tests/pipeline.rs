@@ -98,8 +98,9 @@ fn masked_dominates_l2_for_tiny_footprints() {
 fn analysis_invariants_hold() {
     let w = ScalarProd::new(8);
     let card = GpuConfig::rtx2060();
+    let golden = profile(&w, &card).unwrap();
     let cfg = AnalysisConfig::new(6, 11);
-    let analysis = analyze(&w, &card, &cfg).unwrap();
+    let analysis = analyze(&w, &card, &cfg, &golden).unwrap();
     assert!(
         (0.0..=1.0).contains(&analysis.wavf),
         "wavf {}",
@@ -108,6 +109,17 @@ fn analysis_invariants_hold() {
     assert!((0.0..=1.0).contains(&analysis.occupancy));
     assert!(analysis.fit >= 0.0);
     assert_eq!(analysis.structures.len(), 5);
+    // The chip FIT is §VI.F's sum over the analysis' own per-structure
+    // AVFs and sizes.
+    let fit_inputs: Vec<(f64, u64)> = analysis
+        .structures
+        .iter()
+        .map(|s| (s.rates.failure_rate(), s.size_bits))
+        .collect();
+    assert_eq!(
+        analysis.fit,
+        chip_fit(&fit_inputs, raw_fit_per_bit(card.process_nm))
+    );
     let share_sum: f64 = analysis.avf_shares().iter().map(|(_, s)| s).sum();
     assert!(
         analysis.avf_shares().is_empty() || (share_sum - 1.0).abs() < 1e-9,
@@ -270,7 +282,7 @@ fn csv_exports_are_well_formed() {
     let csv = gpufi::core::campaign_csv(&r);
     assert_eq!(csv.lines().count(), 7);
     assert!(csv.starts_with("run,effect,cycles,applied"));
-    let a = analyze(&w, &card, &AnalysisConfig::new(4, 9)).unwrap();
+    let a = analyze(&w, &card, &AnalysisConfig::new(4, 9), &golden).unwrap();
     let csv = gpufi::core::analysis_csv(&a);
     assert!(csv.contains("register file"));
     assert!(csv.trim_end().lines().last().unwrap().contains("TOTAL"));
