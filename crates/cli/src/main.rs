@@ -146,7 +146,10 @@ refused, as is --bits 0
 campaigns fork each run from a golden-run checkpoint at its first
 injection cycle and abort it as soon as every injected fault's lifetime
 has provably ended, or its state has reconverged with a later
-checkpoint (classified Masked at the golden cycle count);
+checkpoint (classified Masked at the golden cycle count); a run whose
+every flip lands in a cache line the checkpoints show invalid and
+untouched around its cycle gets its fork's record without the fork
+(early exits and restores count it as that fork);
 --oracle-check runs the golden pass in lockstep with the functional
 reference interpreter, resolves every run as the default engine does
 (same CSV and journal) and re-runs it cold, fully simulated and
@@ -314,7 +317,10 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     let Some(cmd) = argv.first() else {
         return Err("missing command".into());
     };
+    let help = |a: &String| matches!(a.as_str(), "--help" | "-h");
     let args = match flag_line(cmd) {
+        // `gpufi <command> --help`: the usage, whatever else is given.
+        Some(_) if argv[1..].iter().any(help) => return print_usage(),
         Some(_) => Args::new(cmd, &argv[1..])?,
         None => Args::default(),
     };
@@ -339,12 +345,13 @@ fn run(argv: &[String]) -> Result<(), CliError> {
         "analyze" => cmd_analyze(&args),
         "fuzz" => cmd_fuzz(&args),
         "lint" => cmd_lint(&args),
-        "help" | "--help" | "-h" => {
-            writeln!(Out, "{USAGE}")?;
-            Ok(())
-        }
+        "help" | "--help" | "-h" => print_usage(),
         other => Err(format!("unknown command `{other}`").into()),
     }
+}
+
+fn print_usage() -> Result<(), CliError> {
+    writeln!(Out, "{USAGE}")
 }
 
 fn workload_of(args: &Args<'_>) -> Result<Box<dyn gpufi_core::Workload>, String> {
@@ -1368,6 +1375,7 @@ mod tests {
     #[test]
     fn unknown_command_is_an_error() {
         assert!(run(&args(&["frobnicate"])).is_err());
+        assert!(run(&args(&["frobnicate", "--help"])).is_err());
         assert!(run(&args(&["list"])).is_ok());
         assert!(
             run(&args(&["campaign", "--bench", "VA"])).is_err(),
@@ -1403,6 +1411,14 @@ mod tests {
         // A value flag at the end of the line is missing its value.
         let err = fail(&["fuzz", "--kernels"]);
         assert!(err.contains("needs a value"), "{err}");
+    }
+
+    #[test]
+    fn a_command_prints_the_usage_on_help() {
+        assert_eq!(run(&args(&["campaign", "--help"])), Ok(()));
+        // Also after other flags, known or not.
+        assert_eq!(run(&args(&["worker", "--bench", "VA", "-h"])), Ok(()));
+        assert_eq!(run(&args(&["serve", "--frobnicate", "--help"])), Ok(()));
     }
 
     #[test]

@@ -702,14 +702,36 @@ pub(crate) struct RunEnv<'a> {
 
 impl RunEnv<'_> {
     /// Resolves one run by the campaign's ladder: static
-    /// pre-classification, else a simulation forked from the nearest
-    /// checkpoint and cut short by taint early exit or reconvergence.
+    /// pre-classification, else the checkpoint store's proof that every
+    /// flip lands in an untouched invalid cache line, else a simulation
+    /// forked from the nearest checkpoint and cut short by taint early
+    /// exit or reconvergence.
     fn resolve(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> RunRecord {
         let masks = self.drawn.masks.get(&run.kernel);
         let granularity = PruneGranularity::of(self.cfg);
         masks
             .and_then(|m| pre_classify(run, m, granularity, self.golden.total_cycles()))
+            .or_else(|| self.settle(run))
             .unwrap_or_else(|| self.simulate(gpu, run, self.store.as_ref(), true))
+    }
+
+    /// The record of a run the checkpoint store settles
+    /// ([`CheckpointStore::settles`]), without its fork: the one that
+    /// fork writes, ended by early exit as its last fault fires in an
+    /// invalid line — Masked at the golden cycle count, nothing applied,
+    /// forked from the nearest checkpoint.
+    fn settle(&self, run: &RunPlan) -> Option<RunRecord> {
+        let store = self.store.as_ref().filter(|s| s.settles(&run.plan))?;
+        let idx = store.nearest_at_or_before(run.first_cycle)?;
+        let expired = Err(WorkloadError::Trap(Trap::FaultsExpired));
+        let golden_cycles = self.golden.total_cycles();
+        Some(self.record(
+            run,
+            &expired,
+            || golden_cycles,
+            false,
+            store.snapshot_cycle(idx),
+        ))
     }
 
     /// Simulates one run on the client's device and classifies it,
@@ -746,28 +768,48 @@ impl RunEnv<'_> {
         gpu.set_watchdog(golden_cycles * 2);
         gpu.set_early_exit(early_exit);
         let result = self.workload.run(gpu);
+        self.record(
+            run,
+            &result,
+            || gpu.stats().total_cycles().max(gpu.cycle()),
+            gpu.injection_records().iter().any(|r| r.applied),
+            ckpt_skipped_cycles,
+        )
+    }
+
+    /// The record of `run` ending in `result` after `cycles` (asked only
+    /// of a run early exit did not end), with `applied` and the cycles
+    /// its fork skipped.
+    fn record(
+        &self,
+        run: &RunPlan,
+        result: &Result<Vec<u8>, WorkloadError>,
+        cycles: impl FnOnce() -> u64,
+        applied: bool,
+        ckpt_skipped_cycles: u64,
+    ) -> RunRecord {
         // Early exit fired — every fault's lifetime ended unobserved, or the
         // state reconverged with a later golden checkpoint — with the
         // machine state equal to the golden run's, so the remaining
         // execution is the golden execution: Masked at the golden cycle
         // count.
         let expired = matches!(
-            &result,
+            result,
             Err(WorkloadError::Trap(Trap::FaultsExpired | Trap::Reconverged))
         );
         let (effect, cycles) = if expired {
-            (FaultEffect::Masked, golden_cycles)
+            (FaultEffect::Masked, self.golden.total_cycles())
         } else {
-            let cycles = gpu.stats().total_cycles().max(gpu.cycle());
-            (classify(&result, cycles, self.golden), cycles)
+            let cycles = cycles();
+            (classify(result, cycles, self.golden), cycles)
         };
         RunRecord {
             effect,
             cycles,
-            applied: gpu.injection_records().iter().any(|r| r.applied),
+            applied,
             early_exit: expired,
             ckpt_skipped_cycles,
-            detail: detail_of(&result),
+            detail: detail_of(result),
             stratum: run.stratum,
         }
     }

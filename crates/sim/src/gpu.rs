@@ -1111,38 +1111,12 @@ impl Gpu {
                 }
                 any
             }
-            FaultTarget::L1Data {
-                core_lot,
-                replicate,
-                bits,
-            }
-            | FaultTarget::L1Tex {
-                core_lot,
-                replicate,
-                bits,
-            }
-            | FaultTarget::L1Const {
-                core_lot,
-                replicate,
-                bits,
-            } => {
-                let num_sms = u64::from(self.cfg.num_sms);
-                for r in 0..u64::from((*replicate).max(1)) {
-                    let sm = (core_lot.wrapping_add(r) % num_sms) as usize;
-                    // `None`: a card without an L1D has nothing to flip.
-                    let Some(cache) = self.mem.l1_mut(structure, sm) else {
-                        break;
-                    };
-                    let space = cache.total_bits();
-                    outcomes.extend(bits.iter().map(|&b| cache.flip_bit(b % space)));
-                }
-                outcomes.iter().any(|o| *o != FlipOutcome::InvalidLine)
-            }
-            FaultTarget::L2 { bits } => {
-                let space = self.mem.l2_bits();
-                for &b in bits {
-                    outcomes.push(self.mem.flip_l2_bit(b % space));
-                }
+            FaultTarget::L1Data { .. }
+            | FaultTarget::L1Tex { .. }
+            | FaultTarget::L1Const { .. }
+            | FaultTarget::L2 { .. } => {
+                // No outcome: a card without an L1D has nothing to flip.
+                outcomes = self.mem.flip_cache_fault(&fault.target);
                 outcomes.iter().any(|o| *o != FlipOutcome::InvalidLine)
             }
             FaultTarget::SimtStack {

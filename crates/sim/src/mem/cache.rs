@@ -252,6 +252,12 @@ mod arrays {
                 Held::Shared(_) => unreachable!("the chunk was just made owned"),
             }
         }
+
+        /// Whether both hold one shared chunk by the same pointer: a chunk
+        /// no write reached since one was cloned from the other.
+        fn is(&self, o: &Held) -> bool {
+            matches!((self, o), (Held::Shared(a), Held::Shared(b)) if Arc::ptr_eq(a, b))
+        }
     }
 
     /// A private copy of a shared chunk: once per chunk and run, off the
@@ -423,15 +429,23 @@ mod arrays {
                 && *ways == o.ways
                 && *line_bytes == o.line_bytes
                 && chunks.len() == o.chunks.len()
-                && chunks.iter().zip(&o.chunks).all(|(a, b)| match (a, b) {
-                    (Held::Shared(a), Held::Shared(b)) if Arc::ptr_eq(a, b) => true,
-                    (a, b) => {
+                && chunks.iter().zip(&o.chunks).all(|(a, b)| {
+                    a.is(b) || {
                         let (a, b) = (a.get(), b.get());
                         a.lines.len() == b.lines.len()
                             && a.lines.iter().zip(&*b.lines).all(|(x, y)| x.same_state(y))
                             && a.data == b.data
                     }
                 })
+        }
+
+        /// Whether `o` holds the chunk of slot `s` by the same pointer, so
+        /// that no write reached it between the two (for snapshots of one
+        /// run, see `Held::owned`).
+        pub(super) fn shares_chunk(&self, o: &Arrays, s: Slot) -> bool {
+            o.chunks
+                .get(s.chunk)
+                .is_some_and(|c| self.chunks[s.chunk].is(c))
         }
 
         /// Heap bytes of the chunk table plus every chunk not yet in
@@ -470,11 +484,7 @@ mod arrays {
             *line_bytes = source.line_bytes;
             chunks.truncate(source.chunks.len());
             for (dst, src) in chunks.iter_mut().zip(&source.chunks) {
-                let same = matches!(
-                    (&*dst, src),
-                    (Held::Shared(d), Held::Shared(s)) if Arc::ptr_eq(d, s)
-                );
-                if !same {
+                if !dst.is(src) {
                     *dst = src.clone();
                 }
             }
@@ -851,6 +861,32 @@ impl Cache {
         self.cfg.total_bits()
     }
 
+    /// The slot of the line bit `bit` of the injectable space belongs to
+    /// (see [`Cache::flip_bit`] for the layout), and the bit's offset
+    /// within that line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is outside the injectable space.
+    fn bit_slot(&self, bit: u64) -> (arrays::Slot, u64) {
+        let bpl = self.cfg.bits_per_line();
+        assert!(bit < self.total_bits(), "bit {bit} out of cache space");
+        (self.arrays.slot_of_index((bit / bpl) as usize), bit % bpl)
+    }
+
+    /// Whether a flip of `bit` lands in an invalid line at every moment
+    /// from this state to `later`'s, this cache further on in the same
+    /// run: the line is invalid here, and `later` still holds its chunk by
+    /// the same pointer, so nothing wrote to the chunk in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is outside the injectable space.
+    pub(crate) fn flip_is_void_until(&self, later: &Cache, bit: u64) -> bool {
+        let (s, _) = self.bit_slot(bit);
+        !self.arrays.line(s).valid && self.arrays.shares_chunk(&later.arrays, s)
+    }
+
     /// Flips one bit of the injectable bit space.
     ///
     /// The space is laid out line-major: bit `b` belongs to line
@@ -861,10 +897,7 @@ impl Cache {
     ///
     /// Panics if `bit` is outside the injectable space.
     pub fn flip_bit(&mut self, bit: u64) -> FlipOutcome {
-        let bpl = self.cfg.bits_per_line();
-        assert!(bit < self.total_bits(), "bit {bit} out of cache space");
-        let s = self.arrays.slot_of_index((bit / bpl) as usize);
-        let within = bit % bpl;
+        let (s, within) = self.bit_slot(bit);
         if !self.arrays.line(s).valid {
             return FlipOutcome::InvalidLine;
         }

@@ -20,8 +20,18 @@
 use super::cache::{Cache, CacheStats, EscapeLatch, FlipOutcome, Writeback};
 use crate::config::{GpuConfig, LatencyConfig};
 use crate::error::{LaunchError, Trap};
-use crate::fault::Structure;
+use crate::fault::{FaultTarget, Structure};
 use std::collections::HashSet;
+
+/// One bit of a cache fault, resolved against the memory system: its
+/// cache (`unit` is the SM of an L1, the bank of the L2) and its index in
+/// that cache's injectable space.
+#[derive(Debug, Clone, Copy)]
+struct CacheBit {
+    structure: Structure,
+    unit: usize,
+    bit: u64,
+}
 
 /// First byte address of the global (device-malloc) segment.
 pub const GLOBAL_BASE: u32 = 0x1000;
@@ -860,22 +870,132 @@ impl MemSystem {
         u64::from(self.num_banks) * self.l2[0].total_bits()
     }
 
-    /// SM `sm`'s L1 cache backing `structure` — `None` for a structure that
-    /// is not a per-SM L1, or for the L1D of a card without one.
-    pub(crate) fn l1_mut(&mut self, structure: Structure, sm: usize) -> Option<&mut Cache> {
+    /// Cache `unit` of `structure`: SM `unit`'s L1, or L2 bank `unit` —
+    /// `None` for a structure that is not a cache, or for the L1D of a
+    /// card without one.
+    fn cache(&self, structure: Structure, unit: usize) -> Option<&Cache> {
         match structure {
-            Structure::L1Data => self.l1d[sm].as_mut(),
-            Structure::L1Tex => Some(&mut self.l1t[sm]),
-            Structure::L1Const => Some(&mut self.l1c[sm]),
+            Structure::L1Data => self.l1d[unit].as_ref(),
+            Structure::L1Tex => Some(&self.l1t[unit]),
+            Structure::L1Const => Some(&self.l1c[unit]),
+            Structure::L2 => Some(&self.l2[unit]),
             _ => None,
         }
+    }
+
+    /// [`MemSystem::cache`], for writing.
+    fn cache_mut(&mut self, structure: Structure, unit: usize) -> Option<&mut Cache> {
+        match structure {
+            Structure::L1Data => self.l1d[unit].as_mut(),
+            Structure::L1Tex => Some(&mut self.l1t[unit]),
+            Structure::L1Const => Some(&mut self.l1c[unit]),
+            Structure::L2 => Some(&mut self.l2[unit]),
+            _ => None,
+        }
+    }
+
+    /// The bank and the in-bank bit of bit `bit` of the flat L2 space.
+    fn l2_bit(&self, bit: u64) -> (usize, u64) {
+        let per_bank = self.l2[0].total_bits();
+        ((bit / per_bank) as usize, bit % per_bank)
+    }
+
+    /// Where the flips of cache fault `target` land, in the order they are
+    /// made: replicate `r` of an L1 fault flips its bits in the L1 of SM
+    /// `core_lot + r` (modulo the SM count); an L2 fault's bits index the
+    /// flat space across banks.  Each bit is reduced modulo its space.
+    /// `None` for a target outside the caches; empty for the L1D of a card
+    /// without one.  The flip and the golden-run query both map bits here.
+    fn cache_bits(&self, target: &FaultTarget) -> Option<Vec<CacheBit>> {
+        let structure = target.structure();
+        match target {
+            FaultTarget::L1Data {
+                core_lot,
+                replicate,
+                bits,
+            }
+            | FaultTarget::L1Tex {
+                core_lot,
+                replicate,
+                bits,
+            }
+            | FaultTarget::L1Const {
+                core_lot,
+                replicate,
+                bits,
+            } => {
+                let Some(space) = self.cache(structure, 0).map(Cache::total_bits) else {
+                    return Some(Vec::new());
+                };
+                let sms = self.l1t.len() as u64;
+                let sites = (0..u64::from((*replicate).max(1))).flat_map(|r| {
+                    let unit = (core_lot.wrapping_add(r) % sms) as usize;
+                    bits.iter().map(move |&b| CacheBit {
+                        structure,
+                        unit,
+                        bit: b % space,
+                    })
+                });
+                Some(sites.collect())
+            }
+            FaultTarget::L2 { bits } => {
+                let space = self.l2_bits();
+                let sites = bits.iter().map(|&b| {
+                    let (unit, bit) = self.l2_bit(b % space);
+                    CacheBit {
+                        structure,
+                        unit,
+                        bit,
+                    }
+                });
+                Some(sites.collect())
+            }
+            _ => None,
+        }
+    }
+
+    /// Flips every bit of cache fault `target` (see
+    /// [`MemSystem::cache_bits`]), returning where each flip landed; none
+    /// for a target outside the caches.
+    pub(crate) fn flip_cache_fault(&mut self, target: &FaultTarget) -> Vec<FlipOutcome> {
+        let sites = self.cache_bits(target).unwrap_or_default();
+        sites
+            .iter()
+            .map(|c| {
+                let cache = self.cache_mut(c.structure, c.unit);
+                cache.expect("a resolved cache bit").flip_bit(c.bit)
+            })
+            .collect()
+    }
+
+    /// Whether cache fault `target`, flipped at any moment from this state
+    /// to `later`'s — this memory system further on in the same golden
+    /// run — changes nothing: every bit lands in a line invalid here,
+    /// whose chunk `later` still shares (see [`Cache::flip_is_void_until`]).
+    /// `false` for a target outside the caches.
+    pub(crate) fn cache_fault_is_void_until(
+        &self,
+        later: &MemSystem,
+        target: &FaultTarget,
+    ) -> bool {
+        self.cache_bits(target).is_some_and(|sites| {
+            sites.iter().all(|c| {
+                let (now, then) = (
+                    self.cache(c.structure, c.unit),
+                    later.cache(c.structure, c.unit),
+                );
+                let (now, then) = now.zip(then).expect("a resolved cache bit");
+                now.flip_is_void_until(then, c.bit)
+            })
+        })
     }
 
     /// Flips a bit in one SM's L1 data cache.
     ///
     /// Returns `None` when the card has no L1D.
     pub fn flip_l1d_bit(&mut self, sm: usize, bit: u64) -> Option<FlipOutcome> {
-        self.l1_mut(Structure::L1Data, sm).map(|c| c.flip_bit(bit))
+        self.cache_mut(Structure::L1Data, sm)
+            .map(|c| c.flip_bit(bit))
     }
 
     /// Flips a bit in the flat L2 space.
@@ -884,10 +1004,9 @@ impl MemSystem {
     ///
     /// Panics if `bit` exceeds [`MemSystem::l2_bits`].
     pub fn flip_l2_bit(&mut self, bit: u64) -> FlipOutcome {
-        let per_bank = self.l2[0].total_bits();
-        let bank = (bit / per_bank) as usize;
+        let (bank, bit) = self.l2_bit(bit);
         assert!(bank < self.l2.len(), "L2 bit out of range");
-        self.l2[bank].flip_bit(bit % per_bank)
+        self.l2[bank].flip_bit(bit)
     }
 
     /// Flips a bit in the local-memory backing segment.

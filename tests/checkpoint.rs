@@ -424,6 +424,194 @@ fn forked_runs_leave_every_snapshot_intact() {
     }
 }
 
+/// Records `w` on `card` on the stride a campaign records it on.
+fn record_store(
+    w: &dyn Workload,
+    card: &GpuConfig,
+    golden: &GoldenProfile,
+) -> std::sync::Arc<CheckpointStore> {
+    let mut rec = Gpu::new(card.clone());
+    rec.record_checkpoints((golden.total_cycles() / 24).max(1), 1 << 30);
+    w.run(&mut rec).unwrap();
+    std::sync::Arc::new(rec.finish_checkpoint_recording())
+}
+
+/// The record a campaign writes for `plan` forked from snapshot `idx` of
+/// `store` on `gpu` and simulated, as `RunEnv::simulate` builds it.
+fn forked_record(
+    gpu: &mut Gpu,
+    store: &std::sync::Arc<CheckpointStore>,
+    idx: usize,
+    w: &dyn Workload,
+    plan: &InjectionPlan,
+    golden: &GoldenProfile,
+) -> RunRecord {
+    gpu.resume_from(store, idx);
+    let (result, cycles, effect, records) = run_plan(gpu, w, plan, golden);
+    let expired = matches!(
+        result,
+        Err(WorkloadError::Trap(Trap::FaultsExpired | Trap::Reconverged))
+    );
+    RunRecord {
+        effect: if expired { FaultEffect::Masked } else { effect },
+        cycles: if expired {
+            golden.total_cycles()
+        } else {
+            cycles
+        },
+        applied: records.iter().any(|r| r.applied),
+        early_exit: expired,
+        ckpt_skipped_cycles: store.snapshot_cycle(idx),
+        detail: detail_of(&result),
+        stratum: None,
+    }
+}
+
+/// The record the campaign writes, without a fork, for a plan the store
+/// settles whose first fault falls at or after snapshot `idx`.
+fn settled_record(store: &CheckpointStore, idx: usize, golden: &GoldenProfile) -> RunRecord {
+    RunRecord {
+        effect: FaultEffect::Masked,
+        cycles: golden.total_cycles(),
+        applied: false,
+        early_exit: true,
+        ckpt_skipped_cycles: store.snapshot_cycle(idx),
+        detail: RunDetail::None,
+        stratum: None,
+    }
+}
+
+/// Every plan the checkpoint store settles — each flip in a line invalid
+/// at the fork's snapshot, in a chunk the next snapshot still shares —
+/// gets exactly the record its fork writes when simulated, for each cache
+/// structure on the small-cache chip (where flips often land in valid
+/// lines) and on the GV100 (where almost none do).
+#[test]
+fn settled_plans_get_their_forks_records() {
+    use Structure::*;
+    let gv100 = GpuConfig::quadro_gv100();
+    let mini = mini_chip("");
+    let spread = |s| CampaignSpec::new(s).bits(3).mode(MultiBitMode::Spread);
+    let cases: [(Box<dyn Workload>, &GpuConfig, CampaignSpec); 8] = [
+        (by_name("SP").unwrap(), &mini, spread(L1Data)),
+        (by_name("HS").unwrap(), &mini, CampaignSpec::new(L1Tex)),
+        (
+            Box::new(ConstPoly::new(4, 0)),
+            &mini,
+            CampaignSpec::new(L1Const),
+        ),
+        (
+            by_name("PATHF").unwrap(),
+            &mini,
+            CampaignSpec::new(L2).bits(3),
+        ),
+        (by_name("VA").unwrap(), &gv100, spread(L1Data)),
+        (
+            by_name("HS").unwrap(),
+            &gv100,
+            CampaignSpec::new(L1Tex).replicated(2),
+        ),
+        (
+            Box::new(ConstPoly::new(4, 0)),
+            &gv100,
+            CampaignSpec::new(L1Const),
+        ),
+        (by_name("BFS").unwrap(), &gv100, CampaignSpec::new(L2)),
+    ];
+    let mut applied = 0;
+    for (seed, (w, card, spec)) in (51u64..).zip(cases) {
+        let tag = format!("{} on {} {spec:?}", w.name(), card.name);
+        let golden = profile(w.as_ref(), card).unwrap();
+        let store = record_store(w.as_ref(), card, &golden);
+        let mut gen = MaskGenerator::new(seed);
+        let windows = golden.windows(None);
+        let mut gpu = Gpu::new(card.clone());
+        let mut settled = 0;
+        for i in 0..40 {
+            let win = &windows[i % windows.len()];
+            let space = &golden.fault_spaces[&win.kernel];
+            let plan = gen.draw(&spec, space, std::slice::from_ref(win)).unwrap();
+            let first = plan.faults.iter().map(|f| f.cycle).min().unwrap();
+            let Some(idx) = store.nearest_at_or_before(first) else {
+                assert!(
+                    !store.settles(&plan),
+                    "{tag} plan {i}: settled before the first snapshot"
+                );
+                continue;
+            };
+            let forked = forked_record(&mut gpu, &store, idx, w.as_ref(), &plan, &golden);
+            if store.settles(&plan) {
+                settled += 1;
+                assert_eq!(
+                    forked,
+                    settled_record(&store, idx, &golden),
+                    "{tag} plan {i}"
+                );
+            }
+            applied += usize::from(forked.applied);
+        }
+        assert!(settled > 0, "{tag}: no plan settled");
+    }
+    assert!(applied > 0, "no plan flipped a valid line");
+}
+
+/// The edges of the rung, on the small-cache chip's L2: a flip into a
+/// line invalid at the fork's snapshot but filled before the fault cycle
+/// is not settled; a fault exactly at a snapshot's cycle is settled from
+/// that snapshot alone; a fault after the last snapshot is not settled.
+#[test]
+fn settling_needs_the_line_untouched_up_to_the_next_snapshot() {
+    let card = mini_chip("");
+    let w = VectorAdd::new(256);
+    let golden = profile(&w, &card).unwrap();
+    let store = record_store(&w, &card, &golden);
+    let bpl = card.l2.bits_per_line();
+    let lines = card.l2.total_bits() / bpl;
+    // A data bit of flat L2 line `line`, flipped at `cycle`.
+    let plan = |cycle: u64, line: u64| {
+        let bits = vec![line * bpl + u64::from(gpufi::sim::TAG_BITS)];
+        InjectionPlan::single(cycle, FaultTarget::L2 { bits })
+    };
+    let cycle = |i: usize| store.snapshot_cycle(i);
+    // At a snapshot's own cycle the two snapshots are one, so the store
+    // settles exactly the flips into lines invalid there.
+    let (i, line) = (0..store.len() - 1)
+        .flat_map(|i| (0..lines).map(move |l| (i, l)))
+        .find(|&(i, l)| store.settles(&plan(cycle(i), l)) && !store.settles(&plan(cycle(i + 1), l)))
+        .expect("a line invalid at one snapshot and valid at the next");
+    let mut gpu = Gpu::new(card.clone());
+    let fork = |gpu: &mut Gpu, idx: usize, p: &InjectionPlan| {
+        forked_record(gpu, &store, idx, &w, p, &golden)
+    };
+
+    // Exactly at snapshot `i`: settled, although the chunk is written
+    // before snapshot `i + 1`, and the fork agrees.
+    let at = plan(cycle(i), line);
+    assert_eq!(fork(&mut gpu, i, &at), settled_record(&store, i, &golden));
+    // The line is valid at snapshot `i + 1`: a flip there applies.
+    assert!(fork(&mut gpu, i + 1, &plan(cycle(i + 1), line)).applied);
+
+    // Between the two, at a cycle the line is already valid: the fork
+    // from snapshot `i`, where the line is invalid, applies the flip, and
+    // the store must not settle it.
+    let filled = (cycle(i) + 1..cycle(i + 1))
+        .rev()
+        .step_by(((cycle(i + 1) - cycle(i)) / 8).max(1) as usize)
+        .map(|c| plan(c, line))
+        .find(|p| fork(&mut gpu, i, p).applied)
+        .expect("the line fills between the two snapshots");
+    assert!(!store.settles(&filled), "settled a flip into a filled line");
+
+    // After the last snapshot there is no later one to vouch for the
+    // chunk, even for a line invalid at the last.
+    let last = store.len() - 1;
+    let line = (0..lines)
+        .find(|&l| store.settles(&plan(cycle(last), l)))
+        .expect("a line invalid at the last snapshot");
+    assert!(cycle(last) + 1 < golden.total_cycles());
+    assert!(!store.settles(&plan(cycle(last) + 1, line)));
+}
+
 /// `Gpu::snapshot` / `Gpu::restore` round-trip between launches: restoring
 /// a snapshot into a fresh device and running the workload again matches
 /// running it twice back-to-back on one device.
