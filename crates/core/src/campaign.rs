@@ -209,8 +209,7 @@ pub struct CampaignStats {
     /// Mean golden-run cycles skipped per run by checkpoint forking.
     pub mean_skipped_cycles: f64,
     /// Runs compared with their cold full-simulation reference
-    /// (`--oracle-check`; `sim_panic` and wall-clock-watchdog runs are not
-    /// compared).
+    /// (`--oracle-check`; `sim_panic` runs are not compared).
     pub oracle_checked: usize,
     /// Checked runs a shortcut resolved — pre-classification or early
     /// exit, reconverged runs included — whose verdict the reference
@@ -655,9 +654,16 @@ impl OracleVerdict {
     /// Effect and cycles must match; `applied` only where the ladder
     /// simulated the run (a pre-classified record asserts it unobserved);
     /// and a run a shortcut resolved must leave the reference in the
-    /// oracle's image.  `sim_panic` records are not compared.
+    /// oracle's image.  `rec` must also hold the record invariants, which
+    /// the reference cannot dodge by sharing a defect: an early exit or an
+    /// unapplied plan is Masked at `golden_cycles`, Masked means
+    /// `golden_cycles` and Performance any other count, and the fork
+    /// skipped no cycle past the run's `first_cycle`.  `sim_panic`
+    /// records are not compared.
     fn of(
         rec: &RunRecord,
+        golden_cycles: u64,
+        first_cycle: u64,
         reference: Option<&RunRecord>,
         image_matches: impl FnOnce() -> bool,
     ) -> Self {
@@ -665,12 +671,21 @@ impl OracleVerdict {
         if rec.detail == SimPanic {
             return OracleVerdict::default();
         }
+        let at_golden = rec.cycles == golden_cycles;
+        let masked_at_golden = rec.effect == FaultEffect::Masked && at_golden;
+        // An early exit or an unapplied plan is Masked at golden cycles.
+        let sound = (masked_at_golden || (rec.applied && !rec.early_exit))
+            && (rec.effect != FaultEffect::Masked || at_golden)
+            && (rec.effect != FaultEffect::Performance || !at_golden)
+            && rec.ckpt_skipped_cycles <= first_cycle;
         let pre_classified = matches!(rec.detail, StaticDead | StaticDeadBit);
         let shortcut = pre_classified || rec.early_exit;
-        let agree = reference.is_some_and(|r| {
-            (r.effect, r.cycles) == (rec.effect, rec.cycles)
-                && (pre_classified || r.applied == rec.applied)
-        }) && (!shortcut || image_matches());
+        let agree = sound
+            && reference.is_some_and(|r| {
+                (r.effect, r.cycles) == (rec.effect, rec.cycles)
+                    && (pre_classified || r.applied == rec.applied)
+            })
+            && (!shortcut || image_matches());
         OracleVerdict {
             checked: true,
             verified: shortcut && agree,
@@ -822,10 +837,14 @@ impl RunEnv<'_> {
             return OracleVerdict::default();
         };
         let mut cold = None;
-        let reference = catch_run(|| self.simulate(&mut cold, run, None, false)).ok();
-        OracleVerdict::of(rec, reference.as_ref(), || {
-            cold.is_some_and(|g| g.mem().global_image() == img.as_slice())
-        })
+        let reference = catch_run(|| self.simulate(&mut cold, run, None, false));
+        OracleVerdict::of(
+            rec,
+            self.golden.total_cycles(),
+            run.first_cycle,
+            reference.as_ref(),
+            || cold.is_some_and(|g| g.mem().global_image() == img.as_slice()),
+        )
     }
 
     /// Run index `i` under supervision on the client's device `gpu` — the
@@ -846,8 +865,8 @@ impl RunEnv<'_> {
                 self.resolve(gpu, run)
             });
             match out {
-                Ok(rec) => return (rec, self.check(run, &rec), attempt as usize),
-                Err(_) => *gpu = None,
+                Some(rec) => return (rec, self.check(run, &rec), attempt as usize),
+                None => *gpu = None,
             }
         }
         let poison = RunRecord {
@@ -1550,7 +1569,7 @@ mod tests {
 
     #[test]
     fn oracle_comparison_rule() {
-        use FaultEffect::{Crash, Masked, Sdc};
+        use FaultEffect::{Crash, Masked, Performance, Sdc};
         let verdict = |checked, verified, mismatch| OracleVerdict {
             checked,
             verified,
@@ -1561,46 +1580,85 @@ mod tests {
             verdict(true, true, false),
             verdict(true, false, true),
         );
+        // Golden runs take 1000 cycles (as `record` writes Masked ones);
+        // the run's first fault fires at cycle 500.
+        let of = |rec: &RunRecord, reference: Option<&RunRecord>, image: bool| {
+            OracleVerdict::of(rec, 1000, 500, reference, || image)
+        };
         let masked = record(Masked, true, false, RunDetail::None);
         // An early exit's Masked-at-golden verdict against an SDC reference.
         let exited = record(Masked, true, true, RunDetail::None);
         let sdc = record(Sdc, true, false, RunDetail::None);
-        assert_eq!(OracleVerdict::of(&exited, Some(&sdc), || true), disagree);
-        assert_eq!(
-            OracleVerdict::of(&exited, Some(&masked), || true),
-            short_agree
-        );
+        assert_eq!(of(&exited, Some(&sdc), true), disagree);
+        assert_eq!(of(&exited, Some(&masked), true), short_agree);
         // ...whose reference ends in another image than the oracle's.
-        assert_eq!(
-            OracleVerdict::of(&exited, Some(&masked), || false),
-            disagree
-        );
+        assert_eq!(of(&exited, Some(&masked), false), disagree);
         // A pre-classified record asserts `applied` without observing it.
         for detail in [RunDetail::StaticDead, RunDetail::StaticDeadBit] {
             let pruned = record(Masked, true, false, detail);
             let unapplied = record(Masked, false, false, RunDetail::None);
-            assert_eq!(
-                OracleVerdict::of(&pruned, Some(&unapplied), || true),
-                short_agree
-            );
-            assert_eq!(OracleVerdict::of(&pruned, Some(&sdc), || true), disagree);
+            assert_eq!(of(&pruned, Some(&unapplied), true), short_agree);
+            assert_eq!(of(&pruned, Some(&sdc), true), disagree);
         }
         // A simulated run must agree on `applied`; its image is not asked.
         let unapplied = record(Masked, false, false, RunDetail::None);
-        assert_eq!(
-            OracleVerdict::of(&masked, Some(&unapplied), || true),
-            disagree
-        );
-        assert_eq!(OracleVerdict::of(&masked, Some(&masked), || false), agree);
-        assert_eq!(OracleVerdict::of(&sdc, Some(&sdc), || false), agree);
+        assert_eq!(of(&masked, Some(&unapplied), true), disagree);
+        assert_eq!(of(&masked, Some(&masked), false), agree);
+        assert_eq!(of(&sdc, Some(&sdc), false), agree);
         // A reference that panicked disagrees with any record.
-        assert_eq!(OracleVerdict::of(&exited, None, || true), disagree);
+        assert_eq!(of(&exited, None, true), disagree);
         // Not compared: poison records.
         let poison = record(Crash, true, false, RunDetail::SimPanic);
+        assert_eq!(of(&poison, Some(&masked), false), OracleVerdict::default());
+        // The record invariants: a record breaking one disagrees even with
+        // a reference that shares its defect.
+        let broken = |rec: RunRecord| of(&rec, Some(&rec), true);
+        // `early_exit` ⇒ Masked at golden cycles.
+        let exited_sdc = RunRecord {
+            cycles: 1000,
+            ..record(Sdc, true, true, RunDetail::None)
+        };
+        assert_eq!(broken(exited_sdc), disagree);
+        // `!applied` ⇒ Masked at golden cycles.
+        assert_eq!(broken(record(Sdc, false, false, RunDetail::None)), disagree);
+        let slow = record(Performance, false, false, RunDetail::None);
         assert_eq!(
-            OracleVerdict::of(&poison, Some(&masked), || false),
-            OracleVerdict::default()
+            broken(RunRecord {
+                cycles: 1200,
+                ..slow
+            }),
+            disagree
         );
+        // Masked ⇒ golden cycles; Performance ⇒ any other count.
+        assert_eq!(
+            broken(RunRecord {
+                cycles: 999,
+                ..masked
+            }),
+            disagree
+        );
+        let slow = record(Performance, true, false, RunDetail::None);
+        assert_eq!(
+            broken(RunRecord {
+                cycles: 1000,
+                ..slow
+            }),
+            disagree
+        );
+        assert_eq!(
+            broken(RunRecord {
+                cycles: 1200,
+                ..slow
+            }),
+            agree
+        );
+        // The fork skipped no cycle past the first fault's.
+        let forked = |ckpt_skipped_cycles| RunRecord {
+            ckpt_skipped_cycles,
+            ..masked
+        };
+        assert_eq!(broken(forked(500)), agree);
+        assert_eq!(broken(forked(501)), disagree);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// Classifies one injection run against the golden profile:
 ///
-/// * watchdog trap (cycle or wall-clock) → **Timeout**;
+/// * cycle-watchdog trap → **Timeout**;
 /// * any other trap or device error → **Crash**;
 /// * wrong output → **SDC**;
 /// * correct output, identical cycle count → **Masked**;

@@ -9,8 +9,8 @@
 //!   simulator itself relies on (decoder tables, SIMT stack depth, cache
 //!   tag bookkeeping) and the run dies not with a modelled trap but with a
 //!   Rust panic.  [`catch_run`] captures the unwind per run, with a scoped
-//!   panic hook that keeps the message and suppresses the default
-//!   stderr backtrace, so sibling workers are untouched;
+//!   panic hook that suppresses the default stderr backtrace, so sibling
+//!   workers are untouched;
 //! * **process death**: an interrupted campaign must not lose thousands of
 //!   completed runs.  [`RunJournal`] appends one fsync'd JSON line per
 //!   completed run, written and read with [`crate::json`]; `run_campaign`
@@ -29,7 +29,7 @@ use crate::sampling::SamplingMode;
 use gpufi_faults::{CampaignSpec, FaultModel, MultiBitMode, Structure};
 use gpufi_metrics::FaultEffect;
 use gpufi_sim::{CacheConfig, GpuConfig, LatencyConfig, SchedulerPolicy, Scope};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::panic::{self, AssertUnwindSafe};
@@ -44,49 +44,28 @@ use std::time::Instant;
 thread_local! {
     /// Whether the current thread is inside a supervised injection run.
     static SUPERVISED: Cell<bool> = const { Cell::new(false) };
-    /// The panic message captured by the scoped hook for this thread.
-    static CAPTURED: RefCell<Option<String>> = const { RefCell::new(None) };
 }
 
 static HOOK: Once = Once::new();
 
 /// Installs the process-wide panic hook exactly once, chaining to the
 /// previously installed hook.  While a thread is inside [`catch_run`] the
-/// hook records the panic message (with location) into that thread's slot
-/// and stays silent; panics on any other thread — including test
+/// hook stays silent; panics on any other thread — including test
 /// harnesses running in parallel — go to the previous hook unchanged.
 fn install_hook() {
     HOOK.call_once(|| {
         let prev = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            if SUPERVISED.with(Cell::get) {
-                let msg = payload_message(info.payload());
-                let loc = info
-                    .location()
-                    .map(|l| format!(" at {l}"))
-                    .unwrap_or_default();
-                CAPTURED.with(|c| *c.borrow_mut() = Some(format!("{msg}{loc}")));
-            } else {
+            if !SUPERVISED.with(Cell::get) {
                 prev(info);
             }
         }));
     });
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn payload_message(payload: &dyn std::any::Any) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Runs `f` with per-run panic isolation: a panic anywhere inside `f` is
-/// caught and returned as its message instead of unwinding into the
-/// worker (and without the default hook's stderr noise).
+/// caught and returned as `None` instead of unwinding into the worker
+/// (and without the default hook's stderr noise).
 ///
 /// The closure is asserted unwind-safe.  A supervised run mutates exactly
 /// one thing across the boundary — its client's long-lived `Gpu`, which a
@@ -97,16 +76,12 @@ fn payload_message(payload: &dyn std::any::Any) -> String {
 /// `gpufi_sim` statically asserts it for the checkpoint store and
 /// config), so a panic strands no half-mutated state that any sibling or
 /// later run could observe.
-pub(crate) fn catch_run<R>(f: impl FnOnce() -> R) -> Result<R, String> {
+pub(crate) fn catch_run<R>(f: impl FnOnce() -> R) -> Option<R> {
     install_hook();
     SUPERVISED.with(|s| s.set(true));
     let out = panic::catch_unwind(AssertUnwindSafe(f));
     SUPERVISED.with(|s| s.set(false));
-    out.map_err(|payload| {
-        CAPTURED
-            .with(|c| c.borrow_mut().take())
-            .unwrap_or_else(|| payload_message(&*payload))
-    })
+    out.ok()
 }
 
 // ----------------------------------------------------------------------
@@ -979,12 +954,14 @@ mod tests {
     }
 
     #[test]
-    fn catch_run_captures_message_and_location() {
-        assert_eq!(catch_run(|| 41 + 1), Ok(42));
-        let err = catch_run(|| panic!("invariant broken: {}", 7)).unwrap_err();
-        assert!(err.contains("invariant broken: 7"), "{err}");
-        assert!(err.contains("supervisor.rs"), "location missing: {err}");
+    fn catch_run_isolates_a_panic() {
+        assert_eq!(catch_run(|| 41 + 1), Some(42));
+        assert_eq!(
+            catch_run(|| -> u32 { panic!("invariant broken: {}", 7) }),
+            None
+        );
         // The hook must restore pass-through behaviour afterwards.
-        assert_eq!(catch_run(|| "still works"), Ok("still works"));
+        assert!(!SUPERVISED.with(Cell::get));
+        assert_eq!(catch_run(|| "still works"), Some("still works"));
     }
 }

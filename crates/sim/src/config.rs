@@ -254,55 +254,20 @@ impl GpuConfig {
         self.max_threads_per_sm / WARP_SIZE
     }
 
-    /// Register-file bits per SM (4-byte registers).
-    pub fn regfile_bits_per_sm(&self) -> u64 {
-        u64::from(self.registers_per_sm) * 32
-    }
-
-    /// Chip-wide register-file bits (Table I row 1).
-    pub fn regfile_bits_total(&self) -> u64 {
-        self.regfile_bits_per_sm() * u64::from(self.num_sms)
-    }
-
-    /// Chip-wide shared-memory bits (Table I row 2).
-    pub fn smem_bits_total(&self) -> u64 {
-        u64::from(self.smem_per_sm) * 8 * u64::from(self.num_sms)
-    }
-
-    /// Chip-wide L1 data cache bits including tags (Table I row 3), zero if
-    /// the card has no L1D.
-    pub fn l1d_bits_total(&self) -> u64 {
-        self.l1d
-            .map_or(0, |c| c.total_bits() * u64::from(self.num_sms))
-    }
-
-    /// Chip-wide L1 texture cache bits including tags (Table I row 4).
-    pub fn l1t_bits_total(&self) -> u64 {
-        self.l1t.total_bits() * u64::from(self.num_sms)
-    }
-
-    /// Chip-wide L1 constant cache bits including tags (Table I row 6).
-    pub fn l1c_bits_total(&self) -> u64 {
-        self.l1c.total_bits() * u64::from(self.num_sms)
-    }
-
-    /// L2 bits including tags (Table I row 7).
-    pub fn l2_bits_total(&self) -> u64 {
-        self.l2.total_bits()
-    }
-
-    /// Chip-wide bits of `s` that count toward the chip AVF and FIT
-    /// (Table I).  Zero for off-chip local memory and for control-unit
-    /// state (SIMT stacks, scheduler flags, scoreboard), which is not an
-    /// SRAM array of Table I.
+    /// Chip-wide bits of `s` that count toward the chip AVF and FIT: the
+    /// Table I size, with the modelled tag bits for caches (4-byte
+    /// registers; zero L1D bits on a card without one).  Zero for off-chip
+    /// local memory and for control-unit state (SIMT stacks, scheduler
+    /// flags, scoreboard), which is not an SRAM array of Table I.
     pub fn chip_bits(&self, s: Structure) -> u64 {
+        let sms = u64::from(self.num_sms);
         match s {
-            Structure::RegisterFile => self.regfile_bits_total(),
-            Structure::SharedMemory => self.smem_bits_total(),
-            Structure::L1Data => self.l1d_bits_total(),
-            Structure::L1Tex => self.l1t_bits_total(),
-            Structure::L1Const => self.l1c_bits_total(),
-            Structure::L2 => self.l2_bits_total(),
+            Structure::RegisterFile => u64::from(self.registers_per_sm) * 32 * sms,
+            Structure::SharedMemory => u64::from(self.smem_per_sm) * 8 * sms,
+            Structure::L1Data => self.l1d.map_or(0, |c| c.total_bits() * sms),
+            Structure::L1Tex => self.l1t.total_bits() * sms,
+            Structure::L1Const => self.l1c.total_bits() * sms,
+            Structure::L2 => self.l2.total_bits(),
             Structure::LocalMemory
             | Structure::SimtStack
             | Structure::Sched
@@ -344,8 +309,11 @@ mod tests {
     /// (GTX Titan).
     #[test]
     fn regfile_sizes_match_table1() {
-        assert_eq!(GpuConfig::rtx2060().regfile_bits_total(), 30 * 65536 * 32);
-        let mb = |c: &GpuConfig| c.regfile_bits_total() as f64 / 8.0 / MB;
+        assert_eq!(
+            GpuConfig::rtx2060().chip_bits(Structure::RegisterFile),
+            30 * 65536 * 32
+        );
+        let mb = |c: &GpuConfig| c.chip_bits(Structure::RegisterFile) as f64 / 8.0 / MB;
         assert!((mb(&GpuConfig::rtx2060()) - 7.5).abs() < 1e-9);
         assert!((mb(&GpuConfig::quadro_gv100()) - 20.0).abs() < 1e-9);
         assert!((mb(&GpuConfig::gtx_titan()) - 3.5).abs() < 1e-9);
@@ -354,29 +322,29 @@ mod tests {
     /// Table I: shared memory 1.875 MB / 7.5 MB / 672 KB.
     #[test]
     fn smem_sizes_match_table1() {
-        let mb = |c: &GpuConfig| c.smem_bits_total() as f64 / 8.0 / MB;
+        let mb = |c: &GpuConfig| c.chip_bits(Structure::SharedMemory) as f64 / 8.0 / MB;
         assert!((mb(&GpuConfig::rtx2060()) - 1.875).abs() < 1e-9);
         assert!((mb(&GpuConfig::quadro_gv100()) - 7.5).abs() < 1e-9);
-        let kb = GpuConfig::gtx_titan().smem_bits_total() as f64 / 8.0 / 1024.0;
+        let kb = GpuConfig::gtx_titan().chip_bits(Structure::SharedMemory) as f64 / 8.0 / 1024.0;
         assert!((kb - 672.0).abs() < 1e-9);
     }
 
     /// Table I: L1D 1.98 MB (RTX 2060) and 2.64 MB (GV100); N/A for Titan.
     #[test]
     fn l1d_sizes_match_table1() {
-        let mb = |c: &GpuConfig| c.l1d_bits_total() as f64 / 8.0 / MB;
+        let mb = |c: &GpuConfig| c.chip_bits(Structure::L1Data) as f64 / 8.0 / MB;
         assert!((mb(&GpuConfig::rtx2060()) - 1.98).abs() < 0.01);
         assert!((mb(&GpuConfig::quadro_gv100()) - 2.64).abs() < 0.01);
-        assert_eq!(GpuConfig::gtx_titan().l1d_bits_total(), 0);
+        assert_eq!(GpuConfig::gtx_titan().chip_bits(Structure::L1Data), 0);
     }
 
     /// Table I: L1T 3.96 MB / 10.56 MB / 709.38 KB.
     #[test]
     fn l1t_sizes_match_table1() {
-        let mb = |c: &GpuConfig| c.l1t_bits_total() as f64 / 8.0 / MB;
+        let mb = |c: &GpuConfig| c.chip_bits(Structure::L1Tex) as f64 / 8.0 / MB;
         assert!((mb(&GpuConfig::rtx2060()) - 3.96).abs() < 0.01);
         assert!((mb(&GpuConfig::quadro_gv100()) - 10.56).abs() < 0.01);
-        let kb = GpuConfig::gtx_titan().l1t_bits_total() as f64 / 8.0 / 1024.0;
+        let kb = GpuConfig::gtx_titan().chip_bits(Structure::L1Tex) as f64 / 8.0 / 1024.0;
         assert!((kb - 709.38).abs() < 0.05);
     }
 
@@ -384,17 +352,17 @@ mod tests {
     /// paper's starred sizes imply 64-byte constant-cache lines).
     #[test]
     fn l1c_sizes_match_table1() {
-        let mb = |c: &GpuConfig| c.l1c_bits_total() as f64 / 8.0 / MB;
+        let mb = |c: &GpuConfig| c.chip_bits(Structure::L1Const) as f64 / 8.0 / MB;
         assert!((mb(&GpuConfig::rtx2060()) - 2.08).abs() < 0.01);
         assert!((mb(&GpuConfig::quadro_gv100()) - 5.56).abs() < 0.01);
-        let kb = GpuConfig::gtx_titan().l1c_bits_total() as f64 / 8.0 / 1024.0;
+        let kb = GpuConfig::gtx_titan().chip_bits(Structure::L1Const) as f64 / 8.0 / 1024.0;
         assert!((kb - 248.92).abs() < 0.15, "got {kb}");
     }
 
     /// Table I: L2 3.17 MB / 6.33 MB / 1.58 MB (with tags).
     #[test]
     fn l2_sizes_match_table1() {
-        let mb = |c: &GpuConfig| c.l2_bits_total() as f64 / 8.0 / MB;
+        let mb = |c: &GpuConfig| c.chip_bits(Structure::L2) as f64 / 8.0 / MB;
         assert!((mb(&GpuConfig::rtx2060()) - 3.17).abs() < 0.01);
         assert!((mb(&GpuConfig::quadro_gv100()) - 6.33).abs() < 0.01);
         assert!((mb(&GpuConfig::gtx_titan()) - 1.58).abs() < 0.01);

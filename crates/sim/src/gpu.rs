@@ -15,7 +15,6 @@ use crate::snapshot::{
 };
 use crate::stats::{AppStats, LaunchStats};
 use gpufi_isa::Kernel;
-use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 /// A simulated CUDA-capable GPU.
@@ -43,8 +42,8 @@ pub struct Gpu {
     recorder: Option<Recorder>,
     // Journal-replay state (forked injection runs only).
     replay: Option<Replay>,
-    // Lockstep differential oracle (RefCell: `memcpy_d2h` takes `&self`).
-    oracle: Option<RefCell<OracleMirror>>,
+    // Lockstep differential oracle.
+    oracle: Option<OracleMirror>,
     // The golden-pass profile instrument: when enabled, every launch
     // records per-register last-read cycles for the stratified fault
     // sampler (collected into `reg_traces`, one entry per launch) and keeps
@@ -115,7 +114,7 @@ impl Gpu {
     /// with checkpoint forking ([`Gpu::resume_from`]) — a forked run
     /// skips the journaled host prefix the mirror would need to observe.
     pub fn attach_oracle(&mut self) {
-        self.oracle = Some(RefCell::new(OracleMirror::new(self.cfg.l2.line_bytes)));
+        self.oracle = Some(OracleMirror::new(self.cfg.l2.line_bytes));
         for c in &mut self.cores {
             c.set_exit_capture(true);
         }
@@ -124,17 +123,13 @@ impl Gpu {
     /// The first sim-vs-oracle divergence latched by an attached oracle,
     /// if any ([`Gpu::attach_oracle`]).
     pub fn oracle_divergence(&self) -> Option<DivergenceReport> {
-        self.oracle
-            .as_ref()
-            .and_then(|o| o.borrow().divergence().cloned())
+        self.oracle.as_ref().and_then(|o| o.divergence().cloned())
     }
 
     /// The attached oracle's final global-memory image (the reference
     /// prediction a Masked injection run must land on).
     pub fn oracle_global_image(&self) -> Option<Vec<u8>> {
-        self.oracle
-            .as_ref()
-            .map(|o| o.borrow().global_image().to_vec())
+        self.oracle.as_ref().map(|o| o.global_image().to_vec())
     }
 
     /// The chip configuration.
@@ -182,15 +177,16 @@ impl Gpu {
     /// Panics when a replayed call, or the in-flight launch, differs from
     /// the journal — a workload determinism violation, not an injection
     /// effect.
-    fn replayed(&self, call: &HostOp) -> Option<&HostResult> {
-        let rep = self.replay.as_ref()?;
-        let i = rep.cursor.replace(rep.cursor.get() + 1);
+    fn replayed(&mut self, call: &HostOp) -> Option<&HostResult> {
+        let rep = self.replay.as_mut()?;
+        let i = rep.cursor;
+        rep.cursor += 1;
         let done = rep.store.snapshots[rep.snapshot].host_ops_done;
         let journaled = rep.store.journal.get(i);
         match journaled {
             Some((op, result)) if op == call => (i < done).then_some(result),
             _ if i > done => {
-                rep.diverged.set(true);
+                rep.diverged = true;
                 None
             }
             _ => panic!(
@@ -201,9 +197,9 @@ impl Gpu {
     }
 
     /// Journals a live host call and what it returned (recording only).
-    fn journal(&self, call: HostOp, result: impl FnOnce() -> HostResult) {
-        if let Some(rec) = &self.recorder {
-            rec.journal.borrow_mut().push((call, result()));
+    fn journal(&mut self, call: HostOp, result: impl FnOnce() -> HostResult) {
+        if let Some(rec) = &mut self.recorder {
+            rec.journal.push((call, result()));
         }
     }
 
@@ -224,8 +220,8 @@ impl Gpu {
             return Ok(ptr);
         }
         let ptr = self.mem.alloc(bytes)?;
-        if let Some(orc) = &self.oracle {
-            orc.borrow_mut().on_malloc(bytes, ptr);
+        if let Some(orc) = &mut self.oracle {
+            orc.on_malloc(bytes, ptr);
         }
         self.journal(call, || HostResult::Ptr(ptr));
         Ok(ptr)
@@ -250,8 +246,8 @@ impl Gpu {
             return Ok(());
         }
         self.mem.host_write(ptr, data)?;
-        if let Some(orc) = &self.oracle {
-            orc.borrow_mut().on_h2d(ptr, data);
+        if let Some(orc) = &mut self.oracle {
+            orc.on_h2d(ptr, data);
         }
         self.journal(call, || HostResult::Done);
         Ok(())
@@ -276,7 +272,7 @@ impl Gpu {
     ///
     /// Panics when a forked run's host calls diverge from the recorded
     /// golden run (see [`Gpu::malloc`]).
-    pub fn memcpy_d2h(&self, ptr: u32, out: &mut [u8]) -> Result<(), LaunchError> {
+    pub fn memcpy_d2h(&mut self, ptr: u32, out: &mut [u8]) -> Result<(), LaunchError> {
         let call = HostOp::D2h {
             ptr,
             len: out.len(),
@@ -286,10 +282,10 @@ impl Gpu {
             return Ok(());
         }
         self.mem.host_read(ptr, out)?;
-        if let Some(orc) = &self.oracle {
-            orc.borrow_mut().on_d2h(ptr, out);
+        if let Some(orc) = &mut self.oracle {
+            orc.on_d2h(ptr, out);
         }
-        if let Some(rep) = &self.replay {
+        if let Some(rep) = &mut self.replay {
             rep.check_live(|golden| matches!(golden, HostResult::Bytes(b) if **b == *out));
         }
         self.journal(call, || HostResult::Bytes(out.to_vec()));
@@ -311,7 +307,7 @@ impl Gpu {
     /// # Errors
     ///
     /// See [`Gpu::memcpy_d2h`].
-    pub fn read_u32s(&self, ptr: u32, count: usize) -> Result<Vec<u32>, LaunchError> {
+    pub fn read_u32s(&mut self, ptr: u32, count: usize) -> Result<Vec<u32>, LaunchError> {
         let mut bytes = vec![0u8; count * 4];
         self.memcpy_d2h(ptr, &mut bytes)?;
         Ok(bytes
@@ -335,7 +331,7 @@ impl Gpu {
     /// # Errors
     ///
     /// See [`Gpu::memcpy_d2h`].
-    pub fn read_f32s(&self, ptr: u32, count: usize) -> Result<Vec<f32>, LaunchError> {
+    pub fn read_f32s(&mut self, ptr: u32, count: usize) -> Result<Vec<f32>, LaunchError> {
         Ok(self
             .read_u32s(ptr, count)?
             .into_iter()
@@ -362,8 +358,8 @@ impl Gpu {
             return Ok(());
         }
         self.mem.const_write(offset, data)?;
-        if let Some(orc) = &self.oracle {
-            orc.borrow_mut().on_const_write(offset, data);
+        if let Some(orc) = &mut self.oracle {
+            orc.on_const_write(offset, data);
         }
         self.journal(call, || HostResult::Done);
         Ok(())
@@ -434,11 +430,7 @@ impl Gpu {
     /// program that diverged.
     fn next_reconvergence_check(&mut self) -> u64 {
         let eligible = self.early_exit && !self.fault_model.is_permanent();
-        let Some(rep) = self
-            .replay
-            .as_mut()
-            .filter(|r| eligible && !r.diverged.get())
-        else {
+        let Some(rep) = self.replay.as_mut().filter(|r| eligible && !r.diverged) else {
             return u64::MAX;
         };
         let snaps = &rep.store.snapshots;
@@ -471,7 +463,7 @@ impl Gpu {
             && self.taint_count() == 0
             && snap.reconverges(
                 self.cycle,
-                rep.cursor.get(),
+                rep.cursor,
                 p,
                 &self.stats,
                 &self.mem,
@@ -550,10 +542,7 @@ impl Gpu {
             cores: self.cores.clone(),
             stats: self.stats.clone(),
             progress,
-            host_ops_done: self
-                .recorder
-                .as_ref()
-                .map_or(0, |r| r.journal.borrow().len()),
+            host_ops_done: self.recorder.as_ref().map_or(0, |r| r.journal.len()),
         }
     }
 
@@ -650,9 +639,9 @@ impl Gpu {
         *early_exit = false;
         *replay = Some(Replay {
             store: Arc::clone(store),
-            cursor: Cell::new(0),
+            cursor: 0,
             snapshot: idx,
-            diverged: Cell::new(false),
+            diverged: false,
             next_check: idx + 1,
         });
     }
@@ -743,7 +732,7 @@ impl Gpu {
         // core configuration, the initial CTA fill) must be skipped.
         let resumed = self.replay.as_ref().and_then(|rep| {
             let snap = &rep.store.snapshots[rep.snapshot];
-            (rep.cursor.get() == snap.host_ops_done + 1).then(|| {
+            (rep.cursor == snap.host_ops_done + 1).then(|| {
                 snap.progress
                     .expect("campaign checkpoints are mid-launch snapshots")
             })
@@ -996,13 +985,12 @@ impl Gpu {
         // Lockstep oracle: diff the launch's final architectural state
         // against the reference interpreter (drains the cores' exit logs
         // even on a trap, so a later launch starts clean).
-        if let Some(orc) = &self.oracle {
+        if let Some(orc) = &mut self.oracle {
             let mut exited: Vec<ThreadState> = Vec::new();
             for c in &mut self.cores {
                 exited.extend(c.take_exit_log());
             }
-            orc.borrow_mut()
-                .on_launch(kernel, dims, args, outcome.err(), &self.mem, &exited);
+            orc.on_launch(kernel, dims, args, outcome.err(), &self.mem, &exited);
         }
 
         outcome?;

@@ -104,14 +104,19 @@ pub use stats::{AppStats, KernelWindow, LaunchStats};
 // its siblings.  The supervisor only ever *reads* these types across the
 // boundary; the one `Gpu` a campaign client forks run after run is dropped
 // as soon as a run panics, so no half-mutated device outlives the unwind
-// (see `gpufi_core`'s `catch_run`).  These compile-time assertions
-// keep that contract from silently regressing when someone adds a
-// `Cell`/`RefCell` to a snapshot or config type.
+// (see `gpufi_core`'s `catch_run`).  The simulator is plain data: every
+// host call that changes device state — D2H copies included — takes
+// `&mut self`, so no `&self` method writes state, and the device, its
+// memory system and the checkpoint store are `Sync + RefUnwindSafe`.
+// These compile-time assertions keep a `Cell`, `RefCell` or atomic
+// latch from coming back silently.
 const _: () = {
-    const fn assert_ref_unwind_safe<T: std::panic::RefUnwindSafe>() {}
-    assert_ref_unwind_safe::<CheckpointStore>();
-    assert_ref_unwind_safe::<Snapshot>();
-    assert_ref_unwind_safe::<GpuConfig>();
-    assert_ref_unwind_safe::<InjectionPlan>();
-    assert_ref_unwind_safe::<Trap>();
+    const fn assert_shared_plain_data<T: Sync + std::panic::RefUnwindSafe>() {}
+    assert_shared_plain_data::<Gpu>();
+    assert_shared_plain_data::<MemSystem>();
+    assert_shared_plain_data::<Snapshot>();
+    assert_shared_plain_data::<CheckpointStore>();
+    assert_shared_plain_data::<GpuConfig>();
+    assert_shared_plain_data::<InjectionPlan>();
+    assert_shared_plain_data::<Trap>();
 };

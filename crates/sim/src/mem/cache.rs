@@ -27,38 +27,6 @@ use crate::config::{CacheConfig, TAG_BITS};
 use arrays::Arrays;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// A set-through-`&self` boolean latch for "tainted state was observed"
-/// events.
-///
-/// Host-coherence reads are `&self`, so the latch needs interior
-/// mutability; checkpoint snapshots are shared read-only across campaign
-/// worker threads, so it must also be `Sync` — which rules out `Cell`.
-/// A relaxed `AtomicBool` gives both (each `Gpu` is only ever driven by
-/// one thread, so no ordering is required).
-#[derive(Debug, Default)]
-pub(crate) struct EscapeLatch(AtomicBool);
-
-impl EscapeLatch {
-    pub(crate) fn new(v: bool) -> Self {
-        EscapeLatch(AtomicBool::new(v))
-    }
-
-    pub(crate) fn get(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn set(&self, v: bool) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-}
-
-impl Clone for EscapeLatch {
-    fn clone(&self) -> Self {
-        EscapeLatch::new(self.get())
-    }
-}
 
 /// Per-line heap accounting constant for [`Cache::resident_bytes`].
 ///
@@ -171,11 +139,10 @@ pub struct Cache {
     /// line walk.
     valid_cnt: u32,
     // Latched when fault-flipped state becomes observable: a read (or host
-    // peek) hits a tainted line, a tainted dirty victim is written back to
+    // read) hits a tainted line, a tainted dirty victim is written back to
     // the next level, or a tag flip lands on a valid line (tag flips change
-    // hit/miss timing immediately).  A latch because the host-coherence
-    // read path is `&self`.
-    escaped: EscapeLatch,
+    // hit/miss timing immediately).
+    escaped: bool,
 }
 
 clone_fields!(Cache {
@@ -504,7 +471,7 @@ impl Cache {
             stats: CacheStats::default(),
             taints: 0,
             valid_cnt: 0,
-            escaped: EscapeLatch::new(false),
+            escaped: false,
         }
     }
 
@@ -563,7 +530,7 @@ impl Cache {
     /// docs); once set, the fault-lifetime tracker must run the simulation
     /// to completion.
     pub fn taint_escaped(&self) -> bool {
-        self.escaped.get()
+        self.escaped
     }
 
     /// Hashes the cache's complete state (lines, LRU stamps, statistics,
@@ -585,7 +552,7 @@ impl Cache {
         h.u64(self.stats.writebacks);
         h.u64(self.stats.fills);
         h.u32(self.taints);
-        h.bool(self.escaped.get());
+        h.bool(self.escaped);
     }
 
     /// The cache geometry.
@@ -654,7 +621,7 @@ impl Cache {
                 let (line, data) = self.arrays.touch(s);
                 line.lru = self.tick;
                 if line.tainted {
-                    self.escaped.set(true);
+                    self.escaped = true;
                 }
                 self.stats.hits += 1;
                 Some(data)
@@ -695,16 +662,21 @@ impl Cache {
         }
     }
 
-    /// The data bytes of a resident line, without touching LRU state or
-    /// statistics (host-coherence path); reading a tainted line latches
-    /// the escape.
+    /// The data bytes of a resident line, without touching LRU state,
+    /// statistics or the escape latch (host-coherence path).
     pub fn peek_line(&self, line_addr: u64) -> Option<&[u8]> {
-        self.find(line_addr).map(|s| {
-            if self.arrays.line(s).tainted {
-                self.escaped.set(true);
-            }
-            self.arrays.data(s)
-        })
+        self.find(line_addr).map(|s| self.arrays.data(s))
+    }
+
+    /// Latches the escape when the line for `line_addr` is resident and
+    /// tainted: the host is about to read its bytes.
+    pub(crate) fn observe(&mut self, line_addr: u64) {
+        if self
+            .find(line_addr)
+            .is_some_and(|s| self.arrays.line(s).tainted)
+        {
+            self.escaped = true;
+        }
     }
 
     /// Overwrites `bytes` at `offset` of a resident line without touching
@@ -761,7 +733,7 @@ impl Cache {
                 // Writing a tainted victim back carries flipped bits into
                 // the next memory level — they become observable there.
                 if line.tainted {
-                    self.escaped.set(true);
+                    self.escaped = true;
                 }
                 self.stats.writebacks += 1;
                 Some(Writeback {
@@ -833,7 +805,7 @@ impl Cache {
                 remaining -= 1;
                 if line.dirty {
                     if line.tainted {
-                        self.escaped.set(true);
+                        self.escaped = true;
                     }
                     out.push(Writeback {
                         line_addr: line.tag * sets + first_set + (j / ways) as u64,
@@ -906,7 +878,7 @@ impl Cache {
             line.tag ^= 1 << within;
             // A corrupted tag changes hit/miss behaviour (and thus timing)
             // from the very next lookup — it is immediately observable.
-            self.escaped.set(true);
+            self.escaped = true;
             FlipOutcome::Tag
         } else {
             let data_bit = within - u64::from(TAG_BITS);

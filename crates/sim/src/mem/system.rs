@@ -17,7 +17,7 @@
 //! (and therefore injected tag faults) perturbs execution time — the source
 //! of the paper's **Performance** fault-effect class.
 
-use super::cache::{Cache, CacheStats, EscapeLatch, FlipOutcome, Writeback};
+use super::cache::{Cache, CacheStats, FlipOutcome, Writeback};
 use crate::config::{GpuConfig, LatencyConfig};
 use crate::error::{LaunchError, Trap};
 use crate::fault::{FaultTarget, Structure};
@@ -80,9 +80,8 @@ pub struct MemSystem {
     // Fault-lifetime tracking for the local-memory backing segment: bit
     // indices flipped by injection but not yet read back through a fill.
     local_taints: Vec<u64>,
-    // Latched when tainted local-backing bytes are read (fills are `&self`
-    // on some paths, hence the latch).
-    escaped: EscapeLatch,
+    // Latched when tainted local-backing bytes are read.
+    escaped: bool,
 }
 
 clone_fields!(MemSystem {
@@ -202,7 +201,7 @@ impl MemSystem {
             bank_busy: vec![0; banks],
             dram_busy: vec![0; banks],
             local_taints: Vec::new(),
-            escaped: EscapeLatch::new(false),
+            escaped: false,
         }
     }
 
@@ -264,7 +263,7 @@ impl MemSystem {
     /// Whether any fault-flipped memory state has become observable
     /// (read, written back to a lower level, or a tag corrupted).
     pub fn taint_escaped(&self) -> bool {
-        self.escaped.get() || self.caches().any(Cache::taint_escaped)
+        self.escaped || self.caches().any(Cache::taint_escaped)
     }
 
     /// Hashes the complete memory-system state (backing segments, every
@@ -298,19 +297,19 @@ impl MemSystem {
         for b in taints {
             h.u64(b);
         }
-        h.bool(self.escaped.get());
+        h.bool(self.escaped);
     }
 
     /// Escapes if the local-backing byte range `[start, start+len)` holds a
     /// tainted bit (it is about to be observed by a fill).
-    fn observe_local_range(&self, start: usize, len: usize) {
+    fn observe_local_range(&mut self, start: usize, len: usize) {
         if !self.local_taints.is_empty()
             && self
                 .local_taints
                 .iter()
                 .any(|&b| ((b / 8) as usize) >= start && ((b / 8) as usize) < start + len)
         {
-            self.escaped.set(true);
+            self.escaped = true;
         }
     }
 
@@ -359,14 +358,20 @@ impl MemSystem {
         Ok(())
     }
 
-    /// Copies device memory to the host, coherently through the L2.
+    /// Copies device memory to the host, coherently through the L2.  A
+    /// resident L2 line holding fault-flipped bits escapes here: the host
+    /// observes it.
     ///
     /// # Errors
     ///
     /// Returns [`LaunchError::BadDevicePointer`] when the range is not
     /// mapped in the global segment.
-    pub fn host_read(&self, addr: u32, out: &mut [u8]) -> Result<(), LaunchError> {
+    pub fn host_read(&mut self, addr: u32, out: &mut [u8]) -> Result<(), LaunchError> {
         self.check_host_range(addr, out.len())?;
+        for (la, _, _) in self.line_pieces(addr, out.len()) {
+            let (bank, local_la) = self.bank_of(la);
+            self.l2[bank].observe(local_la);
+        }
         self.coherent_read(addr, out);
         Ok(())
     }
@@ -480,7 +485,8 @@ impl MemSystem {
     /// Reads a mapped global range coherently, a line at a time: from the
     /// L2 where the line is resident (it may hold newer — or
     /// fault-corrupted — data than the backing store), else from the
-    /// backing store.  LRU state, statistics and dirty flags are untouched.
+    /// backing store.  LRU state, statistics, dirty flags and escape
+    /// latches are untouched.
     fn coherent_read(&self, addr: u32, out: &mut [u8]) {
         let mut at = 0;
         for (la, off, n) in self.line_pieces(addr, out.len()) {
@@ -529,7 +535,8 @@ impl MemSystem {
 
     /// Reads one line from the DRAM backing; unbacked regions read as
     /// zeros (demand paging), addresses outside the 32-bit space as `None`.
-    fn dram_line(&self, line_addr: u64) -> Option<Vec<u8>> {
+    /// Reading tainted local-backing bytes latches the escape.
+    fn dram_line(&mut self, line_addr: u64) -> Option<Vec<u8>> {
         let start = line_addr.checked_mul(u64::from(self.line_bytes))?;
         if start > u64::from(u32::MAX) {
             return None;
@@ -538,9 +545,10 @@ impl MemSystem {
         let lb = self.line_bytes as usize;
         let backed = if start >= LOCAL_BASE {
             let o = (start - LOCAL_BASE) as usize;
-            self.local
-                .get(o..o + lb)
-                .inspect(|_| self.observe_local_range(o, lb))
+            if o + lb <= self.local.len() {
+                self.observe_local_range(o, lb);
+            }
+            self.local.get(o..o + lb)
         } else if start >= GLOBAL_BASE {
             let o = (start - GLOBAL_BASE) as usize;
             self.global.get(o..o + lb)
@@ -990,25 +998,6 @@ impl MemSystem {
         })
     }
 
-    /// Flips a bit in one SM's L1 data cache.
-    ///
-    /// Returns `None` when the card has no L1D.
-    pub fn flip_l1d_bit(&mut self, sm: usize, bit: u64) -> Option<FlipOutcome> {
-        self.cache_mut(Structure::L1Data, sm)
-            .map(|c| c.flip_bit(bit))
-    }
-
-    /// Flips a bit in the flat L2 space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` exceeds [`MemSystem::l2_bits`].
-    pub fn flip_l2_bit(&mut self, bit: u64) -> FlipOutcome {
-        let (bank, bit) = self.l2_bit(bit);
-        assert!(bank < self.l2.len(), "L2 bit out of range");
-        self.l2[bank].flip_bit(bit)
-    }
-
     /// Flips a bit in the local-memory backing segment.
     ///
     /// Returns `false` when the segment is smaller than the bit index
@@ -1075,6 +1064,15 @@ impl MemSystem {
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
+
+    /// An L1D fault flipping `bit` in SM 0's L1D.
+    fn l1d_bit(bit: u64) -> FaultTarget {
+        FaultTarget::L1Data {
+            core_lot: 0,
+            replicate: 1,
+            bits: vec![bit],
+        }
+    }
 
     fn tiny_gpu() -> GpuConfig {
         let mut cfg = GpuConfig::rtx2060();
@@ -1200,7 +1198,7 @@ mod tests {
         let mut flipped = false;
         for line in 0..m.l1d_bits().unwrap() / bpl {
             let bit = line * bpl + u64::from(crate::config::TAG_BITS);
-            if m.flip_l1d_bit(0, bit) == Some(FlipOutcome::Data) {
+            if m.flip_cache_fault(&l1d_bit(bit)) == [FlipOutcome::Data] {
                 flipped = true;
                 break;
             }
@@ -1223,15 +1221,20 @@ mod tests {
         let mut hit = false;
         for line in 0..lines {
             let bit = line * bpl + u64::from(crate::config::TAG_BITS);
-            if m.flip_l2_bit(bit) == FlipOutcome::Data {
+            if m.flip_cache_fault(&FaultTarget::L2 { bits: vec![bit] }) == [FlipOutcome::Data] {
                 hit = true;
                 break;
             }
         }
         assert!(hit);
+        // The image the oracle diffs reads without observing...
+        assert_eq!(m.global_image()[..4], [1, 0, 0, 0]);
+        assert!(!m.taint_escaped());
+        // ...a host copy observes the flipped line.
         let mut buf = [0u8; 4];
         m.host_read(a, &mut buf).unwrap();
         assert_eq!(u32::from_le_bytes(buf), 1, "corruption visible through L2");
+        assert!(m.taint_escaped());
     }
 
     #[test]
@@ -1271,7 +1274,7 @@ mod tests {
         let m = MemSystem::new(&GpuConfig::gtx_titan());
         assert!(m.l1d_bits().is_none());
         let mut m = m;
-        assert!(m.flip_l1d_bit(0, 0).is_none());
+        assert!(m.flip_cache_fault(&l1d_bit(0)).is_empty());
     }
 
     #[test]
@@ -1279,7 +1282,10 @@ mod tests {
         let mut m = MemSystem::new(&tiny_gpu());
         m.reset_local(1, 16).unwrap();
         assert!(m.flip_local_bit(3));
+        assert!(!m.taint_escaped());
+        // The fill from the local backing reads the flipped bit.
         assert_eq!(m.load4(0, AccessKind::Local, LOCAL_BASE).unwrap(), 8);
+        assert!(m.taint_escaped());
         assert!(!m.flip_local_bit(1 << 40));
     }
 }
