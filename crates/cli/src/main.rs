@@ -147,9 +147,9 @@ campaigns fork each run from a golden-run checkpoint at its first
 injection cycle and abort it as soon as every injected fault's lifetime
 has provably ended, or its state has reconverged with a later
 checkpoint (classified Masked at the golden cycle count); a run whose
-every flip lands in a cache line the checkpoints show invalid and
-untouched around its cycle gets its fork's record without the fork
-(early exits and restores count it as that fork);
+every flip lands in a cache line the golden run has invalid where the
+flip fires gets its fork's record without simulating it (early exits
+and restores count it as that fork; `settled` counts those restores);
 --oracle-check runs the golden pass in lockstep with the functional
 reference interpreter, resolves every run as the default engine does
 (same CSV and journal) and re-runs it cold, fully simulated and
@@ -604,9 +604,16 @@ fn print_campaign_summary(
         100.0 * s.early_exit_rate,
         s.reconverged
     )?;
+    // A coordinator cannot tell settled runs from forked ones: its workers
+    // send records alone.
+    let settled = if s.workers == 0 {
+        format!("   settled: {}", s.settled)
+    } else {
+        String::new()
+    };
     writeln!(
         Out,
-        "  checkpoints: {} ({:.1} MiB)   restores: {}   mean cycles skipped: {:.0}",
+        "  checkpoints: {} ({:.1} MiB)   restores: {}{settled}   mean cycles skipped: {:.0}",
         s.checkpoints,
         s.checkpoint_bytes as f64 / (1024.0 * 1024.0),
         s.restores,

@@ -206,6 +206,13 @@ pub struct CampaignStats {
     pub checkpoint_bytes: usize,
     /// Runs that forked from a checkpoint instead of cold-starting.
     pub restores: usize,
+    /// Restores the checkpoint store settled without forking
+    /// ([`CheckpointStore::settles`]): their records are their forks', so
+    /// the forks actually taken are `restores − settled`.  A settled run
+    /// whose first fault precedes the first checkpoint is a cold start,
+    /// counted in neither.  Counted by the in-process executor only (0 in
+    /// a distributed campaign, whose workers report records alone).
+    pub settled: usize,
     /// Mean golden-run cycles skipped per run by checkpoint forking.
     pub mean_skipped_cycles: f64,
     /// Runs compared with their cold full-simulation reference
@@ -694,9 +701,28 @@ impl OracleVerdict {
     }
 }
 
-/// One supervised run: its record, its oracle verdict and how many
-/// attempts panicked (`> 0`: the run was retried).
-pub(crate) type Outcome = (RunRecord, OracleVerdict, usize);
+/// One supervised run: its record, its oracle verdict, how many attempts
+/// panicked (`> 0`: the run was retried) and whether the checkpoint store
+/// settled it without simulating it.
+pub(crate) struct Outcome {
+    pub(crate) rec: RunRecord,
+    pub(crate) verdict: OracleVerdict,
+    pub(crate) panics: usize,
+    pub(crate) settled: bool,
+}
+
+impl Outcome {
+    /// A run a distributed worker resolved: only its record crosses the
+    /// wire.
+    pub(crate) fn of_record(rec: RunRecord) -> Self {
+        Outcome {
+            rec,
+            verdict: OracleVerdict::default(),
+            panics: 0,
+            settled: false,
+        }
+    }
+}
 
 /// Everything one injection run borrows from its campaign.  Both
 /// executors build one: the in-process clients with the oracle image,
@@ -717,36 +743,37 @@ pub(crate) struct RunEnv<'a> {
 
 impl RunEnv<'_> {
     /// Resolves one run by the campaign's ladder: static
-    /// pre-classification, else the checkpoint store's proof that every
-    /// flip lands in an untouched invalid cache line, else a simulation
+    /// pre-classification, else the golden line-validity timeline's proof
+    /// that every flip lands in an invalid cache line, else a simulation
     /// forked from the nearest checkpoint and cut short by taint early
-    /// exit or reconvergence.
-    fn resolve(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> RunRecord {
+    /// exit or reconvergence.  Also says whether the timeline settled it.
+    fn resolve(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> (RunRecord, bool) {
         let masks = self.drawn.masks.get(&run.kernel);
         let granularity = PruneGranularity::of(self.cfg);
-        masks
-            .and_then(|m| pre_classify(run, m, granularity, self.golden.total_cycles()))
-            .or_else(|| self.settle(run))
-            .unwrap_or_else(|| self.simulate(gpu, run, self.store.as_ref(), true))
+        if let Some(rec) =
+            masks.and_then(|m| pre_classify(run, m, granularity, self.golden.total_cycles()))
+        {
+            return (rec, false);
+        }
+        match self.settle(run) {
+            Some(rec) => (rec, true),
+            None => (self.simulate(gpu, run, self.store.as_ref(), true), false),
+        }
     }
 
     /// The record of a run the checkpoint store settles
-    /// ([`CheckpointStore::settles`]), without its fork: the one that
-    /// fork writes, ended by early exit as its last fault fires in an
-    /// invalid line — Masked at the golden cycle count, nothing applied,
-    /// forked from the nearest checkpoint.
+    /// ([`CheckpointStore::settles`]), without simulating it: the one its
+    /// fork — or its cold start, before the first checkpoint — writes,
+    /// ended by early exit as its last fault fires in an invalid line:
+    /// Masked at the golden cycle count, nothing applied.
     fn settle(&self, run: &RunPlan) -> Option<RunRecord> {
         let store = self.store.as_ref().filter(|s| s.settles(&run.plan))?;
-        let idx = store.nearest_at_or_before(run.first_cycle)?;
+        let skipped = store
+            .nearest_at_or_before(run.first_cycle)
+            .map_or(0, |idx| store.snapshot_cycle(idx));
         let expired = Err(WorkloadError::Trap(Trap::FaultsExpired));
         let golden_cycles = self.golden.total_cycles();
-        Some(self.record(
-            run,
-            &expired,
-            || golden_cycles,
-            false,
-            store.snapshot_cycle(idx),
-        ))
+        Some(self.record(run, &expired, || golden_cycles, false, skipped))
     }
 
     /// Simulates one run on the client's device and classifies it,
@@ -865,7 +892,14 @@ impl RunEnv<'_> {
                 self.resolve(gpu, run)
             });
             match out {
-                Some(rec) => return (rec, self.check(run, &rec), attempt as usize),
+                Some((rec, settled)) => {
+                    return Outcome {
+                        rec,
+                        verdict: self.check(run, &rec),
+                        panics: attempt as usize,
+                        settled,
+                    }
+                }
                 None => *gpu = None,
             }
         }
@@ -878,7 +912,10 @@ impl RunEnv<'_> {
             detail: RunDetail::SimPanic,
             stratum: run.stratum,
         };
-        (poison, OracleVerdict::default(), 2)
+        Outcome {
+            panics: 2,
+            ..Outcome::of_record(poison)
+        }
     }
 }
 
@@ -1219,7 +1256,12 @@ impl Board {
         client: Option<usize>,
         lease: u64,
         run: usize,
-        (rec, verdict, panics): Outcome,
+        Outcome {
+            rec,
+            verdict,
+            panics,
+            settled,
+        }: Outcome,
     ) -> Result<(), Refused> {
         let mut guard = self.lock();
         let b = &mut *guard;
@@ -1256,6 +1298,9 @@ impl Board {
         s.oracle_mismatches += usize::from(verdict.mismatch);
         s.panics += panics;
         s.retries += usize::from(panics > 0);
+        // A settled run past the first checkpoint counts as the restore
+        // its fork would have made (see `CampaignStats::settled`).
+        s.settled += usize::from(settled && rec.ckpt_skipped_cycles > 0);
         if let Some(left) = &mut b.chaos_left {
             *left -= 1;
             b.died = *left == 0;

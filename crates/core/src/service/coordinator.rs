@@ -8,9 +8,7 @@
 
 use super::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
 use super::{ServiceConfig, ServiceError};
-use crate::campaign::{
-    prepare, Board, CampaignConfig, CampaignResult, Grant, OracleVerdict, Refused,
-};
+use crate::campaign::{prepare, Board, CampaignConfig, CampaignResult, Grant, Outcome, Refused};
 use crate::json::{self, Value};
 use crate::profile::GoldenProfile;
 use crate::workload::Workload;
@@ -202,10 +200,10 @@ fn serve_lease(
     while !remaining.is_empty() {
         match Msg::decode(&read_frame(reader)?)? {
             Msg::Ping => continue,
-            // Workers do not report oracle verdicts or panics: the
-            // coordinator's counters cover its merges only.
+            // Workers do not report oracle verdicts, panics or settled
+            // runs: the coordinator's counters cover its merges only.
             Msg::Done { lease, run, rec } => {
-                match board.merge(Some(wid), lease, run, (rec, OracleVerdict::default(), 0)) {
+                match board.merge(Some(wid), lease, run, Outcome::of_record(rec)) {
                     Ok(()) => remaining.retain(|&r| r != run),
                     Err(Refused::Died) => return Err(ServiceError::Chaos),
                     Err(Refused::Unleased) => {

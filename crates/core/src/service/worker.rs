@@ -178,7 +178,7 @@ pub fn run_worker_with_chaos(
                                 std::thread::sleep(Duration::from_millis(ms));
                             }
                         }
-                        let (rec, ..) = env.supervised_run(&mut gpu, i);
+                        let rec = env.supervised_run(&mut gpu, i).rec;
                         let payload = Msg::Done {
                             lease: id,
                             run: i,

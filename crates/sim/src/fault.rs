@@ -248,14 +248,6 @@ impl Structure {
     pub fn supports_stuck_at(self) -> bool {
         self.row().3
     }
-
-    /// Whether this is one of the cache arrays (L1D, L1T, L1C, L2).
-    pub fn is_cache(self) -> bool {
-        matches!(
-            self,
-            Structure::L1Data | Structure::L1Tex | Structure::L1Const | Structure::L2
-        )
-    }
 }
 
 impl std::fmt::Display for Structure {

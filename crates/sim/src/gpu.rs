@@ -573,6 +573,7 @@ impl Gpu {
     /// Panics if `interval` is zero.
     pub fn record_checkpoints(&mut self, interval: u64, budget_bytes: usize) {
         self.recorder = Some(Recorder::new(interval, budget_bytes));
+        self.mem.start_validity_log();
     }
 
     /// Stops checkpoint recording and returns the store.
@@ -581,10 +582,11 @@ impl Gpu {
     ///
     /// Panics if [`Gpu::record_checkpoints`] was never called.
     pub fn finish_checkpoint_recording(&mut self) -> CheckpointStore {
-        self.recorder
+        let recorder = self
+            .recorder
             .take()
-            .expect("checkpoint recording not started")
-            .into_store()
+            .expect("checkpoint recording not started");
+        recorder.into_store(self.mem.take_validity_timeline())
     }
 
     /// Forks this GPU from snapshot `idx` of a recorded store: restores
@@ -814,20 +816,21 @@ impl Gpu {
             // same pending-fault semantics a cold run reaching this cycle
             // would (a fault planned at exactly this cycle fires now in
             // both).  Every iteration advances the cycle, so each
-            // top-of-loop cycle value is captured at most once.
-            if self
-                .recorder
-                .as_ref()
-                .is_some_and(|r| self.cycle >= r.next_at)
-            {
-                // Cache chunks written since the last capture become shared
-                // with the snapshot instead of copied into it.
-                self.mem.share();
-                let snap = self.capture(Some(p));
-                self.recorder
-                    .as_mut()
-                    .expect("recorder checked above")
-                    .push(snap);
+            // top-of-loop cycle value is captured at most once.  Faults
+            // fire just below, so the validity log stamps the changes the
+            // cores make next as following this top.
+            if let Some(rec) = &self.recorder {
+                if self.cycle >= rec.next_at {
+                    // Cache chunks written since the last capture become
+                    // shared with the snapshot instead of copied into it.
+                    self.mem.share();
+                    let snap = self.capture(Some(p));
+                    self.recorder
+                        .as_mut()
+                        .expect("recorder checked above")
+                        .push(snap);
+                }
+                self.mem.validity_top(self.cycle);
             }
             // Reconvergence (forked runs only), also before fault firing,
             // where the golden run captured the checkpoint.

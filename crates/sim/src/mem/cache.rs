@@ -319,6 +319,11 @@ mod arrays {
             self.slot((i / self.ways) as u32, i % self.ways)
         }
 
+        /// The line-major index (`set * ways + way`) of the line at `s`.
+        pub(super) fn index_of(&self, s: Slot) -> u32 {
+            ((s.chunk << self.set_shift) * self.ways + s.line) as u32
+        }
+
         /// The first set chunk `chunk` holds.
         pub(super) fn first_set(&self, chunk: usize) -> u32 {
             (chunk as u32) << self.set_shift
@@ -404,15 +409,6 @@ mod arrays {
                             && a.data == b.data
                     }
                 })
-        }
-
-        /// Whether `o` holds the chunk of slot `s` by the same pointer, so
-        /// that no write reached it between the two (for snapshots of one
-        /// run, see `Held::owned`).
-        pub(super) fn shares_chunk(&self, o: &Arrays, s: Slot) -> bool {
-            o.chunks
-                .get(s.chunk)
-                .is_some_and(|c| self.chunks[s.chunk].is(c))
         }
 
         /// Heap bytes of the chunk table plus every chunk not yet in
@@ -707,6 +703,18 @@ impl Cache {
     ///
     /// Panics if `data` is not exactly one line long.
     pub fn fill(&mut self, line_addr: u64, data: &[u8], dirty: bool) -> Option<Writeback> {
+        self.fill_with(line_addr, data, dirty, &mut |_| {})
+    }
+
+    /// [`Cache::fill`], calling `turned_valid` with the line-major index of
+    /// the line when it fills an invalid way.
+    pub(crate) fn fill_with(
+        &mut self,
+        line_addr: u64,
+        data: &[u8],
+        dirty: bool,
+        turned_valid: &mut dyn FnMut(u32),
+    ) -> Option<Writeback> {
         assert_eq!(
             data.len(),
             self.cfg.line_bytes as usize,
@@ -725,6 +733,10 @@ impl Cache {
                 .expect("sets are non-empty")
         });
         let victim = self.arrays.slot(set, way);
+        if !ways[way].valid {
+            self.valid_cnt += 1;
+            turned_valid(self.arrays.index_of(victim));
+        }
         let evicted = if resident.is_some() {
             None
         } else {
@@ -749,9 +761,6 @@ impl Cache {
         // The victim's bytes are replaced wholesale; a clean tainted victim
         // is silently dropped, which matches the golden run's state.
         untaint(line, &mut self.taints);
-        if !line.valid {
-            self.valid_cnt += 1;
-        }
         line.valid = true;
         line.dirty = dirty;
         line.tag = tag;
@@ -765,7 +774,14 @@ impl Cache {
     /// the L1 evict-on-write policy on global stores, where the line is
     /// never dirty).
     pub fn invalidate(&mut self, line_addr: u64) {
+        self.invalidate_with(line_addr, &mut |_| {});
+    }
+
+    /// [`Cache::invalidate`], calling `turned_invalid` with the line-major
+    /// index of the line it drops.
+    pub(crate) fn invalidate_with(&mut self, line_addr: u64, turned_invalid: &mut dyn FnMut(u32)) {
         if let Some(s) = self.find(line_addr) {
+            turned_invalid(self.arrays.index_of(s));
             let line = self.arrays.touch(s).0;
             line.valid = false;
             line.dirty = false;
@@ -782,6 +798,12 @@ impl Cache {
     /// launch, and most caches are cold on most launches — and a chunk
     /// with no valid line is neither written nor copied.
     pub fn flush(&mut self) -> Vec<Writeback> {
+        self.flush_with(&mut |_| {})
+    }
+
+    /// [`Cache::flush`], calling `turned_invalid` with the line-major index
+    /// of every line it drops, in index order.
+    pub(crate) fn flush_with(&mut self, turned_invalid: &mut dyn FnMut(u32)) -> Vec<Writeback> {
         let mut out = Vec::new();
         let sets = u64::from(self.cfg.sets);
         let ways = self.cfg.ways as usize;
@@ -803,6 +825,7 @@ impl Cache {
                     continue;
                 }
                 remaining -= 1;
+                turned_invalid((first_set * ways as u64) as u32 + j as u32);
                 if line.dirty {
                     if line.tainted {
                         self.escaped = true;
@@ -833,30 +856,11 @@ impl Cache {
         self.cfg.total_bits()
     }
 
-    /// The slot of the line bit `bit` of the injectable space belongs to
-    /// (see [`Cache::flip_bit`] for the layout), and the bit's offset
-    /// within that line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` is outside the injectable space.
-    fn bit_slot(&self, bit: u64) -> (arrays::Slot, u64) {
-        let bpl = self.cfg.bits_per_line();
-        assert!(bit < self.total_bits(), "bit {bit} out of cache space");
-        (self.arrays.slot_of_index((bit / bpl) as usize), bit % bpl)
-    }
-
-    /// Whether a flip of `bit` lands in an invalid line at every moment
-    /// from this state to `later`'s, this cache further on in the same
-    /// run: the line is invalid here, and `later` still holds its chunk by
-    /// the same pointer, so nothing wrote to the chunk in between.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit` is outside the injectable space.
-    pub(crate) fn flip_is_void_until(&self, later: &Cache, bit: u64) -> bool {
-        let (s, _) = self.bit_slot(bit);
-        !self.arrays.line(s).valid && self.arrays.shares_chunk(&later.arrays, s)
+    /// The line-major index of every valid line.
+    pub(crate) fn valid_line_indices(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..)
+            .zip(self.arrays.iter())
+            .filter_map(|(i, (l, _))| l.valid.then_some(i))
     }
 
     /// Flips one bit of the injectable bit space.
@@ -869,7 +873,10 @@ impl Cache {
     ///
     /// Panics if `bit` is outside the injectable space.
     pub fn flip_bit(&mut self, bit: u64) -> FlipOutcome {
-        let (s, within) = self.bit_slot(bit);
+        let bpl = self.cfg.bits_per_line();
+        assert!(bit < self.total_bits(), "bit {bit} out of cache space");
+        let s = self.arrays.slot_of_index((bit / bpl) as usize);
+        let within = bit % bpl;
         if !self.arrays.line(s).valid {
             return FlipOutcome::InvalidLine;
         }

@@ -3,6 +3,8 @@
 
 mod cache;
 mod system;
+mod validity;
 
 pub use cache::{Cache, CacheStats, FlipOutcome, Writeback};
 pub use system::{AccessKind, MemSystem, GLOBAL_BASE, LOCAL_BASE};
+pub(crate) use validity::Timeline;

@@ -18,9 +18,10 @@
 //! of the paper's **Performance** fault-effect class.
 
 use super::cache::{Cache, CacheStats, FlipOutcome, Writeback};
+use super::validity::{Timeline, ValidityLog};
 use crate::config::{GpuConfig, LatencyConfig};
 use crate::error::{LaunchError, Trap};
-use crate::fault::{FaultTarget, Structure};
+use crate::fault::{FaultTarget, PlannedFault, Structure};
 use std::collections::HashSet;
 
 /// One bit of a cache fault, resolved against the memory system: its
@@ -82,6 +83,9 @@ pub struct MemSystem {
     local_taints: Vec<u64>,
     // Latched when tainted local-backing bytes are read.
     escaped: bool,
+    // Every cache line's validity changes, on the golden recording pass
+    // alone (off in every clone and restore).
+    validity: ValidityLog,
 }
 
 clone_fields!(MemSystem {
@@ -99,6 +103,7 @@ clone_fields!(MemSystem {
     dram_busy,
     local_taints,
     escaped,
+    validity,
 });
 
 impl MemSystem {
@@ -129,9 +134,10 @@ impl MemSystem {
             l2,
             bank_busy,
             dram_busy,
-            // Ignored: fault bookkeeping.
+            // Ignored: fault bookkeeping and the recording instrument.
             local_taints: _,
             escaped: _,
+            validity: _,
         } = self;
         let caches = |a: &[Cache], b: &[Cache]| {
             a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.same_state(b))
@@ -202,6 +208,7 @@ impl MemSystem {
             dram_busy: vec![0; banks],
             local_taints: Vec::new(),
             escaped: false,
+            validity: ValidityLog::default(),
         }
     }
 
@@ -442,7 +449,9 @@ impl MemSystem {
             for (i, b) in data.iter_mut().enumerate() {
                 *b = self.constant.get(start + i).copied().unwrap_or(0);
             }
-            self.l1c[sm].fill(la, &data, false);
+            self.l1c[sm].fill_with(la, &data, false, &mut |l| {
+                self.validity.note(Structure::L1Const, sm, l);
+            });
             self.l1c[sm].read(la, off, &mut buf);
         }
         Ok(u32::from_le_bytes(buf))
@@ -620,24 +629,30 @@ impl MemSystem {
     ) -> Result<Option<Writeback>, Trap> {
         let (bank, local_la) = self.bank_of(line_addr);
         if let Some(line) = self.l2[bank].read_line(local_la) {
-            return Ok(
-                Self::l1(&mut self.l1d, &mut self.l1t, sm, kind).fill(line_addr, line, false)
-            );
+            let (l1, structure) = Self::l1(&mut self.l1d, &mut self.l1t, sm, kind);
+            let mut note = |l| self.validity.note(structure, sm, l);
+            return Ok(l1.fill_with(line_addr, line, false, &mut note));
         }
         let data = self.l2_fill(line_addr)?;
-        Ok(Self::l1(&mut self.l1d, &mut self.l1t, sm, kind).fill(line_addr, &data, false))
+        let (l1, structure) = Self::l1(&mut self.l1d, &mut self.l1t, sm, kind);
+        let mut note = |l| self.validity.note(structure, sm, l);
+        Ok(l1.fill_with(line_addr, &data, false, &mut note))
     }
 
-    /// The SM's L1 data or texture cache, borrowed apart from the L2.
+    /// The SM's L1 data or texture cache and its structure, borrowed apart
+    /// from the L2.
     fn l1<'a>(
         l1d: &'a mut [Option<Cache>],
         l1t: &'a mut [Cache],
         sm: usize,
         kind: AccessKind,
-    ) -> &'a mut Cache {
+    ) -> (&'a mut Cache, Structure) {
         match kind {
-            AccessKind::Texture => &mut l1t[sm],
-            AccessKind::Global | AccessKind::Local => l1d[sm].as_mut().expect("the SM has an L1D"),
+            AccessKind::Texture => (&mut l1t[sm], Structure::L1Tex),
+            AccessKind::Global | AccessKind::Local => (
+                l1d[sm].as_mut().expect("the SM has an L1D"),
+                Structure::L1Data,
+            ),
         }
     }
 
@@ -648,7 +663,8 @@ impl MemSystem {
         let data = self.dram_line(line_addr).ok_or(Trap::InvalidAddress {
             addr: (line_addr * u64::from(self.line_bytes)).min(u64::from(u32::MAX)) as u32,
         })?;
-        if let Some(wb) = self.l2[bank].fill(local_la, &data, false) {
+        let mut note = |l| self.validity.note(Structure::L2, bank, l);
+        if let Some(wb) = self.l2[bank].fill_with(local_la, &data, false, &mut note) {
             let victim_la = wb.line_addr * u64::from(self.num_banks) + bank as u64;
             self.dram_write_line(victim_la, &wb.data);
         }
@@ -665,7 +681,8 @@ impl MemSystem {
         }
         let mut data = self.dram_line(la).ok_or(Trap::InvalidAddress { addr })?;
         data[off as usize..off as usize + bytes.len()].copy_from_slice(bytes);
-        if let Some(wb) = self.l2[bank].fill(la / u64::from(self.num_banks), &data, true) {
+        let mut note = |l| self.validity.note(Structure::L2, bank, l);
+        if let Some(wb) = self.l2[bank].fill_with(local_la, &data, true, &mut note) {
             let victim_la = wb.line_addr * u64::from(self.num_banks) + bank as u64;
             self.dram_write_line(victim_la, &wb.data);
         }
@@ -680,7 +697,8 @@ impl MemSystem {
             return;
         }
         if self.dram_line(line_addr).is_some() {
-            if let Some(wb) = self.l2[bank].fill(local_la, data, true) {
+            let mut note = |l| self.validity.note(Structure::L2, bank, l);
+            if let Some(wb) = self.l2[bank].fill_with(local_la, data, true, &mut note) {
                 let victim_la = wb.line_addr * u64::from(self.num_banks) + bank as u64;
                 self.dram_write_line(victim_la, &wb.data);
             }
@@ -758,7 +776,7 @@ impl MemSystem {
                 // L1 are never dirty, so a plain invalidate suffices).
                 self.l2_write(addr, &bytes)?;
                 if let Some(l1) = self.l1d[sm].as_mut() {
-                    l1.invalidate(la);
+                    l1.invalidate_with(la, &mut |l| self.validity.note(Structure::L1Data, sm, l));
                 }
             }
             AccessKind::Local => {
@@ -850,13 +868,52 @@ impl MemSystem {
     pub fn flush_l1s(&mut self) {
         for sm in 0..self.l1d.len() {
             if let Some(l1) = self.l1d[sm].as_mut() {
-                for wb in l1.flush() {
+                for wb in l1.flush_with(&mut |l| self.validity.note(Structure::L1Data, sm, l)) {
                     self.l2_accept_writeback(wb.line_addr, &wb.data);
                 }
             }
-            self.l1t[sm].flush(); // read-only: victims are never dirty
-            self.l1c[sm].flush();
+            // Read-only: texture and constant victims are never dirty.
+            self.l1t[sm].flush_with(&mut |l| self.validity.note(Structure::L1Tex, sm, l));
+            self.l1c[sm].flush_with(&mut |l| self.validity.note(Structure::L1Const, sm, l));
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Line-validity timeline (golden recording pass)
+    // ------------------------------------------------------------------
+
+    /// Switches the line-validity log on (see [`Timeline`]), logging every
+    /// line valid now as turned valid before any fault can fire.
+    pub(crate) fn start_validity_log(&mut self) {
+        use Structure::{L1Const, L1Data, L1Tex, L2};
+        let mut log = ValidityLog::on();
+        let l1s = (0..self.l1t.len()).flat_map(|u| [(L1Data, u), (L1Tex, u), (L1Const, u)]);
+        for (structure, unit) in l1s.chain((0..self.l2.len()).map(|b| (L2, b))) {
+            // A cache with no valid line is skipped without a walk.
+            let lines = self.cache(structure, unit).filter(|c| c.valid_lines() > 0);
+            for l in lines.into_iter().flat_map(Cache::valid_line_indices) {
+                log.note(structure, unit, l);
+            }
+        }
+        self.validity = log;
+    }
+
+    /// Marks a cycle-loop top at `cycle`, where due faults fire: validity
+    /// changes from here on follow it.
+    pub(crate) fn validity_top(&mut self, cycle: u64) {
+        self.validity.top(cycle);
+    }
+
+    /// Switches the line-validity log off and returns its timeline.
+    pub(crate) fn take_validity_timeline(&mut self) -> Timeline {
+        self.validity.take()
+    }
+
+    /// Whether this memory system logs line-validity changes: only on a
+    /// checkpoint-recording golden pass, never in a snapshot, a fork or an
+    /// injection run.
+    pub fn logs_validity(&self) -> bool {
+        self.validity.is_on()
     }
 
     // ------------------------------------------------------------------
@@ -976,26 +1033,22 @@ impl MemSystem {
             .collect()
     }
 
-    /// Whether cache fault `target`, flipped at any moment from this state
-    /// to `later`'s — this memory system further on in the same golden
-    /// run — changes nothing: every bit lands in a line invalid here,
-    /// whose chunk `later` still shares (see [`Cache::flip_is_void_until`]).
-    /// `false` for a target outside the caches.
-    pub(crate) fn cache_fault_is_void_until(
-        &self,
-        later: &MemSystem,
-        target: &FaultTarget,
-    ) -> bool {
-        self.cache_bits(target).is_some_and(|sites| {
-            sites.iter().all(|c| {
-                let (now, then) = (
-                    self.cache(c.structure, c.unit),
-                    later.cache(c.structure, c.unit),
-                );
-                let (now, then) = now.zip(then).expect("a resolved cache bit");
-                now.flip_is_void_until(then, c.bit)
+    /// Whether cache fault `fault`, in a run that is the golden run up to
+    /// the fault's fire point, changes nothing: it fires, and every bit
+    /// lands in a line `timeline` — this memory system's golden run — has
+    /// invalid there.  `false` for a fault outside the caches.  Only this
+    /// memory system's geometry is read.
+    pub(crate) fn cache_fault_is_void(&self, fault: &PlannedFault, timeline: &Timeline) -> bool {
+        timeline.fires(fault.cycle)
+            && self.cache_bits(&fault.target).is_some_and(|sites| {
+                sites.iter().all(|c| {
+                    let cache = self
+                        .cache(c.structure, c.unit)
+                        .expect("a resolved cache bit");
+                    let line = c.bit / cache.config().bits_per_line();
+                    timeline.invalid_at(c.structure, c.unit, line as u32, fault.cycle)
+                })
             })
-        })
     }
 
     /// Flips a bit in the local-memory backing segment.
@@ -1267,6 +1320,49 @@ mod tests {
         m.flush_l1s();
         // After the flush the dirty line lives in L2; a fresh load sees it.
         assert_eq!(m.load4(0, AccessKind::Local, LOCAL_BASE).unwrap(), 0x55);
+    }
+
+    #[test]
+    fn the_validity_timeline_orders_changes_against_loop_tops() {
+        let cfg = tiny_gpu();
+        let mut m = MemSystem::new(&cfg);
+        let a = m.alloc(128).unwrap();
+        m.start_validity_log();
+        assert!(m.logs_validity());
+        assert!(!m.clone().logs_validity(), "a snapshot holds no log");
+        // The iteration of top 10 fills the line into way 0 of its set,
+        // that of top 20 drops it (evict-on-write) and fills it again into
+        // way 1, the least recently used, and the flush after the launch
+        // ending at top 30 drops it; one more launch follows.
+        m.validity_top(10);
+        m.load4(0, AccessKind::Global, a).unwrap();
+        m.validity_top(20);
+        m.store4(0, AccessKind::Global, a, 1).unwrap();
+        m.load4(0, AccessKind::Global, a).unwrap();
+        m.validity_top(30);
+        m.flush_l1s();
+        m.validity_top(40);
+        let timeline = m.take_validity_timeline();
+        assert!(!m.logs_validity());
+        // Data bit 0 of way `way` of the line's set in SM `sm`'s L1D,
+        // flipped at `cycle`.
+        let l1d = cfg.l1d.unwrap();
+        let set = (u64::from(a) / 128) % u64::from(l1d.sets);
+        let void = |sm: u64, way: u64, cycle| {
+            let line = set * u64::from(l1d.ways) + way;
+            let bit = line * l1d.bits_per_line() + u64::from(crate::config::TAG_BITS);
+            let target = FaultTarget::L1Data {
+                core_lot: sm,
+                replicate: 1,
+                bits: vec![bit],
+            };
+            m.cache_fault_is_void(&PlannedFault { cycle, target }, &timeline)
+        };
+        // A fault planned past the last top, 40, never fires.
+        let valid = |way| (0..=42).filter(|&c| !void(0, way, c)).collect::<Vec<_>>();
+        assert_eq!(valid(0), [(11..=20).collect(), vec![41, 42]].concat());
+        assert_eq!(valid(1), [(21..=30).collect(), vec![41, 42]].concat());
+        assert!((0..=40).all(|c| void(1, 0, c)), "SM 1 never held the line");
     }
 
     #[test]

@@ -436,17 +436,34 @@ fn record_store(
     std::sync::Arc::new(rec.finish_checkpoint_recording())
 }
 
-/// The record a campaign writes for `plan` forked from snapshot `idx` of
-/// `store` on `gpu` and simulated, as `RunEnv::simulate` builds it.
+/// The first cycle of `plan`'s faults.
+fn first_cycle(plan: &InjectionPlan) -> u64 {
+    plan.faults.iter().map(|f| f.cycle).min().unwrap()
+}
+
+/// The cycles a run of `plan` skips: those of `store`'s nearest snapshot
+/// at or before its first fault, 0 (a cold start) when there is none.
+fn skipped_cycles(store: &CheckpointStore, plan: &InjectionPlan) -> u64 {
+    store
+        .nearest_at_or_before(first_cycle(plan))
+        .map_or(0, |idx| store.snapshot_cycle(idx))
+}
+
+/// The record a campaign writes for `plan` when it simulates it, as
+/// `RunEnv::simulate` builds it: forked on `gpu` from `store`'s nearest
+/// snapshot at or before the first fault, or cold on a fresh device when
+/// there is none.
 fn forked_record(
     gpu: &mut Gpu,
     store: &std::sync::Arc<CheckpointStore>,
-    idx: usize,
     w: &dyn Workload,
     plan: &InjectionPlan,
     golden: &GoldenProfile,
 ) -> RunRecord {
-    gpu.resume_from(store, idx);
+    match store.nearest_at_or_before(first_cycle(plan)) {
+        Some(idx) => gpu.resume_from(store, idx),
+        None => *gpu = Gpu::new(gpu.config().clone()),
+    }
     let (result, cycles, effect, records) = run_plan(gpu, w, plan, golden);
     let expired = matches!(
         result,
@@ -461,31 +478,71 @@ fn forked_record(
         },
         applied: records.iter().any(|r| r.applied),
         early_exit: expired,
-        ckpt_skipped_cycles: store.snapshot_cycle(idx),
+        ckpt_skipped_cycles: skipped_cycles(store, plan),
         detail: detail_of(&result),
         stratum: None,
     }
 }
 
-/// The record the campaign writes, without a fork, for a plan the store
-/// settles whose first fault falls at or after snapshot `idx`.
-fn settled_record(store: &CheckpointStore, idx: usize, golden: &GoldenProfile) -> RunRecord {
+/// The record the campaign writes, without a simulation, for a plan the
+/// store settles.
+fn settled_record(
+    store: &CheckpointStore,
+    plan: &InjectionPlan,
+    golden: &GoldenProfile,
+) -> RunRecord {
     RunRecord {
         effect: FaultEffect::Masked,
         cycles: golden.total_cycles(),
         applied: false,
         early_exit: true,
-        ckpt_skipped_cycles: store.snapshot_cycle(idx),
+        ckpt_skipped_cycles: skipped_cycles(store, plan),
         detail: RunDetail::None,
         stratum: None,
     }
 }
 
-/// Every plan the checkpoint store settles — each flip in a line invalid
-/// at the fork's snapshot, in a chunk the next snapshot still shares —
-/// gets exactly the record its fork writes when simulated, for each cache
-/// structure on the small-cache chip (where flips often land in valid
-/// lines) and on the GV100 (where almost none do).
+/// Forty `spec` plans drawn over every launch window of `golden`, then
+/// one in five moved before `store`'s first snapshot and one in five past
+/// its last, up to one cycle past the golden run's end (a fault there
+/// never fires).
+fn cache_plans(
+    golden: &GoldenProfile,
+    spec: &CampaignSpec,
+    seed: u64,
+    store: &CheckpointStore,
+) -> Vec<InjectionPlan> {
+    let mut gen = MaskGenerator::new(seed);
+    let windows = golden.windows(None);
+    let (first, last) = (
+        store.snapshot_cycle(0),
+        store.snapshot_cycle(store.len() - 1),
+    );
+    let late = golden.total_cycles() + 1 - last;
+    (0..40)
+        .map(|i| {
+            let win = &windows[i % windows.len()];
+            let space = &golden.fault_spaces[&win.kernel];
+            let mut plan = gen.draw(spec, space, std::slice::from_ref(win)).unwrap();
+            let at = first_cycle(&plan);
+            let to = match i % 5 {
+                1 => at % first,
+                2 => last + 1 + at % late,
+                _ => at,
+            };
+            for f in &mut plan.faults {
+                f.cycle = f.cycle - at + to;
+            }
+            plan
+        })
+        .collect()
+}
+
+/// Every plan the checkpoint store settles gets exactly the record its
+/// simulation writes — forked, or cold before the first snapshot — for
+/// each cache structure on the small-cache chip (where flips often land
+/// in valid lines) and on the GV100 (where almost none do), with plans
+/// before the first snapshot and after the last.
 #[test]
 fn settled_plans_get_their_forks_records() {
     use Structure::*;
@@ -518,98 +575,176 @@ fn settled_plans_get_their_forks_records() {
         ),
         (by_name("BFS").unwrap(), &gv100, CampaignSpec::new(L2)),
     ];
-    let mut applied = 0;
+    let (mut applied, mut cold, mut past_last) = (0, 0, 0);
     for (seed, (w, card, spec)) in (51u64..).zip(cases) {
         let tag = format!("{} on {} {spec:?}", w.name(), card.name);
         let golden = profile(w.as_ref(), card).unwrap();
         let store = record_store(w.as_ref(), card, &golden);
-        let mut gen = MaskGenerator::new(seed);
-        let windows = golden.windows(None);
+        let last = store.snapshot_cycle(store.len() - 1);
         let mut gpu = Gpu::new(card.clone());
         let mut settled = 0;
-        for i in 0..40 {
-            let win = &windows[i % windows.len()];
-            let space = &golden.fault_spaces[&win.kernel];
-            let plan = gen.draw(&spec, space, std::slice::from_ref(win)).unwrap();
-            let first = plan.faults.iter().map(|f| f.cycle).min().unwrap();
-            let Some(idx) = store.nearest_at_or_before(first) else {
-                assert!(
-                    !store.settles(&plan),
-                    "{tag} plan {i}: settled before the first snapshot"
-                );
-                continue;
-            };
-            let forked = forked_record(&mut gpu, &store, idx, w.as_ref(), &plan, &golden);
-            if store.settles(&plan) {
+        for (i, plan) in cache_plans(&golden, &spec, seed, &store).iter().enumerate() {
+            let forked = forked_record(&mut gpu, &store, w.as_ref(), plan, &golden);
+            if store.settles(plan) {
                 settled += 1;
+                cold += usize::from(forked.ckpt_skipped_cycles == 0);
+                past_last += usize::from(first_cycle(plan) > last);
                 assert_eq!(
                     forked,
-                    settled_record(&store, idx, &golden),
+                    settled_record(&store, plan, &golden),
                     "{tag} plan {i}"
                 );
             }
             applied += usize::from(forked.applied);
         }
         assert!(settled > 0, "{tag}: no plan settled");
+        // A fault past the golden run's last cycle never fires, so its run
+        // never ends by early exit.
+        let mut never = cache_plans(&golden, &spec, seed, &store).swap_remove(0);
+        for f in &mut never.faults {
+            f.cycle = golden.total_cycles() + 1;
+        }
+        assert!(
+            !store.settles(&never),
+            "{tag}: settled a fault that never fires"
+        );
     }
     assert!(applied > 0, "no plan flipped a valid line");
+    assert!(cold > 0, "no plan settled before the first snapshot");
+    assert!(past_last > 0, "no plan settled after the last snapshot");
 }
 
-/// The edges of the rung, on the small-cache chip's L2: a flip into a
-/// line invalid at the fork's snapshot but filled before the fault cycle
-/// is not settled; a fault exactly at a snapshot's cycle is settled from
-/// that snapshot alone; a fault after the last snapshot is not settled.
+/// The other direction: every drawn plan whose simulation ends by early
+/// exit with no flip applied — every flip landed in an invalid line — is
+/// one the store settles, on the campaigns where such runs dominate:
+/// BFS and KM on the GV100, HS on the GTX Titan, and GE and HS on the
+/// small-cache chip.
 #[test]
-fn settling_needs_the_line_untouched_up_to_the_next_snapshot() {
+fn every_unapplied_early_exit_is_settled() {
+    use Structure::*;
+    let (gv100, titan, mini) = (
+        GpuConfig::quadro_gv100(),
+        GpuConfig::gtx_titan(),
+        mini_chip(""),
+    );
+    let cases = [
+        ("BFS", &gv100, L2),
+        ("KM", &gv100, L1Data),
+        ("HS", &titan, L2),
+        ("GE", &mini, L1Data),
+        ("HS", &mini, L1Tex),
+    ];
+    for (seed, (name, card, structure)) in (71u64..).zip(cases) {
+        let tag = format!("{name} on {} {structure:?}", card.name);
+        let w = by_name(name).unwrap();
+        let golden = profile(w.as_ref(), card).unwrap();
+        let store = record_store(w.as_ref(), card, &golden);
+        let mut gpu = Gpu::new(card.clone());
+        let mut unapplied_exits = 0;
+        let spec = CampaignSpec::new(structure);
+        for (i, plan) in cache_plans(&golden, &spec, seed, &store).iter().enumerate() {
+            let forked = forked_record(&mut gpu, &store, w.as_ref(), plan, &golden);
+            if forked.early_exit && !forked.applied {
+                unapplied_exits += 1;
+                assert!(
+                    store.settles(plan),
+                    "{tag} plan {i}: {forked:?} not settled"
+                );
+            }
+        }
+        assert!(unapplied_exits > 0, "{tag}: no run exited unapplied");
+    }
+}
+
+/// A fault fires at the first cycle-loop top at or after its cycle,
+/// before the cores issue, and the timeline settles a plan exactly where
+/// its flip lands in an invalid line — on one small-cache-chip L1D line
+/// that BFS fills in one launch and that launch's L1 flush drops: a flip
+/// planned just before the first cycle the line is valid at is settled,
+/// one at that cycle or later is not and its fork applies it, and one
+/// planned just past the launch's end, after the flush, is settled again.
+#[test]
+fn settling_follows_the_fire_point() {
     let card = mini_chip("");
-    let w = VectorAdd::new(256);
+    let w = Bfs::new();
     let golden = profile(&w, &card).unwrap();
     let store = record_store(&w, &card, &golden);
-    let bpl = card.l2.bits_per_line();
-    let lines = card.l2.total_bits() / bpl;
-    // A data bit of flat L2 line `line`, flipped at `cycle`.
-    let plan = |cycle: u64, line: u64| {
-        let bits = vec![line * bpl + u64::from(gpufi::sim::TAG_BITS)];
-        InjectionPlan::single(cycle, FaultTarget::L2 { bits })
+    let l1d = card.l1d.unwrap();
+    let bpl = l1d.bits_per_line();
+    // A data bit of SM 0's L1D line `line`, flipped at `cycle`.
+    let plan = |cycle: u64, line: u32| {
+        let bits = vec![u64::from(line) * bpl + u64::from(gpufi::sim::TAG_BITS)];
+        let target = FaultTarget::L1Data {
+            core_lot: 0,
+            replicate: 1,
+            bits,
+        };
+        InjectionPlan::single(cycle, target)
     };
-    let cycle = |i: usize| store.snapshot_cycle(i);
-    // At a snapshot's own cycle the two snapshots are one, so the store
-    // settles exactly the flips into lines invalid there.
-    let (i, line) = (0..store.len() - 1)
-        .flat_map(|i| (0..lines).map(move |l| (i, l)))
-        .find(|&(i, l)| store.settles(&plan(cycle(i), l)) && !store.settles(&plan(cycle(i + 1), l)))
-        .expect("a line invalid at one snapshot and valid at the next");
-    let mut gpu = Gpu::new(card.clone());
-    let fork = |gpu: &mut Gpu, idx: usize, p: &InjectionPlan| {
-        forked_record(gpu, &store, idx, &w, p, &golden)
-    };
-
-    // Exactly at snapshot `i`: settled, although the chunk is written
-    // before snapshot `i + 1`, and the fork agrees.
-    let at = plan(cycle(i), line);
-    assert_eq!(fork(&mut gpu, i, &at), settled_record(&store, i, &golden));
-    // The line is valid at snapshot `i + 1`: a flip there applies.
-    assert!(fork(&mut gpu, i + 1, &plan(cycle(i + 1), line)).applied);
-
-    // Between the two, at a cycle the line is already valid: the fork
-    // from snapshot `i`, where the line is invalid, applies the flip, and
-    // the store must not settle it.
-    let filled = (cycle(i) + 1..cycle(i + 1))
+    let settles = |cycle, line| store.settles(&plan(cycle, line));
+    // A launch other than the last, and a line valid at its end.
+    let launches = &golden.app.launches;
+    let (end, line) = launches[..launches.len() - 1]
+        .iter()
+        .flat_map(|l| (0..l1d.num_lines()).map(move |line| (l.end_cycle, line)))
+        .find(|&(end, line)| !settles(end, line))
+        .expect("an L1D line valid at the end of a launch");
+    // The first cycle of the line's last stretch of validity.
+    let fill = (1..=end)
         .rev()
-        .step_by(((cycle(i + 1) - cycle(i)) / 8).max(1) as usize)
-        .map(|c| plan(c, line))
-        .find(|p| fork(&mut gpu, i, p).applied)
-        .expect("the line fills between the two snapshots");
-    assert!(!store.settles(&filled), "settled a flip into a filled line");
+        .find(|&c| settles(c - 1, line))
+        .expect("the line starts invalid");
+    assert!((fill..=end).all(|c| !settles(c, line)));
 
-    // After the last snapshot there is no later one to vouch for the
-    // chunk, even for a line invalid at the last.
-    let last = store.len() - 1;
-    let line = (0..lines)
-        .find(|&l| store.settles(&plan(cycle(last), l)))
-        .expect("a line invalid at the last snapshot");
-    assert!(cycle(last) + 1 < golden.total_cycles());
-    assert!(!store.settles(&plan(cycle(last) + 1, line)));
+    let mut gpu = Gpu::new(card.clone());
+    let mut fork = |cycle| forked_record(&mut gpu, &store, &w, &plan(cycle, line), &golden);
+    let before = plan(fill - 1, line);
+    assert_eq!(fork(fill - 1), settled_record(&store, &before, &golden));
+    assert!(
+        fork(fill).applied,
+        "a flip at cycle {fill} missed the filled line"
+    );
+    assert!(fork(end).applied, "a flip at cycle {end} missed the line");
+    // The flush ending the launch at `end` follows that cycle's top.
+    let after = plan(end + 1, line);
+    assert!(store.settles(&after), "line {line} valid after the flush");
+    assert_eq!(fork(end + 1), settled_record(&store, &after, &golden));
+}
+
+/// The line-validity timeline is the recording pass's instrument alone:
+/// the recording device logs while it records and stops once the store is
+/// built, while a fork, the injection run it simulates and a cold
+/// injection run never log.
+#[test]
+fn forks_and_injection_runs_hold_no_timeline() {
+    let card = mini_chip("");
+    let w = by_name("HS").unwrap();
+    let golden = profile(w.as_ref(), &card).unwrap();
+    let mut rec = Gpu::new(card.clone());
+    assert!(!rec.mem().logs_validity());
+    rec.record_checkpoints((golden.total_cycles() / 24).max(1), 1 << 30);
+    assert!(rec.mem().logs_validity());
+    w.run(&mut rec).unwrap();
+    let store = std::sync::Arc::new(rec.finish_checkpoint_recording());
+    assert!(!rec.mem().logs_validity());
+    let mut gpu = Gpu::new(card.clone());
+    for (i, plan) in spread_plans(&golden, &CampaignSpec::new(Structure::L1Data), 5)
+        .iter()
+        .enumerate()
+    {
+        if let Some(idx) = store.nearest_at_or_before(first_cycle(plan)) {
+            gpu.resume_from(&store, idx);
+            assert!(
+                !gpu.mem().logs_validity(),
+                "plan {i}: fork of snapshot {idx}"
+            );
+            let _ = run_plan(&mut gpu, w.as_ref(), plan, &golden);
+            assert!(!gpu.mem().logs_validity(), "plan {i}: forked run");
+        }
+        let mut cold = Gpu::new(card.clone());
+        let _ = run_plan(&mut cold, w.as_ref(), plan, &golden);
+        assert!(!cold.mem().logs_validity(), "plan {i}: cold run");
+    }
 }
 
 /// `Gpu::snapshot` / `Gpu::restore` round-trip between launches: restoring
