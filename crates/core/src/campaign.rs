@@ -207,7 +207,7 @@ pub struct CampaignStats {
     /// Runs that forked from a checkpoint instead of cold-starting.
     pub restores: usize,
     /// Restores the checkpoint store settled without forking
-    /// ([`CheckpointStore::settles`]): their records are their forks', so
+    /// ([`CheckpointStore::settle`]): their records are their forks', so
     /// the forks actually taken are `restores − settled`.  A settled run
     /// whose first fault precedes the first checkpoint is a cold start,
     /// counted in neither.  Counted by the in-process executor only (0 in
@@ -257,8 +257,11 @@ pub struct CampaignStats {
     /// Wall-clock milliseconds spent writing and fsyncing journal lines —
     /// the journal's overhead, reported so regressions are visible.
     pub journal_ms: f64,
-    /// Runs that actually forked a simulation: `runs − static_pruned` in a
-    /// flat campaign, the full budget in a stratified one.
+    /// Runs that actually forked a simulation: the runs neither
+    /// pre-classified nor settled by the checkpoint store (none is
+    /// pre-classified under stratified sampling).  A distributed
+    /// campaign's workers report records alone, so there settled runs
+    /// count as simulated.
     pub simulated_runs: usize,
     /// Runs' worth of flat-campaign coverage this campaign bought: the run
     /// count itself for a flat campaign (pruned runs are still classified
@@ -606,18 +609,27 @@ fn pre_classify(
     })
 }
 
-/// Re-runs the golden execution once with the checkpoint recorder armed
-/// and publishes the store for the workers.  Returns `None` (cold starts
-/// for everyone) if the recording pass fails — it should not, since
-/// profiling already succeeded.
+/// Re-runs the golden execution once with the checkpoint recorder armed,
+/// shadowing the drawn plans pre-classification leaves, and publishes the
+/// store for the workers.  Returns `None` (cold starts for everyone) if
+/// the recording pass fails — it should not, since profiling already
+/// succeeded.
 pub(crate) fn record_store(
     workload: &dyn Workload,
     card: &GpuConfig,
+    cfg: &CampaignConfig,
     golden: &GoldenProfile,
+    drawn: &Drawn,
 ) -> Option<Arc<CheckpointStore>> {
     let interval = (golden.total_cycles() / AUTO_CHECKPOINT_TARGET).max(1);
     let mut gpu = Gpu::new(card.clone());
     gpu.record_checkpoints(interval, DEFAULT_CHECKPOINT_BUDGET);
+    let left = drawn.plans.iter().filter(|run| {
+        drawn
+            .pre_classify(run, cfg, golden.total_cycles())
+            .is_none()
+    });
+    gpu.shadow_plans(left.map(|run| &run.plan));
     workload.run(&mut gpu).ok()?;
     Some(Arc::new(gpu.finish_checkpoint_recording()))
 }
@@ -743,16 +755,15 @@ pub(crate) struct RunEnv<'a> {
 
 impl RunEnv<'_> {
     /// Resolves one run by the campaign's ladder: static
-    /// pre-classification, else the golden line-validity timeline's proof
-    /// that every flip lands in an invalid cache line, else a simulation
-    /// forked from the nearest checkpoint and cut short by taint early
-    /// exit or reconvergence.  Also says whether the timeline settled it.
+    /// pre-classification, else the checkpoint store's proof from the
+    /// golden run that no flip is ever read — every one lands in an
+    /// invalid cache line, or dies unread in the register file or shared
+    /// memory — else a simulation forked from the nearest checkpoint and
+    /// cut short by taint early exit or reconvergence.  Also says whether
+    /// the store settled it.
     fn resolve(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> (RunRecord, bool) {
-        let masks = self.drawn.masks.get(&run.kernel);
-        let granularity = PruneGranularity::of(self.cfg);
-        if let Some(rec) =
-            masks.and_then(|m| pre_classify(run, m, granularity, self.golden.total_cycles()))
-        {
+        let golden_cycles = self.golden.total_cycles();
+        if let Some(rec) = self.drawn.pre_classify(run, self.cfg, golden_cycles) {
             return (rec, false);
         }
         match self.settle(run) {
@@ -762,18 +773,24 @@ impl RunEnv<'_> {
     }
 
     /// The record of a run the checkpoint store settles
-    /// ([`CheckpointStore::settles`]), without simulating it: the one its
+    /// ([`CheckpointStore::settle`]), without simulating it: the one its
     /// fork — or its cold start, before the first checkpoint — writes,
-    /// ended by early exit as its last fault fires in an invalid line:
-    /// Masked at the golden cycle count, nothing applied.
+    /// Masked at the golden cycle count.
     fn settle(&self, run: &RunPlan) -> Option<RunRecord> {
-        let store = self.store.as_ref().filter(|s| s.settles(&run.plan))?;
+        let store = self.store.as_ref()?;
+        let settled = store.settle(&run.plan)?;
         let skipped = store
             .nearest_at_or_before(run.first_cycle)
             .map_or(0, |idx| store.snapshot_cycle(idx));
-        let expired = Err(WorkloadError::Trap(Trap::FaultsExpired));
-        let golden_cycles = self.golden.total_cycles();
-        Some(self.record(run, &expired, || golden_cycles, false, skipped))
+        Some(RunRecord {
+            effect: FaultEffect::Masked,
+            cycles: self.golden.total_cycles(),
+            applied: settled.applied,
+            early_exit: settled.early_exit,
+            ckpt_skipped_cycles: skipped,
+            detail: RunDetail::None,
+            stratum: run.stratum,
+        })
     }
 
     /// Simulates one run on the client's device and classifies it,
@@ -991,13 +1008,15 @@ pub fn run_campaign(
     run_campaign_with_hook(workload, card, cfg, golden, None)
 }
 
-/// The [`CampaignStats`] derivable from the finished record set, on top of
-/// the `counters` the [`Board`] accumulated (oracle verdicts, panics,
-/// service counters).  The rest (threads, workers, checkpoint store,
-/// journal overhead) stays for [`Prepared::finish`] and its caller.
+/// The [`CampaignStats`] derivable from the finished record set and the
+/// count of runs the checkpoint store `settled`, on top of the `counters`
+/// the [`Board`] accumulated (oracle verdicts, panics, service counters).
+/// The rest (threads, workers, checkpoint store, journal overhead) stays
+/// for [`Prepared::finish`] and its caller.
 fn base_stats(
     records: &[RunRecord],
     strata: Option<&Strata>,
+    settled: usize,
     wall: f64,
     counters: CampaignStats,
 ) -> CampaignStats {
@@ -1018,15 +1037,12 @@ fn base_stats(
         .filter(|r| r.detail == RunDetail::StaticDeadBit)
         .count();
     let skipped: u64 = records.iter().map(|r| r.ckpt_skipped_cycles).sum();
-    // Cost vs coverage: simulated runs paid for forks; effective runs is
-    // the flat-campaign coverage bought — the stratified budget covers only
-    // the live population fraction, so dividing by it expresses the
-    // campaign in flat-equivalent runs.
-    let simulated_runs = if strata.is_some() {
-        n
-    } else {
-        n - static_pruned - static_bit_pruned
-    };
+    // Cost vs coverage: simulated runs paid for forks (pre-classified and
+    // settled runs paid for none; stratified campaigns pre-classify none);
+    // effective runs is the flat-campaign coverage bought — the stratified
+    // budget covers only the live population fraction, so dividing by it
+    // expresses the campaign in flat-equivalent runs.
+    let simulated_runs = n - static_pruned - static_bit_pruned - settled;
     let effective_runs = match strata.map(|(l, _, _)| l.live_weight()) {
         Some(w) if w > 0.0 => n as f64 / w,
         _ => n as f64,
@@ -1099,6 +1115,19 @@ pub(crate) struct Drawn {
     /// service handshake exchanges: [`describe`], the `chip` and, when
     /// stratified, the `strata` layout hash.
     pub(crate) campaign: Value,
+}
+
+impl Drawn {
+    /// The record static pre-classification resolves `run` with, if any.
+    fn pre_classify(
+        &self,
+        run: &RunPlan,
+        cfg: &CampaignConfig,
+        golden_cycles: u64,
+    ) -> Option<RunRecord> {
+        let masks = self.masks.get(&run.kernel)?;
+        pre_classify(run, masks, PruneGranularity::of(cfg), golden_cycles)
+    }
 }
 
 /// Draws every run's plan up front (so draw errors surface before any
@@ -1175,6 +1204,8 @@ struct BoardState {
     died: bool,
     /// Merges left before the chaos hook kills the coordinator.
     chaos_left: Option<usize>,
+    /// Runs the checkpoint store settled, cold starts included.
+    settled: usize,
 }
 
 impl BoardState {
@@ -1301,6 +1332,7 @@ impl Board {
         // A settled run past the first checkpoint counts as the restore
         // its fork would have made (see `CampaignStats::settled`).
         s.settled += usize::from(settled && rec.ckpt_skipped_cycles > 0);
+        b.settled += usize::from(settled);
         if let Some(left) = &mut b.chaos_left {
             *left -= 1;
             b.died = *left == 0;
@@ -1424,6 +1456,7 @@ impl Prepared {
             workers,
             sink,
             died,
+            settled,
             ..
         } = self.board.state.into_inner().expect("board lock poisoned");
         // Closing the only sender ends the writer thread; joining it
@@ -1454,7 +1487,7 @@ impl Prepared {
         let tally: Tally = records.iter().map(|r| r.effect).collect();
         let strata = self.drawn.strata;
         let wall = self.start.elapsed().as_secs_f64();
-        let mut stats = base_stats(&records, strata.as_ref(), wall, counters);
+        let mut stats = base_stats(&records, strata.as_ref(), settled, wall, counters);
         stats.threads = threads.max(workers.len());
         stats.workers = workers.len();
         stats.worker_throughput = workers.into_iter().map(|(credit, _)| credit).collect();
@@ -1502,7 +1535,7 @@ pub fn run_campaign_with_hook(
             None
         },
         store: runnable
-            .then(|| record_store(workload, card, golden))
+            .then(|| record_store(workload, card, cfg, golden, &p.drawn))
             .flatten(),
     };
     let threads = cfg.effective_threads().clamp(1, pending.max(1));

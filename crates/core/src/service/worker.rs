@@ -164,7 +164,7 @@ pub fn run_worker_with_chaos(
                 Msg::Fin => return Ok(()),
                 Msg::Lease { id, runs } => {
                     if env.store.is_none() && !runs.is_empty() {
-                        env.store = record_store(workload, card, golden);
+                        env.store = record_store(workload, card, cfg, golden, env.drawn);
                     }
                     for &i in &runs {
                         if i >= drawn.plans.len() {

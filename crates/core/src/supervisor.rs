@@ -189,17 +189,21 @@ pub(crate) fn strata_hash(material: &str) -> u64 {
 
 /// Append-only, crash-safe record of completed injection runs
 /// (`<out>.journal.jsonl`): one header line binding the file to its
-/// campaign, then one fsync'd JSON line per completed run.  Workers
-/// append concurrently through an internal lock; each line is written and
-/// synced atomically with respect to the others, so after a `SIGKILL` the
-/// file is a valid prefix plus at most one torn final line (which
-/// [`RunJournal::resume`] discards and truncates away).
+/// campaign, then one JSON line per completed run, fsync'd before the
+/// next append.  Workers append concurrently through an internal lock;
+/// each append's lines are written and synced atomically with respect to
+/// the others, so after a `SIGKILL` the file is a valid prefix plus at
+/// most one torn final line (which [`RunJournal::resume`] discards and
+/// truncates away), and the runs whose lines were never synced are run
+/// again.
 #[derive(Debug)]
 pub struct RunJournal {
     path: String,
     file: Mutex<File>,
     bytes: AtomicU64,
     nanos: AtomicU64,
+    /// fsyncs of appended lines.
+    syncs: AtomicU64,
 }
 
 /// The fields of one run record, in journal order.  The trailing
@@ -310,6 +314,7 @@ impl RunJournal {
             file: Mutex::new(file),
             bytes: AtomicU64::new(header.len() as u64),
             nanos: AtomicU64::new(0),
+            syncs: AtomicU64::new(0),
         })
     }
 
@@ -394,27 +399,53 @@ impl RunJournal {
                 file: Mutex::new(file),
                 bytes: AtomicU64::new(valid_bytes as u64),
                 nanos: AtomicU64::new(0),
+                syncs: AtomicU64::new(0),
             },
             records,
         ))
     }
 
-    /// Appends one completed run and syncs it to disk.  Called by the
-    /// worker threads as each run finishes; failures are reported (the
-    /// campaign result still holds the record in memory).
+    /// Appends one completed run and syncs it to disk.  Failures are
+    /// reported (the campaign result still holds the record in memory).
     pub fn append(&self, run: usize, rec: &RunRecord) -> Result<(), String> {
-        let line = record_line(run, rec);
+        self.append_all(&[(run, *rec)])
+    }
+
+    /// Appends completed runs in order and syncs them to disk with one
+    /// fsync: a group commit.
+    fn append_all(&self, runs: &[(usize, RunRecord)]) -> Result<(), String> {
+        let lines: String = runs
+            .iter()
+            .map(|(run, rec)| record_line(*run, rec))
+            .collect();
         let t0 = Instant::now();
         {
             let mut file = self.file.lock().expect("journal lock poisoned");
-            file.write_all(line.as_bytes())
+            file.write_all(lines.as_bytes())
                 .and_then(|()| file.sync_data())
                 .map_err(|e| format!("journal write failed: {e}"))?;
         }
-        self.bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(lines.len() as u64, Ordering::Relaxed);
         self.nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// The writer thread's loop, until every sender is gone: waits for a
+    /// queued run, takes whatever else is queued by then and appends them
+    /// all with one fsync.  Runs completing faster than an fsync thus
+    /// share one.  Returns the first append error; it keeps draining
+    /// after one, so producers never see the channel vanish mid-campaign.
+    fn write_queued(&self, rx: &mpsc::Receiver<(usize, RunRecord)>) -> Option<String> {
+        let mut first_err = None;
+        while let Ok(run) = rx.recv() {
+            let queued: Vec<_> = std::iter::once(run).chain(rx.try_iter()).collect();
+            if let Err(e) = self.append_all(&queued) {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err
     }
 
     /// Bytes written to the journal by this handle.
@@ -502,14 +533,7 @@ impl RunJournal {
     pub(crate) fn into_writer(self) -> (JournalWriter, JournalSink) {
         let (tx, rx) = mpsc::channel::<(usize, RunRecord)>();
         let handle = std::thread::spawn(move || {
-            let mut first_err: Option<String> = None;
-            // Drain even after an error so producers never see the channel
-            // vanish mid-campaign; only the first failure is reported.
-            for (run, rec) in rx {
-                if let Err(e) = self.append(run, &rec) {
-                    first_err.get_or_insert(e);
-                }
-            }
+            let first_err = self.write_queued(&rx);
             (self, first_err)
         });
         (JournalWriter { handle }, JournalSink { tx })
@@ -920,6 +944,27 @@ mod tests {
             assert_eq!(r.cycles, i as u64, "run {i} carries another run's line");
             assert_eq!(r.stratum, Some(i as u32));
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Group commit: runs queued faster than the writer syncs share an
+    /// fsync.  Thirty queued runs are written with one, and every line
+    /// resumes.
+    #[test]
+    fn queued_runs_share_an_fsync() {
+        let path = tmp("group.journal.jsonl");
+        let (fp, runs) = (0x6161_u64, 30);
+        let journal = RunJournal::create(&path, fp, runs).unwrap();
+        let (tx, rx) = mpsc::channel();
+        for run in 0..runs {
+            tx.send((run, rec(FaultEffect::Masked, RunDetail::None)))
+                .unwrap();
+        }
+        drop(tx);
+        assert_eq!(journal.write_queued(&rx), None);
+        assert_eq!(journal.syncs.load(Ordering::Relaxed), 1);
+        let (_, loaded) = RunJournal::resume(&path, fp, runs).unwrap();
+        assert_eq!(loaded.iter().flatten().count(), runs);
         std::fs::remove_file(&path).ok();
     }
 

@@ -168,6 +168,76 @@ enum CtaSite {
     BarrierArrived { bit: u8 },
 }
 
+/// One slot a checkpoint recording marks for a shadowed plan (see
+/// `crate::shadow`): a register of one lane, or a shared-memory bit.  A
+/// CTA is named by its SM and launch sequence number, unique over the
+/// application, and a warp by its index within the CTA.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Mark {
+    Reg {
+        sm: u32,
+        seq: u64,
+        warp: u32,
+        reg: u16,
+        lane: u8,
+    },
+    Smem {
+        sm: u32,
+        seq: u64,
+        bit: u64,
+    },
+}
+
+/// The recording pass's log of marked slots an instruction read or a
+/// write, an exit or a CTA's end killed, in the order they happened:
+/// `(read, slot)`.  The same taint branches that make a run's flips
+/// escape or die fill it, so a shadowed plan's marks live and die as its
+/// run's taint would.
+///
+/// It is an instrument of the recording pass, not machine state: a clone
+/// — a captured snapshot — and a `clone_from` — a restore — are off, so
+/// snapshots, forks and injection runs neither hold nor fill a log.
+#[derive(Debug, Default)]
+pub(crate) struct TaintLog(Option<Vec<(bool, Mark)>>);
+
+impl Clone for TaintLog {
+    fn clone(&self) -> Self {
+        TaintLog::default()
+    }
+
+    fn clone_from(&mut self, _: &Self) {
+        *self = TaintLog::default();
+    }
+}
+
+impl TaintLog {
+    fn is_on(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Logs `lanes` of register `reg` of a warp.
+    #[cold]
+    fn regs(&mut self, read: bool, (sm, seq, warp): (u32, u64, u32), reg: usize, lanes: u32) {
+        if let Some(log) = &mut self.0 {
+            lanes!(lanes, lane => log.push((read, Mark::Reg {
+                sm,
+                seq,
+                warp,
+                reg: reg as u16,
+                lane: lane as u8,
+            })));
+        }
+    }
+
+    /// Logs shared-memory `bits` of a CTA.
+    #[cold]
+    fn smem(&mut self, read: bool, sm: u32, seq: u64, bits: impl Iterator<Item = u64>) {
+        if let Some(log) = &mut self.0 {
+            log.extend(bits.map(|bit| (read, Mark::Smem { sm, seq, bit })));
+        }
+    }
+}
+
 /// One warp's architectural and microarchitectural state, stored
 /// structure-of-arrays: registers and ACE timestamps are per-register
 /// 32-lane rows, predicates and taints are lane bitmasks.  Register
@@ -309,13 +379,14 @@ impl Warp {
     /// taints and stuck register cells die with the threads — which is
     /// what lets a stuck-at run early-exit once every faulted entity has
     /// retired.
-    fn retire_lanes(&mut self, lanes: u32) {
+    fn retire_lanes(&mut self, lanes: u32, log: &mut TaintLog, (sm, seq): (u32, u64)) {
         if self.taint_cnt > 0 {
-            for tm in &mut self.taint {
+            for (r, tm) in self.taint.iter_mut().enumerate() {
                 let killed = *tm & lanes;
                 if killed != 0 {
                     *tm &= !lanes;
                     self.taint_cnt -= killed.count_ones();
+                    log.regs(false, (sm, seq, self.widx), r, killed);
                 }
             }
         }
@@ -365,8 +436,13 @@ struct Cta {
     warps: Vec<Warp>,
     barrier_arrived: u32,
     live_warps: u32,
-    /// Fault-flipped shared-memory bit indices not yet observed by a load.
+    /// Fault-flipped shared-memory bit indices not yet observed by a load,
+    /// ascending.
     smem_taints: Vec<u64>,
+    /// Bit `w % 64` set for every shared-memory word `w` a taint was added
+    /// to since `smem_taints` was last empty: a load or store of a word
+    /// whose bit is clear skips the search.
+    smem_words: u64,
     /// Permanently stuck bits resident in this CTA (see [`Warp::stuck`]).
     stuck: Vec<(CtaSite, bool)>,
 }
@@ -379,6 +455,7 @@ clone_fields!(Cta {
     barrier_arrived,
     live_warps,
     smem_taints,
+    smem_words,
     stuck,
 });
 
@@ -395,6 +472,7 @@ impl Cta {
             stuck,
             // Ignored: fault bookkeeping.
             smem_taints: _,
+            smem_words: _,
         } = self;
         *linear == o.linear
             && *seq == o.seq
@@ -404,6 +482,27 @@ impl Cta {
             && warps.len() == o.warps.len()
             && warps.iter().zip(&o.warps).all(|(a, b)| a.same_state(b))
             && *smem == o.smem
+    }
+
+    /// The indices of the tainted bits of the shared-memory word at bit
+    /// `lo` in `smem_taints`.
+    #[inline]
+    fn tainted_word(&self, lo: u64) -> std::ops::Range<usize> {
+        let t = &self.smem_taints;
+        if t.is_empty() || self.smem_words & word_bit(lo) == 0 {
+            return 0..0;
+        }
+        let start = t.partition_point(|&b| b < lo);
+        start..start + t[start..].iter().take_while(|&&b| b < lo + 32).count()
+    }
+
+    /// Taints shared-memory bit `bit`, at index `i` of `smem_taints`.
+    fn taint_smem(&mut self, i: usize, bit: u64) {
+        if self.smem_taints.is_empty() {
+            self.smem_words = 0;
+        }
+        self.smem_taints.insert(i, bit);
+        self.smem_words |= word_bit(bit & !31);
     }
 
     /// Corrupts `site` under `stuck` (see [`force_bit`]); `false` when the
@@ -418,12 +517,12 @@ impl Cta {
                 force_bit(byte, (bit % 8) as u8, stuck);
                 // A repeated flip restores the golden bit, so transient
                 // taint is a toggle; a pinned bit stays tainted.
-                match (self.smem_taints.iter().position(|&b| b == bit), stuck) {
-                    (None, _) => self.smem_taints.push(bit),
-                    (Some(i), None) => {
-                        self.smem_taints.swap_remove(i);
+                match (self.smem_taints.binary_search(&bit), stuck) {
+                    (Err(i), _) => self.taint_smem(i, bit),
+                    (Ok(i), None) => {
+                        self.smem_taints.remove(i);
                     }
-                    (Some(_), Some(_)) => {}
+                    (Ok(_), Some(_)) => {}
                 }
             }
             CtaSite::BarrierArrived { bit } => force_bit(&mut self.barrier_arrived, bit, stuck),
@@ -517,6 +616,9 @@ pub struct SimtCore {
     /// switch for ACE accounting: `launch_cta` allocates `Warp::touch`
     /// rows only while it is `Some`.
     read_trace: Option<Vec<u64>>,
+    /// The recording pass's log of marked slots read or killed (off
+    /// elsewhere; see [`TaintLog`]).
+    taint_log: TaintLog,
 }
 
 clone_fields!(SimtCore {
@@ -542,6 +644,7 @@ clone_fields!(SimtCore {
     capture_exits,
     exit_log,
     read_trace,
+    taint_log,
 });
 
 impl SimtCore {
@@ -584,6 +687,7 @@ impl SimtCore {
             escaped: _,
             exit_log: _,
             read_trace: _,
+            taint_log: _,
         } = self;
         // The counters skipped above.
         self.same_counters(o)
@@ -628,6 +732,7 @@ impl SimtCore {
             capture_exits: false,
             exit_log: Vec::new(),
             read_trace: None,
+            taint_log: TaintLog::default(),
         }
     }
 
@@ -738,10 +843,8 @@ impl SimtCore {
             h.u64(cta.seq);
             h.u64(cta.smem.len() as u64);
             h.bytes(&cta.smem);
-            let mut smem_taints = cta.smem_taints.clone();
-            smem_taints.sort_unstable();
-            h.u64(smem_taints.len() as u64);
-            for b in smem_taints {
+            h.u64(cta.smem_taints.len() as u64);
+            for &b in &cta.smem_taints {
                 h.u64(b);
             }
             h.u32(cta.barrier_arrived);
@@ -895,6 +998,7 @@ impl SimtCore {
             barrier_arrived: 0,
             live_warps,
             smem_taints: Vec::new(),
+            smem_words: 0,
             stuck: Vec::new(),
         });
         self.launch_seq += 1;
@@ -914,9 +1018,42 @@ impl SimtCore {
             return 0;
         }
         let before = self.ctas.len();
+        if self.taint_log.is_on() {
+            self.log_harvest();
+        }
         self.ctas.retain(|c| c.live_warps > 0);
         self.finished_ctas = 0;
         (before - self.ctas.len()) as u32
+    }
+
+    /// Logs the lanes `mask` of registers `regs` (up to a `NO_REG`) of
+    /// warp (`slot`, `widx`) that are marked, as read or killed.
+    #[cold]
+    fn log_regs(&mut self, read: bool, slot: usize, widx: usize, regs: &[u8], mask: u32) {
+        let cta = &self.ctas[slot];
+        let warp = &cta.warps[widx];
+        let at = (self.id as u32, cta.seq, warp.widx);
+        for &r in regs.iter().take_while(|&&r| r != NO_REG) {
+            if let Some(&tm) = warp.taint.get(usize::from(r)) {
+                self.taint_log.regs(read, at, usize::from(r), tm & mask);
+            }
+        }
+    }
+
+    /// Logs the taint of the CTAs about to be harvested: it dies with
+    /// them.
+    #[cold]
+    fn log_harvest(&mut self) {
+        let sm = self.id as u32;
+        for cta in self.ctas.iter().filter(|c| c.live_warps == 0) {
+            for w in &cta.warps {
+                for (r, &tm) in w.taint.iter().enumerate() {
+                    self.taint_log.regs(false, (sm, cta.seq, w.widx), r, tm);
+                }
+            }
+            let bits = cta.smem_taints.iter().copied();
+            self.taint_log.smem(false, sm, cta.seq, bits);
+        }
     }
 
     /// Whether the core holds no CTAs.
@@ -1095,6 +1232,10 @@ impl SimtCore {
                     }
                 }
             }
+            if escape && self.taint_log.is_on() {
+                self.log_regs(true, slot, widx, &uop.srcs, exec_mask);
+            }
+            let warp = &mut self.ctas[slot].warps[widx];
             if uop.dst != NO_REG {
                 let r = uop.dst as usize;
                 if r < rows {
@@ -1103,6 +1244,10 @@ impl SimtCore {
                     }
                     let cleared = warp.taint[r] & exec_mask;
                     if cleared != 0 {
+                        if self.taint_log.is_on() {
+                            self.log_regs(false, slot, widx, &[uop.dst], exec_mask);
+                        }
+                        let warp = &mut self.ctas[slot].warps[widx];
                         warp.taint[r] &= !exec_mask;
                         warp.taint_cnt -= cleared.count_ones();
                     }
@@ -1371,18 +1516,19 @@ impl SimtCore {
                         self.ctas[slot].smem[a as usize..a as usize + 4]
                             .copy_from_slice(&val.to_le_bytes());
                         // Overwritten bytes no longer diverge.
-                        let lo = u64::from(a) * 8;
-                        self.ctas[slot]
-                            .smem_taints
-                            .retain(|&b| b < lo || b >= lo + 32);
+                        let cta = &mut self.ctas[slot];
+                        let word = cta.tainted_word(u64::from(a) * 8);
+                        if !word.is_empty() {
+                            let bits = cta.smem_taints.drain(word);
+                            self.taint_log.smem(false, self.id as u32, cta.seq, bits);
+                        }
                     } else {
-                        let lo = u64::from(a) * 8;
-                        if self.ctas[slot]
-                            .smem_taints
-                            .iter()
-                            .any(|&b| b >= lo && b < lo + 32)
-                        {
+                        let cta = &self.ctas[slot];
+                        let word = cta.tainted_word(u64::from(a) * 8);
+                        if !word.is_empty() {
                             self.escaped = true;
+                            let bits = cta.smem_taints[word].iter().copied();
+                            self.taint_log.smem(true, self.id as u32, cta.seq, bits);
                         }
                         let b: [u8; 4] = self.ctas[slot].smem[a as usize..a as usize + 4]
                             .try_into()
@@ -1497,12 +1643,13 @@ impl SimtCore {
             self.exit_log.extend(captured);
         }
         let cta = &mut self.ctas[slot];
+        let at = (self.id as u32, cta.seq);
         let warp = &mut cta.warps[widx];
         let dead = mask & warp.live;
         self.cnt_threads -= dead.count_ones();
         warp.live &= !mask;
         warp.active &= !mask;
-        warp.retire_lanes(mask);
+        warp.retire_lanes(mask, &mut self.taint_log, at);
         for f in &mut warp.stack {
             *f.mask_mut() &= !mask;
         }
@@ -1534,7 +1681,7 @@ impl SimtCore {
         if orphaned != 0 {
             self.cnt_threads -= orphaned.count_ones();
             warp.live = 0;
-            warp.retire_lanes(orphaned);
+            warp.retire_lanes(orphaned, &mut self.taint_log, at);
         }
         warp.finished = true;
         self.cnt_live_warps -= 1;
@@ -1770,20 +1917,8 @@ impl SimtCore {
         bits: &[u8],
         stuck: Option<bool>,
     ) -> Option<WarpHandle> {
-        let (s, wi, lanes) = match scope {
-            Scope::Thread => {
-                let (s, wi, lane) = self.nth_live_thread(n)?;
-                (s, wi, 1 << lane)
-            }
-            Scope::Warp => {
-                let (s, wi) = self.nth_live_warp(n)?;
-                (s, wi, self.ctas[s].warps[wi].live)
-            }
-        };
+        let (s, wi, lanes) = self.reg_site(scope, n, reg)?;
         let warp = &mut self.ctas[s].warps[wi];
-        if reg as usize >= warp.regs.len() {
-            return None;
-        }
         for &b in bits {
             let site = WarpSite::Reg {
                 lanes,
@@ -1794,6 +1929,129 @@ impl SimtCore {
         }
         self.has_stuck |= stuck.is_some();
         Some(self.handle(s, wi))
+    }
+
+    /// Where [`SimtCore::flip_reg`] lands: the CTA slot, warp and lanes,
+    /// or `None` as there.
+    fn reg_site(&self, scope: Scope, n: u64, reg: u32) -> Option<(usize, usize, u32)> {
+        let (s, wi, lanes) = match scope {
+            Scope::Thread => {
+                let (s, wi, lane) = self.nth_live_thread(n)?;
+                (s, wi, 1 << lane)
+            }
+            Scope::Warp => {
+                let (s, wi) = self.nth_live_warp(n)?;
+                (s, wi, self.ctas[s].warps[wi].live)
+            }
+        };
+        ((reg as usize) < self.ctas[s].warps[wi].regs.len()).then_some((s, wi, lanes))
+    }
+
+    /// Taints the slots [`SimtCore::flip_reg`] would, flipping no value,
+    /// and appends them to `marks`; `false` where it returns `None`.
+    pub(crate) fn mark_reg(
+        &mut self,
+        scope: Scope,
+        n: u64,
+        reg: u32,
+        bits: &[u8],
+        marks: &mut Vec<Mark>,
+    ) -> bool {
+        let Some((s, wi, lanes)) = self.reg_site(scope, n, reg) else {
+            return false;
+        };
+        let sm = self.id as u32;
+        let cta = &mut self.ctas[s];
+        let warp = &mut cta.warps[wi];
+        let r = reg as usize;
+        let live = if bits.is_empty() {
+            0
+        } else {
+            lanes & warp.live
+        };
+        let fresh = live & !warp.taint[r];
+        warp.taint[r] |= fresh;
+        warp.taint_cnt += fresh.count_ones();
+        let (seq, warp) = (cta.seq, warp.widx);
+        lanes!(live, lane => marks.push(Mark::Reg {
+            sm,
+            seq,
+            warp,
+            reg: reg as u16,
+            lane: lane as u8,
+        }));
+        true
+    }
+
+    /// The shared-memory slot [`SimtCore::flip_cta_smem`] flips, if the
+    /// CTA and bit exist.
+    pub(crate) fn smem_mark(&self, n: u64, bit: u64) -> Option<Mark> {
+        let cta = self.ctas.get(n as usize)?;
+        let sm = self.id as u32;
+        (bit / 8 < cta.smem.len() as u64).then_some(Mark::Smem {
+            sm,
+            seq: cta.seq,
+            bit,
+        })
+    }
+
+    /// Sets or clears the taint of `mark` where its CTA is still resident,
+    /// flipping no value.
+    pub(crate) fn set_mark(&mut self, mark: Mark, on: bool) {
+        let (Mark::Reg { seq, .. } | Mark::Smem { seq, .. }) = mark;
+        let Some(cta) = self.ctas.iter_mut().find(|c| c.seq == seq) else {
+            return;
+        };
+        match mark {
+            Mark::Reg {
+                warp, reg, lane, ..
+            } => {
+                let w = &mut cta.warps[warp as usize];
+                let bit = 1u32 << lane;
+                if on != (w.taint[usize::from(reg)] & bit != 0) {
+                    w.taint[usize::from(reg)] ^= bit;
+                    if on {
+                        w.taint_cnt += 1;
+                    } else {
+                        w.taint_cnt -= 1;
+                    }
+                }
+            }
+            Mark::Smem { bit, .. } => match cta.smem_taints.binary_search(&bit) {
+                Err(i) if on => cta.taint_smem(i, bit),
+                Ok(i) if !on => {
+                    cta.smem_taints.remove(i);
+                }
+                _ => {}
+            },
+        }
+    }
+
+    /// Switches the taint log on or off: while on, the core logs every
+    /// marked slot it reads or kills (see [`TaintLog`]).
+    pub(crate) fn log_taint(&mut self, on: bool) {
+        self.taint_log = TaintLog(on.then(Vec::new));
+    }
+
+    /// Swaps the taint logged so far with the empty `buf`, if any was.
+    pub(crate) fn swap_taint_log(&mut self, buf: &mut Vec<(bool, Mark)>) {
+        if let Some(log) = self.taint_log.0.as_mut().filter(|l| !l.is_empty()) {
+            std::mem::swap(log, buf);
+        }
+    }
+
+    /// Clears every taint and the escape latch: a recording's capture of
+    /// a core holding marks is the golden run's state alone.
+    pub(crate) fn scrub_taint(&mut self) {
+        self.escaped = false;
+        for cta in &mut self.ctas {
+            cta.smem_taints = Vec::new();
+            cta.smem_words = 0;
+            for w in &mut cta.warps {
+                w.taint.fill(0);
+                w.taint_cnt = 0;
+            }
+        }
     }
 
     /// Corrupts bit `bit` of the `n`-th resident CTA's shared-memory
@@ -1942,6 +2200,33 @@ impl SimtCore {
         let tpc = u64::from(ctx.threads_per_cta());
         Some(cta.linear * tpc + u64::from(cta.warps[wi].widx) * LANES as u64 + lane as u64)
     }
+}
+
+/// Reduces `lot` modulo the chip-wide population that `count` reports per
+/// core and walks `cores` to its owner: the owning core and the core-local
+/// index, or `None` when the population is empty.  Every fault site is
+/// resolved through it.
+pub(crate) fn nth_live(
+    cores: &mut [SimtCore],
+    lot: u64,
+    count: fn(&SimtCore) -> u64,
+) -> Option<(&mut SimtCore, u64)> {
+    let total: u64 = cores.iter().map(count).sum();
+    let mut n = lot.checked_rem(total)?;
+    for c in cores {
+        let cnt = count(c);
+        if n < cnt {
+            return Some((c, n));
+        }
+        n -= cnt;
+    }
+    None
+}
+
+/// The bit of `Cta::smem_words` for the shared-memory word at bit `lo`.
+#[inline]
+fn word_bit(lo: u64) -> u64 {
+    1 << ((lo / 32) % 64)
 }
 
 /// Index of the `n`-th set bit of `mask` (0-based), if present.

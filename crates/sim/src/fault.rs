@@ -269,7 +269,7 @@ pub const SCHED_ENTRY_BITS: u64 = 33;
 pub const SCOREBOARD_ENTRY_BITS: u64 = 64;
 
 /// Where a planned fault lands.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FaultTarget {
     /// Register-file bit flips in one thread or one warp.
     RegisterFile {
@@ -385,7 +385,7 @@ impl FaultTarget {
 }
 
 /// One fault scheduled at an absolute application cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PlannedFault {
     /// Application cycle at which to inject.
     pub cycle: u64,
@@ -396,7 +396,7 @@ pub struct PlannedFault {
 /// A set of planned faults — single-bit, multi-bit, multi-entry and
 /// multi-structure campaigns are all expressed as lists of
 /// [`PlannedFault`]s.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct InjectionPlan {
     /// The faults, in any order (the GPU sorts by cycle when armed).
     pub faults: Vec<PlannedFault>,

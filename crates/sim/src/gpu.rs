@@ -2,7 +2,7 @@
 //! loop, and the fault-injection port.
 
 use crate::config::GpuConfig;
-use crate::core::{KernelCtx, SimtCore};
+use crate::core::{nth_live, KernelCtx, SimtCore};
 use crate::error::{LaunchError, Trap};
 use crate::fault::{
     FaultModel, FaultSpace, FaultTarget, InjectionPlan, InjectionRecord, PlannedFault, Scope,
@@ -10,12 +10,20 @@ use crate::fault::{
 use crate::grid::LaunchDims;
 use crate::mem::{FlipOutcome, MemSystem};
 use crate::oracle::{DivergenceReport, OracleMirror, ThreadState};
+use crate::shadow::Shadows;
 use crate::snapshot::{
     CheckpointStore, HostOp, HostResult, LaunchProgress, Recorder, Replay, Snapshot,
 };
 use crate::stats::{AppStats, LaunchStats};
 use gpufi_isa::Kernel;
 use std::sync::Arc;
+
+/// Loop iterations between two taint scans of the fault-lifetime early
+/// exit.  The scan walks every core and cache bank; doing that each cycle
+/// costs more than the exit saves.  An exit delayed by up to
+/// `EE_STRIDE - 1` iterations is still sound: no faults remain, so a zero
+/// taint count can only stay zero.
+pub(crate) const EE_STRIDE: u32 = 32;
 
 /// A simulated CUDA-capable GPU.
 ///
@@ -471,22 +479,6 @@ impl Gpu {
             )
     }
 
-    /// Reduces `lot` modulo the chip-wide population that `count` reports
-    /// per core and walks the cores to its owner: the owning core and the
-    /// core-local index, or `None` when the population is empty.
-    fn nth_live(&mut self, lot: u64, count: fn(&SimtCore) -> u64) -> Option<(&mut SimtCore, u64)> {
-        let total: u64 = self.cores.iter().map(count).sum();
-        let mut n = lot.checked_rem(total)?;
-        for c in &mut self.cores {
-            let cnt = count(c);
-            if n < cnt {
-                return Some((c, n));
-            }
-            n -= cnt;
-        }
-        None
-    }
-
     /// Refines a watchdog abort into [`Trap::LostBarrier`] when no warp can
     /// ever issue again and some CTA still counts barrier arrivals — the
     /// lost-barrier hang signature of a control-unit fault.
@@ -536,10 +528,15 @@ impl Gpu {
     /// Builds every [`Snapshot`]: the machine state, the in-flight launch's
     /// loop state when taken mid-launch, and the recorder's journal length.
     fn capture(&self, progress: Option<LaunchProgress>) -> Snapshot {
+        let mut cores = self.cores.clone();
+        // Shadowed plans' marks are the recording's alone.
+        if self.recorder.as_ref().is_some_and(|r| r.shadows.is_some()) {
+            cores.iter_mut().for_each(SimtCore::scrub_taint);
+        }
         Snapshot {
             cycle: self.cycle,
             mem: self.mem.clone(),
-            cores: self.cores.clone(),
+            cores,
             stats: self.stats.clone(),
             progress,
             host_ops_done: self.recorder.as_ref().map_or(0, |r| r.journal.len()),
@@ -586,7 +583,31 @@ impl Gpu {
             .recorder
             .take()
             .expect("checkpoint recording not started");
+        for c in &mut self.cores {
+            c.log_taint(false);
+            c.scrub_taint();
+        }
         recorder.into_store(self.mem.take_validity_timeline())
+    }
+
+    /// Shadows `plans` in the checkpoint recording: its transient
+    /// register-file and shared-memory plans are fired where a run would
+    /// fire them, marking their sites tainted but flipping nothing, and
+    /// the store settles every one whose marks all die unread
+    /// ([`CheckpointStore::settle`]).  Snapshots hold none of the marks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Gpu::record_checkpoints`] was not called.
+    pub fn shadow_plans<'a>(&mut self, plans: impl IntoIterator<Item = &'a InjectionPlan>) {
+        let rec = self
+            .recorder
+            .as_mut()
+            .expect("checkpoint recording not started");
+        rec.shadows = Shadows::new(plans);
+        for c in &mut self.cores {
+            c.log_taint(rec.shadows.is_some());
+        }
     }
 
     /// Forks this GPU from snapshot `idx` of a recorded store: restores
@@ -804,12 +825,10 @@ impl Gpu {
         // Latched once a flip is observed: the run can no longer early-exit,
         // so stop scanning taint state.
         let mut ee_dead = false;
-        // The taint scan walks every core and cache bank; doing that each
-        // cycle costs more than the exit saves.  Scan on a stride instead —
-        // an exit delayed by up to EE_STRIDE-1 cycles is still sound (no
-        // faults remain, so a zero taint count can only stay zero).
-        const EE_STRIDE: u32 = 32;
         let mut ee_tick = 0u32;
+        // A recording shadowing plans hands them, after each iteration,
+        // the marks it read or killed.
+        let shadowing = self.recorder.as_ref().is_some_and(|r| r.shadows.is_some());
         let outcome: Result<(), Trap> = 'run: loop {
             // Checkpoint capture (recording run only), at the top of the
             // loop *before* fault firing: a fork resuming here sees the
@@ -831,6 +850,9 @@ impl Gpu {
                         .push(snap);
                 }
                 self.mem.validity_top(self.cycle);
+                if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
+                    sh.top(self.cycle, &mut self.cores);
+                }
             }
             // Reconvergence (forked runs only), also before fault firing,
             // where the golden run captured the checkpoint.
@@ -899,6 +921,9 @@ impl Gpu {
                     c.launch_cta(&ctx, p.next_cta, now);
                     p.next_cta += 1;
                 }
+            }
+            if shadowing {
+                self.drain_shadows(&busy);
             }
             busy.retain(|&i| !self.cores[i].is_idle());
             debug_assert!(
@@ -984,6 +1009,9 @@ impl Gpu {
 
         // L1s are invalidated between launches on real GPUs.
         self.mem.flush_l1s();
+        if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
+            sh.launch_end();
+        }
 
         // Lockstep oracle: diff the launch's final architectural state
         // against the reference interpreter (drains the cores' exit logs
@@ -1039,6 +1067,17 @@ impl Gpu {
         Ok(stats)
     }
 
+    /// Hands the shadowed plans the marks the `busy` cores read or killed
+    /// in this loop iteration (see `crate::shadow`).
+    #[cold]
+    fn drain_shadows(&mut self, busy: &[usize]) {
+        if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
+            for &i in busy {
+                sh.drain(&mut self.cores[i]);
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Fault application
     // ------------------------------------------------------------------
@@ -1067,14 +1106,13 @@ impl Gpu {
                     Scope::Thread => SimtCore::live_thread_count,
                     Scope::Warp => SimtCore::live_warp_count,
                 };
-                self.nth_live(*entry_lot, count)
+                nth_live(&mut self.cores, *entry_lot, count)
                     .and_then(|(c, n)| c.flip_reg(*scope, n, *reg, bits, stuck))
                     .is_some()
             }
             FaultTarget::LocalMemory { entry_lot, bits } => {
                 let lmem_bits = u64::from(ctx.kernel.lmem_bytes()) * 8;
-                let tid = self
-                    .nth_live(*entry_lot, SimtCore::live_thread_count)
+                let tid = nth_live(&mut self.cores, *entry_lot, SimtCore::live_thread_count)
                     .filter(|_| lmem_bits > 0)
                     .and_then(|(c, n)| c.nth_live_thread_global_id(n, ctx));
                 let mut any = false;
@@ -1092,9 +1130,8 @@ impl Gpu {
             } => {
                 let mut any = false;
                 for r in 0..u64::from((*replicate).max(1)) {
-                    if let Some((c, n)) =
-                        self.nth_live(cta_lot.wrapping_add(r), SimtCore::cta_count)
-                    {
+                    let lot = cta_lot.wrapping_add(r);
+                    if let Some((c, n)) = nth_live(&mut self.cores, lot, SimtCore::cta_count) {
                         for &b in bits {
                             any |= c.flip_cta_smem(n, b, stuck);
                         }
@@ -1114,18 +1151,19 @@ impl Gpu {
                 entry_lot,
                 depth_lot,
                 bits,
-            } => self
-                .nth_live(*entry_lot, SimtCore::live_warp_count)
+            } => nth_live(&mut self.cores, *entry_lot, SimtCore::live_warp_count)
                 .and_then(|(c, n)| c.flip_simt_stack(n, *depth_lot, bits, stuck))
                 .is_some(),
-            FaultTarget::Sched { entry_lot, bits } => self
-                .nth_live(*entry_lot, SimtCore::live_warp_count)
-                .and_then(|(c, n)| c.flip_sched(n, bits, stuck))
-                .is_some(),
-            FaultTarget::Scoreboard { entry_lot, bits } => self
-                .nth_live(*entry_lot, SimtCore::live_warp_count)
-                .and_then(|(c, n)| c.flip_scoreboard(n, bits, stuck))
-                .is_some(),
+            FaultTarget::Sched { entry_lot, bits } => {
+                nth_live(&mut self.cores, *entry_lot, SimtCore::live_warp_count)
+                    .and_then(|(c, n)| c.flip_sched(n, bits, stuck))
+                    .is_some()
+            }
+            FaultTarget::Scoreboard { entry_lot, bits } => {
+                nth_live(&mut self.cores, *entry_lot, SimtCore::live_warp_count)
+                    .and_then(|(c, n)| c.flip_scoreboard(n, bits, stuck))
+                    .is_some()
+            }
         };
         InjectionRecord {
             cycle: self.cycle,

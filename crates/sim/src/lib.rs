@@ -75,11 +75,13 @@ pub mod config;
 mod config_file;
 mod core;
 mod error;
+mod fast_hash;
 mod fault;
 mod gpu;
 mod grid;
 pub mod mem;
 pub mod oracle;
+mod shadow;
 mod snapshot;
 mod stats;
 
@@ -95,7 +97,7 @@ pub use gpu::Gpu;
 pub use grid::{Dim3, LaunchDims};
 pub use mem::{AccessKind, CacheStats, FlipOutcome, MemSystem, GLOBAL_BASE, LOCAL_BASE};
 pub use oracle::{Divergence, DivergenceReport, OracleMirror, ThreadState};
-pub use snapshot::{CheckpointStore, Snapshot};
+pub use snapshot::{CheckpointStore, Settled, Snapshot};
 pub use stats::{AppStats, KernelWindow, LaunchStats};
 
 // Unwind-safety boundary of the campaign supervisor: every piece of shared

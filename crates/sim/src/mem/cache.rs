@@ -24,9 +24,9 @@
 //! written.
 
 use crate::config::{CacheConfig, TAG_BITS};
+use crate::fast_hash::FastSet;
 use arrays::Arrays;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Per-line heap accounting constant for [`Cache::resident_bytes`].
 ///
@@ -173,7 +173,7 @@ impl Line {
 mod arrays {
     use super::Line;
     use crate::config::CacheConfig;
-    use std::collections::HashSet;
+    use crate::fast_hash::FastSet;
     use std::sync::Arc;
 
     /// How many lines a chunk aims to hold: a run that writes one line
@@ -413,7 +413,7 @@ mod arrays {
 
         /// Heap bytes of the chunk table plus every chunk not yet in
         /// `seen`, which collects the shared chunks counted so far.
-        pub(super) fn held_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+        pub(super) fn held_bytes(&self, seen: &mut FastSet<*const ()>) -> usize {
             let chunk_bytes = |c: &Chunk| std::mem::size_of_val(&*c.lines) + c.data.len();
             let chunks: usize = self
                 .chunks
@@ -518,7 +518,7 @@ impl Cache {
     /// Heap bytes this cache's arrays actually hold, counting only the
     /// chunks not already in `seen` (and adding them), so that summing
     /// over caches that share chunks counts each chunk once.
-    pub(crate) fn held_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+    pub(crate) fn held_bytes(&self, seen: &mut FastSet<*const ()>) -> usize {
         self.arrays.held_bytes(seen)
     }
 

@@ -21,8 +21,8 @@ use super::cache::{Cache, CacheStats, FlipOutcome, Writeback};
 use super::validity::{Timeline, ValidityLog};
 use crate::config::{GpuConfig, LatencyConfig};
 use crate::error::{LaunchError, Trap};
+use crate::fast_hash::FastSet;
 use crate::fault::{FaultTarget, PlannedFault, Structure};
-use std::collections::HashSet;
 
 /// One bit of a cache fault, resolved against the memory system: its
 /// cache (`unit` is the SM of an L1, the bank of the L2) and its index in
@@ -253,7 +253,7 @@ impl MemSystem {
 
     /// Heap bytes actually held, counting only the cache chunks not
     /// already in `seen` (see [`Cache::held_bytes`]).
-    pub(crate) fn held_bytes(&self, seen: &mut HashSet<*const ()>) -> usize {
+    pub(crate) fn held_bytes(&self, seen: &mut FastSet<*const ()>) -> usize {
         self.segment_bytes() + self.caches().map(|c| c.held_bytes(seen)).sum::<usize>()
     }
 

@@ -491,11 +491,12 @@ fn settled_record(
     plan: &InjectionPlan,
     golden: &GoldenProfile,
 ) -> RunRecord {
+    let settled = store.settle(plan).expect("a settled plan");
     RunRecord {
         effect: FaultEffect::Masked,
         cycles: golden.total_cycles(),
-        applied: false,
-        early_exit: true,
+        applied: settled.applied,
+        early_exit: settled.early_exit,
         ckpt_skipped_cycles: skipped_cycles(store, plan),
         detail: RunDetail::None,
         stratum: None,
@@ -585,7 +586,7 @@ fn settled_plans_get_their_forks_records() {
         let mut settled = 0;
         for (i, plan) in cache_plans(&golden, &spec, seed, &store).iter().enumerate() {
             let forked = forked_record(&mut gpu, &store, w.as_ref(), plan, &golden);
-            if store.settles(plan) {
+            if store.settle(plan).is_some() {
                 settled += 1;
                 cold += usize::from(forked.ckpt_skipped_cycles == 0);
                 past_last += usize::from(first_cycle(plan) > last);
@@ -605,7 +606,7 @@ fn settled_plans_get_their_forks_records() {
             f.cycle = golden.total_cycles() + 1;
         }
         assert!(
-            !store.settles(&never),
+            store.settle(&never).is_none(),
             "{tag}: settled a fault that never fires"
         );
     }
@@ -647,12 +648,180 @@ fn every_unapplied_early_exit_is_settled() {
             if forked.early_exit && !forked.applied {
                 unapplied_exits += 1;
                 assert!(
-                    store.settles(plan),
+                    store.settle(plan).is_some(),
                     "{tag} plan {i}: {forked:?} not settled"
                 );
             }
         }
         assert!(unapplied_exits > 0, "{tag}: no run exited unapplied");
+    }
+}
+
+/// Records `w` on `card` on the stride a campaign records it on,
+/// shadowing `plans` as a campaign shadows the plans pre-classification
+/// leaves.
+fn record_shadowing(
+    w: &dyn Workload,
+    card: &GpuConfig,
+    golden: &GoldenProfile,
+    plans: &[InjectionPlan],
+) -> std::sync::Arc<CheckpointStore> {
+    let mut rec = Gpu::new(card.clone());
+    rec.record_checkpoints((golden.total_cycles() / 24).max(1), 1 << 30);
+    rec.shadow_plans(plans);
+    w.run(&mut rec).unwrap();
+    std::sync::Arc::new(rec.finish_checkpoint_recording())
+}
+
+/// `n` `spec` plans, each drawn in its own launch window, visiting the
+/// windows in turn; every fifth lands in the last launch.
+fn launch_plans(
+    golden: &GoldenProfile,
+    spec: &CampaignSpec,
+    seed: u64,
+    n: usize,
+) -> Vec<InjectionPlan> {
+    let mut gen = MaskGenerator::new(seed);
+    let windows = golden.windows(None);
+    (0..n)
+        .map(|i| {
+            let win = match i % 5 {
+                4 => windows.last().unwrap(),
+                _ => &windows[i % windows.len()],
+            };
+            let space = &golden.fault_spaces[&win.kernel];
+            gen.draw(spec, space, std::slice::from_ref(win)).unwrap()
+        })
+        .collect()
+}
+
+/// Four `spec` plans drawn in the last launch for each of its last `n`
+/// cycles, moved there: flips that die just before or after the last
+/// taint checks, fired at golden loop tops and inside fast-forward gaps.
+fn tail_plans(
+    golden: &GoldenProfile,
+    spec: &CampaignSpec,
+    seed: u64,
+    n: u64,
+) -> Vec<InjectionPlan> {
+    let mut gen = MaskGenerator::new(seed);
+    let last = golden.windows(None).pop().unwrap();
+    let space = &golden.fault_spaces[&last.kernel];
+    (1..=n.min(last.end - last.start))
+        .flat_map(|back| [back; 4])
+        .map(|back| {
+            let mut plan = gen.draw(spec, space, std::slice::from_ref(&last)).unwrap();
+            for f in &mut plan.faults {
+                f.cycle = last.end - back;
+            }
+            plan
+        })
+        .collect()
+}
+
+/// The register-file and shared-memory campaigns the shadow tests cover:
+/// GE and LUD (13 launches) rf, NW rf with warp-scope 3-bit flips, HS
+/// shared memory on the GTX Titan and SP shared memory.
+fn shadow_cases() -> [(&'static str, GpuConfig, CampaignSpec); 5] {
+    use Structure::*;
+    let (rtx, titan) = (GpuConfig::rtx2060(), GpuConfig::gtx_titan());
+    [
+        ("GE", rtx.clone(), CampaignSpec::new(RegisterFile)),
+        ("LUD", rtx.clone(), CampaignSpec::new(RegisterFile)),
+        (
+            "NW",
+            rtx.clone(),
+            CampaignSpec::new(RegisterFile).warp_scope().bits(3),
+        ),
+        ("HS", titan, CampaignSpec::new(SharedMemory)),
+        ("SP", rtx, CampaignSpec::new(SharedMemory)),
+    ]
+}
+
+/// Every register-file and shared-memory plan the store settles from the
+/// recording's shadow gets exactly the record its fork writes, on every
+/// [`shadow_cases`] campaign.  The plans visit every launch, and the
+/// last launch's final cycles one by one, so their faults fire at golden
+/// loop tops and inside fast-forward gaps, where a run adds a loop
+/// iteration, and some die after the last taint check: their run goes
+/// on to the golden end and records no early exit.
+#[test]
+fn unread_flips_settle_with_their_forks_records() {
+    let (mut settled, mut ran_out) = (0, 0);
+    for (seed, (name, card, spec)) in (81u64..).zip(shadow_cases()) {
+        let tag = format!("{name} on {} {spec:?}", card.name);
+        let w = by_name(name).unwrap();
+        let golden = profile(w.as_ref(), &card).unwrap();
+        let mut plans = launch_plans(&golden, &spec, seed, 60);
+        plans.extend(tail_plans(&golden, &spec, seed, 64));
+        let store = record_shadowing(w.as_ref(), &card, &golden, &plans);
+        let mut gpu = Gpu::new(card.clone());
+        let before = settled;
+        for (i, plan) in plans.iter().enumerate() {
+            let Some(s) = store.settle(plan) else {
+                continue;
+            };
+            settled += 1;
+            ran_out += usize::from(!s.early_exit);
+            let forked = forked_record(&mut gpu, &store, w.as_ref(), plan, &golden);
+            assert_eq!(
+                forked,
+                settled_record(&store, plan, &golden),
+                "{tag} plan {i}"
+            );
+        }
+        assert!(settled > before, "{tag}: no plan settled");
+    }
+    assert!(ran_out > 0, "no settled run outlives its last taint check");
+}
+
+/// The other direction: every forked run of a [`shadow_cases`] plan that
+/// ends by the taint early exit — not by reconvergence — is one the store
+/// settles, with no exception.
+#[test]
+fn every_taint_exit_is_settled() {
+    for (seed, (name, card, spec)) in (91u64..).zip(shadow_cases()) {
+        let tag = format!("{name} on {} {spec:?}", card.name);
+        let w = by_name(name).unwrap();
+        let golden = profile(w.as_ref(), &card).unwrap();
+        let plans = launch_plans(&golden, &spec, seed, 60);
+        let store = record_shadowing(w.as_ref(), &card, &golden, &plans);
+        let mut gpu = Gpu::new(card.clone());
+        let mut exits = 0;
+        for (i, plan) in plans.iter().enumerate() {
+            let forked = forked_record(&mut gpu, &store, w.as_ref(), plan, &golden);
+            if forked.early_exit && forked.detail == RunDetail::None {
+                exits += 1;
+                assert!(
+                    store.settle(plan).is_some(),
+                    "{tag} plan {i}: {forked:?} not settled"
+                );
+            }
+        }
+        assert!(exits > 0, "{tag}: no run ended by the taint exit");
+    }
+}
+
+/// Shadowing changes no snapshot: a recording that shadows plans captures
+/// the snapshots a recording that shadows none does, at the same cycles
+/// and digest for digest — taint marks and escape latches included — on
+/// a register-file and two shared-memory campaigns.
+#[test]
+fn shadowed_recordings_capture_the_same_snapshots() {
+    for (seed, (name, card, spec)) in (101u64..).zip(shadow_cases()).skip(2) {
+        let tag = format!("{name} on {} {spec:?}", card.name);
+        let w = by_name(name).unwrap();
+        let golden = profile(w.as_ref(), &card).unwrap();
+        let plans = launch_plans(&golden, &spec, seed, 60);
+        let plain = record_store(w.as_ref(), &card, &golden);
+        let shadowed = record_shadowing(w.as_ref(), &card, &golden, &plans);
+        assert!(plans.iter().any(|p| shadowed.settle(p).is_some()), "{tag}");
+        assert_eq!(plain.len(), shadowed.len(), "{tag}");
+        for i in 0..plain.len() {
+            let (a, b) = (plain.snapshot(i), shadowed.snapshot(i));
+            assert_eq!(a.cycle(), b.cycle(), "{tag} snapshot {i}");
+            assert_eq!(a.state_digest(), b.state_digest(), "{tag} snapshot {i}");
+        }
     }
 }
 
@@ -681,7 +850,7 @@ fn settling_follows_the_fire_point() {
         };
         InjectionPlan::single(cycle, target)
     };
-    let settles = |cycle, line| store.settles(&plan(cycle, line));
+    let settles = |cycle, line| store.settle(&plan(cycle, line)).is_some();
     // A launch other than the last, and a line valid at its end.
     let launches = &golden.app.launches;
     let (end, line) = launches[..launches.len() - 1]
@@ -707,7 +876,10 @@ fn settling_follows_the_fire_point() {
     assert!(fork(end).applied, "a flip at cycle {end} missed the line");
     // The flush ending the launch at `end` follows that cycle's top.
     let after = plan(end + 1, line);
-    assert!(store.settles(&after), "line {line} valid after the flush");
+    assert!(
+        store.settle(&after).is_some(),
+        "line {line} valid after the flush"
+    );
     assert_eq!(fork(end + 1), settled_record(&store, &after, &golden));
 }
 
