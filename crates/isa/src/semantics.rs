@@ -14,6 +14,7 @@
 use crate::op::{BitOp, FloatOp, FloatUnOp, IntOp};
 
 /// Evaluates a two-operand integer operation.
+#[inline]
 pub fn int_op(op: IntOp, a: u32, b: u32) -> u32 {
     match op {
         IntOp::Add => a.wrapping_add(b),
@@ -25,11 +26,13 @@ pub fn int_op(op: IntOp, a: u32, b: u32) -> u32 {
 }
 
 /// Evaluates `a * b + c` with 32-bit wrapping (IMAD).
+#[inline]
 pub fn imad(a: u32, b: u32, c: u32) -> u32 {
     a.wrapping_mul(b).wrapping_add(c)
 }
 
 /// Evaluates a two-operand float operation on raw bit patterns.
+#[inline]
 pub fn float_op(op: FloatOp, a: u32, b: u32) -> u32 {
     let (x, y) = (f32::from_bits(a), f32::from_bits(b));
     let r = match op {
@@ -44,6 +47,7 @@ pub fn float_op(op: FloatOp, a: u32, b: u32) -> u32 {
 }
 
 /// Evaluates a fused multiply-add `a * b + c` on raw bit patterns.
+#[inline]
 pub fn ffma(a: u32, b: u32, c: u32) -> u32 {
     f32::from_bits(a)
         .mul_add(f32::from_bits(b), f32::from_bits(c))
@@ -51,6 +55,7 @@ pub fn ffma(a: u32, b: u32, c: u32) -> u32 {
 }
 
 /// Evaluates a unary float (SFU) operation on a raw bit pattern.
+#[inline]
 pub fn float_un(op: FloatUnOp, a: u32) -> u32 {
     let x = f32::from_bits(a);
     let r = match op {
@@ -66,6 +71,7 @@ pub fn float_un(op: FloatUnOp, a: u32) -> u32 {
 }
 
 /// Evaluates a bitwise / shift operation.
+#[inline]
 pub fn bit_op(op: BitOp, a: u32, b: u32) -> u32 {
     match op {
         BitOp::And => a & b,
@@ -78,11 +84,13 @@ pub fn bit_op(op: BitOp, a: u32, b: u32) -> u32 {
 }
 
 /// Signed integer → float conversion.
+#[inline]
 pub fn i2f(a: u32) -> u32 {
     (a as i32 as f32).to_bits()
 }
 
 /// Float → signed integer conversion, round toward zero, saturating.
+#[inline]
 pub fn f2i(a: u32) -> u32 {
     (f32::from_bits(a) as i32) as u32
 }

@@ -1313,14 +1313,33 @@ impl SimtCore {
                     None if sr == SpecialReg::LaneId => {
                         lanes!(exec_mask, lane => d[lane] = lane as u32)
                     }
-                    None => lanes!(exec_mask, lane => {
-                        let tid = dims.block.index_at(tid_base + lane as u64);
-                        d[lane] = match sr {
-                            SpecialReg::TidX => tid.x,
-                            SpecialReg::TidY => tid.y,
-                            _ => tid.z,
-                        };
-                    }),
+                    // The first executing lane's index is resolved, the
+                    // next lanes' stepped from it with carries.
+                    None if exec_mask != 0 => {
+                        let first = exec_mask.trailing_zeros() as usize;
+                        let last = 31 - exec_mask.leading_zeros() as usize;
+                        let b = dims.block;
+                        let mut tid = b.index_at(tid_base + first as u64);
+                        for (lane, v) in d.iter_mut().enumerate().take(last + 1).skip(first) {
+                            if exec_mask & (1 << lane) != 0 {
+                                *v = match sr {
+                                    SpecialReg::TidX => tid.x,
+                                    SpecialReg::TidY => tid.y,
+                                    _ => tid.z,
+                                };
+                            }
+                            tid.x += 1;
+                            if tid.x == b.x {
+                                tid.x = 0;
+                                tid.y += 1;
+                                if tid.y == b.y {
+                                    tid.y = 0;
+                                    tid.z += 1;
+                                }
+                            }
+                        }
+                    }
+                    None => {}
                 }
             }
             UopOp::IAdd => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
@@ -1702,9 +1721,31 @@ impl SimtCore {
         }
     }
 
+    /// Each executing lane of `exec_mask` with its address, register
+    /// `uop.a` plus the instruction's offset, in lane order; returns how
+    /// many of `out` are filled.
+    fn lane_addrs(
+        &self,
+        slot: usize,
+        widx: usize,
+        exec_mask: u32,
+        uop: &Uop,
+        out: &mut [(usize, u32); LANES],
+    ) -> usize {
+        let base = &self.ctas[slot].warps[widx].regs[uop.a as usize];
+        let offset = uop.mem_offset() as u32;
+        let mut n = 0usize;
+        lanes!(exec_mask, lane => {
+            out[n] = (lane, base[lane].wrapping_add(offset));
+            n += 1;
+        });
+        n
+    }
+
     /// Executes a global / local / texture access: computes per-lane
     /// effective addresses, coalesces them into line transactions for the
-    /// timing model, then performs the functional 4-byte operations.
+    /// timing model, then performs the functional 4-byte operations a
+    /// line at a time (see [`MemSystem::load_lanes`]).
     #[allow(clippy::too_many_arguments)]
     fn device_mem_access(
         &mut self,
@@ -1718,69 +1759,37 @@ impl SimtCore {
         ctx: &KernelCtx<'_>,
         mem: &mut MemSystem,
     ) -> Result<u64, Trap> {
-        let offset = uop.mem_offset();
-        let lmem = ctx.kernel.lmem_bytes();
-        let tpc = u64::from(ctx.threads_per_cta());
-        let cta_linear = self.ctas[slot].linear;
-        let w32 = u64::from(self.ctas[slot].warps[widx].widx);
-
-        // Effective addresses (fixed scratch; no per-access allocation).
         let mut lanes = [(0usize, 0u32); LANES];
-        let mut n = 0usize;
-        for lane in 0..LANES {
-            if exec_mask & (1 << lane) == 0 {
-                continue;
-            }
-            let base =
-                self.ctas[slot].warps[widx].regs[uop.a as usize][lane].wrapping_add(offset as u32);
-            let eff = if kind == AccessKind::Local {
+        let n = self.lane_addrs(slot, widx, exec_mask, uop, &mut lanes);
+        let lanes = &mut lanes[..n];
+        if kind == AccessKind::Local {
+            let lmem = ctx.kernel.lmem_bytes();
+            let tpc = u64::from(ctx.threads_per_cta());
+            let first_tid = self.ctas[slot].linear * tpc
+                + u64::from(self.ctas[slot].warps[widx].widx) * LANES as u64;
+            for (lane, a) in lanes.iter_mut() {
+                let base = *a;
                 if !base.is_multiple_of(4) {
                     return Err(Trap::Misaligned { addr: base });
                 }
                 if u64::from(base) + 4 > u64::from(lmem) {
                     return Err(Trap::LmemOutOfBounds { offset: base });
                 }
-                let tid_global = cta_linear * tpc + w32 * LANES as u64 + lane as u64;
-                LOCAL_BASE.wrapping_add(((tid_global * u64::from(lmem)) as u32).wrapping_add(base))
-            } else {
-                base
-            };
-            lanes[n] = (lane, eff);
-            n += 1;
-        }
-        let lanes = &lanes[..n];
-
-        // Timing: one transaction per unique line, issued back to back.
-        let line = u64::from(mem.line_bytes());
-        let mut lines = [0u64; LANES];
-        for (i, &(_, a)) in lanes.iter().enumerate() {
-            lines[i] = u64::from(a) / line;
-        }
-        let lines = &mut lines[..n];
-        lines.sort_unstable();
-        let mut done = now + u64::from(self.lat_alu);
-        let mut prev = None;
-        let mut i = 0usize;
-        for &la in lines.iter() {
-            if prev == Some(la) {
-                continue;
+                let tid_global = first_tid + *lane as u64;
+                *a = LOCAL_BASE
+                    .wrapping_add(((tid_global * u64::from(lmem)) as u32).wrapping_add(base));
             }
-            prev = Some(la);
-            let t = mem.line_latency(self.id, kind, la, is_store, now + i as u64);
-            done = done.max(t);
-            i += 1;
         }
-
-        // Function: per-lane 4-byte operations.
-        let (data_reg, dst_reg) = (uop.c as usize, uop.dst as usize);
-        for &(lane, eff) in lanes {
-            if is_store {
-                let v = self.ctas[slot].warps[widx].regs[data_reg][lane];
-                mem.store4(self.id, kind, eff, v)?;
-            } else {
-                let v = mem.load4(self.id, kind, eff)?;
-                self.ctas[slot].warps[widx].regs[dst_reg][lane] = v;
-            }
+        let lanes = &*lanes;
+        let floor = now + u64::from(self.lat_alu);
+        let done = price_lines(lanes, mem.line_bytes(), floor, |la, i| {
+            mem.line_latency(self.id, kind, la, is_store, now + i)
+        });
+        let w = &mut self.ctas[slot].warps[widx];
+        if is_store {
+            mem.store_lanes(self.id, kind, lanes, &w.regs[uop.c as usize])?;
+        } else {
+            mem.load_lanes(self.id, kind, lanes, &mut w.regs[uop.dst as usize])?;
         }
         Ok(done)
     }
@@ -1803,41 +1812,15 @@ impl SimtCore {
             // store to it faults like a write to a read-only page.
             return Err(Trap::InvalidAddress { addr: 0 });
         }
-        let offset = uop.mem_offset();
         let mut lanes = [(0usize, 0u32); LANES];
-        let mut n = 0usize;
-        for lane in 0..LANES {
-            if exec_mask & (1 << lane) != 0 {
-                let a = self.ctas[slot].warps[widx].regs[uop.a as usize][lane]
-                    .wrapping_add(offset as u32);
-                lanes[n] = (lane, a);
-                n += 1;
-            }
-        }
+        let n = self.lane_addrs(slot, widx, exec_mask, uop, &mut lanes);
         let lanes = &lanes[..n];
-        let line = u64::from(mem.const_line_bytes());
-        let mut line_addrs = [0u64; LANES];
-        for (i, &(_, a)) in lanes.iter().enumerate() {
-            line_addrs[i] = u64::from(a) / line;
-        }
-        let line_addrs = &mut line_addrs[..n];
-        line_addrs.sort_unstable();
-        let mut done = now + u64::from(self.lat_alu);
-        let mut prev = None;
-        let mut i = 0usize;
-        for &la in line_addrs.iter() {
-            if prev == Some(la) {
-                continue;
-            }
-            prev = Some(la);
-            done = done.max(mem.const_line_latency(self.id, la, now + i as u64));
-            i += 1;
-        }
-        let dst = uop.dst as usize;
-        for &(lane, a) in lanes {
-            let v = mem.load4_const(self.id, a)?;
-            self.ctas[slot].warps[widx].regs[dst][lane] = v;
-        }
+        let floor = now + u64::from(self.lat_alu);
+        let done = price_lines(lanes, mem.const_line_bytes(), floor, |la, i| {
+            mem.const_line_latency(self.id, la, now + i)
+        });
+        let row = &mut self.ctas[slot].warps[widx].regs[uop.dst as usize];
+        mem.load_lanes_const(self.id, lanes, row)?;
         Ok(done)
     }
 
@@ -2241,6 +2224,27 @@ fn set_bit_at(mask: u32, n: u32) -> Option<usize> {
         }
     }
     None
+}
+
+/// Prices one transaction per distinct line of `lanes` (`line_bytes`
+/// lines), issued back to back in ascending line order: `price(line, i)`
+/// for the `i`-th.  Returns the latest completion, at least `floor`.
+fn price_lines(
+    lanes: &[(usize, u32)],
+    line_bytes: u32,
+    floor: u64,
+    mut price: impl FnMut(u64, u64) -> u64,
+) -> u64 {
+    let mut lines = [0u64; LANES];
+    let mut n = 0;
+    for (la, ..) in crate::mem::runs(lanes, line_bytes, |_| true) {
+        lines[n] = la;
+        n += 1;
+    }
+    let lines = &mut lines[..n];
+    lines.sort_unstable();
+    let distinct = lines.chunk_by(|a, b| a == b).zip(0..);
+    distinct.fold(floor, |done, (same, i)| done.max(price(same[0], i)))
 }
 
 #[cfg(test)]

@@ -802,6 +802,10 @@ impl Gpu {
         };
 
         let max_warps = f64::from(self.cfg.max_warps_per_sm());
+        // The occupancy quotients of the last residency tuple (live warps,
+        // live threads, live CTAs, busy SMs) integrated: residency changes
+        // far less often than the loop turns.
+        let mut occ_last: Option<([u64; 4], [f64; 3])> = None;
 
         // Ascending indices of the SMs holding at least one CTA; every
         // per-cycle pass walks these alone.  An SM without CTAs has nothing
@@ -985,10 +989,24 @@ impl Gpu {
                 live_ctas += u64::from(c.resident_ctas());
             }
             if active_sms > 0 {
+                let key = [live_warps, live_threads, live_ctas, active_sms];
+                let [occ, thr, cta] = match occ_last {
+                    Some((k, q)) if k == key => q,
+                    _ => {
+                        let sms = active_sms as f64;
+                        let q = [
+                            live_warps as f64 / (sms * max_warps),
+                            live_threads as f64 / sms,
+                            live_ctas as f64 / sms,
+                        ];
+                        occ_last = Some((key, q));
+                        q
+                    }
+                };
                 let dtf = dt as f64;
-                p.occ_int += live_warps as f64 / (active_sms as f64 * max_warps) * dtf;
-                p.thr_int += live_threads as f64 / active_sms as f64 * dtf;
-                p.cta_int += live_ctas as f64 / active_sms as f64 * dtf;
+                p.occ_int += occ * dtf;
+                p.thr_int += thr * dtf;
+                p.cta_int += cta * dtf;
                 p.t_int += dt;
                 // Saturating: a fault in a warp's `ready_at` can fast-forward
                 // by ~2^58 cycles into the watchdog trap, which discards the

@@ -611,19 +611,27 @@ impl Cache {
     /// The whole line for `line_addr`, if resident: a hit or a miss as for
     /// [`Cache::read`], which reads through this.
     pub(crate) fn read_line(&mut self, line_addr: u64) -> Option<&[u8]> {
+        self.read_run(line_addr, 1)
+    }
+
+    /// The whole line for `line_addr`, read `n` times in a row: the state
+    /// `n` calls of [`Cache::read_line`] leave, with one lookup.  A hit
+    /// advances the tick by `n`, stamps the line with the last and latches
+    /// the escape if the line is tainted; a miss counts `n` misses.
+    pub(crate) fn read_run(&mut self, line_addr: u64, n: u64) -> Option<&[u8]> {
         match self.find(line_addr) {
             Some(s) => {
-                self.tick += 1;
+                self.tick += n;
                 let (line, data) = self.arrays.touch(s);
                 line.lru = self.tick;
                 if line.tainted {
                     self.escaped = true;
                 }
-                self.stats.hits += 1;
+                self.stats.hits += n;
                 Some(data)
             }
             None => {
-                self.stats.misses += 1;
+                self.stats.misses += n;
                 None
             }
         }
@@ -634,28 +642,38 @@ impl Cache {
     ///
     /// Returns `true` on a hit.
     pub fn write(&mut self, line_addr: u64, offset: u32, bytes: &[u8], dirty: bool) -> bool {
-        match self.find(line_addr) {
-            Some(s) => {
-                let at = offset as usize;
-                self.tick += 1;
-                let (line, data) = self.arrays.touch(s);
-                line.lru = self.tick;
-                data[at..at + bytes.len()].copy_from_slice(bytes);
-                line.dirty |= dirty;
-                // A full-line overwrite provably erases any flipped bits; a
-                // partial write keeps the taint (the flip may sit outside
-                // the written range).
-                if at == 0 && bytes.len() == data.len() {
-                    untaint(line, &mut self.taints);
-                }
-                self.stats.hits += 1;
-                true
+        self.write_run(line_addr, [(offset, bytes)], dirty)
+    }
+
+    /// Writes each `(offset, bytes)` of `writes` in order into the line for
+    /// `line_addr`, if resident: the state one [`Cache::write`] per item
+    /// leaves, with one lookup.  A miss counts one miss per item.
+    pub(crate) fn write_run<B: AsRef<[u8]>>(
+        &mut self,
+        line_addr: u64,
+        writes: impl IntoIterator<Item = (u32, B)>,
+        dirty: bool,
+    ) -> bool {
+        let Some(s) = self.find(line_addr) else {
+            self.stats.misses += writes.into_iter().count() as u64;
+            return false;
+        };
+        let (line, data) = self.arrays.touch(s);
+        for (offset, bytes) in writes {
+            let (at, bytes) = (offset as usize, bytes.as_ref());
+            self.tick += 1;
+            line.lru = self.tick;
+            data[at..at + bytes.len()].copy_from_slice(bytes);
+            line.dirty |= dirty;
+            // A full-line overwrite provably erases any flipped bits; a
+            // partial write keeps the taint (the flip may sit outside the
+            // written range).
+            if at == 0 && bytes.len() == data.len() {
+                untaint(line, &mut self.taints);
             }
-            None => {
-                self.stats.misses += 1;
-                false
-            }
+            self.stats.hits += 1;
         }
+        true
     }
 
     /// The data bytes of a resident line, without touching LRU state,
@@ -778,16 +796,22 @@ impl Cache {
     }
 
     /// [`Cache::invalidate`], calling `turned_invalid` with the line-major
-    /// index of the line it drops.
-    pub(crate) fn invalidate_with(&mut self, line_addr: u64, turned_invalid: &mut dyn FnMut(u32)) {
-        if let Some(s) = self.find(line_addr) {
-            turned_invalid(self.arrays.index_of(s));
-            let line = self.arrays.touch(s).0;
-            line.valid = false;
-            line.dirty = false;
-            self.valid_cnt -= 1;
-            untaint(line, &mut self.taints);
-        }
+    /// index of the line it drops; whether a line was resident.
+    pub(crate) fn invalidate_with(
+        &mut self,
+        line_addr: u64,
+        turned_invalid: &mut dyn FnMut(u32),
+    ) -> bool {
+        let Some(s) = self.find(line_addr) else {
+            return false;
+        };
+        turned_invalid(self.arrays.index_of(s));
+        let line = self.arrays.touch(s).0;
+        line.valid = false;
+        line.dirty = false;
+        self.valid_cnt -= 1;
+        untaint(line, &mut self.taints);
+        true
     }
 
     /// Invalidates every line, returning dirty victims for writeback.
@@ -1007,6 +1031,35 @@ mod tests {
                 set(p[0].line_addr) <= set(p[1].line_addr)
             }));
         }
+    }
+
+    #[test]
+    fn runs_leave_the_state_of_repeated_single_accesses() {
+        let mut c = small();
+        c.fill(0, &[0; 8], false);
+        assert_eq!(c.flip_bit(u64::from(TAG_BITS)), FlipOutcome::Data);
+        // Three reads of the tainted line, and three of an absent one.
+        let (mut run, mut single) = (c.clone(), c.clone());
+        let line = run.read_run(0, 3).map(<[u8]>::to_vec);
+        assert_eq!(run.read_run(1, 3), None);
+        for _ in 0..3 {
+            assert_eq!(single.read_line(0).map(<[u8]>::to_vec), line);
+            assert_eq!(single.read_line(1), None);
+        }
+        assert!(run.taint_escaped());
+        assert_eq!(digest(&run), digest(&single));
+        // Partial writes keep the taint; a full-line write erases it.
+        let (mut run, mut single) = (c.clone(), c.clone());
+        let writes: [(u32, &[u8]); 2] = [(0, &[1, 2]), (4, &[3, 4, 5, 6])];
+        assert!(run.write_run(0, writes, true));
+        for (at, bytes) in writes {
+            assert!(single.write(0, at, bytes, true));
+        }
+        assert_eq!(run.taint_count(), 1);
+        assert_eq!(digest(&run), digest(&single));
+        assert!(run.write_run(0, [(4, &[0; 4][..]), (0, &[9; 8])], false));
+        assert_eq!(run.taint_count(), 0);
+        assert!(!run.taint_escaped());
     }
 
     #[test]

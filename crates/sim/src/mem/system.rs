@@ -532,7 +532,7 @@ impl MemSystem {
     /// fault-corrupted pointer usually produces an SDC, not an abort.
     /// Only two conditions trap, matching the simulator aborts GPGPU-Sim
     /// does have: misaligned accesses, and the null page (`< GLOBAL_BASE`).
-    fn check_access(&self, addr: u32) -> Result<(), Trap> {
+    fn check_access(addr: u32) -> Result<(), Trap> {
         if !addr.is_multiple_of(4) {
             return Err(Trap::Misaligned { addr });
         }
@@ -716,7 +716,7 @@ impl MemSystem {
     ///
     /// Traps on misaligned or unmapped addresses.
     pub fn load4(&mut self, sm: usize, kind: AccessKind, addr: u32) -> Result<u32, Trap> {
-        self.check_access(addr)?;
+        Self::check_access(addr)?;
         let la = u64::from(addr) / u64::from(self.line_bytes);
         let off = addr % self.line_bytes;
         let mut buf = [0u8; 4];
@@ -766,7 +766,7 @@ impl MemSystem {
         addr: u32,
         value: u32,
     ) -> Result<(), Trap> {
-        self.check_access(addr)?;
+        Self::check_access(addr)?;
         let la = u64::from(addr) / u64::from(self.line_bytes);
         let off = addr % self.line_bytes;
         let bytes = value.to_le_bytes();
@@ -802,6 +802,123 @@ impl MemSystem {
             }
             AccessKind::Texture => {
                 return Err(Trap::InvalidAddress { addr });
+            }
+        }
+        Ok(())
+    }
+
+    /// Loads a word for every lane of `lanes` — `(lane, address)` pairs
+    /// in lane order — into `row[lane]`: the same words, cache state and
+    /// first trap as one [`MemSystem::load4`] per lane, with every lane
+    /// before a trapping one loaded.
+    ///
+    /// Lanes are taken a run at a time (see `runs`): the run's first
+    /// lane goes through `load4`, which leaves its line resident in the
+    /// cache it read — the SM's L1D or L1T, else the line's L2 bank — and
+    /// the rest are one bulk read (`Cache::read_run`) of that line there,
+    /// since nothing touches a cache between two lanes of a run.
+    ///
+    /// # Errors
+    ///
+    /// Traps on the first misaligned or unmapped lane.
+    pub fn load_lanes(
+        &mut self,
+        sm: usize,
+        kind: AccessKind,
+        lanes: &[(usize, u32)],
+        row: &mut [u32],
+    ) -> Result<(), Trap> {
+        let lb = self.line_bytes;
+        for (la, (lane, addr), rest) in runs(lanes, lb, |a| Self::check_access(a).is_ok()) {
+            row[lane] = self.load4(sm, kind, addr)?;
+            if rest.is_empty() {
+                continue;
+            }
+            let (cache, cla) = match kind {
+                AccessKind::Texture => (&mut self.l1t[sm], la),
+                _ if self.l1d[sm].is_some() => (self.l1d[sm].as_mut().expect("checked"), la),
+                _ => {
+                    let (bank, local_la) = self.bank_of(la);
+                    (&mut self.l2[bank], local_la)
+                }
+            };
+            read_rest(cache, cla, la * u64::from(lb), rest, row);
+        }
+        Ok(())
+    }
+
+    /// Stores `row[lane]` for every lane of `lanes` — `(lane, address)`
+    /// pairs in lane order: the same memory and cache state and first trap
+    /// as one [`MemSystem::store4`] per lane, with every lane before a
+    /// trapping one stored.
+    ///
+    /// As in [`MemSystem::load_lanes`], a run's first lane goes through
+    /// `store4` and the rest are one bulk write (`Cache::write_run`) on
+    /// the line it left resident: the L1D of a local store on a card with
+    /// one, else the L2 bank.  The first lane of a global store already
+    /// evicted the line from the L1D, so the rest evict only what a tag
+    /// flip may have left there: a second resident copy per lane, as
+    /// lane-by-lane stores would.
+    ///
+    /// # Errors
+    ///
+    /// Traps on the first misaligned or unmapped lane, and on texture
+    /// stores.
+    pub fn store_lanes(
+        &mut self,
+        sm: usize,
+        kind: AccessKind,
+        lanes: &[(usize, u32)],
+        row: &[u32],
+    ) -> Result<(), Trap> {
+        let lb = self.line_bytes;
+        for (la, (lane, addr), rest) in runs(lanes, lb, |a| Self::check_access(a).is_ok()) {
+            self.store4(sm, kind, addr, row[lane])?;
+            if rest.is_empty() {
+                continue;
+            }
+            let start = la * u64::from(lb);
+            let words = rest
+                .iter()
+                .map(|&(lane, a)| ((u64::from(a) - start) as u32, row[lane].to_le_bytes()));
+            let resident = match (kind, self.l1d[sm].as_mut()) {
+                (AccessKind::Local, Some(l1)) => l1.write_run(la, words, true),
+                _ => {
+                    let (bank, local_la) = self.bank_of(la);
+                    self.l2[bank].write_run(local_la, words, true)
+                }
+            };
+            assert!(resident, "the run's first lane left its line resident");
+            if let (AccessKind::Global, Some(l1)) = (kind, self.l1d[sm].as_mut()) {
+                let mut note = |l| self.validity.note(Structure::L1Data, sm, l);
+                for _ in rest {
+                    if !l1.invalidate_with(la, &mut note) {
+                        break;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`MemSystem::load_lanes`] through the SM's L1 constant cache: one
+    /// [`MemSystem::load4_const`] per run, the rest one bulk read
+    /// (`Cache::read_run`) of the L1C line.
+    ///
+    /// # Errors
+    ///
+    /// Traps on the first misaligned lane.
+    pub fn load_lanes_const(
+        &mut self,
+        sm: usize,
+        lanes: &[(usize, u32)],
+        row: &mut [u32],
+    ) -> Result<(), Trap> {
+        let lb = self.l1c[sm].config().line_bytes;
+        for (la, (lane, addr), rest) in runs(lanes, lb, |a| a.is_multiple_of(4)) {
+            row[lane] = self.load4_const(sm, addr)?;
+            if !rest.is_empty() {
+                read_rest(&mut self.l1c[sm], la, la * u64::from(lb), rest, row);
             }
         }
         Ok(())
@@ -1113,6 +1230,52 @@ impl MemSystem {
     }
 }
 
+/// Splits `lanes` — `(lane, address)` pairs — into runs, in order: a
+/// lane and every next lane whose address passes `ok` and lies on the
+/// first lane's `line_bytes` line, as the line's address, the first lane
+/// and the rest.  A lane failing `ok` is a run of its own (whose first
+/// lane then traps).  One division per run.
+pub(crate) fn runs(
+    lanes: &[(usize, u32)],
+    line_bytes: u32,
+    ok: impl Fn(u32) -> bool,
+) -> impl Iterator<Item = (u64, (usize, u32), &[(usize, u32)])> {
+    let lb = u64::from(line_bytes);
+    let mut rest = lanes;
+    std::iter::from_fn(move || {
+        let (&(lane, addr), tail) = rest.split_first()?;
+        let la = u64::from(addr) / lb;
+        let start = la * lb;
+        let on_line = |&&(_, a): &&(usize, u32)| ok(a) && u64::from(a).wrapping_sub(start) < lb;
+        let len = if ok(addr) {
+            tail.iter().take_while(on_line).count()
+        } else {
+            0
+        };
+        let run;
+        (run, rest) = tail.split_at(len);
+        Some((la, (lane, addr), run))
+    })
+}
+
+/// The lanes after a run's first, which left the run's line resident in
+/// `cache` (as `line_addr`; its first byte at address `start`): one
+/// [`Cache::read_run`], then each lane's word into `row[lane]`.
+fn read_rest(
+    cache: &mut Cache,
+    line_addr: u64,
+    start: u64,
+    rest: &[(usize, u32)],
+    row: &mut [u32],
+) {
+    let line = cache.read_run(line_addr, rest.len() as u64);
+    let line = line.expect("the run's first lane left its line resident");
+    for &(lane, addr) in rest {
+        let at = (u64::from(addr) - start) as usize;
+        row[lane] = u32::from_le_bytes(line[at..at + 4].try_into().expect("4 bytes"));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1363,6 +1526,289 @@ mod tests {
         assert_eq!(valid(0), [(11..=20).collect(), vec![41, 42]].concat());
         assert_eq!(valid(1), [(21..=30).collect(), vec![41, 42]].concat());
         assert!((0..=40).all(|c| void(1, 0, c)), "SM 1 never held the line");
+    }
+
+    /// A warp access for the lane-call equivalence tests.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Load(AccessKind),
+        Store(AccessKind),
+        Const,
+    }
+
+    /// The access `op` through the lane calls, or lane by lane through
+    /// `load4` / `store4` / `load4_const`.
+    fn access(
+        m: &mut MemSystem,
+        op: Op,
+        lanes: &[(usize, u32)],
+        row: &mut [u32; 32],
+        by_lane: bool,
+    ) -> Result<(), Trap> {
+        if !by_lane {
+            return match op {
+                Op::Load(kind) => m.load_lanes(0, kind, lanes, row),
+                Op::Store(kind) => m.store_lanes(0, kind, lanes, row),
+                Op::Const => m.load_lanes_const(0, lanes, row),
+            };
+        }
+        for &(lane, a) in lanes {
+            match op {
+                Op::Load(kind) => row[lane] = m.load4(0, kind, a)?,
+                Op::Store(kind) => m.store4(0, kind, a, row[lane])?,
+                Op::Const => row[lane] = m.load4_const(0, a)?,
+            }
+        }
+        Ok(())
+    }
+
+    fn digest(m: &MemSystem) -> u64 {
+        let mut h = crate::snapshot::StateHasher::new();
+        m.digest_into(&mut h);
+        h.finish()
+    }
+
+    /// Runs `op` over `lanes` on two clones of `m`, through the lane calls
+    /// on one and lane by lane on the other, each logging validity: the
+    /// results, register rows, state digests (LRU stamps, ticks, stats,
+    /// taints, escape latches) and validity timelines must agree.
+    fn assert_lane_calls_agree(m: &MemSystem, op: Op, lanes: &[(usize, u32)], what: &str) {
+        let run = |by_lane| {
+            let mut m = m.clone();
+            m.start_validity_log();
+            let mut row = std::array::from_fn(|l| 0x5eed_0000 + l as u32);
+            let res = access(&mut m, op, lanes, &mut row, by_lane);
+            (res, row, digest(&m), m.take_validity_timeline())
+        };
+        let (res, row, dig, timeline) = run(false);
+        let (res2, row2, dig2, timeline2) = run(true);
+        assert_eq!(res, res2, "{what}: result");
+        assert_eq!(row, row2, "{what}: register row");
+        assert_eq!(dig, dig2, "{what}: state digest");
+        assert_eq!(timeline, timeline2, "{what}: validity timeline");
+    }
+
+    /// The cache in which `op` reads or writes the line of `addr`: its
+    /// structure and unit, and the line's address there.
+    fn cache_of(m: &MemSystem, op: Op, addr: u32) -> (Structure, usize, u64) {
+        let lb = match op {
+            Op::Const => m.const_line_bytes(),
+            _ => m.line_bytes(),
+        };
+        let la = u64::from(addr / lb);
+        let has_l1d = m.l1d[0].is_some();
+        match op {
+            Op::Const => (Structure::L1Const, 0, la),
+            Op::Load(AccessKind::Texture) => (Structure::L1Tex, 0, la),
+            Op::Load(_) | Op::Store(AccessKind::Local) if has_l1d => (Structure::L1Data, 0, la),
+            _ => {
+                let (bank, local_la) = m.bank_of(la);
+                (Structure::L2, bank, local_la)
+            }
+        }
+    }
+
+    /// Flips data bit 0 of the line of `addr` in the cache `op` goes
+    /// through, which must be the only valid line of its set.
+    fn taint_line(m: &mut MemSystem, op: Op, addr: u32) {
+        let (structure, unit, la) = cache_of(m, op, addr);
+        let cache = m.cache(structure, unit).expect("a cache");
+        let cfg = *cache.config();
+        let unit_bits = cache.total_bits();
+        let set = la % u64::from(cfg.sets);
+        let landed = (0..u64::from(cfg.ways)).any(|way| {
+            let bit = (set * u64::from(cfg.ways) + way) * cfg.bits_per_line()
+                + u64::from(crate::config::TAG_BITS);
+            let bits = vec![bit];
+            let target = match structure {
+                Structure::L2 => FaultTarget::L2 {
+                    bits: vec![unit as u64 * unit_bits + bit],
+                },
+                Structure::L1Data => FaultTarget::L1Data {
+                    core_lot: 0,
+                    replicate: 1,
+                    bits,
+                },
+                Structure::L1Tex => FaultTarget::L1Tex {
+                    core_lot: 0,
+                    replicate: 1,
+                    bits,
+                },
+                _ => FaultTarget::L1Const {
+                    core_lot: 0,
+                    replicate: 1,
+                    bits,
+                },
+            };
+            m.flip_cache_fault(&target) == [FlipOutcome::Data]
+        });
+        assert!(landed, "the line of {addr:#x} is resident");
+        assert_eq!(m.taint_count(), 1);
+    }
+
+    /// Lane patterns over the lines from `a` on (`lb`-byte lines).
+    fn lane_patterns(a: u32, lb: u32) -> Vec<(&'static str, Vec<(usize, u32)>)> {
+        let all = |f: &dyn Fn(u32) -> u32| (0..32).map(|l| (l as usize, f(l))).collect::<Vec<_>>();
+        vec![
+            ("one line", all(&|l| a + 4 * l % lb)),
+            (
+                "two lines split mid-warp",
+                all(&|l| a + lb * (l / 16) + 4 * l % lb),
+            ),
+            (
+                "lines A, B, A",
+                all(&|l| a + if (10..20).contains(&l) { lb } else { 0 } + 4 * l % lb),
+            ),
+            ("duplicate addresses", all(&|l| a + 4 * (l % 3) % lb)),
+            (
+                "sparse mask",
+                [0, 3, 7, 8, 30]
+                    .map(|l| (l, a + 4 * l as u32 % lb))
+                    .to_vec(),
+            ),
+            ("a lane per line", all(&|l| a + lb * l)),
+            (
+                "misaligned lane in a run",
+                all(&|l| a + 4 * l % lb + u32::from(l == 13)),
+            ),
+            (
+                "null-page lane in a run",
+                all(&|l| if l == 13 { 8 } else { a + 4 * l % lb }),
+            ),
+        ]
+    }
+
+    /// `cfg` cut to two SMs and 32 sets per cache (per L2 bank), keeping
+    /// its line sizes: small enough to digest after every access.
+    fn small(mut cfg: GpuConfig) -> GpuConfig {
+        let cut = |c: crate::config::CacheConfig, sets| crate::config::CacheConfig { sets, ..c };
+        cfg.num_sms = 2;
+        cfg.l1d = cfg.l1d.map(|c| cut(c, 32));
+        (cfg.l1t, cfg.l1c) = (cut(cfg.l1t, 32), cut(cfg.l1c, 32));
+        cfg.l2 = cut(cfg.l2, 32 * cfg.num_l2_banks);
+        cfg
+    }
+
+    /// [`small`] with 4-byte lines everywhere, so that every 4-byte write
+    /// overwrites its whole line.
+    fn word_lines(cfg: GpuConfig) -> GpuConfig {
+        let mut cfg = small(cfg);
+        let word =
+            |c: crate::config::CacheConfig| crate::config::CacheConfig { line_bytes: 4, ..c };
+        cfg.l1d = cfg.l1d.map(word);
+        (cfg.l1t, cfg.l1c, cfg.l2) = (word(cfg.l1t), word(cfg.l1c), word(cfg.l2));
+        cfg
+    }
+
+    /// The lane calls leave the state lane-by-lane `load4` / `store4` /
+    /// `load4_const` leave, on cards with and without an L1D and with
+    /// 4-byte lines, for global, local, texture and constant accesses,
+    /// over every lane pattern, with the accessed line clean, resident or
+    /// tainted.
+    #[test]
+    fn lane_calls_equal_lane_by_lane_accesses() {
+        let ops = [
+            Op::Load(AccessKind::Global),
+            Op::Store(AccessKind::Global),
+            Op::Load(AccessKind::Local),
+            Op::Store(AccessKind::Local),
+            Op::Load(AccessKind::Texture),
+            Op::Store(AccessKind::Texture),
+            Op::Const,
+        ];
+        let cards = [GpuConfig::rtx2060(), GpuConfig::gtx_titan()];
+        for cfg in cards
+            .iter()
+            .cloned()
+            .map(small)
+            .chain([word_lines(GpuConfig::rtx2060())])
+        {
+            let mut m = MemSystem::new(&cfg);
+            let g = m.alloc(64 * 1024).unwrap();
+            let bytes: Vec<u8> = (0..64 * 1024u32).map(|i| (i * 7 + i / 256) as u8).collect();
+            m.host_write(g, &bytes).unwrap();
+            m.const_write(0, &bytes[..4096]).unwrap();
+            m.reset_local(64, 256).unwrap();
+            for op in ops {
+                let (base, lb) = match op {
+                    Op::Const => (256, m.const_line_bytes()),
+                    Op::Load(AccessKind::Local) | Op::Store(AccessKind::Local) => {
+                        (LOCAL_BASE + 1024, m.line_bytes())
+                    }
+                    _ => (g + 1024, m.line_bytes()),
+                };
+                for (pattern, lanes) in lane_patterns(base, lb) {
+                    for state in ["cold", "resident", "tainted"] {
+                        let mut m = m.clone();
+                        if state != "cold" {
+                            // Bring the first line in through the path the
+                            // access takes (a global store's L1D line too).
+                            let warm = match op {
+                                Op::Store(AccessKind::Global) if state == "resident" => {
+                                    Op::Load(AccessKind::Global)
+                                }
+                                Op::Store(AccessKind::Texture) => Op::Load(AccessKind::Texture),
+                                Op::Store(kind) => Op::Store(kind),
+                                op => op,
+                            };
+                            access(&mut m, warm, &[(0, base)], &mut [0; 32], true).unwrap();
+                        }
+                        if state == "tainted" {
+                            taint_line(&mut m, op, base);
+                        }
+                        let what = format!("{} {op:?} {pattern} {state}", cfg.name);
+                        assert_lane_calls_agree(&m, op, &lanes, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A tag flip can leave two L1D copies of one line; each lane of a
+    /// global store evicts one, as lane-by-lane stores do.
+    #[test]
+    fn a_global_store_run_evicts_every_aliased_copy() {
+        let cfg = small(GpuConfig::rtx2060());
+        let l1d = cfg.l1d.unwrap();
+        let mut m = MemSystem::new(&cfg);
+        let g = m.alloc(64 * 1024).unwrap();
+        // Two lines of one set, tags `t` and `t ^ 2`, in ways 0 and 1;
+        // flipping tag bit 1 of way 1 makes both answer the first.
+        let la = u64::from(g / 128);
+        let (set, tag) = (la % u64::from(l1d.sets), la / u64::from(l1d.sets));
+        let alias = ((tag ^ 2) * u64::from(l1d.sets) + set) as u32 * 128;
+        for a in [g, alias] {
+            m.load4(0, AccessKind::Global, a).unwrap();
+        }
+        let way1 = (set * u64::from(l1d.ways) + 1) * l1d.bits_per_line();
+        assert_eq!(m.flip_cache_fault(&l1d_bit(way1 + 1)), [FlipOutcome::Tag]);
+        let lanes: Vec<_> = (0..4).map(|l| (l, g + 4 * l as u32)).collect();
+        let op = Op::Store(AccessKind::Global);
+        assert_lane_calls_agree(&m, op, &lanes, "aliased L1D line");
+        m.store_lanes(0, AccessKind::Global, &lanes, &[1; 32])
+            .unwrap();
+        assert!(!m.l1d[0].as_ref().unwrap().probe(la), "both copies evicted");
+    }
+
+    /// A store run that writes part of a tainted line keeps its taint, and
+    /// a load run over a tainted line latches the escape.
+    #[test]
+    fn runs_over_a_tainted_line_keep_or_escape_its_taint() {
+        let mut m = MemSystem::new(&tiny_gpu());
+        m.reset_local(64, 256).unwrap();
+        let lanes: Vec<_> = (0..8).map(|l| (l, LOCAL_BASE + 4 * l as u32)).collect();
+        let op = Op::Store(AccessKind::Local);
+        access(&mut m, op, &lanes[..1], &mut [0; 32], true).unwrap();
+        taint_line(&mut m, op, LOCAL_BASE);
+        let mut stored = m.clone();
+        stored
+            .store_lanes(0, AccessKind::Local, &lanes, &[7; 32])
+            .unwrap();
+        assert_eq!(stored.taint_count(), 1, "half the line is written");
+        assert!(!stored.taint_escaped());
+        m.load_lanes(0, AccessKind::Local, &lanes, &mut [0; 32])
+            .unwrap();
+        assert!(m.taint_escaped());
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl ValidityLog {
 
 /// Every validity change of every cache line over a recorded golden run,
 /// each line starting invalid (see the module docs).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct Timeline {
     /// `(site, stamp)` of every change, in ascending order.
     changes: Vec<(u64, u64)>,

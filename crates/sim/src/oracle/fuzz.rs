@@ -7,7 +7,8 @@
 //! `SEL`), branchy/divergent `SSY`/`BRA`/`SYNC` diamonds (including
 //! nesting), barrier-synchronized shared-memory exchanges, per-thread
 //! local-memory traffic, constant-bank loads (including reads past the
-//! written extent), and global/texture loads with scattered offsets.
+//! written extent), global/texture loads with scattered offsets, and
+//! gathers whose lanes revisit a line after leaving it.
 //! All immediates are emitted as raw `0x%08x` bit patterns so integer and
 //! float operands round-trip exactly through the assembler.
 //!
@@ -43,8 +44,10 @@ use std::fmt::Write as _;
 use super::DivergenceReport;
 
 /// Read-only slack words appended to the input buffer, giving loads an
-/// offset range that stays in bounds for every thread.
+/// offset range that stays in bounds for every thread.  A power of two:
+/// gathers reduce word indices modulo it with an `AND`.
 const SLACK_WORDS: u32 = 64;
+const _: () = assert!(SLACK_WORDS.is_power_of_two());
 
 /// Words written to the constant bank before each launch.
 const CONST_WORDS: u32 = 32;
@@ -178,7 +181,7 @@ pub fn gen_case(seed: u64) -> FuzzCase {
     let mut label = 0u32;
     let segments = 3 + rng.below(6);
     for _ in 0..segments {
-        match rng.below(10) {
+        match rng.below(11) {
             0..=3 => {
                 let n = 2 + rng.below(5);
                 gen_alu_block(&mut rng, &mut src, n);
@@ -186,7 +189,8 @@ pub fn gen_case(seed: u64) -> FuzzCase {
             4..=6 => gen_diamond(&mut rng, &mut src, &mut label, 0),
             7 => gen_smem_exchange(&mut rng, &mut src, block),
             8 => gen_local(&mut rng, &mut src),
-            _ => gen_const_load(&mut rng, &mut src),
+            9 => gen_const_load(&mut rng, &mut src),
+            _ => gen_gather(&mut rng, &mut src),
         }
     }
 
@@ -374,6 +378,20 @@ fn gen_local(rng: &mut FuzzRng, src: &mut String) {
 fn gen_const_load(rng: &mut FuzzRng, src: &mut String) {
     let _ = writeln!(src, "    MOV   R4, {}", 4 * rng.below(CONST_WORDS * 3));
     let _ = writeln!(src, "    LDC   {}, [R4]", rng.pick(&WORK));
+}
+
+/// Emits a gather: a global or texture load of input word
+/// `(tid * odd) % SLACK_WORDS`, so a warp's lanes land on lines in an
+/// order other than ascending (two lines A, B, A for `odd = 3`).  Loads
+/// only: scattered stores would race between threads.
+fn gen_gather(rng: &mut FuzzRng, src: &mut String) {
+    let odd = 3 + 2 * rng.below(SLACK_WORDS / 2 - 1);
+    let _ = writeln!(src, "    IMUL  R4, R2, 0x{odd:08x}");
+    let _ = writeln!(src, "    AND   R4, R4, 0x{:08x}", SLACK_WORDS - 1);
+    let _ = writeln!(src, "    SHL   R4, R4, 2");
+    let _ = writeln!(src, "    IADD  R4, R1, R4");
+    let op = *rng.pick(&["LDG", "LDT"]);
+    let _ = writeln!(src, "    {op}   {}, [R4]", rng.pick(&WORK));
 }
 
 /// Runs one case through the cycle-level simulator with the lockstep
