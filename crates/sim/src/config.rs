@@ -124,7 +124,8 @@ impl Default for LatencyConfig {
 /// Warp scheduling policy of the SIMT cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum SchedulerPolicy {
-    /// Greedy-then-oldest (GPGPU-Sim's default and ours).
+    /// GPGPU-Sim's greedy-then-oldest, here the oldest issuable warp
+    /// first (the pick is made afresh every cycle); the default.
     #[default]
     Gto,
     /// Loose round-robin over the resident warps.

@@ -4,8 +4,7 @@
 //! instance and its warps; each warp owns a program counter, an active
 //! mask, a SIMT reconvergence stack, and the registers of its 32 threads.
 //!
-//! Scheduling is greedy-then-oldest (GTO): the core keeps issuing from the
-//! last warp until it stalls, then falls back to the oldest ready warp.
+//! Scheduling (GTO) issues the oldest issuable warp first.
 //! One instruction issues per core per cycle; warps stall until their
 //! instruction's latency (ALU class or computed memory completion time)
 //! elapses — the standard stall-warp timing model.
@@ -573,7 +572,6 @@ pub struct SimtCore {
     ctas: Vec<Cta>,
     cta_limit: u32,
     launch_seq: u64,
-    last: Option<(usize, usize)>,
     policy: SchedulerPolicy,
     rr_cursor: usize,
     lat_alu: u32,
@@ -627,7 +625,6 @@ clone_fields!(SimtCore {
     ctas,
     cta_limit,
     launch_seq,
-    last,
     policy,
     rr_cursor,
     lat_alu,
@@ -669,7 +666,6 @@ impl SimtCore {
             ctas,
             cta_limit,
             launch_seq: _,
-            last,
             policy,
             rr_cursor,
             lat_alu,
@@ -694,7 +690,6 @@ impl SimtCore {
             && *id == o.id
             && *max_threads == o.max_threads
             && *cta_limit == o.cta_limit
-            && *last == o.last
             && *policy == o.policy
             && *rr_cursor == o.rr_cursor
             && *lat_alu == o.lat_alu
@@ -715,7 +710,6 @@ impl SimtCore {
             ctas: Vec::new(),
             cta_limit: 0,
             launch_seq: 0,
-            last: None,
             policy: cfg.scheduler,
             rr_cursor: 0,
             lat_alu: cfg.lat.alu,
@@ -896,14 +890,9 @@ impl SimtCore {
             }
         }
         h.u64(self.launch_seq);
-        match self.last {
-            None => h.bool(false),
-            Some((s, w)) => {
-                h.bool(true);
-                h.u64(s as u64);
-                h.u64(w as u64);
-            }
-        }
+        // An always-empty scheduler pointer was hashed here: its `false`
+        // keeps digests byte-stable.
+        h.bool(false);
         h.u64(self.rr_cursor as u64);
         h.u64(self.instructions);
         h.u64(self.ace_reg_cycles);
@@ -934,7 +923,6 @@ impl SimtCore {
         debug_assert_eq!(self.cnt_threads, 0);
         debug_assert_eq!(self.cnt_live_warps, 0);
         self.cta_limit = cta_limit;
-        self.last = None;
     }
 
     /// Whether another CTA of the current kernel fits right now.
@@ -1007,13 +995,7 @@ impl SimtCore {
     /// Removes completed CTAs and returns how many finished.
     ///
     /// The launch loop calls this every cycle on each SM that holds CTAs.
-    /// The greedy GTO pointer is dropped unconditionally — even on the
-    /// fast no-op path — preserving the scheduler's exact historical
-    /// behaviour of re-deriving its pick every dispatch round.  An SM that
-    /// drains therefore keeps no pointer until its next CTA, which is why
-    /// the loop may skip SMs without CTAs.
     pub fn harvest_finished(&mut self) -> u32 {
-        self.last = None; // slots may move; drop the greedy pointer
         if self.finished_ctas == 0 {
             return 0;
         }
@@ -1103,7 +1085,6 @@ impl SimtCore {
         let Some((slot, widx)) = self.pick_warp(now) else {
             return Ok(false);
         };
-        self.last = Some((slot, widx));
         self.exec(slot, widx, now, ctx, mem)?;
         self.instructions += 1;
         Ok(true)
@@ -1117,19 +1098,12 @@ impl SimtCore {
         }
     }
 
-    /// Greedy-then-oldest: keep issuing the last warp, else the oldest.
+    /// Oldest issuable warp first.
     ///
     /// CTAs are stored in launch (`seq`) order and warps in `widx` order,
     /// so iteration order *is* the GTO key order `(seq, widx)`: the first
     /// issuable warp found is the oldest and the scan returns early.
     fn pick_gto(&self, now: u64) -> Option<(usize, usize)> {
-        if let Some((s, w)) = self.last {
-            if let Some(cta) = self.ctas.get(s) {
-                if cta.warps.get(w).is_some_and(|warp| warp.issuable(now)) {
-                    return Some((s, w));
-                }
-            }
-        }
         for (s, cta) in self.ctas.iter().enumerate() {
             for (w, warp) in cta.warps.iter().enumerate() {
                 if warp.issuable(now) {

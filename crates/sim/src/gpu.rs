@@ -809,9 +809,8 @@ impl Gpu {
 
         // Ascending indices of the SMs holding at least one CTA; every
         // per-cycle pass walks these alone.  An SM without CTAs has nothing
-        // a cycle could change: it issues nothing, its GTO pointer was
-        // dropped when it drained, and it has no ready warp and no stuck-at
-        // site to re-pin.  Derived from the cores, so a fork resuming
+        // a cycle could change: it issues nothing, and it has no ready warp
+        // and no stuck-at site to re-pin.  Derived from the cores, so a fork resuming
         // mid-launch rebuilds it from the restored state; kept ascending
         // because SMs share the L2 banks and DRAM queues, so issue order is
         // observable.  It only ever shrinks: while CTAs are pending no idle

@@ -4,7 +4,7 @@
 //! from-scratch, cycle-level simulator of CUDA-style GPUs executing the
 //! SASS-lite ISA defined in [`gpufi_isa`].  It models:
 //!
-//! * SIMT cores (SMs) with greedy-then-oldest warp scheduling, SIMT
+//! * SIMT cores (SMs) with GTO (oldest issuable warp first) scheduling, SIMT
 //!   reconvergence stacks, CTA barriers and per-thread register files;
 //! * per-CTA shared memory and per-thread local memory;
 //! * private per-SM L1 data and texture caches, a banked write-back L2,

@@ -12,16 +12,19 @@
 //! line unreachable under its old address and aliased under a new one.
 //!
 //! The tag and data arrays are the bulk of every checkpoint, so they are
-//! held copy-on-write: a table of chunks, each a whole number of
-//! consecutive sets (about 32 lines) with their metadata and data bytes,
-//! and each either `Arc`-shared or owned by this cache.  Cloning a cache —
-//! how a snapshot captures it — shares the chunks; the first write to a
-//! shared chunk replaces it by an owned copy, after which writes to it
-//! cost no reference-count check; `clone_from` — how a fork restores —
-//! reassigns only the chunks that are not already the source's; and a new
-//! cache points every chunk at one shared all-invalid chunk.  Recording,
-//! forking and building a device thus copy only the chunks that were
-//! written.
+//! held copy-on-write at two levels: a table of chunks, each a whole
+//! number of consecutive sets (about 32 lines) with their metadata and
+//! data bytes, where the table and each chunk are either `Arc`-shared or
+//! owned by this cache.  Cloning a cache — how a snapshot captures it —
+//! shares its table; the first write to a shared table replaces it by an
+//! owned copy of its chunk pointers, and the first write to a shared
+//! chunk by an owned copy of the chunk, after which writes to it cost no
+//! reference-count check; `clone_from` — how a fork restores — takes the
+//! source's table unless it already holds it; and a new cache's table is
+//! shared with every cache of its geometry and points every chunk at one
+//! shared all-invalid chunk.  Recording, forking and building a device
+//! thus cost a pointer per cache, plus a table and a chunk copy for each
+//! cache and chunk that was written.
 
 use crate::config::{CacheConfig, TAG_BITS};
 use crate::fast_hash::FastSet;
@@ -174,12 +177,14 @@ mod arrays {
     use super::Line;
     use crate::config::CacheConfig;
     use crate::fast_hash::FastSet;
+    use std::borrow::Borrow;
     use std::sync::Arc;
 
     /// How many lines a chunk aims to hold: a run that writes one line
-    /// copies at most this many, and an RTX 2060 device is about 3200
-    /// chunks, so capturing or restoring one visits a few thousand
-    /// pointers.
+    /// copies at most this many.  An RTX 2060 device is about 3200 chunks
+    /// in about 100 tables, and capturing or restoring one visits a table
+    /// pointer per cache plus the chunk pointers of the tables written
+    /// since.
     const CHUNK_LINES: u32 = 32;
 
     /// A whole number of consecutive sets: their lines' metadata and data
@@ -190,58 +195,90 @@ mod arrays {
         data: Box<[u8]>,
     }
 
-    /// One chunk of a cache: shared with clones (snapshots, forks, the
-    /// other caches of a new device), or owned outright once written.
-    /// Writing an owned chunk needs no reference-count check, which keeps
-    /// atomics off the per-access path.
-    #[derive(Debug)]
-    enum Held {
-        Shared(Arc<Chunk>),
-        Owned(Chunk),
+    /// A chunk, or a cache's table of chunks: shared with clones
+    /// (snapshots, forks, the other caches of a new device), or owned
+    /// outright once written.  Writing an owned one needs no
+    /// reference-count check, which keeps atomics off the per-access
+    /// path.  A shared table holds shared chunks only.
+    enum Held<T: ?Sized + ToOwned> {
+        Shared(Arc<T>),
+        Owned(T::Owned),
     }
 
-    impl Held {
-        fn get(&self) -> &Chunk {
+    /// A cache's chunk table.
+    type Table = Held<[Held<Chunk>]>;
+
+    impl<T: ?Sized + ToOwned> Held<T> {
+        fn get(&self) -> &T {
             match self {
-                Held::Shared(c) => c,
-                Held::Owned(c) => c,
+                Held::Shared(t) => t,
+                Held::Owned(t) => t.borrow(),
             }
         }
 
-        /// The chunk, for writing: the one mutable access to a chunk, so a
-        /// shared chunk is first replaced by an owned copy.
-        fn owned(&mut self) -> &mut Chunk {
-            if let Held::Shared(c) = self {
-                *self = Held::Owned(unshare(c));
+        /// The value, for writing: the one mutable access, so a shared
+        /// value is first replaced by an owned copy (of a table: of its
+        /// chunk pointers).
+        fn owned(&mut self) -> &mut T::Owned {
+            if let Held::Shared(t) = self {
+                *self = Held::Owned(unshare(&**t));
             }
             match self {
-                Held::Owned(c) => c,
-                Held::Shared(_) => unreachable!("the chunk was just made owned"),
+                Held::Owned(t) => t,
+                Held::Shared(_) => unreachable!("the value was just made owned"),
             }
         }
 
-        /// Whether both hold one shared chunk by the same pointer: a chunk
+        /// Whether both hold one shared value by the same pointer: a value
         /// no write reached since one was cloned from the other.
-        fn is(&self, o: &Held) -> bool {
+        fn is(&self, o: &Self) -> bool {
             matches!((self, o), (Held::Shared(a), Held::Shared(b)) if Arc::ptr_eq(a, b))
         }
+
+        /// Whether this is a shared value already in `seen`, adding it if
+        /// not: an owned one is never counted.
+        fn counted(&self, seen: &mut FastSet<*const ()>) -> bool {
+            matches!(self, Held::Shared(t) if !seen.insert(Arc::as_ptr(t).cast()))
+        }
     }
 
-    /// A private copy of a shared chunk: once per chunk and run, off the
-    /// per-access path.
+    impl<T: ?Sized + ToOwned> Held<T>
+    where
+        T::Owned: Default + Into<Arc<T>>,
+    {
+        /// Hands an owned value over to sharing without copying it.
+        fn share(&mut self) {
+            if let Held::Owned(t) = self {
+                *self = Held::Shared(std::mem::take(t).into());
+            }
+        }
+    }
+
+    /// A private copy of a shared chunk or table: once per chunk and run
+    /// and once per cache and capture interval, off the per-access path.
     #[cold]
-    fn unshare(c: &Chunk) -> Chunk {
-        c.clone()
+    fn unshare<T: ?Sized + ToOwned>(t: &T) -> T::Owned {
+        t.to_owned()
     }
 
-    impl Clone for Held {
-        /// Shares the chunk; an owned one is copied into a new shared
-        /// chunk, since `&self` cannot hand it over (see [`Arrays::share`]).
+    impl<T: ?Sized + ToOwned> Clone for Held<T>
+    where
+        T::Owned: Into<Arc<T>>,
+    {
+        /// Shares the value; an owned one is copied into a new shared one,
+        /// since `&self` cannot hand it over (see [`Arrays::share`]).  An
+        /// owned table's copy shares its chunks.
         fn clone(&self) -> Self {
             match self {
-                Held::Shared(c) => Held::Shared(Arc::clone(c)),
-                Held::Owned(c) => Held::Shared(Arc::new(c.clone())),
+                Held::Shared(t) => Held::Shared(Arc::clone(t)),
+                Held::Owned(t) => Held::Shared(t.borrow().to_owned().into()),
             }
+        }
+    }
+
+    impl<T: ?Sized + ToOwned + std::fmt::Debug> std::fmt::Debug for Held<T> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            self.get().fmt(f)
         }
     }
 
@@ -252,29 +289,30 @@ mod arrays {
         line: usize,
     }
 
-    /// A cache's tag/LRU and data arrays as a table of copy-on-write
-    /// chunks of `2^set_shift` sets each.
+    /// A cache's tag/LRU and data arrays as a copy-on-write table of
+    /// copy-on-write chunks of `2^set_shift` sets each.
     ///
-    /// A chunk is only ever written through `Held::owned`, which first
-    /// replaces a shared chunk by an owned copy, so a clone never sees its
-    /// source's later writes.  `clone` shares every chunk;
-    /// `clone_from` reassigns only the chunks that are not already the
-    /// source's, so a device forked in place from the same snapshot again
-    /// swaps back only the chunks its last run wrote.  The fields are
-    /// private to this module: no mutator can bypass `Held::owned`.
+    /// A chunk is only ever written through `Held::owned` on its table
+    /// and then on the chunk, which first replaces a shared table and a
+    /// shared chunk by owned copies, so a clone never sees its source's
+    /// later writes.  `clone` shares the table; `clone_from` takes the
+    /// source's table unless it already holds it, so a device forked in
+    /// place pays only for the caches its last run wrote.  The fields
+    /// are private to this module: no mutator can bypass `Held::owned`.
     #[derive(Debug)]
     pub(super) struct Arrays {
-        chunks: Vec<Held>,
+        table: Table,
         set_shift: u32,
         ways: usize,
         line_bytes: usize,
     }
 
     impl Arrays {
-        /// All-invalid, zeroed arrays for `cfg`: every chunk is one shared
-        /// chunk.  A chunk holds the largest power of two of sets that
-        /// divides `cfg.sets` and keeps it within [`CHUNK_LINES`] (one set
-        /// if the ways alone exceed it), so every chunk has the same shape.
+        /// All-invalid, zeroed arrays for `cfg`: a shared table whose
+        /// every chunk is one shared chunk.  A chunk holds the largest
+        /// power of two of sets that divides `cfg.sets` and keeps it
+        /// within [`CHUNK_LINES`] (one set if the ways alone exceed it),
+        /// so every chunk has the same shape.
         pub(super) fn new(cfg: &CacheConfig) -> Self {
             let max_sets = (CHUNK_LINES / cfg.ways.max(1)).max(1);
             let mut set_shift = 0;
@@ -298,7 +336,7 @@ mod arrays {
                 data: vec![0; lines * line_bytes].into(),
             }));
             Arrays {
-                chunks: vec![blank; (cfg.sets >> set_shift) as usize],
+                table: Table::Shared(vec![blank; (cfg.sets >> set_shift) as usize].into()),
                 set_shift,
                 ways,
                 line_bytes,
@@ -329,115 +367,127 @@ mod arrays {
             (chunk as u32) << self.set_shift
         }
 
+        fn chunk(&self, chunk: usize) -> &Chunk {
+            self.table.get()[chunk].get()
+        }
+
         /// The lines of set `set`, in way order.
         pub(super) fn set(&self, set: u32) -> &[Line] {
             let s = self.slot(set, 0);
-            &self.chunks[s.chunk].get().lines[s.line..s.line + self.ways]
+            &self.chunk(s.chunk).lines[s.line..s.line + self.ways]
         }
 
         pub(super) fn line(&self, s: Slot) -> &Line {
-            &self.chunks[s.chunk].get().lines[s.line]
+            &self.chunk(s.chunk).lines[s.line]
         }
 
         /// The data bytes of the line at `s`.
         pub(super) fn data(&self, s: Slot) -> &[u8] {
             let at = s.line * self.line_bytes;
-            &self.chunks[s.chunk].get().data[at..at + self.line_bytes]
+            &self.chunk(s.chunk).data[at..at + self.line_bytes]
         }
 
         pub(super) fn num_chunks(&self) -> usize {
-            self.chunks.len()
+            self.table.get().len()
         }
 
         /// The lines of chunk `chunk`, in line-major order.
         pub(super) fn chunk_lines(&self, chunk: usize) -> &[Line] {
-            &self.chunks[chunk].get().lines
+            &self.chunk(chunk).lines
         }
 
         /// Every line with its data bytes, in line-major order.
         pub(super) fn iter(&self) -> impl Iterator<Item = (&Line, &[u8])> {
-            self.chunks.iter().flat_map(|c| {
+            self.table.get().iter().flat_map(|c| {
                 let c = c.get();
                 c.lines.iter().zip(c.data.chunks_exact(self.line_bytes))
             })
         }
 
-        /// Mutable access to chunk `chunk`'s lines and data (a shared
-        /// chunk is replaced by an owned copy first).
+        /// Chunk `chunk`, for writing (a shared table and a shared chunk
+        /// are replaced by owned copies first).
+        fn owned(&mut self, chunk: usize) -> &mut Chunk {
+            self.table.owned()[chunk].owned()
+        }
+
+        /// Mutable access to chunk `chunk`'s lines and data.
         pub(super) fn touch_chunk(&mut self, chunk: usize) -> (&mut [Line], &mut [u8]) {
-            let c = self.chunks[chunk].owned();
+            let c = self.owned(chunk);
             (&mut c.lines, &mut c.data)
         }
 
-        /// Mutable access to the line at `s` and its data bytes (a shared
-        /// chunk is replaced by an owned copy first).
+        /// Mutable access to the line at `s` and its data bytes.
         pub(super) fn touch(&mut self, s: Slot) -> (&mut Line, &mut [u8]) {
             let lb = self.line_bytes;
-            let c = self.chunks[s.chunk].owned();
+            let c = self.owned(s.chunk);
             (&mut c.lines[s.line], &mut c.data[s.line * lb..][..lb])
         }
 
-        /// Turns every owned chunk into a shared one without copying its
-        /// bytes, so that a clone taken next shares it instead of copying.
+        /// Turns every owned chunk, then an owned table, into a shared one
+        /// without copying a chunk's bytes, so that a clone taken next
+        /// shares them instead of copying.  A cache no write reached since
+        /// the last call holds a shared table already: nothing to do.
         pub(super) fn share(&mut self) {
-            for held in &mut self.chunks {
-                if let Held::Owned(c) = held {
-                    *held = Held::Shared(Arc::new(std::mem::take(c)));
-                }
+            if let Table::Owned(t) = &mut self.table {
+                t.iter_mut().for_each(Held::share);
             }
+            self.table.share();
         }
 
         /// State equality for the reconvergence check: every line's
-        /// metadata but its taint, and its data.  A chunk both hold by the
-        /// same pointer is equal without a look.
+        /// metadata but its taint, and its data.  A table or a chunk both
+        /// hold by the same pointer is equal without a look.
         pub(super) fn same_state(&self, o: &Arrays) -> bool {
             let Arrays {
-                chunks,
+                table,
                 set_shift,
                 ways,
                 line_bytes,
             } = self;
+            let (a, b) = (table.get(), o.table.get());
             *set_shift == o.set_shift
                 && *ways == o.ways
                 && *line_bytes == o.line_bytes
-                && chunks.len() == o.chunks.len()
-                && chunks.iter().zip(&o.chunks).all(|(a, b)| {
-                    a.is(b) || {
-                        let (a, b) = (a.get(), b.get());
-                        a.lines.len() == b.lines.len()
-                            && a.lines.iter().zip(&*b.lines).all(|(x, y)| x.same_state(y))
-                            && a.data == b.data
-                    }
-                })
+                && (table.is(&o.table)
+                    || a.len() == b.len()
+                        && a.iter().zip(b).all(|(a, b)| {
+                            a.is(b) || {
+                                let (a, b) = (a.get(), b.get());
+                                a.lines.len() == b.lines.len()
+                                    && a.lines.iter().zip(&*b.lines).all(|(x, y)| x.same_state(y))
+                                    && a.data == b.data
+                            }
+                        }))
         }
 
-        /// Heap bytes of the chunk table plus every chunk not yet in
-        /// `seen`, which collects the shared chunks counted so far.
+        /// Heap bytes of the chunk table and every chunk not yet in
+        /// `seen`, which collects the shared tables and chunks counted so
+        /// far: a shared table already in it adds nothing.
         pub(super) fn held_bytes(&self, seen: &mut FastSet<*const ()>) -> usize {
-            let chunk_bytes = |c: &Chunk| std::mem::size_of_val(&*c.lines) + c.data.len();
-            let chunks: usize = self
-                .chunks
+            if self.table.counted(seen) {
+                return 0;
+            }
+            let table = self.table.get();
+            let chunks: usize = table
                 .iter()
-                .map(|held| match held {
-                    Held::Shared(c) if !seen.insert(Arc::as_ptr(c).cast()) => 0,
-                    _ => chunk_bytes(held.get()),
-                })
+                .filter(|held| !held.counted(seen))
+                .map(|held| std::mem::size_of_val(&*held.get().lines) + held.get().data.len())
                 .sum();
-            self.chunks.len() * std::mem::size_of::<Held>() + chunks
+            std::mem::size_of_val(table) + chunks
         }
     }
 
     impl Clone for Arrays {
         fn clone(&self) -> Self {
             Arrays {
-                chunks: self.chunks.clone(),
+                table: self.table.clone(),
                 ..*self
             }
         }
 
         fn clone_from(&mut self, source: &Self) {
             let Arrays {
-                chunks,
+                table,
                 set_shift,
                 ways,
                 line_bytes,
@@ -445,14 +495,103 @@ mod arrays {
             *set_shift = source.set_shift;
             *ways = source.ways;
             *line_bytes = source.line_bytes;
-            chunks.truncate(source.chunks.len());
-            for (dst, src) in chunks.iter_mut().zip(&source.chunks) {
-                if !dst.is(src) {
-                    *dst = src.clone();
-                }
+            if !table.is(&source.table) {
+                *table = source.table.clone();
             }
-            let kept = chunks.len();
-            chunks.extend_from_slice(&source.chunks[kept..]);
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::super::tests::{digest, fill_all};
+        use super::super::Cache;
+        use super::*;
+
+        /// 64 sets × 2 ways × 8-byte lines: four chunks of 16 sets, every
+        /// line filled, and handed over to sharing as before a capture.
+        fn captured() -> Cache {
+            let mut c = Cache::new(CacheConfig {
+                sets: 64,
+                ways: 2,
+                line_bytes: 8,
+            });
+            fill_all(&mut c);
+            c.share();
+            c
+        }
+
+        fn table_of(c: &Cache) -> &Arc<[Held<Chunk>]> {
+            match &c.arrays.table {
+                Table::Shared(t) => t,
+                Table::Owned(_) => panic!("the table is owned"),
+            }
+        }
+
+        #[test]
+        fn capturing_a_shared_table_shares_it() {
+            let c = captured();
+            let snap = c.clone();
+            assert!(Arc::ptr_eq(table_of(&c), table_of(&snap)));
+            let blank = Cache::new(*c.config());
+            assert!(Arc::ptr_eq(table_of(&blank), table_of(&blank.clone())));
+        }
+
+        #[test]
+        fn one_write_unshares_one_table_and_one_chunk() {
+            let mut c = captured();
+            let snap = c.clone();
+            let (pinned, lines) = (digest(&snap), snap.valid_line_indices().count());
+            // Line address 65 is way 1 of set 1: chunk 0.
+            assert!(c.write(65, 0, &[9; 8], true));
+            let Table::Owned(t) = &c.arrays.table else {
+                panic!("a write left the table shared");
+            };
+            let kept = t.iter().zip(table_of(&snap).iter()).map(|(a, b)| a.is(b));
+            assert_eq!(kept.collect::<Vec<_>>(), [false, true, true, true]);
+            assert_eq!(digest(&snap), pinned, "the write reached the snapshot");
+            assert_eq!(snap.valid_line_indices().count(), lines);
+            assert_eq!(snap.peek_line(65), Some(&[3; 8][..]));
+            assert_ne!(digest(&c), pinned);
+        }
+
+        #[test]
+        fn clone_from_takes_a_differing_table_only() {
+            let snap = captured();
+            let mut fork = snap.clone();
+            let refs = Arc::strong_count(table_of(&snap));
+            fork.clone_from(&snap);
+            assert_eq!(Arc::strong_count(table_of(&snap)), refs, "not a no-op");
+            // A fork that wrote holds another table; restoring takes the
+            // snapshot's.
+            fork.flip_bit(40 * fork.config().bits_per_line());
+            fork.invalidate(3);
+            assert!(!fork.arrays.same_state(&snap.arrays));
+            fork.clone_from(&snap);
+            assert!(fork.same_state(&snap));
+            assert_eq!(digest(&fork), digest(&snap));
+            assert!(Arc::ptr_eq(table_of(&fork), table_of(&snap)));
+            // So does one holding another shared table.
+            let mut other = captured();
+            other.write(3, 0, &[1; 8], true);
+            other.share();
+            fork.clone_from(&other);
+            assert!(fork.same_state(&other));
+            assert_eq!(digest(&fork), digest(&other));
+        }
+
+        #[test]
+        fn different_tables_with_equal_chunks_compare_equal() {
+            let snap = captured();
+            let mut copy = snap.clone();
+            // The same chunks in another table...
+            copy.arrays.table = Table::Shared(table_of(&snap).to_vec().into());
+            assert!(!copy.arrays.table.is(&snap.arrays.table));
+            assert!(copy.same_state(&snap));
+            // ...and equal chunks that are not the same.
+            let chunks = table_of(&snap).iter().map(|h| Held::Owned(h.get().clone()));
+            copy.arrays.table = Table::Owned(chunks.collect());
+            assert!(copy.same_state(&snap));
+            assert_eq!(digest(&copy), digest(&snap));
         }
     }
 }
@@ -508,16 +647,18 @@ impl Cache {
         self.cfg.num_lines() as usize * (LINE_ACCT_BYTES + self.cfg.line_bytes as usize)
     }
 
-    /// Hands every chunk this cache owns over to sharing, without copying
-    /// it, so that the next clone — a checkpoint capture — shares it
-    /// rather than copying it.
+    /// Hands the chunks and the chunk table this cache owns over to
+    /// sharing, without copying a chunk, so that the next clone — a
+    /// checkpoint capture — shares them rather than copying them.  A
+    /// cache no write reached since the last call has nothing to hand
+    /// over.
     pub(crate) fn share(&mut self) {
         self.arrays.share();
     }
 
     /// Heap bytes this cache's arrays actually hold, counting only the
-    /// chunks not already in `seen` (and adding them), so that summing
-    /// over caches that share chunks counts each chunk once.
+    /// chunk table and chunks not already in `seen` (and adding them), so
+    /// that summing over caches that share them counts each once.
     pub(crate) fn held_bytes(&self, seen: &mut FastSet<*const ()>) -> usize {
         self.arrays.held_bytes(seen)
     }
@@ -936,7 +1077,7 @@ mod tests {
         })
     }
 
-    fn digest(c: &Cache) -> u64 {
+    pub(super) fn digest(c: &Cache) -> u64 {
         let mut h = crate::snapshot::StateHasher::new();
         c.digest_into(&mut h);
         h.finish()
@@ -944,7 +1085,7 @@ mod tests {
 
     /// Fills every line of `c` in set-major order, line `i` with bytes
     /// `i`, so way `w` of set `s` holds line address `w * sets + s`.
-    fn fill_all(c: &mut Cache) {
+    pub(super) fn fill_all(c: &mut Cache) {
         let (sets, ways) = (u64::from(c.cfg.sets), u64::from(c.cfg.ways));
         for s in 0..sets {
             for w in 0..ways {

@@ -199,7 +199,8 @@ impl MemSystem {
             local: Vec::new(),
             constant: Vec::new(),
             // Clones of one empty cache per geometry: every cache of a
-            // shape starts on the same shared all-invalid chunk.
+            // shape starts on the same shared table of one shared
+            // all-invalid chunk.
             l1d: vec![cfg.l1d.map(Cache::new); sms],
             l1t: vec![Cache::new(cfg.l1t); sms],
             l1c: vec![Cache::new(cfg.l1c); sms],
@@ -222,9 +223,10 @@ impl MemSystem {
             .chain(&self.l2)
     }
 
-    /// Hands every cache chunk this memory system owns over to sharing,
-    /// so the next capture shares it instead of copying it (see
-    /// [`Cache::share`]).
+    /// Hands every cache chunk and chunk table this memory system owns
+    /// over to sharing, so the next capture shares them instead of copying
+    /// them (see [`Cache::share`]): work for the caches written since the
+    /// last call only.
     pub(crate) fn share(&mut self) {
         let caches = self.l1d.iter_mut().flatten();
         for c in caches
@@ -237,7 +239,7 @@ impl MemSystem {
     }
 
     /// Bytes of the backing segments and timing queues.
-    fn segment_bytes(&self) -> usize {
+    pub(crate) fn segment_bytes(&self) -> usize {
         self.global.len()
             + self.local.len()
             + self.constant.len()
@@ -251,8 +253,8 @@ impl MemSystem {
         self.segment_bytes() + self.caches().map(Cache::resident_bytes).sum::<usize>()
     }
 
-    /// Heap bytes actually held, counting only the cache chunks not
-    /// already in `seen` (see [`Cache::held_bytes`]).
+    /// Heap bytes actually held, counting only the cache chunk tables and
+    /// chunks not already in `seen` (see [`Cache::held_bytes`]).
     pub(crate) fn held_bytes(&self, seen: &mut FastSet<*const ()>) -> usize {
         self.segment_bytes() + self.caches().map(|c| c.held_bytes(seen)).sum::<usize>()
     }
