@@ -47,7 +47,7 @@ fn bench_workload(w: &dyn Workload, card: &GpuConfig, golden: &GoldenProfile) ->
         let cfg = CampaignConfig::new(spec.clone(), runs, SEED).stratified();
         let res = run_campaign(w, card, &cfg, golden).unwrap();
         // Every run the checkpoint store does not settle is simulated.
-        assert!(res.stats.simulated_runs + res.stats.settled <= runs);
+        assert_eq!(res.stats.simulated_runs + res.stats.settled, runs);
         let s = res.sampling.as_ref().unwrap();
         let intervals = s.agreement_intervals(flat.tally.total());
         for (e, interval) in FaultEffect::ALL.into_iter().zip(intervals) {

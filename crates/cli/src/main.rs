@@ -147,14 +147,15 @@ campaigns fork each run from a golden-run checkpoint at its first
 injection cycle and abort it as soon as every injected fault's lifetime
 has provably ended, or its state has reconverged with a later
 checkpoint (classified Masked at the golden cycle count); a run whose
-every flip lands in a cache line the golden run has invalid where the
-flip fires gets its fork's record without simulating it (early exits
-and restores count it as that fork; `settled` counts those restores);
+flips all land in cache lines invalid where they fire, or all die unread
+in the register file or shared memory, is settled: it gets its fork's
+record unsimulated (early exits and restores count it as that fork;
+`settled` counts every settled run, cold starts included);
 --oracle-check runs the golden pass in lockstep with the functional
 reference interpreter, resolves every run as the default engine does
 (same CSV and journal) and re-runs it cold, fully simulated and
-unpruned: the two must agree, and every run pre-classification or early
-exit resolved must end in the oracle-predicted memory image;
+unpruned: the two must agree, and every run not simulated to its end
+must end in the oracle-predicted memory image;
 fuzz runs N random SASS-lite kernels through both engines (sim == oracle)
 and statically lints every generated kernel;
 lint runs the SASS-lite static analyzer (CFG, dominators, liveness) over
@@ -604,19 +605,13 @@ fn print_campaign_summary(
         100.0 * s.early_exit_rate,
         s.reconverged
     )?;
-    // A coordinator cannot tell settled runs from forked ones: its workers
-    // send records alone.
-    let settled = if s.workers == 0 {
-        format!("   settled: {}", s.settled)
-    } else {
-        String::new()
-    };
     writeln!(
         Out,
-        "  checkpoints: {} ({:.1} MiB)   restores: {}{settled}   mean cycles skipped: {:.0}",
+        "  checkpoints: {} ({:.1} MiB)   restores: {}   settled: {}   mean cycles skipped: {:.0}",
         s.checkpoints,
         s.checkpoint_bytes as f64 / (1024.0 * 1024.0),
         s.restores,
+        s.settled,
         s.mean_skipped_cycles
     )?;
     if s.static_pruned + s.static_bit_pruned > 0 {

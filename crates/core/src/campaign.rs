@@ -161,6 +161,34 @@ pub struct RunRecord {
     pub stratum: Option<u32>,
 }
 
+/// The rung of the resolution ladder that resolved one run in this
+/// invocation — what its [`RunRecord`] cannot say.  How a simulated run
+/// ended (taint exit, reconvergence, `sim_panic`) and whether it forked
+/// stay in the record's `early_exit`, `detail` and `ckpt` columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Rung {
+    /// Loaded from the journal on `--resume`, not executed.
+    Journal,
+    /// Pre-classified Masked from the static dead-bit masks.
+    PreClassified,
+    /// Settled by the checkpoint store ([`CheckpointStore::settle`]).
+    Settled,
+    /// Simulated, forked or cold, to its end, an early exit or `sim_panic`.
+    Simulated,
+}
+
+impl Rung {
+    /// The rung's name on the wire.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Rung::Journal => "journal",
+            Rung::PreClassified => "pre_classified",
+            Rung::Settled => "settled",
+            Rung::Simulated => "simulated",
+        }
+    }
+}
+
 /// Throughput of one distributed worker, as observed by the coordinator
 /// (the lease-merge side, so network latency is included).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -206,21 +234,20 @@ pub struct CampaignStats {
     pub checkpoint_bytes: usize,
     /// Runs that forked from a checkpoint instead of cold-starting.
     pub restores: usize,
-    /// Restores the checkpoint store settled without forking
-    /// ([`CheckpointStore::settle`]): their records are their forks', so
-    /// the forks actually taken are `restores − settled`.  A settled run
-    /// whose first fault precedes the first checkpoint is a cold start,
-    /// counted in neither.  Counted by the in-process executor only (0 in
-    /// a distributed campaign, whose workers report records alone).
+    /// Runs the checkpoint store settled without a simulation, cold
+    /// starts included ([`Rung::Settled`]).  Their records are their
+    /// forks' (or cold starts'), so `early_exits` and `restores` count
+    /// them as those.
     pub settled: usize,
     /// Mean golden-run cycles skipped per run by checkpoint forking.
     pub mean_skipped_cycles: f64,
     /// Runs compared with their cold full-simulation reference
     /// (`--oracle-check`; `sim_panic` runs are not compared).
     pub oracle_checked: usize,
-    /// Checked runs a shortcut resolved — pre-classification or early
-    /// exit, reconverged runs included — whose verdict the reference
-    /// confirmed, final global-memory image included.
+    /// Checked runs the ladder did not simulate to their end —
+    /// pre-classified, settled, or cut short by early exit or
+    /// reconvergence — whose verdict the reference confirmed, final
+    /// global-memory image included.
     pub oracle_verified: usize,
     /// Checked runs whose record disagrees with the reference: effect or
     /// cycles differ, `applied` differs on a simulated run, or a shortcut's
@@ -249,7 +276,7 @@ pub struct CampaignStats {
     /// `static_bit_pruned / runs`.
     pub static_bit_pruned_rate: f64,
     /// Completed runs loaded from the journal instead of executed
-    /// (`--resume`).
+    /// (`--resume`, [`Rung::Journal`]).
     pub resumed: usize,
     /// Bytes appended to the run journal by this campaign (0 = journaling
     /// off).
@@ -257,11 +284,9 @@ pub struct CampaignStats {
     /// Wall-clock milliseconds spent writing and fsyncing journal lines —
     /// the journal's overhead, reported so regressions are visible.
     pub journal_ms: f64,
-    /// Runs that actually forked a simulation: the runs neither
-    /// pre-classified nor settled by the checkpoint store (none is
-    /// pre-classified under stratified sampling).  A distributed
-    /// campaign's workers report records alone, so there settled runs
-    /// count as simulated.
+    /// Runs this invocation simulated ([`Rung::Simulated`]): neither
+    /// loaded from the journal, pre-classified (none is under stratified
+    /// sampling) nor settled by the checkpoint store.
     pub simulated_runs: usize,
     /// Runs' worth of flat-campaign coverage this campaign bought: the run
     /// count itself for a flat campaign (pruned runs are still classified
@@ -302,6 +327,9 @@ pub struct CampaignResult {
     pub tally: Tally,
     /// Per-run records, in run order.
     pub records: Vec<RunRecord>,
+    /// The rung that resolved each run, in run order (excluded from
+    /// equality: a resumed campaign loads what another one executed).
+    pub rungs: Vec<Rung>,
     /// Throughput and fault-behaviour statistics (excluded from equality:
     /// two identical campaigns differ in wall-clock time).
     pub stats: CampaignStats,
@@ -560,53 +588,52 @@ impl PruneGranularity {
     }
 }
 
-/// The pre-classification verdict for one pre-drawn run against its
-/// kernel's `dead_bit_masks` (bit `b` of register `r` is set when no
-/// reachable instruction ever demands it): the [`RunRecord`] the analyzer
-/// resolves it with, or `None` when the run must be simulated.
-///
-/// A fault is *register-dead* when its register's mask is all ones — no
-/// reachable instruction reads the register, so neither a flip nor a
-/// stuck-at pin (which binds to the faulted thread's physical register and
-/// dies with it) is observable, and registers are zero-reinitialized at
-/// every launch, so it cannot leak into a later kernel.  Under
-/// [`PruneGranularity::Bit`] a fault is also *bit-dead* when every flipped
-/// bit lies inside the mask.  Every fault register-dead → `static_dead`;
-/// every fault dead either way → `static_dead_bit`.
-fn pre_classify(
-    run: &RunPlan,
-    masks: &[u32],
-    granularity: PruneGranularity,
-    golden_cycles: u64,
-) -> Option<RunRecord> {
-    let mut detail = RunDetail::StaticDead;
-    for f in &run.plan.faults {
-        let FaultTarget::RegisterFile { reg, bits, .. } = &f.target else {
-            return None;
-        };
-        let mask = *masks.get(*reg as usize)?;
-        if mask == u32::MAX {
-            continue;
+impl Drawn {
+    /// The pre-classification verdict for one pre-drawn run against its
+    /// kernel's `dead_bit_masks` (bit `b` of register `r` is set when no
+    /// reachable instruction ever demands it): the [`RunRecord`] the
+    /// analyzer resolves it with, or `None` when the run must be simulated.
+    ///
+    /// A fault is *register-dead* when its register's mask is all ones —
+    /// no reachable instruction reads the register, so neither a flip nor a
+    /// stuck-at pin (which binds to the faulted thread's physical register
+    /// and dies with it) is observable, and registers are
+    /// zero-reinitialized at every launch, so it cannot leak into a later
+    /// kernel.  Under [`PruneGranularity::Bit`] a fault is also *bit-dead*
+    /// when every flipped bit lies inside the mask.  Every fault
+    /// register-dead → `static_dead`; every fault dead either way →
+    /// `static_dead_bit`.
+    fn pre_classify(&self, run: &RunPlan, golden_cycles: u64) -> Option<RunRecord> {
+        let masks = self.masks.get(&run.kernel)?;
+        let mut detail = RunDetail::StaticDead;
+        for f in &run.plan.faults {
+            let FaultTarget::RegisterFile { reg, bits, .. } = &f.target else {
+                return None;
+            };
+            let mask = *masks.get(*reg as usize)?;
+            if mask == u32::MAX {
+                continue;
+            }
+            let bit_dead = self.granularity == PruneGranularity::Bit
+                && bits.iter().all(|&b| b < 32 && (mask >> b) & 1 == 1);
+            if !bit_dead {
+                return None;
+            }
+            detail = RunDetail::StaticDeadBit;
         }
-        let bit_dead = granularity == PruneGranularity::Bit
-            && bits.iter().all(|&b| b < 32 && (mask >> b) & 1 == 1);
-        if !bit_dead {
-            return None;
-        }
-        detail = RunDetail::StaticDeadBit;
+        // Exactly what the fault-lifetime early exit records for a flip the
+        // machine provably never reads back, so pruned and unpruned
+        // campaigns stay diffable.
+        (!run.plan.faults.is_empty()).then_some(RunRecord {
+            effect: FaultEffect::Masked,
+            cycles: golden_cycles,
+            applied: true,
+            early_exit: false,
+            ckpt_skipped_cycles: 0,
+            detail,
+            stratum: run.stratum,
+        })
     }
-    // Exactly what the fault-lifetime early exit records for a flip the
-    // machine provably never reads back, so pruned and unpruned campaigns
-    // stay diffable.
-    (!run.plan.faults.is_empty()).then_some(RunRecord {
-        effect: FaultEffect::Masked,
-        cycles: golden_cycles,
-        applied: true,
-        early_exit: false,
-        ckpt_skipped_cycles: 0,
-        detail,
-        stratum: run.stratum,
-    })
 }
 
 /// Re-runs the golden execution once with the checkpoint recorder armed,
@@ -617,19 +644,15 @@ fn pre_classify(
 pub(crate) fn record_store(
     workload: &dyn Workload,
     card: &GpuConfig,
-    cfg: &CampaignConfig,
     golden: &GoldenProfile,
     drawn: &Drawn,
 ) -> Option<Arc<CheckpointStore>> {
-    let interval = (golden.total_cycles() / AUTO_CHECKPOINT_TARGET).max(1);
+    let golden_cycles = golden.total_cycles();
+    let interval = (golden_cycles / AUTO_CHECKPOINT_TARGET).max(1);
     let mut gpu = Gpu::new(card.clone());
     gpu.record_checkpoints(interval, DEFAULT_CHECKPOINT_BUDGET);
-    let left = drawn.plans.iter().filter(|run| {
-        drawn
-            .pre_classify(run, cfg, golden.total_cycles())
-            .is_none()
-    });
-    gpu.shadow_plans(left.map(|run| &run.plan));
+    let unclassified = |run: &&RunPlan| drawn.pre_classify(run, golden_cycles).is_none();
+    gpu.shadow_plans(drawn.plans.iter().filter(unclassified).map(|run| &run.plan));
     workload.run(&mut gpu).ok()?;
     Some(Arc::new(gpu.finish_checkpoint_recording()))
 }
@@ -666,28 +689,29 @@ pub(crate) struct OracleVerdict {
 
 impl OracleVerdict {
     /// The comparison rule of `--oracle-check`: `rec`, the run as the
-    /// ladder resolved it, against `reference`, the same run cold, fully
-    /// simulated and unpruned (`None`: it panicked); `image_matches` says
-    /// whether the reference's final global-memory image is the oracle's.
+    /// ladder resolved it on `rung`, against `reference`, the same run
+    /// cold, fully simulated and unpruned (`None`: it panicked);
+    /// `image_matches` says whether the reference's final global-memory
+    /// image is the oracle's.
     ///
-    /// Effect and cycles must match; `applied` only where the ladder
-    /// simulated the run (a pre-classified record asserts it unobserved);
-    /// and a run a shortcut resolved must leave the reference in the
-    /// oracle's image.  `rec` must also hold the record invariants, which
-    /// the reference cannot dodge by sharing a defect: an early exit or an
-    /// unapplied plan is Masked at `golden_cycles`, Masked means
+    /// Effect and cycles must match; `applied` unless pre-classified (the
+    /// record asserts it unobserved); and a shortcut — any rung but
+    /// [`Rung::Simulated`], or an early exit — must leave the reference in
+    /// the oracle's image.  `rec` must also hold the record invariants,
+    /// which the reference cannot dodge by sharing a defect: an early exit
+    /// or an unapplied plan is Masked at `golden_cycles`, Masked means
     /// `golden_cycles` and Performance any other count, and the fork
-    /// skipped no cycle past the run's `first_cycle`.  `sim_panic`
-    /// records are not compared.
+    /// skipped no cycle past the run's `first_cycle`.  `sim_panic` records
+    /// are not compared.
     fn of(
         rec: &RunRecord,
+        rung: Rung,
         golden_cycles: u64,
         first_cycle: u64,
         reference: Option<&RunRecord>,
         image_matches: impl FnOnce() -> bool,
     ) -> Self {
-        use RunDetail::{SimPanic, StaticDead, StaticDeadBit};
-        if rec.detail == SimPanic {
+        if rec.detail == RunDetail::SimPanic {
             return OracleVerdict::default();
         }
         let at_golden = rec.cycles == golden_cycles;
@@ -697,12 +721,11 @@ impl OracleVerdict {
             && (rec.effect != FaultEffect::Masked || at_golden)
             && (rec.effect != FaultEffect::Performance || !at_golden)
             && rec.ckpt_skipped_cycles <= first_cycle;
-        let pre_classified = matches!(rec.detail, StaticDead | StaticDeadBit);
-        let shortcut = pre_classified || rec.early_exit;
+        let shortcut = rung != Rung::Simulated || rec.early_exit;
         let agree = sound
             && reference.is_some_and(|r| {
                 (r.effect, r.cycles) == (rec.effect, rec.cycles)
-                    && (pre_classified || r.applied == rec.applied)
+                    && (rung == Rung::PreClassified || r.applied == rec.applied)
             })
             && (!shortcut || image_matches());
         OracleVerdict {
@@ -713,25 +736,25 @@ impl OracleVerdict {
     }
 }
 
-/// One supervised run: its record, its oracle verdict, how many attempts
-/// panicked (`> 0`: the run was retried) and whether the checkpoint store
-/// settled it without simulating it.
+/// One supervised run: its record, the rung that resolved it, its oracle
+/// verdict and how many attempts panicked (`> 0`: the run was retried).
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Outcome {
     pub(crate) rec: RunRecord,
+    pub(crate) rung: Rung,
     pub(crate) verdict: OracleVerdict,
     pub(crate) panics: usize,
-    pub(crate) settled: bool,
 }
 
 impl Outcome {
-    /// A run a distributed worker resolved: only its record crosses the
-    /// wire.
-    pub(crate) fn of_record(rec: RunRecord) -> Self {
+    /// `rec`, resolved on `rung` at its first attempt and not
+    /// oracle-checked: all a worker reports.
+    pub(crate) fn of(rec: RunRecord, rung: Rung) -> Self {
         Outcome {
             rec,
+            rung,
             verdict: OracleVerdict::default(),
             panics: 0,
-            settled: false,
         }
     }
 }
@@ -743,7 +766,6 @@ impl Outcome {
 pub(crate) struct RunEnv<'a> {
     pub(crate) workload: &'a dyn Workload,
     pub(crate) card: &'a GpuConfig,
-    pub(crate) cfg: &'a CampaignConfig,
     pub(crate) golden: &'a GoldenProfile,
     /// The drawn plans and the dead-bit masks they are pre-classified by.
     pub(crate) drawn: &'a Drawn,
@@ -759,17 +781,19 @@ impl RunEnv<'_> {
     /// golden run that no flip is ever read — every one lands in an
     /// invalid cache line, or dies unread in the register file or shared
     /// memory — else a simulation forked from the nearest checkpoint and
-    /// cut short by taint early exit or reconvergence.  Also says whether
-    /// the store settled it.
-    fn resolve(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> (RunRecord, bool) {
+    /// cut short by taint early exit or reconvergence; with its rung.
+    fn resolve(&self, gpu: &mut Option<Gpu>, run: &RunPlan) -> (RunRecord, Rung) {
         let golden_cycles = self.golden.total_cycles();
-        if let Some(rec) = self.drawn.pre_classify(run, self.cfg, golden_cycles) {
-            return (rec, false);
+        if let Some(rec) = self.drawn.pre_classify(run, golden_cycles) {
+            return (rec, Rung::PreClassified);
         }
-        match self.settle(run) {
-            Some(rec) => (rec, true),
-            None => (self.simulate(gpu, run, self.store.as_ref(), true), false),
+        if let Some(rec) = self.settle(run) {
+            return (rec, Rung::Settled);
         }
+        (
+            self.simulate(gpu, run, self.store.as_ref(), true),
+            Rung::Simulated,
+        )
     }
 
     /// The record of a run the checkpoint store settles
@@ -876,7 +900,7 @@ impl RunEnv<'_> {
     /// `--oracle-check`: re-runs `run` as the reference — a fresh device,
     /// no fork, no early exit, no pre-classification — and compares `rec`
     /// with it.  A reference that panics disagrees with any record.
-    fn check(&self, run: &RunPlan, rec: &RunRecord) -> OracleVerdict {
+    fn check(&self, run: &RunPlan, rec: &RunRecord, rung: Rung) -> OracleVerdict {
         let Some(img) = &self.oracle_img else {
             return OracleVerdict::default();
         };
@@ -884,6 +908,7 @@ impl RunEnv<'_> {
         let reference = catch_run(|| self.simulate(&mut cold, run, None, false));
         OracleVerdict::of(
             rec,
+            rung,
             self.golden.total_cycles(),
             run.first_cycle,
             reference.as_ref(),
@@ -908,17 +933,15 @@ impl RunEnv<'_> {
                 }
                 self.resolve(gpu, run)
             });
-            match out {
-                Some((rec, settled)) => {
-                    return Outcome {
-                        rec,
-                        verdict: self.check(run, &rec),
-                        panics: attempt as usize,
-                        settled,
-                    }
-                }
-                None => *gpu = None,
+            if let Some((rec, rung)) = out {
+                return Outcome {
+                    rec,
+                    rung,
+                    verdict: self.check(run, &rec, rung),
+                    panics: attempt as usize,
+                };
             }
+            *gpu = None;
         }
         let poison = RunRecord {
             effect: FaultEffect::Crash,
@@ -931,7 +954,7 @@ impl RunEnv<'_> {
         };
         Outcome {
             panics: 2,
-            ..Outcome::of_record(poison)
+            ..Outcome::of(poison, Rung::Simulated)
         }
     }
 }
@@ -1009,40 +1032,32 @@ pub fn run_campaign(
 }
 
 /// The [`CampaignStats`] derivable from the finished record set and the
-/// count of runs the checkpoint store `settled`, on top of the `counters`
-/// the [`Board`] accumulated (oracle verdicts, panics, service counters).
-/// The rest (threads, workers, checkpoint store, journal overhead) stays
-/// for [`Prepared::finish`] and its caller.
+/// rungs that resolved it, on top of the `counters` the [`Board`]
+/// accumulated (oracle verdicts, panics, service counters).  The rest
+/// (threads, workers, checkpoint store, journal overhead) stays for
+/// [`Prepared::finish`] and its caller.
 fn base_stats(
     records: &[RunRecord],
+    rungs: &[Rung],
     strata: Option<&Strata>,
-    settled: usize,
     wall: f64,
     counters: CampaignStats,
 ) -> CampaignStats {
     let n = records.len();
-    let applied = records.iter().filter(|r| r.applied).count();
-    let early_exits = records.iter().filter(|r| r.early_exit).count();
-    let reconverged = records
-        .iter()
-        .filter(|r| r.detail == RunDetail::Reconverged)
-        .count();
-    let restores = records.iter().filter(|r| r.ckpt_skipped_cycles > 0).count();
-    let static_pruned = records
-        .iter()
-        .filter(|r| r.detail == RunDetail::StaticDead)
-        .count();
-    let static_bit_pruned = records
-        .iter()
-        .filter(|r| r.detail == RunDetail::StaticDeadBit)
-        .count();
+    let count = |keep: &dyn Fn(&RunRecord) -> bool| records.iter().filter(|r| keep(r)).count();
+    let applied = count(&|r| r.applied);
+    let early_exits = count(&|r| r.early_exit);
+    let reconverged = count(&|r| r.detail == RunDetail::Reconverged);
+    let restores = count(&|r| r.ckpt_skipped_cycles > 0);
+    let static_pruned = count(&|r| r.detail == RunDetail::StaticDead);
+    let static_bit_pruned = count(&|r| r.detail == RunDetail::StaticDeadBit);
     let skipped: u64 = records.iter().map(|r| r.ckpt_skipped_cycles).sum();
-    // Cost vs coverage: simulated runs paid for forks (pre-classified and
-    // settled runs paid for none; stratified campaigns pre-classify none);
-    // effective runs is the flat-campaign coverage bought — the stratified
-    // budget covers only the live population fraction, so dividing by it
+    let rung = |rung| rungs.iter().filter(|&&r| r == rung).count();
+    // Cost vs coverage: simulated runs paid for a simulation; effective
+    // runs is the flat-campaign coverage bought — the stratified budget
+    // covers only the live population fraction, so dividing by it
     // expresses the campaign in flat-equivalent runs.
-    let simulated_runs = n - static_pruned - static_bit_pruned - settled;
+    let simulated_runs = rung(Rung::Simulated);
     let effective_runs = match strata.map(|(l, _, _)| l.live_weight()) {
         Some(w) if w > 0.0 => n as f64 / w,
         _ => n as f64,
@@ -1062,6 +1077,8 @@ fn base_stats(
         early_exit_rate: per_run(early_exits),
         reconverged,
         restores,
+        settled: rung(Rung::Settled),
+        resumed: rung(Rung::Journal),
         mean_skipped_cycles: per(skipped as f64, n as f64),
         static_pruned,
         static_pruned_rate: per_run(static_pruned),
@@ -1108,26 +1125,15 @@ fn sampling_summary(
 pub(crate) struct Drawn {
     pub(crate) plans: Vec<RunPlan>,
     /// Each kernel's `dead_bit_masks`, the pre-classifier's table (empty
-    /// when [`PruneGranularity::of`] the campaign is `None`).
+    /// when `granularity` is `None`).
     masks: BTreeMap<String, Vec<u32>>,
+    /// [`PruneGranularity::of`] the campaign.
+    granularity: PruneGranularity,
     strata: Option<Strata>,
     /// The campaign's identity, which the journal header carries and the
     /// service handshake exchanges: [`describe`], the `chip` and, when
     /// stratified, the `strata` layout hash.
     pub(crate) campaign: Value,
-}
-
-impl Drawn {
-    /// The record static pre-classification resolves `run` with, if any.
-    fn pre_classify(
-        &self,
-        run: &RunPlan,
-        cfg: &CampaignConfig,
-        golden_cycles: u64,
-    ) -> Option<RunRecord> {
-        let masks = self.masks.get(&run.kernel)?;
-        pre_classify(run, masks, PruneGranularity::of(cfg), golden_cycles)
-    }
 }
 
 /// Draws every run's plan up front (so draw errors surface before any
@@ -1152,7 +1158,8 @@ pub(crate) fn draw(
         members.extend(strata.as_ref().map(|s| ("strata".into(), s.2.into())));
     }
     let mut masks = BTreeMap::new();
-    if PruneGranularity::of(cfg) != PruneGranularity::None {
+    let granularity = PruneGranularity::of(cfg);
+    if granularity != PruneGranularity::None {
         for k in workload.module().kernels() {
             masks.insert(k.name().to_string(), dead_bit_masks(k));
         }
@@ -1160,6 +1167,7 @@ pub(crate) fn draw(
     Ok(Drawn {
         plans,
         masks,
+        granularity,
         strata,
         campaign,
     })
@@ -1183,9 +1191,10 @@ pub(crate) enum Refused {
 /// Everything the scheduler guards with its one mutex.
 #[derive(Default)]
 struct BoardState {
-    /// One slot per run index: resumed runs by `prepare`, every other
-    /// run by [`Board::merge`].
-    slots: Vec<Option<RunRecord>>,
+    /// One slot per run index, with the rung that resolved it: resumed
+    /// runs by `prepare` ([`Rung::Journal`]), every other run by
+    /// [`Board::merge`].
+    slots: Vec<Option<(RunRecord, Rung)>>,
     filled: usize,
     /// Leases not yet granted; reclaimed ones go back to the head.
     queue: VecDeque<(u64, Vec<usize>)>,
@@ -1204,8 +1213,6 @@ struct BoardState {
     died: bool,
     /// Merges left before the chaos hook kills the coordinator.
     chaos_left: Option<usize>,
-    /// Runs the checkpoint store settled, cold starts included.
-    settled: usize,
 }
 
 impl BoardState {
@@ -1289,9 +1296,9 @@ impl Board {
         run: usize,
         Outcome {
             rec,
+            rung,
             verdict,
             panics,
-            settled,
         }: Outcome,
     ) -> Result<(), Refused> {
         let mut guard = self.lock();
@@ -1313,7 +1320,7 @@ impl Board {
         if left.is_empty() {
             b.granted.remove(&lease);
         }
-        b.slots[run] = Some(rec);
+        b.slots[run] = Some((rec, rung));
         b.filled += 1;
         if let Some(s) = &b.sink {
             s.append(run, &rec);
@@ -1329,10 +1336,6 @@ impl Board {
         s.oracle_mismatches += usize::from(verdict.mismatch);
         s.panics += panics;
         s.retries += usize::from(panics > 0);
-        // A settled run past the first checkpoint counts as the restore
-        // its fork would have made (see `CampaignStats::settled`).
-        s.settled += usize::from(settled && rec.ckpt_skipped_cycles > 0);
-        b.settled += usize::from(settled);
         if let Some(left) = &mut b.chaos_left {
             *left -= 1;
             b.died = *left == 0;
@@ -1400,7 +1403,8 @@ pub(crate) fn prepare(
         Some(path) => {
             let (j, loaded) = RunJournal::open(path, &drawn.campaign, cfg.runs, cfg.resume)
                 .map_err(CampaignError::Journal)?;
-            (Some(j), loaded)
+            let journaled = |rec: Option<RunRecord>| rec.map(|rec| (rec, Rung::Journal));
+            (Some(j), loaded.into_iter().map(journaled).collect())
         }
     };
     let resumed = slots.iter().flatten().count();
@@ -1456,7 +1460,6 @@ impl Prepared {
             workers,
             sink,
             died,
-            settled,
             ..
         } = self.board.state.into_inner().expect("board lock poisoned");
         // Closing the only sender ends the writer thread; joining it
@@ -1483,15 +1486,14 @@ impl Prepared {
         if !missing.is_empty() {
             return Err(CampaignError::Internal(missing));
         }
-        let records: Vec<RunRecord> = slots.into_iter().flatten().collect();
+        let (records, rungs): (Vec<RunRecord>, Vec<Rung>) = slots.into_iter().flatten().unzip();
         let tally: Tally = records.iter().map(|r| r.effect).collect();
         let strata = self.drawn.strata;
         let wall = self.start.elapsed().as_secs_f64();
-        let mut stats = base_stats(&records, strata.as_ref(), settled, wall, counters);
+        let mut stats = base_stats(&records, &rungs, strata.as_ref(), wall, counters);
         stats.threads = threads.max(workers.len());
         stats.workers = workers.len();
         stats.worker_throughput = workers.into_iter().map(|(credit, _)| credit).collect();
-        stats.resumed = self.resumed;
         stats.journal_bytes = journal.as_ref().map_or(0, RunJournal::bytes_written);
         stats.journal_ms = journal.as_ref().map_or(0.0, RunJournal::wall_ms);
         let sampling = strata.map(|s| sampling_summary(s, &records));
@@ -1500,6 +1502,7 @@ impl Prepared {
             kernel: cfg.kernel.clone(),
             tally,
             records,
+            rungs,
             stats,
             sampling,
         })
@@ -1523,7 +1526,6 @@ pub fn run_campaign_with_hook(
     let env = RunEnv {
         workload,
         card,
-        cfg,
         golden,
         drawn: &p.drawn,
         hook,
@@ -1535,7 +1537,7 @@ pub fn run_campaign_with_hook(
             None
         },
         store: runnable
-            .then(|| record_store(workload, card, cfg, golden, &p.drawn))
+            .then(|| record_store(workload, card, golden, &p.drawn))
             .flatten(),
     };
     let threads = cfg.effective_threads().clamp(1, pending.max(1));
@@ -1660,8 +1662,11 @@ mod tests {
         );
         // Golden runs take 1000 cycles (as `record` writes Masked ones);
         // the run's first fault fires at cycle 500.
+        let resolved = |rung, rec: &RunRecord, reference: Option<&RunRecord>, image: bool| {
+            OracleVerdict::of(rec, rung, 1000, 500, reference, || image)
+        };
         let of = |rec: &RunRecord, reference: Option<&RunRecord>, image: bool| {
-            OracleVerdict::of(rec, 1000, 500, reference, || image)
+            resolved(Rung::Simulated, rec, reference, image)
         };
         let masked = record(Masked, true, false, RunDetail::None);
         // An early exit's Masked-at-golden verdict against an SDC reference.
@@ -1675,11 +1680,33 @@ mod tests {
         for detail in [RunDetail::StaticDead, RunDetail::StaticDeadBit] {
             let pruned = record(Masked, true, false, detail);
             let unapplied = record(Masked, false, false, RunDetail::None);
-            assert_eq!(of(&pruned, Some(&unapplied), true), short_agree);
-            assert_eq!(of(&pruned, Some(&sdc), true), disagree);
+            assert_eq!(
+                resolved(Rung::PreClassified, &pruned, Some(&unapplied), true),
+                short_agree
+            );
+            assert_eq!(
+                resolved(Rung::PreClassified, &pruned, Some(&sdc), true),
+                disagree
+            );
         }
-        // A simulated run must agree on `applied`; its image is not asked.
+        // A settled run is a shortcut even without an early exit (a flip
+        // that dies unread after the last taint check): its reference must
+        // agree on `applied` and end in the oracle's image.
+        assert_eq!(
+            resolved(Rung::Settled, &masked, Some(&masked), true),
+            short_agree
+        );
+        assert_eq!(
+            resolved(Rung::Settled, &masked, Some(&masked), false),
+            disagree
+        );
+        assert_eq!(resolved(Rung::Settled, &masked, Some(&sdc), true), disagree);
         let unapplied = record(Masked, false, false, RunDetail::None);
+        assert_eq!(
+            resolved(Rung::Settled, &masked, Some(&unapplied), true),
+            disagree
+        );
+        // A simulated run must agree on `applied`; its image is not asked.
         assert_eq!(of(&masked, Some(&unapplied), true), disagree);
         assert_eq!(of(&masked, Some(&masked), false), agree);
         assert_eq!(of(&sdc, Some(&sdc), false), agree);

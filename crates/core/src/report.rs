@@ -152,6 +152,10 @@ mod tests {
                     stratum: None,
                 },
             ],
+            rungs: {
+                use crate::Rung::{PreClassified, Settled, Simulated};
+                vec![Settled, Simulated, PreClassified, PreClassified]
+            },
             stats: crate::campaign::CampaignStats::default(),
             sampling: None,
         }

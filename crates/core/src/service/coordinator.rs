@@ -8,7 +8,7 @@
 
 use super::proto::{read_frame, write_frame, Msg, PROTO_VERSION};
 use super::{ServiceConfig, ServiceError};
-use crate::campaign::{prepare, Board, CampaignConfig, CampaignResult, Grant, Outcome, Refused};
+use crate::campaign::{prepare, Board, CampaignConfig, CampaignResult, Grant, Refused};
 use crate::json::{self, Value};
 use crate::profile::GoldenProfile;
 use crate::workload::Workload;
@@ -133,7 +133,7 @@ fn handle_worker(
 
     // Handshake: the worker's description is checked here; the worker
     // checks the Welcome's for the other direction.  A frame that is not a
-    // v6 hello (an older worker's) is refused, not dropped.
+    // v7 hello (an older worker's) is refused, not dropped.
     let hello = Msg::decode(&read_frame(&mut reader)?);
     let reason = match &hello {
         Ok(Msg::Hello {
@@ -200,19 +200,17 @@ fn serve_lease(
     while !remaining.is_empty() {
         match Msg::decode(&read_frame(reader)?)? {
             Msg::Ping => continue,
-            // Workers do not report oracle verdicts, panics or settled
-            // runs: the coordinator's counters cover its merges only.
-            Msg::Done { lease, run, rec } => {
-                match board.merge(Some(wid), lease, run, Outcome::of_record(rec)) {
-                    Ok(()) => remaining.retain(|&r| r != run),
-                    Err(Refused::Died) => return Err(ServiceError::Chaos),
-                    Err(Refused::Unleased) => {
-                        return Err(ServiceError::Protocol(format!(
-                            "ack for unleased run {run} (lease {lease}, serving {id})"
-                        )))
-                    }
+            // Workers do not report oracle verdicts or panics: the
+            // coordinator's counters cover its merges only.
+            Msg::Done { lease, run, out } => match board.merge(Some(wid), lease, run, out) {
+                Ok(()) => remaining.retain(|&r| r != run),
+                Err(Refused::Died) => return Err(ServiceError::Chaos),
+                Err(Refused::Unleased) => {
+                    return Err(ServiceError::Protocol(format!(
+                        "ack for unleased run {run} (lease {lease}, serving {id})"
+                    )))
                 }
-            }
+            },
             other => {
                 return Err(ServiceError::Protocol(format!(
                     "unexpected message during lease {id}: {other:?}"

@@ -10,15 +10,16 @@
 //! interleave partial frames.
 //!
 //! The payload is one JSON object, written and parsed by [`crate::json`],
-//! with its `type` member first.  A `done` frame is `type` and `lease`
-//! followed by the fields the run's journal line is built from
-//! (`supervisor::record_fields`), so what a worker reports and what the
-//! coordinator journals cannot drift.  Members a message does not define
-//! are ignored; a payload that is not well-formed JSON, or lacks a field
-//! of its message, is a [`ServiceError::Protocol`].
+//! with its `type` member first.  A `done` frame is `type`, `lease` and
+//! the rung that resolved the run, followed by the fields the run's
+//! journal line is built from (`supervisor::record_fields`), so what a
+//! worker reports and what the coordinator journals cannot drift.
+//! Members a message does not define are ignored; a payload that is not
+//! well-formed JSON, or lacks a field of its message, is a
+//! [`ServiceError::Protocol`].
 
 use super::ServiceError;
-use crate::campaign::RunRecord;
+use crate::campaign::{Outcome, Rung};
 use crate::json::{self, Value};
 use crate::supervisor::{record_fields, record_from};
 use std::io::{BufRead, Write};
@@ -32,8 +33,8 @@ use std::io::{BufRead, Write};
 /// static pre-classification resolves too, which a v4 worker would
 /// simulate instead of pre-classifying; v6 workers end runs that
 /// reconverge with a golden checkpoint (`detail` `reconverged`), which a
-/// v5 worker would simulate to the end.
-pub(crate) const PROTO_VERSION: u32 = 6;
+/// v5 worker would simulate to the end; v7 `done` frames name the rung.
+pub(crate) const PROTO_VERSION: u32 = 7;
 
 /// Upper bound on one frame's payload, header included in spirit: a
 /// corrupt length prefix must not make the reader allocate gigabytes.
@@ -139,13 +140,14 @@ pub(crate) enum Msg {
     /// explicit array (not a range) because resume and the static prune
     /// leave holes in the pending index space.
     Lease { id: u64, runs: Vec<usize> },
-    /// Worker → coordinator: one completed run of a lease.  On the wire
-    /// the run's journal record fields follow `lease`, so the coordinator
-    /// merges byte-for-byte what a local campaign would have journaled.
+    /// Worker → coordinator: one completed run of a lease, as its record
+    /// and rung (no oracle verdict or panic count).  The journal record
+    /// fields follow `lease` and `rung`, so the coordinator merges
+    /// byte-for-byte what a local campaign would have journaled.
     Done {
         lease: u64,
         run: usize,
-        rec: RunRecord,
+        out: Outcome,
     },
     /// Heartbeat; carries nothing, resets the peer's stall deadline.
     Ping,
@@ -170,9 +172,9 @@ impl Msg {
                     ("runs", Value::Arr(runs.iter().map(|&r| r.into()).collect())),
                 ],
             ),
-            Msg::Done { lease, run, rec } => {
-                let mut fields = vec![("lease", (*lease).into())];
-                fields.extend(record_fields(*run, rec));
+            Msg::Done { lease, run, out } => {
+                let mut fields = vec![("lease", (*lease).into()), ("rung", out.rung.name().into())];
+                fields.extend(record_fields(*run, &out.rec));
                 ("done", fields)
             }
             Msg::Ping => ("ping", Vec::new()),
@@ -214,10 +216,14 @@ impl Msg {
             },
             "done" => {
                 let (run, rec) = record_from(v)?;
+                // A worker executes every run it sends: no `journal` rung.
+                let name = v.get("rung")?.as_str()?;
+                let executed = [Rung::PreClassified, Rung::Settled, Rung::Simulated];
+                let rung = executed.into_iter().find(|r| r.name() == name)?;
                 Msg::Done {
                     lease: v.get("lease")?.as_num()?,
                     run,
-                    rec,
+                    out: Outcome::of(rec, rung),
                 }
             }
             "ping" => Msg::Ping,
@@ -230,6 +236,7 @@ impl Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::RunRecord;
     use crate::classify::RunDetail;
     use crate::supervisor::{parse_record_line, record_line};
     use gpufi_metrics::FaultEffect;
@@ -257,15 +264,18 @@ mod tests {
             Msg::Done {
                 lease: 7,
                 run: 11,
-                rec: RunRecord {
-                    effect: FaultEffect::Sdc,
-                    cycles: 4242,
-                    applied: true,
-                    early_exit: false,
-                    ckpt_skipped_cycles: 17,
-                    detail: RunDetail::None,
-                    stratum: Some(3),
-                },
+                out: Outcome::of(
+                    RunRecord {
+                        effect: FaultEffect::Sdc,
+                        cycles: 4242,
+                        applied: true,
+                        early_exit: false,
+                        ckpt_skipped_cycles: 17,
+                        detail: RunDetail::None,
+                        stratum: Some(3),
+                    },
+                    Rung::Simulated,
+                ),
             },
             Msg::Ping,
             Msg::Fin,
@@ -282,16 +292,16 @@ mod tests {
     }
 
     /// The exact payload bytes of every sample message: the wire format is
-    /// shared with workers built from other revisions of `PROTO_VERSION` 6.
+    /// shared with workers built from other revisions of `PROTO_VERSION` 7.
     #[test]
     fn sample_payload_bytes_are_pinned() {
         let expected = [
-            r#"{"type":"hello","proto":6,"campaign":{"seed":17,"model":"stuck-at-1"}}"#,
+            r#"{"type":"hello","proto":7,"campaign":{"seed":17,"model":"stuck-at-1"}}"#,
             r#"{"type":"welcome","campaign":{"seed":17,"model":"stuck-at-1"}}"#,
             r#"{"type":"reject","reason":"campaign fingerprint mismatch"}"#,
             r#"{"type":"lease","id":7,"runs":[0,2,3,11]}"#,
             r#"{"type":"lease","id":8,"runs":[]}"#,
-            r#"{"type":"done","lease":7,"run":11,"effect":"SDC","cycles":4242,"applied":true,"early_exit":false,"ckpt":17,"detail":"","stratum":3}"#,
+            r#"{"type":"done","lease":7,"rung":"simulated","run":11,"effect":"SDC","cycles":4242,"applied":true,"early_exit":false,"ckpt":17,"detail":"","stratum":3}"#,
             r#"{"type":"ping"}"#,
             r#"{"type":"fin"}"#,
         ];
@@ -347,7 +357,7 @@ mod tests {
         let payload = Msg::Done {
             lease: 3,
             run: 42,
-            rec,
+            out: Outcome::of(rec, Rung::Settled),
         }
         .encode();
         assert_eq!(parse_record_line(&payload), Some((42, rec)));
@@ -537,8 +547,17 @@ mod tests {
             // v3 handshake frames, which carry no campaign description.
             r#"{"type":"hello","proto":3,"fingerprint":"deadbeef12345678","runs":300,"model":"transient"}"#,
             r#"{"type":"welcome","fingerprint":"deadbeef12345678"}"#,
+            // A v6 `done` frame, which names no rung, and rungs a worker
+            // cannot send: unknown ones, or one only a resume loads.
+            &done.replace(r#""rung":"simulated","#, ""),
+            &done.replace(r#""rung":"simulated""#, r#""rung":"forked""#),
+            &done.replace(r#""rung":"simulated""#, r#""rung":"journal""#),
+            &done.replace(r#""rung":"simulated""#, r#""rung":3"#),
         ] {
-            assert!(Msg::decode(bad).is_err(), "{bad:?} should not decode");
+            assert!(
+                matches!(Msg::decode(bad), Err(ServiceError::Protocol(_))),
+                "{bad:?} should not decode"
+            );
         }
     }
 }

@@ -1,9 +1,9 @@
 //! The `worker` side: transport only.  A worker draws the **same plans**
 //! the coordinator did (proved by the handshake's descriptions), executes
 //! exactly the run indices it is leased through the campaign's one
-//! `supervised_run`, and streams back the exact journal record line — so
-//! the record a worker produces is byte-for-byte the record a
-//! `--threads 1` run would have journaled.
+//! `supervised_run`, and streams back the exact journal record line and
+//! the rung that resolved the run — so the record a worker produces is
+//! byte-for-byte the record a `--threads 1` run would have journaled.
 
 use super::proto::{encode_frame, read_frame, write_frame, Msg, PROTO_VERSION};
 use super::{ServiceConfig, ServiceError};
@@ -144,7 +144,6 @@ pub fn run_worker_with_chaos(
     let mut env = RunEnv {
         workload,
         card,
-        cfg,
         golden,
         drawn: &drawn,
         store: None,
@@ -164,7 +163,7 @@ pub fn run_worker_with_chaos(
                 Msg::Fin => return Ok(()),
                 Msg::Lease { id, runs } => {
                     if env.store.is_none() && !runs.is_empty() {
-                        env.store = record_store(workload, card, cfg, golden, env.drawn);
+                        env.store = record_store(workload, card, golden, env.drawn);
                     }
                     for &i in &runs {
                         if i >= drawn.plans.len() {
@@ -178,11 +177,11 @@ pub fn run_worker_with_chaos(
                                 std::thread::sleep(Duration::from_millis(ms));
                             }
                         }
-                        let rec = env.supervised_run(&mut gpu, i).rec;
+                        let out = env.supervised_run(&mut gpu, i);
                         let payload = Msg::Done {
                             lease: id,
                             run: i,
-                            rec,
+                            out,
                         }
                         .encode();
                         if chaos.torn_frame_at == Some(acks) {

@@ -57,7 +57,7 @@ pub mod prelude {
         run_campaign_with_hook, run_worker, run_worker_with_chaos, serve_campaign,
         serve_campaign_with_chaos, AnalysisConfig, AppAnalysis, CampaignConfig, CampaignError,
         CampaignResult, CampaignStats, ChaosPlan, CoordinatorChaos, FaultHook, GoldenProfile,
-        RunDetail, RunJournal, RunRecord, SamplingMode, SamplingSummary, ServiceConfig,
+        RunDetail, RunJournal, RunRecord, Rung, SamplingMode, SamplingSummary, ServiceConfig,
         ServiceError, StrataLayout, Stratum, WorkerReport, WorkerThroughput, Workload,
         WorkloadError,
     };

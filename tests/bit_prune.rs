@@ -28,10 +28,13 @@ fn oracle_check_confirms_bit_prune() {
     let s = &result.stats;
     assert!(s.static_bit_pruned > 0);
     assert_eq!(s.oracle_mismatches, 0);
-    assert_eq!(
-        s.oracle_verified,
-        s.early_exits + s.static_pruned + s.static_bit_pruned
-    );
+    let ran_to_end = result
+        .records
+        .iter()
+        .zip(&result.rungs)
+        .filter(|&(r, &rung)| rung == Rung::Simulated && !r.early_exit)
+        .count();
+    assert_eq!(s.oracle_verified, 60 - ran_to_end);
 }
 
 /// Stuck-at campaigns never bit-prune: a permanent fault re-pins the bit

@@ -7,7 +7,8 @@ use gpufi::prelude::*;
 /// with `--oracle-check` and once without, and asserts the oracle check's
 /// contract: the records are the default engine's byte for byte, a cold,
 /// fully simulated, unpruned run of each agrees with its record, every
-/// shortcut verdict is confirmed, at least one run forked from a
+/// shortcut verdict — every run not simulated to its end — is confirmed,
+/// at least one run forked from a
 /// checkpoint, and every early exit — reconvergence included — is Masked
 /// at the golden cycle count.  Returns the checked campaign and its golden
 /// profile for the caller's own assertions.
@@ -36,9 +37,15 @@ pub fn oracle_check(
         "{tag}: a record disagrees with its reference"
     );
     assert_eq!(s.oracle_checked, runs, "{tag}");
+    let ran_to_end = checked
+        .records
+        .iter()
+        .zip(&checked.rungs)
+        .filter(|&(r, &rung)| rung == Rung::Simulated && !r.early_exit)
+        .count();
     assert_eq!(
         s.oracle_verified,
-        s.early_exits + s.static_pruned + s.static_bit_pruned,
+        runs - ran_to_end,
         "{tag}: every shortcut verdict must be confirmed"
     );
     assert!(s.restores > 0, "{tag}: no run forked from a checkpoint");

@@ -43,9 +43,15 @@ fn oracle_check_confirms_reconverged_runs() {
     assert!(r.stats.reconverged > 0, "no run reconverged");
     assert_eq!(r.stats.oracle_mismatches, 0);
     assert_eq!(r.stats.oracle_checked, 100);
+    let ran_to_end = r
+        .records
+        .iter()
+        .zip(&r.rungs)
+        .filter(|&(rec, &rung)| rung == Rung::Simulated && !rec.early_exit)
+        .count();
     assert_eq!(
         r.stats.oracle_verified,
-        r.stats.early_exits + r.stats.static_pruned + r.stats.static_bit_pruned,
+        100 - ran_to_end,
         "every shortcut, reconverged runs included, is verified"
     );
 }

@@ -50,14 +50,12 @@ fn stratified_estimate_agrees_with_a_flat_campaign_five_times_its_size() {
         assert_eq!(summary.allocation.iter().sum::<usize>(), strat_runs);
 
         // Stratified draws land only in live intervals, so the static prune
-        // never fires and every planned run the checkpoint store does not
-        // settle is simulated: the restores it settles, and up to every
-        // cold start.
+        // never fires and every run the checkpoint store does not settle is
+        // simulated.
         assert_eq!(strat.stats.static_pruned, 0, "{name}");
-        let cold = strat.records.iter().filter(|r| r.ckpt_skipped_cycles == 0);
-        let unsettled = strat_runs - strat.stats.settled;
-        assert!(
-            (unsettled - cold.count()..=unsettled).contains(&strat.stats.simulated_runs),
+        assert_eq!(
+            strat.stats.simulated_runs,
+            strat_runs - strat.stats.settled,
             "{name}: {:?}",
             strat.stats
         );

@@ -245,7 +245,7 @@ fn chaos_matrix_is_bit_identical_to_serial() {
 
 /// Handshake rejection, coordinator side: a worker whose config draws a
 /// different campaign (another seed, another fault model) is refused with
-/// a clean `Rejected` naming the parameter, a v3 or v5 worker's hello is
+/// a clean `Rejected` naming the parameter, a v3, v5 or v6 worker's hello is
 /// answered with a reject frame, and the campaign still completes via a
 /// correct worker.  A connection that speaks garbage must not hurt either.
 #[test]
@@ -271,10 +271,12 @@ fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
             let _ = garbage.write_all(b"\x00\xffGET / HTTP/1.1\r\n\r\n#no\n");
         }
         // A v3 hello carries no campaign description; a v5 hello does, but
-        // a v5 worker would simulate reconverging runs to the end.
+        // a v5 worker would simulate reconverging runs to the end, and a
+        // v6 worker's acks name no rung.
         let stale_replies = [
             r#"{"type":"hello","proto":3,"fingerprint":"00000000deadbeef","runs":16,"model":"transient"}"#,
             r#"{"type":"hello","proto":5,"campaign":{"seed":3}}"#,
+            r#"{"type":"hello","proto":6,"campaign":{"seed":3}}"#,
         ]
         .map(|hello| {
             let mut stale = TcpStream::connect(&addr).unwrap();
@@ -312,7 +314,7 @@ fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
     assert_eq!(campaign_csv(&res), serial_csv);
     for reply in stale_replies {
         assert!(
-            reply.contains(r#"{"type":"reject","reason":"expected a protocol v6 hello frame"}"#),
+            reply.contains(r#"{"type":"reject","reason":"expected a protocol v7 hello frame"}"#),
             "stale hello answered with {reply:?}"
         );
     }
@@ -539,9 +541,13 @@ fn eight_loopback_workers_share_one_journal_writer() {
 /// register-dead / bit-dead split must not move when the register-level
 /// table is read off the dead-bit masks, nor under stuck-at (register
 /// granularity only), nor under stratification (nothing pre-classified,
-/// every record carries its stratum).  The resume row starts all three
+/// every record carries its stratum).  Each executor also reports the
+/// reference's rung for every run, so the same ladder counts: the pinned
+/// settled and simulated counts.  The resume row starts all three
 /// executors from the same journal cut mid-campaign (torn tail included),
-/// so the shared stages are exercised on the resume path from both callers.
+/// so the shared stages are exercised on the resume path from both
+/// callers: there the journal's runs are [`Rung::Journal`] and every other
+/// run keeps the reference's rung.
 #[test]
 fn pinned_labels_hold_across_all_three_executors() {
     struct Row {
@@ -550,6 +556,9 @@ fn pinned_labels_hold_across_all_three_executors() {
         cfg: CampaignConfig,
         static_dead: usize,
         static_dead_bit: usize,
+        /// The reference's settled and simulated runs.
+        settled: usize,
+        simulated: usize,
         /// Resume every executor from the reference journal cut after
         /// this many records.
         resume_after: Option<usize>,
@@ -562,6 +571,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf(), 300, 11),
             static_dead: 32,
             static_dead_bit: 5,
+            settled: 184,
+            simulated: 79,
             resume_after: None,
         },
         Row {
@@ -570,6 +581,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf().model(FaultModel::StuckAt1), 60, 9),
             static_dead: 1,
             static_dead_bit: 0,
+            settled: 0,
+            simulated: 59,
             resume_after: None,
         },
         Row {
@@ -578,6 +591,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf(), 120, 11).stratified(),
             static_dead: 0,
             static_dead_bit: 0,
+            settled: 46,
+            simulated: 74,
             resume_after: None,
         },
         Row {
@@ -586,6 +601,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf(), 300, 11),
             static_dead: 32,
             static_dead_bit: 5,
+            settled: 184,
+            simulated: 79,
             resume_after: Some(120),
         },
     ];
@@ -627,6 +644,21 @@ fn pinned_labels_hold_across_all_three_executors() {
             "{}",
             row.name
         );
+        let rungs = |res: &CampaignResult, from: usize| {
+            use Rung::*;
+            [Journal, PreClassified, Settled, Simulated]
+                .map(|rung| res.rungs[from..].iter().filter(|&&r| r == rung).count())
+        };
+        let pre = row.static_dead + row.static_dead_bit;
+        let table = [0, pre, row.settled, row.simulated];
+        assert_eq!(rungs(&reference, 0), table, "{}: rung table", row.name);
+        let s = &reference.stats;
+        assert_eq!(
+            [s.resumed, s.settled, s.simulated_runs],
+            [0, row.settled, row.simulated],
+            "{}: stats read the rung table",
+            row.name
+        );
         let stratified = row.cfg.sampling == SamplingMode::Stratified;
         assert!(
             reference
@@ -663,10 +695,20 @@ fn pinned_labels_hold_across_all_three_executors() {
                 ref_journal,
                 "{tag}: journal bytes diverged"
             );
+            // The journal's runs, then every executed run on the
+            // reference's rung.
+            let keep = row.resume_after.unwrap_or(0);
+            assert!(
+                res.rungs[..keep].iter().all(|&r| r == Rung::Journal),
+                "{tag}"
+            );
+            assert_eq!(res.rungs[keep..], reference.rungs[keep..], "{tag}: rungs");
+            let [_, _, settled, simulated] = rungs(&reference, keep);
+            let s = &res.stats;
             assert_eq!(
-                res.stats.resumed,
-                row.resume_after.unwrap_or(0),
-                "{tag}: resumed"
+                [s.resumed, s.settled, s.simulated_runs],
+                [keep, settled, simulated],
+                "{tag}: ladder counts"
             );
             std::fs::remove_file(&path).ok();
         }

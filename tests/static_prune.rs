@@ -20,8 +20,11 @@ fn oracle_check_confirms_static_prune() {
     assert!(s.static_pruned > 0);
     assert_eq!(s.oracle_mismatches, 0);
     assert_eq!(s.oracle_checked, 40);
-    assert_eq!(
-        s.oracle_verified,
-        s.early_exits + s.static_pruned + s.static_bit_pruned
-    );
+    let ran_to_end = result
+        .records
+        .iter()
+        .zip(&result.rungs)
+        .filter(|&(r, &rung)| rung == Rung::Simulated && !r.early_exit)
+        .count();
+    assert_eq!(s.oracle_verified, 40 - ran_to_end);
 }
