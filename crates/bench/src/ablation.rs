@@ -9,7 +9,12 @@ use gpufi_sim::{GpuConfig, SchedulerPolicy};
 use std::fmt::Write as _;
 
 /// Runs both ablations and renders a report.
-pub fn ablation(cfg: &ReproConfig) -> String {
+///
+/// # Errors
+///
+/// Names the benchmark whose campaign failed, e.g. when `cfg.runs` is
+/// zero.
+pub fn ablation(cfg: &ReproConfig) -> Result<String, String> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -59,7 +64,8 @@ pub fn ablation(cfg: &ReproConfig) -> String {
             cfg.seed,
         )
         .with_threads(cfg.threads);
-        let r = run_campaign(w.as_ref(), &card, &ccfg, &golden).expect("campaign");
+        let r = run_campaign(w.as_ref(), &card, &ccfg, &golden)
+            .map_err(|e| format!("campaign of {name} failed: {e}"))?;
         eprintln!(
             "  [{name}] {:.1} runs/s on {} threads, {:.0}% early exits",
             r.stats.runs_per_sec,
@@ -87,5 +93,5 @@ pub fn ablation(cfg: &ReproConfig) -> String {
          physical register file's AVF by the inverse occupancy factor — the\n\
          GPGPU-Sim modelling issue \u{00a7}V.A corrects for."
     );
-    out
+    Ok(out)
 }

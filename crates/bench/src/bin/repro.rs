@@ -61,7 +61,10 @@ fn main() -> ExitCode {
             "running campaign sweep: {} injections per kernel x structure (seed {})",
             cfg.runs, cfg.seed
         );
-        Some(run_suite(&cfg))
+        match run_suite(&cfg) {
+            Ok(suite) => Some(suite),
+            Err(e) => return fail(&e),
+        }
     } else {
         None
     };
@@ -72,7 +75,10 @@ fn main() -> ExitCode {
             "table2" => tables::table2(),
             "table4" => tables::table4(),
             "table5" => tables::table5(),
-            "ablation" => gpufi_bench::ablation::ablation(&cfg),
+            "ablation" => match gpufi_bench::ablation::ablation(&cfg) {
+                Ok(text) => text,
+                Err(e) => return fail(&e),
+            },
             other => {
                 let suite = suite.as_ref().expect("suite computed for figures");
                 match other {
@@ -91,17 +97,21 @@ fn main() -> ExitCode {
         println!("{text}");
         if let Some(dir) = &out_dir {
             if let Err(e) = fs::create_dir_all(dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
+                return fail(&format!("cannot create {}: {e}", dir.display()));
             }
             let path = dir.join(format!("{t}.txt"));
             if let Err(e) = fs::write(&path, &text) {
-                eprintln!("cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
+                return fail(&format!("cannot write {}: {e}", path.display()));
             }
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Reports a runtime failure: one `error:` line, no usage.
+fn fail(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::FAILURE
 }
 
 fn usage(msg: &str) -> ExitCode {

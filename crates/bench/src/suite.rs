@@ -44,31 +44,40 @@ pub struct SuiteResults {
 }
 
 /// Runs the single-bit sweep for one card.
-pub fn run_card(cfg: &ReproConfig, card: &GpuConfig, bits: u32) -> CardResults {
+///
+/// # Errors
+///
+/// Names the benchmark whose golden run or analysis failed, e.g. when
+/// `cfg.runs` is zero.
+pub fn run_card(cfg: &ReproConfig, card: &GpuConfig, bits: u32) -> Result<CardResults, String> {
     let mut analysis_cfg = AnalysisConfig::new(cfg.runs, cfg.seed).bits(bits);
     analysis_cfg.threads = cfg.threads;
     let mut benchmarks = Vec::new();
     for w in gpufi_workloads::paper_suite() {
         eprintln!("  [{}] {} ({}-bit)...", card.name, w.name(), bits);
         let golden = profile(w.as_ref(), card)
-            .unwrap_or_else(|e| panic!("golden run of {} failed: {e}", w.name()));
+            .map_err(|e| format!("golden run of {} failed: {e}", w.name()))?;
         benchmarks.push(
             analyze(w.as_ref(), card, &analysis_cfg, &golden)
-                .unwrap_or_else(|e| panic!("analysis of {} failed: {e}", w.name())),
+                .map_err(|e| format!("analysis of {} failed: {e}", w.name()))?,
         );
     }
-    CardResults {
+    Ok(CardResults {
         card: card.name.clone(),
         benchmarks,
-    }
+    })
 }
 
 /// Runs the entire sweep: single-bit × 3 cards plus triple-bit × RTX 2060.
-pub fn run_suite(cfg: &ReproConfig) -> SuiteResults {
+///
+/// # Errors
+///
+/// See [`run_card`].
+pub fn run_suite(cfg: &ReproConfig) -> Result<SuiteResults, String> {
     let single = GpuConfig::paper_cards()
         .iter()
         .map(|card| run_card(cfg, card, 1))
-        .collect();
-    let triple_rtx = run_card(cfg, &GpuConfig::rtx2060(), 3).benchmarks;
-    SuiteResults { single, triple_rtx }
+        .collect::<Result<_, _>>()?;
+    let triple_rtx = run_card(cfg, &GpuConfig::rtx2060(), 3)?.benchmarks;
+    Ok(SuiteResults { single, triple_rtx })
 }

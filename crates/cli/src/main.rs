@@ -441,9 +441,6 @@ fn campaign_setup(args: &Args<'_>) -> Result<Setup, CliError> {
     let name = args.value("--structure").ok_or("--structure is required")?;
     let structure = Structure::parse(name).ok_or_else(|| format!("unknown structure `{name}`"))?;
     let runs: usize = args.parse("--runs", 120)?;
-    if runs == 0 {
-        return Err(failed("--runs 0: a campaign needs at least one run"));
-    }
     let seed: u64 = args.parse("--seed", 1)?;
     let bits = bits_of(args)?;
     let threads: usize = args.parse("--threads", 0)?;
@@ -1252,6 +1249,8 @@ mod tests {
             (format!("{journaled} 2 --resume"), "different campaign"),
             // Used to "succeed" and report the n = 1 margin (±128.79 %).
             (format!("{va} --runs 0"), "at least one run"),
+            // Used to print wAVF 0.000000 and chip FIT 0.0000.
+            ("avf --bench VA --runs 0".into(), "at least one run"),
             // Used to panic in `MemSystem::new` with a backtrace.
             (
                 format!("profile --bench VA --config {}", config.display()),

@@ -10,11 +10,10 @@ use gpufi_metrics::{
     StructureResult, Tally,
 };
 use gpufi_sim::GpuConfig;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a whole-application analysis: transient same-entry
 /// faults over the five on-chip structures ([`Structure::ON_CHIP`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisConfig {
     /// Injection runs per (kernel × structure) campaign.
     pub runs: usize,
@@ -45,7 +44,7 @@ impl AnalysisConfig {
 }
 
 /// Cycle-weighted, derated per-class rates of one structure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EffectRates {
     /// SDC rate.
     pub sdc: f64,
@@ -67,7 +66,7 @@ impl EffectRates {
 
 /// Aggregated result for one structure across all kernels of an
 /// application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StructureOutcome {
     /// The structure.
     pub structure: Structure,
@@ -87,7 +86,7 @@ impl StructureOutcome {
 }
 
 /// The complete analysis of one benchmark on one card.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppAnalysis {
     /// Benchmark name.
     pub benchmark: String,

@@ -12,8 +12,8 @@ use gpufi_faults::{CampaignSpec, DrawError, MaskGenerator, Structure};
 use gpufi_isa::analysis::dead_bit_masks;
 use gpufi_metrics::{proportional_allocation, stratified_estimate, StratumObservation};
 use gpufi_metrics::{FaultEffect, Tally};
+use gpufi_sim::rng::{splitmix64, GAMMA};
 use gpufi_sim::{CheckpointStore, FaultTarget, Gpu, GpuConfig, InjectionPlan, KernelWindow, Trap};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -30,7 +30,7 @@ pub const DEFAULT_CHECKPOINT_BUDGET: usize = 256 * 1024 * 1024;
 const AUTO_CHECKPOINT_TARGET: u64 = 24;
 
 /// Configuration of one injection campaign.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignConfig {
     /// The fault shape (structure, bits, scope, …).
     pub spec: CampaignSpec,
@@ -135,7 +135,7 @@ impl CampaignConfig {
 }
 
 /// The outcome of one injection run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunRecord {
     /// The classified fault effect.
     pub effect: FaultEffect,
@@ -165,7 +165,7 @@ pub struct RunRecord {
 /// invocation — what its [`RunRecord`] cannot say.  How a simulated run
 /// ended (taint exit, reconvergence, `sim_panic`) and whether it forked
 /// stay in the record's `early_exit`, `detail` and `ckpt` columns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rung {
     /// Loaded from the journal on `--resume`, not executed.
     Journal,
@@ -191,7 +191,7 @@ impl Rung {
 
 /// Throughput of one distributed worker, as observed by the coordinator
 /// (the lease-merge side, so network latency is included).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkerThroughput {
     /// Coordinator-assigned worker id (connection order).
     pub worker: u32,
@@ -206,7 +206,7 @@ pub struct WorkerThroughput {
 }
 
 /// Wall-clock throughput and fault-behaviour statistics of one campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignStats {
     /// Total wall-clock time of the campaign, in milliseconds.
     pub wall_ms: f64,
@@ -317,7 +317,7 @@ pub struct CampaignStats {
 }
 
 /// The aggregated result of a campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignResult {
     /// The fault shape that was injected.
     pub spec: CampaignSpec,
@@ -351,6 +351,9 @@ impl PartialEq for CampaignResult {
 /// Why a campaign could not run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignError {
+    /// The campaign asks for zero runs, which would estimate every class
+    /// rate, and so the AVF and FIT, as zero.
+    NoRuns,
     /// The mask generator could not draw a fault (empty structure or
     /// windows).
     Draw(DrawError),
@@ -376,6 +379,7 @@ pub enum CampaignError {
 impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CampaignError::NoRuns => write!(f, "a campaign needs at least one run"),
             CampaignError::Draw(e) => write!(f, "cannot draw fault: {e}"),
             CampaignError::UnknownKernel(k) => write!(f, "kernel `{k}` not in golden profile"),
             CampaignError::OracleDivergence(d) => write!(f, "oracle check failed: {d}"),
@@ -403,10 +407,7 @@ impl From<DrawError> for CampaignError {
 /// `seed * C ^ run_idx` mix, which collapsed all runs of seed 0 onto the
 /// bare run index (and made seed 0 share masks with seed 1).
 pub(crate) fn mix_seed(seed: u64, run_idx: u64) -> u64 {
-    let mut z = seed.wrapping_add(run_idx.wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(&mut seed.wrapping_add(run_idx.wrapping_mul(GAMMA)))
 }
 
 /// One pre-drawn injection run: its fault plan, the cycle of its earliest
@@ -1145,6 +1146,9 @@ pub(crate) fn draw(
     cfg: &CampaignConfig,
     golden: &GoldenProfile,
 ) -> Result<Drawn, CampaignError> {
+    if cfg.runs == 0 {
+        return Err(CampaignError::NoRuns);
+    }
     let (plans, strata) = match cfg.sampling {
         SamplingMode::Flat => (draw_plans(cfg, golden)?, None),
         SamplingMode::Stratified => {

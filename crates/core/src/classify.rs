@@ -5,7 +5,6 @@ use crate::profile::GoldenProfile;
 use crate::workload::WorkloadError;
 use gpufi_metrics::FaultEffect;
 use gpufi_sim::Trap;
-use serde::{Deserialize, Serialize};
 
 /// Classifies one injection run against the golden profile:
 ///
@@ -34,7 +33,7 @@ pub fn classify(
 /// most importantly to tell a simulator-internal panic (a fault corrupted
 /// simulator invariants — [`RunDetail::SimPanic`]) apart from an
 /// architecturally modelled trap.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum RunDetail {
     /// No sub-classification (Masked / SDC / Performance runs).
     #[default]

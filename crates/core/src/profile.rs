@@ -2,13 +2,12 @@
 
 use crate::workload::{Workload, WorkloadError};
 use gpufi_sim::{AppStats, FaultSpace, Gpu, GpuConfig, KernelWindow};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Everything the campaign needs from the fault-free reference execution:
 /// the golden output, cycle windows, residency statistics and fault-space
 /// sizes (the paper's *profiling and campaign preparation* step, §III.C).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldenProfile {
     /// The fault-free result bytes.
     pub output: Vec<u8>,

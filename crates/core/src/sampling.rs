@@ -30,12 +30,11 @@
 use crate::profile::GoldenProfile;
 use crate::workload::Workload;
 use gpufi_metrics::{margin_of_error, ClassEstimate, StratifiedEstimate};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// How a campaign draws its runs from the fault population.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SamplingMode {
     /// Uniform over the whole population; every run is simulated (the
     /// paper's Leveugle-sized methodology).
@@ -69,7 +68,7 @@ impl fmt::Display for SamplingMode {
 
 /// One live stratum: all fault sites of one register of one static kernel
 /// during the cycles the register may still be read.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stratum {
     /// The static kernel the register belongs to.
     pub kernel: String,
@@ -84,7 +83,7 @@ pub struct Stratum {
 }
 
 /// The stratification of one campaign's fault population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StrataLayout {
     /// Live strata in deterministic `(kernel, reg)` order.
     pub strata: Vec<Stratum>,
@@ -219,7 +218,7 @@ impl StrataLayout {
 /// The sampling-side summary attached to a stratified
 /// [`crate::CampaignResult`]: the layout identity, the budget allocation
 /// and the reweighted estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplingSummary {
     /// Number of live strata.
     pub strata: usize,

@@ -1,7 +1,6 @@
 //! Distributed campaign service: a `serve` coordinator that partitions a
 //! campaign's run-index space into leases and TCP workers that execute
-//! them (ROADMAP item 1 — the supervisor's crash-safety story lifted one
-//! level up).
+//! them (the supervisor's crash-safety story lifted one level up).
 //!
 //! The division of labour keeps the distributed path bit-identical to a
 //! serial run *by construction* rather than by protocol care:

@@ -40,17 +40,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use gpufi_sim::rng::Rng;
 use gpufi_sim::{FaultSpace, FaultTarget, InjectionPlan, KernelWindow, PlannedFault, Scope};
 
 pub use gpufi_sim::{FaultModel, Structure};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the bits of one multi-bit fault are placed (paper §III.A: "(i)
 /// different bits of the same entry … (ii) different entries").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MultiBitMode {
     /// All flipped bits land in the same entry (register / cache line /
     /// memory word neighbourhood) — the physically common multi-bit upset.
@@ -70,7 +68,7 @@ impl MultiBitMode {
 }
 
 /// The shape of the faults a campaign draws.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignSpec {
     /// Target structure.
     pub structure: Structure,
@@ -215,14 +213,14 @@ fn fits(spec: &CampaignSpec, (width, mode): (u64, MultiBitMode)) -> Result<(), D
 /// generator with the same seed reproduces the campaign exactly.
 #[derive(Debug)]
 pub struct MaskGenerator {
-    rng: StdRng,
+    rng: Rng,
 }
 
 impl MaskGenerator {
     /// Creates a generator from a campaign seed.
     pub fn new(seed: u64) -> Self {
         MaskGenerator {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::new(seed),
         }
     }
 
@@ -241,7 +239,7 @@ impl MaskGenerator {
         );
         let mut out: Vec<u64> = Vec::with_capacity(k as usize);
         for j in (space - u64::from(k))..space {
-            let t = self.rng.gen_range(0..j + 1);
+            let t = self.rng.below(j + 1);
             if out.contains(&t) {
                 out.push(j);
             } else {
@@ -258,8 +256,7 @@ impl MaskGenerator {
     ///
     /// Panics if `bound == 0`.
     pub fn uniform(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "empty sampling range");
-        self.rng.gen_range(0..bound)
+        self.rng.below(bound)
     }
 
     /// Picks a uniformly random cycle inside the union of the half-open
@@ -269,7 +266,7 @@ impl MaskGenerator {
         if total == 0 {
             return None;
         }
-        let mut r = self.rng.gen_range(0..total);
+        let mut r = self.rng.below(total);
         for (s, e) in spans {
             let len = e.saturating_sub(s);
             if r < len {
@@ -312,14 +309,14 @@ impl MaskGenerator {
             .draw_cycle(windows.iter().map(|w| (w.start, w.end)))
             .ok_or(DrawError::EmptyWindows)?;
         let k = spec.bits_per_fault;
-        let entry_lot = self.rng.gen::<u64>();
+        let entry_lot = self.rng.next_u64();
         let replicate = spec.replicate;
         if total == 0 {
             return Err(DrawError::EmptyStructure(spec.structure));
         }
         let target = match spec.structure {
             Structure::RegisterFile => {
-                let reg = self.rng.gen_range(0..space.regs_per_thread);
+                let reg = self.rng.below(u64::from(space.regs_per_thread)) as u32;
                 self.register_target(spec, entry_lot, reg)
             }
             // Control-unit sites: the population is dynamic (live warps,
@@ -328,7 +325,7 @@ impl MaskGenerator {
             // at the injection cycle via lots.
             Structure::SimtStack => FaultTarget::SimtStack {
                 entry_lot,
-                depth_lot: self.rng.gen::<u64>(),
+                depth_lot: self.rng.next_u64(),
                 bits: self.entry_u8_bits(k, entry_bits),
             },
             Structure::Sched => FaultTarget::Sched {
@@ -411,7 +408,7 @@ impl MaskGenerator {
         let cycle = self
             .draw_cycle(segments.iter().copied())
             .ok_or(DrawError::EmptyWindows)?;
-        let entry_lot = self.rng.gen::<u64>();
+        let entry_lot = self.rng.next_u64();
         let target = self.register_target(spec, entry_lot, reg);
         Ok(InjectionPlan {
             faults: vec![PlannedFault { cycle, target }],
@@ -457,7 +454,7 @@ impl MaskGenerator {
             MultiBitMode::SameEntry => {
                 let entry_bits = entry_bits.min(total);
                 let entries = total / entry_bits;
-                let entry = self.rng.gen_range(0..entries.max(1));
+                let entry = self.rng.below(entries.max(1));
                 let base = entry * entry_bits;
                 let width = entry_bits.min(total - base);
                 self.distinct_bits(k, width)

@@ -2,7 +2,6 @@
 
 use crate::op::{BitOp, CmpOp, FloatOp, FloatUnOp, IntOp, OpClass};
 use crate::reg::{Pred, Reg, SpecialReg};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The memory space named by a load/store mnemonic.
@@ -10,7 +9,7 @@ use std::fmt;
 /// The mapping to on-chip memories follows Table II of the paper: global and
 /// local accesses are serviced by the L1 data cache, texture accesses by the
 /// L1 texture cache, shared accesses by the per-CTA shared memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemSpace {
     /// Device (global) memory — `LDG` / `STG`, cached in L1D and L2.
     Global,
@@ -54,7 +53,7 @@ impl MemSpace {
 ///
 /// Immediates hold a raw bit pattern; float immediates are stored as their
 /// IEEE-754 bits (the assembler accepts `1.5f` spellings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// A general-purpose register source.
     Reg(Reg),
@@ -90,7 +89,7 @@ impl fmt::Display for Operand {
 ///
 /// Branch-like operations (`Bra`, `Ssy`) hold resolved instruction indices;
 /// the assembler resolves label names during assembly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// `MOV Rd, src` — copy a register or immediate.
     Mov {
@@ -385,7 +384,7 @@ impl Op {
 }
 
 /// A guard predicate, the `@P0` / `@!P0` prefix of a predicated instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Guard {
     /// The predicate register tested.
     pub pred: Pred,
@@ -404,7 +403,7 @@ impl fmt::Display for Guard {
 }
 
 /// A complete instruction: an optional guard plus the operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instr {
     /// Optional guard predicate; `None` executes unconditionally.
     pub guard: Option<Guard>,

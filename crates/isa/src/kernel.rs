@@ -3,7 +3,6 @@
 use crate::asm;
 use crate::error::AsmError;
 use crate::instr::Instr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An assembled kernel: the instruction stream plus launch metadata.
@@ -12,7 +11,7 @@ use std::fmt;
 /// register footprint, static shared-memory usage, per-thread local-memory
 /// usage — because the fault-injection methodology (derating factors,
 /// occupancy limits) depends on it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Kernel {
     name: String,
     instrs: Vec<Instr>,
@@ -146,7 +145,7 @@ impl fmt::Display for Kernel {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     kernels: Vec<Kernel>,
 }

@@ -1,13 +1,12 @@
 //! Operation kinds shared by the instruction representation and the
 //! simulator's functional/timing models.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Two-operand integer arithmetic selectors for [`Op::IArith`].
 ///
 /// [`Op::IArith`]: crate::Op::IArith
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum IntOp {
     Add,
@@ -33,7 +32,7 @@ impl IntOp {
 /// Two-operand IEEE-754 single-precision selectors for [`Op::FArith`].
 ///
 /// [`Op::FArith`]: crate::Op::FArith
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum FloatOp {
     Add,
@@ -62,7 +61,7 @@ impl FloatOp {
 /// real GPU routes to its special-function units (SFUs).
 ///
 /// [`Op::FUnary`]: crate::Op::FUnary
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum FloatUnOp {
     /// Reciprocal, `1.0 / a`.
@@ -98,7 +97,7 @@ impl FloatUnOp {
 /// hardware's 32-bit shifter.
 ///
 /// [`Op::Bit`]: crate::Op::Bit
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum BitOp {
     And,
@@ -131,7 +130,7 @@ impl BitOp {
 /// Integer comparisons are **signed** (SASS-lite integers are `i32` unless an
 /// instruction says otherwise); float comparisons follow IEEE-754 semantics
 /// (any comparison with a NaN is false except `Ne`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum CmpOp {
     Eq,
@@ -201,7 +200,7 @@ impl fmt::Display for CmpOp {
 
 /// Coarse functional-unit class of an instruction, used by the timing model
 /// to pick issue latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Simple integer/logic ALU operation.
     Alu,

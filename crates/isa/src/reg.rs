@@ -1,6 +1,5 @@
 //! Architectural register and predicate names.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Highest addressable general-purpose register index (`R254`).
@@ -28,7 +27,7 @@ pub const MAX_PRED: u8 = 6;
 /// assert_eq!(r.index(), 3);
 /// assert_eq!(r.to_string(), "R3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {
@@ -58,7 +57,7 @@ impl fmt::Display for Reg {
 /// assert_eq!(Pred::new(0).unwrap().to_string(), "P0");
 /// assert!(Pred::new(7).is_none());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pred(u8);
 
 impl Pred {
@@ -85,7 +84,7 @@ impl fmt::Display for Pred {
 ///
 /// These mirror the CUDA built-ins (`threadIdx`, `blockIdx`, `blockDim`,
 /// `gridDim`) plus the intra-warp lane id and the warp id within the CTA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum SpecialReg {
     TidX,

@@ -2,7 +2,6 @@
 //! factors.
 
 use crate::effect::Tally;
-use serde::{Deserialize, Serialize};
 
 /// The `df_reg` derating factor (§V.A): the fraction of a physical
 /// per-SM register file that is actually targetable in a given cycle.
@@ -36,7 +35,7 @@ pub fn df_smem(cta_smem_bytes: u32, mean_ctas_per_sm: f64, smem_bytes_per_sm: u3
 }
 
 /// One structure's campaign result for a kernel, ready for equation (2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StructureResult {
     /// Structure name (paper terminology), for reports.
     pub structure: String,
@@ -77,7 +76,7 @@ pub fn avf_kernel(structures: &[StructureResult]) -> f64 {
 }
 
 /// One kernel's AVF with its cycle weight, for equation (3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelAvf {
     /// The kernel AVF from [`avf_kernel`].
     pub avf: f64,

@@ -1,10 +1,9 @@
 //! Fault-effect classes and campaign tallies.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The outcome class of one fault-injection run (paper §V.B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultEffect {
     /// Application completed, output and total cycles identical to the
     /// fault-free run.
@@ -66,7 +65,7 @@ impl fmt::Display for FaultEffect {
 }
 
 /// Counts of fault effects over a campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Masked runs.
     pub masked: u64,

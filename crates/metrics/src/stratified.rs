@@ -228,6 +228,7 @@ pub fn proportional_allocation(weights: &[f64], budget: usize) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::stat::margin_of_error;
+    use gpufi_sim::rng::splitmix64;
 
     fn tally(masked: u64, sdc: u64, crash: u64, timeout: u64, perf: u64) -> Tally {
         Tally {
@@ -239,18 +240,10 @@ mod tests {
         }
     }
 
-    /// splitmix64 — the same generator family the campaign engine uses for
-    /// per-run seeds; good enough for synthetic sampling.
-    fn mix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
+    /// A uniform draw in `[0, 1)` from a splitmix64 stream — the generator
+    /// the campaign engine derives per-run seeds with.
     fn unit(state: &mut u64) -> f64 {
-        (mix(state) >> 11) as f64 / (1u64 << 53) as f64
+        (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
     }
 
     #[test]

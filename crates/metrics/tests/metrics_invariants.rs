@@ -7,17 +7,14 @@ use gpufi_metrics::{
     avf_kernel, chip_fit, df_reg, df_smem, margin_of_error, sample_size, structure_fit, wavf,
     FaultEffect, KernelAvf, StructureResult, Tally,
 };
+use gpufi_sim::rng::splitmix64;
 
-/// splitmix64 — tiny, seedable, good enough to explore the input space.
+/// A splitmix64 stream — tiny, seedable, good enough to explore the input space.
 struct Prng(u64);
 
 impl Prng {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     fn below(&mut self, bound: u64) -> u64 {

@@ -7,7 +7,6 @@
 //! (Table I / Table V footnote).
 
 use crate::fault::Structure;
-use serde::{Deserialize, Serialize};
 
 /// Number of tag bits modelled per cache line (paper §IV.C.2).
 pub const TAG_BITS: u32 = 57;
@@ -16,7 +15,7 @@ pub const TAG_BITS: u32 = 57;
 pub const WARP_SIZE: u32 = 32;
 
 /// Geometry of one set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets.
     pub sets: u32,
@@ -80,7 +79,7 @@ impl CacheConfig {
 /// The defaults are in the range GPGPU-Sim uses for the modelled
 /// generations; the paper's conclusions depend on relative, not absolute,
 /// timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyConfig {
     /// Simple ALU op issue-to-writeback latency.
     pub alu: u32,
@@ -122,7 +121,7 @@ impl Default for LatencyConfig {
 }
 
 /// Warp scheduling policy of the SIMT cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerPolicy {
     /// GPGPU-Sim's greedy-then-oldest, here the oldest issuable warp
     /// first (the pick is made afresh every cycle); the default.
@@ -143,7 +142,7 @@ impl SchedulerPolicy {
 }
 
 /// Full configuration of one GPU chip.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuConfig {
     /// Marketing name, e.g. `"RTX 2060"`.
     pub name: String,

@@ -15,11 +15,10 @@
 //! space.
 
 use crate::mem::FlipOutcome;
-use serde::{Deserialize, Serialize};
 
 /// Whether a register-file or local-memory fault targets one thread or a
 /// whole warp (every lane receives the same flips — Table IV).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scope {
     /// A single active thread.
     Thread,
@@ -54,7 +53,7 @@ impl Scope {
 /// warp or CTA retires.  Stuck-at faults keep their site persistently
 /// tainted, which disables the transient "all faults fired + taint clear"
 /// early exit until the entity dies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum FaultModel {
     /// One-shot bit flips at the planned cycle (the default).
     #[default]
@@ -111,7 +110,7 @@ impl std::fmt::Display for FaultModel {
 
 /// The injectable hardware structures: the paper's six targets (Table IV),
 /// the L1 constant cache extension and the three control-unit sites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Structure {
     /// Per-thread registers of the register file.
     RegisterFile,
@@ -269,7 +268,7 @@ pub const SCHED_ENTRY_BITS: u64 = 33;
 pub const SCOREBOARD_ENTRY_BITS: u64 = 64;
 
 /// Where a planned fault lands.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum FaultTarget {
     /// Register-file bit flips in one thread or one warp.
     RegisterFile {
@@ -385,7 +384,7 @@ impl FaultTarget {
 }
 
 /// One fault scheduled at an absolute application cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlannedFault {
     /// Application cycle at which to inject.
     pub cycle: u64,
@@ -396,7 +395,7 @@ pub struct PlannedFault {
 /// A set of planned faults — single-bit, multi-bit, multi-entry and
 /// multi-structure campaigns are all expressed as lists of
 /// [`PlannedFault`]s.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct InjectionPlan {
     /// The faults, in any order (the GPU sorts by cycle when armed).
     pub faults: Vec<PlannedFault>,
@@ -421,7 +420,7 @@ impl InjectionPlan {
 }
 
 /// What actually happened when a planned fault was applied.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectionRecord {
     /// The cycle the fault was applied at (may exceed the planned cycle if
     /// the planned cycle fell between launches).
@@ -437,7 +436,7 @@ pub struct InjectionRecord {
 
 /// Sizes of the injectable fault spaces for one kernel on one chip — what
 /// the mask generator needs to draw concrete bit positions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpace {
     /// Registers allocated per thread (entries of the register-file space).
     pub regs_per_thread: u32,

@@ -1,10 +1,9 @@
 //! Grid and block geometry types.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 3-component extent or index, mirroring CUDA's `dim3`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dim3 {
     /// X component.
     pub x: u32,
@@ -71,7 +70,7 @@ impl fmt::Display for Dim3 {
 }
 
 /// A kernel launch shape: grid of CTAs × block of threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchDims {
     /// CTAs in the grid.
     pub grid: Dim3,

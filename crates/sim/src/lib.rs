@@ -81,6 +81,7 @@ mod gpu;
 mod grid;
 pub mod mem;
 pub mod oracle;
+pub mod rng;
 mod shadow;
 mod snapshot;
 mod stats;

@@ -29,7 +29,6 @@
 use crate::config::{CacheConfig, TAG_BITS};
 use crate::fast_hash::FastSet;
 use arrays::Arrays;
-use serde::{Deserialize, Serialize};
 
 /// Per-line heap accounting constant for [`Cache::resident_bytes`].
 ///
@@ -63,7 +62,7 @@ fn untaint(line: &mut Line, taints: &mut u32) {
 }
 
 /// Hit/miss counters, per cache instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookup operations that hit.
     pub hits: u64,
@@ -117,7 +116,7 @@ pub struct Writeback {
 }
 
 /// Where an injected bit flip landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlipOutcome {
     /// The targeted line was invalid; the flip has no architectural effect.
     InvalidLine,

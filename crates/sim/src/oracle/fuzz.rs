@@ -38,6 +38,7 @@
 use crate::config::GpuConfig;
 use crate::gpu::Gpu;
 use crate::grid::LaunchDims;
+use crate::rng::splitmix64;
 use gpufi_isa::Module;
 use std::fmt::Write as _;
 
@@ -71,11 +72,7 @@ impl FuzzRng {
 
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     /// Uniform draw in `0..n` (`n > 0`).

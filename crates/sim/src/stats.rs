@@ -1,10 +1,9 @@
 //! Execution statistics: per-launch and per-application.
 
 use crate::mem::CacheStats;
-use serde::{Deserialize, Serialize};
 
 /// Statistics of one kernel launch.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct LaunchStats {
     /// Kernel name.
     pub kernel: String,
@@ -87,7 +86,7 @@ impl LaunchStats {
 
 /// The cycle window of one kernel launch — the unit the fault-injection
 /// campaign samples injection cycles from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelWindow {
     /// Kernel name.
     pub kernel: String,
@@ -98,7 +97,7 @@ pub struct KernelWindow {
 }
 
 /// Statistics accumulated over a whole application run (all launches).
-#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq)]
 pub struct AppStats {
     /// One entry per kernel launch, in execution order.
     pub launches: Vec<LaunchStats>,

@@ -4,6 +4,7 @@
 //! former `proptest` strategies so the suite runs hermetically offline.
 
 use gpufi_sim::mem::Cache;
+use gpufi_sim::rng::splitmix64;
 use gpufi_sim::{CacheConfig, FlipOutcome, TAG_BITS};
 
 const LINE: usize = 16;
@@ -16,16 +17,12 @@ fn cfg() -> CacheConfig {
     }
 }
 
-/// splitmix64 — tiny, seedable, deterministic.
+/// A splitmix64 stream — tiny, seedable, deterministic.
 struct Prng(u64);
 
 impl Prng {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        splitmix64(&mut self.0)
     }
 
     fn below(&mut self, bound: u64) -> u64 {

@@ -67,6 +67,24 @@ fn titan_rejects_l1d_campaigns() {
     assert!(err.to_string().contains("L1 data cache"), "{err}");
 }
 
+/// Zero runs would estimate every class rate, and so the AVF and FIT, as
+/// zero: the draw every executor goes through refuses them.
+#[test]
+fn zero_run_campaigns_are_refused() {
+    let w = VectorAdd::new(256);
+    let card = GpuConfig::rtx2060();
+    let golden = profile(&w, &card).unwrap();
+    let cfg = CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 0, 1);
+    let err = run_campaign(&w, &card, &cfg, &golden).unwrap_err();
+    assert_eq!(err, CampaignError::NoRuns);
+    assert!(err.to_string().contains("at least one run"), "{err}");
+    let stratified = cfg.stratified();
+    let err = run_campaign(&w, &card, &stratified, &golden).unwrap_err();
+    assert_eq!(err, CampaignError::NoRuns);
+    let err = analyze(&w, &card, &AnalysisConfig::new(0, 1), &golden).unwrap_err();
+    assert_eq!(err, CampaignError::NoRuns);
+}
+
 #[test]
 fn kernel_scoped_campaign_validates_kernel_name() {
     let w = VectorAdd::new(256);
