@@ -416,21 +416,6 @@ impl MaskGenerator {
         })
     }
 
-    /// Draws a whole campaign: `runs` independent plans.
-    ///
-    /// # Errors
-    ///
-    /// See [`MaskGenerator::draw`].
-    pub fn campaign(
-        &mut self,
-        spec: &CampaignSpec,
-        space: &FaultSpace,
-        windows: &[KernelWindow],
-        runs: usize,
-    ) -> Result<Vec<InjectionPlan>, DrawError> {
-        (0..runs).map(|_| self.draw(spec, space, windows)).collect()
-    }
-
     /// Draws `k` distinct bit positions within one control-structure entry
     /// of `entry_bits` bits (entries are at most 64 bits wide).
     fn entry_u8_bits(&mut self, k: u32, entry_bits: u64) -> Vec<u8> {
@@ -665,17 +650,13 @@ mod tests {
     #[test]
     fn campaigns_are_reproducible() {
         let spec = CampaignSpec::new(Structure::L1Tex).bits(2);
-        let a = MaskGenerator::new(7)
-            .campaign(&spec, &space(), &windows(), 20)
-            .unwrap();
-        let b = MaskGenerator::new(7)
-            .campaign(&spec, &space(), &windows(), 20)
-            .unwrap();
-        assert_eq!(a, b);
-        let c = MaskGenerator::new(8)
-            .campaign(&spec, &space(), &windows(), 20)
-            .unwrap();
-        assert_ne!(a, c, "different seeds must differ");
+        let campaign = |seed| {
+            let mut g = MaskGenerator::new(seed);
+            let plans = (0..20).map(|_| g.draw(&spec, &space(), &windows()).unwrap());
+            plans.collect::<Vec<_>>()
+        };
+        assert_eq!(campaign(7), campaign(7));
+        assert_ne!(campaign(7), campaign(8), "different seeds must differ");
     }
 
     #[test]

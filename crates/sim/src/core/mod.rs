@@ -24,7 +24,6 @@
 
 use crate::config::{GpuConfig, SchedulerPolicy};
 use crate::error::Trap;
-use crate::fault::{Scope, SCHED_ENTRY_BITS, SCOREBOARD_ENTRY_BITS, SIMT_STACK_ENTRY_BITS};
 use crate::grid::LaunchDims;
 use crate::mem::{AccessKind, MemSystem, LOCAL_BASE};
 use crate::oracle::ThreadState;
@@ -58,6 +57,9 @@ macro_rules! lanes {
         }
     }};
 }
+
+mod site;
+pub(crate) use site::{resolve, Site};
 
 /// Per-launch immutable context shared by all cores.
 #[derive(Debug, Clone, Copy)]
@@ -144,7 +146,7 @@ fn arm<S: PartialEq>(sites: &mut Vec<(S, bool)>, site: S, stuck: Option<bool>) {
 /// harvested CTAs): register renaming and slot reallocation across
 /// launches are not modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WarpSite {
+pub(crate) enum WarpSite {
     /// Bit `bit` of register `reg` in lanes `lanes`.
     Reg { lanes: u32, reg: u16, bit: u8 },
     /// Bit `bit` of one SIMT-stack entry: `bit < 32` addresses the entry's
@@ -160,7 +162,7 @@ enum WarpSite {
 
 /// A fault site owned by a CTA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CtaSite {
+pub(crate) enum CtaSite {
     /// Shared-memory bit `bit`.
     Smem { bit: u64 },
     /// Bit `bit` of the CTA `barrier_arrived` counter.
@@ -537,17 +539,6 @@ impl Cta {
         }
         hit
     }
-}
-
-/// Identifies a warp for fault-injection bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarpHandle {
-    /// SM index.
-    pub sm: usize,
-    /// Resident-CTA slot within the SM.
-    pub cta_slot: usize,
-    /// Warp index within the CTA.
-    pub warp: usize,
 }
 
 /// Checkpoint-budget accounting constants: the per-struct byte estimates
@@ -1817,141 +1808,6 @@ impl SimtCore {
         self.ctas.len() as u64
     }
 
-    fn handle(&self, cta_slot: usize, warp: usize) -> WarpHandle {
-        WarpHandle {
-            sm: self.id,
-            cta_slot,
-            warp,
-        }
-    }
-
-    /// Resident-slot coordinates of the `n`-th live (not finished) warp.
-    fn nth_live_warp(&self, n: u64) -> Option<(usize, usize)> {
-        let mut remaining = n;
-        for (s, cta) in self.ctas.iter().enumerate() {
-            for (wi, warp) in cta.warps.iter().enumerate() {
-                if warp.finished {
-                    continue;
-                }
-                if remaining == 0 {
-                    return Some((s, wi));
-                }
-                remaining -= 1;
-            }
-        }
-        None
-    }
-
-    /// Resident-slot coordinates and lane of the `n`-th live thread.
-    fn nth_live_thread(&self, n: u64) -> Option<(usize, usize, usize)> {
-        let mut remaining = n;
-        for (s, cta) in self.ctas.iter().enumerate() {
-            for (wi, warp) in cta.warps.iter().enumerate() {
-                let cnt = u64::from(warp.live.count_ones());
-                if remaining < cnt {
-                    return Some((s, wi, set_bit_at(warp.live, remaining as u32)?));
-                }
-                remaining -= cnt;
-            }
-        }
-        None
-    }
-
-    /// Corrupts `bits` of register `reg` in the `n`-th live thread, or in
-    /// every live lane of the `n`-th live warp (the paper's warp-scope
-    /// register injection): `stuck = None` flips them once (transient);
-    /// `Some(v)` forces them to `v` and arms the cells for per-cycle
-    /// re-pinning.
-    ///
-    /// Returns the handle of the affected warp, or `None` when `n` exceeds
-    /// the live population or the register is out of the kernel's
-    /// allocation.
-    pub fn flip_reg(
-        &mut self,
-        scope: Scope,
-        n: u64,
-        reg: u32,
-        bits: &[u8],
-        stuck: Option<bool>,
-    ) -> Option<WarpHandle> {
-        let (s, wi, lanes) = self.reg_site(scope, n, reg)?;
-        let warp = &mut self.ctas[s].warps[wi];
-        for &b in bits {
-            let site = WarpSite::Reg {
-                lanes,
-                reg: reg as u16,
-                bit: b % 32,
-            };
-            warp.corrupt(site, stuck);
-        }
-        self.has_stuck |= stuck.is_some();
-        Some(self.handle(s, wi))
-    }
-
-    /// Where [`SimtCore::flip_reg`] lands: the CTA slot, warp and lanes,
-    /// or `None` as there.
-    fn reg_site(&self, scope: Scope, n: u64, reg: u32) -> Option<(usize, usize, u32)> {
-        let (s, wi, lanes) = match scope {
-            Scope::Thread => {
-                let (s, wi, lane) = self.nth_live_thread(n)?;
-                (s, wi, 1 << lane)
-            }
-            Scope::Warp => {
-                let (s, wi) = self.nth_live_warp(n)?;
-                (s, wi, self.ctas[s].warps[wi].live)
-            }
-        };
-        ((reg as usize) < self.ctas[s].warps[wi].regs.len()).then_some((s, wi, lanes))
-    }
-
-    /// Taints the slots [`SimtCore::flip_reg`] would, flipping no value,
-    /// and appends them to `marks`; `false` where it returns `None`.
-    pub(crate) fn mark_reg(
-        &mut self,
-        scope: Scope,
-        n: u64,
-        reg: u32,
-        bits: &[u8],
-        marks: &mut Vec<Mark>,
-    ) -> bool {
-        let Some((s, wi, lanes)) = self.reg_site(scope, n, reg) else {
-            return false;
-        };
-        let sm = self.id as u32;
-        let cta = &mut self.ctas[s];
-        let warp = &mut cta.warps[wi];
-        let r = reg as usize;
-        let live = if bits.is_empty() {
-            0
-        } else {
-            lanes & warp.live
-        };
-        let fresh = live & !warp.taint[r];
-        warp.taint[r] |= fresh;
-        warp.taint_cnt += fresh.count_ones();
-        let (seq, warp) = (cta.seq, warp.widx);
-        lanes!(live, lane => marks.push(Mark::Reg {
-            sm,
-            seq,
-            warp,
-            reg: reg as u16,
-            lane: lane as u8,
-        }));
-        true
-    }
-
-    /// The shared-memory slot [`SimtCore::flip_cta_smem`] flips, if the
-    /// CTA and bit exist.
-    pub(crate) fn smem_mark(&self, n: u64, bit: u64) -> Option<Mark> {
-        let cta = self.ctas.get(n as usize)?;
-        let sm = self.id as u32;
-        (bit / 8 < cta.smem.len() as u64).then_some(Mark::Smem {
-            sm,
-            seq: cta.seq,
-            bit,
-        })
-    }
-
     /// Sets or clears the taint of `mark` where its CTA is still resident,
     /// flipping no value.
     pub(crate) fn set_mark(&mut self, mark: Mark, on: bool) {
@@ -2011,105 +1867,6 @@ impl SimtCore {
         }
     }
 
-    /// Corrupts bit `bit` of the `n`-th resident CTA's shared-memory
-    /// instance; `stuck` as in [`SimtCore::flip_reg`].
-    ///
-    /// Returns `false` when the CTA or bit is out of range.
-    pub fn flip_cta_smem(&mut self, n: u64, bit: u64, stuck: Option<bool>) -> bool {
-        let Some(cta) = self.ctas.get_mut(n as usize) else {
-            return false;
-        };
-        let hit = cta.corrupt(CtaSite::Smem { bit }, stuck);
-        self.has_stuck |= hit && stuck.is_some();
-        hit
-    }
-
-    /// Bookkeeping shared by the control-unit sites: control state is read
-    /// by the scheduler every cycle, so the corruption counts as observed
-    /// immediately (no early exit).
-    fn control_hit(&mut self, s: usize, wi: usize, stuck: Option<bool>) -> Option<WarpHandle> {
-        self.has_stuck |= stuck.is_some();
-        self.escaped = true;
-        Some(self.handle(s, wi))
-    }
-
-    /// Corrupts `bits` of the SIMT-stack entry selected by `depth_lot` in
-    /// the `n`-th live warp: bit `< 32` flips a lane of the entry's mask,
-    /// bit `>= 32` flips bit `b - 32` of the entry pc.
-    ///
-    /// The stack's *top entry* is the warp's execution state itself — the
-    /// current active mask and pc live in the TOS registers of the real
-    /// reconvergence stack — so `depth_lot` addresses `stack.len() + 1`
-    /// entries and the last one corrupts `warp.active` / `warp.pc`
-    /// directly.  A warp always has a TOS, so a simt-stack fault on a live
-    /// warp always applies; only the pushed-frame entries can be
-    /// unoccupied.
-    ///
-    /// `stuck` as in [`SimtCore::flip_reg`].  Returns `None` when
-    /// the warp does not exist.
-    pub fn flip_simt_stack(
-        &mut self,
-        n: u64,
-        depth_lot: u64,
-        bits: &[u8],
-        stuck: Option<bool>,
-    ) -> Option<WarpHandle> {
-        let (s, wi) = self.nth_live_warp(n)?;
-        let warp = &mut self.ctas[s].warps[wi];
-        let depth = depth_lot % (warp.stack.len() as u64 + 1);
-        let depth = (depth < warp.stack.len() as u64).then_some(depth as u16);
-        for &b in bits {
-            let bit = (u64::from(b) % SIMT_STACK_ENTRY_BITS) as u8;
-            let site = WarpSite::Simt { depth, bit };
-            warp.corrupt(site, stuck);
-        }
-        self.control_hit(s, wi, stuck)
-    }
-
-    /// Corrupts `bits` of the warp-scheduler entry of the `n`-th live warp:
-    /// bit 0 is the `at_barrier` flag, bits `1..=32` address the owning
-    /// CTA's `barrier_arrived` counter.
-    ///
-    /// Same `stuck` and observability semantics as
-    /// [`SimtCore::flip_simt_stack`].
-    pub fn flip_sched(&mut self, n: u64, bits: &[u8], stuck: Option<bool>) -> Option<WarpHandle> {
-        let (s, wi) = self.nth_live_warp(n)?;
-        let cta = &mut self.ctas[s];
-        for &b in bits {
-            match (u64::from(b) % SCHED_ENTRY_BITS) as u8 {
-                0 => {
-                    cta.warps[wi].corrupt(WarpSite::AtBarrier, stuck);
-                }
-                b => {
-                    cta.corrupt(CtaSite::BarrierArrived { bit: b - 1 }, stuck);
-                }
-            }
-        }
-        self.control_hit(s, wi, stuck)
-    }
-
-    /// Corrupts `bits` of the issue-scoreboard entry (the 64-bit `ready_at`
-    /// cycle) of the `n`-th live warp.
-    ///
-    /// Same `stuck` and observability semantics as
-    /// [`SimtCore::flip_simt_stack`].
-    pub fn flip_scoreboard(
-        &mut self,
-        n: u64,
-        bits: &[u8],
-        stuck: Option<bool>,
-    ) -> Option<WarpHandle> {
-        let (s, wi) = self.nth_live_warp(n)?;
-        let warp = &mut self.ctas[s].warps[wi];
-        for &b in bits {
-            let site = WarpSite::ReadyAt {
-                bit: (u64::from(b) % SCOREBOARD_ENTRY_BITS) as u8,
-            };
-            warp.corrupt(site, stuck);
-        }
-        self.control_hit(s, wi, stuck)
-    }
-
     /// Re-pins every armed stuck-at site on this core; O(1) when none are.
     ///
     /// Called once per core cycle *after* issue, so an architectural write
@@ -2148,36 +1905,6 @@ impl SimtCore {
             .iter()
             .any(|c| c.live_warps > 0 && c.barrier_arrived > 0)
     }
-
-    /// The global linear thread id of the `n`-th live thread (for local
-    /// memory targeting), if it exists.
-    pub fn nth_live_thread_global_id(&self, n: u64, ctx: &KernelCtx<'_>) -> Option<u64> {
-        let (s, wi, lane) = self.nth_live_thread(n)?;
-        let cta = &self.ctas[s];
-        let tpc = u64::from(ctx.threads_per_cta());
-        Some(cta.linear * tpc + u64::from(cta.warps[wi].widx) * LANES as u64 + lane as u64)
-    }
-}
-
-/// Reduces `lot` modulo the chip-wide population that `count` reports per
-/// core and walks `cores` to its owner: the owning core and the core-local
-/// index, or `None` when the population is empty.  Every fault site is
-/// resolved through it.
-pub(crate) fn nth_live(
-    cores: &mut [SimtCore],
-    lot: u64,
-    count: fn(&SimtCore) -> u64,
-) -> Option<(&mut SimtCore, u64)> {
-    let total: u64 = cores.iter().map(count).sum();
-    let mut n = lot.checked_rem(total)?;
-    for c in cores {
-        let cnt = count(c);
-        if n < cnt {
-            return Some((c, n));
-        }
-        n -= cnt;
-    }
-    None
 }
 
 /// The bit of `Cta::smem_words` for the shared-memory word at bit `lo`.

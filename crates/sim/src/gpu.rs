@@ -2,11 +2,9 @@
 //! loop, and the fault-injection port.
 
 use crate::config::GpuConfig;
-use crate::core::{nth_live, KernelCtx, SimtCore};
+use crate::core::{resolve, KernelCtx, SimtCore, Site};
 use crate::error::{LaunchError, Trap};
-use crate::fault::{
-    FaultModel, FaultSpace, FaultTarget, InjectionPlan, InjectionRecord, PlannedFault, Scope,
-};
+use crate::fault::{FaultModel, FaultSpace, InjectionPlan, InjectionRecord, PlannedFault};
 use crate::grid::LaunchDims;
 use crate::mem::{FlipOutcome, MemSystem};
 use crate::oracle::{DivergenceReport, OracleMirror, ThreadState};
@@ -854,7 +852,7 @@ impl Gpu {
                 }
                 self.mem.validity_top(self.cycle);
                 if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
-                    sh.top(self.cycle, &mut self.cores);
+                    sh.top(self.cycle, &mut self.cores, &self.mem, &ctx);
                 }
             }
             // Reconvergence (forked runs only), also before fault firing,
@@ -1099,8 +1097,9 @@ impl Gpu {
     // Fault application
     // ------------------------------------------------------------------
 
-    /// Resolves and applies one planned fault against the current dynamic
-    /// state (the paper's back-end, §IV.B).
+    /// Resolves one planned fault against the current dynamic state and
+    /// corrupts every site it lands on (the paper's back-end, §IV.B; see
+    /// [`crate::core::resolve`]).
     ///
     /// Under a stuck-at model ([`Gpu::arm_faults`]) every site pins its
     /// bits instead of flipping them.  A permanent fault on a structure
@@ -1110,82 +1109,25 @@ impl Gpu {
     fn apply_fault(&mut self, fault: &PlannedFault, ctx: &KernelCtx<'_>) -> InjectionRecord {
         let structure = fault.target.structure();
         let stuck = self.fault_model.stuck_value();
+        let sites = (stuck.is_none() || structure.supports_stuck_at())
+            .then(|| resolve(&fault.target, &self.cores, &self.mem, ctx))
+            .flatten();
         let mut outcomes = Vec::new();
-        let applied = match &fault.target {
-            _ if stuck.is_some() && !structure.supports_stuck_at() => false,
-            FaultTarget::RegisterFile {
-                scope,
-                entry_lot,
-                reg,
-                bits,
-            } => {
-                let count = match scope {
-                    Scope::Thread => SimtCore::live_thread_count,
-                    Scope::Warp => SimtCore::live_warp_count,
-                };
-                nth_live(&mut self.cores, *entry_lot, count)
-                    .and_then(|(c, n)| c.flip_reg(*scope, n, *reg, bits, stuck))
-                    .is_some()
-            }
-            FaultTarget::LocalMemory { entry_lot, bits } => {
-                let lmem_bits = u64::from(ctx.kernel.lmem_bytes()) * 8;
-                let tid = nth_live(&mut self.cores, *entry_lot, SimtCore::live_thread_count)
-                    .filter(|_| lmem_bits > 0)
-                    .and_then(|(c, n)| c.nth_live_thread_global_id(n, ctx));
-                let mut any = false;
-                if let Some(t) = tid {
-                    for &b in bits {
-                        any |= self.mem.flip_local_bit(t * lmem_bits + (b % lmem_bits));
-                    }
+        for &site in sites.iter().flatten() {
+            match site {
+                Site::Core { sm, site } => self.cores[sm].corrupt(site, stuck),
+                Site::Local { bit } => {
+                    self.mem.flip_local_bit(bit);
                 }
-                any
+                Site::Cache(bit) => outcomes.push(self.mem.flip_cache_bit(bit)),
             }
-            FaultTarget::SharedMemory {
-                cta_lot,
-                replicate,
-                bits,
-            } => {
-                let mut any = false;
-                for r in 0..u64::from((*replicate).max(1)) {
-                    let lot = cta_lot.wrapping_add(r);
-                    if let Some((c, n)) = nth_live(&mut self.cores, lot, SimtCore::cta_count) {
-                        for &b in bits {
-                            any |= c.flip_cta_smem(n, b, stuck);
-                        }
-                    }
-                }
-                any
-            }
-            FaultTarget::L1Data { .. }
-            | FaultTarget::L1Tex { .. }
-            | FaultTarget::L1Const { .. }
-            | FaultTarget::L2 { .. } => {
-                // No outcome: a card without an L1D has nothing to flip.
-                outcomes = self.mem.flip_cache_fault(&fault.target);
-                outcomes.iter().any(|o| *o != FlipOutcome::InvalidLine)
-            }
-            FaultTarget::SimtStack {
-                entry_lot,
-                depth_lot,
-                bits,
-            } => nth_live(&mut self.cores, *entry_lot, SimtCore::live_warp_count)
-                .and_then(|(c, n)| c.flip_simt_stack(n, *depth_lot, bits, stuck))
-                .is_some(),
-            FaultTarget::Sched { entry_lot, bits } => {
-                nth_live(&mut self.cores, *entry_lot, SimtCore::live_warp_count)
-                    .and_then(|(c, n)| c.flip_sched(n, bits, stuck))
-                    .is_some()
-            }
-            FaultTarget::Scoreboard { entry_lot, bits } => {
-                nth_live(&mut self.cores, *entry_lot, SimtCore::live_warp_count)
-                    .and_then(|(c, n)| c.flip_scoreboard(n, bits, stuck))
-                    .is_some()
-            }
-        };
+        }
+        // A cache fault applies where some flip lands in a valid line.
+        let valid = outcomes.iter().any(|o| *o != FlipOutcome::InvalidLine);
         InjectionRecord {
             cycle: self.cycle,
             structure: structure.name(),
-            applied,
+            applied: sites.is_some() && (outcomes.is_empty() || valid),
             outcomes,
         }
     }

@@ -86,7 +86,7 @@ mod shadow;
 mod snapshot;
 mod stats;
 
-pub use crate::core::{KernelCtx, SimtCore, WarpHandle};
+pub use crate::core::{KernelCtx, SimtCore};
 pub use config::{CacheConfig, GpuConfig, LatencyConfig, SchedulerPolicy, TAG_BITS, WARP_SIZE};
 pub use config_file::ConfigError;
 pub use error::{LaunchError, Trap};

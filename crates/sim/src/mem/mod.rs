@@ -6,6 +6,6 @@ mod system;
 mod validity;
 
 pub use cache::{Cache, CacheStats, FlipOutcome, Writeback};
-pub(crate) use system::runs;
+pub(crate) use system::{runs, CacheBit};
 pub use system::{AccessKind, MemSystem, GLOBAL_BASE, LOCAL_BASE};
 pub(crate) use validity::Timeline;

@@ -27,11 +27,11 @@ use crate::fault::{FaultTarget, PlannedFault, Structure};
 /// One bit of a cache fault, resolved against the memory system: its
 /// cache (`unit` is the SM of an L1, the bank of the L2) and its index in
 /// that cache's injectable space.
-#[derive(Debug, Clone, Copy)]
-struct CacheBit {
-    structure: Structure,
-    unit: usize,
-    bit: u64,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CacheBit {
+    pub(crate) structure: Structure,
+    pub(crate) unit: usize,
+    pub(crate) bit: u64,
 }
 
 /// First byte address of the global (device-malloc) segment.
@@ -1090,7 +1090,7 @@ impl MemSystem {
     /// flat space across banks.  Each bit is reduced modulo its space.
     /// `None` for a target outside the caches; empty for the L1D of a card
     /// without one.  The flip and the golden-run query both map bits here.
-    fn cache_bits(&self, target: &FaultTarget) -> Option<Vec<CacheBit>> {
+    pub(crate) fn cache_bits(&self, target: &FaultTarget) -> Option<Vec<CacheBit>> {
         let structure = target.structure();
         match target {
             FaultTarget::L1Data {
@@ -1138,18 +1138,11 @@ impl MemSystem {
         }
     }
 
-    /// Flips every bit of cache fault `target` (see
-    /// [`MemSystem::cache_bits`]), returning where each flip landed; none
-    /// for a target outside the caches.
-    pub(crate) fn flip_cache_fault(&mut self, target: &FaultTarget) -> Vec<FlipOutcome> {
-        let sites = self.cache_bits(target).unwrap_or_default();
-        sites
-            .iter()
-            .map(|c| {
-                let cache = self.cache_mut(c.structure, c.unit);
-                cache.expect("a resolved cache bit").flip_bit(c.bit)
-            })
-            .collect()
+    /// Flips cache bit `c` (see [`MemSystem::cache_bits`]), returning where
+    /// the flip landed.
+    pub(crate) fn flip_cache_bit(&mut self, c: CacheBit) -> FlipOutcome {
+        let cache = self.cache_mut(c.structure, c.unit);
+        cache.expect("a resolved cache bit").flip_bit(c.bit)
     }
 
     /// Whether cache fault `fault`, in a run that is the golden run up to
@@ -1168,6 +1161,11 @@ impl MemSystem {
                     timeline.invalid_at(c.structure, c.unit, line as u32, fault.cycle)
                 })
             })
+    }
+
+    /// The size of the local-memory backing segment in bits.
+    pub(crate) fn local_bits(&self) -> u64 {
+        self.local.len() as u64 * 8
     }
 
     /// Flips a bit in the local-memory backing segment.
@@ -1290,6 +1288,12 @@ mod tests {
             replicate: 1,
             bits: vec![bit],
         }
+    }
+
+    /// Flips every bit of cache fault `target`, as a run applies it.
+    fn flip(m: &mut MemSystem, target: &FaultTarget) -> Vec<FlipOutcome> {
+        let sites = m.cache_bits(target).expect("a cache fault");
+        sites.into_iter().map(|c| m.flip_cache_bit(c)).collect()
     }
 
     fn tiny_gpu() -> GpuConfig {
@@ -1416,7 +1420,7 @@ mod tests {
         let mut flipped = false;
         for line in 0..m.l1d_bits().unwrap() / bpl {
             let bit = line * bpl + u64::from(crate::config::TAG_BITS);
-            if m.flip_cache_fault(&l1d_bit(bit)) == [FlipOutcome::Data] {
+            if flip(&mut m, &l1d_bit(bit)) == [FlipOutcome::Data] {
                 flipped = true;
                 break;
             }
@@ -1439,7 +1443,7 @@ mod tests {
         let mut hit = false;
         for line in 0..lines {
             let bit = line * bpl + u64::from(crate::config::TAG_BITS);
-            if m.flip_cache_fault(&FaultTarget::L2 { bits: vec![bit] }) == [FlipOutcome::Data] {
+            if flip(&mut m, &FaultTarget::L2 { bits: vec![bit] }) == [FlipOutcome::Data] {
                 hit = true;
                 break;
             }
@@ -1642,7 +1646,7 @@ mod tests {
                     bits,
                 },
             };
-            m.flip_cache_fault(&target) == [FlipOutcome::Data]
+            flip(m, &target) == [FlipOutcome::Data]
         });
         assert!(landed, "the line of {addr:#x} is resident");
         assert_eq!(m.taint_count(), 1);
@@ -1783,7 +1787,7 @@ mod tests {
             m.load4(0, AccessKind::Global, a).unwrap();
         }
         let way1 = (set * u64::from(l1d.ways) + 1) * l1d.bits_per_line();
-        assert_eq!(m.flip_cache_fault(&l1d_bit(way1 + 1)), [FlipOutcome::Tag]);
+        assert_eq!(flip(&mut m, &l1d_bit(way1 + 1)), [FlipOutcome::Tag]);
         let lanes: Vec<_> = (0..4).map(|l| (l, g + 4 * l as u32)).collect();
         let op = Op::Store(AccessKind::Global);
         assert_lane_calls_agree(&m, op, &lanes, "aliased L1D line");
@@ -1818,7 +1822,7 @@ mod tests {
         let m = MemSystem::new(&GpuConfig::gtx_titan());
         assert!(m.l1d_bits().is_none());
         let mut m = m;
-        assert!(m.flip_cache_fault(&l1d_bit(0)).is_empty());
+        assert!(flip(&mut m, &l1d_bit(0)).is_empty());
     }
 
     #[test]

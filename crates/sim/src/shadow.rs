@@ -10,12 +10,14 @@
 //! over the word kills a mark, and only a read of a marked slot makes the
 //! run differ.  So the recording pass fires every shadowed plan's faults
 //! where a run would fire them — at the first cycle-loop top at or after
-//! each fault's cycle, through the same site resolution — and lays only
-//! their taint marks, flipping no value.  The cores log every marked slot
-//! the golden run reads or kills, and a plan none of whose marks is ever
-//! read gets its run's record without the run: Masked at the golden cycle
-//! count, `applied` as its sites resolved, and ended by the early exit if
-//! a taint check follows its last mark's death.
+//! each fault's cycle — and takes their sites from the resolver the run
+//! uses ([`resolve`]): it turns each register or shared-memory site into
+//! the taint marks the flip would set, flipping no value, and reduces no
+//! lot itself.  The cores log every marked slot the golden run reads or
+//! kills, and a plan none of whose marks is ever read gets its run's
+//! record without the run: Masked at the golden cycle count, `applied` as
+//! [`resolve`] answered, and ended by the early exit if a taint check
+//! follows its last mark's death.
 //!
 //! Marks of different plans never interact: the cores hold their union,
 //! and this module which plan holds which slot.  A slot's union mark stays
@@ -30,10 +32,11 @@
 //! run's iteration count from its last fault on is one more than the
 //! golden run's.
 
-use crate::core::{nth_live, Mark, SimtCore};
+use crate::core::{resolve, KernelCtx, Mark, SimtCore, Site};
 use crate::fast_hash::FastMap;
-use crate::fault::{FaultTarget, InjectionPlan, Scope};
+use crate::fault::{FaultTarget, InjectionPlan};
 use crate::gpu::EE_STRIDE;
+use crate::mem::MemSystem;
 use crate::snapshot::Settled;
 use std::collections::HashMap;
 
@@ -153,12 +156,18 @@ impl Shadows {
     }
 
     /// A loop top at `cycle`: fires every shadowed fault due there.
-    pub(crate) fn top(&mut self, cycle: u64, cores: &mut [SimtCore]) {
+    pub(crate) fn top(
+        &mut self,
+        cycle: u64,
+        cores: &mut [SimtCore],
+        mem: &MemSystem,
+        ctx: &KernelCtx<'_>,
+    ) {
         self.tops += 1;
         self.drop_escaped(cores);
         while let Some(&(at, p, k)) = self.due.get(self.next).filter(|d| d.0 <= cycle) {
             self.next += 1;
-            self.fire(p, k, cores);
+            self.fire(p, k, cores, mem, ctx);
             let s = &mut self.plans[p];
             s.unfired -= 1;
             if s.unfired == 0 {
@@ -167,68 +176,47 @@ impl Shadows {
         }
     }
 
-    /// Lays fault `k` of plan `p`'s marks, resolving its sites as
-    /// `Gpu::apply_fault` does.
-    fn fire(&mut self, p: usize, k: usize, cores: &mut [SimtCore]) {
+    /// Lays the marks of fault `k` of plan `p` on the sites
+    /// [`resolve`] finds for it, as a run's flips would taint them.
+    fn fire(
+        &mut self,
+        p: usize,
+        k: usize,
+        cores: &mut [SimtCore],
+        mem: &MemSystem,
+        ctx: &KernelCtx<'_>,
+    ) {
         let Shadows { plans, holders, .. } = self;
         let s = &mut plans[p];
-        match &s.plan.faults[k].target {
-            FaultTarget::RegisterFile {
-                scope,
-                entry_lot,
-                reg,
-                bits,
-            } => {
-                let count = match scope {
-                    Scope::Thread => SimtCore::live_thread_count,
-                    Scope::Warp => SimtCore::live_warp_count,
-                };
-                let mut marks = Vec::new();
-                s.applied |= nth_live(cores, *entry_lot, count)
-                    .is_some_and(|(c, n)| c.mark_reg(*scope, n, *reg, bits, &mut marks));
-                for m in marks {
-                    let h = holders.entry(m).or_default();
-                    if !h.contains(&p) {
+        let Some(sites) = resolve(&s.plan.faults[k].target, cores, mem, ctx) else {
+            return;
+        };
+        s.applied = true;
+        for site in sites {
+            let Site::Core { sm, site } = site else {
+                unreachable!("only register-file and shared-memory plans are shadowed")
+            };
+            let c = &mut cores[sm];
+            for m in c.marks(site) {
+                let h = holders.entry(m).or_default();
+                let held = h.iter().position(|&q| q == p);
+                if let (Mark::Smem { .. }, Some(i)) = (m, held) {
+                    // A transient flip of a shared-memory bit is a toggle.
+                    h.swap_remove(i);
+                    s.live -= 1;
+                    if h.is_empty() {
+                        holders.remove(&m);
+                        c.set_mark(m, false);
+                    }
+                } else {
+                    if held.is_none() {
                         h.push(p);
                         s.live += 1;
                         s.taken.push(m);
                     }
+                    c.set_mark(m, true);
                 }
             }
-            FaultTarget::SharedMemory {
-                cta_lot,
-                replicate,
-                bits,
-            } => {
-                for r in 0..u64::from((*replicate).max(1)) {
-                    let lot = cta_lot.wrapping_add(r);
-                    let Some((c, n)) = nth_live(cores, lot, SimtCore::cta_count) else {
-                        continue;
-                    };
-                    for &b in bits {
-                        let Some(m) = c.smem_mark(n, b) else {
-                            continue;
-                        };
-                        s.applied = true;
-                        // A transient flip of a bit is a toggle.
-                        let h = holders.entry(m).or_default();
-                        if let Some(i) = h.iter().position(|&q| q == p) {
-                            h.swap_remove(i);
-                            s.live -= 1;
-                            if h.is_empty() {
-                                holders.remove(&m);
-                                c.set_mark(m, false);
-                            }
-                        } else {
-                            h.push(p);
-                            s.live += 1;
-                            s.taken.push(m);
-                            c.set_mark(m, true);
-                        }
-                    }
-                }
-            }
-            _ => unreachable!("only register-file and shared-memory plans are shadowed"),
         }
     }
 

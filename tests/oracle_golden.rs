@@ -121,17 +121,21 @@ fn clean_lockstep_run_latches_nothing() {
     assert!(gpu.oracle_divergence().is_none());
 }
 
-/// `--oracle-check` on the register file of VA, SP, NW and GE and on
-/// BFS's L2 on another chip: every record is the default engine's, agrees
-/// with a cold, fully simulated, unpruned run of it, and every shortcut
-/// verdict — pre-classification, early exit, reconvergence — is
-/// confirmed.  The stuck-at, checkpoint and reconvergence campaigns are
+/// `--oracle-check` on the register file of VA, SP, NW and GE, on BFS's
+/// L2 on another chip, on the three control-unit structures (GE's SIMT
+/// stack stuck-at-0, NW's scoreboard, LUD's scheduler) and on HS's shared
+/// memory stuck-at-0 on the GTX Titan: every record is the default
+/// engine's, agrees with a cold, fully simulated, unpruned run of it, and
+/// every shortcut verdict — pre-classification, early exit,
+/// reconvergence — is confirmed.  The stuck-at, checkpoint and reconvergence campaigns are
 /// oracle-checked the same way in `stuck_at.rs`, `checkpoint.rs`,
 /// `early_exit.rs` and `reconverge.rs`.
 #[test]
 fn oracle_check_campaign_verifies_every_masked_run() {
     let (rtx, gv100) = (GpuConfig::rtx2060(), GpuConfig::quadro_gv100());
+    let titan = GpuConfig::gtx_titan();
     let spec = CampaignSpec::new;
+    let stuck_at_0 = |s| spec(s).model(FaultModel::StuckAt0);
     // (benchmark, card, fault shape, runs, seed, early exits expected)
     #[rustfmt::skip]
     let rows = [
@@ -141,15 +145,20 @@ fn oracle_check_campaign_verifies_every_masked_run() {
         ("GE", &rtx, spec(Structure::RegisterFile), 60, 23, true),
         ("SP", &rtx, spec(Structure::RegisterFile), 60, 9, false),
         ("BFS", &gv100, spec(Structure::L2), 200, 11, false),
+        ("GE", &rtx, stuck_at_0(Structure::SimtStack), 60, 11, false),
+        ("NW", &rtx, spec(Structure::Scoreboard), 100, 11, false),
+        ("LUD", &rtx, spec(Structure::Sched), 100, 11, true),
+        ("HS", &titan, stuck_at_0(Structure::SharedMemory), 100, 11, true),
     ];
     for (name, card, spec, runs, seed, exits) in rows {
+        let rf = spec.structure == Structure::RegisterFile;
         let (checked, _) = common::oracle_check(name, card, spec, runs, seed);
         let s = &checked.stats;
         assert!(
             !exits || s.early_exits > 0,
             "{name} seed {seed}: no run exercised early exit"
         );
-        if name == "NW" {
+        if name == "NW" && rf {
             // Both pre-classification granularities are checked.
             assert!(s.static_pruned > 0, "NW: no dead-register run");
             assert!(s.static_bit_pruned > 0, "NW: no dead-bit run");
