@@ -148,9 +148,11 @@ injection cycle and abort it as soon as every injected fault's lifetime
 has provably ended, or its state has reconverged with a later
 checkpoint (classified Masked at the golden cycle count); a run whose
 flips all land in cache lines invalid where they fire, or all die unread
-in the register file or shared memory, is settled: it gets its fork's
-record unsimulated (early exits and restores count it as that fork;
-`settled` counts every settled run, cold starts included);
+in the register file or shared memory, or whose register-file or
+shared-memory flips only change data and the output, is settled: it
+gets its fork's record unsimulated, Masked or SDC at the golden cycle
+count (early exits and restores count it as that fork; `settled` counts
+every settled run, Masked or SDC, cold starts included);
 --oracle-check runs the golden pass in lockstep with the functional
 reference interpreter, resolves every run as the default engine does
 (same CSV and journal) and re-runs it cold, fully simulated and

@@ -13,7 +13,9 @@ use gpufi_isa::analysis::dead_bit_masks;
 use gpufi_metrics::{proportional_allocation, stratified_estimate, StratumObservation};
 use gpufi_metrics::{FaultEffect, Tally};
 use gpufi_sim::rng::{splitmix64, GAMMA};
-use gpufi_sim::{CheckpointStore, FaultTarget, Gpu, GpuConfig, InjectionPlan, KernelWindow, Trap};
+use gpufi_sim::{
+    CheckpointStore, FaultTarget, Gpu, GpuConfig, InjectionPlan, KernelWindow, SettledEffect, Trap,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -655,7 +657,8 @@ pub(crate) fn record_store(
     let unclassified = |run: &&RunPlan| drawn.pre_classify(run, golden_cycles).is_none();
     gpu.shadow_plans(drawn.plans.iter().filter(unclassified).map(|run| &run.plan));
     workload.run(&mut gpu).ok()?;
-    Some(Arc::new(gpu.finish_checkpoint_recording()))
+    let store = gpu.finish_checkpoint_recording_with(&golden.output, |gpu| workload.run(gpu).ok());
+    Some(Arc::new(store))
 }
 
 /// Runs the workload once with the differential oracle attached,
@@ -696,14 +699,17 @@ impl OracleVerdict {
     /// image is the oracle's.
     ///
     /// Effect and cycles must match; `applied` unless pre-classified (the
-    /// record asserts it unobserved); and a shortcut — any rung but
+    /// record asserts it unobserved); and a Masked shortcut — any rung but
     /// [`Rung::Simulated`], or an early exit — must leave the reference in
-    /// the oracle's image.  `rec` must also hold the record invariants,
+    /// the oracle's image (a settled SDC run's reference ends on another
+    /// image by definition).  `rec` must also hold the record invariants,
     /// which the reference cannot dodge by sharing a defect: an early exit
     /// or an unapplied plan is Masked at `golden_cycles`, Masked means
-    /// `golden_cycles` and Performance any other count, and the fork
-    /// skipped no cycle past the run's `first_cycle`.  `sim_panic` records
-    /// are not compared.
+    /// `golden_cycles` and Performance any other count, a settled run is
+    /// Masked or SDC at `golden_cycles` with no detail, a settled SDC run
+    /// is applied and did not exit early, and the fork skipped no cycle
+    /// past the run's `first_cycle`.  `sim_panic` records are not
+    /// compared.
     fn of(
         rec: &RunRecord,
         rung: Rung,
@@ -721,6 +727,14 @@ impl OracleVerdict {
         let sound = (masked_at_golden || (rec.applied && !rec.early_exit))
             && (rec.effect != FaultEffect::Masked || at_golden)
             && (rec.effect != FaultEffect::Performance || !at_golden)
+            && (rung != Rung::Settled
+                || (at_golden
+                    && rec.detail == RunDetail::None
+                    && match rec.effect {
+                        FaultEffect::Masked => true,
+                        FaultEffect::Sdc => rec.applied && !rec.early_exit,
+                        _ => false,
+                    }))
             && rec.ckpt_skipped_cycles <= first_cycle;
         let shortcut = rung != Rung::Simulated || rec.early_exit;
         let agree = sound
@@ -728,7 +742,7 @@ impl OracleVerdict {
                 (r.effect, r.cycles) == (rec.effect, rec.cycles)
                     && (rung == Rung::PreClassified || r.applied == rec.applied)
             })
-            && (!shortcut || image_matches());
+            && (!shortcut || rec.effect != FaultEffect::Masked || image_matches());
         OracleVerdict {
             checked: true,
             verified: shortcut && agree,
@@ -800,7 +814,7 @@ impl RunEnv<'_> {
     /// The record of a run the checkpoint store settles
     /// ([`CheckpointStore::settle`]), without simulating it: the one its
     /// fork — or its cold start, before the first checkpoint — writes,
-    /// Masked at the golden cycle count.
+    /// Masked or SDC at the golden cycle count.
     fn settle(&self, run: &RunPlan) -> Option<RunRecord> {
         let store = self.store.as_ref()?;
         let settled = store.settle(&run.plan)?;
@@ -808,7 +822,10 @@ impl RunEnv<'_> {
             .nearest_at_or_before(run.first_cycle)
             .map_or(0, |idx| store.snapshot_cycle(idx));
         Some(RunRecord {
-            effect: FaultEffect::Masked,
+            effect: match settled.effect {
+                SettledEffect::Masked => FaultEffect::Masked,
+                SettledEffect::Sdc => FaultEffect::Sdc,
+            },
             cycles: self.golden.total_cycles(),
             applied: settled.applied,
             early_exit: settled.early_exit,
@@ -1135,6 +1152,22 @@ pub(crate) struct Drawn {
     /// service handshake exchanges: [`describe`], the `chip` and, when
     /// stratified, the `strata` layout hash.
     pub(crate) campaign: Value,
+}
+
+/// The fault plan each run of the campaign `cfg` injects, in run order:
+/// what [`run_campaign`] draws before it runs anything.
+///
+/// # Errors
+///
+/// As [`run_campaign`] before its first run: no runs, or no fault to draw.
+pub fn campaign_plans(
+    workload: &dyn Workload,
+    card: &GpuConfig,
+    cfg: &CampaignConfig,
+    golden: &GoldenProfile,
+) -> Result<Vec<InjectionPlan>, CampaignError> {
+    let drawn = draw(workload, card, cfg, golden)?;
+    Ok(drawn.plans.into_iter().map(|run| run.plan).collect())
 }
 
 /// Draws every run's plan up front (so draw errors surface before any
@@ -1710,6 +1743,35 @@ mod tests {
             resolved(Rung::Settled, &masked, Some(&unapplied), true),
             disagree
         );
+        // A settled SDC run agrees with an SDC reference at golden cycles,
+        // whose image is not the oracle's by definition.
+        let at_golden = |rec: RunRecord| RunRecord {
+            cycles: 1000,
+            ..rec
+        };
+        let settled_sdc = at_golden(sdc);
+        assert_eq!(
+            resolved(Rung::Settled, &settled_sdc, Some(&settled_sdc), false),
+            short_agree
+        );
+        assert_eq!(
+            resolved(Rung::Settled, &settled_sdc, Some(&masked), true),
+            disagree
+        );
+        // A settled run is Masked or SDC at golden cycles with no detail,
+        // even against a reference that shares its defect.
+        let settled = |rec: RunRecord| resolved(Rung::Settled, &rec, Some(&rec), true);
+        assert_eq!(settled(settled_sdc), short_agree);
+        assert_eq!(settled(sdc), disagree);
+        let crash = record(Crash, true, false, RunDetail::None);
+        assert_eq!(settled(at_golden(crash)), disagree);
+        let detailed = record(Sdc, true, false, RunDetail::Deadlock);
+        assert_eq!(settled(at_golden(detailed)), disagree);
+        // A settled SDC run is applied and did not exit early.
+        let unapplied_sdc = record(Sdc, false, false, RunDetail::None);
+        assert_eq!(settled(at_golden(unapplied_sdc)), disagree);
+        let exited_sdc = record(Sdc, true, true, RunDetail::None);
+        assert_eq!(settled(at_golden(exited_sdc)), disagree);
         // A simulated run must agree on `applied`; its image is not asked.
         assert_eq!(of(&masked, Some(&unapplied), true), disagree);
         assert_eq!(of(&masked, Some(&masked), false), agree);

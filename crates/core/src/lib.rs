@@ -71,8 +71,9 @@ mod workload;
 
 pub use analysis::{analyze, AnalysisConfig, AppAnalysis, EffectRates, StructureOutcome};
 pub use campaign::{
-    run_campaign, run_campaign_with_hook, CampaignConfig, CampaignError, CampaignResult,
-    CampaignStats, FaultHook, RunRecord, Rung, WorkerThroughput, DEFAULT_CHECKPOINT_BUDGET,
+    campaign_plans, run_campaign, run_campaign_with_hook, CampaignConfig, CampaignError,
+    CampaignResult, CampaignStats, FaultHook, RunRecord, Rung, WorkerThroughput,
+    DEFAULT_CHECKPOINT_BUDGET,
 };
 pub use classify::{classify, detail_of, RunDetail};
 pub use profile::{profile, GoldenProfile};

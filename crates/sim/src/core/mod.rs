@@ -28,8 +28,7 @@ use crate::grid::LaunchDims;
 use crate::mem::{AccessKind, MemSystem, LOCAL_BASE};
 use crate::oracle::ThreadState;
 use gpufi_isa::decode::{Uop, UopOp, GUARD_NEGATE, NO_GUARD, NO_REG};
-use gpufi_isa::semantics as exec;
-use gpufi_isa::{BitOp, FloatOp, FloatUnOp, IntOp, Kernel, OpClass, SpecialReg};
+use gpufi_isa::{Kernel, OpClass, SpecialReg};
 
 /// Warp width; SASS-lite fixes this at 32 like every modelled generation.
 const LANES: usize = 32;
@@ -58,6 +57,7 @@ macro_rules! lanes {
     }};
 }
 
+pub(crate) mod lane;
 mod site;
 pub(crate) use site::{resolve, Site};
 
@@ -170,10 +170,11 @@ pub(crate) enum CtaSite {
 }
 
 /// One slot a checkpoint recording marks for a shadowed plan (see
-/// `crate::shadow`): a register of one lane, or a shared-memory bit.  A
-/// CTA is named by its SM and launch sequence number, unique over the
-/// application, and a warp by its index within the CTA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// `crate::shadow`): a register of one lane, a shared-memory word or a
+/// global-memory word.  A CTA is named by its SM and launch sequence
+/// number, unique over the application, and a warp by its index within
+/// the CTA.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Mark {
     Reg {
         sm: u32,
@@ -185,21 +186,91 @@ pub(crate) enum Mark {
     Smem {
         sm: u32,
         seq: u64,
-        bit: u64,
+        word: u32,
+    },
+    /// The word at byte address `4 * word`.
+    Global {
+        word: u32,
     },
 }
 
-/// The recording pass's log of marked slots an instruction read or a
-/// write, an exit or a CTA's end killed, in the order they happened:
-/// `(read, slot)`.  The same taint branches that make a run's flips
-/// escape or die fill it, so a shadowed plan's marks live and die as its
-/// run's taint would.
+impl std::hash::Hash for Mark {
+    /// Hashes one word: the fields packed (their ranges overlap only past
+    /// 256 SMs, 2^32 CTAs or 2^22 shared-memory words, where equal marks
+    /// still hash equal).
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        h.write_u64(match *self {
+            Mark::Reg {
+                sm,
+                seq,
+                warp,
+                reg,
+                lane,
+            } => {
+                (u64::from(sm) << 56 | seq << 24)
+                    ^ u64::from(warp) << 13
+                    ^ u64::from(reg) << 5
+                    ^ u64::from(lane)
+            }
+            Mark::Smem { sm, seq, word } => {
+                (u64::from(sm) << 56 | seq << 24) ^ u64::from(word) ^ 1 << 63
+            }
+            Mark::Global { word } => u64::from(word) ^ 3 << 62,
+        });
+    }
+}
+
+/// One entry of the recording pass's log (see [`TaintLog`]).
+#[derive(Debug, Clone)]
+pub(crate) enum Event {
+    /// Warp `warp` of CTA `seq` executed `uop` on lanes `mask` and read or
+    /// wrote a marked slot.  `rows` indexes [`Log::rows`], its `a`, `b`
+    /// and `c` operand rows as it read them, `sel` is its `SEL` selector
+    /// predicate.  `marked` says which lanes of `a`, `b`, `c` and the
+    /// destination register were marked, `words` which lanes' memory
+    /// words.
+    Exec {
+        seq: u64,
+        warp: u32,
+        uop: Uop,
+        mask: u32,
+        rows: usize,
+        sel: u32,
+        marked: [u32; 4],
+        words: u32,
+    },
+    /// Marked slot `mark` died with its thread or its CTA; for a
+    /// register, its lanes `lanes` died (`mark` names lane 0).
+    Kill { mark: Mark, lanes: u32 },
+}
+
+/// The recording pass's log of the instructions that read or wrote a
+/// marked slot and of the marked slots an exit or a CTA's end killed, in
+/// the order they happened.  The shadows (`crate::shadow`) evaluate each
+/// instruction for the plans holding its marked slots.
 ///
 /// It is an instrument of the recording pass, not machine state: a clone
 /// — a captured snapshot — and a `clone_from` — a restore — are off, so
 /// snapshots, forks and injection runs neither hold nor fill a log.
 #[derive(Debug, Default)]
-pub(crate) struct TaintLog(Option<Vec<(bool, Mark)>>);
+pub(crate) struct TaintLog(Option<Log>);
+
+/// A filled [`TaintLog`]: the events in order, and the operand rows of
+/// each [`Event::Exec`] (`b` the splatted immediate if it is one; a row
+/// the op does not read is zero).
+#[derive(Debug, Default)]
+pub(crate) struct Log {
+    pub(crate) events: Vec<Event>,
+    pub(crate) rows: Vec<[[u32; LANES]; 3]>,
+}
+
+impl Log {
+    /// Empties the log, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.events.clear();
+        self.rows.clear();
+    }
+}
 
 impl Clone for TaintLog {
     fn clone(&self) -> Self {
@@ -216,25 +287,21 @@ impl TaintLog {
         self.0.is_some()
     }
 
-    /// Logs `lanes` of register `reg` of a warp.
+    /// Logs the death of `lanes` of register `reg` of a warp.
     #[cold]
-    fn regs(&mut self, read: bool, (sm, seq, warp): (u32, u64, u32), reg: usize, lanes: u32) {
+    fn regs(&mut self, (sm, seq, warp): (u32, u64, u32), reg: usize, lanes: u32) {
         if let Some(log) = &mut self.0 {
-            lanes!(lanes, lane => log.push((read, Mark::Reg {
-                sm,
-                seq,
-                warp,
-                reg: reg as u16,
-                lane: lane as u8,
-            })));
-        }
-    }
-
-    /// Logs shared-memory `bits` of a CTA.
-    #[cold]
-    fn smem(&mut self, read: bool, sm: u32, seq: u64, bits: impl Iterator<Item = u64>) {
-        if let Some(log) = &mut self.0 {
-            log.extend(bits.map(|bit| (read, Mark::Smem { sm, seq, bit })));
+            if lanes != 0 {
+                let reg = reg as u16;
+                let mark = Mark::Reg {
+                    sm,
+                    seq,
+                    warp,
+                    reg,
+                    lane: 0,
+                };
+                log.events.push(Event::Kill { mark, lanes });
+            }
         }
     }
 }
@@ -387,7 +454,7 @@ impl Warp {
                 if killed != 0 {
                     *tm &= !lanes;
                     self.taint_cnt -= killed.count_ones();
-                    log.regs(false, (sm, seq, self.widx), r, killed);
+                    log.regs((sm, seq, self.widx), r, killed);
                 }
             }
         }
@@ -408,6 +475,17 @@ impl Warp {
             [u.imm; LANES]
         } else {
             self.regs[u.b as usize]
+        }
+    }
+
+    /// The lanes executing `u`: the active ones its guard admits, by one
+    /// AND against the predicate lane mask.
+    fn executing(&self, u: &Uop) -> u32 {
+        if u.guard == NO_GUARD {
+            self.active
+        } else {
+            let pm = self.preds[(u.guard & 7) as usize];
+            self.active & if u.guard & GUARD_NEGATE != 0 { !pm } else { pm }
         }
     }
 
@@ -999,20 +1077,6 @@ impl SimtCore {
         (before - self.ctas.len()) as u32
     }
 
-    /// Logs the lanes `mask` of registers `regs` (up to a `NO_REG`) of
-    /// warp (`slot`, `widx`) that are marked, as read or killed.
-    #[cold]
-    fn log_regs(&mut self, read: bool, slot: usize, widx: usize, regs: &[u8], mask: u32) {
-        let cta = &self.ctas[slot];
-        let warp = &cta.warps[widx];
-        let at = (self.id as u32, cta.seq, warp.widx);
-        for &r in regs.iter().take_while(|&&r| r != NO_REG) {
-            if let Some(&tm) = warp.taint.get(usize::from(r)) {
-                self.taint_log.regs(read, at, usize::from(r), tm & mask);
-            }
-        }
-    }
-
     /// Logs the taint of the CTAs about to be harvested: it dies with
     /// them.
     #[cold]
@@ -1021,11 +1085,22 @@ impl SimtCore {
         for cta in self.ctas.iter().filter(|c| c.live_warps == 0) {
             for w in &cta.warps {
                 for (r, &tm) in w.taint.iter().enumerate() {
-                    self.taint_log.regs(false, (sm, cta.seq, w.widx), r, tm);
+                    self.taint_log.regs((sm, cta.seq, w.widx), r, tm);
                 }
             }
-            let bits = cta.smem_taints.iter().copied();
-            self.taint_log.smem(false, sm, cta.seq, bits);
+            if let Some(log) = &mut self.taint_log.0 {
+                let mut words: Vec<u32> =
+                    cta.smem_taints.iter().map(|&b| (b / 32) as u32).collect();
+                words.dedup();
+                log.events.extend(words.into_iter().map(|word| Event::Kill {
+                    mark: Mark::Smem {
+                        sm,
+                        seq: cta.seq,
+                        word,
+                    },
+                    lanes: 1,
+                }));
+            }
         }
     }
 
@@ -1076,7 +1151,11 @@ impl SimtCore {
         let Some((slot, widx)) = self.pick_warp(now) else {
             return Ok(false);
         };
-        self.exec(slot, widx, now, ctx, mem)?;
+        if self.taint_log.is_on() {
+            self.exec_logged(slot, widx, now, ctx, mem)?;
+        } else {
+            self.exec(slot, widx, now, ctx, mem)?;
+        }
         self.instructions += 1;
         Ok(true)
     }
@@ -1132,6 +1211,173 @@ impl SimtCore {
         })
     }
 
+    /// [`SimtCore::exec`] on a recording core that logs (see
+    /// [`TaintLog`]): an instruction that reads or writes a marked slot is
+    /// logged with its operands before it executes, and its destination
+    /// slots are marked after it where a marked operand can reach them —
+    /// a superset of the slots the shadows find a faulty value in, which
+    /// the shadows narrow once they have evaluated the instruction.
+    #[cold]
+    fn exec_logged(
+        &mut self,
+        slot: usize,
+        widx: usize,
+        now: u64,
+        ctx: &KernelCtx<'_>,
+        mem: &mut MemSystem,
+    ) -> Result<(), Trap> {
+        let spread = ctx
+            .uops
+            .get(self.ctas[slot].warps[widx].pc as usize)
+            .and_then(|u| self.log_exec(slot, widx, u, mem));
+        self.exec(slot, widx, now, ctx, mem)?;
+        if let Some((u, lanes, words)) = spread {
+            self.spread(slot, widx, &u, lanes, &words, mem);
+        }
+        Ok(())
+    }
+
+    /// Logs warp (`slot`, `widx`)'s next instruction `u` if it reads or
+    /// writes a marked slot, and returns the marks its execution spreads:
+    /// the destination lanes a marked operand or memory word reaches, and
+    /// the addresses of the words a marked store value reaches.
+    fn log_exec(
+        &mut self,
+        slot: usize,
+        widx: usize,
+        u: &Uop,
+        mem: &MemSystem,
+    ) -> Option<(Uop, u32, Vec<u32>)> {
+        let cta = &self.ctas[slot];
+        let w = &cta.warps[widx];
+        let op = u.op;
+        let words_marked = match op {
+            UopOp::LdShared | UopOp::StShared => !cta.smem_taints.is_empty(),
+            UopOp::LdGlobal | UopOp::StGlobal | UopOp::LdTex => mem.has_word_marks(),
+            _ => false,
+        };
+        let mask = w.executing(u);
+        if (w.taint_cnt == 0 && !words_marked) || mask == 0 {
+            return None;
+        }
+        let rows = w.taint.len();
+        let taint = |read: bool, r: u8| {
+            if read && usize::from(r) < rows {
+                w.taint[usize::from(r)] & mask
+            } else {
+                0
+            }
+        };
+        let marked = [
+            taint(lane::reads_a(op), u.a),
+            taint(lane::reads_b(op) && !u.b_imm, u.b),
+            taint(lane::reads_c(op), u.c),
+            taint(u.dst != NO_REG, u.dst),
+        ];
+        // The byte address of each lane's memory word, and which are marked.
+        let addrs = |w: &Warp| {
+            let off = u.mem_offset() as u32;
+            let a = &w.regs[u.a as usize];
+            std::array::from_fn::<u32, LANES, _>(|l| a[l].wrapping_add(off))
+        };
+        let mut words = 0u32;
+        match op {
+            UopOp::LdShared | UopOp::StShared if words_marked => {
+                let at = addrs(w);
+                lanes!(mask, l => if !cta.tainted_word(u64::from(at[l] & !3) * 8).is_empty() {
+                    words |= 1 << l;
+                });
+            }
+            UopOp::LdGlobal | UopOp::StGlobal | UopOp::LdTex if words_marked => {
+                let at = addrs(w);
+                lanes!(mask, l => if mem.word_marked(at[l] / 4) {
+                    words |= 1 << l;
+                });
+            }
+            _ => {}
+        }
+        if marked == [0; 4] && words == 0 {
+            return None;
+        }
+        let row = |read: bool, r: u8| if read { w.regs[r as usize] } else { [0; LANES] };
+        let rows = [
+            row(lane::reads_a(op), u.a),
+            if lane::reads_b(op) {
+                w.brow(u)
+            } else {
+                [0; LANES]
+            },
+            row(lane::reads_c(op), u.c),
+        ];
+        let sel = if op == UopOp::Sel {
+            w.preds[(u.c & 7) as usize]
+        } else {
+            0
+        };
+        let (seq, warp) = (cta.seq, w.widx);
+        // A value reaches the destination from a marked operand, or from a
+        // marked word for a load; a store carries a marked value to its word.
+        let operands = marked[0] | marked[1] | marked[2];
+        let (lanes, stored) = match op {
+            _ if lane::writes_value(op) => (operands, Vec::new()),
+            UopOp::LdShared | UopOp::LdGlobal | UopOp::LdTex => (words, Vec::new()),
+            UopOp::StShared | UopOp::StGlobal => {
+                let at = addrs(w);
+                let mut stored = Vec::new();
+                lanes!(marked[2], l => stored.push(at[l]));
+                (0, stored)
+            }
+            _ => (0, Vec::new()),
+        };
+        if let Some(log) = &mut self.taint_log.0 {
+            log.rows.push(rows);
+            log.events.push(Event::Exec {
+                seq,
+                warp,
+                uop: *u,
+                mask,
+                rows: log.rows.len() - 1,
+                sel,
+                marked,
+                words,
+            });
+        }
+        Some((*u, lanes, stored))
+    }
+
+    /// Marks what executing `u` on warp (`slot`, `widx`) spread (see
+    /// [`SimtCore::log_exec`]): destination lanes `lanes`, and the words
+    /// at byte addresses `stored`.
+    fn spread(
+        &mut self,
+        slot: usize,
+        widx: usize,
+        u: &Uop,
+        lanes: u32,
+        stored: &[u32],
+        mem: &mut MemSystem,
+    ) {
+        let cta = &mut self.ctas[slot];
+        if lanes != 0 {
+            let w = &mut cta.warps[widx];
+            let t = &mut w.taint[u.dst as usize];
+            w.taint_cnt += (lanes & !*t).count_ones();
+            *t |= lanes;
+        }
+        for &a in stored {
+            if u.op == UopOp::StShared {
+                let lo = u64::from(a & !3) * 8;
+                if let Err(i) = cta.smem_taints.binary_search(&lo) {
+                    if cta.tainted_word(lo).is_empty() {
+                        cta.taint_smem(i, lo);
+                    }
+                }
+            } else {
+                mem.set_word_mark(a / 4, true);
+            }
+        }
+    }
+
     /// Executes one micro-op of warp (`slot`, `widx`).
     fn exec(
         &mut self,
@@ -1143,21 +1389,9 @@ impl SimtCore {
     ) -> Result<(), Trap> {
         let pc = self.ctas[slot].warps[widx].pc;
         let uop: Uop = *ctx.uops.get(pc as usize).ok_or(Trap::InvalidPc { pc })?;
-
-        // Guard evaluation: one AND against the predicate lane mask.
         let warp = &self.ctas[slot].warps[widx];
         let active = warp.active;
-        let exec_mask = if uop.guard == NO_GUARD {
-            active
-        } else {
-            let pm = warp.preds[(uop.guard & 7) as usize];
-            active
-                & if uop.guard & GUARD_NEGATE != 0 {
-                    !pm
-                } else {
-                    pm
-                }
-        };
+        let exec_mask = warp.executing(&uop);
 
         // ACE liveness (register file, warps with `touch` rows only): a read
         // extends the enclosing def-to-last-use span; a write starts a new
@@ -1197,9 +1431,6 @@ impl SimtCore {
                     }
                 }
             }
-            if escape && self.taint_log.is_on() {
-                self.log_regs(true, slot, widx, &uop.srcs, exec_mask);
-            }
             let warp = &mut self.ctas[slot].warps[widx];
             if uop.dst != NO_REG {
                 let r = uop.dst as usize;
@@ -1209,10 +1440,6 @@ impl SimtCore {
                     }
                     let cleared = warp.taint[r] & exec_mask;
                     if cleared != 0 {
-                        if self.taint_log.is_on() {
-                            self.log_regs(false, slot, widx, &[uop.dst], exec_mask);
-                        }
-                        let warp = &mut self.ctas[slot].warps[widx];
                         warp.taint[r] &= !exec_mask;
                         warp.taint_cnt -= cleared.count_ones();
                     }
@@ -1234,12 +1461,7 @@ impl SimtCore {
 
         match uop.op {
             // ---------------- ALU ----------------
-            UopOp::Mov => {
-                let w = &mut self.ctas[slot].warps[widx];
-                let bv = w.brow(&uop);
-                let d = &mut w.regs[uop.dst as usize];
-                lanes!(exec_mask, lane => d[lane] = bv[lane]);
-            }
+            UopOp::Mov => self.alu(slot, widx, exec_mask, &uop, UopOp::Mov),
             UopOp::S2r => {
                 let cta_linear = self.ctas[slot].linear;
                 let dims = ctx.dims;
@@ -1307,121 +1529,48 @@ impl SimtCore {
                     None => {}
                 }
             }
-            UopOp::IAdd => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::int_op(IntOp::Add, a, b)
-            }),
-            UopOp::ISub => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::int_op(IntOp::Sub, a, b)
-            }),
-            UopOp::IMul => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::int_op(IntOp::Mul, a, b)
-            }),
-            UopOp::IMin => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::int_op(IntOp::Min, a, b)
-            }),
-            UopOp::IMax => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::int_op(IntOp::Max, a, b)
-            }),
-            UopOp::IMad => self.alu3(slot, widx, exec_mask, &uop, exec::imad),
-            UopOp::And => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::bit_op(BitOp::And, a, b)
-            }),
-            UopOp::Or => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::bit_op(BitOp::Or, a, b)
-            }),
-            UopOp::Xor => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::bit_op(BitOp::Xor, a, b)
-            }),
-            UopOp::Shl => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::bit_op(BitOp::Shl, a, b)
-            }),
-            UopOp::Shr => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::bit_op(BitOp::Shr, a, b)
-            }),
-            UopOp::Sar => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::bit_op(BitOp::Sar, a, b)
-            }),
-            UopOp::Not => self.alu1(slot, widx, exec_mask, &uop, |a| !a),
-            UopOp::FAdd => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::float_op(FloatOp::Add, a, b)
-            }),
-            UopOp::FSub => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::float_op(FloatOp::Sub, a, b)
-            }),
-            UopOp::FMul => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::float_op(FloatOp::Mul, a, b)
-            }),
-            UopOp::FDiv => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::float_op(FloatOp::Div, a, b)
-            }),
-            UopOp::FMin => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::float_op(FloatOp::Min, a, b)
-            }),
-            UopOp::FMax => self.alu2(slot, widx, exec_mask, &uop, |a, b| {
-                exec::float_op(FloatOp::Max, a, b)
-            }),
-            UopOp::FFma => self.alu3(slot, widx, exec_mask, &uop, exec::ffma),
-            UopOp::FRcp => self.alu1(slot, widx, exec_mask, &uop, |a| {
-                exec::float_un(FloatUnOp::Rcp, a)
-            }),
-            UopOp::FSqrt => self.alu1(slot, widx, exec_mask, &uop, |a| {
-                exec::float_un(FloatUnOp::Sqrt, a)
-            }),
-            UopOp::FEx2 => self.alu1(slot, widx, exec_mask, &uop, |a| {
-                exec::float_un(FloatUnOp::Ex2, a)
-            }),
-            UopOp::FLg2 => self.alu1(slot, widx, exec_mask, &uop, |a| {
-                exec::float_un(FloatUnOp::Lg2, a)
-            }),
-            UopOp::FAbs => self.alu1(slot, widx, exec_mask, &uop, |a| {
-                exec::float_un(FloatUnOp::Abs, a)
-            }),
-            UopOp::FNeg => self.alu1(slot, widx, exec_mask, &uop, |a| {
-                exec::float_un(FloatUnOp::Neg, a)
-            }),
-            UopOp::FFloor => self.alu1(slot, widx, exec_mask, &uop, |a| {
-                exec::float_un(FloatUnOp::Floor, a)
-            }),
-            UopOp::I2f => self.alu1(slot, widx, exec_mask, &uop, exec::i2f),
-            UopOp::F2i => self.alu1(slot, widx, exec_mask, &uop, exec::f2i),
-            UopOp::ISetpEq => self.setp(slot, widx, exec_mask, &uop, |a, b| a as i32 == b as i32),
-            UopOp::ISetpNe => self.setp(slot, widx, exec_mask, &uop, |a, b| a as i32 != b as i32),
-            UopOp::ISetpLt => {
-                self.setp(slot, widx, exec_mask, &uop, |a, b| (a as i32) < (b as i32));
-            }
-            UopOp::ISetpLe => self.setp(slot, widx, exec_mask, &uop, |a, b| a as i32 <= b as i32),
-            UopOp::ISetpGt => {
-                self.setp(slot, widx, exec_mask, &uop, |a, b| (a as i32) > (b as i32));
-            }
-            UopOp::ISetpGe => self.setp(slot, widx, exec_mask, &uop, |a, b| a as i32 >= b as i32),
-            UopOp::FSetpEq => self.setp(slot, widx, exec_mask, &uop, |a, b| {
-                f32::from_bits(a) == f32::from_bits(b)
-            }),
-            UopOp::FSetpNe => self.setp(slot, widx, exec_mask, &uop, |a, b| {
-                f32::from_bits(a) != f32::from_bits(b)
-            }),
-            UopOp::FSetpLt => self.setp(slot, widx, exec_mask, &uop, |a, b| {
-                f32::from_bits(a) < f32::from_bits(b)
-            }),
-            UopOp::FSetpLe => self.setp(slot, widx, exec_mask, &uop, |a, b| {
-                f32::from_bits(a) <= f32::from_bits(b)
-            }),
-            UopOp::FSetpGt => self.setp(slot, widx, exec_mask, &uop, |a, b| {
-                f32::from_bits(a) > f32::from_bits(b)
-            }),
-            UopOp::FSetpGe => self.setp(slot, widx, exec_mask, &uop, |a, b| {
-                f32::from_bits(a) >= f32::from_bits(b)
-            }),
-            UopOp::Sel => {
-                let w = &mut self.ctas[slot].warps[widx];
-                let av = w.regs[uop.a as usize];
-                let bv = w.brow(&uop);
-                let pm = w.preds[(uop.c & 7) as usize];
-                let d = &mut w.regs[uop.dst as usize];
-                lanes!(exec_mask, lane => {
-                    d[lane] = if pm & (1 << lane) != 0 { av[lane] } else { bv[lane] };
-                });
-            }
+            UopOp::IAdd => self.alu(slot, widx, exec_mask, &uop, UopOp::IAdd),
+            UopOp::ISub => self.alu(slot, widx, exec_mask, &uop, UopOp::ISub),
+            UopOp::IMul => self.alu(slot, widx, exec_mask, &uop, UopOp::IMul),
+            UopOp::IMin => self.alu(slot, widx, exec_mask, &uop, UopOp::IMin),
+            UopOp::IMax => self.alu(slot, widx, exec_mask, &uop, UopOp::IMax),
+            UopOp::IMad => self.alu(slot, widx, exec_mask, &uop, UopOp::IMad),
+            UopOp::And => self.alu(slot, widx, exec_mask, &uop, UopOp::And),
+            UopOp::Or => self.alu(slot, widx, exec_mask, &uop, UopOp::Or),
+            UopOp::Xor => self.alu(slot, widx, exec_mask, &uop, UopOp::Xor),
+            UopOp::Shl => self.alu(slot, widx, exec_mask, &uop, UopOp::Shl),
+            UopOp::Shr => self.alu(slot, widx, exec_mask, &uop, UopOp::Shr),
+            UopOp::Sar => self.alu(slot, widx, exec_mask, &uop, UopOp::Sar),
+            UopOp::Not => self.alu(slot, widx, exec_mask, &uop, UopOp::Not),
+            UopOp::FAdd => self.alu(slot, widx, exec_mask, &uop, UopOp::FAdd),
+            UopOp::FSub => self.alu(slot, widx, exec_mask, &uop, UopOp::FSub),
+            UopOp::FMul => self.alu(slot, widx, exec_mask, &uop, UopOp::FMul),
+            UopOp::FDiv => self.alu(slot, widx, exec_mask, &uop, UopOp::FDiv),
+            UopOp::FMin => self.alu(slot, widx, exec_mask, &uop, UopOp::FMin),
+            UopOp::FMax => self.alu(slot, widx, exec_mask, &uop, UopOp::FMax),
+            UopOp::FFma => self.alu(slot, widx, exec_mask, &uop, UopOp::FFma),
+            UopOp::FRcp => self.alu(slot, widx, exec_mask, &uop, UopOp::FRcp),
+            UopOp::FSqrt => self.alu(slot, widx, exec_mask, &uop, UopOp::FSqrt),
+            UopOp::FEx2 => self.alu(slot, widx, exec_mask, &uop, UopOp::FEx2),
+            UopOp::FLg2 => self.alu(slot, widx, exec_mask, &uop, UopOp::FLg2),
+            UopOp::FAbs => self.alu(slot, widx, exec_mask, &uop, UopOp::FAbs),
+            UopOp::FNeg => self.alu(slot, widx, exec_mask, &uop, UopOp::FNeg),
+            UopOp::FFloor => self.alu(slot, widx, exec_mask, &uop, UopOp::FFloor),
+            UopOp::I2f => self.alu(slot, widx, exec_mask, &uop, UopOp::I2f),
+            UopOp::F2i => self.alu(slot, widx, exec_mask, &uop, UopOp::F2i),
+            UopOp::ISetpEq => self.setp(slot, widx, exec_mask, &uop, UopOp::ISetpEq),
+            UopOp::ISetpNe => self.setp(slot, widx, exec_mask, &uop, UopOp::ISetpNe),
+            UopOp::ISetpLt => self.setp(slot, widx, exec_mask, &uop, UopOp::ISetpLt),
+            UopOp::ISetpLe => self.setp(slot, widx, exec_mask, &uop, UopOp::ISetpLe),
+            UopOp::ISetpGt => self.setp(slot, widx, exec_mask, &uop, UopOp::ISetpGt),
+            UopOp::ISetpGe => self.setp(slot, widx, exec_mask, &uop, UopOp::ISetpGe),
+            UopOp::FSetpEq => self.setp(slot, widx, exec_mask, &uop, UopOp::FSetpEq),
+            UopOp::FSetpNe => self.setp(slot, widx, exec_mask, &uop, UopOp::FSetpNe),
+            UopOp::FSetpLt => self.setp(slot, widx, exec_mask, &uop, UopOp::FSetpLt),
+            UopOp::FSetpLe => self.setp(slot, widx, exec_mask, &uop, UopOp::FSetpLe),
+            UopOp::FSetpGt => self.setp(slot, widx, exec_mask, &uop, UopOp::FSetpGt),
+            UopOp::FSetpGe => self.setp(slot, widx, exec_mask, &uop, UopOp::FSetpGe),
+            UopOp::Sel => self.alu(slot, widx, exec_mask, &uop, UopOp::Sel),
             UopOp::Nop => {}
 
             // ---------------- Control ----------------
@@ -1503,16 +1652,11 @@ impl SimtCore {
                         let cta = &mut self.ctas[slot];
                         let word = cta.tainted_word(u64::from(a) * 8);
                         if !word.is_empty() {
-                            let bits = cta.smem_taints.drain(word);
-                            self.taint_log.smem(false, self.id as u32, cta.seq, bits);
+                            cta.smem_taints.drain(word);
                         }
                     } else {
-                        let cta = &self.ctas[slot];
-                        let word = cta.tainted_word(u64::from(a) * 8);
-                        if !word.is_empty() {
+                        if !self.ctas[slot].tainted_word(u64::from(a) * 8).is_empty() {
                             self.escaped = true;
-                            let bits = cta.smem_taints[word].iter().copied();
-                            self.taint_log.smem(true, self.id as u32, cta.seq, bits);
                         }
                         let b: [u8; 4] = self.ctas[slot].smem[a as usize..a as usize + 4]
                             .try_into()
@@ -1556,52 +1700,45 @@ impl SimtCore {
         Ok(())
     }
 
-    /// Masked unary ALU row operation: `d[lane] = f(a[lane])`.
-    #[inline]
-    fn alu1(&mut self, slot: usize, widx: usize, mask: u32, u: &Uop, f: impl Fn(u32) -> u32) {
+    /// Masked data-path row operation: `d[lane]` becomes
+    /// [`lane::value`] of the lane's operands, with `b` a register row or
+    /// the splatted immediate.  Called with a literal `op`, so inlining
+    /// folds the value to its arm and loads only the rows `op` reads.
+    #[inline(always)]
+    fn alu(&mut self, slot: usize, widx: usize, mask: u32, u: &Uop, op: UopOp) {
         let w = &mut self.ctas[slot].warps[widx];
-        let av = w.regs[u.a as usize];
+        let none = [0; LANES];
+        let av = if lane::reads_a(op) {
+            w.regs[u.a as usize]
+        } else {
+            none
+        };
+        let bv = if lane::reads_b(op) { w.brow(u) } else { none };
+        let cv = if lane::reads_c(op) {
+            w.regs[u.c as usize]
+        } else {
+            none
+        };
+        let sel = if op == UopOp::Sel {
+            w.preds[(u.c & 7) as usize]
+        } else {
+            0
+        };
         let d = &mut w.regs[u.dst as usize];
-        lanes!(mask, lane => d[lane] = f(av[lane]));
+        lanes!(mask, lane => {
+            d[lane] = lane::value(op, av[lane], bv[lane], cv[lane], sel >> lane & 1 != 0);
+        });
     }
 
-    /// Masked binary ALU row operation: `d[lane] = f(a[lane], b[lane])`
-    /// with `b` a register row or splatted immediate.
-    #[inline]
-    fn alu2(&mut self, slot: usize, widx: usize, mask: u32, u: &Uop, f: impl Fn(u32, u32) -> u32) {
-        let w = &mut self.ctas[slot].warps[widx];
-        let av = w.regs[u.a as usize];
-        let bv = w.brow(u);
-        let d = &mut w.regs[u.dst as usize];
-        lanes!(mask, lane => d[lane] = f(av[lane], bv[lane]));
-    }
-
-    /// Masked ternary ALU row operation (`IMAD` / `FFMA`).
-    #[inline]
-    fn alu3(
-        &mut self,
-        slot: usize,
-        widx: usize,
-        mask: u32,
-        u: &Uop,
-        f: impl Fn(u32, u32, u32) -> u32,
-    ) {
-        let w = &mut self.ctas[slot].warps[widx];
-        let av = w.regs[u.a as usize];
-        let bv = w.brow(u);
-        let cv = w.regs[u.c as usize];
-        let d = &mut w.regs[u.dst as usize];
-        lanes!(mask, lane => d[lane] = f(av[lane], bv[lane], cv[lane]));
-    }
-
-    /// Masked compare into the destination predicate lane mask (`u.c`).
-    #[inline]
-    fn setp(&mut self, slot: usize, widx: usize, mask: u32, u: &Uop, f: impl Fn(u32, u32) -> bool) {
+    /// Masked compare into the destination predicate lane mask (`u.c`):
+    /// each lane's bit is [`lane::pred`] of its operands.
+    #[inline(always)]
+    fn setp(&mut self, slot: usize, widx: usize, mask: u32, u: &Uop, op: UopOp) {
         let w = &mut self.ctas[slot].warps[widx];
         let av = w.regs[u.a as usize];
         let bv = w.brow(u);
         let mut res = 0u32;
-        lanes!(mask, lane => res |= u32::from(f(av[lane], bv[lane])) << lane);
+        lanes!(mask, lane => res |= u32::from(lane::pred(op, av[lane], bv[lane])) << lane);
         let pm = &mut w.preds[(u.c & 7) as usize];
         *pm = (*pm & !mask) | res;
     }
@@ -1811,7 +1948,10 @@ impl SimtCore {
     /// Sets or clears the taint of `mark` where its CTA is still resident,
     /// flipping no value.
     pub(crate) fn set_mark(&mut self, mark: Mark, on: bool) {
-        let (Mark::Reg { seq, .. } | Mark::Smem { seq, .. }) = mark;
+        let seq = match mark {
+            Mark::Reg { seq, .. } | Mark::Smem { seq, .. } => seq,
+            Mark::Global { .. } => unreachable!("global words are marked in the memory system"),
+        };
         let Some(cta) = self.ctas.iter_mut().find(|c| c.seq == seq) else {
             return;
         };
@@ -1830,27 +1970,54 @@ impl SimtCore {
                     }
                 }
             }
-            Mark::Smem { bit, .. } => match cta.smem_taints.binary_search(&bit) {
-                Err(i) if on => cta.taint_smem(i, bit),
-                Ok(i) if !on => {
-                    cta.smem_taints.remove(i);
+            // A word is marked by its first bit.
+            Mark::Smem { word, .. } => {
+                let lo = u64::from(word) * 32;
+                let bits = cta.tainted_word(lo);
+                if on && bits.is_empty() {
+                    cta.taint_smem(cta.smem_taints.partition_point(|&b| b < lo), lo);
+                } else if !on {
+                    cta.smem_taints.drain(bits);
                 }
-                _ => {}
-            },
+            }
+            Mark::Global { .. } => {}
         }
+    }
+
+    /// Sets the marks of register `reg` of warp `warp` of CTA `seq` in
+    /// lanes `lanes` to those of `on`, where the CTA is still resident.
+    pub(crate) fn set_reg_marks(&mut self, seq: u64, warp: u32, reg: u8, lanes: u32, on: u32) {
+        let Some(cta) = self.ctas.iter_mut().find(|c| c.seq == seq) else {
+            return;
+        };
+        let w = &mut cta.warps[warp as usize];
+        let t = &mut w.taint[usize::from(reg)];
+        let next = (*t & !lanes) | (on & lanes);
+        w.taint_cnt = w.taint_cnt + next.count_ones() - t.count_ones();
+        *t = next;
     }
 
     /// Switches the taint log on or off: while on, the core logs every
-    /// marked slot it reads or kills (see [`TaintLog`]).
+    /// instruction that reads or writes a marked slot and every marked
+    /// slot an exit or a CTA's end kills (see [`TaintLog`]).
     pub(crate) fn log_taint(&mut self, on: bool) {
-        self.taint_log = TaintLog(on.then(Vec::new));
+        self.taint_log = TaintLog(on.then(Log::default));
     }
 
-    /// Swaps the taint logged so far with the empty `buf`, if any was.
-    pub(crate) fn swap_taint_log(&mut self, buf: &mut Vec<(bool, Mark)>) {
-        if let Some(log) = self.taint_log.0.as_mut().filter(|l| !l.is_empty()) {
-            std::mem::swap(log, buf);
-        }
+    /// Whether the log holds an event.
+    #[inline]
+    pub(crate) fn logged(&self) -> bool {
+        self.taint_log
+            .0
+            .as_ref()
+            .is_some_and(|l| !l.events.is_empty())
+    }
+
+    /// Swaps the log filled so far with the empty `buf`, if any was;
+    /// whether one was.
+    pub(crate) fn swap_taint_log(&mut self, buf: &mut Log) -> bool {
+        let log = self.taint_log.0.as_mut().filter(|l| !l.events.is_empty());
+        log.map(|log| std::mem::swap(log, buf)).is_some()
     }
 
     /// Clears every taint and the escape latch: a recording's capture of
@@ -1992,5 +2159,158 @@ mod tests {
         let mut none = Vec::new();
         lanes!(0u32, l => none.push(l));
         assert!(none.is_empty());
+    }
+
+    /// Every ALU, `SETP`, `SEL` and `MOV` micro-op, register and
+    /// immediate forms: the shadows' per-lane evaluation
+    /// ([`crate::shadow::lane_delta`]) of the operands a logging core
+    /// records, with random deltas, equals what `exec` computes from the
+    /// faulty operands, over random operands in every lane.
+    #[test]
+    fn shadow_lane_deltas_equal_exec() {
+        use gpufi_isa::Module;
+        let ops = [
+            "MOV R7, R5",
+            "MOV R7, 1234",
+            "IADD R7, R4, R5",
+            "ISUB R7, R4, R5",
+            "IMUL R7, R4, R5",
+            "IMIN R7, R4, R5",
+            "IMAX R7, R4, -3",
+            "IMAD R7, R4, R5, R6",
+            "IMAD R7, R4, 9, R6",
+            "AND R7, R4, R5",
+            "OR R7, R4, R5",
+            "XOR R7, R4, 255",
+            "SHL R7, R4, R5",
+            "SHR R7, R4, R5",
+            "SAR R7, R4, 3",
+            "NOT R7, R4",
+            "FADD R7, R4, R5",
+            "FSUB R7, R4, R5",
+            "FMUL R7, R4, R5",
+            "FDIV R7, R4, R5",
+            "FMIN R7, R4, R5",
+            "FMAX R7, R4, R5",
+            "FFMA R7, R4, R5, R6",
+            "FRCP R7, R4",
+            "FSQRT R7, R4",
+            "FEX2 R7, R4",
+            "FLG2 R7, R4",
+            "FABS R7, R4",
+            "FNEG R7, R4",
+            "FFLOOR R7, R4",
+            "I2F R7, R4",
+            "F2I R7, R4",
+            "ISETP.EQ P0, R4, R5",
+            "ISETP.NE P0, R4, R5",
+            "ISETP.LT P0, R4, R5",
+            "ISETP.LE P0, R4, 7",
+            "ISETP.GT P0, R4, R5",
+            "ISETP.GE P0, R4, R5",
+            "FSETP.EQ P0, R4, R5",
+            "FSETP.NE P0, R4, R5",
+            "FSETP.LT P0, R4, R5",
+            "FSETP.LE P0, R4, R5",
+            "FSETP.GT P0, R4, R5",
+            "FSETP.GE P0, R4, R5",
+            "SEL R7, R4, R5, P1",
+            "SEL R7, R4, 77, P1",
+        ];
+        let card = GpuConfig::rtx2060();
+        let mut rng = crate::rng::Rng::new(49);
+        let word = |rng: &mut crate::rng::Rng| {
+            // Small values, whole-range ones and float-like ones, so that
+            // comparisons and conversions see both outcomes.
+            match rng.below(3) {
+                0 => rng.below(16) as u32,
+                1 => rng.next_u64() as u32,
+                _ => (rng.below(200) as f32 - 100.0).to_bits(),
+            }
+        };
+        let mut seen = std::collections::HashSet::new();
+        for line in ops {
+            // The dead tail allocates R4-R7 for every op.
+            let src = format!(".kernel k\n.params 1\n {line}\n EXIT\n IMAD R7, R4, R5, R6\n");
+            let module = Module::assemble(&src).unwrap();
+            let kernel = module.kernel("k").unwrap();
+            let decoded = gpufi_isa::decode::decode(kernel);
+            let ctx = KernelCtx {
+                kernel,
+                uops: decoded.uops(),
+                dims: LaunchDims::new(1, 32),
+                args: &[0],
+            };
+            let op = decoded.uops()[0].op;
+            seen.insert(format!("{op:?}"));
+            for _ in 0..8 {
+                let rows: [[u32; LANES]; 3] =
+                    std::array::from_fn(|_| std::array::from_fn(|_| word(&mut rng)));
+                let delta: [[u32; LANES]; 3] = std::array::from_fn(|_| {
+                    std::array::from_fn(|_| match rng.below(3) {
+                        0 => 0,
+                        1 => 1 << rng.below(32),
+                        _ => rng.next_u64() as u32,
+                    })
+                });
+                let p1 = rng.next_u64() as u32;
+                // Runs the op on one warp whose R4-R6 hold `regs`; returns
+                // R7 and P0, and what a logging core logged.
+                let run = |regs: [[u32; LANES]; 3], log: bool| {
+                    let mut mem = MemSystem::new(&card);
+                    let mut core = SimtCore::new(0, &card);
+                    core.configure_kernel(1);
+                    core.launch_cta(&ctx, 0, 0);
+                    let w = &mut core.ctas[0].warps[0];
+                    w.regs[4..7].copy_from_slice(&regs);
+                    w.preds[1] = p1;
+                    if log {
+                        core.log_taint(true);
+                        let w = &mut core.ctas[0].warps[0];
+                        w.taint[4..7].fill(u32::MAX);
+                        w.taint_cnt = 3 * 32;
+                    }
+                    core.cycle(0, &ctx, &mut mem).unwrap();
+                    let mut log = Log::default();
+                    core.swap_taint_log(&mut log);
+                    let w = &core.ctas[0].warps[0];
+                    (w.regs[7], w.preds[0], log)
+                };
+                let (g7, gp, log) = run(rows, true);
+                let faulty =
+                    std::array::from_fn(|i| std::array::from_fn(|l| rows[i][l] ^ delta[i][l]));
+                let (f7, fp, _) = run(faulty, false);
+                if log.events.is_empty() {
+                    // An op of immediates alone reads no marked slot.
+                    assert_eq!((g7, gp), (f7, fp), "{line}");
+                    continue;
+                }
+                let [Event::Exec {
+                    uop,
+                    mask,
+                    rows,
+                    sel,
+                    marked,
+                    ..
+                }] = log.events.as_slice()
+                else {
+                    panic!("{line}: logged {log:?}");
+                };
+                let logged = &log.rows[*rows];
+                assert_eq!(*mask, u32::MAX, "{line}");
+                for l in 0..LANES {
+                    // The deltas of the operands the op reads, as marked.
+                    let d = std::array::from_fn(|i| delta[i][l] * (marked[i] >> l & 1));
+                    let shadow = crate::shadow::lane_delta(uop.op, logged, d, *sel, l);
+                    let exec = if lane::is_setp(uop.op) {
+                        (gp ^ fp) >> l & 1
+                    } else {
+                        g7[l] ^ f7[l]
+                    };
+                    assert_eq!(shadow, exec, "{line} lane {l}: {rows:?} {delta:?}");
+                }
+            }
+        }
+        assert_eq!(seen.len(), 43, "every data-path op: {seen:?}");
     }
 }

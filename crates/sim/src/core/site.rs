@@ -258,35 +258,39 @@ impl SimtCore {
         self.has_stuck |= hit && stuck.is_some();
     }
 
-    /// The slots a shadowed flip of `site` marks (see `crate::shadow`):
-    /// register `reg` of each of its lanes, or its shared-memory bit; none
-    /// for a control-unit site.
-    pub(crate) fn marks(&self, site: CoreSite) -> Vec<Mark> {
+    /// The slots a shadowed flip of `site` marks (see `crate::shadow`),
+    /// each with the bits it flips there: register `reg` of each of its
+    /// lanes, or the shared-memory word of its bit; none for a
+    /// control-unit site.
+    pub(crate) fn marks(&self, site: CoreSite) -> Vec<(Mark, u32)> {
         let sm = self.id as u32;
         let mut marks = Vec::new();
         match site {
             CoreSite::Warp {
                 cta,
                 warp,
-                site: WarpSite::Reg { lanes, reg, .. },
+                site: WarpSite::Reg { lanes, reg, bit },
             } => {
                 let (seq, warp) = (self.ctas[cta].seq, self.ctas[cta].warps[warp].widx);
-                lanes!(lanes, lane => marks.push(Mark::Reg {
+                lanes!(lanes, lane => marks.push((Mark::Reg {
                     sm,
                     seq,
                     warp,
                     reg,
                     lane: lane as u8,
-                }));
+                }, 1 << bit)));
             }
             CoreSite::Cta {
                 cta,
                 site: CtaSite::Smem { bit },
-            } => marks.push(Mark::Smem {
-                sm,
-                seq: self.ctas[cta].seq,
-                bit,
-            }),
+            } => marks.push((
+                Mark::Smem {
+                    sm,
+                    seq: self.ctas[cta].seq,
+                    word: (bit / 32) as u32,
+                },
+                1 << (bit % 32),
+            )),
             _ => {}
         }
         marks
@@ -398,7 +402,8 @@ mod tests {
             assert_eq!(rf(Scope::Warp, 1, 3, &[1]), warp(0, 0, 1, 0xff));
             assert_eq!(rf(Scope::Warp, 2, 3, &[1]), warp(0, 1, 0, u32::MAX));
             assert_eq!(rf(Scope::Warp, 3, 3, &[1]), warp(1, 0, 0, u32::MAX));
-            // A shadow marks register 3 of each of those lanes.
+            // A shadow marks register 3 of each of those lanes, flipping
+            // bit 1.
             let site = CoreSite::Warp {
                 cta: 0,
                 warp: 0,
@@ -407,7 +412,7 @@ mod tests {
             let marks = cores[1].marks(site).into_iter();
             let lanes: Vec<u8> = marks
                 .map(|m| match m {
-                    Mark::Reg { reg: 3, lane, .. } => lane,
+                    (Mark::Reg { reg: 3, lane, .. }, 2) => lane,
                     m => panic!("{m:?}"),
                 })
                 .collect();

@@ -8,7 +8,7 @@ use crate::fault::{FaultModel, FaultSpace, InjectionPlan, InjectionRecord, Plann
 use crate::grid::LaunchDims;
 use crate::mem::{FlipOutcome, MemSystem};
 use crate::oracle::{DivergenceReport, OracleMirror, ThreadState};
-use crate::shadow::Shadows;
+use crate::shadow::{Shadow, Shadows};
 use crate::snapshot::{
     CheckpointStore, HostOp, HostResult, LaunchProgress, Recorder, Replay, Snapshot,
 };
@@ -187,11 +187,16 @@ impl Gpu {
         let rep = self.replay.as_mut()?;
         let i = rep.cursor;
         rep.cursor += 1;
-        let done = rep.store.snapshots[rep.snapshot].host_ops_done;
+        let done = rep.snapshot.map_or(rep.store.journal.len(), |s| {
+            rep.store.snapshots[s].host_ops_done
+        });
         let journaled = rep.store.journal.get(i);
         match journaled {
-            Some((op, result)) if op == call => (i < done).then_some(result),
-            _ if i > done => {
+            Some((op, result)) if op == call => (i < done).then(|| {
+                let patched = rep.patched.iter().find(|p| p.0 == i);
+                patched.map_or(result, |p| &p.1)
+            }),
+            _ if i > done || rep.snapshot.is_none() => {
                 rep.diverged = true;
                 None
             }
@@ -252,6 +257,9 @@ impl Gpu {
             return Ok(());
         }
         self.mem.host_write(ptr, data)?;
+        if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
+            sh.host_write(ptr, data.len(), &mut self.cores, &mut self.mem);
+        }
         if let Some(orc) = &mut self.oracle {
             orc.on_h2d(ptr, data);
         }
@@ -288,6 +296,11 @@ impl Gpu {
             return Ok(());
         }
         self.mem.host_read(ptr, out)?;
+        if let Some(rec) = &mut self.recorder {
+            if let Some(sh) = &mut rec.shadows {
+                sh.host_read(rec.journal.len(), ptr, out.len());
+            }
+        }
         if let Some(orc) = &mut self.oracle {
             orc.on_d2h(ptr, out);
         }
@@ -364,6 +377,9 @@ impl Gpu {
             return Ok(());
         }
         self.mem.const_write(offset, data)?;
+        if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
+            sh.host_continues(&mut self.cores, &mut self.mem);
+        }
         if let Some(orc) = &mut self.oracle {
             orc.on_const_write(offset, data);
         }
@@ -585,13 +601,69 @@ impl Gpu {
             c.log_taint(false);
             c.scrub_taint();
         }
+        self.mem.mark_words(false);
         recorder.into_store(self.mem.take_validity_timeline())
+    }
+
+    /// [`Gpu::finish_checkpoint_recording`], then settles as SDC every
+    /// shadowed plan whose faulty values stayed data to the end and reached
+    /// the host's reads after the last launch, if its output differs from
+    /// `golden`.  `run` is the host program: it runs on this device
+    /// against the store's journal — every call served from it, the
+    /// plan's faulty words patched into its reads, nothing simulated — and
+    /// returns the output, `None` on an error.  A replay whose calls leave
+    /// the journal settles nothing (a launch off the journal traps at
+    /// once).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`Gpu::record_checkpoints`] was never called.
+    pub fn finish_checkpoint_recording_with(
+        &mut self,
+        golden: &[u8],
+        mut run: impl FnMut(&mut Gpu) -> Option<Vec<u8>>,
+    ) -> CheckpointStore {
+        let mut store = Arc::new(self.finish_checkpoint_recording());
+        let mut sdc = Vec::new();
+        for (plan, shadow) in &store.shadowed {
+            let Shadow::Output(words) = shadow else {
+                continue;
+            };
+            self.replay = Some(Replay {
+                store: Arc::clone(&store),
+                cursor: 0,
+                snapshot: None,
+                patched: store.patched_reads(words),
+                diverged: false,
+                next_check: 0,
+            });
+            self.watchdog = Some(self.cycle);
+            let out = run(self);
+            let rep = self.replay.take().expect("armed above");
+            let whole = !rep.diverged && rep.cursor == store.journal.len();
+            if whole && out.is_some_and(|o| o != golden) {
+                sdc.push(plan.clone());
+            }
+        }
+        self.watchdog = None;
+        let owned = Arc::get_mut(&mut store).expect("the replays are dropped");
+        for plan in sdc {
+            owned.shadowed.insert(plan, Shadow::Sdc);
+        }
+        for shadow in owned.shadowed.values_mut() {
+            if matches!(shadow, Shadow::Output(_)) {
+                *shadow = Shadow::Kept;
+            }
+        }
+        Arc::try_unwrap(store).expect("the replays are dropped")
     }
 
     /// Shadows `plans` in the checkpoint recording: its transient
     /// register-file and shared-memory plans are fired where a run would
-    /// fire them, marking their sites tainted but flipping nothing, and
-    /// the store settles every one whose marks all die unread
+    /// fire them, flipping nothing on the device but the plans' own
+    /// value deltas, and the store settles every one whose flips all die
+    /// unread, or (with [`Gpu::finish_checkpoint_recording_with`]) whose
+    /// values stay data into a changed output
     /// ([`CheckpointStore::settle`]).  Snapshots hold none of the marks.
     ///
     /// # Panics
@@ -606,6 +678,7 @@ impl Gpu {
         for c in &mut self.cores {
             c.log_taint(rec.shadows.is_some());
         }
+        self.mem.mark_words(rec.shadows.is_some());
     }
 
     /// Forks this GPU from snapshot `idx` of a recorded store: restores
@@ -661,7 +734,8 @@ impl Gpu {
         *replay = Some(Replay {
             store: Arc::clone(store),
             cursor: 0,
-            snapshot: idx,
+            snapshot: Some(idx),
+            patched: Vec::new(),
             diverged: false,
             next_check: idx + 1,
         });
@@ -752,12 +826,15 @@ impl Gpu {
         // hold the mid-launch state, so kernel setup (local-memory reset,
         // core configuration, the initial CTA fill) must be skipped.
         let resumed = self.replay.as_ref().and_then(|rep| {
-            let snap = &rep.store.snapshots[rep.snapshot];
+            let snap = &rep.store.snapshots[rep.snapshot?];
             (rep.cursor == snap.host_ops_done + 1).then(|| {
                 snap.progress
                     .expect("campaign checkpoints are mid-launch snapshots")
             })
         });
+        if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
+            sh.host_continues(&mut self.cores, &mut self.mem);
+        }
         let mut p = match resumed {
             Some(p) => p,
             None => {
@@ -852,7 +929,7 @@ impl Gpu {
                 }
                 self.mem.validity_top(self.cycle);
                 if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
-                    sh.top(self.cycle, &mut self.cores, &self.mem, &ctx);
+                    sh.top(self.cycle, &mut self.cores, &mut self.mem, &ctx);
                 }
             }
             // Reconvergence (forked runs only), also before fault firing,
@@ -1025,7 +1102,7 @@ impl Gpu {
         // L1s are invalidated between launches on real GPUs.
         self.mem.flush_l1s();
         if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
-            sh.launch_end();
+            sh.launch_end(&mut self.mem);
         }
 
         // Lockstep oracle: diff the launch's final architectural state
@@ -1082,13 +1159,14 @@ impl Gpu {
         Ok(stats)
     }
 
-    /// Hands the shadowed plans the marks the `busy` cores read or killed
-    /// in this loop iteration (see `crate::shadow`).
-    #[cold]
+    /// Hands the shadowed plans what the `busy` cores logged in this loop
+    /// iteration (see `crate::shadow`).
     fn drain_shadows(&mut self, busy: &[usize]) {
         if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
             for &i in busy {
-                sh.drain(&mut self.cores[i]);
+                if self.cores[i].logged() {
+                    sh.drain(i as u32, &mut self.cores[i], &mut self.mem);
+                }
             }
         }
     }

@@ -98,7 +98,8 @@ pub use gpu::Gpu;
 pub use grid::{Dim3, LaunchDims};
 pub use mem::{AccessKind, CacheStats, FlipOutcome, MemSystem, GLOBAL_BASE, LOCAL_BASE};
 pub use oracle::{Divergence, DivergenceReport, OracleMirror, ThreadState};
-pub use snapshot::{CheckpointStore, Settled, Snapshot};
+pub use shadow::Leave;
+pub use snapshot::{CheckpointStore, Settled, SettledEffect, ShadowTally, Snapshot};
 pub use stats::{AppStats, KernelWindow, LaunchStats};
 
 // Unwind-safety boundary of the campaign supervisor: every piece of shared

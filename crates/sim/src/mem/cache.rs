@@ -24,7 +24,8 @@
 //! shared with every cache of its geometry and points every chunk at one
 //! shared all-invalid chunk.  Recording, forking and building a device
 //! thus cost a pointer per cache, plus a table and a chunk copy for each
-//! cache and chunk that was written.
+//! cache and chunk that was written; handing a written table over to
+//! sharing moves it behind a reference count without a copy.
 
 use crate::config::{CacheConfig, TAG_BITS};
 use crate::fast_hash::FastSet;
@@ -204,8 +205,10 @@ mod arrays {
         Owned(T::Owned),
     }
 
-    /// A cache's chunk table.
-    type Table = Held<[Held<Chunk>]>;
+    /// A cache's chunk table.  Its shared form holds the owned `Vec`
+    /// itself, so handing an owned table over to sharing moves it behind
+    /// a reference count instead of copying it.
+    type Table = Held<Vec<Held<Chunk>>>;
 
     impl<T: ?Sized + ToOwned> Held<T> {
         fn get(&self) -> &T {
@@ -472,7 +475,7 @@ mod arrays {
                 .filter(|held| !held.counted(seen))
                 .map(|held| std::mem::size_of_val(&*held.get().lines) + held.get().data.len())
                 .sum();
-            std::mem::size_of_val(table) + chunks
+            std::mem::size_of_val(&table[..]) + chunks
         }
     }
 
@@ -519,7 +522,7 @@ mod arrays {
             c
         }
 
-        fn table_of(c: &Cache) -> &Arc<[Held<Chunk>]> {
+        fn table_of(c: &Cache) -> &Arc<Vec<Held<Chunk>>> {
             match &c.arrays.table {
                 Table::Shared(t) => t,
                 Table::Owned(_) => panic!("the table is owned"),

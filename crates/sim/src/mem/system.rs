@@ -86,6 +86,25 @@ pub struct MemSystem {
     // Every cache line's validity changes, on the golden recording pass
     // alone (off in every clone and restore).
     validity: ValidityLog,
+    // The global words the recording pass's value shadows mark.
+    words: WordMarks,
+}
+
+/// The global-memory words the recording pass's value shadows mark (see
+/// `crate::shadow`), by word index (byte address / 4).  Like the
+/// validity log, an instrument of that pass: off in every clone and
+/// restore.
+#[derive(Debug, Default)]
+struct WordMarks(Option<FastSet<u32>>);
+
+impl Clone for WordMarks {
+    fn clone(&self) -> Self {
+        WordMarks::default()
+    }
+
+    fn clone_from(&mut self, _: &Self) {
+        *self = WordMarks::default();
+    }
 }
 
 clone_fields!(MemSystem {
@@ -104,6 +123,7 @@ clone_fields!(MemSystem {
     local_taints,
     escaped,
     validity,
+    words,
 });
 
 impl MemSystem {
@@ -138,6 +158,7 @@ impl MemSystem {
             local_taints: _,
             escaped: _,
             validity: _,
+            words: _,
         } = self;
         let caches = |a: &[Cache], b: &[Cache]| {
             a.len() == b.len() && a.iter().zip(b).all(|(a, b)| a.same_state(b))
@@ -210,6 +231,7 @@ impl MemSystem {
             local_taints: Vec::new(),
             escaped: false,
             validity: ValidityLog::default(),
+            words: WordMarks::default(),
         }
     }
 
@@ -1026,6 +1048,32 @@ impl MemSystem {
     /// Switches the line-validity log off and returns its timeline.
     pub(crate) fn take_validity_timeline(&mut self) -> Timeline {
         self.validity.take()
+    }
+
+    /// Switches the value shadows' global word marks on (empty) or off.
+    pub(crate) fn mark_words(&mut self, on: bool) {
+        self.words = WordMarks(on.then(FastSet::default));
+    }
+
+    /// Whether some global word is marked.
+    pub(crate) fn has_word_marks(&self) -> bool {
+        self.words.0.as_ref().is_some_and(|w| !w.is_empty())
+    }
+
+    /// Whether the global word `word` is marked.
+    pub(crate) fn word_marked(&self, word: u32) -> bool {
+        self.words.0.as_ref().is_some_and(|w| w.contains(&word))
+    }
+
+    /// Marks or unmarks the global word `word`, while marks are on.
+    pub(crate) fn set_word_mark(&mut self, word: u32, on: bool) {
+        if let Some(w) = &mut self.words.0 {
+            if on {
+                w.insert(word);
+            } else {
+                w.remove(&word);
+            }
+        }
     }
 
     /// Whether this memory system logs line-validity changes: only on a

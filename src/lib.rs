@@ -53,7 +53,7 @@ pub use gpufi_workloads as workloads;
 /// The names an injection study typically needs, in one import.
 pub mod prelude {
     pub use gpufi_core::{
-        analyze, campaign_fingerprint, classify, detail_of, profile, run_campaign,
+        analyze, campaign_fingerprint, campaign_plans, classify, detail_of, profile, run_campaign,
         run_campaign_with_hook, run_worker, run_worker_with_chaos, serve_campaign,
         serve_campaign_with_chaos, AnalysisConfig, AppAnalysis, CampaignConfig, CampaignError,
         CampaignResult, CampaignStats, ChaosPlan, CoordinatorChaos, FaultHook, GoldenProfile,

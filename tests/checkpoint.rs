@@ -5,7 +5,7 @@
 mod common;
 
 use gpufi::prelude::*;
-use gpufi::sim::{AppStats, Gpu};
+use gpufi::sim::{AppStats, Gpu, Leave, SettledEffect};
 
 /// Checkpoint forking must never change a verdict: every forked run is
 /// confirmed by `--oracle-check` against a cold start simulated in full,
@@ -493,7 +493,10 @@ fn settled_record(
 ) -> RunRecord {
     let settled = store.settle(plan).expect("a settled plan");
     RunRecord {
-        effect: FaultEffect::Masked,
+        effect: match settled.effect {
+            SettledEffect::Masked => FaultEffect::Masked,
+            SettledEffect::Sdc => FaultEffect::Sdc,
+        },
         cycles: golden.total_cycles(),
         applied: settled.applied,
         early_exit: settled.early_exit,
@@ -940,4 +943,102 @@ fn explicit_snapshot_restore_roundtrip() {
     assert_eq!(out_restored, out_twice);
     assert_eq!(restored.stats(), twice.stats());
     assert_eq!(restored.cycle(), twice.cycle());
+}
+
+/// Records `w` on `card` on the stride and within the budget a campaign
+/// records it with, shadowing `plans`, and replays the output of every
+/// plan whose faulty values reach it, as a campaign does.
+fn record_valued(
+    w: &dyn Workload,
+    card: &GpuConfig,
+    golden: &GoldenProfile,
+    plans: &[InjectionPlan],
+) -> std::sync::Arc<CheckpointStore> {
+    let mut rec = Gpu::new(card.clone());
+    let interval = (golden.total_cycles() / 24).max(1);
+    rec.record_checkpoints(interval, gpufi::core::DEFAULT_CHECKPOINT_BUDGET);
+    rec.shadow_plans(plans);
+    w.run(&mut rec).unwrap();
+    let store = rec.finish_checkpoint_recording_with(&golden.output, |gpu| w.run(gpu).ok());
+    std::sync::Arc::new(store)
+}
+
+/// Every plan a recording whose shadows carry values settles gets
+/// exactly the record its fork writes, on HS shared memory on the GTX
+/// Titan, GE rf, NW rf stratified, and LUD rf with 3-bit flips and with
+/// warp-scope flips.  All but LUD settle SDC plans (LUD's faulty values
+/// reach addresses, predicates or words stored in the same launch first:
+/// EXPERIMENTS.md).
+#[test]
+fn value_settled_plans_get_their_forks_records() {
+    let rf = || CampaignSpec::new(Structure::RegisterFile);
+    let (rtx, titan) = (GpuConfig::rtx2060(), GpuConfig::gtx_titan());
+    let cases = [
+        (
+            "HS",
+            &titan,
+            CampaignConfig::new(CampaignSpec::new(Structure::SharedMemory), 200, 11),
+        ),
+        ("GE", &rtx, CampaignConfig::new(rf(), 200, 11)),
+        ("NW", &rtx, CampaignConfig::new(rf(), 200, 11).stratified()),
+        ("LUD", &rtx, CampaignConfig::new(rf().bits(3), 200, 11)),
+        ("LUD", &rtx, CampaignConfig::new(rf().warp_scope(), 200, 11)),
+    ];
+    for (name, card, cfg) in cases {
+        let tag = format!("{name} on {} {:?}", card.name, cfg.spec);
+        let w = by_name(name).unwrap();
+        let golden = profile(w.as_ref(), card).unwrap();
+        let plans = campaign_plans(w.as_ref(), card, &cfg, &golden).unwrap();
+        let store = record_valued(w.as_ref(), card, &golden, &plans);
+        let mut gpu = Gpu::new(card.clone());
+        let (mut settled, mut sdc) = (0, 0);
+        for (i, plan) in plans.iter().enumerate() {
+            let Some(s) = store.settle(plan) else {
+                continue;
+            };
+            settled += 1;
+            sdc += usize::from(s.effect == SettledEffect::Sdc);
+            let forked = forked_record(&mut gpu, &store, w.as_ref(), plan, &golden);
+            assert_eq!(
+                forked,
+                settled_record(&store, plan, &golden),
+                "{tag} plan {i}"
+            );
+        }
+        assert!(settled > 0, "{tag}: no plan settled");
+        assert!(sdc > 0 || name == "LUD", "{tag}: no plan settled SDC");
+    }
+}
+
+/// The other direction on HS shared memory on the GTX Titan: every SDC
+/// run of a 300-run campaign that ends at the golden cycle count is
+/// settled, but the ones named here, each with the rule its plan left the
+/// value group by.
+#[test]
+fn every_sdc_at_golden_cycles_is_settled_on_hs_shared() {
+    let (w, card) = (by_name("HS").unwrap(), GpuConfig::gtx_titan());
+    let cfg = CampaignConfig::new(CampaignSpec::new(Structure::SharedMemory), 300, 11);
+    let golden = profile(w.as_ref(), &card).unwrap();
+    let res = run_campaign(w.as_ref(), &card, &cfg, &golden).unwrap();
+    let plans = campaign_plans(w.as_ref(), &card, &cfg, &golden).unwrap();
+    let store = record_valued(w.as_ref(), &card, &golden, &plans);
+    let exceptions: Vec<(usize, Option<Leave>)> = res
+        .records
+        .iter()
+        .zip(&res.rungs)
+        .enumerate()
+        .filter(|(_, (r, &rung))| {
+            r.effect == FaultEffect::Sdc
+                && r.cycles == golden.total_cycles()
+                && rung != Rung::Settled
+        })
+        .map(|(i, _)| (i, store.left_by(&plans[i])))
+        .collect();
+    let sdc = res
+        .records
+        .iter()
+        .filter(|r| r.effect == FaultEffect::Sdc)
+        .count();
+    assert!(sdc > 150, "{sdc} SDC runs");
+    assert_eq!(exceptions, vec![]);
 }
