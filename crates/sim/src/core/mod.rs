@@ -239,8 +239,10 @@ pub(crate) enum Event {
         marked: [u32; 4],
         words: u32,
     },
-    /// Marked slot `mark` died with its thread or its CTA; for a
-    /// register, its lanes `lanes` died (`mark` names lane 0).
+    /// Marked slots died with their thread or their CTA: lanes `lanes` of
+    /// the row of 32 slots `mark` names the first of — a register's lanes
+    /// (`mark` names lane 0), or 32 consecutive shared-memory words
+    /// (`mark` names a word whose index is a multiple of 32).
     Kill { mark: Mark, lanes: u32 },
 }
 
@@ -1089,17 +1091,23 @@ impl SimtCore {
                 }
             }
             if let Some(log) = &mut self.taint_log.0 {
-                let mut words: Vec<u32> =
-                    cta.smem_taints.iter().map(|&b| (b / 32) as u32).collect();
-                words.dedup();
-                log.events.extend(words.into_iter().map(|word| Event::Kill {
-                    mark: Mark::Smem {
+                // One kill per row of 32 words holding a marked word.
+                for &b in &cta.smem_taints {
+                    let word = (b / 32) as u32;
+                    let (seq, lane) = (cta.seq, 1 << (word & 31));
+                    let row = Mark::Smem {
                         sm,
-                        seq: cta.seq,
-                        word,
-                    },
-                    lanes: 1,
-                }));
+                        seq,
+                        word: word & !31,
+                    };
+                    match log.events.last_mut() {
+                        Some(Event::Kill { mark, lanes }) if *mark == row => *lanes |= lane,
+                        _ => log.events.push(Event::Kill {
+                            mark: row,
+                            lanes: lane,
+                        }),
+                    }
+                }
             }
         }
     }
@@ -2163,9 +2171,10 @@ mod tests {
 
     /// Every ALU, `SETP`, `SEL` and `MOV` micro-op, register and
     /// immediate forms: the shadows' per-lane evaluation
-    /// ([`crate::shadow::lane_delta`]) of the operands a logging core
-    /// records, with random deltas, equals what `exec` computes from the
-    /// faulty operands, over random operands in every lane.
+    /// ([`crate::shadow::lane_value`], faulty XOR golden) of the operands
+    /// a logging core records, with random deltas, equals what `exec`
+    /// computes from the faulty operands, over random operands in every
+    /// lane.
     #[test]
     fn shadow_lane_deltas_equal_exec() {
         use gpufi_isa::Module;
@@ -2301,7 +2310,8 @@ mod tests {
                 for l in 0..LANES {
                     // The deltas of the operands the op reads, as marked.
                     let d = std::array::from_fn(|i| delta[i][l] * (marked[i] >> l & 1));
-                    let shadow = crate::shadow::lane_delta(uop.op, logged, d, *sel, l);
+                    let value = |d| crate::shadow::lane_value(uop.op, logged, d, *sel, l);
+                    let shadow = value([0; 3]) ^ value(d);
                     let exec = if lane::is_setp(uop.op) {
                         (gp ^ fp) >> l & 1
                     } else {

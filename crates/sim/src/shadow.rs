@@ -22,17 +22,28 @@
 //! golden run made them: core by core in issue order after each loop
 //! iteration, where one core issues at most one instruction.
 //!
+//! The deltas live in rows of 32 slots laid out as the cores lay them
+//! out: a register of one warp (a lane per slot), and 32 consecutive
+//! shared-memory words of one CTA or global words.  A row holds its
+//! holders in plan order, each with the lanes it holds and their deltas,
+//! so an instruction costs one row lookup per operand, not one per lane,
+//! and global rows are ordered by address, so a host copy visits only
+//! the rows it touches.
+//!
 //! A plan leaves the group — its run is simulated — as soon as its values
 //! reach anything but data ([`Leave`]): an address operand, a `SETP` that
 //! computes another predicate, a local- or constant-memory access, a
 //! global or texture load of a word whose delta was stored or killed in
 //! the current launch (an L1 may hold it stale; `Gpu::launch` flushes the
 //! L1s at every launch end and the L2 is coherent, so a word stored in an
-//! earlier launch loads exactly), a host read of a faulty word that a
-//! later launch, upload or constant write follows, or [`WORK_CAP`] lane
-//! evaluations.  A run of a plan still in the group at the end takes the
-//! golden run's every branch and address, so it ends at the golden cycle
-//! count; the host reads after the last launch are all that differs, and
+//! earlier launch loads exactly), or a host read of a faulty word that a
+//! later launch, upload or constant write follows.  However far its
+//! values spread, a plan evaluates at most 32 lanes per golden warp
+//! instruction after its first fault, so its shadow costs at most a
+//! lane-by-lane pass over the instructions its run would simulate.  A
+//! run of a plan still in the group at the end takes the golden run's
+//! every branch and address, so it ends at the golden cycle count; the
+//! host reads after the last launch are all that differs, and
 //! `Gpu::finish_checkpoint_recording_with` replays the host program with
 //! the plan's bytes patched in to tell whether the output does.
 //!
@@ -63,15 +74,7 @@ use crate::gpu::EE_STRIDE;
 use crate::mem::MemSystem;
 use crate::snapshot::{Settled, SettledEffect};
 use gpufi_isa::decode::{Uop, UopOp, NO_REG};
-use std::collections::HashMap;
-
-/// The most lane evaluations one plan's values may cost the recording
-/// before the plan leaves the group.  Sized by the pilot in
-/// EXPERIMENTS.md: the heaviest HS shared-memory plan evaluates fewer
-/// than 512 lanes, while NW rf plans whose faulty values spread over
-/// the grid would cost the recording pass (and a stratified campaign's
-/// set-up) several times more than the forks they save.
-pub(crate) const WORK_CAP: u64 = 1 << 10;
+use std::collections::{BTreeMap, HashMap};
 
 /// Why a shadowed plan left the value group; its run is simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,19 +91,16 @@ pub enum Leave {
     /// The host read a faulty word, and a launch, an upload or a constant
     /// write followed.
     HostRead,
-    /// The plan's evaluations passed the work cap (2^10 lanes).
-    WorkCap,
 }
 
 impl Leave {
     /// Every rule, in the order the docs give them.
-    pub const ALL: [Leave; 6] = [
+    pub const ALL: [Leave; 5] = [
         Leave::Address,
         Leave::Predicate,
         Leave::LocalOrConst,
         Leave::StaleLoad,
         Leave::HostRead,
-        Leave::WorkCap,
     ];
 }
 
@@ -130,11 +130,8 @@ pub(crate) struct Shadows {
     /// the index of the first that has not fired yet.
     due: Vec<(u64, usize, usize)>,
     next: usize,
-    /// Every slot some plan holds, with each holder and its delta.
-    slots: FastMap<Mark, Holders>,
-    /// The global words each plan stored or killed a delta of in the
-    /// current launch.
-    touched: FastMap<u32, Vec<usize>>,
+    /// Every row some plan holds a slot of or touched a word of.
+    rows: Rows,
     /// Plans the host read faulty words of, since the last launch.
     reading: Vec<usize>,
     /// Plans that left since their slots were last dropped.
@@ -143,30 +140,11 @@ pub(crate) struct Shadows {
     launch_tops: Vec<u64>,
     /// Loop tops of the current launch so far.
     tops: u64,
-    /// Scratch: one core's drained log, and one event's holders as
-    /// `(plan, operand, lane, delta)`.
+    /// Lanes evaluated with the plans' faulty operands.
+    lane_ops: u64,
+    /// Scratch: one core's drained log, and one event's plans.
     log: Log,
-    held: Vec<(usize, u8, u8, u32)>,
-    /// The destination lanes some plan holds after the instruction being
-    /// evaluated.
-    dst_held: u32,
-}
-
-/// The plans holding one slot, each with its delta: the usual single
-/// one inline.
-#[derive(Debug, Clone)]
-enum Holders {
-    One((usize, u32)),
-    Many(Vec<(usize, u32)>),
-}
-
-impl Holders {
-    fn get(&self) -> &[(usize, u32)] {
-        match self {
-            Holders::One(e) => std::slice::from_ref(e),
-            Holders::Many(v) => v,
-        }
-    }
+    parts: Parts,
 }
 
 #[derive(Debug)]
@@ -175,14 +153,15 @@ struct Shadowed {
     /// Faults not fired yet.
     unfired: usize,
     applied: bool,
-    /// Slots held now, and every slot ever taken.
+    /// Slots held now.
     live: usize,
-    taken: Vec<Mark>,
+    /// The rows the plan is a holder of now (`holding` of them), among
+    /// others it was once; compacted as it grows.
+    rows: Vec<u32>,
+    holding: usize,
     /// Whether a slot of the plan was read: its run's taint escaped.
     read: bool,
     left: Option<Leave>,
-    /// Lanes evaluated with the plan's operands.
-    work: u64,
     /// The faulty words the host read: `(journal op, word address, delta)`.
     outputs: Vec<(usize, u32, u32)>,
     /// Where the last fault fired: the launch, the loop top's index in it
@@ -229,6 +208,175 @@ impl Shadowed {
             Shadow::Kept
         }
     }
+
+    /// Notes the slots `lost` and `gained`, in that order, the lost ones
+    /// dead in iteration `at` if `dies`.
+    fn count(&mut self, lost: u32, gained: u32, dies: bool, at: u64) {
+        self.live -= lost.count_ones() as usize;
+        if dies && lost != 0 && self.live == 0 && self.unfired == 0 {
+            self.died = Some(at);
+        }
+        self.live += gained.count_ones() as usize;
+    }
+}
+
+/// One plan's hold of a row: the lanes it holds a delta of, in a global
+/// row the lanes whose word it stored or killed a delta of in the
+/// current launch, and where the delta of each lane is (see
+/// [`Rows::deltas`]).
+#[derive(Debug, Clone, Copy)]
+struct Holder {
+    plan: u32,
+    held: u32,
+    touched: u32,
+    delta: u32,
+}
+
+/// A row of 32 slots: `at` is its first.
+#[derive(Debug)]
+struct Row {
+    at: Mark,
+    /// In plan order; none once the row is freed.
+    holders: Vec<Holder>,
+}
+
+impl Row {
+    fn holder(&self, p: u32) -> Option<&Holder> {
+        let i = self.holders.binary_search_by_key(&p, |h| h.plan).ok()?;
+        Some(&self.holders[i])
+    }
+
+    /// The lanes some holder holds.
+    fn held(&self) -> u32 {
+        self.holders.iter().fold(0, |m, h| m | h.held)
+    }
+
+    /// The lanes some holder holds or touched.
+    fn marked(&self) -> u32 {
+        self.holders.iter().fold(0, |m, h| m | h.held | h.touched)
+    }
+}
+
+/// The first slot of the row holding slot `m`, and `m`'s lane in it.
+fn split(m: Mark) -> (Mark, usize) {
+    match m {
+        Mark::Reg {
+            sm,
+            seq,
+            warp,
+            reg,
+            lane,
+        } => {
+            let at = Mark::Reg {
+                sm,
+                seq,
+                warp,
+                reg,
+                lane: 0,
+            };
+            (at, usize::from(lane))
+        }
+        Mark::Smem { sm, seq, word } => {
+            let at = Mark::Smem {
+                sm,
+                seq,
+                word: word & !31,
+            };
+            (at, (word & 31) as usize)
+        }
+        Mark::Global { word } => (Mark::Global { word: word & !31 }, (word & 31) as usize),
+    }
+}
+
+/// Slot `l` of the row whose first slot is `at`.
+fn slot(at: Mark, l: usize) -> Mark {
+    match at {
+        Mark::Reg {
+            sm, seq, warp, reg, ..
+        } => Mark::Reg {
+            sm,
+            seq,
+            warp,
+            reg,
+            lane: l as u8,
+        },
+        Mark::Smem { sm, seq, word } => Mark::Smem {
+            sm,
+            seq,
+            word: word + l as u32,
+        },
+        Mark::Global { word } => Mark::Global {
+            word: word + l as u32,
+        },
+    }
+}
+
+/// The rows, by index, with the indices of freed ones to reuse.
+#[derive(Debug, Default)]
+struct Rows {
+    slab: Vec<Row>,
+    free: Vec<u32>,
+    /// Register and shared-memory rows by their first slot.
+    core: FastMap<Mark, u32>,
+    /// Global rows by their first word / 32.
+    global: BTreeMap<u32, u32>,
+    /// Every holder's deltas, a lane's 0 where it holds none, and the
+    /// indices of freed ones to reuse.
+    deltas: Vec<[u32; 32]>,
+    free_deltas: Vec<u32>,
+}
+
+impl Rows {
+    /// The row whose first slot is `at`, if some plan holds it.
+    fn find(&self, at: Mark) -> Option<u32> {
+        match at {
+            Mark::Global { word } => self.global.get(&(word >> 5)).copied(),
+            _ => self.core.get(&at).copied(),
+        }
+    }
+
+    /// The row whose first slot is `at`, made empty if there is none.
+    fn make(&mut self, at: Mark) -> u32 {
+        if let Some(id) = self.find(at) {
+            return id;
+        }
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.slab[id as usize].at = at;
+                id
+            }
+            None => {
+                self.slab.push(Row {
+                    at,
+                    holders: Vec::new(),
+                });
+                (self.slab.len() - 1) as u32
+            }
+        };
+        match at {
+            Mark::Global { word } => self.global.insert(word >> 5, id),
+            _ => self.core.insert(at, id),
+        };
+        id
+    }
+
+    /// Frees row `id`, which has no holders left.
+    fn free(&mut self, id: u32) {
+        match self.slab[id as usize].at {
+            Mark::Global { word } => self.global.remove(&(word >> 5)),
+            at => self.core.remove(&at),
+        };
+        self.free.push(id);
+    }
+
+    fn row(&self, id: u32) -> &Row {
+        &self.slab[id as usize]
+    }
+
+    /// The deltas of holder `h`.
+    fn delta(&self, h: &Holder) -> &[u32; 32] {
+        &self.deltas[h.delta as usize]
+    }
 }
 
 /// The lanes set in `mask`, ascending.
@@ -242,31 +390,126 @@ fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
-/// How lane `l`'s result of the data-path op `op` differs when its
+/// The value lane `l` of the data-path op `op` computes when its
 /// operands `rows` (`a`, `b`, `c`, as the core logged them) differ in
-/// that lane by `delta`, with `SEL` selector predicate `sel`: the XOR of
-/// the values [`lane::value`] gives the golden and the faulty operands,
-/// or for a `SETP` 1 if [`lane::pred`] differs.
-pub(crate) fn lane_delta(
+/// that lane by `delta`, with `SEL` selector predicate `sel`: what
+/// [`lane::value`] gives, or for a `SETP` [`lane::pred`] as 0 or 1.
+pub(crate) fn lane_value(
     op: UopOp,
     rows: &[[u32; 32]; 3],
     delta: [u32; 3],
     sel: u32,
     l: usize,
 ) -> u32 {
-    let faulty = |i: usize| rows[i][l] ^ delta[i];
+    let [a, b, c] = std::array::from_fn(|i| rows[i][l] ^ delta[i]);
     if lane::is_setp(op) {
-        u32::from(lane::pred(op, rows[0][l], rows[1][l]) != lane::pred(op, faulty(0), faulty(1)))
+        u32::from(lane::pred(op, a, b))
     } else {
-        let s = sel >> l & 1 != 0;
-        let golden = lane::value(op, rows[0][l], rows[1][l], rows[2][l], s);
-        golden ^ lane::value(op, faulty(0), faulty(1), faulty(2), s)
+        lane::value(op, a, b, c, sel >> l & 1 != 0)
     }
 }
 
-/// Operand indices of [`Shadows::held`] entries past `a`, `b`, `c` and
-/// the destination: the lane's memory word, and a global word the plan
-/// stored or killed a delta of in the current launch.
+/// One logged instruction being evaluated: where it ran, its lanes and
+/// golden operands, the rows of its marked `a`, `b`, `c` and destination
+/// registers, and the golden values of the lanes evaluated so far.
+struct Ev<'a> {
+    at: &'a Slots,
+    mask: u32,
+    rows: &'a [[u32; 32]; 3],
+    sel: u32,
+    ids: [Option<u32>; 4],
+    golden: [u32; 32],
+    known: u32,
+    /// Per lane, the later lanes accessing the same memory word, once
+    /// asked for.
+    same: Option<[u32; 32]>,
+}
+
+impl Ev<'_> {
+    /// The lanes after lane `k` that access the word lane `k` does.
+    fn later(&mut self, k: usize) -> u32 {
+        let (at, rows) = (self.at, self.rows);
+        self.same.get_or_insert_with(|| {
+            let word: [u32; 32] =
+                std::array::from_fn(|l| rows[0][l].wrapping_add(at.uop.mem_offset() as u32) / 4);
+            std::array::from_fn(|k| {
+                (k + 1..32).fold(0, |m, l| m | u32::from(word[l] == word[k]) << l)
+            })
+        })[k]
+    }
+
+    /// The value lane `l` computes from the golden operands.
+    fn golden(&mut self, l: usize) -> u32 {
+        if self.known >> l & 1 == 0 {
+            self.golden[l] = lane_value(self.at.uop.op, self.rows, [0; 3], self.sel, l);
+            self.known |= 1 << l;
+        }
+        self.golden[l]
+    }
+}
+
+/// One plan's part in a logged instruction: the lanes of its `a`, `b`,
+/// `c`, destination and memory word operands it holds, and the lanes
+/// whose global word it touched (see [`Holder`]), with the deltas of the
+/// memory words it holds.
+#[derive(Debug, Clone)]
+struct Part {
+    plan: u32,
+    has: [u32; 6],
+    word: [u32; 32],
+    /// Where in the rows of `a`, `b`, `c` and the destination the plan's
+    /// holds are, where `has` names lanes.
+    hold: [u32; 4],
+    /// The destination lanes the instruction writes for the plan, those
+    /// of them it holds a delta of after, and the deltas of those.
+    written: u32,
+    on: u32,
+    out: [u32; 32],
+}
+
+/// The parts of the plans in one logged instruction, in the order the
+/// plans were met, and where each plan's is.
+#[derive(Debug, Default)]
+struct Parts {
+    list: Vec<Part>,
+    /// Per plan, 1 + its part's index, or 0.
+    index: Vec<u32>,
+    /// Scratch: the parts that write the destination, in plan order.
+    writes: Vec<u32>,
+}
+
+impl Parts {
+    /// Plan `p`'s part, made empty if it has none.
+    fn at(&mut self, p: u32) -> &mut Part {
+        let p = p as usize;
+        if self.index.len() <= p {
+            self.index.resize(p + 1, 0);
+        }
+        if self.index[p] == 0 {
+            self.list.push(Part {
+                plan: p as u32,
+                has: [0; 6],
+                word: [0; 32],
+                hold: [0; 4],
+                written: 0,
+                on: 0,
+                out: [0; 32],
+            });
+            self.index[p] = self.list.len() as u32;
+        }
+        &mut self.list[self.index[p] as usize - 1]
+    }
+
+    fn clear(&mut self) {
+        for part in self.list.drain(..) {
+            self.index[part.plan as usize] = 0;
+        }
+    }
+}
+
+/// Indices of [`Part::has`] past `a`, `b`, `c` and the destination: the
+/// lane's memory word, and a global word the plan stored or killed a
+/// delta of in the current launch.
 const WORD: u8 = 4;
 const TOUCHED: u8 = 5;
 
@@ -292,10 +535,10 @@ impl Shadows {
                 plan: plan.clone(),
                 applied: false,
                 live: 0,
-                taken: Vec::new(),
+                rows: Vec::new(),
+                holding: 0,
                 read: false,
                 left: None,
-                work: 0,
                 outputs: Vec::new(),
                 fired: (0, 0, false),
                 died: None,
@@ -318,15 +561,14 @@ impl Shadows {
             plans,
             due,
             next: 0,
-            slots: HashMap::default(),
-            touched: HashMap::default(),
+            rows: Rows::default(),
             reading: Vec::new(),
             leaving: Vec::new(),
             launch_tops: Vec::new(),
             tops: 0,
+            lane_ops: 0,
             log: Log::default(),
-            held: Vec::new(),
-            dst_held: 0,
+            parts: Parts::default(),
         })
     }
 
@@ -374,17 +616,25 @@ impl Shadows {
                 unreachable!("only register-file and shared-memory plans are shadowed")
             };
             for (m, bits) in cores[sm].marks(site) {
-                match self.delta(p, m) {
+                let (at, l) = split(m);
+                let id = self.rows.make(at);
+                let held =
+                    (self.row_holder(p, id)).map(|h| (h.held >> l & 1 != 0, self.rows.delta(h)[l]));
+                match held {
                     // A transient flip of a shared-memory bit is a toggle.
-                    Some(d) if matches!(m, Mark::Smem { .. }) && d == bits => {
-                        self.release(p, m, false);
-                        if !self.slots.contains_key(&m) {
+                    Some((true, d)) if matches!(m, Mark::Smem { .. }) && d == bits => {
+                        self.write(p, id, 1 << l, &[0; 32], 0, false);
+                        if self
+                            .rows
+                            .find(at)
+                            .is_none_or(|id| self.rows.row(id).held() >> l & 1 == 0)
+                        {
                             cores[sm].set_mark(m, false);
                         }
                     }
-                    Some(d) => self.hold(p, m, d ^ bits),
-                    None => {
-                        self.hold(p, m, bits);
+                    Some((true, d)) => self.hold(p, id, l, d ^ bits),
+                    _ => {
+                        self.hold(p, id, l, bits);
                         cores[sm].set_mark(m, true);
                     }
                 }
@@ -392,88 +642,139 @@ impl Shadows {
         }
     }
 
-    /// Plan `p`'s delta of slot `m`, if it holds one.
-    fn delta(&self, p: usize, m: Mark) -> Option<u32> {
-        let h = self.slots.get(&m)?;
-        h.get().iter().find(|e| e.0 == p).map(|e| e.1)
+    /// Plan `p`'s hold of row `id`, if any.
+    fn row_holder(&self, p: usize, id: u32) -> Option<&Holder> {
+        self.rows.row(id).holder(p as u32)
     }
 
-    /// Sets plan `p`'s delta of slot `m` to `d`.
-    fn hold(&mut self, p: usize, m: Mark, d: u32) {
-        use std::collections::hash_map::Entry;
-        match self.slots.entry(m) {
-            Entry::Vacant(v) => {
-                v.insert(Holders::One((p, d)));
-            }
-            Entry::Occupied(o) => {
-                let h = o.into_mut();
-                match h {
-                    Holders::One(e) if e.0 == p => return e.1 = d,
-                    Holders::One(e) => *h = Holders::Many(vec![*e, (p, d)]),
-                    Holders::Many(v) => match v.iter_mut().find(|e| e.0 == p) {
-                        Some(e) => return e.1 = d,
-                        None => v.push((p, d)),
-                    },
-                }
+    /// The index of plan `p`'s hold of row `id`, made empty if it has
+    /// none.
+    fn make_holder(&mut self, p: usize, id: u32) -> usize {
+        let holders = &self.rows.slab[id as usize].holders;
+        match holders.binary_search_by_key(&(p as u32), |h| h.plan) {
+            Ok(i) => i,
+            Err(i) => {
+                self.new_holder(p, id, i);
+                i
             }
         }
-        let s = &mut self.plans[p];
-        s.live += 1;
-        s.taken.push(m);
     }
 
-    /// Removes plan `p` from the holders of slot `m`, and the slot once
-    /// no plan holds it; whether `p` held it.
-    fn unhold(&mut self, p: usize, m: Mark) -> bool {
-        let Some(h) = self.slots.get_mut(&m) else {
-            return false;
-        };
-        let empty = match h {
-            Holders::One(e) if e.0 == p => true,
-            Holders::One(_) => return false,
-            Holders::Many(v) => {
-                let Some(i) = v.iter().position(|e| e.0 == p) else {
-                    return false;
-                };
-                v.swap_remove(i);
-                v.is_empty()
+    /// Makes plan `p` an empty holder of row `id`, at index `i` of its
+    /// holders.
+    fn new_holder(&mut self, p: usize, id: u32, i: usize) {
+        let rows = &mut self.rows;
+        let delta = match rows.free_deltas.pop() {
+            Some(d) => {
+                rows.deltas[d as usize] = [0; 32];
+                d
+            }
+            None => {
+                rows.deltas.push([0; 32]);
+                (rows.deltas.len() - 1) as u32
             }
         };
-        if empty {
-            self.slots.remove(&m);
-        }
-        true
-    }
-
-    /// Ends plan `p`'s hold of slot `m`, if any; a death when `dies` (not
-    /// a toggle back) counts for the early exit.
-    fn release(&mut self, p: usize, m: Mark, dies: bool) {
-        if !self.unhold(p, m) {
-            return;
-        }
-        let at = self.tops - 1;
+        let plan = p as u32;
+        let h = Holder {
+            plan,
+            held: 0,
+            touched: 0,
+            delta,
+        };
+        rows.slab[id as usize].holders.insert(i, h);
         let s = &mut self.plans[p];
-        s.live -= 1;
-        if dies && s.live == 0 && s.unfired == 0 {
-            s.died = Some(at);
+        s.holding += 1;
+        s.rows.push(id);
+        if s.rows.len() > 2 * s.holding + 16 {
+            let slab = &rows.slab;
+            s.rows.retain(|&r| slab[r as usize].holder(plan).is_some());
+            s.rows.sort_unstable();
+            s.rows.dedup();
         }
     }
 
-    /// Sets plan `p`'s delta of slot `m` to `d`, or ends it when `d` is 0.
-    fn set(&mut self, p: usize, m: Mark, d: u32) {
-        if d == 0 {
-            self.release(p, m, true);
+    /// Plan `p` holds lane `l` of row `id` with delta `d`, even if 0.
+    fn hold(&mut self, p: usize, id: u32, l: usize, d: u32) {
+        let i = self.make_holder(p, id);
+        let mut delta = [0; 32];
+        delta[l] = d;
+        self.update(id, i, 1 << l, 1 << l, &delta, 0, false);
+    }
+
+    /// Sets plan `p`'s deltas of lanes `which` of row `id` to those of
+    /// `delta`, ending its hold of the lanes where they are 0 (a death
+    /// when `dies`: not a toggle back), and notes the lanes `touch` as
+    /// touched.
+    fn write(&mut self, p: usize, id: u32, which: u32, delta: &[u32; 32], touch: u32, dies: bool) {
+        let on = (0..32).fold(0, |m, l| m | u32::from(delta[l] != 0) << l) & which;
+        let i = if on | touch != 0 {
+            self.make_holder(p, id)
         } else {
-            self.hold(p, m, d);
+            match self.rows.slab[id as usize]
+                .holders
+                .binary_search_by_key(&(p as u32), |h| h.plan)
+            {
+                Ok(i) => i,
+                Err(_) => return,
+            }
+        };
+        if self.update(id, i, which, on, delta, touch, dies) {
+            self.drop_holder(id, i);
         }
     }
 
-    /// [`Shadows::set`] for the destination register `m` of lane `l`,
-    /// noting the lane as held if `d` is not 0.
-    fn set_dst(&mut self, p: usize, m: Mark, d: u32, l: usize) {
-        self.set(p, m, d);
-        if d != 0 {
-            self.dst_held |= 1 << l;
+    /// Sets hold `i` of row `id` to hold lanes `on` of `which` with their
+    /// deltas in `delta`, ending its hold of the other lanes of `which`
+    /// (a death when `dies`), and notes the lanes `touch` as touched;
+    /// whether it holds and touched nothing after.
+    #[allow(clippy::too_many_arguments)]
+    fn update(
+        &mut self,
+        id: u32,
+        i: usize,
+        which: u32,
+        on: u32,
+        delta: &[u32; 32],
+        touch: u32,
+        dies: bool,
+    ) -> bool {
+        let h = &mut self.rows.slab[id as usize].holders[i];
+        let (lost, gained) = (h.held & which & !on, on & !h.held);
+        let d = &mut self.rows.deltas[h.delta as usize];
+        for l in lanes(which) {
+            d[l] = if on >> l & 1 != 0 { delta[l] } else { 0 };
+        }
+        h.held = (h.held & !which) | on;
+        h.touched |= touch;
+        let empty = h.held | h.touched == 0;
+        let at = self.tops.wrapping_sub(1);
+        self.plans[h.plan as usize].count(lost, gained, dies, at);
+        empty
+    }
+
+    /// Removes hold `i` of row `id`, and the row once it has none.
+    fn drop_holder(&mut self, id: u32, i: usize) {
+        let row = &mut self.rows.slab[id as usize];
+        let h = row.holders.remove(i);
+        self.rows.free_deltas.push(h.delta);
+        self.plans[h.plan as usize].holding -= 1;
+        if row.holders.is_empty() {
+            self.rows.free(id);
+        }
+    }
+
+    /// Removes every hold of row `id` that holds and touched nothing.
+    fn prune(&mut self, id: u32) {
+        let mut i = 0;
+        while let Some(h) = self.rows.row(id).holders.get(i) {
+            if h.held | h.touched == 0 {
+                self.drop_holder(id, i);
+                if self.rows.row(id).holders.is_empty() {
+                    return;
+                }
+            } else {
+                i += 1;
+            }
         }
     }
 
@@ -496,25 +797,7 @@ impl Shadows {
         let mut log = std::mem::take(&mut self.log);
         for e in &log.events {
             match *e {
-                Event::Kill {
-                    mark:
-                        Mark::Reg {
-                            sm, seq, warp, reg, ..
-                        },
-                    lanes: dead,
-                } => {
-                    for l in lanes(dead) {
-                        let lane = l as u8;
-                        self.kill(Mark::Reg {
-                            sm,
-                            seq,
-                            warp,
-                            reg,
-                            lane,
-                        });
-                    }
-                }
-                Event::Kill { mark, .. } => self.kill(mark),
+                Event::Kill { mark, lanes } => self.kill(mark, lanes),
                 Event::Exec {
                     seq,
                     warp,
@@ -534,16 +817,25 @@ impl Shadows {
         self.log = log;
     }
 
-    /// Slot `m` died: every plan holding it loses it.
-    fn kill(&mut self, m: Mark) {
-        let at = self.tops - 1;
-        for &(p, _) in self.slots.remove(&m).as_ref().map_or(&[][..], Holders::get) {
-            let s = &mut self.plans[p];
-            s.live -= 1;
-            if s.live == 0 && s.unfired == 0 {
-                s.died = Some(at);
+    /// Slots `dead` of the row whose first slot is `at` died: every plan
+    /// holding one loses it.
+    fn kill(&mut self, at: Mark, dead: u32) {
+        let Some(id) = self.rows.find(at) else {
+            return;
+        };
+        let top = self.tops - 1;
+        let Rows { slab, deltas, .. } = &mut self.rows;
+        for h in &mut slab[id as usize].holders {
+            let lost = h.held & dead;
+            if lost != 0 {
+                h.held &= !dead;
+                for l in lanes(lost) {
+                    deltas[h.delta as usize][l] = 0;
+                }
+                self.plans[h.plan as usize].count(lost, 0, true, top);
             }
         }
+        self.prune(id);
     }
 
     /// Evaluates instruction `at.uop`, executed on lanes `mask` with the
@@ -565,67 +857,90 @@ impl Shadows {
     ) {
         let u = at.uop;
         let regs = [u.a, u.b, u.c, u.dst];
-        self.dst_held = 0;
-        let mut held = std::mem::take(&mut self.held);
-        for (i, &r) in regs.iter().enumerate() {
-            let mut todo = marked[i];
-            // An earlier operand naming the same register was looked up.
-            if let Some(j) = (0..i).find(|&j| regs[j] == r && marked[j] != 0) {
-                let shared = todo & marked[j];
-                for k in 0..held.len() {
-                    let (p, o, l, d) = held[k];
-                    if usize::from(o) == j && shared >> l & 1 != 0 {
-                        held.push((p, i as u8, l, d));
-                    }
-                }
-                todo &= !shared;
-            }
-            for l in lanes(todo) {
-                for &(p, d) in self.slots.get(&at.reg(r, l)).map_or(&[][..], Holders::get) {
-                    held.push((p, i as u8, l as u8, d));
-                }
-            }
-        }
         let global_load = matches!(u.op, UopOp::LdGlobal | UopOp::LdTex);
-        for l in lanes(words) {
-            let m = at.word(rows, l);
-            for &(p, d) in self.slots.get(&m).map_or(&[][..], Holders::get) {
-                held.push((p, WORD, l as u8, d));
-            }
-            if let (true, Mark::Global { word }) = (global_load, m) {
-                for &p in self.touched.get(&word).into_iter().flatten() {
-                    held.push((p, TOUCHED, l as u8, 0));
-                }
-            }
-        }
-        held.sort_unstable_by_key(|e| e.0);
-        for plan in held.chunk_by(|x, y| x.0 == y.0) {
-            let p = plan[0].0;
-            if self.plans[p].left.is_some() {
+        let mut ev = Ev {
+            at,
+            mask,
+            rows,
+            sel,
+            ids: [None; 4],
+            golden: [0; 32],
+            known: 0,
+            same: None,
+        };
+        let mut parts = std::mem::take(&mut self.parts);
+        // Each plan's part: the lanes of each marked register operand it
+        // holds, and the deltas of the marked memory words it holds.
+        for (i, &r) in regs.iter().enumerate() {
+            if marked[i] == 0 {
                 continue;
             }
-            let mut delta = [[0u32; 32]; 5];
-            let mut has = [0u32; 6];
-            for &(_, i, l, d) in plan {
-                if let Some(row) = delta.get_mut(usize::from(i)) {
-                    row[usize::from(l)] = d;
+            ev.ids[i] = self.rows.find(at.row(r));
+            let holders = ev.ids[i].map_or(&[][..], |id| &self.rows.row(id).holders);
+            for (k, h) in holders.iter().enumerate() {
+                let held = h.held & marked[i];
+                if held != 0 {
+                    let part = parts.at(h.plan);
+                    part.has[i] = held;
+                    part.hold[i] = k as u32;
                 }
-                has[usize::from(i)] |= 1 << l;
+            }
+        }
+        // Lanes whose words share a row are met together: each holder of
+        // the row is looked at once.
+        let mut todo = words;
+        while todo != 0 {
+            let (row, _) = split(at.word(rows, todo.trailing_zeros() as usize));
+            // The lanes accessing each slot of the row.
+            let (mut by_slot, mut slots) = ([0u32; 32], 0u32);
+            for l in lanes(todo) {
+                let (r, wl) = split(at.word(rows, l));
+                if r == row {
+                    by_slot[wl] |= 1 << l;
+                    slots |= 1 << wl;
+                    todo &= !(1 << l);
+                }
+            }
+            for h in self
+                .rows
+                .find(row)
+                .map_or(&[][..], |id| &self.rows.row(id).holders)
+            {
+                let hit = (h.held | h.touched) & slots;
+                if hit == 0 {
+                    continue;
+                }
+                let (part, delta) = (parts.at(h.plan), self.rows.delta(h));
+                for wl in lanes(hit) {
+                    let (held, touched) = (h.held >> wl & 1, h.touched >> wl & 1);
+                    for l in lanes(by_slot[wl]) {
+                        part.has[usize::from(WORD)] |= held << l;
+                        part.word[l] = delta[wl];
+                        // Only a global or texture load reads a word stale.
+                        part.has[usize::from(TOUCHED)] |= (touched & u32::from(global_load)) << l;
+                    }
+                }
+            }
+        }
+        // Every plan's reads first, then the destination's writes: a
+        // plan's writes change only its own holds.
+        let loads = matches!(u.op, UopOp::LdShared | UopOp::LdGlobal | UopOp::LdTex);
+        for part in &mut parts.list {
+            let p = part.plan as usize;
+            let has = part.has;
+            if self.plans[p].left.is_some() || has == [0; 6] {
+                continue;
             }
             let operands = has[0] | has[1] | has[2];
-            let loads = matches!(u.op, UopOp::LdShared | UopOp::LdGlobal | UopOp::LdTex);
             if operands != 0 || (loads && has[4] != 0) {
                 self.plans[p].read = true;
             }
-            let work = self.eval(p, at, mask, rows, sel, &delta, has);
-            let s = &mut self.plans[p];
-            s.work += u64::from(work);
-            if s.work > WORK_CAP {
-                self.leave(p, Leave::WorkCap);
-            }
+            let work = self.eval(p, &mut ev, part);
+            self.lane_ops += u64::from(work);
         }
-        held.clear();
-        self.held = held;
+        let dst_held = self.write_dst(at.row(u.dst), &mut parts);
+        parts.clear();
+        self.parts = parts;
         // Narrow what the core spread: destination lanes a marked operand
         // or word reached, and every stored word.
         let spread = if lane::writes_value(u.op) {
@@ -634,61 +949,123 @@ impl Shadows {
             words
         };
         if u.dst != NO_REG && spread & mask != 0 {
-            core.set_reg_marks(at.seq, at.warp, u.dst, spread & mask, self.dst_held);
+            core.set_reg_marks(at.seq, at.warp, u.dst, spread & mask, dst_held);
         }
         if matches!(u.op, UopOp::StShared | UopOp::StGlobal) {
             for l in lanes((marked[2] | words) & mask) {
                 let m = at.word(rows, l);
-                match m {
-                    Mark::Global { word } => {
-                        let on = self.slots.contains_key(&m) || self.touched.contains_key(&word);
-                        mem.set_word_mark(word, on);
+                let (row, wl) = split(m);
+                let on = self.rows.find(row).map_or(0, |id| {
+                    let r = self.rows.row(id);
+                    if matches!(m, Mark::Global { .. }) {
+                        r.marked()
+                    } else {
+                        r.held()
                     }
-                    _ => core.set_mark(m, self.slots.contains_key(&m)),
+                }) >> wl
+                    & 1
+                    != 0;
+                match m {
+                    Mark::Global { word } => mem.set_word_mark(word, on),
+                    _ => core.set_mark(m, on),
                 }
             }
         }
     }
 
-    /// Evaluates instruction `at.uop` for plan `p`, whose deltas of its
-    /// operands `a`, `b`, `c`, destination and memory words are `delta`
-    /// on lanes `has`, and which stored or killed the global words of
-    /// lanes `has[TOUCHED]` in the current launch; returns the lanes
+    /// Plan `part.plan`'s deltas of operand `i` (`a`, `b` or `c`) of
+    /// `ev`, on the lanes `part.has[i]` (the others may be stale).
+    fn operand(&self, ev: &Ev, part: &Part, i: usize) -> &[u32; 32] {
+        const NONE: [u32; 32] = [0; 32];
+        if part.has[i] == 0 {
+            return &NONE;
+        }
+        let id = ev.ids[i].expect("a held operand's row");
+        let h = &self.rows.row(id).holders[part.hold[i] as usize];
+        debug_assert_eq!(h.plan, part.plan);
+        self.rows.delta(h)
+    }
+
+    /// Sets each plan's deltas of the destination lanes its `parts`
+    /// wrote, row `at`, to those the part computed (a 0 ends the hold);
+    /// returns the lanes some plan holds after.
+    fn write_dst(&mut self, at: Mark, parts: &mut Parts) -> u32 {
+        let writes = &mut parts.writes;
+        let list = &parts.list;
+        writes.extend((0..list.len() as u32).filter(|&k| list[k as usize].written != 0));
+        if writes.is_empty() {
+            return 0;
+        }
+        writes.sort_unstable_by_key(|&k| list[k as usize].plan);
+        let id = match self.rows.find(at) {
+            Some(id) => id,
+            None if writes.iter().any(|&k| list[k as usize].on != 0) => self.rows.make(at),
+            None => {
+                writes.clear();
+                return 0;
+            }
+        };
+        let (mut held, mut c, mut emptied) = (0, 0, false);
+        for &k in writes.iter() {
+            let part = &list[k as usize];
+            let (p, which, on) = (part.plan, part.written, part.on);
+            let holders = &self.rows.slab[id as usize].holders;
+            while holders.get(c).is_some_and(|h| h.plan < p) {
+                c += 1;
+            }
+            if holders.get(c).is_none_or(|h| h.plan != p) {
+                if on == 0 {
+                    continue;
+                }
+                self.new_holder(p as usize, id, c);
+            }
+            emptied |= self.update(id, c, which, on, &part.out, 0, true);
+            held |= on;
+            c += 1;
+        }
+        writes.clear();
+        if emptied {
+            self.prune(id);
+        }
+        held
+    }
+
+    /// Evaluates instruction `ev` for plan `p`, whose `part` says which
+    /// lanes of its operands `a`, `b`, `c`, destination and memory words
+    /// it holds, and which lanes' global words it stored or killed a
+    /// delta of in the current launch, and takes the destination lanes it
+    /// writes and their deltas; stores land at once.  Returns the lanes
     /// evaluated.
-    #[allow(clippy::too_many_arguments)]
-    fn eval(
-        &mut self,
-        p: usize,
-        at: &Slots,
-        mask: u32,
-        rows: &[[u32; 32]; 3],
-        sel: u32,
-        delta: &[[u32; 32]; 5],
-        has: [u32; 6],
-    ) -> u32 {
-        let u = at.uop;
-        let op = u.op;
+    fn eval(&mut self, p: usize, ev: &mut Ev, part: &mut Part) -> u32 {
+        let has = part.has;
+        let (op, mask) = (ev.at.uop.op, ev.mask);
         let operands = has[0] | has[1] | has[2];
-        let dst = |l| at.reg(u.dst, l);
-        let operand_deltas = |l: usize| [delta[0][l], delta[1][l], delta[2][l]];
+        // Into `part.out`: the faulty value of each lane with a faulty
+        // operand, XOR the golden one; returns the lanes where they differ.
+        let deltas = |this: &Self, ev: &mut Ev, part: &mut Part| {
+            let d: [&[u32; 32]; 3] = std::array::from_fn(|i| this.operand(ev, part, i));
+            let mut on = 0;
+            for l in lanes(mask & operands) {
+                let faulty: [u32; 3] =
+                    std::array::from_fn(|i| d[i][l] & 0u32.wrapping_sub(has[i] >> l & 1));
+                let delta = ev.golden(l) ^ lane_value(op, ev.rows, faulty, ev.sel, l);
+                part.out[l] = delta;
+                on |= u32::from(delta != 0) << l;
+            }
+            on
+        };
         match op {
             _ if lane::writes_value(op) => {
                 // A lane with a faulty operand gets the value's delta;
                 // the other executing lanes overwrite the plan's.
-                for l in lanes(mask & (operands | has[3])) {
-                    if operands >> l & 1 != 0 {
-                        let d = lane_delta(op, rows, operand_deltas(l), sel, l);
-                        self.set_dst(p, dst(l), d, l);
-                    } else if has[3] >> l & 1 != 0 {
-                        self.release(p, dst(l), true);
-                    }
-                }
+                part.on = deltas(self, ev, part);
+                part.written = mask & (operands | has[3]);
                 operands.count_ones()
             }
             _ if lane::is_setp(op) => {
-                let differs =
-                    lanes(operands).any(|l| lane_delta(op, rows, operand_deltas(l), sel, l) != 0);
-                if differs {
+                // Marks are taken on executing lanes: `mask` covers every
+                // lane of `operands`.
+                if deltas(self, ev, part) != 0 {
                     self.leave(p, Leave::Predicate);
                 }
                 operands.count_ones()
@@ -702,9 +1079,10 @@ impl Shadows {
                     self.leave(p, Leave::StaleLoad);
                     return 0;
                 }
-                for l in lanes(mask & (has[4] | has[3])) {
-                    self.set_dst(p, dst(l), delta[usize::from(WORD)][l], l);
-                }
+                part.out = part.word;
+                part.on =
+                    lanes(mask & has[4]).fold(0, |m, l| m | u32::from(part.word[l] != 0) << l);
+                part.written = mask & (has[4] | has[3]);
                 has[4].count_ones()
             }
             UopOp::StShared | UopOp::StGlobal => {
@@ -712,28 +1090,33 @@ impl Shadows {
                     self.leave(p, Leave::Address);
                     return 0;
                 }
+                let value = *self.operand(ev, part, 2);
                 // Lane by lane, as the stores land: a later lane's store to
                 // the same word wins.  A lane storing a faulty value or over
                 // a faulty word counts, and so does one storing to the word
                 // such a lane stored to before it.
                 let hit = mask & (has[2] | has[4]);
-                for l in lanes(mask) {
-                    let m = at.word(rows, l);
-                    let before = hit & ((1 << l) - 1);
-                    if hit >> l & 1 == 0 && !lanes(before).any(|k| at.word(rows, k) == m) {
-                        continue;
-                    }
-                    let d = delta[2][l];
-                    if d == 0 && self.delta(p, m).is_none() {
-                        continue;
-                    }
-                    self.set(p, m, d);
-                    if let Mark::Global { word } = m {
-                        let t = self.touched.entry(word).or_default();
-                        if !t.contains(&p) {
-                            t.push(p);
+                let later = lanes(hit).fold(hit, |t, k| t | ev.later(k));
+                for l in lanes(later & mask) {
+                    let m = ev.at.word(ev.rows, l);
+                    let d = if has[2] >> l & 1 != 0 { value[l] } else { 0 };
+                    let (row, wl) = split(m);
+                    let id = if d != 0 {
+                        self.rows.make(row)
+                    } else {
+                        let id = self.rows.find(row);
+                        match id.filter(|&id| {
+                            self.row_holder(p, id)
+                                .is_some_and(|h| h.held >> wl & 1 != 0)
+                        }) {
+                            Some(id) => id,
+                            None => continue,
                         }
-                    }
+                    };
+                    let mut one = [0; 32];
+                    one[wl] = d;
+                    let touch = u32::from(matches!(m, Mark::Global { .. })) << wl;
+                    self.write(p, id, 1 << wl, &one, touch, true);
                 }
                 has[2].count_ones()
             }
@@ -742,62 +1125,109 @@ impl Shadows {
                     self.leave(p, Leave::LocalOrConst);
                     return 0;
                 }
-                for l in lanes(has[3]) {
-                    self.release(p, dst(l), true);
-                }
+                part.written = has[3];
                 0
             }
             _ => {
                 // `S2R`: its destination is overwritten.
-                for l in lanes(has[3]) {
-                    self.release(p, dst(l), true);
-                }
+                part.written = has[3];
                 0
             }
         }
     }
 
     /// Drops the slots of the plans that left: their runs are simulated.
-    /// A slot no other plan holds is unmarked.
+    /// A slot no other plan holds (or, for a global word, touched) is
+    /// unmarked.
     fn drop_left(&mut self, cores: &mut [SimtCore], mem: &mut MemSystem) {
         let mut leaving = std::mem::take(&mut self.leaving);
         for &p in &leaving {
-            for m in std::mem::take(&mut self.plans[p].taken) {
-                if self.unhold(p, m) && !self.slots.contains_key(&m) {
-                    match m {
-                        Mark::Reg { sm, .. } | Mark::Smem { sm, .. } => {
-                            cores[sm as usize].set_mark(m, false);
+            for id in std::mem::take(&mut self.plans[p].rows) {
+                let row = &self.rows.slab[id as usize];
+                let Ok(i) = row.holders.binary_search_by_key(&(p as u32), |h| h.plan) else {
+                    continue;
+                };
+                let h = &row.holders[i];
+                let at = row.at;
+                let mine = h.held
+                    | if matches!(at, Mark::Global { .. }) {
+                        h.touched
+                    } else {
+                        0
+                    };
+                self.drop_holder(id, i);
+                let others = match self.rows.find(at) {
+                    Some(id) if matches!(at, Mark::Global { .. }) => self.rows.row(id).marked(),
+                    Some(id) => self.rows.row(id).held(),
+                    None => 0,
+                };
+                let off = mine & !others;
+                match at {
+                    Mark::Reg {
+                        sm, seq, warp, reg, ..
+                    } => {
+                        if off != 0 {
+                            cores[sm as usize].set_reg_marks(seq, warp, reg as u8, off, 0);
                         }
-                        Mark::Global { word } => {
-                            mem.set_word_mark(word, self.touched.contains_key(&word));
+                    }
+                    Mark::Smem { sm, .. } => {
+                        for l in lanes(off) {
+                            cores[sm as usize].set_mark(slot(at, l), false);
+                        }
+                    }
+                    Mark::Global { word } => {
+                        for l in lanes(off) {
+                            mem.set_word_mark(word + l as u32, false);
                         }
                     }
                 }
             }
+            let s = &mut self.plans[p];
+            s.live = 0;
         }
         leaving.clear();
         self.leaving = leaving;
+    }
+
+    /// The global rows (of 32 words, 128 bytes) holding a byte of
+    /// `[lo, hi)`, ascending.
+    fn global_rows(&self, lo: u64, hi: u64) -> Vec<u32> {
+        if lo >= hi {
+            return Vec::new();
+        }
+        let (first, last) = ((lo / 128) as u32, ((hi - 1) / 128) as u32);
+        self.rows
+            .global
+            .range(first..=last)
+            .map(|(_, &id)| id)
+            .collect()
     }
 
     /// The host read `len` bytes at `ptr` by journal op `op`: every plan
     /// in the group records the faulty words it read.
     pub(crate) fn host_read(&mut self, op: usize, ptr: u32, len: usize) {
         let (lo, hi) = (u64::from(ptr), u64::from(ptr) + len as u64);
-        for (m, h) in &self.slots {
-            let Mark::Global { word } = *m else {
-                continue;
+        for id in self.global_rows(lo, hi) {
+            let row = &self.rows.slab[id as usize];
+            let Mark::Global { word: first } = row.at else {
+                unreachable!("global rows")
             };
-            let addr = u64::from(word) * 4;
-            if addr + 4 <= lo || addr >= hi {
-                continue;
-            }
-            for &(p, d) in h.get() {
-                let s = &mut self.plans[p];
-                if s.left.is_none() {
+            for h in &row.holders {
+                let s = &mut self.plans[h.plan as usize];
+                if s.left.is_some() {
+                    continue;
+                }
+                for l in lanes(h.held) {
+                    let word = first + l as u32;
+                    let addr = u64::from(word) * 4;
+                    if addr + 4 <= lo || addr >= hi {
+                        continue;
+                    }
+                    let p = h.plan as usize;
                     if s.outputs.last().is_none_or(|o| o.0 != op) && !self.reading.contains(&p) {
                         self.reading.push(p);
                     }
-                    s.outputs.push((op, word * 4, d));
+                    s.outputs.push((op, word * 4, self.rows.delta(h)[l]));
                 }
             }
         }
@@ -823,32 +1253,39 @@ impl Shadows {
     ) {
         self.host_continues(cores, mem);
         let (lo, hi) = (u64::from(ptr), u64::from(ptr) + len as u64);
-        let hit: Vec<Mark> = self
-            .slots
-            .keys()
-            .filter(|m| match **m {
-                Mark::Global { word } => {
-                    let addr = u64::from(word) * 4;
-                    addr + 4 > lo && addr < hi
-                }
-                _ => false,
-            })
-            .copied()
-            .collect();
-        for m in hit {
-            let Mark::Global { word } = m else {
-                unreachable!("filtered above")
+        for id in self.global_rows(lo, hi) {
+            let row = &self.rows.slab[id as usize];
+            let Mark::Global { word: first } = row.at else {
+                unreachable!("global rows")
             };
-            let addr = u64::from(word) * 4;
-            // The bytes of the word the upload left alone.
-            let kept = (0..4u64)
-                .filter(|b| !(lo..hi).contains(&(addr + b)))
-                .fold(0u32, |k, b| k | 0xff << (8 * b));
-            let holders = self.slots.get(&m).map_or(Vec::new(), |h| h.get().to_vec());
-            for (p, d) in holders {
-                self.set(p, m, d & kept);
+            // The bytes of each word of the row the upload left alone.
+            let kept: [u32; 32] = std::array::from_fn(|l| {
+                let addr = (u64::from(first) + l as u64) * 4;
+                (0..4u64)
+                    .filter(|b| !(lo..hi).contains(&(addr + b)))
+                    .fold(0u32, |k, b| k | 0xff << (8 * b))
+            });
+            let hit = (0..32).fold(0u32, |m, l| m | u32::from(kept[l] != !0) << l);
+            let writes: Vec<(usize, u32, [u32; 32])> = row
+                .holders
+                .iter()
+                .filter(|h| h.held & hit != 0)
+                .map(|h| {
+                    let d = self.rows.delta(h);
+                    let delta = std::array::from_fn(|l| d[l] & kept[l]);
+                    (h.plan as usize, h.held & hit, delta)
+                })
+                .collect();
+            for (p, which, delta) in writes {
+                self.write(p, id, which, &delta, 0, true);
             }
-            mem.set_word_mark(word, self.slots.contains_key(&m));
+            let on = self
+                .rows
+                .find(Mark::Global { word: first })
+                .map_or(0, |id| self.rows.row(id).held());
+            for l in lanes(hit) {
+                mem.set_word_mark(first + l as u32, on >> l & 1 != 0);
+            }
         }
     }
 
@@ -857,8 +1294,22 @@ impl Shadows {
     pub(crate) fn launch_end(&mut self, mem: &mut MemSystem) {
         self.launch_tops.push(self.tops);
         self.tops = 0;
-        for (word, _) in std::mem::take(&mut self.touched) {
-            mem.set_word_mark(word, self.slots.contains_key(&Mark::Global { word }));
+        let ids: Vec<u32> = self.rows.global.values().copied().collect();
+        for id in ids {
+            let row = &mut self.rows.slab[id as usize];
+            let Mark::Global { word: first } = row.at else {
+                unreachable!("global rows")
+            };
+            let touched = row.holders.iter_mut().fold(0, |m, h| {
+                let t = h.touched;
+                h.touched = 0;
+                m | t
+            });
+            let off = touched & !row.held();
+            for l in lanes(off) {
+                mem.set_word_mark(first + l as u32, false);
+            }
+            self.prune(id);
         }
     }
 
@@ -866,13 +1317,12 @@ impl Shadows {
     /// of them evaluated.
     pub(crate) fn finish(self) -> (HashMap<InjectionPlan, Shadow>, u64) {
         let launch_tops = self.launch_tops;
-        let work = self.plans.iter().map(|s| s.work).sum();
         let shadows = self
             .plans
             .into_iter()
             .map(|s| (s.plan.clone(), s.shadow(&launch_tops)))
             .collect();
-        (shadows, work)
+        (shadows, self.lane_ops)
     }
 }
 
@@ -886,14 +1336,14 @@ struct Slots {
 }
 
 impl Slots {
-    /// Register `r` of lane `l`.
-    fn reg(&self, r: u8, l: usize) -> Mark {
+    /// The row of register `r`: its lane 0.
+    fn row(&self, r: u8) -> Mark {
         Mark::Reg {
             sm: self.sm,
             seq: self.seq,
             warp: self.warp,
             reg: u16::from(r),
-            lane: l as u8,
+            lane: 0,
         }
     }
 
@@ -1062,17 +1512,34 @@ mod tests {
     }
 
     #[test]
-    fn the_work_cap_leaves() {
-        // Each iteration evaluates 32 lanes, and so does the store.
+    fn a_later_lane_storing_to_the_same_word_wins() {
+        // Every lane stores to the buffer's first word, lanes 0..=30 a
+        // faulty value and lane 31, last, its golden thread index: the
+        // word ends golden, and the plan is kept, not settled SDC.
         let plan = flip(1, 0);
-        let n = WORK_CAP / 32;
-        let body = format!(
-            " MOV R4, 0\n MOV R5, 0\nloop:\n IADD R4, R4, R1\n IADD R5, R5, 1\n ISETP.LT P0, R5, {n}\n@P0 BRA loop\n STG [R3], R4"
-        );
-        left(&record(&body, &plan, false), &plan, Leave::WorkCap);
-        // One evaluation fewer stays in the group.
-        let body = body.replace(&format!("{n}"), &format!("{}", n - 1));
+        let body = " ISETP.LT P0, R2, 31\n SEL R4, R1, R2, P0\n STG [R0], R4";
+        let store = record(body, &plan, false);
+        assert_eq!(store.settle(&plan), None);
+        assert_eq!(store.shadow_tally().kept, 1);
+        // Lanes 30 and 31 store the faulty value instead: the word ends
+        // faulty.
+        let body = body.replace(", 31", ", 30").replace("R1, R2", "R2, R1");
         let store = record(&body, &plan, false);
+        assert_eq!(
+            store.settle(&plan).map(|s| s.effect),
+            Some(SettledEffect::Sdc)
+        );
+    }
+
+    #[test]
+    fn a_plan_evaluating_thousands_of_lanes_settles_sdc() {
+        // Each iteration evaluates 32 lanes, and so does the store: 64
+        // iterations pass 2^10 lanes twice over.
+        let plan = flip(1, 0);
+        let body = " MOV R4, 0\n MOV R5, 0\nloop:\n IADD R4, R4, R1\n IADD R5, R5, 1\n ISETP.LT P0, R5, 64\n@P0 BRA loop\n STG [R3], R4";
+        let store = record(body, &plan, false);
+        assert_eq!(store.shadow_tally().lane_ops, 65 * 32);
+        assert_eq!(store.left_by(&plan), None);
         assert_eq!(
             store.settle(&plan).map(|s| s.effect),
             Some(SettledEffect::Sdc)

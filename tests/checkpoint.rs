@@ -965,10 +965,12 @@ fn record_valued(
 
 /// Every plan a recording whose shadows carry values settles gets
 /// exactly the record its fork writes, on HS shared memory on the GTX
-/// Titan, GE rf, NW rf stratified, and LUD rf with 3-bit flips and with
-/// warp-scope flips.  All but LUD settle SDC plans (LUD's faulty values
-/// reach addresses, predicates or words stored in the same launch first:
-/// EXPERIMENTS.md).
+/// Titan, GE rf, NW rf stratified (200 runs, and 1,000), and LUD rf with
+/// 3-bit flips and with warp-scope flips.  All but LUD settle SDC plans
+/// (LUD's faulty values reach addresses, predicates or words stored in
+/// the same launch first: EXPERIMENTS.md).  However many lanes a plan's
+/// values spread to, it stays in the group: in the 1,000-run NW campaign
+/// a settled SDC plan evaluates more than 2^10 lanes.
 #[test]
 fn value_settled_plans_get_their_forks_records() {
     let rf = || CampaignSpec::new(Structure::RegisterFile);
@@ -981,6 +983,7 @@ fn value_settled_plans_get_their_forks_records() {
         ),
         ("GE", &rtx, CampaignConfig::new(rf(), 200, 11)),
         ("NW", &rtx, CampaignConfig::new(rf(), 200, 11).stratified()),
+        ("NW", &rtx, CampaignConfig::new(rf(), 1000, 11).stratified()),
         ("LUD", &rtx, CampaignConfig::new(rf().bits(3), 200, 11)),
         ("LUD", &rtx, CampaignConfig::new(rf().warp_scope(), 200, 11)),
     ];
@@ -991,13 +994,15 @@ fn value_settled_plans_get_their_forks_records() {
         let plans = campaign_plans(w.as_ref(), card, &cfg, &golden).unwrap();
         let store = record_valued(w.as_ref(), card, &golden, &plans);
         let mut gpu = Gpu::new(card.clone());
-        let (mut settled, mut sdc) = (0, 0);
+        let (mut settled, mut sdc) = (0, Vec::new());
         for (i, plan) in plans.iter().enumerate() {
             let Some(s) = store.settle(plan) else {
                 continue;
             };
             settled += 1;
-            sdc += usize::from(s.effect == SettledEffect::Sdc);
+            if s.effect == SettledEffect::Sdc {
+                sdc.push(plan);
+            }
             let forked = forked_record(&mut gpu, &store, w.as_ref(), plan, &golden);
             assert_eq!(
                 forked,
@@ -1006,7 +1011,69 @@ fn value_settled_plans_get_their_forks_records() {
             );
         }
         assert!(settled > 0, "{tag}: no plan settled");
-        assert!(sdc > 0 || name == "LUD", "{tag}: no plan settled SDC");
+        assert!(
+            !sdc.is_empty() || name == "LUD",
+            "{tag}: no plan settled SDC"
+        );
+        if plans.len() == 1000 {
+            // The lanes a plan's shadow evaluates, shadowed alone.
+            let heavy = sdc.iter().any(|plan| {
+                let alone = record_valued(w.as_ref(), card, &golden, std::slice::from_ref(plan));
+                alone.shadow_tally().lane_ops > 1 << 10
+            });
+            assert!(
+                heavy,
+                "{tag}: no settled SDC plan evaluates over 2^10 lanes"
+            );
+        }
+    }
+}
+
+/// Plans never interact: on HS shared memory on the GTX Titan, GE rf and
+/// NW rf stratified, each plan's verdict in a recording that shadows
+/// every plan of a 200-run campaign is its verdict in a recording that
+/// shadows it alone — settled the same way, or left by the same rule.
+/// Debug builds check 40 plans of each campaign, spread over it; release
+/// builds check every plan, and that the lanes the shadows evaluate add
+/// up.
+#[test]
+fn shadowed_plans_never_interact() {
+    let rf = || CampaignSpec::new(Structure::RegisterFile);
+    let (rtx, titan) = (GpuConfig::rtx2060(), GpuConfig::gtx_titan());
+    let cases = [
+        (
+            "HS",
+            &titan,
+            CampaignConfig::new(CampaignSpec::new(Structure::SharedMemory), 200, 11),
+        ),
+        ("GE", &rtx, CampaignConfig::new(rf(), 200, 11)),
+        ("NW", &rtx, CampaignConfig::new(rf(), 200, 11).stratified()),
+    ];
+    for (name, card, cfg) in cases {
+        let w = by_name(name).unwrap();
+        let golden = profile(w.as_ref(), card).unwrap();
+        let plans = campaign_plans(w.as_ref(), card, &cfg, &golden).unwrap();
+        let all = record_valued(w.as_ref(), card, &golden, &plans);
+        let every = if cfg!(debug_assertions) {
+            plans.len() / 40
+        } else {
+            1
+        };
+        let (mut checked, mut lane_ops) = (0, 0);
+        for (i, plan) in plans.iter().enumerate().step_by(every) {
+            let alone = record_valued(w.as_ref(), card, &golden, std::slice::from_ref(plan));
+            assert_eq!(
+                (alone.settle(plan), alone.left_by(plan)),
+                (all.settle(plan), all.left_by(plan)),
+                "{name} plan {i}"
+            );
+            checked += 1;
+            lane_ops += alone.shadow_tally().lane_ops;
+        }
+        assert!(checked >= 40, "{name}: {checked} plans checked");
+        if every == 1 {
+            assert_eq!(lane_ops, all.shadow_tally().lane_ops, "{name}");
+        }
     }
 }
 

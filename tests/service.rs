@@ -571,8 +571,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf(), 300, 11),
             static_dead: 32,
             static_dead_bit: 5,
-            settled: 194,
-            simulated: 69,
+            settled: 203,
+            simulated: 60,
             resume_after: None,
         },
         Row {
@@ -591,8 +591,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf(), 120, 11).stratified(),
             static_dead: 0,
             static_dead_bit: 0,
-            settled: 58,
-            simulated: 62,
+            settled: 70,
+            simulated: 50,
             resume_after: None,
         },
         Row {
@@ -601,8 +601,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf(), 300, 11),
             static_dead: 32,
             static_dead_bit: 5,
-            settled: 194,
-            simulated: 69,
+            settled: 203,
+            simulated: 60,
             resume_after: Some(120),
         },
     ];
