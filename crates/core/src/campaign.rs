@@ -15,6 +15,7 @@ use gpufi_metrics::{FaultEffect, Tally};
 use gpufi_sim::rng::{splitmix64, GAMMA};
 use gpufi_sim::{
     CheckpointStore, FaultTarget, Gpu, GpuConfig, InjectionPlan, KernelWindow, SettledEffect, Trap,
+    GLOBAL_BASE,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::error::Error;
@@ -701,15 +702,18 @@ impl OracleVerdict {
     /// Effect and cycles must match; `applied` unless pre-classified (the
     /// record asserts it unobserved); and a Masked shortcut — any rung but
     /// [`Rung::Simulated`], or an early exit — must leave the reference in
-    /// the oracle's image (a settled SDC run's reference ends on another
-    /// image by definition).  `rec` must also hold the record invariants,
-    /// which the reference cannot dodge by sharing a defect: an early exit
-    /// or an unapplied plan is Masked at `golden_cycles`, Masked means
-    /// `golden_cycles` and Performance any other count, a settled run is
-    /// Masked or SDC at `golden_cycles` with no detail, a settled SDC run
-    /// is applied and did not exit early, and the fork skipped no cycle
-    /// past the run's `first_cycle`.  `sim_panic` records are not
-    /// compared.
+    /// the image the store tells: the oracle's, but for a settled run
+    /// without an early exit whose faulty global words outlive it
+    /// ([`CheckpointStore::final_deltas`]; a settled SDC run's reference
+    /// ends on another image by definition).  `rec` must also hold the
+    /// record invariants, which the reference cannot dodge by sharing a
+    /// defect: an early exit or an unapplied plan is Masked at
+    /// `golden_cycles`, Masked means `golden_cycles` and Performance any
+    /// other count, a settled run is Masked or SDC at `golden_cycles`
+    /// with no detail but `reconverged` on a forked Masked one that
+    /// exited early, a settled SDC run is applied and did not exit early,
+    /// and the fork skipped no cycle past the run's `first_cycle`.
+    /// `sim_panic` records are not compared.
     fn of(
         rec: &RunRecord,
         rung: Rung,
@@ -729,10 +733,12 @@ impl OracleVerdict {
             && (rec.effect != FaultEffect::Performance || !at_golden)
             && (rung != Rung::Settled
                 || (at_golden
-                    && rec.detail == RunDetail::None
-                    && match rec.effect {
-                        FaultEffect::Masked => true,
-                        FaultEffect::Sdc => rec.applied && !rec.early_exit,
+                    && match (rec.effect, rec.detail) {
+                        (FaultEffect::Masked, RunDetail::None) => true,
+                        (FaultEffect::Masked, RunDetail::Reconverged) => {
+                            rec.early_exit && rec.ckpt_skipped_cycles > 0
+                        }
+                        (FaultEffect::Sdc, RunDetail::None) => rec.applied && !rec.early_exit,
                         _ => false,
                     }))
             && rec.ckpt_skipped_cycles <= first_cycle;
@@ -830,7 +836,11 @@ impl RunEnv<'_> {
             applied: settled.applied,
             early_exit: settled.early_exit,
             ckpt_skipped_cycles: skipped,
-            detail: RunDetail::None,
+            detail: if settled.reconverged {
+                RunDetail::Reconverged
+            } else {
+                RunDetail::None
+            },
             stratum: run.stratum,
         })
     }
@@ -924,13 +934,33 @@ impl RunEnv<'_> {
         };
         let mut cold = None;
         let reference = catch_run(|| self.simulate(&mut cold, run, None, false));
+        // A settled run that goes on to the golden end may end holding
+        // faulty global words: the image it must land on has them.
+        let finals = match &self.store {
+            Some(store) if rung == Rung::Settled && !rec.early_exit => {
+                store.final_deltas(&run.plan)
+            }
+            _ => &[],
+        };
+        let image_matches = || {
+            let Some(mut end) = cold.map(|g| g.mem().global_image()) else {
+                return false;
+            };
+            for &(addr, delta) in finals {
+                let at = (addr - GLOBAL_BASE) as usize;
+                for (byte, d) in end[at..at + 4].iter_mut().zip(delta.to_le_bytes()) {
+                    *byte ^= d;
+                }
+            }
+            end == *img
+        };
         OracleVerdict::of(
             rec,
             rung,
             self.golden.total_cycles(),
             run.first_cycle,
             reference.as_ref(),
-            || cold.is_some_and(|g| g.mem().global_image() == img.as_slice()),
+            image_matches,
         )
     }
 
@@ -1406,6 +1436,22 @@ impl Board {
         let b = self.wake.wait_while(self.lock(), |b| !b.over());
         b.expect("board lock poisoned").died
     }
+
+    /// [`Board::wait`] for at most `timeout`: `None` while the campaign
+    /// goes on.
+    pub(crate) fn wait_for(&self, timeout: Duration) -> Option<bool> {
+        let b = self
+            .wake
+            .wait_timeout_while(self.lock(), timeout, |b| !b.over());
+        let (b, _) = b.expect("board lock poisoned");
+        b.over().then_some(b.died)
+    }
+
+    /// Stops granting and merging, as a coordinator death does.
+    pub(crate) fn abandon(&self) {
+        self.lock().died = true;
+        self.wake.notify_all();
+    }
 }
 
 /// A campaign ready to execute: its clients schedule through
@@ -1767,6 +1813,28 @@ mod tests {
         assert_eq!(settled(at_golden(crash)), disagree);
         let detailed = record(Sdc, true, false, RunDetail::Deadlock);
         assert_eq!(settled(at_golden(detailed)), disagree);
+        // `reconverged` only on a forked Masked run that exited early.
+        let reconverged = RunRecord {
+            ckpt_skipped_cycles: 400,
+            ..record(Masked, true, true, RunDetail::Reconverged)
+        };
+        assert_eq!(settled(reconverged), short_agree);
+        let cold = RunRecord {
+            ckpt_skipped_cycles: 0,
+            ..reconverged
+        };
+        assert_eq!(settled(cold), disagree);
+        let ran_out = RunRecord {
+            early_exit: false,
+            ..reconverged
+        };
+        assert_eq!(settled(ran_out), disagree);
+        let sdc_reconverged = RunRecord {
+            effect: Sdc,
+            early_exit: false,
+            ..reconverged
+        };
+        assert_eq!(settled(sdc_reconverged), disagree);
         // A settled SDC run is applied and did not exit early.
         let unapplied_sdc = record(Sdc, false, false, RunDetail::None);
         assert_eq!(settled(at_golden(unapplied_sdc)), disagree);

@@ -15,17 +15,22 @@ use crate::workload::Workload;
 use gpufi_sim::GpuConfig;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
-/// Coordinator-side fault injection for the chaos tests: simulate the
-/// coordinator being SIGKILLed (stop serving, leave the journal exactly
-/// as the crash would) after this many merged run records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Coordinator-side hooks for the chaos tests.  Passing any of them also
+/// makes the coordinator give up, with [`ServiceError::Campaign`], once
+/// every worker that connected has gone for the stall deadline while runs
+/// are left: a test whose workers all failed would otherwise wait for
+/// another forever.  [`serve_campaign`] waits for workers as long as it
+/// takes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordinatorChaos {
-    /// Die after this many merges (counted in this process; resumed
-    /// records do not count).  `0` dies before the first merge.
-    pub die_after_merges: usize,
+    /// Simulate the coordinator being SIGKILLed (stop serving, leave the
+    /// journal exactly as the crash would) after this many merged run
+    /// records (counted in this process; resumed records do not count).
+    /// `Some(0)` dies before the first merge.
+    pub die_after_merges: Option<usize>,
 }
 
 /// Runs one campaign as the coordinator of a distributed sweep: accepts
@@ -71,7 +76,7 @@ pub fn serve_campaign_with_chaos(
         cfg,
         golden,
         lease_size,
-        chaos.map(|c| c.die_after_merges),
+        chaos.and_then(|c| c.die_after_merges),
     )?;
     let (campaign, board) = (&p.drawn.campaign, &p.board);
 
@@ -79,23 +84,51 @@ pub fn serve_campaign_with_chaos(
         .local_addr()
         .map_err(|e| ServiceError::Io(format!("local_addr: {e}")))?;
     let stop = AtomicBool::new(false);
+    // Connections accepted so far, and those still being handled.
+    let (accepted, live) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let mut gave_up = false;
 
     let died = std::thread::scope(|scope| {
         // Accept loop: one handler thread per connection.  Unblocked at
         // completion by a dummy self-connection after `stop` is set.
-        let stop = &stop;
+        let (stop, accepted, live) = (&stop, &accepted, &live);
         let listener = &listener;
         scope.spawn(move || {
             while let Ok((stream, _)) = listener.accept() {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
+                accepted.fetch_add(1, Ordering::SeqCst);
+                live.fetch_add(1, Ordering::SeqCst);
                 scope.spawn(move || {
                     let _ = handle_worker(stream, board, svc, campaign);
+                    live.fetch_sub(1, Ordering::SeqCst);
                 });
             }
         });
-        let died = board.wait();
+        let died = if chaos.is_some() {
+            // The unattended clock starts only once a worker has come and
+            // every one has gone, so a worker still drawing its plans
+            // before it connects cannot trip it.
+            let deadline = Duration::from_millis(svc.deadline_ms.max(1));
+            let mut unattended_since = None;
+            loop {
+                if let Some(died) = board.wait_for(deadline / 4) {
+                    break died;
+                }
+                let unattended =
+                    accepted.load(Ordering::SeqCst) > 0 && live.load(Ordering::SeqCst) == 0;
+                unattended_since =
+                    unattended.then(|| unattended_since.unwrap_or_else(Instant::now));
+                if unattended_since.is_some_and(|t| t.elapsed() >= deadline) {
+                    board.abandon();
+                    gave_up = true;
+                    break true;
+                }
+            }
+        } else {
+            board.wait()
+        };
         stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(addr);
         died
@@ -104,6 +137,11 @@ pub fn serve_campaign_with_chaos(
     // The shared last stage.  A chaos death skips canonicalization —
     // exactly what SIGKILL would leave behind.
     let result = p.finish(cfg, 1);
+    if gave_up {
+        return Err(ServiceError::Campaign(
+            "every worker left, and none came back for the stall deadline with runs left".into(),
+        ));
+    }
     if died {
         return Err(ServiceError::Chaos);
     }

@@ -10,6 +10,7 @@ use super::{ServiceConfig, ServiceError};
 use crate::campaign::{draw, record_store, CampaignConfig, RunEnv};
 use crate::json;
 use crate::profile::GoldenProfile;
+use crate::supervisor::catch_run;
 use crate::workload::Workload;
 use gpufi_sim::GpuConfig;
 use std::io::{BufReader, Write};
@@ -163,7 +164,13 @@ pub fn run_worker_with_chaos(
                 Msg::Fin => return Ok(()),
                 Msg::Lease { id, runs } => {
                     if env.store.is_none() && !runs.is_empty() {
-                        env.store = record_store(workload, card, golden, env.drawn);
+                        // A panicking recording fails the worker and
+                        // closes its connection: the lease is reissued.
+                        let recorded =
+                            catch_run(|| record_store(workload, card, golden, env.drawn));
+                        env.store = recorded.ok_or_else(|| {
+                            ServiceError::Campaign("the checkpoint recording panicked".into())
+                        })?;
                     }
                     for &i in &runs {
                         if i >= drawn.plans.len() {

@@ -239,11 +239,12 @@ pub(crate) enum Event {
         marked: [u32; 4],
         words: u32,
     },
-    /// Marked slots died with their thread or their CTA: lanes `lanes` of
-    /// the row of 32 slots `mark` names the first of — a register's lanes
-    /// (`mark` names lane 0), or 32 consecutive shared-memory words
-    /// (`mark` names a word whose index is a multiple of 32).
-    Kill { mark: Mark, lanes: u32 },
+    /// Marked slots died with their thread (`exit`) or their CTA: lanes
+    /// `lanes` of the row of 32 slots `mark` names the first of — a
+    /// register's lanes (`mark` names lane 0), or 32 consecutive
+    /// shared-memory words (`mark` names a word whose index is a multiple
+    /// of 32).
+    Kill { mark: Mark, lanes: u32, exit: bool },
 }
 
 /// The recording pass's log of the instructions that read or wrote a
@@ -289,9 +290,10 @@ impl TaintLog {
         self.0.is_some()
     }
 
-    /// Logs the death of `lanes` of register `reg` of a warp.
+    /// Logs the death of `lanes` of register `reg` of a warp, by their
+    /// threads' `exit` or their CTA's end.
     #[cold]
-    fn regs(&mut self, (sm, seq, warp): (u32, u64, u32), reg: usize, lanes: u32) {
+    fn regs(&mut self, (sm, seq, warp): (u32, u64, u32), reg: usize, lanes: u32, exit: bool) {
         if let Some(log) = &mut self.0 {
             if lanes != 0 {
                 let reg = reg as u16;
@@ -302,7 +304,7 @@ impl TaintLog {
                     reg,
                     lane: 0,
                 };
-                log.events.push(Event::Kill { mark, lanes });
+                log.events.push(Event::Kill { mark, lanes, exit });
             }
         }
     }
@@ -456,7 +458,7 @@ impl Warp {
                 if killed != 0 {
                     *tm &= !lanes;
                     self.taint_cnt -= killed.count_ones();
-                    log.regs((sm, seq, self.widx), r, killed);
+                    log.regs((sm, seq, self.widx), r, killed, true);
                 }
             }
         }
@@ -1087,7 +1089,7 @@ impl SimtCore {
         for cta in self.ctas.iter().filter(|c| c.live_warps == 0) {
             for w in &cta.warps {
                 for (r, &tm) in w.taint.iter().enumerate() {
-                    self.taint_log.regs((sm, cta.seq, w.widx), r, tm);
+                    self.taint_log.regs((sm, cta.seq, w.widx), r, tm, false);
                 }
             }
             if let Some(log) = &mut self.taint_log.0 {
@@ -1101,10 +1103,11 @@ impl SimtCore {
                         word: word & !31,
                     };
                     match log.events.last_mut() {
-                        Some(Event::Kill { mark, lanes }) if *mark == row => *lanes |= lane,
+                        Some(Event::Kill { mark, lanes, .. }) if *mark == row => *lanes |= lane,
                         _ => log.events.push(Event::Kill {
                             mark: row,
                             lanes: lane,
+                            exit: false,
                         }),
                     }
                 }
@@ -1951,6 +1954,11 @@ impl SimtCore {
     /// Number of resident CTAs (for shared-memory targeting).
     pub fn cta_count(&self) -> u64 {
         self.ctas.len() as u64
+    }
+
+    /// Whether the CTA of launch sequence number `seq` is still resident.
+    pub(crate) fn holds_cta(&self, seq: u64) -> bool {
+        self.ctas.iter().any(|c| c.seq == seq)
     }
 
     /// Sets or clears the taint of `mark` where its CTA is still resident,

@@ -8,7 +8,7 @@ use crate::fault::{FaultModel, FaultSpace, InjectionPlan, InjectionRecord, Plann
 use crate::grid::LaunchDims;
 use crate::mem::{FlipOutcome, MemSystem};
 use crate::oracle::{DivergenceReport, OracleMirror, ThreadState};
-use crate::shadow::{Shadow, Shadows};
+use crate::shadow::{Shadow, Shadows, Step};
 use crate::snapshot::{
     CheckpointStore, HostOp, HostResult, LaunchProgress, Recorder, Replay, Snapshot,
 };
@@ -605,15 +605,15 @@ impl Gpu {
         recorder.into_store(self.mem.take_validity_timeline())
     }
 
-    /// [`Gpu::finish_checkpoint_recording`], then settles as SDC every
-    /// shadowed plan whose faulty values stayed data to the end and reached
-    /// the host's reads after the last launch, if its output differs from
-    /// `golden`.  `run` is the host program: it runs on this device
-    /// against the store's journal — every call served from it, the
-    /// plan's faulty words patched into its reads, nothing simulated — and
-    /// returns the output, `None` on an error.  A replay whose calls leave
-    /// the journal settles nothing (a launch off the journal traps at
-    /// once).
+    /// [`Gpu::finish_checkpoint_recording`], then settles every shadowed
+    /// plan whose faulty values stayed data to the end and reached the
+    /// host's reads after the last launch: SDC if its output differs from
+    /// `golden`, Masked if not.  `run` is the host program: it runs on
+    /// this device against the store's journal — every call served from
+    /// it, the plan's faulty words patched into its reads, nothing
+    /// simulated — and returns the output, `None` on an error.  A replay
+    /// whose calls leave the journal settles nothing (a launch off the
+    /// journal traps at once).
     ///
     /// # Panics
     ///
@@ -624,9 +624,9 @@ impl Gpu {
         mut run: impl FnMut(&mut Gpu) -> Option<Vec<u8>>,
     ) -> CheckpointStore {
         let mut store = Arc::new(self.finish_checkpoint_recording());
-        let mut sdc = Vec::new();
+        let mut told = Vec::new();
         for (plan, shadow) in &store.shadowed {
-            let Shadow::Output(words) = shadow else {
+            let Shadow::Output(words, masked, finals) = shadow else {
                 continue;
             };
             self.replay = Some(Replay {
@@ -641,17 +641,19 @@ impl Gpu {
             let out = run(self);
             let rep = self.replay.take().expect("armed above");
             let whole = !rep.diverged && rep.cursor == store.journal.len();
-            if whole && out.is_some_and(|o| o != golden) {
-                sdc.push(plan.clone());
+            match out.filter(|_| whole) {
+                Some(o) if o != golden => told.push((plan.clone(), Shadow::Sdc)),
+                Some(_) => told.push((plan.clone(), Shadow::Masked(*masked, finals.clone()))),
+                None => {}
             }
         }
         self.watchdog = None;
         let owned = Arc::get_mut(&mut store).expect("the replays are dropped");
-        for plan in sdc {
-            owned.shadowed.insert(plan, Shadow::Sdc);
+        for (plan, shadow) in told {
+            owned.shadowed.insert(plan, shadow);
         }
         for shadow in owned.shadowed.values_mut() {
-            if matches!(shadow, Shadow::Output(_)) {
+            if matches!(shadow, Shadow::Output(..)) {
                 *shadow = Shadow::Kept;
             }
         }
@@ -662,9 +664,10 @@ impl Gpu {
     /// register-file and shared-memory plans are fired where a run would
     /// fire them, flipping nothing on the device but the plans' own
     /// value deltas, and the store settles every one whose flips all die
-    /// unread, or (with [`Gpu::finish_checkpoint_recording_with`]) whose
-    /// values stay data into a changed output
-    /// ([`CheckpointStore::settle`]).  Snapshots hold none of the marks.
+    /// unread, or whose values stay data to the end — with
+    /// [`Gpu::finish_checkpoint_recording_with`] when they reach the
+    /// output ([`CheckpointStore::settle`]).  Snapshots hold none of the
+    /// marks.
     ///
     /// # Panics
     ///
@@ -905,8 +908,10 @@ impl Gpu {
         let mut ee_dead = false;
         let mut ee_tick = 0u32;
         // A recording shadowing plans hands them, after each iteration,
-        // the marks it read or killed.
+        // the marks it read or killed, and at each top the loop's last
+        // step where they need it.
         let shadowing = self.recorder.as_ref().is_some_and(|r| r.shadows.is_some());
+        let (mut step, mut next_due, mut drifting) = (None, u64::MAX, false);
         let outcome: Result<(), Trap> = 'run: loop {
             // Checkpoint capture (recording run only), at the top of the
             // loop *before* fault firing: a fork resuming here sees the
@@ -916,20 +921,25 @@ impl Gpu {
             // top-of-loop cycle value is captured at most once.  Faults
             // fire just below, so the validity log stamps the changes the
             // cores make next as following this top.
+            if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
+                sh.advance(self.cycle, step.take());
+            }
             if let Some(rec) = &self.recorder {
                 if self.cycle >= rec.next_at {
                     // Cache chunks written since the last capture become
                     // shared with the snapshot instead of copied into it.
                     self.mem.share();
                     let snap = self.capture(Some(p));
-                    self.recorder
-                        .as_mut()
-                        .expect("recorder checked above")
-                        .push(snap);
+                    let rec = self.recorder.as_mut().expect("recorder checked above");
+                    rec.push(snap);
+                    if let Some(sh) = &mut rec.shadows {
+                        sh.checkpoint(self.cycle, &self.cores);
+                    }
                 }
                 self.mem.validity_top(self.cycle);
                 if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
                     sh.top(self.cycle, &mut self.cores, &mut self.mem, &ctx);
+                    (next_due, drifting) = (sh.next_due(), sh.drifting());
                 }
             }
             // Reconvergence (forked runs only), also before fault firing,
@@ -1078,6 +1088,15 @@ impl Gpu {
                     }
                 };
                 let dtf = dt as f64;
+                // Only a step a shadowed fault's cycle falls inside, or
+                // one a plan's run integrates other sums than this one.
+                if next_due < self.cycle + dt || drifting {
+                    step = Some(Step {
+                        before: [p.occ_int, p.thr_int, p.cta_int],
+                        rates: [occ, thr, cta],
+                        cycles: dt,
+                    });
+                }
                 p.occ_int += occ * dtf;
                 p.thr_int += thr * dtf;
                 p.cta_int += cta * dtf;
@@ -1102,7 +1121,7 @@ impl Gpu {
         // L1s are invalidated between launches on real GPUs.
         self.mem.flush_l1s();
         if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
-            sh.launch_end(&mut self.mem);
+            sh.launch_end(&mut self.mem, &p);
         }
 
         // Lockstep oracle: diff the launch's final architectural state
@@ -1167,6 +1186,9 @@ impl Gpu {
                 if self.cores[i].logged() {
                     sh.drain(i as u32, &mut self.cores[i], &mut self.mem);
                 }
+            }
+            if self.mem.copied_lines_pending() {
+                sh.copies(&mut self.mem);
             }
         }
     }

@@ -462,6 +462,26 @@ mod arrays {
                         }))
         }
 
+        /// Heap bytes of the chunk table and the chunks `prev`, these
+        /// arrays in the snapshot captured before, does not hold in the
+        /// same place: nothing if it holds the table.  A capture shares
+        /// every chunk the golden run did not write since the one before,
+        /// and a written chunk is a new one, so no older snapshot holds
+        /// one `prev` does not.
+        pub(super) fn added_bytes(&self, prev: &Arrays) -> usize {
+            if self.table.is(&prev.table) {
+                return 0;
+            }
+            let (table, old) = (self.table.get(), prev.table.get());
+            let chunks: usize = table
+                .iter()
+                .zip(old)
+                .filter(|(held, old)| !held.is(old))
+                .map(|(held, _)| std::mem::size_of_val(&*held.get().lines) + held.get().data.len())
+                .sum();
+            std::mem::size_of_val(&table[..]) + chunks
+        }
+
         /// Heap bytes of the chunk table and every chunk not yet in
         /// `seen`, which collects the shared tables and chunks counted so
         /// far: a shared table already in it adds nothing.
@@ -663,6 +683,12 @@ impl Cache {
     /// that summing over caches that share them counts each once.
     pub(crate) fn held_bytes(&self, seen: &mut FastSet<*const ()>) -> usize {
         self.arrays.held_bytes(seen)
+    }
+
+    /// Heap bytes this cache's arrays hold that `prev`, the same cache in
+    /// the snapshot captured before, does not.
+    pub(crate) fn added_bytes(&self, prev: &Cache) -> usize {
+        self.arrays.added_bytes(&prev.arrays)
     }
 
     /// Whether fault-flipped state has become observable (see the field

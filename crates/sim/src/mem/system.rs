@@ -21,7 +21,7 @@ use super::cache::{Cache, CacheStats, FlipOutcome, Writeback};
 use super::validity::{Timeline, ValidityLog};
 use crate::config::{GpuConfig, LatencyConfig};
 use crate::error::{LaunchError, Trap};
-use crate::fast_hash::FastSet;
+use crate::fast_hash::{FastMap, FastSet};
 use crate::fault::{FaultTarget, PlannedFault, Structure};
 
 /// One bit of a cache fault, resolved against the memory system: its
@@ -95,7 +95,18 @@ pub struct MemSystem {
 /// validity log, an instrument of that pass: off in every clone and
 /// restore.
 #[derive(Debug, Default)]
-struct WordMarks(Option<FastSet<u32>>);
+struct WordMarks(Option<Marks>);
+
+/// [`WordMarks`] while on: the marked words, as a mask of 32 consecutive
+/// words per row keyed by the row's first word / 32, and the lines
+/// holding one that were copied out of the L2 since the shadows last took
+/// them — written back to DRAM or filled into an L1D or L1T, where a copy
+/// can outlive the coherent view.
+#[derive(Debug, Default)]
+struct Marks {
+    rows: FastMap<u32, u32>,
+    copied: Vec<u64>,
+}
 
 impl Clone for WordMarks {
     fn clone(&self) -> Self {
@@ -279,6 +290,14 @@ impl MemSystem {
     /// chunks not already in `seen` (see [`Cache::held_bytes`]).
     pub(crate) fn held_bytes(&self, seen: &mut FastSet<*const ()>) -> usize {
         self.segment_bytes() + self.caches().map(|c| c.held_bytes(seen)).sum::<usize>()
+    }
+
+    /// Heap bytes held beyond what `prev`, the memory system of the
+    /// snapshot captured before, holds: the segments and the cache
+    /// tables and chunks written since (see [`Cache::added_bytes`]).
+    pub(crate) fn added_bytes(&self, prev: &MemSystem) -> usize {
+        let caches = self.caches().zip(prev.caches());
+        self.segment_bytes() + caches.map(|(c, p)| c.added_bytes(p)).sum::<usize>()
     }
 
     /// Unobserved fault-flipped state across the whole memory system:
@@ -614,6 +633,7 @@ impl MemSystem {
             let o = (start - GLOBAL_BASE) as usize;
             if o + data.len() <= self.global.len() {
                 self.global[o..o + data.len()].copy_from_slice(data);
+                self.note_copy(line_addr);
             }
         }
     }
@@ -651,6 +671,7 @@ impl MemSystem {
         kind: AccessKind,
         line_addr: u64,
     ) -> Result<Option<Writeback>, Trap> {
+        self.note_copy(line_addr);
         let (bank, local_la) = self.bank_of(line_addr);
         if let Some(line) = self.l2[bank].read_line(local_la) {
             let (l1, structure) = Self::l1(&mut self.l1d, &mut self.l1t, sm, kind);
@@ -1052,28 +1073,75 @@ impl MemSystem {
 
     /// Switches the value shadows' global word marks on (empty) or off.
     pub(crate) fn mark_words(&mut self, on: bool) {
-        self.words = WordMarks(on.then(FastSet::default));
+        self.words = WordMarks(on.then(Marks::default));
     }
 
     /// Whether some global word is marked.
     pub(crate) fn has_word_marks(&self) -> bool {
-        self.words.0.as_ref().is_some_and(|w| !w.is_empty())
+        self.words.0.as_ref().is_some_and(|m| !m.rows.is_empty())
     }
 
     /// Whether the global word `word` is marked.
     pub(crate) fn word_marked(&self, word: u32) -> bool {
-        self.words.0.as_ref().is_some_and(|w| w.contains(&word))
+        self.words.0.as_ref().is_some_and(|m| {
+            m.rows
+                .get(&(word >> 5))
+                .is_some_and(|&mask| mask >> (word & 31) & 1 != 0)
+        })
     }
 
     /// Marks or unmarks the global word `word`, while marks are on.
     pub(crate) fn set_word_mark(&mut self, word: u32, on: bool) {
-        if let Some(w) = &mut self.words.0 {
+        if let Some(m) = &mut self.words.0 {
+            let (row, bit) = (word >> 5, 1 << (word & 31));
             if on {
-                w.insert(word);
-            } else {
-                w.remove(&word);
+                *m.rows.entry(row).or_default() |= bit;
+            } else if let Some(mask) = m.rows.get_mut(&row) {
+                *mask &= !bit;
+                if *mask == 0 {
+                    m.rows.remove(&row);
+                }
             }
         }
+    }
+
+    /// Notes line `line_addr` copied out of the L2 if it holds a marked
+    /// word (see [`Marks`]).
+    fn note_copy(&mut self, line_addr: u64) {
+        let Some(m) = self.words.0.as_mut().filter(|m| !m.rows.is_empty()) else {
+            return;
+        };
+        let words = u64::from(self.line_bytes / 4);
+        let (lo, hi) = (line_addr * words, (line_addr + 1) * words);
+        let marked = (lo >> 5..=(hi - 1) >> 5).any(|row| {
+            // The row's words inside the line, as a mask.
+            let (from, to) = (
+                lo.max(row << 5) - (row << 5),
+                hi.min((row + 1) << 5) - (row << 5),
+            );
+            let inside = (u64::MAX >> (64 - (to - from)) << from) as u32;
+            m.rows
+                .get(&(row as u32))
+                .is_some_and(|&mask| mask & inside != 0)
+        });
+        if marked {
+            m.copied.push(line_addr);
+        }
+    }
+
+    /// Whether a line holding a marked word was copied out of the L2
+    /// since [`MemSystem::take_copied_lines`] last took them.
+    pub(crate) fn copied_lines_pending(&self) -> bool {
+        self.words.0.as_ref().is_some_and(|m| !m.copied.is_empty())
+    }
+
+    /// The lines holding a marked word copied out of the L2 since the last
+    /// call, in order, as line addresses.
+    pub(crate) fn take_copied_lines(&mut self) -> Vec<u64> {
+        self.words
+            .0
+            .as_mut()
+            .map_or_else(Vec::new, |m| std::mem::take(&mut m.copied))
     }
 
     /// Whether this memory system logs line-validity changes: only on a

@@ -66,13 +66,45 @@
 //! iteration to its run — the loop stops at the fault's cycle — so the
 //! run's iteration count from its last fault on is one more than the
 //! golden run's.
+//!
+//! A plan still in the group at the end with no faulty byte in the
+//! output — none read, or a patched output equal to the golden one — is
+//! Masked at the golden cycle count, `applied` as its faults fired; its
+//! taint escaped at its first read, so only reconvergence can end its
+//! run early.  A fork checks it at each later checkpoint's loop top,
+//! before the faults due there fire, and reconverges where every fault
+//! has fired, no taint is left and the state equals the snapshot's.  Its
+//! taint is a subset of the plan's held slots, and a held slot with a
+//! nonzero delta differs from the snapshot, so each capture notes the
+//! plans with every fault fired, a read, no slot held and no *residue*:
+//! no faulty value left outside the held slots that the comparison
+//! sees.  A register an exit killed keeps its value while its CTA stays
+//! resident; shared memory and registers die with the CTA.  The first
+//! kept snapshot at or after that capture is where the fork reconverges
+//! (a cold start checks none); a plan that never qualifies runs to the
+//! golden end, `early_exit` false ([`Shadow::Masked`]).  A global word's
+//! deltas describe its coherent value, the L2 line's or else DRAM's; a
+//! copy made out of the L2 — a dirty line written back to DRAM, a line
+//! filled into an L1D or L1T, whose array keeps the bytes even once the
+//! line turns invalid — can outlive it, and the recording logs each copy
+//! of a line holding a marked word ([`Shadows::copies`]).  Such copies
+//! are not followed further: a plan that held or touched a word of a
+//! copied line, and would qualify, stays [`Shadow::Kept`] and forks.  A
+//! fault inside a fast-forward gap stops its run there, and the run adds
+//! the gap's occupancy in two pieces, which may round to other sums; the
+//! recording carries each such plan's sums over every later step of the
+//! launch ([`Step`]), and the plan qualifies only where they are the
+//! golden run's again.  A launch that ends on other sums ends on other
+//! statistics, and its plan never qualifies after.  A Masked plan's final
+//! global image is the golden one XOR the global words it ends holding a
+//! delta of, which the store keeps for `--oracle-check`.
 
 use crate::core::{lane, resolve, Event, KernelCtx, Log, Mark, SimtCore, Site};
 use crate::fast_hash::FastMap;
 use crate::fault::{FaultTarget, InjectionPlan};
 use crate::gpu::EE_STRIDE;
 use crate::mem::MemSystem;
-use crate::snapshot::{Settled, SettledEffect};
+use crate::snapshot::{LaunchProgress, Settled, SettledEffect};
 use gpufi_isa::decode::{Uop, UopOp, NO_REG};
 use std::collections::{BTreeMap, HashMap};
 
@@ -109,14 +141,22 @@ impl Leave {
 pub(crate) enum Shadow {
     /// Every flip died unread.
     Unread(Settled),
+    /// Still in the group with no faulty word read, or read into the
+    /// golden output: Masked, with its run's `applied` and `early_exit`,
+    /// and the global words it ends holding a delta of, `(word address,
+    /// delta)`, ascending.
+    Masked(Settled, Vec<(u32, u32)>),
     /// Still in the group, its faulty words read by the host after the
-    /// last launch: `(journal op, word address, delta)` per word read.
-    Output(Vec<(usize, u32, u32)>),
+    /// last launch: `(journal op, word address, delta)` per word read, and
+    /// the [`Shadow::Masked`] verdict if its patched output is golden.
+    Output(Vec<(usize, u32, u32)>, Settled, Vec<(u32, u32)>),
     /// An [`Shadow::Output`] plan whose patched output differs from the
     /// golden one: SDC.
     Sdc,
-    /// Still in the group with no faulty word read, or read into the
-    /// golden output.
+    /// Still in the group, but whether its run reconverges is not known:
+    /// a faulty global word of it was copied out of the L2 before its
+    /// state could equal the golden run's.  An output replay that left the
+    /// journal keeps a plan too.
     Kept,
     /// Left the group.
     Left(Leave),
@@ -140,6 +180,9 @@ pub(crate) struct Shadows {
     launch_tops: Vec<u64>,
     /// Loop tops of the current launch so far.
     tops: u64,
+    /// The plans whose runs integrate other occupancy sums than the
+    /// golden run in the current launch (`Shadowed::sums`).
+    drifting: Vec<usize>,
     /// Lanes evaluated with the plans' faulty operands.
     lane_ops: u64,
     /// Scratch: one core's drained log, and one event's plans.
@@ -170,6 +213,27 @@ struct Shadowed {
     /// The index of the iteration the last live slot died in, once every
     /// fault fired; `None` while none died since.
     died: Option<u64>,
+    /// Whether a line holding a global word the plan held or touched was
+    /// copied out of the L2 — written back to DRAM, or filled into an L1D
+    /// or L1T, whose array keeps the bytes even once the line is invalid:
+    /// a faulty copy may outlive the coherent view.
+    copied: bool,
+    /// The CTAs, `(sm, seq)`, holding a register whose delta an exit
+    /// killed: the register keeps its faulty value until the CTA's
+    /// harvest.  Deduplicated and pruned at each capture.
+    residue: Vec<(u32, u64)>,
+    /// The launch's occupancy, thread and CTA sums as the run integrates
+    /// them, while they differ from the golden run's: a fault inside a
+    /// fast-forward gap stops the run there, and the gap's two pieces
+    /// may round to other sums ([`Step`]).  Later steps may round them
+    /// back together.
+    sums: Option<[f64; 3]>,
+    /// Whether a launch ended on such sums: its statistics differ from
+    /// the golden run's, so no later state equals a checkpoint's.
+    stats_differ: bool,
+    /// The cycle of the first checkpoint capture at which its run's state
+    /// is the golden run's but for what `copied` may leave.
+    settles: Option<u64>,
 }
 
 impl Shadowed {
@@ -193,19 +257,44 @@ impl Shadowed {
             effect: SettledEffect::Masked,
             applied: self.applied,
             early_exit,
+            reconverged: false,
         })
     }
 
-    /// How the recording's shadow of the plan ended.
-    fn shadow(self, launch_tops: &[u64]) -> Shadow {
+    /// How the recording's shadow of the plan ended, given the cycles of
+    /// the snapshots the store keeps and the global words the plan ends
+    /// holding a delta of.
+    fn shadow(self, launch_tops: &[u64], snapshots: &[u64], words: Vec<(u32, u32)>) -> Shadow {
         if let Some(settled) = self.unread(launch_tops) {
-            Shadow::Unread(settled)
-        } else if let Some(leave) = self.left {
-            Shadow::Left(leave)
-        } else if !self.outputs.is_empty() {
-            Shadow::Output(self.outputs)
+            return Shadow::Unread(settled);
+        }
+        if let Some(leave) = self.left {
+            return Shadow::Left(leave);
+        }
+        // Still in the group: the run takes the golden run's every branch
+        // and address, and reconverges at the first checkpoint it is
+        // checked against whose state it equals — a fork's, since a cold
+        // start checks none.
+        let first = self.plan.faults.iter().map(|f| f.cycle).min();
+        let forked = snapshots.first().is_some_and(|&c| Some(c) <= first);
+        let check = self
+            .settles
+            .filter(|_| forked)
+            .and_then(|at| snapshots.iter().find(|&&c| c >= at));
+        let reconverged = match check {
+            Some(_) if self.copied => return Shadow::Kept,
+            check => check.is_some(),
+        };
+        let settled = Settled {
+            effect: SettledEffect::Masked,
+            applied: self.applied,
+            early_exit: reconverged,
+            reconverged,
+        };
+        if self.outputs.is_empty() {
+            Shadow::Masked(settled, words)
         } else {
-            Shadow::Kept
+            Shadow::Output(self.outputs, settled, words)
         }
     }
 
@@ -542,6 +631,11 @@ impl Shadows {
                 outputs: Vec::new(),
                 fired: (0, 0, false),
                 died: None,
+                copied: false,
+                residue: Vec::new(),
+                sums: None,
+                stats_differ: false,
+                settles: None,
             })
             .collect();
         if plans.is_empty() {
@@ -566,10 +660,46 @@ impl Shadows {
             leaving: Vec::new(),
             launch_tops: Vec::new(),
             tops: 0,
+            drifting: Vec::new(),
             lane_ops: 0,
             log: Log::default(),
             parts: Parts::default(),
         })
+    }
+
+    /// The golden loop's `step` led to the loop top at `cycle`: carries
+    /// each plan's occupancy sums over it, before a capture there.  A
+    /// plan's run stops at each of its faults due inside the step's
+    /// fast-forward gap, and integrates the gap in pieces.
+    pub(crate) fn advance(&mut self, cycle: u64, step: Option<Step>) {
+        let Some(step) = step else {
+            return;
+        };
+        let mut cuts: Vec<(usize, u64)> = self.due[self.next..]
+            .iter()
+            .take_while(|d| d.0 < cycle)
+            .map(|&(at, p, _)| (p, at))
+            .collect();
+        cuts.extend(self.drifting.drain(..).map(|p| (p, cycle)));
+        cuts.sort_unstable();
+        cuts.dedup();
+        let golden = step.integrate(step.before, cycle, &[]);
+        for run in cuts.chunk_by(|a, b| a.0 == b.0) {
+            let p = run[0].0;
+            let at: Vec<u64> = run.iter().map(|c| c.1).filter(|&c| c < cycle).collect();
+            let s = &mut self.plans[p];
+            let sums = step.integrate(s.sums.unwrap_or(step.before), cycle, &at);
+            s.sums = (sums != golden).then_some(sums);
+            if s.sums.is_some() {
+                self.drifting.push(p);
+            }
+        }
+    }
+
+    /// Whether some plan's run integrates other occupancy sums than the
+    /// golden run: the loop hands [`Shadows::advance`] its every step.
+    pub(crate) fn drifting(&self) -> bool {
+        !self.drifting.is_empty()
     }
 
     /// A loop top at `cycle`: fires every shadowed fault due there.
@@ -593,6 +723,40 @@ impl Shadows {
             s.unfired -= 1;
             if s.unfired == 0 {
                 s.fired = (self.launch_tops.len(), self.tops - 1, at < cycle);
+            }
+        }
+    }
+
+    /// The cycle of the next shadowed fault to fire, `u64::MAX` if none.
+    pub(crate) fn next_due(&self) -> u64 {
+        self.due.get(self.next).map_or(u64::MAX, |d| d.0)
+    }
+
+    /// A checkpoint is captured at the loop top at `cycle`, before the
+    /// faults due there fire: notes each plan whose run, checked for
+    /// reconvergence there, would equal it but for what `copied` stands
+    /// for — every fault fired, its taint escaped and none left, no
+    /// faulty value held in a slot or left in a register of a CTA an exit
+    /// did not end, and the golden run's occupancy sums and statistics.
+    /// Once so, a plan stays so.
+    pub(crate) fn checkpoint(&mut self, cycle: u64, cores: &[SimtCore]) {
+        for s in &mut self.plans {
+            if s.settles.is_some() || s.left.is_some() {
+                continue;
+            }
+            // CTAs gone since; the rest once each.
+            s.residue.sort_unstable();
+            s.residue.dedup();
+            s.residue
+                .retain(|&(sm, seq)| cores[sm as usize].holds_cta(seq));
+            if s.read
+                && s.unfired == 0
+                && s.live == 0
+                && s.residue.is_empty()
+                && s.sums.is_none()
+                && !s.stats_differ
+            {
+                s.settles = Some(cycle);
             }
         }
     }
@@ -797,7 +961,7 @@ impl Shadows {
         let mut log = std::mem::take(&mut self.log);
         for e in &log.events {
             match *e {
-                Event::Kill { mark, lanes } => self.kill(mark, lanes),
+                Event::Kill { mark, lanes, exit } => self.kill(mark, lanes, exit),
                 Event::Exec {
                     seq,
                     warp,
@@ -817,9 +981,9 @@ impl Shadows {
         self.log = log;
     }
 
-    /// Slots `dead` of the row whose first slot is `at` died: every plan
-    /// holding one loses it.
-    fn kill(&mut self, at: Mark, dead: u32) {
+    /// Slots `dead` of the row whose first slot is `at` died, by an
+    /// `exit` or a CTA's end: every plan holding one loses it.
+    fn kill(&mut self, at: Mark, dead: u32, exit: bool) {
         let Some(id) = self.rows.find(at) else {
             return;
         };
@@ -829,10 +993,20 @@ impl Shadows {
             let lost = h.held & dead;
             if lost != 0 {
                 h.held &= !dead;
+                let s = &mut self.plans[h.plan as usize];
+                let d = &mut deltas[h.delta as usize];
+                let mut faulty = false;
                 for l in lanes(lost) {
-                    deltas[h.delta as usize][l] = 0;
+                    faulty |= d[l] != 0;
+                    d[l] = 0;
                 }
-                self.plans[h.plan as usize].count(lost, 0, true, top);
+                // A register keeps its value past its thread's exit.
+                if let (Mark::Reg { sm, seq, .. }, true, true) = (at, exit, faulty) {
+                    if s.residue.last() != Some(&(sm, seq)) {
+                        s.residue.push((sm, seq));
+                    }
+                }
+                s.count(lost, 0, true, top);
             }
         }
         self.prune(id);
@@ -1136,6 +1310,34 @@ impl Shadows {
         }
     }
 
+    /// The lines holding a marked global word that the loop iteration or
+    /// the launch's end copied out of the L2 (see `MemSystem`'s word
+    /// marks): every plan holding, or having touched in the launch, a word
+    /// of one may have left a faulty copy outside the coherent view.
+    pub(crate) fn copies(&mut self, mem: &mut MemSystem) {
+        let lb = u64::from(mem.line_bytes());
+        for line in mem.take_copied_lines() {
+            let (lo, hi) = (line * lb, (line + 1) * lb);
+            for id in self.global_rows(lo, hi) {
+                let row = self.rows.row(id);
+                let Mark::Global { word: first } = row.at else {
+                    unreachable!("global rows")
+                };
+                let inside = (0..32u64).fold(0u32, |m, l| {
+                    let addr = (u64::from(first) + l) * 4;
+                    m | u32::from((lo..hi).contains(&addr)) << l
+                });
+                for h in row
+                    .holders
+                    .iter()
+                    .filter(|h| (h.held | h.touched) & inside != 0)
+                {
+                    self.plans[h.plan as usize].copied = true;
+                }
+            }
+        }
+    }
+
     /// Drops the slots of the plans that left: their runs are simulated.
     /// A slot no other plan holds (or, for a global word, touched) is
     /// unmarked.
@@ -1291,7 +1493,16 @@ impl Shadows {
 
     /// The current launch ended: the L1s are flushed, so every word loads
     /// exactly from now on.
-    pub(crate) fn launch_end(&mut self, mem: &mut MemSystem) {
+    pub(crate) fn launch_end(&mut self, mem: &mut MemSystem, progress: &LaunchProgress) {
+        self.copies(mem);
+        // A launch's statistics divide its sums by its cycles.
+        let t = progress.t_int.max(1) as f64;
+        let golden = [progress.occ_int, progress.thr_int, progress.cta_int];
+        for p in self.drifting.drain(..) {
+            let s = &mut self.plans[p];
+            let sums = s.sums.take().expect("a drifting plan has its sums");
+            s.stats_differ |= (0..3).any(|i| sums[i] / t != golden[i] / t);
+        }
         self.launch_tops.push(self.tops);
         self.tops = 0;
         let ids: Vec<u32> = self.rows.global.values().copied().collect();
@@ -1313,16 +1524,57 @@ impl Shadows {
         }
     }
 
-    /// How the recording's shadow of every plan ended, and the lanes all
-    /// of them evaluated.
-    pub(crate) fn finish(self) -> (HashMap<InjectionPlan, Shadow>, u64) {
+    /// How the recording's shadow of every plan ended, given the cycles of
+    /// the snapshots the store keeps, and the lanes all of them evaluated.
+    pub(crate) fn finish(self, snapshots: &[u64]) -> (HashMap<InjectionPlan, Shadow>, u64) {
+        // The global words each plan ends holding a delta of.
+        let mut words = vec![Vec::new(); self.plans.len()];
+        for &id in self.rows.global.values() {
+            let row = self.rows.row(id);
+            let Mark::Global { word: first } = row.at else {
+                unreachable!("global rows")
+            };
+            for h in &row.holders {
+                let d = self.rows.delta(h);
+                let held = lanes(h.held).filter(|&l| d[l] != 0);
+                words[h.plan as usize].extend(held.map(|l| ((first + l as u32) * 4, d[l])));
+            }
+        }
         let launch_tops = self.launch_tops;
         let shadows = self
             .plans
             .into_iter()
-            .map(|s| (s.plan.clone(), s.shadow(&launch_tops)))
+            .zip(words)
+            .map(|(s, words)| (s.plan.clone(), s.shadow(&launch_tops, snapshots, words)))
             .collect();
         (shadows, self.lane_ops)
+    }
+}
+
+/// One step of a launch's cycle loop as the golden run took it: the
+/// occupancy, thread and CTA sums before it, the rates it integrated and
+/// its length in cycles.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) before: [f64; 3],
+    pub(crate) rates: [f64; 3],
+    pub(crate) cycles: u64,
+}
+
+impl Step {
+    /// The sums after the step, which ends at `end`, of a run that enters
+    /// it with `from` and stops at each of the cycles `cuts` (ascending,
+    /// inside the step), in floating point as the loop adds them.
+    fn integrate(&self, from: [f64; 3], end: u64, cuts: &[u64]) -> [f64; 3] {
+        let mut sums = from;
+        for (i, sum) in sums.iter_mut().enumerate() {
+            let mut at = end - self.cycles;
+            for &c in cuts.iter().chain([end].iter()) {
+                *sum += self.rates[i] * (c - at) as f64;
+                at = c;
+            }
+        }
+        sums
     }
 }
 
@@ -1365,9 +1617,11 @@ impl Slots {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CacheConfig;
     use crate::fault::Scope;
-    use crate::{CheckpointStore, Gpu, GpuConfig, LaunchDims};
+    use crate::{CheckpointStore, Gpu, GpuConfig, LaunchDims, Trap};
     use gpufi_isa::Module;
+    use std::sync::Arc;
 
     /// Runs kernel `k` of `module` on one 32-thread CTA over a 64-word
     /// buffer holding 1..=64 (`R0`, with `R1 = 16`) and reads the buffer
@@ -1390,8 +1644,13 @@ mod tests {
     /// A warp-scope flip of bit `bit` of register `reg` in every lane of
     /// the one warp, as the launch starts.
     fn flip(reg: u32, bit: u8) -> InjectionPlan {
+        flip_at(0, reg, bit)
+    }
+
+    /// [`flip`] at cycle `cycle`.
+    fn flip_at(cycle: u64, reg: u32, bit: u8) -> InjectionPlan {
         InjectionPlan::single(
-            0,
+            cycle,
             FaultTarget::RegisterFile {
                 scope: Scope::Warp,
                 entry_lot: 0,
@@ -1401,22 +1660,95 @@ mod tests {
         )
     }
 
-    /// The store of a one-SM recording of `body` (after a prologue that
-    /// puts the lane's word address in `R3` and its thread index in
-    /// `R2`) shadowing `plan`, with its output replay.
-    fn record(body: &str, plan: &InjectionPlan, relaunch: bool) -> CheckpointStore {
+    /// The module of `body` after a prologue that puts the lane's word
+    /// address in `R3` and its thread index in `R2`.
+    fn kernel(body: &str) -> Module {
         let src = format!(
             ".kernel k\n.params 2\n.lmem 4\n.smem 256\n S2R R2, SR_TID.X\n SHL R3, R2, 2\n IADD R3, R0, R3\n{body}\n EXIT\n"
         );
-        let module = Module::assemble(&src).unwrap();
+        Module::assemble(&src).unwrap()
+    }
+
+    /// The RTX 2060 with one SM.
+    fn one_sm() -> GpuConfig {
         let mut card = GpuConfig::rtx2060();
         card.num_sms = 1;
-        let golden = host(&module, &mut Gpu::new(card.clone()), relaunch).unwrap();
-        let mut gpu = Gpu::new(card);
+        card
+    }
+
+    /// The store of a one-SM recording of `body` (see [`kernel`])
+    /// shadowing `plan`, with its output replay.
+    fn record(body: &str, plan: &InjectionPlan, relaunch: bool) -> CheckpointStore {
+        record_on(&one_sm(), &kernel(body), plan, relaunch)
+    }
+
+    /// The store of a recording of `module` on `card`, a checkpoint every
+    /// 4 cycles, shadowing `plan`, with its output replay.
+    fn record_on(
+        card: &GpuConfig,
+        module: &Module,
+        plan: &InjectionPlan,
+        relaunch: bool,
+    ) -> CheckpointStore {
+        let golden = host(module, &mut Gpu::new(card.clone()), relaunch).unwrap();
+        let mut gpu = Gpu::new(card.clone());
         gpu.record_checkpoints(4, 1 << 30);
         gpu.shadow_plans([plan]);
-        assert_eq!(host(&module, &mut gpu, relaunch).as_ref(), Some(&golden));
-        gpu.finish_checkpoint_recording_with(&golden, |g| host(&module, g, relaunch))
+        assert_eq!(host(module, &mut gpu, relaunch).as_ref(), Some(&golden));
+        gpu.finish_checkpoint_recording_with(&golden, |g| host(module, g, relaunch))
+    }
+
+    /// How `plan`'s run of `module` on `card` ends, forked from `store` as
+    /// a campaign forks it: whether early, and whether by reconverging.
+    /// The host program is [`host`]'s, with a second launch if
+    /// `relaunch`.
+    fn forked(
+        card: &GpuConfig,
+        module: &Module,
+        store: CheckpointStore,
+        plan: &InjectionPlan,
+        relaunch: bool,
+    ) -> (bool, bool) {
+        let store = Arc::new(store);
+        let mut gpu = Gpu::new(card.clone());
+        let first = plan.faults.iter().map(|f| f.cycle).min().unwrap();
+        let idx = store.nearest_at_or_before(first).expect("a fork");
+        gpu.resume_from(&store, idx);
+        gpu.arm_faults(plan.clone());
+        gpu.set_early_exit(true);
+        let buf = gpu.malloc(64 * 4).unwrap();
+        gpu.write_u32s(buf, &(1..=64).collect::<Vec<u32>>())
+            .unwrap();
+        let (k, dims) = (module.kernel("k").unwrap(), LaunchDims::new(1, 32));
+        let mut end = gpu.launch(k, dims, &[buf, 16]).err();
+        if relaunch && end.is_none() {
+            gpu.read_u32s(buf, 64).unwrap();
+            end = gpu.launch(k, dims, &[buf, 16]).err();
+        }
+        let early = matches!(end, Some(Trap::FaultsExpired | Trap::Reconverged));
+        (early, end == Some(Trap::Reconverged))
+    }
+
+    /// `plan`'s verdict on `body` (see [`kernel`]): settled Masked and
+    /// applied, with its fork's early exit and reconvergence, which are
+    /// returned.
+    fn masked(card: &GpuConfig, body: &str, plan: &InjectionPlan) -> (bool, bool) {
+        let module = kernel(body);
+        let store = record_on(card, &module, plan, false);
+        let settled = store.settle(plan).expect("settled");
+        assert_eq!(store.shadow_tally().masked, 1);
+        let run = forked(card, &module, store, plan, false);
+        let told = (settled.early_exit, settled.reconverged);
+        assert_eq!(
+            (settled.effect, settled.applied, told),
+            (SettledEffect::Masked, true, run)
+        );
+        run
+    }
+
+    /// Sixteen loop iterations, counted in `R6`, labelled `name`.
+    fn pad(name: &str) -> String {
+        format!(" MOV R6, 0\n{name}:\n IADD R6, R6, 1\n ISETP.LT P1, R6, 16\n@P1 BRA {name}\n")
     }
 
     /// `plan` left the group by `rule`, and is not settled.
@@ -1433,16 +1765,23 @@ mod tests {
             effect: SettledEffect::Sdc,
             applied: true,
             early_exit: false,
+            reconverged: false,
         };
         assert_eq!(store.settle(&plan), Some(sdc));
         assert_eq!(store.left_by(&plan), None);
         let t = store.shadow_tally();
         assert_eq!((t.plans, t.sdc, t.lane_ops), (1, 1, 64));
-        // Masked to zero before the store: kept, and forked.
+        // Masked to zero before the store, `R1` faulty to the end: Masked,
+        // and the run goes on to the golden end.
         let plan = flip(1, 4);
         let store = record(" AND R4, R1, 15\n STG [R3], R4", &plan, false);
-        assert_eq!(store.settle(&plan), None);
-        assert_eq!(store.shadow_tally().kept, 1);
+        let ran_out = Settled {
+            effect: SettledEffect::Masked,
+            early_exit: false,
+            ..sdc
+        };
+        assert_eq!(store.settle(&plan), Some(ran_out));
+        assert_eq!(store.shadow_tally().masked, 1);
     }
 
     #[test]
@@ -1515,12 +1854,15 @@ mod tests {
     fn a_later_lane_storing_to_the_same_word_wins() {
         // Every lane stores to the buffer's first word, lanes 0..=30 a
         // faulty value and lane 31, last, its golden thread index: the
-        // word ends golden, and the plan is kept, not settled SDC.
+        // word ends golden, and the plan is settled Masked, not SDC.
         let plan = flip(1, 0);
         let body = " ISETP.LT P0, R2, 31\n SEL R4, R1, R2, P0\n STG [R0], R4";
         let store = record(body, &plan, false);
-        assert_eq!(store.settle(&plan), None);
-        assert_eq!(store.shadow_tally().kept, 1);
+        assert_eq!(
+            store.settle(&plan).map(|s| s.effect),
+            Some(SettledEffect::Masked)
+        );
+        assert_eq!(store.final_deltas(&plan), []);
         // Lanes 30 and 31 store the faulty value instead: the word ends
         // faulty.
         let body = body.replace(", 31", ", 30").replace("R1, R2", "R2, R1");
@@ -1529,6 +1871,168 @@ mod tests {
             store.settle(&plan).map(|s| s.effect),
             Some(SettledEffect::Sdc)
         );
+    }
+
+    #[test]
+    fn deltas_dying_before_a_checkpoint_reconverge_there() {
+        // `R1` is read into `R4`, then both are overwritten: the
+        // checkpoint after that is the golden one.
+        let body = format!(
+            "{} IADD R4, R1, R2\n MOV R1, 0\n MOV R4, 0\n{} STG [R3], R2",
+            pad("a"),
+            pad("b")
+        );
+        assert_eq!(masked(&one_sm(), &body, &flip_at(10, 1, 0)), (true, true));
+    }
+
+    #[test]
+    fn deltas_dying_after_the_last_checkpoint_run_out() {
+        // `R1` and `R4` hold faulty values until the threads exit, after
+        // every checkpoint.
+        let body = format!("{} IADD R4, R1, R2\n{}", pad("a"), pad("b"));
+        assert_eq!(masked(&one_sm(), &body, &flip_at(10, 1, 0)), (false, false));
+    }
+
+    #[test]
+    fn a_lane_exit_death_in_a_resident_cta_does_not_reconverge() {
+        // Lanes 0–15 exit holding a faulty `R1`, the others overwrite it:
+        // no slot is held, but the exited lanes' registers keep their
+        // values while their CTA runs on, to the end.
+        let body = format!(
+            "{} IADD R4, R1, R2\n MOV R4, 0\n ISETP.LT P0, R2, 16\n@P0 EXIT\n MOV R1, 0\n{} STG [R3], R2",
+            pad("a"),
+            pad("b")
+        );
+        assert_eq!(masked(&one_sm(), &body, &flip_at(10, 1, 0)), (false, false));
+        // Every lane overwrites it before the exit: reconverged.
+        let body = body.replace("@P0 EXIT\n MOV R1, 0", " MOV R1, 0\n@P0 EXIT");
+        assert_eq!(masked(&one_sm(), &body, &flip_at(10, 1, 0)), (true, true));
+    }
+
+    #[test]
+    fn a_faulty_l2_writeback_later_overwritten_is_not_settled() {
+        // A one-line L2 without an L1D: the faulty words of line A are
+        // written back to DRAM when line B is loaded, then overwritten
+        // with golden ones in the L2, whose dirty line stays resident to
+        // the end.  Every slot died, but DRAM holds the faulty words: the
+        // fork never reconverges, and the store does not settle it.
+        let mut card = one_sm();
+        card.l1d = None;
+        card.l2 = CacheConfig {
+            sets: 1,
+            ways: 1,
+            line_bytes: 128,
+        };
+        card.num_l2_banks = 1;
+        let body = format!(
+            "{} IADD R4, R1, R2\n STG [R3], R4\n MOV R1, 0\n MOV R4, 0\n LDG R5, [R3+128]\n STG [R3], R2\n{}",
+            pad("a"),
+            pad("b")
+        );
+        let (module, plan) = (kernel(&body), flip_at(10, 1, 0));
+        let store = record_on(&card, &module, &plan, false);
+        assert_eq!(store.settle(&plan), None);
+        assert_eq!(store.shadow_tally().kept, 1);
+        assert_eq!(forked(&card, &module, store, &plan, false), (false, false));
+        // Without the load of line B, line A stays in the L2 and its
+        // faulty words never leave it: the fork reconverges once they
+        // are overwritten.
+        let body = body.replace(" LDG R5, [R3+128]\n", "");
+        assert_eq!(masked(&card, &body, &plan), (true, true));
+    }
+
+    #[test]
+    fn a_step_integrated_in_pieces_may_round_to_other_sums() {
+        // A step of 3 cycles ending at 48 from a sum just above 15: a
+        // third added as 1 + 2 cycles rounds away from 3 cycles at once,
+        // added as 2 + 1 it does not; a rate of 1/32 is exact either way.
+        let step = |occ: f64| Step {
+            before: [15.000000000000002, 1440.0, 45.0],
+            rates: [occ, 32.0, 1.0],
+            cycles: 3,
+        };
+        let whole = |occ| step(occ).integrate(step(occ).before, 48, &[]);
+        assert_eq!(whole(1.0 / 3.0), [16.0, 1536.0, 48.0]);
+        assert_ne!(
+            step(1.0 / 3.0).integrate(step(1.0 / 3.0).before, 48, &[46]),
+            whole(1.0 / 3.0)
+        );
+        assert_eq!(
+            step(1.0 / 3.0).integrate(step(1.0 / 3.0).before, 48, &[47]),
+            whole(1.0 / 3.0)
+        );
+        for cuts in [&[46][..], &[47], &[46, 47]] {
+            assert_eq!(
+                step(1.0 / 32.0).integrate(step(1.0 / 32.0).before, 48, cuts),
+                whole(1.0 / 32.0)
+            );
+        }
+        // Carried on from other sums.
+        let off = [16.0, 1536.0, 48.0];
+        assert_eq!(
+            step(1.0 / 3.0).integrate(off, 48, &[]),
+            [17.0, 1632.0, 51.0]
+        );
+    }
+
+    /// One SM of [`one_sm`] with room for three warps: one warp's
+    /// occupancy rate is 1/3.
+    fn one_warp_of_three() -> GpuConfig {
+        let mut card = one_sm();
+        card.max_threads_per_sm = 3 * 32;
+        card
+    }
+
+    /// A body whose `R1`, read after a load's long fast-forward gap into
+    /// `R4`, dies with it there.
+    fn after_a_load() -> String {
+        format!(
+            "{} LDG R5, [R3]\n IADD R4, R1, R5\n MOV R1, 0\n MOV R4, 0\n{} STG [R3], R2",
+            pad("a"),
+            pad("b")
+        )
+    }
+
+    #[test]
+    fn gap_faults_settle_where_their_forks_occupancy_sums_lead() {
+        // A fork stops at a fault inside a fast-forward gap, so it adds
+        // the gap's occupancy in two pieces.  With one warp of three per
+        // SM the occupancy rate is 1/3: at every third cycle of the load's
+        // 267-cycle gap the pieces round to other sums, which the fork
+        // carries to every later checkpoint, so it runs to the end; the
+        // others reconverge.  At 46 the pieces of a 3-cycle step round
+        // apart, and a later step rounds them back together: that fork
+        // reconverges after all.
+        let (card, module) = (one_warp_of_three(), kernel(&after_a_load()));
+        let mut ran_out = Vec::new();
+        for cycle in (380..=400).chain([46]) {
+            let plan = flip_at(cycle, 1, 0);
+            let store = record_on(&card, &module, &plan, false);
+            let settled = store.settle(&plan).expect("settled");
+            let run = forked(&card, &module, store, &plan, false);
+            let told = (settled.effect, settled.early_exit, settled.reconverged);
+            assert_eq!(told, (SettledEffect::Masked, run.0, run.1), "cycle {cycle}");
+            if !run.0 {
+                ran_out.push(cycle);
+            }
+        }
+        assert_eq!(ran_out, [384, 387, 390, 393, 396, 399]);
+    }
+
+    #[test]
+    fn a_launch_ending_on_other_occupancy_sums_never_reconverges() {
+        // The fault at 384 leaves its run on other sums to the end of
+        // the first launch, whose statistics then differ from the golden
+        // run's: no checkpoint of the second launch equals the fork's
+        // state, though its faulty values died in the first.
+        let (card, module) = (one_warp_of_three(), kernel(&after_a_load()));
+        for (cycle, ends) in [(384, (false, false)), (385, (true, true))] {
+            let plan = flip_at(cycle, 1, 0);
+            let store = record_on(&card, &module, &plan, true);
+            let settled = store.settle(&plan).expect("settled");
+            assert_eq!((settled.early_exit, settled.reconverged), ends);
+            assert_eq!(forked(&card, &module, store, &plan, true), ends);
+        }
     }
 
     #[test]

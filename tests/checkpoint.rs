@@ -501,7 +501,11 @@ fn settled_record(
         applied: settled.applied,
         early_exit: settled.early_exit,
         ckpt_skipped_cycles: skipped_cycles(store, plan),
-        detail: RunDetail::None,
+        detail: if settled.reconverged {
+            RunDetail::Reconverged
+        } else {
+            RunDetail::None
+        },
         stratum: None,
     }
 }
@@ -1108,4 +1112,196 @@ fn every_sdc_at_golden_cycles_is_settled_on_hs_shared() {
         .count();
     assert!(sdc > 150, "{sdc} SDC runs");
     assert_eq!(exceptions, vec![]);
+}
+
+/// The data-only cases: each workload and card with the plans whose
+/// recording shadows them and the store they settle from — HS shared
+/// memory on the GTX Titan (300 runs) and the GV100, GE rf, NW rf
+/// stratified (250 runs), LUD rf, GE rf on the Mini chip (an L1D), PATHF
+/// shared memory on the RTX 2060 and the GTX Titan (its values reach
+/// global memory, and on the RTX 2060 the L1D), and HS shared memory on
+/// the GTX Titan with plans in the last launch's final cycles, some with
+/// a fault past the golden end that never fires.
+#[allow(clippy::type_complexity)]
+fn data_only_cases() -> Vec<(
+    String,
+    GpuConfig,
+    Box<dyn Workload>,
+    GoldenProfile,
+    Vec<InjectionPlan>,
+    std::sync::Arc<CheckpointStore>,
+)> {
+    let rf = || CampaignSpec::new(Structure::RegisterFile);
+    let shared = || CampaignSpec::new(Structure::SharedMemory);
+    let (rtx, titan, gv100) = (
+        GpuConfig::rtx2060(),
+        GpuConfig::gtx_titan(),
+        GpuConfig::quadro_gv100(),
+    );
+    let cases = [
+        ("HS", &titan, CampaignConfig::new(shared(), 300, 11)),
+        ("HS", &gv100, CampaignConfig::new(shared(), 200, 11)),
+        ("GE", &rtx, CampaignConfig::new(rf(), 200, 11)),
+        ("NW", &rtx, CampaignConfig::new(rf(), 250, 11).stratified()),
+        ("LUD", &rtx, CampaignConfig::new(rf(), 200, 11)),
+        ("GE", &mini_chip(""), CampaignConfig::new(rf(), 200, 5)),
+        ("PATHF", &rtx, CampaignConfig::new(shared(), 100, 5)),
+        ("PATHF", &titan, CampaignConfig::new(shared(), 100, 5)),
+        ("HS", &titan, CampaignConfig::new(shared(), 0, 11)),
+    ];
+    cases
+        .into_iter()
+        .map(|(name, card, cfg)| {
+            let w = by_name(name).unwrap();
+            let golden = profile(w.as_ref(), card).unwrap();
+            let plans = if cfg.runs > 0 {
+                campaign_plans(w.as_ref(), card, &cfg, &golden).unwrap()
+            } else {
+                // The tail: faults in the final 16 cycles, and every
+                // fourth plan again with a second fault past the end.
+                let mut plans = tail_plans(&golden, &cfg.spec, 11, 16);
+                let end = golden.total_cycles() + 1;
+                for k in (0..plans.len()).step_by(4) {
+                    let mut past = plans[k].clone();
+                    let fault = past.faults[0].clone();
+                    past.faults.push(gpufi::sim::PlannedFault {
+                        cycle: end,
+                        ..fault
+                    });
+                    plans.push(past);
+                }
+                plans
+            };
+            let store = record_valued(w.as_ref(), card, &golden, &plans);
+            let tag = format!(
+                "{name} on {} {:?} ({} plans)",
+                card.name,
+                cfg.spec,
+                plans.len()
+            );
+            (tag, card.clone(), w, golden, plans, store)
+        })
+        .collect()
+}
+
+/// Every plan a recording settles from its value shadows — among them
+/// every plan still in the group at the end, Masked with an early exit
+/// exactly where its fork reconverges — gets exactly the record its fork
+/// writes, on every [`data_only_cases`] case.
+#[test]
+fn data_only_plans_get_their_forks_records() {
+    let (mut reconverged, mut ran_out) = (0, 0);
+    for (tag, card, w, golden, plans, store) in data_only_cases() {
+        let mut gpu = Gpu::new(card.clone());
+        for (i, plan) in plans.iter().enumerate() {
+            let Some(s) = store.settle(plan) else {
+                continue;
+            };
+            reconverged += usize::from(s.reconverged);
+            let kept = s.effect == SettledEffect::Masked && !s.early_exit;
+            ran_out += usize::from(kept && s.applied);
+            let forked = forked_record(&mut gpu, &store, w.as_ref(), plan, &golden);
+            assert_eq!(
+                forked,
+                settled_record(&store, plan, &golden),
+                "{tag} plan {i}"
+            );
+        }
+        assert!(
+            store.shadow_tally().masked > 0,
+            "{tag}: none kept to the end"
+        );
+    }
+    assert!(reconverged > 0 && ran_out > 0, "{reconverged} {ran_out}");
+}
+
+/// The other direction: on every [`data_only_cases`] case, every plan
+/// that stays in the value group — its fork's values never reach an
+/// address, a predicate or the host between launches — is settled, but
+/// the plans named here.  They are PATHF's on the RTX 2060, whose faulty
+/// global words were filled into an L1D before every slot died: the
+/// copy outlives the coherent view, so whether the fork reconverges is
+/// not known; twelve of the fourteen do not.
+#[test]
+fn every_data_only_fork_is_settled() {
+    let named: [&[usize]; 9] = [&[], &[], &[], &[], &[], &[], &PATHF_KEPT, &[], &[]];
+    for ((tag, card, w, golden, plans, store), named) in data_only_cases().into_iter().zip(named) {
+        let unsettled: Vec<usize> = (0..plans.len())
+            .filter(|&i| store.left_by(&plans[i]).is_none() && store.settle(&plans[i]).is_none())
+            .collect();
+        assert_eq!(unsettled, named, "{tag}");
+        assert_eq!(store.shadow_tally().kept, named.len(), "{tag}");
+        let mut gpu = Gpu::new(card.clone());
+        let reconverged = named
+            .iter()
+            .map(|&i| forked_record(&mut gpu, &store, w.as_ref(), &plans[i], &golden))
+            .filter(|r| r.detail == RunDetail::Reconverged)
+            .count();
+        assert_eq!(reconverged, named.len().min(2), "{tag}");
+    }
+}
+
+/// The PATHF shared-memory plans [`every_data_only_fork_is_settled`]
+/// names.
+const PATHF_KEPT: [usize; 14] = [15, 25, 34, 39, 43, 51, 60, 63, 67, 80, 81, 85, 87, 91];
+
+/// The store's held bytes, counted as the recorder captures, equal a walk
+/// of every snapshot on all three cards and the Mini chip, and after the
+/// budget drops snapshots.
+#[test]
+fn held_bytes_are_counted_as_captured() {
+    let w = by_name("HS").unwrap();
+    for card in [
+        GpuConfig::rtx2060(),
+        GpuConfig::gtx_titan(),
+        GpuConfig::quadro_gv100(),
+        mini_chip(""),
+    ] {
+        let golden = profile(w.as_ref(), &card).unwrap();
+        let store = record_store(w.as_ref(), &card, &golden);
+        assert_eq!(
+            store.held_bytes(),
+            store.held_bytes_walked(),
+            "{}",
+            card.name
+        );
+        // A budget of three snapshots: the recorder halves the store.
+        let mut rec = Gpu::new(card.clone());
+        let budget = 3 * store.snapshot(0).resident_bytes();
+        rec.record_checkpoints((golden.total_cycles() / 24).max(1), budget);
+        w.run(&mut rec).unwrap();
+        let halved = rec.finish_checkpoint_recording();
+        assert!(halved.len() < store.len(), "{}", card.name);
+        assert_eq!(
+            halved.held_bytes(),
+            halved.held_bytes_walked(),
+            "{}",
+            card.name
+        );
+    }
+}
+
+/// A settled Masked run that goes on to the golden end can end holding
+/// faulty global words the host never reads: `--oracle-check` requires
+/// its cold reference to end on the golden image with exactly those
+/// words patched in.  HS shared memory on the GTX Titan (300 runs, seed
+/// 11) has two such runs.
+#[test]
+fn runs_ending_on_faulty_words_nobody_reads_pass_the_oracle_check() {
+    let (w, card) = (by_name("HS").unwrap(), GpuConfig::gtx_titan());
+    let spec = CampaignSpec::new(Structure::SharedMemory);
+    let golden = profile(w.as_ref(), &card).unwrap();
+    let cfg = CampaignConfig::new(spec.clone(), 300, 11);
+    let plans = campaign_plans(w.as_ref(), &card, &cfg, &golden).unwrap();
+    let store = record_valued(w.as_ref(), &card, &golden, &plans);
+    let ending: Vec<&InjectionPlan> = plans
+        .iter()
+        .filter(|p| !store.final_deltas(p).is_empty())
+        .collect();
+    assert_eq!(ending.len(), 2);
+    for plan in ending {
+        let s = store.settle(plan).unwrap();
+        assert_eq!((s.effect, s.early_exit), (SettledEffect::Masked, false));
+    }
+    common::oracle_check("HS", &card, spec, 300, 11);
 }

@@ -25,7 +25,11 @@ fn tmp(name: &str) -> String {
 
 /// Runs one distributed campaign on loopback: a coordinator thread plus
 /// one worker thread per [`ChaosPlan`].  Returns the coordinator's result
-/// and every worker's report.
+/// and every worker's report.  The coordinator always gets chaos hooks, so
+/// it gives up once its workers have all gone for the stall deadline: a
+/// campaign whose workers all fail ends the test instead of hanging it.
+/// The tests that call [`serve_campaign`] itself cover the coordinator's
+/// production wait.
 #[allow(clippy::type_complexity)]
 fn run_distributed(
     w: &dyn Workload,
@@ -42,8 +46,9 @@ fn run_distributed(
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     thread::scope(|s| {
-        let coordinator = s.spawn(|| {
-            serve_campaign_with_chaos(w, card, cfg, golden, svc, listener, coord.as_ref())
+        let coord = coord.unwrap_or_default();
+        let coordinator = s.spawn(move || {
+            serve_campaign_with_chaos(w, card, cfg, golden, svc, listener, Some(&coord))
         });
         let workers: Vec<_> = chaos
             .iter()
@@ -331,6 +336,53 @@ fn coordinator_rejects_mismatched_worker_and_survives_garbage() {
     assert!(good.is_ok(), "correct worker failed: {good:?}");
 }
 
+/// VA, except that its run panics on a checkpoint-recording pass: what a
+/// defect in the recording's shadows does to a worker.
+struct PanicsRecording(VectorAdd);
+
+impl Workload for PanicsRecording {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn module(&self) -> &Module {
+        self.0.module()
+    }
+
+    fn run(&self, gpu: &mut Gpu) -> Result<Vec<u8>, WorkloadError> {
+        assert!(!gpu.mem().logs_validity(), "recording pass");
+        self.0.run(gpu)
+    }
+}
+
+/// A worker whose checkpoint recording panics fails with a
+/// `ServiceError` and closes its connection, and the campaign its
+/// workers all fail ends within the stall deadline instead of waiting
+/// for another worker.
+#[test]
+fn a_panicking_worker_recording_fails_the_campaign() {
+    let w = PanicsRecording(VectorAdd::new(128));
+    let card = GpuConfig::rtx2060();
+    let golden = profile(&w, &card).unwrap();
+    let cfg =
+        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 12, 17).with_threads(1);
+    let start = Instant::now();
+    let chaos = [ChaosPlan::default(), ChaosPlan::default()];
+    let (coord, workers) = run_distributed(&w, &card, &cfg, &golden, &quick_svc(), &chaos, None);
+    match coord {
+        Err(ServiceError::Campaign(e)) => assert!(e.contains("every worker left"), "{e}"),
+        other => panic!("the coordinator should give up, got {other:?}"),
+    }
+    for out in workers {
+        match out {
+            Err(ServiceError::Campaign(e)) => assert!(e.contains("recording panicked"), "{e}"),
+            other => panic!("the worker should fail, got {other:?}"),
+        }
+    }
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(10), "took {took:?}");
+}
+
 /// A served worker returns as soon as it reads `fin`, not one heartbeat
 /// later: with a 5 s heartbeat it must return within 1 s of the
 /// coordinator, where it used to wait out its heartbeat thread's sleep.
@@ -436,7 +488,7 @@ fn coordinator_resume_after_death_executes_no_run_twice() {
         &quick_svc(),
         &[ChaosPlan::default()],
         Some(CoordinatorChaos {
-            die_after_merges: 10,
+            die_after_merges: Some(10),
         }),
     );
     assert_eq!(dead.unwrap_err(), ServiceError::Chaos);
@@ -571,8 +623,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf(), 300, 11),
             static_dead: 32,
             static_dead_bit: 5,
-            settled: 203,
-            simulated: 60,
+            settled: 224,
+            simulated: 39,
             resume_after: None,
         },
         Row {
@@ -591,8 +643,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf(), 120, 11).stratified(),
             static_dead: 0,
             static_dead_bit: 0,
-            settled: 70,
-            simulated: 50,
+            settled: 84,
+            simulated: 36,
             resume_after: None,
         },
         Row {
@@ -601,8 +653,8 @@ fn pinned_labels_hold_across_all_three_executors() {
             cfg: CampaignConfig::new(rf(), 300, 11),
             static_dead: 32,
             static_dead_bit: 5,
-            settled: 203,
-            simulated: 60,
+            settled: 224,
+            simulated: 39,
             resume_after: Some(120),
         },
     ];
