@@ -239,12 +239,12 @@ pub(crate) enum Event {
         marked: [u32; 4],
         words: u32,
     },
-    /// Marked slots died with their thread (`exit`) or their CTA: lanes
+    /// Marked slots died with their thread's exit or their CTA: lanes
     /// `lanes` of the row of 32 slots `mark` names the first of — a
     /// register's lanes (`mark` names lane 0), or 32 consecutive
     /// shared-memory words (`mark` names a word whose index is a multiple
     /// of 32).
-    Kill { mark: Mark, lanes: u32, exit: bool },
+    Kill { mark: Mark, lanes: u32 },
 }
 
 /// The recording pass's log of the instructions that read or wrote a
@@ -291,9 +291,9 @@ impl TaintLog {
     }
 
     /// Logs the death of `lanes` of register `reg` of a warp, by their
-    /// threads' `exit` or their CTA's end.
+    /// threads' exit or their CTA's end.
     #[cold]
-    fn regs(&mut self, (sm, seq, warp): (u32, u64, u32), reg: usize, lanes: u32, exit: bool) {
+    fn regs(&mut self, (sm, seq, warp): (u32, u64, u32), reg: usize, lanes: u32) {
         if let Some(log) = &mut self.0 {
             if lanes != 0 {
                 let reg = reg as u16;
@@ -304,7 +304,7 @@ impl TaintLog {
                     reg,
                     lane: 0,
                 };
-                log.events.push(Event::Kill { mark, lanes, exit });
+                log.events.push(Event::Kill { mark, lanes });
             }
         }
     }
@@ -369,7 +369,9 @@ clone_fields!(Warp {
 
 impl Warp {
     /// State equality for the reconvergence check: every field but the
-    /// fault bookkeeping in the ignore list.
+    /// fault bookkeeping in the ignore list, and of the registers only the
+    /// live lanes' — an exited lane's are never read again, and the SIMT
+    /// stack and masks, equal too, never revive it.
     fn same_state(&self, o: &Warp) -> bool {
         let Warp {
             widx,
@@ -398,7 +400,12 @@ impl Warp {
             && *preds == o.preds
             && *stack == o.stack
             && *stuck == o.stuck
-            && *regs == o.regs
+            && (*regs == o.regs
+                || *live != u32::MAX
+                    && regs.len() == o.regs.len()
+                    && regs.iter().zip(&o.regs).all(|(a, b)| {
+                        a == b || (0..LANES).all(|l| *live >> l & 1 == 0 || a[l] == b[l])
+                    }))
             && *touch == o.touch
     }
 
@@ -458,7 +465,7 @@ impl Warp {
                 if killed != 0 {
                     *tm &= !lanes;
                     self.taint_cnt -= killed.count_ones();
-                    log.regs((sm, seq, self.widx), r, killed, true);
+                    log.regs((sm, seq, self.widx), r, killed);
                 }
             }
         }
@@ -1089,7 +1096,7 @@ impl SimtCore {
         for cta in self.ctas.iter().filter(|c| c.live_warps == 0) {
             for w in &cta.warps {
                 for (r, &tm) in w.taint.iter().enumerate() {
-                    self.taint_log.regs((sm, cta.seq, w.widx), r, tm, false);
+                    self.taint_log.regs((sm, cta.seq, w.widx), r, tm);
                 }
             }
             if let Some(log) = &mut self.taint_log.0 {
@@ -1103,11 +1110,10 @@ impl SimtCore {
                         word: word & !31,
                     };
                     match log.events.last_mut() {
-                        Some(Event::Kill { mark, lanes, .. }) if *mark == row => *lanes |= lane,
+                        Some(Event::Kill { mark, lanes }) if *mark == row => *lanes |= lane,
                         _ => log.events.push(Event::Kill {
                             mark: row,
                             lanes: lane,
-                            exit: false,
                         }),
                     }
                 }
@@ -1956,11 +1962,6 @@ impl SimtCore {
         self.ctas.len() as u64
     }
 
-    /// Whether the CTA of launch sequence number `seq` is still resident.
-    pub(crate) fn holds_cta(&self, seq: u64) -> bool {
-        self.ctas.iter().any(|c| c.seq == seq)
-    }
-
     /// Sets or clears the taint of `mark` where its CTA is still resident,
     /// flipping no value.
     pub(crate) fn set_mark(&mut self, mark: Mark, on: bool) {
@@ -2175,6 +2176,36 @@ mod tests {
         let mut none = Vec::new();
         lanes!(0u32, l => none.push(l));
         assert!(none.is_empty());
+    }
+
+    #[test]
+    fn warps_compare_the_registers_of_live_lanes_only() {
+        let module =
+            gpufi_isa::Module::assemble(".kernel k\n.params 1\n MOV R1, 0\n EXIT\n").unwrap();
+        let kernel = module.kernel("k").unwrap();
+        let decoded = gpufi_isa::decode::decode(kernel);
+        let ctx = KernelCtx {
+            kernel,
+            uops: decoded.uops(),
+            dims: LaunchDims::new(1, 32),
+            args: &[0],
+        };
+        let mut core = SimtCore::new(0, &GpuConfig::rtx2060());
+        core.configure_kernel(1);
+        core.launch_cta(&ctx, 0, 0);
+        let golden = core.ctas[0].warps[0].clone();
+        // Whether a warp of `live` lanes differs from the golden one in a
+        // flip of `R1` in `lane`.
+        let differs = |live: u32, lane: usize| {
+            let (mut g, mut w) = (golden.clone(), golden.clone());
+            (g.live, w.live) = (live, live);
+            w.regs[1][lane] ^= 1;
+            !w.same_state(&g)
+        };
+        assert!(differs(u32::MAX, 0));
+        // Lane 0 exited: its registers are never read again.
+        assert!(!differs(u32::MAX - 1, 0));
+        assert!(differs(u32::MAX - 1, 1));
     }
 
     /// Every ALU, `SETP`, `SEL` and `MOV` micro-op, register and

@@ -8,9 +8,10 @@ use crate::fault::{FaultModel, FaultSpace, InjectionPlan, InjectionRecord, Plann
 use crate::grid::LaunchDims;
 use crate::mem::{FlipOutcome, MemSystem};
 use crate::oracle::{DivergenceReport, OracleMirror, ThreadState};
-use crate::shadow::{Shadow, Shadows, Step};
+use crate::shadow::{Shadow, Shadows};
 use crate::snapshot::{
-    CheckpointStore, HostOp, HostResult, LaunchProgress, Recorder, Replay, Snapshot,
+    occupancy_rates, CheckpointStore, HostOp, HostResult, LaunchProgress, Recorder, Replay,
+    Snapshot,
 };
 use crate::stats::{AppStats, LaunchStats};
 use gpufi_isa::Kernel;
@@ -908,10 +909,8 @@ impl Gpu {
         let mut ee_dead = false;
         let mut ee_tick = 0u32;
         // A recording shadowing plans hands them, after each iteration,
-        // the marks it read or killed, and at each top the loop's last
-        // step where they need it.
+        // the marks it read or killed.
         let shadowing = self.recorder.as_ref().is_some_and(|r| r.shadows.is_some());
-        let (mut step, mut next_due, mut drifting) = (None, u64::MAX, false);
         let outcome: Result<(), Trap> = 'run: loop {
             // Checkpoint capture (recording run only), at the top of the
             // loop *before* fault firing: a fork resuming here sees the
@@ -921,9 +920,6 @@ impl Gpu {
             // top-of-loop cycle value is captured at most once.  Faults
             // fire just below, so the validity log stamps the changes the
             // cores make next as following this top.
-            if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
-                sh.advance(self.cycle, step.take());
-            }
             if let Some(rec) = &self.recorder {
                 if self.cycle >= rec.next_at {
                     // Cache chunks written since the last capture become
@@ -933,13 +929,12 @@ impl Gpu {
                     let rec = self.recorder.as_mut().expect("recorder checked above");
                     rec.push(snap);
                     if let Some(sh) = &mut rec.shadows {
-                        sh.checkpoint(self.cycle, &self.cores);
+                        sh.checkpoint(self.cycle);
                     }
                 }
                 self.mem.validity_top(self.cycle);
                 if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
                     sh.top(self.cycle, &mut self.cores, &mut self.mem, &ctx);
-                    (next_due, drifting) = (sh.next_due(), sh.drifting());
                 }
             }
             // Reconvergence (forked runs only), also before fault firing,
@@ -1029,7 +1024,8 @@ impl Gpu {
             }
 
             // Time advance: 1 cycle while issuing, else fast-forward to the
-            // next event (capped at the next armed fault).
+            // next event, cut short at the next armed fault's cycle (see
+            // `LaunchProgress::cut`).
             let mut dt = if any {
                 1
             } else {
@@ -1054,11 +1050,13 @@ impl Gpu {
                     }
                 }
             };
-            if self.next_fault < self.faults.len() {
-                let fc = self.faults[self.next_fault].cycle;
-                if fc > self.cycle && fc < self.cycle + dt {
-                    dt = fc - self.cycle;
-                }
+            let fc = self
+                .faults
+                .get(self.next_fault)
+                .map_or(u64::MAX, |f| f.cycle);
+            let cut = fc > self.cycle && fc < self.cycle + dt;
+            if cut {
+                dt = fc - self.cycle;
             }
 
             // Integrate occupancy / residency over [cycle, cycle + dt).
@@ -1074,32 +1072,15 @@ impl Gpu {
             }
             if active_sms > 0 {
                 let key = [live_warps, live_threads, live_ctas, active_sms];
-                let [occ, thr, cta] = match occ_last {
+                let rates = match occ_last {
                     Some((k, q)) if k == key => q,
                     _ => {
-                        let sms = active_sms as f64;
-                        let q = [
-                            live_warps as f64 / (sms * max_warps),
-                            live_threads as f64 / sms,
-                            live_ctas as f64 / sms,
-                        ];
+                        let q = occupancy_rates(key, max_warps);
                         occ_last = Some((key, q));
                         q
                     }
                 };
-                let dtf = dt as f64;
-                // Only a step a shadowed fault's cycle falls inside, or
-                // one a plan's run integrates other sums than this one.
-                if next_due < self.cycle + dt || drifting {
-                    step = Some(Step {
-                        before: [p.occ_int, p.thr_int, p.cta_int],
-                        rates: [occ, thr, cta],
-                        cycles: dt,
-                    });
-                }
-                p.occ_int += occ * dtf;
-                p.thr_int += thr * dtf;
-                p.cta_int += cta * dtf;
+                p.step(key, rates, dt, cut, max_warps);
                 p.t_int += dt;
                 // Saturating: a fault in a warp's `ready_at` can fast-forward
                 // by ~2^58 cycles into the watchdog trap, which discards the
@@ -1118,10 +1099,12 @@ impl Gpu {
             }
         };
 
+        p.flush_cut(max_warps);
+
         // L1s are invalidated between launches on real GPUs.
         self.mem.flush_l1s();
         if let Some(sh) = self.recorder.as_mut().and_then(|r| r.shadows.as_mut()) {
-            sh.launch_end(&mut self.mem, &p);
+            sh.launch_end(&mut self.mem);
         }
 
         // Lockstep oracle: diff the launch's final architectural state

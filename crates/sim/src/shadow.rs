@@ -76,35 +76,32 @@
 //! has fired, no taint is left and the state equals the snapshot's.  Its
 //! taint is a subset of the plan's held slots, and a held slot with a
 //! nonzero delta differs from the snapshot, so each capture notes the
-//! plans with every fault fired, a read, no slot held and no *residue*:
-//! no faulty value left outside the held slots that the comparison
-//! sees.  A register an exit killed keeps its value while its CTA stays
-//! resident; shared memory and registers die with the CTA.  The first
-//! kept snapshot at or after that capture is where the fork reconverges
-//! (a cold start checks none); a plan that never qualifies runs to the
-//! golden end, `early_exit` false ([`Shadow::Masked`]).  A global word's
-//! deltas describe its coherent value, the L2 line's or else DRAM's; a
-//! copy made out of the L2 — a dirty line written back to DRAM, a line
-//! filled into an L1D or L1T, whose array keeps the bytes even once the
-//! line turns invalid — can outlive it, and the recording logs each copy
-//! of a line holding a marked word ([`Shadows::copies`]).  Such copies
-//! are not followed further: a plan that held or touched a word of a
-//! copied line, and would qualify, stays [`Shadow::Kept`] and forks.  A
-//! fault inside a fast-forward gap stops its run there, and the run adds
-//! the gap's occupancy in two pieces, which may round to other sums; the
-//! recording carries each such plan's sums over every later step of the
-//! launch ([`Step`]), and the plan qualifies only where they are the
-//! golden run's again.  A launch that ends on other sums ends on other
-//! statistics, and its plan never qualifies after.  A Masked plan's final
-//! global image is the golden one XOR the global words it ends holding a
-//! delta of, which the store keeps for `--oracle-check`.
+//! plans with every fault fired, a read and no slot held.  Nothing else
+//! the comparison sees can differ: a register an exit killed keeps its
+//! value, but the comparison reads live lanes' registers alone; shared
+//! memory and registers die with the CTA; and a fault inside a
+//! fast-forward gap, which stops its run there, leaves the run's
+//! occupancy sums the golden ones, since the run adds the gap in one
+//! piece (`LaunchProgress::cut`).  The first kept snapshot at or after
+//! that capture is where the fork reconverges (a cold start checks
+//! none); a plan that never qualifies runs to the golden end,
+//! `early_exit` false ([`Shadow::Masked`]).  A global word's deltas
+//! describe its coherent value, the L2 line's or else DRAM's; a copy
+//! made out of the L2 — a dirty line written back to DRAM, a line filled
+//! into an L1D or L1T, whose array keeps the bytes even once the line
+//! turns invalid — can outlive it, and the recording logs each copy of a
+//! line holding a marked word ([`Shadows::copies`]).  Such copies are not
+//! followed further: a plan that held or touched a word of a copied
+//! line, and would qualify, stays [`Shadow::Kept`] and forks.  A Masked
+//! plan's final global image is the golden one XOR the global words it
+//! ends holding a delta of, which the store keeps for `--oracle-check`.
 
 use crate::core::{lane, resolve, Event, KernelCtx, Log, Mark, SimtCore, Site};
 use crate::fast_hash::FastMap;
 use crate::fault::{FaultTarget, InjectionPlan};
 use crate::gpu::EE_STRIDE;
 use crate::mem::MemSystem;
-use crate::snapshot::{LaunchProgress, Settled, SettledEffect};
+use crate::snapshot::{Settled, SettledEffect};
 use gpufi_isa::decode::{Uop, UopOp, NO_REG};
 use std::collections::{BTreeMap, HashMap};
 
@@ -180,9 +177,6 @@ pub(crate) struct Shadows {
     launch_tops: Vec<u64>,
     /// Loop tops of the current launch so far.
     tops: u64,
-    /// The plans whose runs integrate other occupancy sums than the
-    /// golden run in the current launch (`Shadowed::sums`).
-    drifting: Vec<usize>,
     /// Lanes evaluated with the plans' faulty operands.
     lane_ops: u64,
     /// Scratch: one core's drained log, and one event's plans.
@@ -218,19 +212,6 @@ struct Shadowed {
     /// or L1T, whose array keeps the bytes even once the line is invalid:
     /// a faulty copy may outlive the coherent view.
     copied: bool,
-    /// The CTAs, `(sm, seq)`, holding a register whose delta an exit
-    /// killed: the register keeps its faulty value until the CTA's
-    /// harvest.  Deduplicated and pruned at each capture.
-    residue: Vec<(u32, u64)>,
-    /// The launch's occupancy, thread and CTA sums as the run integrates
-    /// them, while they differ from the golden run's: a fault inside a
-    /// fast-forward gap stops the run there, and the gap's two pieces
-    /// may round to other sums ([`Step`]).  Later steps may round them
-    /// back together.
-    sums: Option<[f64; 3]>,
-    /// Whether a launch ended on such sums: its statistics differ from
-    /// the golden run's, so no later state equals a checkpoint's.
-    stats_differ: bool,
     /// The cycle of the first checkpoint capture at which its run's state
     /// is the golden run's but for what `copied` may leave.
     settles: Option<u64>,
@@ -632,9 +613,6 @@ impl Shadows {
                 fired: (0, 0, false),
                 died: None,
                 copied: false,
-                residue: Vec::new(),
-                sums: None,
-                stats_differ: false,
                 settles: None,
             })
             .collect();
@@ -660,46 +638,10 @@ impl Shadows {
             leaving: Vec::new(),
             launch_tops: Vec::new(),
             tops: 0,
-            drifting: Vec::new(),
             lane_ops: 0,
             log: Log::default(),
             parts: Parts::default(),
         })
-    }
-
-    /// The golden loop's `step` led to the loop top at `cycle`: carries
-    /// each plan's occupancy sums over it, before a capture there.  A
-    /// plan's run stops at each of its faults due inside the step's
-    /// fast-forward gap, and integrates the gap in pieces.
-    pub(crate) fn advance(&mut self, cycle: u64, step: Option<Step>) {
-        let Some(step) = step else {
-            return;
-        };
-        let mut cuts: Vec<(usize, u64)> = self.due[self.next..]
-            .iter()
-            .take_while(|d| d.0 < cycle)
-            .map(|&(at, p, _)| (p, at))
-            .collect();
-        cuts.extend(self.drifting.drain(..).map(|p| (p, cycle)));
-        cuts.sort_unstable();
-        cuts.dedup();
-        let golden = step.integrate(step.before, cycle, &[]);
-        for run in cuts.chunk_by(|a, b| a.0 == b.0) {
-            let p = run[0].0;
-            let at: Vec<u64> = run.iter().map(|c| c.1).filter(|&c| c < cycle).collect();
-            let s = &mut self.plans[p];
-            let sums = step.integrate(s.sums.unwrap_or(step.before), cycle, &at);
-            s.sums = (sums != golden).then_some(sums);
-            if s.sums.is_some() {
-                self.drifting.push(p);
-            }
-        }
-    }
-
-    /// Whether some plan's run integrates other occupancy sums than the
-    /// golden run: the loop hands [`Shadows::advance`] its every step.
-    pub(crate) fn drifting(&self) -> bool {
-        !self.drifting.is_empty()
     }
 
     /// A loop top at `cycle`: fires every shadowed fault due there.
@@ -727,35 +669,14 @@ impl Shadows {
         }
     }
 
-    /// The cycle of the next shadowed fault to fire, `u64::MAX` if none.
-    pub(crate) fn next_due(&self) -> u64 {
-        self.due.get(self.next).map_or(u64::MAX, |d| d.0)
-    }
-
     /// A checkpoint is captured at the loop top at `cycle`, before the
     /// faults due there fire: notes each plan whose run, checked for
     /// reconvergence there, would equal it but for what `copied` stands
-    /// for — every fault fired, its taint escaped and none left, no
-    /// faulty value held in a slot or left in a register of a CTA an exit
-    /// did not end, and the golden run's occupancy sums and statistics.
-    /// Once so, a plan stays so.
-    pub(crate) fn checkpoint(&mut self, cycle: u64, cores: &[SimtCore]) {
+    /// for — every fault fired, its taint escaped and none left, and no
+    /// faulty value held in a slot.  Once so, a plan stays so.
+    pub(crate) fn checkpoint(&mut self, cycle: u64) {
         for s in &mut self.plans {
-            if s.settles.is_some() || s.left.is_some() {
-                continue;
-            }
-            // CTAs gone since; the rest once each.
-            s.residue.sort_unstable();
-            s.residue.dedup();
-            s.residue
-                .retain(|&(sm, seq)| cores[sm as usize].holds_cta(seq));
-            if s.read
-                && s.unfired == 0
-                && s.live == 0
-                && s.residue.is_empty()
-                && s.sums.is_none()
-                && !s.stats_differ
-            {
+            if s.settles.is_none() && s.left.is_none() && s.read && s.unfired == 0 && s.live == 0 {
                 s.settles = Some(cycle);
             }
         }
@@ -961,7 +882,7 @@ impl Shadows {
         let mut log = std::mem::take(&mut self.log);
         for e in &log.events {
             match *e {
-                Event::Kill { mark, lanes, exit } => self.kill(mark, lanes, exit),
+                Event::Kill { mark, lanes } => self.kill(mark, lanes),
                 Event::Exec {
                     seq,
                     warp,
@@ -981,9 +902,9 @@ impl Shadows {
         self.log = log;
     }
 
-    /// Slots `dead` of the row whose first slot is `at` died, by an
-    /// `exit` or a CTA's end: every plan holding one loses it.
-    fn kill(&mut self, at: Mark, dead: u32, exit: bool) {
+    /// Slots `dead` of the row whose first slot is `at` died, by an exit
+    /// or a CTA's end: every plan holding one loses it.
+    fn kill(&mut self, at: Mark, dead: u32) {
         let Some(id) = self.rows.find(at) else {
             return;
         };
@@ -993,20 +914,11 @@ impl Shadows {
             let lost = h.held & dead;
             if lost != 0 {
                 h.held &= !dead;
-                let s = &mut self.plans[h.plan as usize];
                 let d = &mut deltas[h.delta as usize];
-                let mut faulty = false;
                 for l in lanes(lost) {
-                    faulty |= d[l] != 0;
                     d[l] = 0;
                 }
-                // A register keeps its value past its thread's exit.
-                if let (Mark::Reg { sm, seq, .. }, true, true) = (at, exit, faulty) {
-                    if s.residue.last() != Some(&(sm, seq)) {
-                        s.residue.push((sm, seq));
-                    }
-                }
-                s.count(lost, 0, true, top);
+                self.plans[h.plan as usize].count(lost, 0, true, top);
             }
         }
         self.prune(id);
@@ -1493,16 +1405,8 @@ impl Shadows {
 
     /// The current launch ended: the L1s are flushed, so every word loads
     /// exactly from now on.
-    pub(crate) fn launch_end(&mut self, mem: &mut MemSystem, progress: &LaunchProgress) {
+    pub(crate) fn launch_end(&mut self, mem: &mut MemSystem) {
         self.copies(mem);
-        // A launch's statistics divide its sums by its cycles.
-        let t = progress.t_int.max(1) as f64;
-        let golden = [progress.occ_int, progress.thr_int, progress.cta_int];
-        for p in self.drifting.drain(..) {
-            let s = &mut self.plans[p];
-            let sums = s.sums.take().expect("a drifting plan has its sums");
-            s.stats_differ |= (0..3).any(|i| sums[i] / t != golden[i] / t);
-        }
         self.launch_tops.push(self.tops);
         self.tops = 0;
         let ids: Vec<u32> = self.rows.global.values().copied().collect();
@@ -1548,33 +1452,6 @@ impl Shadows {
             .map(|(s, words)| (s.plan.clone(), s.shadow(&launch_tops, snapshots, words)))
             .collect();
         (shadows, self.lane_ops)
-    }
-}
-
-/// One step of a launch's cycle loop as the golden run took it: the
-/// occupancy, thread and CTA sums before it, the rates it integrated and
-/// its length in cycles.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Step {
-    pub(crate) before: [f64; 3],
-    pub(crate) rates: [f64; 3],
-    pub(crate) cycles: u64,
-}
-
-impl Step {
-    /// The sums after the step, which ends at `end`, of a run that enters
-    /// it with `from` and stops at each of the cycles `cuts` (ascending,
-    /// inside the step), in floating point as the loop adds them.
-    fn integrate(&self, from: [f64; 3], end: u64, cuts: &[u64]) -> [f64; 3] {
-        let mut sums = from;
-        for (i, sum) in sums.iter_mut().enumerate() {
-            let mut at = end - self.cycles;
-            for &c in cuts.iter().chain([end].iter()) {
-                *sum += self.rates[i] * (c - at) as f64;
-                at = c;
-            }
-        }
-        sums
     }
 }
 
@@ -1894,17 +1771,17 @@ mod tests {
     }
 
     #[test]
-    fn a_lane_exit_death_in_a_resident_cta_does_not_reconverge() {
+    fn a_lane_exit_death_in_a_resident_cta_reconverges() {
         // Lanes 0–15 exit holding a faulty `R1`, the others overwrite it:
-        // no slot is held, but the exited lanes' registers keep their
-        // values while their CTA runs on, to the end.
+        // the exited lanes' registers keep their values while their CTA
+        // runs on, but nothing reads them again, so the fork reconverges.
         let body = format!(
             "{} IADD R4, R1, R2\n MOV R4, 0\n ISETP.LT P0, R2, 16\n@P0 EXIT\n MOV R1, 0\n{} STG [R3], R2",
             pad("a"),
             pad("b")
         );
-        assert_eq!(masked(&one_sm(), &body, &flip_at(10, 1, 0)), (false, false));
-        // Every lane overwrites it before the exit: reconverged.
+        assert_eq!(masked(&one_sm(), &body, &flip_at(10, 1, 0)), (true, true));
+        // Every lane overwrites it before the exit: reconverged too.
         let body = body.replace("@P0 EXIT\n MOV R1, 0", " MOV R1, 0\n@P0 EXIT");
         assert_eq!(masked(&one_sm(), &body, &flip_at(10, 1, 0)), (true, true));
     }
@@ -1941,40 +1818,6 @@ mod tests {
         assert_eq!(masked(&card, &body, &plan), (true, true));
     }
 
-    #[test]
-    fn a_step_integrated_in_pieces_may_round_to_other_sums() {
-        // A step of 3 cycles ending at 48 from a sum just above 15: a
-        // third added as 1 + 2 cycles rounds away from 3 cycles at once,
-        // added as 2 + 1 it does not; a rate of 1/32 is exact either way.
-        let step = |occ: f64| Step {
-            before: [15.000000000000002, 1440.0, 45.0],
-            rates: [occ, 32.0, 1.0],
-            cycles: 3,
-        };
-        let whole = |occ| step(occ).integrate(step(occ).before, 48, &[]);
-        assert_eq!(whole(1.0 / 3.0), [16.0, 1536.0, 48.0]);
-        assert_ne!(
-            step(1.0 / 3.0).integrate(step(1.0 / 3.0).before, 48, &[46]),
-            whole(1.0 / 3.0)
-        );
-        assert_eq!(
-            step(1.0 / 3.0).integrate(step(1.0 / 3.0).before, 48, &[47]),
-            whole(1.0 / 3.0)
-        );
-        for cuts in [&[46][..], &[47], &[46, 47]] {
-            assert_eq!(
-                step(1.0 / 32.0).integrate(step(1.0 / 32.0).before, 48, cuts),
-                whole(1.0 / 32.0)
-            );
-        }
-        // Carried on from other sums.
-        let off = [16.0, 1536.0, 48.0];
-        assert_eq!(
-            step(1.0 / 3.0).integrate(off, 48, &[]),
-            [17.0, 1632.0, 51.0]
-        );
-    }
-
     /// One SM of [`one_sm`] with room for three warps: one warp's
     /// occupancy rate is 1/3.
     fn one_warp_of_three() -> GpuConfig {
@@ -1994,44 +1837,58 @@ mod tests {
     }
 
     #[test]
-    fn gap_faults_settle_where_their_forks_occupancy_sums_lead() {
-        // A fork stops at a fault inside a fast-forward gap, so it adds
-        // the gap's occupancy in two pieces.  With one warp of three per
-        // SM the occupancy rate is 1/3: at every third cycle of the load's
-        // 267-cycle gap the pieces round to other sums, which the fork
-        // carries to every later checkpoint, so it runs to the end; the
-        // others reconverge.  At 46 the pieces of a 3-cycle step round
-        // apart, and a later step rounds them back together: that fork
-        // reconverges after all.
+    fn gap_faults_settle_reconverged_like_their_forks() {
+        // A fork stops at a fault inside a fast-forward gap, but adds the
+        // gap's occupancy in one piece, as the golden run does.  With one
+        // warp of three per SM the occupancy rate is 1/3, which rounds
+        // differently added in two pieces at every third cycle of the
+        // load's 267-cycle gap, and at 46 inside a 3-cycle step: every
+        // fork reconverges all the same.
         let (card, module) = (one_warp_of_three(), kernel(&after_a_load()));
-        let mut ran_out = Vec::new();
         for cycle in (380..=400).chain([46]) {
             let plan = flip_at(cycle, 1, 0);
             let store = record_on(&card, &module, &plan, false);
             let settled = store.settle(&plan).expect("settled");
             let run = forked(&card, &module, store, &plan, false);
             let told = (settled.effect, settled.early_exit, settled.reconverged);
-            assert_eq!(told, (SettledEffect::Masked, run.0, run.1), "cycle {cycle}");
-            if !run.0 {
-                ran_out.push(cycle);
-            }
+            assert_eq!(told, (SettledEffect::Masked, true, true), "cycle {cycle}");
+            assert_eq!(run, (true, true), "cycle {cycle}");
         }
-        assert_eq!(ran_out, [384, 387, 390, 393, 396, 399]);
     }
 
     #[test]
-    fn a_launch_ending_on_other_occupancy_sums_never_reconverges() {
-        // The fault at 384 leaves its run on other sums to the end of
-        // the first launch, whose statistics then differ from the golden
-        // run's: no checkpoint of the second launch equals the fork's
-        // state, though its faulty values died in the first.
+    fn a_gap_fault_in_a_first_launch_reconverges_in_the_second() {
+        // At 384 the gap's two pieces round to other sums than its one,
+        // at 385 they do not: added in one piece, both runs end the first
+        // launch on the golden statistics, and both forks reconverge in
+        // the second.
         let (card, module) = (one_warp_of_three(), kernel(&after_a_load()));
-        for (cycle, ends) in [(384, (false, false)), (385, (true, true))] {
+        for cycle in [384, 385] {
             let plan = flip_at(cycle, 1, 0);
             let store = record_on(&card, &module, &plan, true);
             let settled = store.settle(&plan).expect("settled");
-            assert_eq!((settled.early_exit, settled.reconverged), ends);
-            assert_eq!(forked(&card, &module, store, &plan, true), ends);
+            assert_eq!((settled.early_exit, settled.reconverged), (true, true));
+            assert_eq!(forked(&card, &module, store, &plan, true), (true, true));
+        }
+    }
+
+    #[test]
+    fn a_cold_run_with_a_gap_fault_ends_every_launch_on_golden_statistics() {
+        let (card, module) = (one_warp_of_three(), kernel(&after_a_load()));
+        let mut golden = Gpu::new(card.clone());
+        let out = host(&module, &mut golden, true).unwrap();
+        let mut gpu = Gpu::new(card);
+        gpu.arm_faults(flip_at(384, 1, 0));
+        assert_eq!(host(&module, &mut gpu, true), Some(out));
+        assert!(gpu.injection_records()[0].applied);
+        let (run, golden) = (&gpu.stats().launches, &golden.stats().launches);
+        assert_eq!(run.len(), 2);
+        assert_eq!(run, golden);
+        for (a, b) in run.iter().zip(golden) {
+            let bits = |s: &crate::LaunchStats| {
+                [s.occupancy, s.mean_threads_per_sm, s.mean_ctas_per_sm].map(f64::to_bits)
+            };
+            assert_eq!(bits(a), bits(b), "{}", a.kernel);
         }
     }
 

@@ -540,6 +540,34 @@ fn coordinator_resume_after_death_executes_no_run_twice() {
     std::fs::remove_file(&dist_journal).ok();
 }
 
+/// VA, except that the first run on each thread waits until eight threads
+/// have made theirs.  A worker's first run is its checkpoint recording,
+/// made on its first lease, so eight workers given it all hold a lease
+/// before any run merges: none can find the campaign over at its
+/// handshake.
+struct EightAtOnce {
+    va: VectorAdd,
+    all_in: std::sync::Barrier,
+}
+
+impl Workload for EightAtOnce {
+    fn name(&self) -> &'static str {
+        self.va.name()
+    }
+
+    fn module(&self) -> &Module {
+        self.va.module()
+    }
+
+    fn run(&self, gpu: &mut Gpu) -> Result<Vec<u8>, WorkloadError> {
+        thread_local!(static WAITED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+        if !WAITED.replace(true) {
+            self.all_in.wait();
+        }
+        self.va.run(gpu)
+    }
+}
+
 /// Eight loopback workers hammering the coordinator exercises the
 /// single-writer journal channel end to end: every line lands intact, in
 /// canonical order, byte-identical to serial.
@@ -569,7 +597,11 @@ fn eight_loopback_workers_share_one_journal_writer() {
         ..quick_svc()
     };
     let plans = vec![ChaosPlan::default(); 8];
-    let (res, workers) = run_distributed(&w, &card, &dist_cfg, &golden, &svc, &plans, None);
+    let eight = EightAtOnce {
+        va: w,
+        all_in: std::sync::Barrier::new(8),
+    };
+    let (res, workers) = run_distributed(&eight, &card, &dist_cfg, &golden, &svc, &plans, None);
     let res = res.unwrap();
     for (i, wres) in workers.iter().enumerate() {
         assert!(wres.is_ok(), "worker {i}: {wres:?}");
