@@ -604,14 +604,21 @@ fn print_campaign_summary(
         100.0 * s.early_exit_rate,
         s.reconverged
     )?;
+    // A served campaign's coordinator records no store: each worker
+    // process records one for its workers.
+    let held = if s.workers > 0 {
+        "recorded by the workers".to_string()
+    } else {
+        format!(
+            "{} ({:.1} MiB)",
+            s.checkpoints,
+            s.checkpoint_bytes as f64 / (1024.0 * 1024.0)
+        )
+    };
     writeln!(
         Out,
-        "  checkpoints: {} ({:.1} MiB)   restores: {}   settled: {}   mean cycles skipped: {:.0}",
-        s.checkpoints,
-        s.checkpoint_bytes as f64 / (1024.0 * 1024.0),
-        s.restores,
-        s.settled,
-        s.mean_skipped_cycles
+        "  checkpoints: {held}   restores: {}   settled: {}   mean cycles skipped: {:.0}",
+        s.restores, s.settled, s.mean_skipped_cycles
     )?;
     if s.static_pruned + s.static_bit_pruned > 0 {
         writeln!(

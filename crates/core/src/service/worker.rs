@@ -4,20 +4,66 @@
 //! `supervised_run`, and streams back the exact journal record line and
 //! the rung that resolved the run — so the record a worker produces is
 //! byte-for-byte the record a `--threads 1` run would have journaled.
+//!
+//! The workers of one campaign in one process fork from one checkpoint
+//! store: the first to get a lease records it, the others wait for it
+//! (`Recording`).
 
 use super::proto::{encode_frame, read_frame, write_frame, Msg, PROTO_VERSION};
 use super::{ServiceConfig, ServiceError};
 use crate::campaign::{draw, record_store, CampaignConfig, RunEnv};
-use crate::json;
+use crate::json::{self, Value};
 use crate::profile::GoldenProfile;
 use crate::supervisor::catch_run;
 use crate::workload::Workload;
-use gpufi_sim::GpuConfig;
+use gpufi_sim::{CheckpointStore, GpuConfig};
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Duration;
+
+/// One campaign's checkpoint recording, shared by every worker of that
+/// campaign in this process.
+///
+/// The store is a function of the program, the card, the golden run and
+/// the drawn plans; the plans are a function of the description and the
+/// golden run, and a workload's name stands for its program (as the
+/// handshake and journal resume assume).  So the key is the description
+/// — which names the workload and the chip — and the golden profile: one
+/// description alone may cover two golden runs (`VectorAdd::new(128)`
+/// and `VectorAdd::new(256)`).
+struct Recording {
+    campaign: Value,
+    golden: GoldenProfile,
+    /// Made once, by the first worker with a lease: `None` if the
+    /// recording panicked, else what `record_store` returned.
+    outcome: OnceLock<Option<Option<Arc<CheckpointStore>>>>,
+}
+
+/// The process's live recordings.  The table holds `Weak`s only, so a
+/// store is freed when the last worker holding it returns.
+static RECORDINGS: Mutex<Vec<Weak<Recording>>> = Mutex::new(Vec::new());
+
+/// The live recording of `campaign` over `golden`, or a new, not yet
+/// made one.
+fn recording(campaign: &Value, golden: &GoldenProfile) -> Arc<Recording> {
+    let mut table = RECORDINGS.lock().expect("recording table poisoned");
+    let live = table
+        .iter()
+        .filter_map(Weak::upgrade)
+        .find(|r| r.campaign == *campaign && r.golden == *golden);
+    live.unwrap_or_else(|| {
+        table.retain(|r| r.strong_count() > 0);
+        let new = Arc::new(Recording {
+            campaign: campaign.clone(),
+            golden: golden.clone(),
+            outcome: OnceLock::new(),
+        });
+        table.push(Arc::downgrade(&new));
+        new
+    })
+}
 
 /// Worker-side fault injection for the chaos tests.  Ack indices count
 /// `done` frames this worker has sent (first sends only), starting at 0.
@@ -140,8 +186,10 @@ pub fn run_worker_with_chaos(
         })
     });
 
-    // The checkpoint store re-records the golden run once, lazily on the
-    // first lease: a worker that is only ever told `fin` pays nothing.
+    // The checkpoint store re-records the golden run once per process,
+    // lazily on the first lease: a worker that is only ever told `fin`
+    // pays nothing.  Held until the worker returns.
+    let mut recorded: Option<Arc<Recording>> = None;
     let mut env = RunEnv {
         workload,
         card,
@@ -163,14 +211,18 @@ pub fn run_worker_with_chaos(
                 Msg::Ping => continue,
                 Msg::Fin => return Ok(()),
                 Msg::Lease { id, runs } => {
-                    if env.store.is_none() && !runs.is_empty() {
-                        // A panicking recording fails the worker and
-                        // closes its connection: the lease is reissued.
-                        let recorded =
-                            catch_run(|| record_store(workload, card, golden, env.drawn));
-                        env.store = recorded.ok_or_else(|| {
+                    if recorded.is_none() && !runs.is_empty() {
+                        // A panicking recording fails every worker that
+                        // waited for it and closes their connections: the
+                        // leases are reissued.
+                        let shared = recording(&drawn.campaign, golden);
+                        let outcome = shared.outcome.get_or_init(|| {
+                            catch_run(|| record_store(workload, card, golden, &drawn))
+                        });
+                        env.store = outcome.clone().ok_or_else(|| {
                             ServiceError::Campaign("the checkpoint recording panicked".into())
                         })?;
+                        recorded = Some(shared);
                     }
                     for &i in &runs {
                         if i >= drawn.plans.len() {

@@ -9,8 +9,10 @@
 
 use gpufi::core::{campaign_csv, json};
 use gpufi::prelude::*;
+use gpufi::sim::LaunchError;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -391,8 +393,10 @@ fn worker_returns_on_fin_not_a_heartbeat_later() {
     let w = VectorAdd::new(128);
     let card = GpuConfig::rtx2060();
     let golden = profile(&w, &card).unwrap();
+    // Not the panicking-recording test's seed: that campaign's workers
+    // share their failed recording with any worker of the same campaign.
     let cfg =
-        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 12, 17).with_threads(1);
+        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 12, 19).with_threads(1);
     let svc = ServiceConfig {
         heartbeat_ms: 5_000,
         deadline_ms: 20_000,
@@ -540,40 +544,62 @@ fn coordinator_resume_after_death_executes_no_run_twice() {
     std::fs::remove_file(&dist_journal).ok();
 }
 
-/// VA, except that the first run on each thread waits until eight threads
-/// have made theirs.  A worker's first run is its checkpoint recording,
-/// made on its first lease, so eight workers given it all hold a lease
-/// before any run merges: none can find the campaign over at its
+/// VA, except that its checkpoint-recording pass fails: no store exists,
+/// so every leased run that is not pre-classified simulates cold.
+struct NoStore(VectorAdd);
+
+impl Workload for NoStore {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn module(&self) -> &Module {
+        self.0.module()
+    }
+
+    fn run(&self, gpu: &mut Gpu) -> Result<Vec<u8>, WorkloadError> {
+        if gpu.mem().logs_validity() {
+            return Err(WorkloadError::Device(LaunchError::OutOfMemory));
+        }
+        self.0.run(gpu)
+    }
+}
+
+/// [`NoStore`], except that the first run on each thread waits until
+/// eight threads have made theirs.  Without a store every worker's first
+/// run simulates, so eight workers each hold a lease before any
+/// simulated run merges: none can find the campaign over at its
 /// handshake.
 struct EightAtOnce {
-    va: VectorAdd,
+    cold: NoStore,
     all_in: std::sync::Barrier,
 }
 
 impl Workload for EightAtOnce {
     fn name(&self) -> &'static str {
-        self.va.name()
+        self.cold.name()
     }
 
     fn module(&self) -> &Module {
-        self.va.module()
+        self.cold.module()
     }
 
     fn run(&self, gpu: &mut Gpu) -> Result<Vec<u8>, WorkloadError> {
         thread_local!(static WAITED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
-        if !WAITED.replace(true) {
+        if !gpu.mem().logs_validity() && !WAITED.replace(true) {
             self.all_in.wait();
         }
-        self.va.run(gpu)
+        self.cold.run(gpu)
     }
 }
 
 /// Eight loopback workers hammering the coordinator exercises the
 /// single-writer journal channel end to end: every line lands intact, in
-/// canonical order, byte-identical to serial.
+/// canonical order, byte-identical to serial.  Both sides run without a
+/// store, so `ckpt_skipped_cycles` reads 0 on each.
 #[test]
 fn eight_loopback_workers_share_one_journal_writer() {
-    let w = VectorAdd::new(128);
+    let w = NoStore(VectorAdd::new(128));
     let card = GpuConfig::rtx2060();
     let golden = profile(&w, &card).unwrap();
     let runs = 64;
@@ -598,7 +624,7 @@ fn eight_loopback_workers_share_one_journal_writer() {
     };
     let plans = vec![ChaosPlan::default(); 8];
     let eight = EightAtOnce {
-        va: w,
+        cold: w,
         all_in: std::sync::Barrier::new(8),
     };
     let (res, workers) = run_distributed(&eight, &card, &dist_cfg, &golden, &svc, &plans, None);
@@ -615,6 +641,146 @@ fn eight_loopback_workers_share_one_journal_writer() {
     assert_eq!(res.stats.workers, 8);
     std::fs::remove_file(&serial_journal).ok();
     std::fs::remove_file(&dist_journal).ok();
+}
+
+/// VA, counting its checkpoint-recording passes in `recordings`.  A pass
+/// lingers until `together` passes have begun, for at most `linger`: so
+/// workers that share one recording all hold a lease before it ends, and
+/// campaigns served side by side record at the same time.
+struct CountsRecordings<'a> {
+    va: VectorAdd,
+    recordings: &'a AtomicUsize,
+    together: usize,
+    linger: Duration,
+}
+
+impl Workload for CountsRecordings<'_> {
+    fn name(&self) -> &'static str {
+        self.va.name()
+    }
+
+    fn module(&self) -> &Module {
+        self.va.module()
+    }
+
+    fn run(&self, gpu: &mut Gpu) -> Result<Vec<u8>, WorkloadError> {
+        if gpu.mem().logs_validity() {
+            self.recordings.fetch_add(1, Ordering::SeqCst);
+            let start = Instant::now();
+            while self.recordings.load(Ordering::SeqCst) < self.together
+                && start.elapsed() < self.linger
+            {
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        self.va.run(gpu)
+    }
+}
+
+// The tests of this binary share the process's table of checkpoint
+// recordings, so each test below serves a campaign (seed) no other serves.
+
+/// Four local workers of one coordinator fork from one recording, and the
+/// campaign still equals serial, journal included.  No store outlives its
+/// workers: the campaign served again records again.
+#[test]
+fn local_workers_share_one_checkpoint_recording() {
+    let recordings = AtomicUsize::new(0);
+    let w = CountsRecordings {
+        va: VectorAdd::new(256),
+        recordings: &recordings,
+        together: 4,
+        linger: Duration::from_millis(300),
+    };
+    let card = GpuConfig::rtx2060();
+    let golden = profile(&w, &card).unwrap();
+    let cfg =
+        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 64, 23).with_threads(1);
+    let serial_journal = tmp("shared-serial.journal.jsonl");
+    let serial = run_campaign(
+        &w,
+        &card,
+        &cfg.clone().with_journal(serial_journal.clone()),
+        &golden,
+    )
+    .unwrap();
+    assert_eq!(recordings.swap(0, Ordering::SeqCst), 1, "serial recordings");
+
+    for round in 1..=2 {
+        let dist_journal = tmp(&format!("shared-dist-{round}.journal.jsonl"));
+        let dist_cfg = cfg.clone().with_journal(dist_journal.clone());
+        let plans = [ChaosPlan::default(); 4];
+        let (res, workers) =
+            run_distributed(&w, &card, &dist_cfg, &golden, &quick_svc(), &plans, None);
+        let res = res.unwrap();
+        // Every worker held a lease while the one recording lingered.
+        for (i, wres) in workers.iter().enumerate() {
+            let report = wres.as_ref().unwrap_or_else(|e| panic!("worker {i}: {e}"));
+            assert!(report.runs > 0, "round {round}: worker {i} ran nothing");
+        }
+        assert_eq!(
+            recordings.load(Ordering::SeqCst),
+            round,
+            "served recordings"
+        );
+        assert_eq!(campaign_csv(&res), campaign_csv(&serial));
+        assert_eq!(
+            std::fs::read_to_string(&dist_journal).unwrap(),
+            std::fs::read_to_string(&serial_journal).unwrap(),
+            "round {round}: shared-recording journal diverged from serial"
+        );
+        std::fs::remove_file(&dist_journal).ok();
+    }
+    std::fs::remove_file(&serial_journal).ok();
+}
+
+/// `VectorAdd::new(128)` and `VectorAdd::new(256)` share a campaign
+/// description but not a golden run: served side by side in one process,
+/// each records its own store and equals its own serial run.
+#[test]
+fn one_description_over_two_golden_runs_records_twice() {
+    let recordings = AtomicUsize::new(0);
+    let card = GpuConfig::rtx2060();
+    let cfg =
+        CampaignConfig::new(CampaignSpec::new(Structure::RegisterFile), 24, 29).with_threads(1);
+    let campaigns = [128, 256].map(|n| {
+        let w = CountsRecordings {
+            va: VectorAdd::new(n),
+            recordings: &recordings,
+            together: 2,
+            linger: Duration::from_secs(10),
+        };
+        let golden = profile(&w, &card).unwrap();
+        (w, golden)
+    });
+    let serial: Vec<String> = campaigns
+        .iter()
+        .map(|(w, golden)| {
+            let plain = run_campaign(&w.va, &card, &cfg, golden).unwrap();
+            campaign_csv(&plain)
+        })
+        .collect();
+
+    let plans = [ChaosPlan::default(); 2];
+    let (card, cfg) = (&card, &cfg);
+    let served: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = campaigns
+            .iter()
+            .map(|(w, golden)| {
+                s.spawn(move || run_distributed(w, card, cfg, golden, &quick_svc(), &plans, None))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(
+        recordings.load(Ordering::SeqCst),
+        2,
+        "one recording per golden run"
+    );
+    for ((res, workers), serial_csv) in served.into_iter().zip(&serial) {
+        assert!(workers.iter().all(Result::is_ok), "{workers:?}");
+        assert_eq!(&campaign_csv(&res.unwrap()), serial_csv);
+    }
 }
 
 /// Pinned labels across all three executors: each campaign of the table
